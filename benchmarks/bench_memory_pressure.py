@@ -15,7 +15,7 @@ cache tier wins depends on how cheap S/D is.
 Three legs:
 
 * **Crossover matrix** — budget (tight / medium / generous) x tier x
-  serializer (java interp / kryo plans / cereal codegen), one iterative
+  serializer (java / kryo software / cereal accelerator), one iterative
   cached workload per cell. Gates: at the tight budget cereal-serialized
   beats deserialized while java-serialized loses to it; at the generous
   budget deserialized wins (or ties) for every serializer; deserialized

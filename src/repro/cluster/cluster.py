@@ -36,7 +36,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.bufpool import pool_stats
 from repro.common.errors import ConfigError
 from repro.faults.injector import FaultInjector
-from repro.formats.codegen import codegen_cache_stats
 from repro.formats.plans import plan_cache_stats
 from repro.formats.secure import decode_stats
 from repro.jvm.layout_cache import stats as layout_cache_stats
@@ -590,7 +589,6 @@ class SerializationCluster:
             ),
             runtime_caches={
                 "plan_cache": plan_cache_stats(),
-                "codegen_cache": codegen_cache_stats(),
                 "layout_cache": layout_cache_stats(),
                 "buffer_pool": pool_stats(),
                 "secure_decode": decode_stats(),

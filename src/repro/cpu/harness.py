@@ -107,15 +107,7 @@ class SoftwarePlatform:
     def run_serialize(
         self, serializer: Serializer, root: HeapObject
     ) -> Tuple[SerializationResult, SoftwareRunResult]:
-        heap = root.heap
-        trace, previous = self._with_trace(heap)
-        try:
-            result = serializer.serialize(root)
-        finally:
-            heap.memory.trace = previous
-        self._stream_accesses(trace, result.stream.size_bytes, "write")
-        timing = self._finish(serializer.name, "serialize", result.profile, trace)
-        return result, SoftwareRunResult(timing=timing, stream=result.stream)
+        return self._run_serialize(serializer, root, serializer.serialize)
 
     def run_serialize_chunked(
         self,
@@ -134,31 +126,37 @@ class SoftwarePlatform:
         Returns ``(result, run, chunks)`` where ``chunks`` are the
         payload slices in emission order.
         """
-        heap = root.heap
-        trace, previous = self._with_trace(heap)
-        cursor = serializer.serialize_chunks(root, chunk_bytes, pool=pool)
         chunks = []
-        try:
-            while True:
-                arena = cursor.next_chunk()
-                if arena is None:
-                    break
+
+        def encode(root: HeapObject) -> SerializationResult:
+            cursor = serializer.serialize_chunks(root, chunk_bytes, pool=pool)
+            while (arena := cursor.next_chunk()) is not None:
                 chunks.append(bytes(arena))
                 cursor.recycle(arena)
+            summary = cursor.summary
+            stream = SerializedStream(
+                format_name=summary.format_name,
+                data=b"".join(chunks),
+                sections=dict(summary.sections),
+                object_count=summary.object_count,
+                graph_bytes=summary.graph_bytes,
+            )
+            return SerializationResult(stream=stream, profile=summary.profile)
+
+        result, run = self._run_serialize(serializer, root, encode)
+        return result, run, chunks
+
+    def _run_serialize(self, serializer: Serializer, root: HeapObject, encode):
+        """Run ``encode(root)`` inside the heap trace and time it."""
+        heap = root.heap
+        trace, previous = self._with_trace(heap)
+        try:
+            result = encode(root)
         finally:
             heap.memory.trace = previous
-        summary = cursor.summary
-        stream = SerializedStream(
-            format_name=summary.format_name,
-            data=b"".join(chunks),
-            sections=dict(summary.sections),
-            object_count=summary.object_count,
-            graph_bytes=summary.graph_bytes,
-        )
-        result = SerializationResult(stream=stream, profile=summary.profile)
-        self._stream_accesses(trace, stream.size_bytes, "write")
+        self._stream_accesses(trace, result.stream.size_bytes, "write")
         timing = self._finish(serializer.name, "serialize", result.profile, trace)
-        return result, SoftwareRunResult(timing=timing, stream=stream), chunks
+        return result, SoftwareRunResult(timing=timing, stream=result.stream)
 
     def run_deserialize(
         self, serializer: Serializer, stream: SerializedStream, heap: Heap

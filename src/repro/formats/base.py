@@ -18,6 +18,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.common.bufpool import acquire_buffer, release_buffer
 from repro.formats.limits import DecodeLimits
 from repro.jvm.heap import Heap, HeapObject
 
@@ -181,14 +182,39 @@ class Serializer(abc.ABC):
         """A resumable chunked encode of ``root``: returns an
         :class:`~repro.formats.plans.EncodeCursor` that yields the stream
         in exact ``chunk_bytes``-sized arenas drawn from ``pool`` (default
-        the process-wide chunk pool). Chunk concatenation is byte-identical
-        to :meth:`serialize`; see :mod:`repro.formats.chunked`.
+        the process-wide chunk pool). It runs the same encode walk as the
+        plan-path :meth:`serialize`, so chunk concatenation is
+        byte-identical to it; see :mod:`repro.formats.chunked`.
         """
         from repro.formats.chunked import encode_cursor
 
         return encode_cursor(
             self, root, chunk_bytes, pool=pool, block=block
         )
+
+    def _drain_walk(self, root: HeapObject) -> SerializationResult:
+        """Single-shot serialize through the format's encode walk.
+
+        The walk writes into one pooled flat buffer, where it never
+        suspends (see :mod:`repro.formats.plans`, "chunked execution").
+        """
+        out = acquire_buffer()
+        try:
+            next(self._encode_walk(root, out))  # type: ignore[attr-defined]
+        except StopIteration as stop:
+            summary = stop.value
+            data = bytes(out)
+        finally:
+            release_buffer(out)
+        stream = SerializedStream(
+            format_name=self.name,
+            data=data,
+            sections=summary.sections,
+            object_count=summary.object_count,
+            graph_bytes=summary.graph_bytes,
+        )
+        stream.check_sections()
+        return SerializationResult(stream, summary.profile)
 
     def round_trip(self, root: HeapObject, heap: Heap) -> HeapObject:
         """Serialize then deserialize; convenience for tests and examples."""

@@ -51,7 +51,6 @@ from repro.formats.base import (
 )
 from repro.common.bitstream import bits_to_word, word_to_bits
 from repro.common.bitutils import bytes_to_bits
-from repro.formats import codegen as CG
 from repro.formats import plans as P
 from repro.formats.packing import (
     PackedArray,
@@ -158,7 +157,6 @@ class CerealSerializer(Serializer):
         strip_mark_word: bool = False,
         use_packing: bool = True,
         use_plans: bool = True,
-        use_codegen: bool = False,
     ):
         if registration is None:
             registration = ClassRegistration(max_entries=max_class_types)
@@ -170,11 +168,6 @@ class CerealSerializer(Serializer):
         # use_plans=True routes hot paths through compiled per-shape plans
         # (repro.formats.plans); streams are byte-identical either way.
         self.use_plans = use_plans
-        # use_codegen=True runs serialize through generated per-shape gather
-        # kernels (repro.formats.codegen) — one compiled tuple expression per
-        # (klass, length) shape. Deserialize stays on the plan path: its hot
-        # loop is already a single bulk-slice per reference-free object.
-        self.use_codegen = use_codegen
 
     def register_class(self, klass) -> int:
         """The paper's ``RegisterClass(Class Type)`` API."""
@@ -183,10 +176,8 @@ class CerealSerializer(Serializer):
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
-        if self.use_codegen:
-            return self._serialize_codegen(root)
         if self.use_plans:
-            return self._serialize_planned(root)
+            return self._drain_walk(root)
         graph = ObjectGraph.from_root(root, order="bfs")
         profile = WorkProfile()
         heap = root.heap
@@ -240,17 +231,22 @@ class CerealSerializer(Serializer):
             profile,
         )
 
-    def _serialize_planned(self, root: HeapObject) -> SerializationResult:
-        """Plan-path serialize: per-shape gather lists over bulk word reads.
+    def _encode_walk(self, root: HeapObject, out):
+        """The plan encoder: one generator walk behind both the plan-path
+        :meth:`serialize` and :meth:`serialize_chunks` (see
+        :mod:`repro.formats.plans`, "chunked execution").
 
         Each distinct ``(klass, length)`` shape compiles once (process-wide
         cache) into precomputed value/reference word-index tuples, so the
-        per-object work is two index-gather loops instead of a per-slot
-        bitmap classification. Streams and profiles are identical to the
-        interpreter path.
+        per-object work is two index-gather loops over one bulk word read.
+        The value frame declares the value-array length before the values,
+        so a first pass resolves every object's plan (which sizes the
+        frame) and a second streams the value words. References and
+        bitmaps, the trailing sections, gather during that pass and are
+        framed at the end by :meth:`_trailer`, as the interpreter frames them.
+        Streams and profiles are identical to the interpreter's.
         """
         graph = SlotRunGraph.from_root(root, order="bfs")
-        profile = WorkProfile()
         heap = root.heap
         read_words = heap.memory.read_words
         header_slots = heap.header_slots
@@ -258,38 +254,52 @@ class CerealSerializer(Serializer):
         relative_address = graph.relative_address
         strip_mark = self.strip_mark_word
         extension = [0] * (header_slots - 2)  # zeroed Cereal extension words
+        chunk = P.chunk_bytes_of(out)
 
-        value_words: List[int] = []
-        reference_values: List[int] = []
-        bitmap_words: List[tuple] = []
-        append_value = value_words.append
-        extend_values = value_words.extend
-        append_ref = reference_values.append
-        # Per-call memo over the process-wide cache: one probe per shape.
-        plans: dict = {}
-        class_ids: dict = {}
-
+        # Pass 1: (plan, class ID) per object, one cache probe per shape.
+        shapes: dict = {}
+        object_plans = []
+        value_word_total = graph.object_count * (
+            (0 if strip_mark else 1) + 1 + len(extension)
+        )
         for obj in graph.objects:
             klass = obj.klass
             shape = (klass, obj.length)
-            plan = plans.get(shape)
-            if plan is None:
+            entry = shapes.get(shape)
+            if entry is None:
                 if not registration.is_registered(klass):
                     raise RegistrationError(
                         f"class {klass.name!r} not registered with Cereal; "
                         f"call register_class() first"
                     )
                 plan = P.plan_for("cereal", klass, header_slots, obj.length)
-                plans[shape] = plan
-                class_ids[shape] = registration.id_of(klass)
-            profile.objects += 1
-            profile.add_instructions(plan.instr)
-            bitmap_words.append((plan.bitmap_word, plan.bitmap_width))
-            words = read_words(obj.address, plan.total_slots)
+                entry = (plan, registration.id_of(klass))
+                shapes[shape] = entry
+            object_plans.append(entry)
+            value_word_total += entry[0].n_value
 
+        out += self._stream_header(graph.total_bytes, graph.object_count)
+        out += struct.pack("<I", value_word_total * 8)
+
+        # Pass 2: value words in chunk-sized batches (one batch when flat).
+        batch_words = max(1, chunk // 8) if chunk else value_word_total
+        instr = 0
+        value_fields = 0
+        reference_fields = 0
+        values: List[int] = []
+        reference_values: List[int] = []
+        bitmap_words: List[tuple] = []
+        append_value = values.append
+        extend_values = values.extend
+        append_ref = reference_values.append
+        append_bitmap = bitmap_words.append
+        for obj, (plan, class_id) in zip(graph.objects, object_plans):
+            instr += plan.instr
+            append_bitmap((plan.bitmap_word, plan.bitmap_width))
+            words = read_words(obj.address, plan.total_slots)
             if not strip_mark:
                 append_value(words[_MARK_SLOT])
-            append_value(class_ids[shape])
+            append_value(class_id)
             if extension:
                 extend_values(extension)
             for index in plan.value_word_indices:
@@ -300,123 +310,88 @@ class CerealSerializer(Serializer):
                     append_ref(0)
                 else:
                     append_ref(relative_address[raw] + 1)
-            profile.value_fields += plan.n_value
-            profile.reference_fields += plan.n_ref
+            value_fields += plan.n_value
+            reference_fields += plan.n_ref
+            if len(values) >= batch_words:
+                out += struct.pack(f"<{len(values)}Q", *values)
+                values.clear()
+                if chunk and out.ready_count:
+                    yield
+        if values:
+            out += struct.pack(f"<{len(values)}Q", *values)
 
-        return self._assemble_stream(
-            value_words,
-            reference_values,
-            bitmap_words,
-            graph.total_bytes,
-            graph.object_count,
-            profile,
-        )
+        sections = {SECTION_META: 13, SECTION_VALUES: value_word_total * 8}
+        for part, section in self._trailer(reference_values, bitmap_words):
+            sections[section] = sections.get(section, 0) + len(part)
+            if not chunk:
+                out += part
+                continue
+            for offset in range(0, len(part), chunk):
+                if out.ready_count:
+                    yield
+                out += part[offset:offset + chunk]
 
-    def _serialize_codegen(self, root: HeapObject) -> SerializationResult:
-        """Codegen-path serialize: one generated gather call per object.
-
-        Each ``(klass, length)`` shape compiles once into a tuple-literal
-        expression that slices the bulk-read word image into the value and
-        reference structures in a single call — no per-slot Python loop.
-        Shapes whose gather exceeds the chunk cap fall back to the plan
-        gather loop. Streams and profiles match the interpreter exactly.
-        """
-        graph = SlotRunGraph.from_root(root, order="bfs")
+        total = len(out)
         profile = WorkProfile()
-        heap = root.heap
-        read_words = heap.memory.read_words
-        header_slots = heap.header_slots
-        registration = self.registration
-        relative_address = graph.relative_address
-        strip_mark = self.strip_mark_word
-
-        value_words: List[int] = []
-        reference_values: List[int] = []
-        bitmap_words: List[tuple] = []
-        extend_values = value_words.extend
-        append_value = value_words.append
-        append_ref = reference_values.append
-        append_bitmap = bitmap_words.append
-        extension = [0] * (header_slots - 2)
-
-        # shape -> [gather, class_id, plan, count, (bitmap_word, width)]
-        cells: dict = {}
-
-        for obj in graph.objects:
-            klass = obj.klass
-            shape = (klass, obj.length)
-            cell = cells.get(shape)
-            if cell is None:
-                if not registration.is_registered(klass):
-                    raise RegistrationError(
-                        f"class {klass.name!r} not registered with Cereal; "
-                        f"call register_class() first"
-                    )
-                plan = P.plan_for("cereal", klass, header_slots, obj.length)
-                kernel = CG.cereal_kernel_for(
-                    klass, header_slots, obj.length, strip_mark, plan
-                )
-                cell = [
-                    kernel.gather,
-                    registration.id_of(klass),
-                    plan,
-                    0,
-                    (plan.bitmap_word, plan.bitmap_width),
-                ]
-                cells[shape] = cell
-            cell[3] += 1
-            append_bitmap(cell[4])
-            plan = cell[2]
-            words = read_words(obj.address, plan.total_slots)
-            gather = cell[0]
-            if gather is not None:
-                vals, refs = gather(words, cell[1])
-                extend_values(vals)
-                for raw in refs:
-                    if raw == NULL_ADDRESS:
-                        append_ref(0)
-                    else:
-                        append_ref(relative_address[raw] + 1)
-            else:
-                # Chunk-cap fallback: plan-style index gather.
-                if not strip_mark:
-                    append_value(words[_MARK_SLOT])
-                append_value(cell[1])
-                if extension:
-                    extend_values(extension)
-                for index in plan.value_word_indices:
-                    append_value(words[index])
-                for index in plan.ref_word_indices:
-                    raw = words[index]
-                    if raw == NULL_ADDRESS:
-                        append_ref(0)
-                    else:
-                        append_ref(relative_address[raw] + 1)
-
-        objects = 0
-        instr = 0
-        value_fields = 0
-        reference_fields = 0
-        for cell in cells.values():
-            count = cell[3]
-            plan = cell[2]
-            objects += count
-            instr += count * plan.instr
-            value_fields += count * plan.n_value
-            reference_fields += count * plan.n_ref
-        profile.objects = objects
-        profile.add_instructions(instr)
+        profile.objects = graph.object_count
+        profile.instructions = instr + total // 4
         profile.value_fields = value_fields
         profile.reference_fields = reference_fields
-
-        return self._assemble_stream(
-            value_words,
-            reference_values,
-            bitmap_words,
-            graph.total_bytes,
-            graph.object_count,
-            profile,
+        profile.bytes_read = graph.total_bytes
+        profile.bytes_written = total
+        return P.ChunkedEncodeSummary(
+            self.name, total, sections, profile,
+            graph.object_count, graph.total_bytes,
         )
+
+    def _stream_header(self, graph_total_bytes: int, object_count: int) -> bytes:
+        """Graph size, object count and format flags: the first 9 bytes."""
+        flags = (_FLAG_PACKED if self.use_packing else 0) | (
+            _FLAG_MARK_STRIPPED if self.strip_mark_word else 0
+        )
+        return struct.pack("<IIB", graph_total_bytes, object_count, flags)
+
+    def _trailer(
+        self, reference_values: List[int], bitmap_words: List[tuple]
+    ) -> List[tuple]:
+        """The reference and bitmap structures, framed, as ``(bytes,
+        section)`` parts in stream order (frame words count as metadata)."""
+        if self.use_packing:
+            refs = pack_items(reference_values)
+            bitmaps = pack_bitmap_words(bitmap_words)
+            return [
+                (
+                    struct.pack(
+                        "<III", len(refs.data), len(refs.end_map), refs.item_count
+                    ),
+                    SECTION_META,
+                ),
+                (refs.data, SECTION_REFS),
+                (refs.end_map, SECTION_REF_END_MAP),
+                (
+                    struct.pack("<II", len(bitmaps.data), len(bitmaps.end_map)),
+                    SECTION_META,
+                ),
+                (bitmaps.data, SECTION_BITMAPS),
+                (bitmaps.end_map, SECTION_BITMAP_END_MAP),
+            ]
+        # Baseline (Section IV-A): 8 B per reference, and each bitmap
+        # stored as an 8 B bit-length word plus its raw bytes.
+        ref_bytes = struct.pack(f"<{len(reference_values)}Q", *reference_values)
+        bitmap_chunks = []
+        for word, width in bitmap_words:
+            nbytes = (width + 7) // 8
+            bitmap_chunks.append(struct.pack("<Q", width))
+            bitmap_chunks.append(
+                (word << (nbytes * 8 - width)).to_bytes(nbytes, "big")
+            )
+        bitmap_bytes = b"".join(bitmap_chunks)
+        return [
+            (struct.pack("<I", len(reference_values)), SECTION_META),
+            (ref_bytes, SECTION_REFS),
+            (struct.pack("<I", len(bitmap_bytes)), SECTION_META),
+            (bitmap_bytes, SECTION_BITMAPS),
+        ]
 
     def _assemble_stream(
         self,
@@ -427,82 +402,18 @@ class CerealSerializer(Serializer):
         object_count: int,
         profile: WorkProfile,
     ) -> SerializationResult:
-        """Frame the three gathered structures into the output stream.
-
-        Shared by the interpreter and plan serialize paths so the byte
-        format stays single-source. Output bytes accumulate in a pooled
-        arena instead of a fresh list-of-chunks join per call.
-        """
+        """Frame the interpreter's three gathered structures into a stream."""
         value_bytes = struct.pack(f"<{len(value_words)}Q", *value_words)
-        flags = (_FLAG_PACKED if self.use_packing else 0) | (
-            _FLAG_MARK_STRIPPED if self.strip_mark_word else 0
-        )
-        header = struct.pack("<IIB", graph_total_bytes, object_count, flags)
-        value_frame = struct.pack("<I", len(value_bytes))
-
-        if self.use_packing:
-            packed_refs = pack_items(reference_values)
-            packed_bitmaps = pack_bitmap_words(bitmap_words)
-            ref_frame = struct.pack(
-                "<III",
-                len(packed_refs.data),
-                len(packed_refs.end_map),
-                packed_refs.item_count,
-            )
-            bitmap_frame = struct.pack(
-                "<II", len(packed_bitmaps.data), len(packed_bitmaps.end_map)
-            )
-            ref_payload = [packed_refs.data, packed_refs.end_map]
-            bitmap_payload = [packed_bitmaps.data, packed_bitmaps.end_map]
-            sections_refs = {
-                SECTION_REFS: len(packed_refs.data),
-                SECTION_REF_END_MAP: len(packed_refs.end_map),
-                SECTION_BITMAPS: len(packed_bitmaps.data),
-                SECTION_BITMAP_END_MAP: len(packed_bitmaps.end_map),
-            }
-        else:
-            # Baseline (Section IV-A): 8 B per reference, and each bitmap
-            # stored as an 8 B bit-length word plus its raw bytes.
-            ref_bytes = struct.pack(
-                f"<{len(reference_values)}Q", *reference_values
-            )
-            bitmap_chunks = []
-            for word, width in bitmap_words:
-                nbytes = (width + 7) // 8
-                bitmap_chunks.append(struct.pack("<Q", width))
-                bitmap_chunks.append(
-                    (word << (nbytes * 8 - width)).to_bytes(nbytes, "big")
-                )
-            bitmap_bytes = b"".join(bitmap_chunks)
-            ref_frame = struct.pack("<I", len(reference_values))
-            bitmap_frame = struct.pack("<I", len(bitmap_bytes))
-            ref_payload = [ref_bytes]
-            bitmap_payload = [bitmap_bytes]
-            sections_refs = {
-                SECTION_REFS: len(ref_bytes),
-                SECTION_BITMAPS: len(bitmap_bytes),
-            }
-
         out = acquire_buffer()
-        out += header
-        out += value_frame
+        out += self._stream_header(graph_total_bytes, object_count)
+        out += struct.pack("<I", len(value_bytes))
         out += value_bytes
-        out += ref_frame
-        for chunk in ref_payload:
-            out += chunk
-        out += bitmap_frame
-        for chunk in bitmap_payload:
-            out += chunk
+        sections = {SECTION_META: 13, SECTION_VALUES: len(value_bytes)}
+        for part, section in self._trailer(reference_values, bitmap_words):
+            out += part
+            sections[section] = sections.get(section, 0) + len(part)
         data = bytes(out)
         release_buffer(out)
-        sections = {
-            SECTION_META: len(header)
-            + len(value_frame)
-            + len(ref_frame)
-            + len(bitmap_frame),
-            SECTION_VALUES: len(value_bytes),
-        }
-        sections.update(sections_refs)
         profile.bytes_read = graph_total_bytes
         profile.bytes_written = len(data)
         profile.add_instructions(len(data) // 4)

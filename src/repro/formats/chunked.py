@@ -1,815 +1,43 @@
-"""Chunked, resumable serialization walks with bounded arenas.
+"""Chunked, resumable serialization: the shared front doors.
 
-Every serializer in the repo can already produce its byte stream three
-ways (interpreter, plan, codegen) with byte-for-byte identical output.
-This module adds a fourth *execution shape* — not a fifth format tier:
-the same codegen kernels (java/kryo), plan gathers (cereal) and
-interpreter loop (skyway) run inside **generator walks** whose explicit
-frame stacks are the suspension state. The walk writes into a
+Every plan-path format has one encoder, a generator walk kept in that
+format's own module (``_encode_walk``). ``serialize()`` drains it into a
+flat pooled buffer; :func:`encode_cursor` runs the *same* walk over a
 :class:`~repro.formats.plans.ChunkingBuffer` that carves the stream into
 fixed-size arenas from a :class:`~repro.common.bufpool.ChunkArenaPool`,
-and yields whenever a chunk seals; an
-:class:`~repro.formats.plans.EncodeCursor` pulls one chunk at a time, so
-the encoder never runs ahead of its consumer by more than the pool
-population — backpressure reaches the plan executor itself.
+and an :class:`~repro.formats.plans.EncodeCursor` resumes it one sealed
+chunk at a time, so the encoder never runs ahead of its consumer by more
+than the pool population: backpressure reaches the plan executor itself.
 
 Resumability is structural, not re-entrant: suspending at a chunk
 boundary costs one generator yield, and resuming continues from the
-exact frame/index/offset where the walk stopped — the object graph is
-never re-walked. Two frame kinds exist purely to bound how much a single
-step can write: primitive-array bulk copies advance in chunk-sized
-slices (kind 2) and Kryo varint arrays encode element by element
-(kind 3), so no single uninterruptible step overshoots an arena by more
-than one shape's worth of bytes
-(:attr:`~repro.formats.codegen.EncodeKernel.max_write_bytes`).
-
-Byte identity: the concatenation of a walk's chunks is identical to the
-single-shot ``serialize()`` output for every format and every chunk
-size, including sizes of 1 byte and sizes larger than the payload —
-``tests/test_streaming.py`` fuzzes this against the interpreter oracle.
-Profiles and section splits are identical too, so the CPU cost model
-prices a chunked encode exactly like a whole-stream one (the win is
-*when* bytes become available, not how many instructions produce them).
+exact frame/index/offset where the walk stopped; the object graph is
+never re-walked. Chunking changes *when* bytes become available, not
+which bytes or how much modelled work produces them: chunk
+concatenation, section split and work profile equal the single-shot
+encode's, and ``tests/test_streaming.py`` checks them against the
+interpreter oracle for chunk sizes from 1 byte to larger than the
+payload.
 
 The receiver side is :class:`ChunkAssembler`: CRC-framed chunks are
 verified in sequence with :class:`~repro.formats.limits.DecodeLimits`
-budgets enforced incrementally — a hostile or clipped stream is rejected
-at the offending chunk, before later chunks are even read.
+budgets enforced incrementally, so a hostile or clipped stream is
+rejected at the offending chunk, before later chunks are even read.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.errors import (
     CorruptionError,
     FormatError,
-    RegistrationError,
     TruncatedStreamError,
 )
-from repro.formats import codegen as CG
-from repro.formats import plans as P
-from repro.formats.base import WorkProfile
 from repro.formats.limits import DecodeLimits, resolve_limits
-from repro.formats.plans import (
-    ChunkedEncodeSummary,
-    ChunkingBuffer,
-    EncodeCursor,
-)
+from repro.formats.plans import ChunkingBuffer, EncodeCursor
 from repro.formats.streams import frame_chunk, unframe_chunk
-from repro.jvm.graph import ObjectGraph, SlotRunGraph
-from repro.jvm.heap import HeapObject, NULL_ADDRESS
-from repro.jvm.klass import Klass
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-
-
-def _check_sections(name: str, sections: Dict[str, int], total: int) -> None:
-    declared = sum(sections.values())
-    if declared != total:
-        raise FormatError(
-            f"{name} chunked walk: sections sum to {declared}, "
-            f"stream is {total} bytes"
-        )
-
-
-def _stream_slices(out: ChunkingBuffer, data) -> None:
-    """Write a large byte blob in chunk-sized slices, yielding between
-    slices so the cursor can drain sealed chunks (bounds arena demand)."""
-    step = out.chunk_bytes
-    for offset in range(0, len(data), step):
-        out += data[offset:offset + step]
-        yield
-
-
-# -- java ----------------------------------------------------------------------------
-
-
-def _java_chunk_walk(serializer, root: HeapObject, out: ChunkingBuffer):
-    """Chunked Java serialize: the codegen driver re-shaped as a generator.
-
-    Mirrors ``JavaSerializer._serialize_codegen`` exactly — same cells,
-    same fused prefixes, same generated kernels, same end-of-walk fold —
-    with yields at chunk boundaries and primitive-array copies advanced
-    as kind-2 frames instead of one unbounded append.
-    """
-    from repro.formats import javaser as J
-
-    heap = root.heap
-    read = heap.memory.read
-    view = heap.memory.view
-    object_at = heap.object_at
-    header_slots = heap.header_slots
-    chunk_bytes = out.chunk_bytes
-
-    out += J._STREAM_HEADER
-
-    handles: Dict[int, int] = {}
-    class_handles: Dict[str, int] = {}
-    next_handle = 0
-
-    ref_count = 0
-    data_dyn = 0
-    instr_dyn = 0
-    value_fields_dyn = 0
-    reference_fields_dyn = 0
-    graph_bytes_dyn = 0
-
-    # klass -> [prefix, count, kind, plan, leaf, steps, size, wrote_desc]
-    cells: Dict[Klass, list] = {}
-
-    def make_cell(klass: Klass) -> list:
-        nonlocal out, next_handle
-        plan = P.plan_for(serializer.name, klass, header_slots)
-        is_array = klass.is_array
-        tag = J.TC_ARRAY if is_array else J.TC_OBJECT
-        class_handle = class_handles.get(klass.name)
-        if class_handle is None:
-            out.append(tag)
-            out += plan.desc_blob
-            class_handle = next_handle
-            class_handles[klass.name] = class_handle
-            next_handle += 1
-            wrote_desc = True
-        else:
-            out.append(tag)
-            out.append(J.TC_REFERENCE)
-            out += _U32.pack(class_handle)
-            wrote_desc = False
-        prefix = bytes((tag, J.TC_REFERENCE)) + _U32.pack(class_handle)
-        if is_array:
-            cell = [prefix, 1, 2, plan, None, None, 0, wrote_desc]
-        else:
-            kernel = CG.encode_kernel_for(
-                serializer.name, klass, header_slots, plan
-            )
-            kind = 0 if plan.n_ref == 0 else 1
-            cell = [
-                prefix, 1, kind, plan,
-                kernel.leaf, kernel.steps, plan.size_bytes, wrote_desc,
-            ]
-        cells[klass] = cell
-        return cell
-
-    def emit(obj: HeapObject):
-        nonlocal out, next_handle, ref_count, data_dyn, instr_dyn
-        nonlocal value_fields_dyn, reference_fields_dyn, graph_bytes_dyn
-        klass = obj.klass
-        cell = cells.get(klass)
-        if cell is None:
-            cell = make_cell(klass)
-        else:
-            out += cell[0]
-            cell[1] += 1
-        handles[obj.address] = next_handle
-        next_handle += 1
-        kind = cell[2]
-        if kind == 0:
-            cell[4](out, view(obj.address, cell[6]))
-            return None
-        if kind == 1:
-            return [0, cell[5], 0, view(obj.address, cell[6])]
-        plan = cell[3]
-        length = obj.length
-        out += _U32.pack(length)
-        instr_dyn += length * plan.ser_elem_instr
-        graph_bytes_dyn += obj.size_bytes
-        element_base = obj.fields_base + 8
-        if plan.is_ref:
-            reference_fields_dyn += length
-            if length:
-                addresses = struct.unpack(
-                    f"<{length}Q", read(element_base, length * 8)
-                )
-                return [1, addresses, 0]
-            return None
-        value_fields_dyn += length
-        nbytes = length * plan.element_width
-        if nbytes:
-            data_dyn += nbytes
-            return [2, element_base, nbytes, 0]  # incremental bulk copy
-        return None
-
-    frame = emit(root)
-    stack: List[list] = [frame] if frame is not None else []
-    while stack:
-        if out.ready_count:
-            yield
-        frame = stack[-1]
-        descend = None
-        kind = frame[0]
-        if kind == 0:  # instance: generated segments + ref offsets
-            steps = frame[1]
-            index = frame[2]
-            raw = frame[3]
-            step_count = len(steps)
-            while index < step_count:
-                if out.ready_count:
-                    frame[2] = index
-                    yield
-                step = steps[index]
-                index += 1
-                if step.__class__ is int:
-                    address = _U64.unpack_from(raw, step)[0]
-                    if address == 0:
-                        out.append(J.TC_NULL)
-                        ref_count += 1
-                    else:
-                        handle = handles.get(address)
-                        if handle is not None:
-                            out.append(J.TC_REFERENCE)
-                            out += _U32.pack(handle)
-                            ref_count += 5
-                        else:
-                            descend = emit(object_at(address))
-                            if descend is not None:
-                                break
-                else:
-                    step(out, raw)
-            frame[2] = index
-        elif kind == 1:  # reference array
-            addresses = frame[1]
-            index = frame[2]
-            count = len(addresses)
-            while index < count:
-                if out.ready_count:
-                    frame[2] = index
-                    yield
-                address = addresses[index]
-                index += 1
-                if address == 0:
-                    out.append(J.TC_NULL)
-                    ref_count += 1
-                else:
-                    handle = handles.get(address)
-                    if handle is not None:
-                        out.append(J.TC_REFERENCE)
-                        out += _U32.pack(handle)
-                        ref_count += 5
-                    else:
-                        descend = emit(object_at(address))
-                        if descend is not None:
-                            break
-            frame[2] = index
-        else:  # kind 2: primitive-array bulk copy, chunk-sized slices
-            element_base = frame[1]
-            nbytes = frame[2]
-            offset = frame[3]
-            while offset < nbytes:
-                if out.ready_count:
-                    frame[3] = offset
-                    yield
-                step_n = min(chunk_bytes, nbytes - offset)
-                out += read(element_base + offset, step_n)
-                offset += step_n
-            frame[3] = offset
-        if descend is not None:
-            stack.append(descend)
-        else:
-            stack.pop()
-
-    total = len(out)
-
-    objects = 0
-    instr = 0
-    aux = 0
-    dep = 0
-    value_fields = value_fields_dyn
-    reference_fields = reference_fields_dyn
-    data_count = data_dyn
-    graph_bytes = graph_bytes_dyn
-    meta_count = 4
-    type_count = 0
-    for cell in cells.values():
-        count = cell[1]
-        plan = cell[3]
-        objects += count
-        aux += count * plan.ser_aux
-        dep += count * plan.ser_dep
-        if cell[2] == 2:
-            instr += count * plan.ser_instr
-            meta_count += count * 5
-        else:
-            instr += count * (plan.ser_instr + plan.ser_reflect_instr)
-            meta_count += count
-            value_fields += count * plan.n_prim
-            reference_fields += count * plan.n_ref
-            data_count += count * plan.enc_data_bytes
-            graph_bytes += count * plan.size_bytes
-        if cell[7]:
-            instr += plan.desc_ser_instr
-            meta_count += plan.desc_meta_bytes
-            type_count += plan.desc_type_bytes
-            ref_count += 5 * (count - 1)
-        else:
-            ref_count += 5 * count
-    instr += instr_dyn + total * J._INSTR_PER_STREAM_BYTE
-
-    profile = WorkProfile()
-    profile.instructions = instr
-    profile.objects = objects
-    profile.value_fields = value_fields
-    profile.reference_fields = reference_fields
-    profile.dependent_loads = dep
-    profile.aux_random_accesses = aux
-    profile.bytes_read = graph_bytes
-    profile.bytes_written = total
-    sections = {J._SECTION_META: meta_count, J._SECTION_TYPES: type_count}
-    if data_count:
-        sections[J._SECTION_DATA] = data_count
-    if ref_count:
-        sections[J._SECTION_REFS] = ref_count
-    _check_sections(serializer.name, sections, total)
-    return ChunkedEncodeSummary(
-        serializer.name, total, 0, sections, profile, objects, graph_bytes
-    )
-
-
-# -- kryo ----------------------------------------------------------------------------
-
-
-def _kryo_chunk_walk(serializer, root: HeapObject, out: ChunkingBuffer):
-    """Chunked Kryo serialize, mirroring ``_serialize_codegen`` — varint
-    arrays advance element-by-element as kind-3 frames."""
-    from repro.formats import kryo as K
-
-    heap = root.heap
-    read = heap.memory.read
-    view = heap.memory.view
-    object_at = heap.object_at
-    header_slots = heap.header_slots
-    id_of = serializer.registration.id_of
-    append_varint = P.append_varint
-    append_signed = P.append_signed_varint
-    chunk_bytes = out.chunk_bytes
-
-    object_ids: Dict[int, int] = {}
-    next_object_id = 0
-
-    mark_dyn = 0
-    ref_count = 0
-    data_dyn = 0
-    instr_dyn = 0
-    value_fields_dyn = 0
-    reference_fields_dyn = 0
-    graph_bytes_dyn = 0
-
-    cells: Dict[Klass, list] = {}
-
-    def make_cell(klass: Klass) -> list:
-        nonlocal out
-        plan = P.plan_for(serializer.name, klass, header_slots)
-        id_buffer = bytearray()
-        id_buffer.append(K.MARK_ARRAY if klass.is_array else K.MARK_OBJECT)
-        append_varint(id_buffer, id_of(klass))
-        prefix = bytes(id_buffer)
-        if klass.is_array:
-            cell = [prefix, 0, 2, plan, None, None, 0]
-        else:
-            kernel = CG.encode_kernel_for(
-                serializer.name, klass, header_slots, plan
-            )
-            kind = 0 if plan.n_ref == 0 else 1
-            cell = [
-                prefix, 0, kind, plan,
-                kernel.leaf, kernel.steps, plan.size_bytes,
-            ]
-        cells[klass] = cell
-        return cell
-
-    def emit(obj: HeapObject):
-        nonlocal out, next_object_id, data_dyn, instr_dyn
-        nonlocal value_fields_dyn, reference_fields_dyn, graph_bytes_dyn
-        klass = obj.klass
-        cell = cells.get(klass)
-        if cell is None:
-            cell = make_cell(klass)
-        out += cell[0]
-        cell[1] += 1
-        object_ids[obj.address] = next_object_id
-        next_object_id += 1
-        kind = cell[2]
-        if kind == 0:
-            data_dyn += cell[4](out, view(obj.address, cell[6]))
-            return None
-        if kind == 1:
-            return [0, cell[5], 0, view(obj.address, cell[6])]
-        plan = cell[3]
-        length = obj.length
-        data_dyn += append_varint(out, length)
-        instr_dyn += length * plan.ser_elem_instr
-        graph_bytes_dyn += obj.size_bytes
-        element_base = obj.fields_base + 8
-        if plan.is_ref:
-            reference_fields_dyn += length
-            if length:
-                addresses = struct.unpack(
-                    f"<{length}Q", read(element_base, length * 8)
-                )
-                return [1, addresses, 0]
-            return None
-        value_fields_dyn += length
-        if length == 0:
-            return None
-        if plan.copy_elements:
-            nbytes = length * plan.element_width
-            data_dyn += nbytes
-            return [2, element_base, nbytes, 0]
-        values = struct.unpack(
-            f"<{length}{plan.varint_code}",
-            read(element_base, length * plan.element_width),
-        )
-        return [3, values, 0]  # zig-zag varint per element, resumable
-
-    frame = emit(root)
-    stack: List[list] = [frame] if frame is not None else []
-    while stack:
-        if out.ready_count:
-            yield
-        frame = stack[-1]
-        descend = None
-        kind = frame[0]
-        if kind == 0:
-            steps = frame[1]
-            index = frame[2]
-            raw = frame[3]
-            step_count = len(steps)
-            while index < step_count:
-                if out.ready_count:
-                    frame[2] = index
-                    yield
-                step = steps[index]
-                index += 1
-                if step.__class__ is int:
-                    address = _U64.unpack_from(raw, step)[0]
-                    if address == 0:
-                        out.append(K.MARK_NULL)
-                        mark_dyn += 1
-                    else:
-                        object_id = object_ids.get(address)
-                        if object_id is not None:
-                            out.append(K.MARK_BACKREF)
-                            mark_dyn += 1
-                            ref_count += append_varint(out, object_id)
-                        else:
-                            descend = emit(object_at(address))
-                            if descend is not None:
-                                break
-                else:
-                    data_dyn += step(out, raw)
-            frame[2] = index
-        elif kind == 1:
-            addresses = frame[1]
-            index = frame[2]
-            count = len(addresses)
-            while index < count:
-                if out.ready_count:
-                    frame[2] = index
-                    yield
-                address = addresses[index]
-                index += 1
-                if address == 0:
-                    out.append(K.MARK_NULL)
-                    mark_dyn += 1
-                else:
-                    object_id = object_ids.get(address)
-                    if object_id is not None:
-                        out.append(K.MARK_BACKREF)
-                        mark_dyn += 1
-                        ref_count += append_varint(out, object_id)
-                    else:
-                        descend = emit(object_at(address))
-                        if descend is not None:
-                            break
-            frame[2] = index
-        elif kind == 2:  # verbatim primitive array, chunk-sized slices
-            element_base = frame[1]
-            nbytes = frame[2]
-            offset = frame[3]
-            while offset < nbytes:
-                if out.ready_count:
-                    frame[3] = offset
-                    yield
-                step_n = min(chunk_bytes, nbytes - offset)
-                out += read(element_base + offset, step_n)
-                offset += step_n
-            frame[3] = offset
-        else:  # kind 3: INT/LONG array, zig-zag varint per element
-            values = frame[1]
-            index = frame[2]
-            count = len(values)
-            while index < count:
-                if out.ready_count:
-                    frame[2] = index
-                    yield
-                data_dyn += append_signed(out, values[index])
-                index += 1
-            frame[2] = index
-        if descend is not None:
-            stack.append(descend)
-        else:
-            stack.pop()
-
-    total = len(out)
-
-    objects = 0
-    instr = 0
-    aux = 0
-    dep = 0
-    mark_count = mark_dyn
-    class_id_count = 0
-    value_fields = value_fields_dyn
-    reference_fields = reference_fields_dyn
-    graph_bytes = graph_bytes_dyn
-    data_count = data_dyn
-    for cell in cells.values():
-        count = cell[1]
-        plan = cell[3]
-        objects += count
-        aux += count * plan.ser_aux
-        dep += count * plan.ser_dep
-        mark_count += count
-        class_id_count += count * (len(cell[0]) - 1)
-        if cell[2] == 2:
-            instr += count * plan.ser_instr
-        else:
-            instr += count * (plan.ser_instr + plan.ser_reflect_instr)
-            value_fields += count * plan.n_prim
-            reference_fields += count * plan.n_ref
-            graph_bytes += count * plan.size_bytes
-    instr += instr_dyn + total * K._INSTR_PER_STREAM_BYTE
-
-    profile = WorkProfile()
-    profile.instructions = instr
-    profile.objects = objects
-    profile.value_fields = value_fields
-    profile.reference_fields = reference_fields
-    profile.dependent_loads = dep
-    profile.aux_random_accesses = aux
-    profile.bytes_read = graph_bytes
-    profile.bytes_written = total
-    sections = {
-        K._SECTION_MARKS: mark_count,
-        K._SECTION_CLASS_IDS: class_id_count,
-    }
-    if data_count:
-        sections[K._SECTION_DATA] = data_count
-    if ref_count:
-        sections[K._SECTION_REFS] = ref_count
-    _check_sections(serializer.name, sections, total)
-    return ChunkedEncodeSummary(
-        serializer.name, total, 0, sections, profile, objects, graph_bytes
-    )
-
-
-# -- cereal --------------------------------------------------------------------------
-
-
-def _cereal_chunk_walk(serializer, root: HeapObject, out: ChunkingBuffer):
-    """Chunked Cereal serialize over the plan-tier gathers.
-
-    Cereal's columnar layout declares the value-array length in a frame
-    word *before* the values, so the walk runs two passes: a cheap
-    shape-memoized pre-count over the graph to size the value frame, then
-    the streaming pass that emits header + value words object by object.
-    References and bitmaps — the trailing minority sections — buffer as
-    int lists during the streaming pass and are emitted chunked at the
-    end, exactly replicating ``_assemble_stream``'s layout.
-    """
-    from repro.formats import cereal_format as C
-    from repro.formats.packing import pack_bitmap_words, pack_items
-
-    graph = SlotRunGraph.from_root(root, order="bfs")
-    profile = WorkProfile()
-    heap = root.heap
-    read_words = heap.memory.read_words
-    header_slots = heap.header_slots
-    registration = serializer.registration
-    relative_address = graph.relative_address
-    strip_mark = serializer.strip_mark_word
-    extension = [0] * (header_slots - 2)
-
-    # Pass 1: pre-count value words per shape so the value frame can be
-    # written before any value bytes.
-    plans: dict = {}
-    class_ids: dict = {}
-    head_words = (0 if strip_mark else 1) + 1 + (header_slots - 2)
-    value_word_total = 0
-    for obj in graph.objects:
-        klass = obj.klass
-        shape = (klass, obj.length)
-        plan = plans.get(shape)
-        if plan is None:
-            if not registration.is_registered(klass):
-                raise RegistrationError(
-                    f"class {klass.name!r} not registered with Cereal; "
-                    f"call register_class() first"
-                )
-            plan = P.plan_for("cereal", klass, header_slots, obj.length)
-            plans[shape] = plan
-            class_ids[shape] = registration.id_of(klass)
-        value_word_total += head_words + plan.n_value
-    value_bytes_len = value_word_total * 8
-
-    flags = (C._FLAG_PACKED if serializer.use_packing else 0) | (
-        C._FLAG_MARK_STRIPPED if strip_mark else 0
-    )
-    header = struct.pack(
-        "<IIB", graph.total_bytes, graph.object_count, flags
-    )
-    value_frame = struct.pack("<I", value_bytes_len)
-    out += header
-    out += value_frame
-
-    # Pass 2: stream value words object by object; buffer refs/bitmaps.
-    reference_values: List[int] = []
-    bitmap_words: List[tuple] = []
-    append_ref = reference_values.append
-    append_bitmap = bitmap_words.append
-    for obj in graph.objects:
-        if out.ready_count:
-            yield
-        shape = (obj.klass, obj.length)
-        plan = plans[shape]
-        profile.objects += 1
-        profile.add_instructions(plan.instr)
-        append_bitmap((plan.bitmap_word, plan.bitmap_width))
-        words = read_words(obj.address, plan.total_slots)
-        vals: List[int] = []
-        if not strip_mark:
-            vals.append(words[C._MARK_SLOT])
-        vals.append(class_ids[shape])
-        if extension:
-            vals.extend(extension)
-        for index in plan.value_word_indices:
-            vals.append(words[index])
-        out += struct.pack(f"<{len(vals)}Q", *vals)
-        for index in plan.ref_word_indices:
-            raw = words[index]
-            if raw == NULL_ADDRESS:
-                append_ref(0)
-            else:
-                append_ref(relative_address[raw] + 1)
-        profile.value_fields += plan.n_value
-        profile.reference_fields += plan.n_ref
-
-    # Trailer: reference + bitmap sections, byte-identical to
-    # ``_assemble_stream`` and emitted in chunk-sized slices.
-    if serializer.use_packing:
-        packed_refs = pack_items(reference_values)
-        packed_bitmaps = pack_bitmap_words(bitmap_words)
-        ref_frame = struct.pack(
-            "<III",
-            len(packed_refs.data),
-            len(packed_refs.end_map),
-            packed_refs.item_count,
-        )
-        bitmap_frame = struct.pack(
-            "<II", len(packed_bitmaps.data), len(packed_bitmaps.end_map)
-        )
-        ref_payload = [packed_refs.data, packed_refs.end_map]
-        bitmap_payload = [packed_bitmaps.data, packed_bitmaps.end_map]
-        sections_refs = {
-            C.SECTION_REFS: len(packed_refs.data),
-            C.SECTION_REF_END_MAP: len(packed_refs.end_map),
-            C.SECTION_BITMAPS: len(packed_bitmaps.data),
-            C.SECTION_BITMAP_END_MAP: len(packed_bitmaps.end_map),
-        }
-    else:
-        ref_bytes = struct.pack(
-            f"<{len(reference_values)}Q", *reference_values
-        )
-        bitmap_chunks = []
-        for word, width in bitmap_words:
-            nbytes = (width + 7) // 8
-            bitmap_chunks.append(struct.pack("<Q", width))
-            bitmap_chunks.append(
-                (word << (nbytes * 8 - width)).to_bytes(nbytes, "big")
-            )
-        bitmap_bytes = b"".join(bitmap_chunks)
-        ref_frame = struct.pack("<I", len(reference_values))
-        bitmap_frame = struct.pack("<I", len(bitmap_bytes))
-        ref_payload = [ref_bytes]
-        bitmap_payload = [bitmap_bytes]
-        sections_refs = {
-            C.SECTION_REFS: len(ref_bytes),
-            C.SECTION_BITMAPS: len(bitmap_bytes),
-        }
-
-    out += ref_frame
-    for blob in ref_payload:
-        yield from _stream_slices(out, blob)
-    out += bitmap_frame
-    for blob in bitmap_payload:
-        yield from _stream_slices(out, blob)
-
-    total = len(out)
-    sections = {
-        C.SECTION_META: len(header)
-        + len(value_frame)
-        + len(ref_frame)
-        + len(bitmap_frame),
-        C.SECTION_VALUES: value_bytes_len,
-    }
-    sections.update(sections_refs)
-    profile.bytes_read = graph.total_bytes
-    profile.bytes_written = total
-    profile.add_instructions(total // 4)
-    _check_sections(serializer.name, sections, total)
-    return ChunkedEncodeSummary(
-        serializer.name,
-        total,
-        0,
-        sections,
-        profile,
-        graph.object_count,
-        graph.total_bytes,
-    )
-
-
-# -- skyway --------------------------------------------------------------------------
-
-
-def _skyway_chunk_walk(serializer, root: HeapObject, out: ChunkingBuffer):
-    """Chunked Skyway serialize: the interpreter loop (Skyway has no
-    plan/codegen tier) yielding between objects."""
-    from repro.formats import skyway as S
-
-    graph = ObjectGraph.from_root(root)
-    profile = WorkProfile()
-    heap = root.heap
-    memory = heap.memory
-
-    out += _U32.pack(graph.total_bytes)
-    out += _U32.pack(graph.object_count)
-    meta_count = 8
-    header_count = 0
-    value_count = 0
-    ref_count = 0
-
-    for obj in graph:
-        if out.ready_count:
-            yield
-        profile.objects += 1
-        profile.add_instructions(S._INSTR_PER_OBJECT)
-        profile.aux_random_accesses += S._AUX_ACCESSES_PER_OBJECT_SER
-        profile.dependent_loads += 2
-        out += _U64.pack(memory.read_u64(obj.address))
-        type_id = serializer.registration.register(obj.klass)
-        out += _U64.pack(type_id)
-        header_count += 16
-        if heap.cereal_extension:
-            out += _U64.pack(0)
-            header_count += 8
-        reference_slots = set(obj.reference_slots())
-        for slot in range(obj.field_slots):
-            raw = memory.read_u64(obj.slot_address(slot))
-            profile.add_instructions(S._INSTR_PER_SLOT)
-            if slot in reference_slots:
-                profile.reference_fields += 1
-                profile.add_instructions(S._INSTR_PER_REFERENCE)
-                if raw == NULL_ADDRESS:
-                    out += _U64.pack(S._NULL_RELATIVE)
-                else:
-                    out += _U64.pack(graph.relative_address[raw])
-                ref_count += 8
-            else:
-                profile.value_fields += 1
-                out += _U64.pack(raw)
-                value_count += 8
-
-    total = len(out)
-    profile.bytes_read = graph.total_bytes
-    profile.bytes_written = total
-    profile.add_instructions(graph.total_bytes // 8)
-    sections = {
-        S._SECTION_META: meta_count,
-        S._SECTION_HEADERS: header_count,
-        S._SECTION_VALUES: value_count,
-        S._SECTION_REFS: ref_count,
-    }
-    _check_sections(serializer.name, sections, total)
-    return ChunkedEncodeSummary(
-        serializer.name,
-        total,
-        0,
-        sections,
-        profile,
-        graph.object_count,
-        graph.total_bytes,
-    )
-
-
-# -- front doors ---------------------------------------------------------------------
-
-_WALKS = {
-    "java-builtin": _java_chunk_walk,
-    "kryo": _kryo_chunk_walk,
-    "cereal": _cereal_chunk_walk,
-    "skyway": _skyway_chunk_walk,
-}
+from repro.jvm.heap import HeapObject
 
 
 def encode_cursor(
@@ -826,14 +54,11 @@ def encode_cursor(
     makes arena exhaustion wait (threaded producer/consumer pipelines)
     instead of drawing counted overflow arenas.
     """
-    walk_fn = _WALKS.get(serializer.name)
-    if walk_fn is None:
-        raise FormatError(
-            f"no chunked walk for serializer {serializer.name!r} "
-            f"(supported: {sorted(_WALKS)})"
-        )
+    walk = getattr(serializer, "_encode_walk", None)
+    if walk is None:
+        raise FormatError(f"no chunked walk for serializer {serializer.name!r}")
     buffer = ChunkingBuffer(chunk_bytes, pool=pool, block=block)
-    return EncodeCursor(walk_fn(serializer, root, buffer), buffer)
+    return EncodeCursor(walk(root, buffer), buffer)
 
 
 def collect_chunks(

@@ -32,14 +32,12 @@ import hashlib
 import struct
 from typing import Dict, Iterator, List, Optional
 
-from repro.common.bufpool import acquire_buffer, release_buffer
 from repro.common.errors import (
     FormatError,
     HeapError,
     TruncatedStreamError,
     UnknownClassError,
 )
-from repro.formats import codegen as CG
 from repro.formats import plans as P
 from repro.formats.base import (
     DeserializationResult,
@@ -132,24 +130,18 @@ class JavaSerializer(Serializer):
     images, sections, and work profiles, minus the per-object interpretive
     overhead. ``use_plans=False`` keeps the original field-by-field
     interpreter — the oracle the fuzz equivalence tests compare against.
-    ``use_codegen=True`` is a tier above the plans: instance shapes run
-    through generated straight-line kernels (:mod:`repro.formats.codegen`)
-    over zero-copy heap views, still byte- and profile-identical.
     """
 
     name = "java-builtin"
 
-    def __init__(self, use_plans: bool = True, use_codegen: bool = False):
+    def __init__(self, use_plans: bool = True):
         self.use_plans = use_plans
-        self.use_codegen = use_codegen
 
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
-        if self.use_codegen:
-            return self._serialize_codegen(root)
         if self.use_plans:
-            return self._serialize_planned(root)
+            return self._drain_walk(root)
         writer = StreamWriter(pooled=True)
         profile = WorkProfile()
         reflect = JavaReflection()
@@ -291,23 +283,24 @@ class JavaSerializer(Serializer):
         stream.check_sections()
         return SerializationResult(stream, profile)
 
-    # ------------------------------------------------------- serialize (plan kernel)
+    # ------------------------------------------------------- serialize (plan walk)
 
-    def _serialize_planned(self, root: HeapObject) -> SerializationResult:
-        """Compiled-plan serialize: byte-identical to the interpreter.
+    def _encode_walk(self, root: HeapObject, out):
+        """The plan encoder: one generator walk behind both the plan-path
+        :meth:`serialize` and :meth:`serialize_chunks` (see
+        :mod:`repro.formats.plans`, "chunked execution").
 
         Per object: one plan-cache probe, one bulk image read, then a
-        straight-line replay of the plan's merged copy/convert/ref ops into
-        a pooled output arena. Profile deltas come pre-summed from the
-        plan, so the resulting :class:`WorkProfile` matches the
-        interpreter's exactly.
+        straight-line replay of the plan's merged copy/convert/ref ops.
+        Profile deltas come pre-summed from the plan, so the resulting
+        :class:`WorkProfile` matches the interpreter's exactly.
         """
         heap = root.heap
         read = heap.memory.read
         object_at = heap.object_at
         header_slots = heap.header_slots
+        chunk = P.chunk_bytes_of(out)
 
-        out = acquire_buffer()
         out += _STREAM_HEADER
         meta_count = 4
         type_count = 0
@@ -330,7 +323,7 @@ class JavaSerializer(Serializer):
         plans_local: Dict[Klass, object] = {}
 
         def emit(obj: HeapObject):
-            """Emit one object's prelude; returns a frame if it has refs."""
+            """Emit one object's prelude; returns a frame if it has more."""
             nonlocal out, meta_count, type_count, data_count, ref_count, next_handle
             nonlocal objects, instr, reflect_instr, aux, dep
             nonlocal value_fields, reference_fields, graph_bytes
@@ -376,9 +369,11 @@ class JavaSerializer(Serializer):
                     return None
                 value_fields += length
                 nbytes = length * plan.element_width
+                data_count += nbytes
+                if 0 < chunk < nbytes:
+                    return [2, element_base, nbytes, 0]
                 if nbytes:
                     out += read(element_base, nbytes)
-                    data_count += nbytes
                 return None
             instr += plan.ser_instr
             reflect_instr += plan.ser_reflect_instr
@@ -401,12 +396,16 @@ class JavaSerializer(Serializer):
         while stack:
             frame = stack[-1]
             descend = None
-            if frame[0] == 0:  # instance: interleaved copy/float/ref ops
+            kind = frame[0]
+            if kind == 0:  # instance: interleaved copy/float/ref ops
                 ops = frame[1]
                 index = frame[2]
                 raw = frame[3]
                 op_count = len(ops)
                 while index < op_count:
+                    if chunk and out.ready_count:
+                        frame[2] = index
+                        yield
                     op, start, end = ops[index]
                     index += 1
                     if op == P.OP_COPY:
@@ -429,11 +428,14 @@ class JavaSerializer(Serializer):
                                 if descend is not None:
                                     break
                 frame[2] = index
-            else:  # reference array: a run of ref slots
+            elif kind == 1:  # reference array: a run of ref slots
                 addresses = frame[1]
                 index = frame[2]
                 count = len(addresses)
                 while index < count:
+                    if chunk and out.ready_count:
+                        frame[2] = index
+                        yield
                     address = addresses[index]
                     index += 1
                     if address == 0:
@@ -450,14 +452,25 @@ class JavaSerializer(Serializer):
                             if descend is not None:
                                 break
                 frame[2] = index
+            else:  # primitive array storage, chunk-sized slices
+                element_base = frame[1]
+                nbytes = frame[2]
+                offset = frame[3]
+                while offset < nbytes:
+                    if out.ready_count:
+                        frame[3] = offset
+                        yield
+                    step = min(chunk, nbytes - offset)
+                    out += read(element_base + offset, step)
+                    offset += step
+                frame[3] = offset
             if descend is not None:
                 stack.append(descend)
             else:
                 stack.pop()
 
-        data = bytes(out)
-        release_buffer(out)
-        instr += reflect_instr + len(data) * _INSTR_PER_STREAM_BYTE
+        total = len(out)
+        instr += reflect_instr + total * _INSTR_PER_STREAM_BYTE
         profile = WorkProfile()
         profile.instructions = instr
         profile.objects = objects
@@ -466,251 +479,15 @@ class JavaSerializer(Serializer):
         profile.dependent_loads = dep
         profile.aux_random_accesses = aux
         profile.bytes_read = graph_bytes
-        profile.bytes_written = len(data)
+        profile.bytes_written = total
         sections = {_SECTION_META: meta_count, _SECTION_TYPES: type_count}
         if data_count:
             sections[_SECTION_DATA] = data_count
         if ref_count:
             sections[_SECTION_REFS] = ref_count
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=sections,
-            object_count=objects,
-            graph_bytes=graph_bytes,
+        return P.ChunkedEncodeSummary(
+            self.name, total, sections, profile, objects, graph_bytes
         )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
-
-    # ---------------------------------------------------- serialize (codegen kernel)
-
-    def _serialize_codegen(self, root: HeapObject) -> SerializationResult:
-        """Generated-kernel serialize: byte-identical to the plan tier.
-
-        Per instance object: one per-call cell lookup, one fused
-        tag+backref prefix append, one zero-copy :meth:`MemorySpace.view`
-        of the raw image, then straight-line generated code. All
-        shape-constant profile deltas are counted per shape and
-        multiplied once at the end of the walk; only graph-dependent
-        quantities (array lengths, null/backref bytes) accumulate inline.
-        """
-        heap = root.heap
-        read = heap.memory.read
-        view = heap.memory.view
-        object_at = heap.object_at
-        header_slots = heap.header_slots
-
-        out = acquire_buffer()
-        out += _STREAM_HEADER
-
-        handles: Dict[int, int] = {}  # heap address -> stream handle
-        class_handles: Dict[str, int] = {}
-        next_handle = 0
-
-        ref_count = 0
-        data_dyn = 0
-        instr_dyn = 0
-        value_fields_dyn = 0
-        reference_fields_dyn = 0
-        graph_bytes_dyn = 0
-
-        # klass -> [prefix, count, kind, plan, leaf, steps, size, wrote_desc]
-        # kind: 0 = leaf instance, 1 = instance with refs, 2 = array
-        cells: Dict[Klass, list] = {}
-
-        def make_cell(klass: Klass) -> list:
-            """First occurrence of a shape: emit its tag + class desc (or
-            backref), compile/fetch its kernel, seed the count cell."""
-            nonlocal out, next_handle
-            plan = P.plan_for(self.name, klass, header_slots)
-            is_array = klass.is_array
-            tag = TC_ARRAY if is_array else TC_OBJECT
-            class_handle = class_handles.get(klass.name)
-            if class_handle is None:
-                out.append(tag)
-                out += plan.desc_blob
-                class_handle = next_handle
-                class_handles[klass.name] = class_handle
-                next_handle += 1
-                wrote_desc = True
-            else:
-                out.append(tag)
-                out.append(TC_REFERENCE)
-                out += _U32.pack(class_handle)
-                wrote_desc = False
-            prefix = bytes((tag, TC_REFERENCE)) + _U32.pack(class_handle)
-            if is_array:
-                cell = [prefix, 1, 2, plan, None, None, 0, wrote_desc]
-            else:
-                kernel = CG.encode_kernel_for(self.name, klass, header_slots, plan)
-                kind = 0 if plan.n_ref == 0 else 1
-                cell = [
-                    prefix, 1, kind, plan,
-                    kernel.leaf, kernel.steps, plan.size_bytes, wrote_desc,
-                ]
-            cells[klass] = cell
-            return cell
-
-        def emit(obj: HeapObject):
-            """Emit one object's prelude; returns a frame if it has refs."""
-            nonlocal out, next_handle, ref_count, data_dyn, instr_dyn
-            nonlocal value_fields_dyn, reference_fields_dyn, graph_bytes_dyn
-            klass = obj.klass
-            cell = cells.get(klass)
-            if cell is None:
-                cell = make_cell(klass)
-            else:
-                out += cell[0]
-                cell[1] += 1
-            handles[obj.address] = next_handle
-            next_handle += 1
-            kind = cell[2]
-            if kind == 0:  # leaf instance: one generated straight-line call
-                cell[4](out, view(obj.address, cell[6]))
-                return None
-            if kind == 1:  # instance with reference fields
-                return [0, cell[5], 0, view(obj.address, cell[6])]
-            plan = cell[3]  # array: bulk element path, as in the plan tier
-            length = obj.length
-            out += _U32.pack(length)
-            instr_dyn += length * plan.ser_elem_instr
-            graph_bytes_dyn += obj.size_bytes
-            element_base = obj.fields_base + 8
-            if plan.is_ref:
-                reference_fields_dyn += length
-                if length:
-                    addresses = struct.unpack(
-                        f"<{length}Q", read(element_base, length * 8)
-                    )
-                    return [1, addresses, 0]
-                return None
-            value_fields_dyn += length
-            nbytes = length * plan.element_width
-            if nbytes:
-                out += read(element_base, nbytes)
-                data_dyn += nbytes
-            return None
-
-        frame = emit(root)
-        stack: List[list] = [frame] if frame is not None else []
-        while stack:
-            frame = stack[-1]
-            descend = None
-            if frame[0] == 0:  # instance: generated segments + ref offsets
-                steps = frame[1]
-                index = frame[2]
-                raw = frame[3]
-                step_count = len(steps)
-                while index < step_count:
-                    step = steps[index]
-                    index += 1
-                    if step.__class__ is int:  # reference slot byte offset
-                        address = _U64.unpack_from(raw, step)[0]
-                        if address == 0:
-                            out.append(TC_NULL)
-                            ref_count += 1
-                        else:
-                            handle = handles.get(address)
-                            if handle is not None:
-                                out.append(TC_REFERENCE)
-                                out += _U32.pack(handle)
-                                ref_count += 5
-                            else:
-                                descend = emit(object_at(address))
-                                if descend is not None:
-                                    break
-                    else:
-                        step(out, raw)
-                frame[2] = index
-            else:  # reference array: a run of ref slots
-                addresses = frame[1]
-                index = frame[2]
-                count = len(addresses)
-                while index < count:
-                    address = addresses[index]
-                    index += 1
-                    if address == 0:
-                        out.append(TC_NULL)
-                        ref_count += 1
-                    else:
-                        handle = handles.get(address)
-                        if handle is not None:
-                            out.append(TC_REFERENCE)
-                            out += _U32.pack(handle)
-                            ref_count += 5
-                        else:
-                            descend = emit(object_at(address))
-                            if descend is not None:
-                                break
-                frame[2] = index
-            if descend is not None:
-                stack.append(descend)
-            else:
-                stack.pop()
-
-        data = bytes(out)
-        release_buffer(out)
-
-        # Fold the shape-constant deltas: one multiply per shape, exactly
-        # the numbers the plan tier accumulates per object.
-        objects = 0
-        instr = 0
-        aux = 0
-        dep = 0
-        value_fields = value_fields_dyn
-        reference_fields = reference_fields_dyn
-        data_count = data_dyn
-        graph_bytes = graph_bytes_dyn
-        meta_count = 4
-        type_count = 0
-        for cell in cells.values():
-            count = cell[1]
-            plan = cell[3]
-            objects += count
-            aux += count * plan.ser_aux
-            dep += count * plan.ser_dep
-            if cell[2] == 2:  # array: tag byte + 4-byte length per object
-                instr += count * plan.ser_instr
-                meta_count += count * 5
-            else:
-                instr += count * (plan.ser_instr + plan.ser_reflect_instr)
-                meta_count += count
-                value_fields += count * plan.n_prim
-                reference_fields += count * plan.n_ref
-                data_count += count * plan.enc_data_bytes
-                graph_bytes += count * plan.size_bytes
-            if cell[7]:  # first occurrence wrote the full descriptor
-                instr += plan.desc_ser_instr
-                meta_count += plan.desc_meta_bytes
-                type_count += plan.desc_type_bytes
-                ref_count += 5 * (count - 1)
-            else:  # every occurrence used a 5-byte class back reference
-                ref_count += 5 * count
-        instr += instr_dyn + len(data) * _INSTR_PER_STREAM_BYTE
-
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.dependent_loads = dep
-        profile.aux_random_accesses = aux
-        profile.bytes_read = graph_bytes
-        profile.bytes_written = len(data)
-        sections = {_SECTION_META: meta_count, _SECTION_TYPES: type_count}
-        if data_count:
-            sections[_SECTION_DATA] = data_count
-        if ref_count:
-            sections[_SECTION_REFS] = ref_count
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=sections,
-            object_count=objects,
-            graph_bytes=graph_bytes,
-        )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
 
     # ---------------------------------------------------------------- deserialize
 
@@ -721,8 +498,6 @@ class JavaSerializer(Serializer):
         limits: Optional[DecodeLimits] = None,
     ) -> DeserializationResult:
         limits = resolve_limits(limits)
-        if self.use_codegen:
-            return self._deserialize_codegen(stream, heap, limits)
         if self.use_plans:
             return self._deserialize_planned(stream, heap, limits)
         limits.check_stream_bytes(len(stream.data))
@@ -1247,284 +1022,6 @@ class JavaSerializer(Serializer):
         profile.instructions = instr
         profile.objects = objects
         profile.allocations = allocations
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.aux_random_accesses = aux
-        profile.bytes_read = n_data
-        profile.bytes_written = graph_bytes
-        return DeserializationResult(root_obj, profile)
-
-    # -------------------------------------------------- deserialize (codegen kernel)
-
-    def _deserialize_codegen(
-        self, stream: SerializedStream, heap: Heap, limits: DecodeLimits
-    ) -> DeserializationResult:
-        """Generated-kernel deserialize: identical heap image and profile.
-
-        Instance field segments decode through one combined bounds check
-        and one precompiled ``Struct.unpack_from`` per segment instead of
-        a per-op loop; shape-constant profile deltas fold per shape at
-        the end. Truncation errors keep their type but report the
-        generated segment's span rather than the individual field's.
-        """
-        data = stream.data
-        n_data = len(data)
-        limits.check_stream_bytes(n_data)
-        max_objects = limits.max_objects
-        max_array_length = limits.max_array_length
-        max_depth = limits.max_depth
-        memory = heap.memory
-        header_slots = heap.header_slots
-        pos = 0
-
-        if n_data < 4:
-            offset = 0 if n_data < 2 else 2
-            raise TruncatedStreamError(
-                offset=offset, needed=2, available=n_data - offset
-            )
-        if data[:4] != _STREAM_HEADER:
-            raise FormatError("bad Java serialization stream header")
-        pos = 4
-
-        handle_table: list = []  # Klass and HeapObject entries, handle order
-
-        # klass -> [plan, count, kind, leaf, steps, field_count]
-        # kind: 0 = leaf instance, 1 = instance with refs, 2 = array
-        cells: Dict[Klass, list] = {}
-
-        objects = 0
-        instr_dyn = 0
-        value_fields_dyn = 0
-        reference_fields_dyn = 0
-        graph_bytes_dyn = 0
-
-        def underflow(count: int) -> FormatError:
-            return TruncatedStreamError(
-                offset=pos, needed=count, available=n_data - pos
-            )
-
-        def cell_for(klass: Klass) -> list:
-            plan = P.plan_for(self.name, klass, header_slots)
-            if klass.is_array:
-                cell = [plan, 0, 2, None, None, 0]
-            else:
-                kernel = CG.decode_kernel_for(self.name, klass, header_slots, plan)
-                kind = 0 if plan.n_ref == 0 else 1
-                cell = [plan, 0, kind, kernel.leaf, kernel.steps, plan.field_count]
-            cells[klass] = cell
-            return cell
-
-        def read_class_desc():
-            """Parse a classdesc; returns ``(klass, cell)``."""
-            nonlocal pos, instr_dyn
-            if pos >= n_data:
-                raise underflow(1)
-            tag = data[pos]
-            pos += 1
-            if tag == TC_REFERENCE:
-                if pos + 4 > n_data:
-                    raise underflow(4)
-                handle = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                value = handle_table[handle] if handle < len(handle_table) else None
-                if not isinstance(value, Klass):
-                    raise FormatError(
-                        "class-descriptor handle resolves to non-class"
-                    )
-                cell = cells.get(value)
-                if cell is None:
-                    cell = cell_for(value)
-                return value, cell
-            if tag != TC_CLASSDESC:
-                raise FormatError(f"expected class descriptor, got tag {tag:#x}")
-            if pos + 2 > n_data:
-                raise underflow(2)
-            name_length = data[pos] | (data[pos + 1] << 8)
-            pos += 2
-            if pos + name_length > n_data:
-                raise underflow(name_length)
-            try:
-                name = data[pos:pos + name_length].decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise FormatError(f"invalid UTF-8 in stream: {error}") from None
-            pos += name_length
-            try:
-                klass = heap.registry.by_name(name)
-            except HeapError:
-                raise UnknownClassError(
-                    repr(name), detail="class name not registered", offset=pos
-                ) from None
-            cell = cells.get(klass)
-            if cell is None:
-                cell = cell_for(klass)
-            plan = cell[0]
-            tail = plan.desc_tail
-            if data[pos:pos + len(tail)] == tail:
-                pos += len(tail)
-            else:
-                pos = self._slow_parse_class_desc(data, pos, klass, name)
-            instr_dyn += plan.desc_de_instr
-            handle_table.append(klass)
-            return klass, cell
-
-        def start_content():
-            """Parse one content item: ``(0, value)`` for null/backref/leaf
-            objects, ``(1, frame)`` for objects awaiting reference children."""
-            nonlocal pos, objects, instr_dyn, value_fields_dyn
-            nonlocal reference_fields_dyn, graph_bytes_dyn
-            if pos >= n_data:
-                raise underflow(1)
-            tag = data[pos]
-            pos += 1
-            if tag == TC_NULL:
-                return 0, None
-            if tag == TC_REFERENCE:
-                if pos + 4 > n_data:
-                    raise underflow(4)
-                handle = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                value = handle_table[handle] if handle < len(handle_table) else None
-                if not isinstance(value, HeapObject):
-                    raise FormatError("object handle resolves to non-object")
-                return 0, value
-            if tag not in (TC_OBJECT, TC_ARRAY):
-                raise FormatError(f"unexpected tag {tag:#x}")
-            klass, cell = read_class_desc()
-            objects += 1
-            if objects > max_objects:
-                limits.check_objects(objects)
-            cell[1] += 1
-            kind = cell[2]
-            if tag == TC_ARRAY:
-                if kind != 2:
-                    raise FormatError("TC_ARRAY with non-array class")
-                plan = cell[0]
-                if pos + 4 > n_data:
-                    raise underflow(4)
-                length = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if length > max_array_length:
-                    limits.check_array_length(length)
-                obj = heap.allocate(klass, length)
-                handle_table.append(obj)
-                instr_dyn += length * plan.de_elem_instr
-                graph_bytes_dyn += obj.size_bytes
-                if plan.is_ref:
-                    reference_fields_dyn += length
-                    if length == 0:
-                        return 0, obj
-                    return 1, [1, obj, [0] * length, 0]
-                value_fields_dyn += length
-                nbytes = length * plan.element_width
-                if nbytes:
-                    if pos + nbytes > n_data:
-                        raise underflow(nbytes)
-                    memory.write(obj.fields_base + 8, data[pos:pos + nbytes])
-                    pos += nbytes
-                return 0, obj
-            if kind == 2:
-                raise FormatError("TC_OBJECT with array class")
-            obj = heap.allocate(klass)
-            handle_table.append(obj)
-            words = [0] * cell[5]
-            if kind == 0:  # leaf instance: one generated straight-line call
-                pos = cell[3](data, pos, words)
-                if words:
-                    memory.write_words(obj.fields_base, words)
-                return 0, obj
-            return 1, [0, obj, cell[4], 0, words]
-
-        _UNSET = object()
-        kind, payload = start_content()
-        if kind == 0:
-            if payload is None:
-                raise FormatError("stream root must be an object")
-            root_obj = payload  # a leaf object: fully parsed inline
-            stack: List[list] = []
-        else:
-            stack = [payload]
-            root_obj = payload[1]
-        pending = _UNSET
-        while stack:
-            frame = stack[-1]
-            descend = None
-            if frame[0] == 0:  # instance frame: segments + ref field indices
-                obj, steps, words = frame[1], frame[2], frame[4]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[steps[index]] = 0 if child is None else child.address
-                    index += 1
-                step_count = len(steps)
-                while index < step_count:
-                    step = steps[index]
-                    if step.__class__ is int:  # reference field index
-                        kind, payload = start_content()
-                        if kind == 0:
-                            words[step] = 0 if payload is None else payload.address
-                            index += 1
-                        else:
-                            descend = payload
-                            break
-                    else:
-                        pos = step(data, pos, words)
-                        index += 1
-                frame[3] = index
-                if descend is None:
-                    if words:
-                        memory.write_words(obj.fields_base, words)
-                    stack.pop()
-                    pending = obj
-            else:  # reference-array frame
-                obj, words = frame[1], frame[2]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[index] = 0 if child is None else child.address
-                    index += 1
-                count = len(words)
-                while index < count:
-                    kind, payload = start_content()
-                    if kind == 0:
-                        words[index] = 0 if payload is None else payload.address
-                        index += 1
-                    else:
-                        descend = payload
-                        break
-                frame[3] = index
-                if descend is None:
-                    memory.write_words(obj.fields_base + 8, words)
-                    stack.pop()
-                    pending = obj
-            if descend is not None:
-                if len(stack) >= max_depth:
-                    limits.check_depth(len(stack) + 1)
-                stack.append(descend)
-
-        # Fold shape-constant deltas per cell; allocations track objects
-        # one-for-one on this path.
-        instr = instr_dyn
-        aux = 0
-        value_fields = value_fields_dyn
-        reference_fields = reference_fields_dyn
-        graph_bytes = graph_bytes_dyn
-        for cell in cells.values():
-            count = cell[1]
-            plan = cell[0]
-            aux += count * plan.de_aux
-            if cell[2] == 2:
-                instr += count * plan.de_instr
-            else:
-                instr += count * (plan.de_instr + plan.de_reflect_instr)
-                value_fields += count * plan.n_prim
-                reference_fields += count * plan.n_ref
-                graph_bytes += count * plan.size_bytes
-        instr += n_data * _INSTR_PER_STREAM_BYTE
-
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.allocations = objects
         profile.value_fields = value_fields
         profile.reference_fields = reference_fields
         profile.aux_random_accesses = aux

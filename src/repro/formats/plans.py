@@ -624,22 +624,41 @@ def _compile_cereal(klass: Klass, header_slots: int, length: int):
 
 # -- chunked execution ---------------------------------------------------------------
 #
-# The plan/codegen kernels above are append-only writers: every byte they
-# produce goes through ``out += ...`` / ``out.append(...)`` and the only
-# read-back they perform is ``len(out)`` (to measure what a step wrote).
-# That contract is what makes the executor chunkable: a
-# :class:`ChunkingBuffer` honors exactly that interface while carving the
-# output into fixed-size arenas from a
-# :class:`~repro.common.bufpool.ChunkArenaPool`, and an
-# :class:`EncodeCursor` drives a generator-based plan walk that suspends
-# at chunk boundaries — the walk's explicit frame stack *is* the resume
-# state, so continuing never re-visits an already-encoded object.
+# Each plan-path format has one encoder: a private generator walk
+# (``_encode_walk(root, out)`` on the serializer) that writes the stream
+# into ``out`` and returns a :class:`ChunkedEncodeSummary`. The walk is an
+# append-only writer: every byte goes through ``out += ...`` /
+# ``out.append(...)`` and the only read-back is ``len(out)`` (to measure
+# what a step wrote). That contract lets one walk serve both front doors:
+#
+# * ``serialize()`` hands it the pooled flat ``bytearray``; the walk never
+#   suspends and one ``next()`` runs it to completion;
+# * ``serialize_chunks()`` hands it a :class:`ChunkingBuffer`, which
+#   carves the output into fixed-size arenas from a
+#   :class:`~repro.common.bufpool.ChunkArenaPool`, and an
+#   :class:`EncodeCursor` resumes the walk one sealed chunk at a time.
+#
+# A walk suspends only when ``out`` is a :class:`ChunkingBuffer` holding a
+# sealed chunk, and its explicit frame stack *is* the resume state, so
+# continuing never re-visits an already-encoded object. Bulk writes (a
+# primitive array's storage, Cereal's trailing sections) advance in
+# chunk-sized slices, so no single step overshoots an arena by more than
+# one object's prelude.
+
+
+def chunk_bytes_of(out) -> int:
+    """``out``'s chunk size when it is a :class:`ChunkingBuffer`, else 0.
+
+    Walks read this once: 0 means a flat buffer, where they never
+    suspend and write bulk data in one piece.
+    """
+    return out.chunk_bytes if out.__class__ is ChunkingBuffer else 0
 
 
 class ChunkingBuffer:
     """An append-only output buffer that carves fixed-size chunk arenas.
 
-    Drop-in for the ``bytearray`` the plan/codegen kernels write into:
+    Drop-in for the ``bytearray`` the encode walks write into:
     supports ``append``/``extend``/``+=`` and ``len()`` — where ``len()``
     reports the *logical* stream position (total bytes ever written), so
     kernels that measure a step via ``base = len(out) ... len(out) - base``
@@ -744,24 +763,22 @@ class ChunkingBuffer:
 
 
 class ChunkedEncodeSummary:
-    """What a fully-drained :class:`EncodeCursor` produced, minus the
-    bytes themselves (those went through the sink chunk by chunk)."""
+    """What an encode walk produced, minus the bytes themselves (those
+    went to its output buffer)."""
 
     __slots__ = (
         "format_name",
         "total_bytes",
-        "chunk_count",
         "sections",
         "profile",
         "object_count",
         "graph_bytes",
     )
 
-    def __init__(self, format_name, total_bytes, chunk_count, sections,
-                 profile, object_count, graph_bytes):
+    def __init__(self, format_name, total_bytes, sections, profile,
+                 object_count, graph_bytes):
         self.format_name = format_name
         self.total_bytes = total_bytes
-        self.chunk_count = chunk_count
         self.sections = sections
         self.profile = profile
         self.object_count = object_count
@@ -771,9 +788,9 @@ class ChunkedEncodeSummary:
 class EncodeCursor:
     """A resumable handle over one chunked encode.
 
-    Wraps a *walk* — a generator that encodes the object graph into a
-    :class:`ChunkingBuffer`, yielding at every safe suspension point (its
-    local frame stack carries all traversal state) and returning a
+    Wraps a format's encode walk over a :class:`ChunkingBuffer`: a
+    generator that yields whenever a chunk has sealed (its local frame
+    stack carries all traversal state) and returns a
     :class:`ChunkedEncodeSummary`. ``next_chunk()`` advances the walk
     only as far as the next sealed chunk, so the producer never runs
     ahead of its consumer by more than the pool population: backpressure
@@ -810,6 +827,13 @@ class EncodeCursor:
                 self._exhausted = True
                 self.summary = stop.value
                 buf.flush_tail()
+                declared = sum(self.summary.sections.values())
+                if declared != self.summary.total_bytes:
+                    raise FormatError(
+                        f"{self.summary.format_name} encode walk: sections "
+                        f"sum to {declared}, stream is "
+                        f"{self.summary.total_bytes} bytes"
+                    )
         chunk = buf.pop_ready()
         if chunk is None:
             return None

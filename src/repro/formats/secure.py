@@ -440,12 +440,8 @@ class VersionedKryo(Serializer):
 
     name = "kryo-versioned"
 
-    def __init__(
-        self,
-        registration: Optional[ClassRegistration] = None,
-        use_plans: bool = True,
-    ):
-        self.kryo = KryoSerializer(registration=registration, use_plans=use_plans)
+    def __init__(self, registration: Optional[ClassRegistration] = None):
+        self.kryo = KryoSerializer(registration=registration)
         self.registration = self.kryo.registration
 
     def register(self, klass) -> int:

@@ -21,9 +21,11 @@ slots included — Skyway streams are larger than Kryo's (the paper reports a
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 from repro.common.errors import FormatError
+from repro.formats import plans as P
 from repro.formats.base import (
     DeserializationResult,
     SerializationResult,
@@ -33,7 +35,7 @@ from repro.formats.base import (
 )
 from repro.formats.limits import DecodeLimits, resolve_limits
 from repro.formats.registry import ClassRegistration
-from repro.formats.streams import StreamReader, StreamWriter
+from repro.formats.streams import StreamReader
 from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
 from repro.jvm.klass import ArrayKlass, SLOT_BYTES
@@ -45,6 +47,9 @@ _SECTION_VALUES = "values"
 _SECTION_REFS = "references"
 
 _NULL_RELATIVE = 0xFFFF_FFFF_FFFF_FFFF  # sentinel: null reference slot
+
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 # Skyway ships whole objects by copy; per-object work is the visited check
 # and address bookkeeping, plus the sequential reference adjustment at the
@@ -70,27 +75,40 @@ class SkywaySerializer(Serializer):
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
+        return self._drain_walk(root)
+
+    def _encode_walk(self, root: HeapObject, out):
+        """Skyway's one encoder, a generator walk behind both
+        :meth:`serialize` and :meth:`serialize_chunks` (see
+        :mod:`repro.formats.plans`, "chunked execution"). Over a chunking
+        buffer it suspends between objects."""
         graph = ObjectGraph.from_root(root)
-        writer = StreamWriter(pooled=True)
         profile = WorkProfile()
         heap = root.heap
         memory = heap.memory
+        chunk = P.chunk_bytes_of(out)
 
-        writer.write_u32(graph.total_bytes, _SECTION_META)
-        writer.write_u32(graph.object_count, _SECTION_META)
+        out += _U32.pack(graph.total_bytes)
+        out += _U32.pack(graph.object_count)
+        header_count = 0
+        value_count = 0
+        ref_count = 0
 
         for obj in graph:
+            if chunk and out.ready_count:
+                yield
             profile.objects += 1
             profile.add_instructions(_INSTR_PER_OBJECT)
             profile.aux_random_accesses += _AUX_ACCESSES_PER_OBJECT_SER
             profile.dependent_loads += 2
             # Header: mark word kept, klass pointer replaced by type ID
             # (automatic registration), extension word zeroed.
-            writer.write_u64(memory.read_u64(obj.address), _SECTION_HEADERS)
-            type_id = self.registration.register(obj.klass)
-            writer.write_u64(type_id, _SECTION_HEADERS)
+            out += _U64.pack(memory.read_u64(obj.address))
+            out += _U64.pack(self.registration.register(obj.klass))
+            header_count += 16
             if heap.cereal_extension:
-                writer.write_u64(0, _SECTION_HEADERS)
+                out += _U64.pack(0)
+                header_count += 8
             reference_slots = set(obj.reference_slots())
             for slot in range(obj.field_slots):
                 raw = memory.read_u64(obj.slot_address(slot))
@@ -99,29 +117,29 @@ class SkywaySerializer(Serializer):
                     profile.reference_fields += 1
                     profile.add_instructions(_INSTR_PER_REFERENCE)
                     if raw == NULL_ADDRESS:
-                        writer.write_u64(_NULL_RELATIVE, _SECTION_REFS)
+                        out += _U64.pack(_NULL_RELATIVE)
                     else:
-                        writer.write_u64(
-                            graph.relative_address[raw], _SECTION_REFS
-                        )
+                        out += _U64.pack(graph.relative_address[raw])
+                    ref_count += 8
                 else:
                     profile.value_fields += 1
-                    writer.write_u64(raw, _SECTION_VALUES)
+                    out += _U64.pack(raw)
+                    value_count += 8
 
-        data = writer.detach()
+        total = len(out)
         profile.bytes_read = graph.total_bytes
-        profile.bytes_written = len(data)
+        profile.bytes_written = total
         # Bulk copies are cheap per byte; add the memcpy cost.
         profile.add_instructions(graph.total_bytes // 8)
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=dict(writer.sections),
-            object_count=graph.object_count,
-            graph_bytes=graph.total_bytes,
+        sections = {_SECTION_META: 8, _SECTION_HEADERS: header_count}
+        if value_count:
+            sections[_SECTION_VALUES] = value_count
+        if ref_count:
+            sections[_SECTION_REFS] = ref_count
+        return P.ChunkedEncodeSummary(
+            self.name, total, sections, profile,
+            graph.object_count, graph.total_bytes,
         )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
 
     # ---------------------------------------------------------------- deserialize
 

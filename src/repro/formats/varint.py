@@ -1,9 +1,8 @@
 """Shared LEB128 / zig-zag varint codecs.
 
 One implementation serves every consumer: the section-accounting stream
-layer (:mod:`repro.formats.streams`), the compiled-plan kernels
-(:mod:`repro.formats.plans`), and the generated codegen kernels
-(:mod:`repro.formats.codegen`). Historically ``plans.py`` carried its own
+layer (:mod:`repro.formats.streams`) and the compiled-plan kernels
+(:mod:`repro.formats.plans`). Historically ``plans.py`` carried its own
 copy of these helpers parallel to ``StreamWriter``/``StreamReader``; both
 now route through here so the 10-byte overflow guard, the zig-zag
 mapping, and the error taxonomy cannot drift apart.

@@ -101,42 +101,6 @@ class MemorySpace:
             copied += run
         return bytes(out)
 
-    def view(self, address: int, length: int) -> memoryview:
-        """Zero-copy ``memoryview`` over ``length`` bytes at ``address``.
-
-        When the range lives inside one resident page the view aliases the
-        page's ``bytearray`` directly — no bytes are copied. Slicing the
-        view (``view[a:b]``) and ``struct.Struct.unpack_from`` both stay
-        zero-copy, which is what the codegen serialize kernels rely on for
-        their raw-image reads. The view is only valid while the heap is
-        not written; serialize paths never mutate the source heap, and
-        pages are fixed-size so they are never reallocated. Ranges that
-        cross a page boundary or touch an unallocated page fall back to a
-        copied snapshot (still returned as a ``memoryview`` so callers are
-        uniform). The access is bounds-checked and traced exactly like
-        :meth:`read`.
-        """
-        self._check_range(address, length)
-        if self.trace is not None:
-            self.trace.record_read(address, length)
-        page_index, offset = divmod(address, _PAGE_BYTES)
-        if offset + length <= _PAGE_BYTES:
-            page = self._pages.get(page_index)
-            if page is not None:
-                return memoryview(page)[offset : offset + length]
-            return memoryview(bytes(length))
-        out = bytearray(length)
-        copied = 0
-        while copied < length:
-            addr = address + copied
-            page_index, offset = divmod(addr, _PAGE_BYTES)
-            run = min(length - copied, _PAGE_BYTES - offset)
-            page = self._pages.get(page_index)
-            if page is not None:
-                out[copied : copied + run] = page[offset : offset + run]
-            copied += run
-        return memoryview(bytes(out))
-
     def write(self, address: int, data: bytes) -> None:
         """Write ``data`` starting at ``address``."""
         self._check_range(address, len(data))

@@ -9,7 +9,7 @@ tiers with distinct cost signatures:
   :class:`~repro.memstore.model.GcCostModel` curve.
 * ``serialized`` (``OFF_HEAP_SER``) — only the compact stream bytes are
   retained, off-heap, invisible to the collector. Every read pays a full
-  deserialization (through whatever format/plan/codegen path the backend
+  deserialization (through whatever format/plan path the backend
   is configured with) plus GC for the rebuilt transient graph.
 * ``spilled`` — the stream bytes live on local disk. No memory pressure
   at all; reads add a disk read of the stream on top of the serialized

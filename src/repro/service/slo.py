@@ -371,14 +371,11 @@ class SLOReport:
             )
         if self.runtime_caches is not None:
             plan = self.runtime_caches.get("plan_cache", {})
-            codegen = self.runtime_caches.get("codegen_cache", {})
             layout = self.runtime_caches.get("layout_cache", {})
             pool = self.runtime_caches.get("buffer_pool", {})
             table.add_note(
                 f"caches: plan hit rate {plan.get('hit_rate', 0.0) * 100:.1f}% "
-                f"({plan.get('entries', 0)} plans), codegen hit rate "
-                f"{codegen.get('hit_rate', 0.0) * 100:.1f}% "
-                f"({codegen.get('entries', 0)} kernels), layout hit rate "
+                f"({plan.get('entries', 0)} plans), layout hit rate "
                 f"{layout.get('hit_rate', 0.0) * 100:.1f}%, arena high water "
                 f"{pool.get('high_water_mark_bytes', 0)} B"
             )

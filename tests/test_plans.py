@@ -28,6 +28,7 @@ from repro.formats import (
     ClassRegistration,
     JavaSerializer,
     KryoSerializer,
+    collect_chunks,
 )
 from repro.formats import plans
 from repro.formats.slow_reference import oracle_serializer
@@ -43,6 +44,7 @@ from repro.jvm.graph import (
 )
 
 _SEEDS = (1, 2, 3, 4, 5, 6)
+_CHUNK_BYTES = 61
 
 
 def _registration(registry) -> ClassRegistration:
@@ -53,27 +55,12 @@ def _registration(registry) -> ClassRegistration:
 
 
 def _serializer_pairs(registration):
-    """(name, fast-path serializer, interpreter-path serializer) triples.
-
-    Both accelerated tiers appear against the same interpreter oracle —
-    plan-path and codegen-path entries — so these checks pin the full
-    three-way interpreter/plan/codegen equivalence.
-    """
+    """(name, plan-path serializer, interpreter-path serializer) triples."""
     return [
         ("java-builtin", JavaSerializer(), JavaSerializer(use_plans=False)),
         (
-            "java-codegen",
-            JavaSerializer(use_codegen=True),
-            JavaSerializer(use_plans=False),
-        ),
-        (
             "kryo",
             KryoSerializer(registration),
-            KryoSerializer(registration, use_plans=False),
-        ),
-        (
-            "kryo-codegen",
-            KryoSerializer(registration, use_codegen=True),
             KryoSerializer(registration, use_plans=False),
         ),
         (
@@ -82,22 +69,8 @@ def _serializer_pairs(registration):
             CerealSerializer(registration, use_plans=False),
         ),
         (
-            "cereal-codegen",
-            CerealSerializer(registration, use_codegen=True),
-            CerealSerializer(registration, use_plans=False),
-        ),
-        (
             "cereal-stripped",
             CerealSerializer(registration, strip_mark_word=True),
-            CerealSerializer(
-                registration, strip_mark_word=True, use_plans=False
-            ),
-        ),
-        (
-            "cereal-stripped-codegen",
-            CerealSerializer(
-                registration, strip_mark_word=True, use_codegen=True
-            ),
             CerealSerializer(
                 registration, strip_mark_word=True, use_plans=False
             ),
@@ -127,6 +100,15 @@ def _assert_equivalent(root, registry, registration) -> None:
         assert fast_result.stream.sections == slow_result.stream.sections
         _assert_profiles_equal(
             fast_result.profile, slow_result.profile, f"{name} serialize"
+        )
+        # The same plan walk, suspended at every sealed prime-sized chunk.
+        chunks, summary = collect_chunks(fast, root, _CHUNK_BYTES)
+        assert b"".join(chunks) == slow_result.stream.data, (
+            f"{name}: chunked plan walk changed the stream bytes"
+        )
+        assert summary.sections == slow_result.stream.sections
+        _assert_profiles_equal(
+            summary.profile, slow_result.profile, f"{name} chunked serialize"
         )
         fast_de = fast.deserialize(
             fast_result.stream, Heap(registry=registry)
@@ -184,7 +166,7 @@ def test_plans_match_interpreters_on_edge_shapes():
 
     # All-null shapes: an untouched instance (every reference field null,
     # every primitive zero) and a reference array of nothing but nulls —
-    # the codegen null fast paths must fold identically to the oracles.
+    # the plan null paths must fold identically to the oracles.
     all_null = heap.new_instance("FuzzNode")
     null_array = heap.new_array(FieldKind.REFERENCE, 64)
 
@@ -435,14 +417,11 @@ def test_slo_report_carries_runtime_cache_stats():
     assert caches is not None
     assert set(caches) == {
         "plan_cache",
-        "codegen_cache",
         "layout_cache",
         "buffer_pool",
         "secure_decode",
     }
     summary = report.as_dict()
     assert summary["runtime_caches"]["plan_cache"]["hit_rate"] >= 0.0
-    assert summary["runtime_caches"]["codegen_cache"]["hit_rate"] >= 0.0
     rendered = report.to_table().render()
     assert "plan hit rate" in rendered
-    assert "codegen hit rate" in rendered

@@ -3,9 +3,11 @@
 Covers the chunked encode/decode stack end to end:
 
 * chunk frame integrity (CRC, sequence order, LAST flag, truncation);
-* byte identity between chunked and single-shot encodes for all four
-  formats across adversarial chunk sizes (1 byte, primes, larger than
-  the payload) — the interpreter single-shot path is the oracle;
+* byte, section and work-profile identity between chunked encodes and
+  the interpreter oracle (skyway: a pinned golden) for all four formats
+  across adversarial chunk sizes (1 byte, primes, larger than the
+  payload), and one shared walk behind ``serialize()`` and
+  ``serialize_chunks()``;
 * bounded arena pools as the backpressure primitive (blocking acquires,
   overflow accounting, high-water marks);
 * the secure per-chunk decode front end (incremental limits, rejection
@@ -16,6 +18,7 @@ Covers the chunked encode/decode stack end to end:
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
@@ -36,12 +39,14 @@ from repro.formats import (
     DecodeLimits,
     JavaSerializer,
     KryoSerializer,
+    Serializer,
     SkywaySerializer,
     collect_chunks,
     frame_chunk,
     secure_deserialize_chunks,
     unframe_chunk,
 )
+from repro.formats.slow_reference import oracle_serializer
 from repro.formats.streams import (
     BoundedChunkQueue,
     CHUNK_HEADER_BYTES,
@@ -163,21 +168,77 @@ class TestChunkAssembler:
 # -- chunked encode equivalence --------------------------------------------------------
 
 
+# Skyway has no interpreter oracle: its one encoder is pinned to the
+# stream digest, sections and work profile it produces for ``_graph()``.
+_SKYWAY_GOLDEN = {
+    "sha256": "f2ba7de6fb6eaeef50bf87ea963d0762f4f5e10440bfacf33c933bdb50128c09",
+    "sections": {
+        "metadata": 8,
+        "headers": 2544,
+        "values": 5664,
+        "references": 3064,
+    },
+    "object_count": 106,
+    "profile": {
+        "instructions": 259903,
+        "objects": 106,
+        "value_fields": 708,
+        "reference_fields": 383,
+        "bytes_read": 11272,
+        "bytes_written": 11280,
+        "dependent_loads": 212,
+        "allocations": 0,
+        "mlp": 1.5,
+        "aux_random_accesses": 212,
+        "aux_bytes_per_entry": 48,
+    },
+}
+
+
+def _expected(serializer, root):
+    """(bytes, sections, object_count, profile fields) from an encoder
+    independent of the serializer's own walk."""
+    if serializer.name == "skyway":
+        return (
+            _SKYWAY_GOLDEN["sha256"],
+            _SKYWAY_GOLDEN["sections"],
+            _SKYWAY_GOLDEN["object_count"],
+            _SKYWAY_GOLDEN["profile"],
+        )
+    kwargs = {}
+    if serializer.name != "java-builtin":
+        kwargs["registration"] = serializer.registration
+    oracle = oracle_serializer(serializer.name, **kwargs).serialize(root)
+    return (
+        hashlib.sha256(oracle.stream.data).hexdigest(),
+        dict(oracle.stream.sections),
+        oracle.stream.object_count,
+        vars(oracle.profile),
+    )
+
+
 class TestChunkedEncodeEquivalence:
     @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
     def test_concatenation_matches_single_shot(self, chunk_bytes):
+        """Chunked output equals the interpreter oracle's single-shot
+        encode (skyway: its pinned golden): bytes, sections, object
+        count and work profile."""
         registry, heap, root = _graph()
         registration = _registration(registry)
         for serializer in _serializers(registration):
-            whole = serializer.serialize(root)
+            digest, sections, object_count, profile = _expected(
+                serializer, root
+            )
             pool = ChunkArenaPool(arena_count=4, arena_bytes=chunk_bytes)
             chunks, summary = collect_chunks(
                 serializer, root, chunk_bytes, pool=pool
             )
-            assert b"".join(chunks) == whole.stream.data, serializer.name
-            assert summary.total_bytes == len(whole.stream.data)
-            assert summary.sections == dict(whole.stream.sections)
-            assert summary.object_count == whole.stream.object_count
+            stream = b"".join(chunks)
+            assert hashlib.sha256(stream).hexdigest() == digest, serializer.name
+            assert summary.total_bytes == len(stream)
+            assert summary.sections == sections, serializer.name
+            assert summary.object_count == object_count
+            assert vars(summary.profile) == profile, serializer.name
             # Every chunk but the tail is exactly one arena.
             for chunk in chunks[:-1]:
                 assert len(chunk) == chunk_bytes
@@ -186,6 +247,24 @@ class TestChunkedEncodeEquivalence:
             # Pulled one-at-a-time, the pool never holds more than one
             # arena in flight: the high-water mark is chunk-sized.
             assert pool.high_water_mark <= chunk_bytes
+
+    def test_serialize_and_chunks_share_one_walk(self):
+        """Both front doors drive the format's one encode walk."""
+        registry, heap, root = _graph()
+        registration = _registration(registry)
+        for serializer in _serializers(registration):
+            calls = []
+            walk = serializer._encode_walk
+
+            def spy(root, out, walk=walk):
+                calls.append(type(out).__name__)
+                return walk(root, out)
+
+            serializer._encode_walk = spy
+            whole = serializer.serialize(root).stream.data
+            chunks, _ = collect_chunks(serializer, root, 61)
+            assert calls == ["bytearray", "ChunkingBuffer"], serializer.name
+            assert b"".join(chunks) == whole, serializer.name
 
     def test_cursor_resume_is_deterministic(self):
         registry, heap, root = _graph()
@@ -224,21 +303,39 @@ class TestChunkedEncodeEquivalence:
     def test_unknown_format_rejected(self):
         registry, heap, root = _graph()
 
-        class Alien(KryoSerializer):
+        class Alien(Serializer):
+            """A serializer with no encode walk."""
+
             name = "alien"
 
-        alien = Alien(_registration(registry))
-        with pytest.raises(FormatError, match="no chunked walk"):
-            alien.serialize_chunks(root, 64).next_chunk()
+            def serialize(self, root):
+                raise NotImplementedError
 
-    def test_codegen_and_interpreter_agree_chunked(self):
+            def deserialize(self, stream, heap, limits=None):
+                raise NotImplementedError
+
+        with pytest.raises(FormatError, match="no chunked walk"):
+            Alien().serialize_chunks(root, 64)
+
+
+class TestChunkedSoftwareTiming:
+    @pytest.mark.parametrize("chunk_bytes", (1, 61, 1 << 20))
+    def test_chunked_run_models_the_single_shot_time(self, chunk_bytes):
+        """The chunked harness run shares run_serialize's instrumented
+        body: same stream, same heap trace, same modelled timing."""
+        from repro.cpu import SoftwarePlatform
+
         registry, heap, root = _graph()
         registration = _registration(registry)
-        plain = CerealSerializer(registration, use_plans=False)
-        codegen = CerealSerializer(registration, use_codegen=True)
-        chunks_plain, _ = collect_chunks(plain, root, 251)
-        chunks_codegen, _ = collect_chunks(codegen, root, 251)
-        assert b"".join(chunks_plain) == b"".join(chunks_codegen)
+        platform = SoftwarePlatform()
+        for serializer in _serializers(registration):
+            whole, whole_run = platform.run_serialize(serializer, root)
+            result, run, chunks = platform.run_serialize_chunked(
+                serializer, root, chunk_bytes
+            )
+            assert b"".join(chunks) == whole.stream.data, serializer.name
+            assert result.stream.sections == whole.stream.sections
+            assert run.timing == whole_run.timing, serializer.name
 
 
 # -- secure per-chunk decode -----------------------------------------------------------

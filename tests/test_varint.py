@@ -1,7 +1,7 @@
 """Boundary tests for the shared LEB128 / zig-zag varint module.
 
 ``repro.formats.varint`` is the single implementation behind the stream
-layer, the compiled plans, and the generated codegen kernels; these tests
+layer and the compiled plans; these tests
 pin its byte-level boundaries (length transitions, the full u64 range,
 the 10-byte overflow guard) directly at the shared-module surface, plus
 the re-export seams the consumers import through.
