@@ -10,12 +10,12 @@ paper's observation that S/D is dominated by random, dependent misses.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Set
 
 from repro.common.config import CacheLevelConfig, HostCPUConfig
-from repro.memory.trace import AccessKind, MemoryAccess
+from repro.memory.trace import MemoryTrace
 
 
 @dataclass
@@ -55,50 +55,66 @@ class CacheStats:
 
 
 class _SetAssociativeCache:
-    """One LRU cache level, tracked at line granularity."""
+    """One LRU cache level, tracked at line granularity.
+
+    Each set is a list of line numbers, least recently used first. Sets
+    are allocated on first touch: an 11 MB L3 has 16,384 of them and a
+    short replay touches few.
+    """
 
     def __init__(self, config: CacheLevelConfig):
         self.config = config
         self.num_sets = config.num_sets
         self.ways = config.associativity
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: List[Optional[List[int]]] = [None] * self.num_sets
 
-    def access(self, line: int, is_write: bool) -> bool:
+    def access(self, line: int) -> bool:
         """Touch ``line``; returns True on hit. Misses install the line."""
         index = line % self.num_sets
         ways = self._sets[index]
+        if ways is None:
+            ways = self._sets[index] = []
         if line in ways:
-            ways.move_to_end(line)
-            if is_write:
-                ways[line] = True  # dirty
+            ways.remove(line)
+            ways.append(line)
             return True
-        ways[line] = is_write
+        ways.append(line)
         if len(ways) > self.ways:
-            ways.popitem(last=False)
+            del ways[0]
         return False
-
-    def evicted_dirty(self, line: int) -> bool:
-        index = line % self.num_sets
-        return self._sets[index].get(line, False)
 
 
 class _PrefetchClassifier:
-    """Next-line-stream detector standing in for the L2 hardware prefetcher."""
+    """Next-line-stream detector standing in for the L2 hardware prefetcher.
+
+    Remembers the last ``window`` distinct miss lines; a miss on a line
+    already remembered does not renew it.
+    """
 
     def __init__(self, window: int = 64):
         self.window = window
-        self._recent: OrderedDict[int, None] = OrderedDict()
+        self._recent: Set[int] = set()
+        self._order: Deque[int] = deque()
 
     def is_sequential(self, line: int) -> bool:
-        hit = (line - 1) in self._recent or (line - 2) in self._recent
-        self._recent[line] = None
-        if len(self._recent) > self.window:
-            self._recent.popitem(last=False)
+        recent = self._recent
+        hit = (line - 1) in recent or (line - 2) in recent
+        if line not in recent:
+            if len(self._order) == self.window:
+                recent.remove(self._order.popleft())
+            recent.add(line)
+            self._order.append(line)
         return hit
 
 
 class CacheHierarchy:
-    """L1D + L2 + L3 replayed over line-granular accesses."""
+    """L1D + L2 + L3 replayed over line-granular accesses.
+
+    :meth:`replay` is the fast path. :meth:`access_line` is the per-line
+    reference it must match counter for counter (the tests replay real
+    and generated traces through both); both work on the same sets, so
+    they can be mixed on one hierarchy.
+    """
 
     def __init__(self, host: Optional[HostCPUConfig] = None):
         self.host = host or HostCPUConfig()
@@ -112,13 +128,13 @@ class CacheHierarchy:
     def access_line(self, line: int, is_write: bool) -> None:
         stats = self.stats
         stats.accesses += 1
-        if self.l1.access(line, is_write):
+        if self.l1.access(line):
             stats.l1_hits += 1
             return
-        if self.l2.access(line, is_write):
+        if self.l2.access(line):
             stats.l2_hits += 1
             return
-        if self.l3.access(line, is_write):
+        if self.l3.access(line):
             stats.l3_hits += 1
             return
         stats.dram_accesses += 1
@@ -130,13 +146,88 @@ class CacheHierarchy:
         else:
             stats.random_misses += 1
 
-    def replay(self, accesses: Iterable[MemoryAccess]) -> CacheStats:
-        """Replay per-line accesses (see ``MemoryTrace.line_accesses``)."""
+    def replay(self, trace: MemoryTrace) -> CacheStats:
+        """Replay ``trace`` line by line; returns the accumulated stats.
+
+        Equivalent to :meth:`access_line` on every line of every access,
+        with the three lookups and the prefetch classifier inlined over
+        locals and the counters folded into :attr:`stats` once. A line
+        equal to the previous one is the L1 MRU line, so it is counted as
+        an L1 hit without a lookup (it would reorder nothing).
+        """
         line_bytes = self.line_bytes
-        for access in accesses:
-            first = access.address // line_bytes
-            last = (access.address + access.length - 1) // line_bytes
-            is_write = access.kind is AccessKind.WRITE
-            for line in range(first, last + 1):
-                self.access_line(line, is_write)
-        return self.stats
+        sets1, num1, ways1 = self.l1._sets, self.l1.num_sets, self.l1.ways
+        sets2, num2, ways2 = self.l2._sets, self.l2.num_sets, self.l2.ways
+        sets3, num3, ways3 = self.l3._sets, self.l3.num_sets, self.l3.ways
+        recent = self._prefetch._recent
+        order = self._prefetch._order
+        window = self._prefetch.window
+        lines = l1_hits = l2_hits = l3_hits = dram = sequential = write_misses = 0
+        previous = -1
+        for address, length in zip(trace.addresses, trace.lengths):
+            is_write = length < 0
+            if is_write:
+                length = ~length
+            line = address // line_bytes - 1
+            last = (address + length - 1) // line_bytes
+            lines += last - line
+            while line < last:
+                line += 1
+                if line == previous:
+                    l1_hits += 1
+                    continue
+                previous = line
+                ways = sets1[line % num1]
+                if ways is None:
+                    ways = sets1[line % num1] = []
+                elif line in ways:
+                    ways.remove(line)
+                    ways.append(line)
+                    l1_hits += 1
+                    continue
+                ways.append(line)
+                if len(ways) > ways1:
+                    del ways[0]
+                ways = sets2[line % num2]
+                if ways is None:
+                    ways = sets2[line % num2] = []
+                elif line in ways:
+                    ways.remove(line)
+                    ways.append(line)
+                    l2_hits += 1
+                    continue
+                ways.append(line)
+                if len(ways) > ways2:
+                    del ways[0]
+                ways = sets3[line % num3]
+                if ways is None:
+                    ways = sets3[line % num3] = []
+                elif line in ways:
+                    ways.remove(line)
+                    ways.append(line)
+                    l3_hits += 1
+                    continue
+                ways.append(line)
+                if len(ways) > ways3:
+                    del ways[0]
+                dram += 1
+                if is_write:
+                    write_misses += 1
+                if (line - 1) in recent or (line - 2) in recent:
+                    sequential += 1
+                if line not in recent:
+                    if len(order) == window:
+                        recent.remove(order.popleft())
+                    recent.add(line)
+                    order.append(line)
+        stats = self.stats
+        stats.accesses += lines
+        stats.l1_hits += l1_hits
+        stats.l2_hits += l2_hits
+        stats.l3_hits += l3_hits
+        stats.dram_accesses += dram
+        stats.sequential_misses += sequential
+        stats.random_misses += dram - sequential
+        stats.write_misses += write_misses
+        stats.writeback_lines += write_misses  # allocated line eventually written back
+        return stats

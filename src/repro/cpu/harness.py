@@ -64,19 +64,20 @@ class SoftwarePlatform:
     # -- internals ------------------------------------------------------------------
 
     def _with_trace(self, heap: Heap):
-        trace = MemoryTrace(keep_accesses=True)
+        trace = MemoryTrace()
         previous = heap.memory.trace
         heap.memory.trace = trace
         return trace, previous
 
     def _stream_accesses(self, trace: MemoryTrace, nbytes: int, kind: str) -> None:
         """Append the stream buffer traffic as sequential 64 B accesses."""
-        for offset in range(0, nbytes, 64):
-            length = min(64, nbytes - offset)
-            if kind == "write":
-                trace.record_write(_STREAM_BUFFER_BASE + offset, length)
-            else:
-                trace.record_read(_STREAM_BUFFER_BASE + offset, length)
+        write = kind == "write"
+        whole = nbytes - nbytes % 64
+        trace.record_many(range(_STREAM_BUFFER_BASE, _STREAM_BUFFER_BASE + whole, 64),
+                          64, write)
+        if whole < nbytes:
+            record = trace.record_write if write else trace.record_read
+            record(_STREAM_BUFFER_BASE + whole, nbytes - whole)
 
     def _aux_accesses(self, trace: MemoryTrace, profile) -> None:
         """Synthesize runtime-data-structure traffic (see WorkProfile).
@@ -88,18 +89,20 @@ class SoftwarePlatform:
         if count <= 0:
             return
         entries = max(profile.objects, 1)
-        region_bytes = entries * profile.aux_bytes_per_entry
+        region_bytes = max(entries * profile.aux_bytes_per_entry, 64)
+        addresses = []
+        append = addresses.append
         state = 0x9E3779B97F4A7C15
         for _ in range(count):
             state = (state * 0x5851F42D4C957F2D + 0x14057B7EF767814F) & (2**64 - 1)
-            offset = (state >> 16) % max(region_bytes, 64)
-            trace.record_read(_AUX_REGION_BASE + (offset & ~0x7), 8)
+            append(_AUX_REGION_BASE + ((state >> 16) % region_bytes & ~0x7))
+        trace.record_many(addresses, 8)
 
     def _finish(self, serializer_name: str, op: str, profile, trace: MemoryTrace):
         profile.mlp = SERIALIZER_MLP.get((serializer_name, op), _DEFAULT_MLP)
         self._aux_accesses(trace, profile)
         hierarchy = CacheHierarchy(self.system.host)
-        stats = hierarchy.replay(trace.accesses)
+        stats = hierarchy.replay(trace)
         return self.cost_model.estimate(profile, stats)
 
     # -- public API -----------------------------------------------------------------------

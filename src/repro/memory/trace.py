@@ -6,15 +6,20 @@ cache hierarchy to cost the software serializers; the accelerator model uses
 its own internal accounting, but traces are also useful in tests to assert
 access patterns (e.g. the DU's sequential reads).
 
-Traces can grow large, so a trace can run in *summary* mode where only
-aggregate statistics (byte counts per kind, unique lines) are maintained.
+Every heap access of a traced S/D call lands here, so recording only
+appends to two flat ``array('q')`` columns: the start address, and a
+signed length where a write of ``n`` bytes is stored as ``~n`` (so a
+zero-length write keeps its kind). Totals and the line footprint are
+computed from the columns when asked; :class:`MemoryAccess` objects are
+built on demand, for tests and the per-line cache oracle.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List
 
 
 class AccessKind(enum.Enum):
@@ -40,37 +45,46 @@ class MemoryAccess:
 class MemoryTrace:
     """Ordered record of memory accesses with aggregate statistics."""
 
-    def __init__(self, keep_accesses: bool = True, line_bytes: int = 64):
-        self.keep_accesses = keep_accesses
+    def __init__(self, line_bytes: int = 64):
         self.line_bytes = line_bytes
-        self.accesses: List[MemoryAccess] = []
-        self.read_bytes = 0
-        self.write_bytes = 0
-        self.read_count = 0
-        self.write_count = 0
-        self._touched_lines: Set[int] = set()
+        self.addresses = array("q")
+        #: Length of each access; a write of ``n`` bytes is stored as ``~n``.
+        self.lengths = array("q")
 
     # -- recording -------------------------------------------------------------
 
     def record_read(self, address: int, length: int) -> None:
-        self.read_bytes += length
-        self.read_count += 1
-        self._record(AccessKind.READ, address, length)
+        self.addresses.append(address)
+        self.lengths.append(length)
 
     def record_write(self, address: int, length: int) -> None:
-        self.write_bytes += length
-        self.write_count += 1
-        self._record(AccessKind.WRITE, address, length)
+        self.addresses.append(address)
+        self.lengths.append(~length)
 
-    def _record(self, kind: AccessKind, address: int, length: int) -> None:
-        if length > 0:
-            first = address // self.line_bytes
-            last = (address + length - 1) // self.line_bytes
-            self._touched_lines.update(range(first, last + 1))
-        if self.keep_accesses:
-            self.accesses.append(MemoryAccess(kind, address, length))
+    def record_many(self, addresses: Iterable[int], length: int, write: bool = False) -> None:
+        """Record one ``length``-byte access at each of ``addresses``, in order."""
+        before = len(self.addresses)
+        self.addresses.extend(addresses)
+        self.lengths.extend(array("q", (~length if write else length,))
+                            * (len(self.addresses) - before))
 
     # -- statistics --------------------------------------------------------------
+
+    @property
+    def read_bytes(self) -> int:
+        return sum(length for length in self.lengths if length >= 0)
+
+    @property
+    def write_bytes(self) -> int:
+        return sum(~length for length in self.lengths if length < 0)
+
+    @property
+    def read_count(self) -> int:
+        return self.total_count - self.write_count
+
+    @property
+    def write_count(self) -> int:
+        return sum(1 for length in self.lengths if length < 0)
 
     @property
     def total_bytes(self) -> int:
@@ -78,26 +92,36 @@ class MemoryTrace:
 
     @property
     def total_count(self) -> int:
-        return self.read_count + self.write_count
+        return len(self.addresses)
 
     @property
     def unique_line_count(self) -> int:
         """Number of distinct cache lines touched (footprint / locality proxy)."""
-        return len(self._touched_lines)
+        touched = set()
+        for access in self:
+            if access.length > 0:
+                touched.update(access.cache_lines(self.line_bytes))
+        return len(touched)
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.addresses)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self.accesses)
+        read, write = AccessKind.READ, AccessKind.WRITE
+        for address, length in zip(self.addresses, self.lengths):
+            if length < 0:
+                yield MemoryAccess(write, address, ~length)
+            else:
+                yield MemoryAccess(read, address, length)
+
+    @property
+    def accesses(self) -> List[MemoryAccess]:
+        """Every access as a :class:`MemoryAccess`, built on each call."""
+        return list(self)
 
     def clear(self) -> None:
-        self.accesses.clear()
-        self.read_bytes = 0
-        self.write_bytes = 0
-        self.read_count = 0
-        self.write_count = 0
-        self._touched_lines.clear()
+        del self.addresses[:]
+        del self.lengths[:]
 
     # -- derived views -------------------------------------------------------------
 
@@ -108,7 +132,7 @@ class MemoryTrace:
         multi-line access (e.g. a 64 B buffered store) into one access per
         line so each model stage sees uniform units.
         """
-        for access in self.accesses:
+        for access in self:
             for line in access.cache_lines(self.line_bytes):
                 line_start = line * self.line_bytes
                 start = max(access.address, line_start)

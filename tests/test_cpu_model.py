@@ -3,17 +3,20 @@
 import pytest
 
 from repro.common.config import HostCPUConfig, SystemConfig
+import repro.cpu.harness as harness
 from repro.cpu import CacheHierarchy, CPUCostModel, SoftwarePlatform
 from repro.cpu.cache import CacheStats
 from repro.formats import KryoSerializer
 from repro.formats.base import WorkProfile
 from repro.jvm import Heap
-from repro.memory.trace import AccessKind, MemoryAccess
+from repro.memory.trace import MemoryTrace
 from tests.test_serializers import build_tree, make_registry, make_serializer
 
 
 def reads(addresses, length=8):
-    return [MemoryAccess(AccessKind.READ, a, length) for a in addresses]
+    trace = MemoryTrace()
+    trace.record_many(addresses, length)
+    return trace
 
 
 class TestCacheHierarchy:
@@ -46,7 +49,9 @@ class TestCacheHierarchy:
 
     def test_write_misses_counted_with_writeback(self):
         cache = CacheHierarchy()
-        cache.replay([MemoryAccess(AccessKind.WRITE, i * 64, 64) for i in range(10)])
+        trace = MemoryTrace()
+        trace.record_many([i * 64 for i in range(10)], 64, write=True)
+        cache.replay(trace)
         assert cache.stats.write_misses == 10
         assert cache.stats.dram_bytes() == 10 * 2 * 64  # fill + writeback
 
@@ -194,3 +199,56 @@ class TestSoftwarePlatform:
         from repro.formats import graphs_equivalent
 
         assert graphs_equivalent(root, deser.root)
+
+
+def _accesses(trace):
+    return [(a.kind, a.address, a.length) for a in trace]
+
+
+class TestHarnessTraffic:
+    """The harness's synthetic traffic, pinned against per-access loops."""
+
+    @staticmethod
+    def reference_stream(nbytes, kind):
+        trace = MemoryTrace()
+        for offset in range(0, nbytes, 64):
+            length = min(64, nbytes - offset)
+            if kind == "write":
+                trace.record_write(harness._STREAM_BUFFER_BASE + offset, length)
+            else:
+                trace.record_read(harness._STREAM_BUFFER_BASE + offset, length)
+        return trace
+
+    @staticmethod
+    def reference_aux(profile):
+        trace = MemoryTrace()
+        entries = max(profile.objects, 1)
+        region_bytes = entries * profile.aux_bytes_per_entry
+        state = 0x9E3779B97F4A7C15
+        for _ in range(profile.aux_random_accesses):
+            state = (state * 0x5851F42D4C957F2D + 0x14057B7EF767814F) & (2**64 - 1)
+            offset = (state >> 16) % max(region_bytes, 64)
+            trace.record_read(harness._AUX_REGION_BASE + (offset & ~0x7), 8)
+        return trace
+
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    @pytest.mark.parametrize("nbytes", [0, 1, 63, 64, 65, 4113])
+    def test_stream_accesses(self, nbytes, kind):
+        trace = MemoryTrace()
+        trace.record_read(0x40, 8)  # an earlier access: the call appends after it
+        SoftwarePlatform()._stream_accesses(trace, nbytes, kind)
+        expected = self.reference_stream(nbytes, kind)
+        assert _accesses(trace)[1:] == _accesses(expected)
+        assert trace.total_count == 1 + expected.total_count
+
+    @pytest.mark.parametrize(
+        "objects, count, entry_bytes",
+        [(0, 5, 48), (1, 3, 8), (37, 200, 48), (500, 1000, 24), (10, 0, 48)],
+    )
+    def test_aux_accesses(self, objects, count, entry_bytes):
+        profile = WorkProfile(objects=objects, aux_random_accesses=count,
+                              aux_bytes_per_entry=entry_bytes)
+        trace = MemoryTrace()
+        SoftwarePlatform()._aux_accesses(trace, profile)
+        assert _accesses(trace) == _accesses(self.reference_aux(profile))
+        assert trace.total_count == count

@@ -88,13 +88,6 @@ class TestMemoryTrace:
         assert trace.accesses[0].kind is AccessKind.WRITE
         assert trace.accesses[1].kind is AccessKind.READ
 
-    def test_summary_mode_drops_accesses(self):
-        trace = MemoryTrace(keep_accesses=False)
-        mem = MemorySpace(1024, trace=trace)
-        mem.write(0, b"abcd")
-        assert len(trace) == 0
-        assert trace.write_bytes == 4
-
     def test_unique_line_count(self):
         trace = MemoryTrace()
         mem = MemorySpace(4096, trace=trace)
