@@ -11,19 +11,22 @@ benches:
       "bench": "<name>",
       "meta": {...seed, grid, calibration...},
       "results": {...bench-specific payload...},
-      "runtime": {...plan/layout cache and buffer pool counters...},  # optional
+      "runtime": {...flat process-wide metrics registry snapshot...},
       "checks": {"<check>": {"ok": bool, "detail": "..."}, ...}   # optional
     }
 
-The optional ``runtime`` block is the shared shape for process-wide
-serialization-cache health (:func:`runtime_snapshot`): compiled-plan cache
-hit rate, layout cache hit rate, and the output buffer pool's high-water
-mark. ``bench_wallclock.py`` and ``bench_service_scaling.py`` both emit
-it so cache behaviour can be diffed across commits alongside throughput.
+``runtime`` is :meth:`repro.obs.metrics.MetricsRegistry.snapshot` of the
+process-wide registry at emit time: one flat dict keyed by metric name
+(``plan_cache.hits``, ``layout_cache.misses``,
+``chunkpool.high_water_mark_bytes``, ``decode.rejected{reason=...}``,
+``memstore.*``, ...), so cache health, decode rejections and every other
+counter the run recorded can be diffed across commits alongside
+throughput.
 
 Keys are sorted and no wall-clock timestamps are embedded, so a seeded
-bench emits byte-identical JSON run-to-run (cache counters are excluded
-from that guarantee — they reflect whatever ran in the process first).
+bench emits byte-identical ``results`` run-to-run (the ``runtime``
+counters are excluded from that guarantee — they reflect whatever ran
+in the process first).
 """
 
 from __future__ import annotations
@@ -33,48 +36,6 @@ import os
 from typing import Dict, Optional
 
 SCHEMA_VERSION = 1
-
-
-def runtime_snapshot() -> Dict:
-    """Snapshot the process-wide serialization caches in the shared shape.
-
-    Every counter here lives in the obs metrics registry
-    (:mod:`repro.obs.metrics`) — the ``stats()`` views below are thin
-    reads over ``plan_cache.*`` / ``layout_cache.*`` / ``bufpool.*``
-    metrics — and the full registry rides along under ``"metrics"``, so
-    one ``BENCH_*.json`` carries both the legacy cache shape and
-    everything else the run recorded (fault counters, service metrics).
-    """
-    from repro.common.bufpool import chunk_pool_stats, pool_stats
-    from repro.formats.plans import plan_cache_stats
-    from repro.formats.secure import decode_stats
-    from repro.jvm import layout_cache
-    from repro.obs.metrics import get_registry
-
-    pool = pool_stats()
-    chunk_pool = chunk_pool_stats()
-    plan = plan_cache_stats()
-    layout = layout_cache.stats()
-    registry_snapshot = get_registry().snapshot()
-    memstore = {
-        key: value
-        for key, value in registry_snapshot.items()
-        if key.startswith("memstore.")
-    }
-    return {
-        "plan_cache": plan,
-        "plan_cache_hit_rate": plan["hit_rate"],
-        "layout_cache": layout,
-        "arena_high_water_mark_bytes": pool["high_water_mark_bytes"],
-        "buffer_pool": pool,
-        "chunk_pool": chunk_pool,
-        "chunk_pool_high_water_mark_bytes": chunk_pool[
-            "high_water_mark_bytes"
-        ],
-        "secure_decode": decode_stats(),
-        "memstore": memstore,
-        "metrics": registry_snapshot,
-    }
 
 
 def trace_json_path(results_dir: str, name: str) -> str:
@@ -110,9 +71,10 @@ def emit_json(
     results: Dict,
     meta: Optional[Dict] = None,
     checks: Optional[Dict] = None,
-    runtime: Optional[Dict] = None,
 ) -> str:
     """Write ``BENCH_<name>.json``; returns the path."""
+    from repro.obs.metrics import get_registry
+
     if not results:
         raise ValueError(f"refusing to emit empty results for bench {name!r}")
     document: Dict = {
@@ -120,9 +82,8 @@ def emit_json(
         "bench": name,
         "meta": meta or {},
         "results": results,
+        "runtime": get_registry().snapshot(),
     }
-    if runtime is not None:
-        document["runtime"] = runtime
     if checks is not None:
         document["checks"] = checks
     os.makedirs(results_dir, exist_ok=True)

@@ -39,7 +39,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_adversarial.py`
     )
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _emit import emit_json, runtime_snapshot  # noqa: E402
+from _emit import emit_json  # noqa: E402
 from repro.common.errors import FormatError  # noqa: E402
 from repro.formats.adversarial import (  # noqa: E402
     DEFAULT_SEED,
@@ -211,7 +211,6 @@ def main(argv=None) -> int:
             "repeats": repeats,
         },
         checks=checks,
-        runtime=runtime_snapshot(),
     )
 
     print(f"adversarial corpus: {corpus_results['samples']} samples, "

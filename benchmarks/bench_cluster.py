@@ -48,7 +48,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_cluster.py`
     )
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _emit import emit_json, emit_trace, runtime_snapshot, trace_json_path  # noqa: E402
+from _emit import emit_json, emit_trace, trace_json_path  # noqa: E402
 from repro.analysis import ReportTable  # noqa: E402
 from repro.cluster import (  # noqa: E402
     AutoscalerConfig,
@@ -200,7 +200,7 @@ def _flash_crowd(
 
 
 def _failover_payload(catalog: ServiceCatalog, mix: RequestMix) -> Dict:
-    """One deterministic failover run, serialized with caches stripped.
+    """One deterministic failover run as its report payload.
 
     Node-loss draws fire per control tick per routable node, so the
     probability is calibrated for a handful of losses over the run — the
@@ -226,11 +226,7 @@ def _failover_payload(catalog: ServiceCatalog, mix: RequestMix) -> Dict:
     report = SerializationCluster(catalog, config, injector=injector).run(
         workload.generate(catalog)
     )
-    payload = report.as_dict()
-    # Process-global plan/layout/bufpool caches stay warm across runs in
-    # one process; everything else must replay byte-identically.
-    payload["slo"].pop("runtime_caches", None)
-    return payload
+    return report.as_dict()
 
 
 def run_sweep(smoke: bool = False) -> Tuple[Dict, ReportTable, Tracer]:
@@ -452,7 +448,6 @@ def _emit(
         payload["results"],
         meta=payload["meta"],
         checks=checks,
-        runtime=runtime_snapshot(),
     )
     return checks
 

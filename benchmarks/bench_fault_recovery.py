@@ -10,7 +10,7 @@ rather than silently decoded.
 
 from __future__ import annotations
 
-from _emit import emit_json, runtime_snapshot
+from _emit import emit_json
 from repro.analysis import ReportTable
 from repro.cereal import CerealAccelerator
 from repro.faults import FaultInjector, FaultPolicy
@@ -123,7 +123,6 @@ def test_fault_recovery_sweep(benchmark, results_dir):
                 "seed": _SEED,
                 "probabilities": list(_PROBABILITIES),
             },
-            runtime=runtime_snapshot(),
         )
         return slowdowns
 

@@ -52,7 +52,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_memory_pressure.py`
     )
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _emit import emit_json, emit_trace, runtime_snapshot, trace_json_path  # noqa: E402
+from _emit import emit_json, emit_trace, trace_json_path  # noqa: E402
 from repro.analysis import ReportTable  # noqa: E402
 from repro.cereal import CerealAccelerator  # noqa: E402
 from repro.formats import JavaSerializer, KryoSerializer  # noqa: E402
@@ -529,7 +529,6 @@ def _emit(
             "policies": list(POLICY_NAMES),
         },
         checks=checks,
-        runtime=runtime_snapshot(),
     )
     return checks
 

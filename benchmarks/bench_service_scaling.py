@@ -45,7 +45,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_service_scaling.py`
     )
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _emit import emit_json, emit_trace, runtime_snapshot, trace_json_path  # noqa: E402
+from _emit import emit_json, emit_trace, trace_json_path  # noqa: E402
 from repro.analysis import ReportTable  # noqa: E402
 from repro.faults import FaultInjector, FaultPolicy  # noqa: E402
 from repro.obs import (  # noqa: E402
@@ -357,7 +357,6 @@ def _emit(
         payload["results"],
         meta=payload["meta"],
         checks=checks,
-        runtime=runtime_snapshot(),
     )
     return checks
 

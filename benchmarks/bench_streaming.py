@@ -44,7 +44,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_streaming.py`
     )
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _emit import emit_json, emit_trace, runtime_snapshot, trace_json_path  # noqa: E402
+from _emit import emit_json, emit_trace, trace_json_path  # noqa: E402
 from repro.analysis import ReportTable  # noqa: E402
 from repro.common.bufpool import chunk_pool_stats, reset_chunk_pool  # noqa: E402
 from repro.formats import (  # noqa: E402
@@ -471,7 +471,6 @@ def _emit(
         results,
         meta={"seed": _SEED, "smoke": smoke, "chunk_bytes": _CHUNK_BYTES},
         checks=checks,
-        runtime=runtime_snapshot(),
     )
     return checks
 

@@ -49,8 +49,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_wallclock.py`
     )
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _emit import emit_json, runtime_snapshot  # noqa: E402
-from repro.common.bufpool import pool_stats, reset_pool  # noqa: E402
+from _emit import emit_json  # noqa: E402
 from repro.obs import Tracer, get_registry, set_tracer  # noqa: E402
 from repro.formats import (  # noqa: E402
     CerealSerializer,
@@ -235,7 +234,6 @@ def bench_plans(smoke: bool) -> Dict[str, object]:
     """
     heap, root, registration = _build_payload(smoke)
     plans.reset_plan_cache()
-    reset_pool()
     pairs = {
         "java": (JavaSerializer(), JavaSerializer(use_plans=False)),
         "kryo": (
@@ -274,11 +272,18 @@ def bench_plans(smoke: bool) -> Dict[str, object]:
             "plan_on_deserialize_mb_per_sec": _round(mb / plan_de_s),
             "plan_off_deserialize_mb_per_sec": _round(mb / interp_de_s),
         }
+    # Counters of this leg alone: reset above, read before later legs.
+    runtime = get_registry().snapshot()
+    hits, misses = runtime["plan_cache.hits"], runtime["plan_cache.misses"]
     return {
         "byte_identical": byte_identical,
         "formats": formats,
-        "plan_cache": plans.plan_cache_stats(),
-        "buffer_pool": pool_stats(),
+        "plan_cache": {
+            "hits": hits,
+            "misses": misses,
+            "entries": int(runtime["plan_cache.entries"]),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        },
     }
 
 
@@ -300,7 +305,7 @@ def bench_obs(smoke: bool) -> Dict[str, object]:
     """
     heap, root, registration = _build_payload(smoke)
     serializer = CerealSerializer(registration)
-    serializer.serialize(root)  # warm plans, layout cache, arenas
+    serializer.serialize(root)  # warm plans and the layout cache
     repeats = 9 if smoke else 11
     calls = 4  # serializes per timed sample
     registry = get_registry()
@@ -548,7 +553,6 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
             ),
         },
         checks=checks,
-        runtime=runtime_snapshot(),
     )
 
     print("wallclock bench")
@@ -563,7 +567,6 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
             f"de {metrics['deserialize_mb_per_sec']:>8} MB/s  "
             f"({metrics['serialize_objects_per_sec']} obj/s)"
         )
-    cache = plan_results["plan_cache"]
     for name, metrics in sorted(plan_formats.items()):
         print(
             f"  plans:{name:7s} ser {metrics['serialize_speedup']:>5}x "
@@ -571,10 +574,10 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
             f"{metrics['plan_on_serialize_mb_per_sec']} MB/s)  "
             f"de {metrics['deserialize_speedup']:>5}x"
         )
+    cache = plan_results["plan_cache"]
     print(
         f"  plan cache: {cache['hit_rate']:.1%} hit rate, "
-        f"{cache['entries']} entries; arena high water "
-        f"{plan_results['buffer_pool']['high_water_mark_bytes']} B"
+        f"{cache['entries']} entries"
     )
     print(
         f"  obs: instrumented serialize {obs_results['overhead_ratio']}x "

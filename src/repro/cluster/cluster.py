@@ -33,12 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.bufpool import pool_stats
 from repro.common.errors import ConfigError
 from repro.faults.injector import FaultInjector
-from repro.formats.plans import plan_cache_stats
-from repro.formats.secure import decode_stats
-from repro.jvm.layout_cache import stats as layout_cache_stats
 from repro.obs.metrics import (
     MetricsRegistry,
     exact_quantile,
@@ -587,20 +583,6 @@ class SerializationCluster:
             verified_requests=sum(
                 self._nodes[n].server.verified_requests for n in self._order
             ),
-            runtime_caches={
-                "plan_cache": plan_cache_stats(),
-                "layout_cache": layout_cache_stats(),
-                "buffer_pool": pool_stats(),
-                "secure_decode": decode_stats(),
-                **(
-                    {"streaming": self._streaming_stats()}
-                    if any(
-                        self._nodes[n].server.streamer is not None
-                        for n in self._order
-                    )
-                    else {}
-                ),
-            },
         )
         return ClusterReport(
             slo=slo,
@@ -617,31 +599,6 @@ class SerializationCluster:
             locality_hits=self.router.locality_hits,
             locality_misses=self.router.locality_misses,
         )
-
-    def _streaming_stats(self) -> Dict:
-        """Cluster-wide egress streaming totals (counts summed, buffer
-        high-water marks maxed, the TTFB speedup recomputed from sums)."""
-        merged: Dict = {}
-        for node_id in self._order:
-            streamer = self._nodes[node_id].server.streamer
-            if streamer is None:
-                continue
-            for key, value in streamer.stats().items():
-                if key in ("buffer_hwm_bytes", "whole_buffer_hwm_bytes"):
-                    merged[key] = max(merged.get(key, 0), value)
-                elif key not in ("mean_ttfb_speedup", "service_ttfb_speedup"):
-                    merged[key] = merged.get(key, 0) + value
-        merged["mean_ttfb_speedup"] = (
-            merged["whole_ttfb_sum_ns"] / merged["ttfb_sum_ns"]
-            if merged.get("ttfb_sum_ns")
-            else 0.0
-        )
-        merged["service_ttfb_speedup"] = (
-            merged["whole_service_ttfb_sum_ns"] / merged["service_ttfb_sum_ns"]
-            if merged.get("service_ttfb_sum_ns")
-            else 0.0
-        )
-        return merged
 
     def _mean_batch_size(self) -> float:
         closed = sum(

@@ -1,31 +1,17 @@
-"""Reusable byte-buffer arenas for the serialization hot paths.
+"""Chunk arenas: the memory budget of a streaming serialize.
 
-Every serialize call in the seed allocated a fresh ``bytearray`` (inside
-:class:`~repro.formats.streams.StreamWriter`) and grew it byte-append by
-byte-append; the plan kernels in :mod:`repro.formats.plans` additionally
-need scratch output buffers per call. Allocating and growing those
-buffers from zero on every operation is pure allocator churn: the buffer
-reaches roughly the same size every time a payload shape repeats, which
-is exactly the serving-layer steady state (the same catalog entries
-serialized over and over).
+A :class:`ChunkArenaPool` is a fixed population of chunk-sized
+``bytearray`` arenas that a streaming encoder
+(:meth:`~repro.formats.base.Serializer.serialize_chunks`) fills one at a
+time and a consumer hands back. Its point is the bound, not recycling:
+a producer can never hold more than ``arena_count`` chunks in flight, so
+blocking acquires are the backpressure between an encoder and its
+transfer/egress path.
 
-A :class:`BufferPool` keeps a small free list of already-grown
-``bytearray`` arenas. ``acquire()`` hands one back cleared but with its
-*capacity* retained (CPython keeps the allocation when a bytearray is
-cleared in-place with ``del buf[:]``), so a warm pool serves every
-subsequent serialize without touching the allocator. ``release()``
-returns the arena and records the high-water mark — the largest buffer
-the process ever filled — which the benchmarks surface next to the
-plan-cache hit rate.
-
-The counters live in a :class:`repro.obs.metrics.MetricsRegistry` —
-the process-wide one for :data:`GLOBAL_POOL` (metric names
-``bufpool.*``), a private registry per standalone pool so test instances
-never bleed into each other — and ``stats()`` is a thin view over them.
-
-The process-wide pool is deliberately tiny (a handful of arenas): one
-serialize is single-threaded and the service layer runs operations
-back-to-back, so deep pools only pin memory.
+The counters live in a :class:`repro.obs.metrics.MetricsRegistry` — the
+process-wide one for :data:`GLOBAL_CHUNK_POOL` (metric names
+``chunkpool.*``), a private registry per standalone pool so test
+instances never bleed into each other.
 """
 
 from __future__ import annotations
@@ -38,99 +24,12 @@ from repro.common.errors import TransientError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
-class BufferPool:
-    """A bounded free list of reusable ``bytearray`` arenas with stats."""
-
-    def __init__(
-        self,
-        max_arenas: int = 8,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "bufpool",
-    ):
-        if max_arenas <= 0:
-            raise ValueError(f"max_arenas must be positive, got {max_arenas}")
-        self.max_arenas = max_arenas
-        self._free: List[bytearray] = []
-        metrics = registry if registry is not None else MetricsRegistry()
-        self._acquires = metrics.counter(f"{prefix}.acquires")
-        self._reuses = metrics.counter(f"{prefix}.reuses")
-        self._releases = metrics.counter(f"{prefix}.releases")
-        self._high_water = metrics.gauge(f"{prefix}.high_water_mark_bytes")
-        self._pooled = metrics.gauge(f"{prefix}.pooled_arenas")
-
-    @property
-    def acquires(self) -> int:
-        return self._acquires.value
-
-    @property
-    def reuses(self) -> int:
-        return self._reuses.value
-
-    @property
-    def releases(self) -> int:
-        return self._releases.value
-
-    @property
-    def high_water_mark(self) -> int:
-        """Largest buffer length seen at release."""
-        return int(self._high_water.value)
-
-    def acquire(self) -> bytearray:
-        """A cleared arena; reuses a pooled one when available."""
-        self._acquires.inc()
-        if self._free:
-            self._reuses.inc()
-            arena = self._free.pop()
-            self._pooled.set(len(self._free))
-            del arena[:]  # clear contents, keep the grown allocation
-            return arena
-        return bytearray()
-
-    def release(self, arena: bytearray) -> None:
-        """Return ``arena`` to the pool (dropped if the pool is full)."""
-        self._releases.inc()
-        self._high_water.set_max(len(arena))
-        if len(self._free) < self.max_arenas:
-            self._free.append(arena)
-            self._pooled.set(len(self._free))
-
-    @property
-    def reuse_rate(self) -> float:
-        if self.acquires == 0:
-            return 0.0
-        return self.reuses / self.acquires
-
-    def stats(self) -> Dict[str, object]:
-        """Machine-readable snapshot for benchmarks and SLO reports."""
-        return {
-            "acquires": self.acquires,
-            "reuses": self.reuses,
-            "releases": self.releases,
-            "reuse_rate": round(self.reuse_rate, 4),
-            "high_water_mark_bytes": self.high_water_mark,
-            "pooled_arenas": len(self._free),
-        }
-
-    def reset(self) -> None:
-        """Drop pooled arenas and zero the counters (tests)."""
-        self._free.clear()
-        self._acquires.reset()
-        self._reuses.reset()
-        self._releases.reset()
-        self._high_water.reset()
-        self._pooled.reset()
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-
 class ChunkArenaPool:
     """A fixed population of fixed-capacity chunk arenas with backpressure.
 
-    Unlike :class:`BufferPool` — an unbounded free list that exists to
-    recycle allocations — this pool *is* the memory budget of a streaming
-    pipeline: ``arena_count`` arenas of ``arena_bytes`` capacity are all
-    the chunk storage a producer may hold in flight. ``acquire`` in
+    The pool *is* the memory budget of a streaming pipeline:
+    ``arena_count`` arenas of ``arena_bytes`` capacity are all the chunk
+    storage a producer may hold in flight. ``acquire`` in
     blocking mode waits until a consumer releases an arena, which is the
     backpressure mechanism end to end: an encoder cannot race ahead of
     the transfer/egress path by more than the pool population.
@@ -151,8 +50,8 @@ class ChunkArenaPool:
 
     ``high_water_mark_bytes`` records the largest arena fill seen at
     release — for a chunked encode this sits at the chunk size, which is
-    exactly the number the streaming benchmarks gate against the
-    whole-stream pool's payload-sized high-water mark.
+    exactly the number the streaming benchmarks gate against the largest
+    whole-stream payload.
     """
 
     def __init__(
@@ -239,7 +138,7 @@ class ChunkArenaPool:
                     self._in_flight_peak.set_max(self._in_flight)
                     return bytearray()
             arena = self._free.pop()
-            del arena[:]  # clear contents, keep the grown allocation
+            del arena[:]  # clear contents; CPython also frees the storage
             self._in_flight += 1
             self._in_flight_peak.set_max(self._in_flight)
             return arena
@@ -287,29 +186,9 @@ class ChunkArenaPool:
         return len(self._free)
 
 
-#: The process-wide pool every serializer and plan kernel shares; its
-#: counters land in the process-wide metrics registry as ``bufpool.*``.
-GLOBAL_POOL = BufferPool(registry=get_registry())
-
 #: The process-wide chunk pool streaming encoders default to; counters
 #: land in the process-wide metrics registry as ``chunkpool.*``.
 GLOBAL_CHUNK_POOL = ChunkArenaPool(registry=get_registry())
-
-
-def acquire_buffer() -> bytearray:
-    return GLOBAL_POOL.acquire()
-
-
-def release_buffer(arena: bytearray) -> None:
-    GLOBAL_POOL.release(arena)
-
-
-def pool_stats() -> Dict[str, object]:
-    return GLOBAL_POOL.stats()
-
-
-def reset_pool() -> None:
-    GLOBAL_POOL.reset()
 
 
 def chunk_pool_stats() -> Dict[str, object]:

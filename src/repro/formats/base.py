@@ -18,7 +18,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.common.bufpool import acquire_buffer, release_buffer
 from repro.formats.limits import DecodeLimits
 from repro.jvm.heap import Heap, HeapObject
 
@@ -195,17 +194,15 @@ class Serializer(abc.ABC):
     def _drain_walk(self, root: HeapObject) -> SerializationResult:
         """Single-shot serialize through the format's encode walk.
 
-        The walk writes into one pooled flat buffer, where it never
-        suspends (see :mod:`repro.formats.plans`, "chunked execution").
+        The walk writes into one flat buffer, where it never suspends
+        (see :mod:`repro.formats.plans`, "chunked execution").
         """
-        out = acquire_buffer()
+        out = bytearray()
         try:
             next(self._encode_walk(root, out))  # type: ignore[attr-defined]
         except StopIteration as stop:
             summary = stop.value
             data = bytes(out)
-        finally:
-            release_buffer(out)
         stream = SerializedStream(
             format_name=self.name,
             data=data,

@@ -36,7 +36,6 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common.bufpool import acquire_buffer, release_buffer
 from repro.common.errors import (
     FormatError,
     RegistrationError,
@@ -404,7 +403,7 @@ class CerealSerializer(Serializer):
     ) -> SerializationResult:
         """Frame the interpreter's three gathered structures into a stream."""
         value_bytes = struct.pack(f"<{len(value_words)}Q", *value_words)
-        out = acquire_buffer()
+        out = bytearray()
         out += self._stream_header(graph_total_bytes, object_count)
         out += struct.pack("<I", len(value_bytes))
         out += value_bytes
@@ -413,7 +412,6 @@ class CerealSerializer(Serializer):
             out += part
             sections[section] = sections.get(section, 0) + len(part)
         data = bytes(out)
-        release_buffer(out)
         profile.bytes_read = graph_total_bytes
         profile.bytes_written = len(data)
         profile.add_instructions(len(data) // 4)

@@ -2,7 +2,7 @@
 
 Every plan-path format has one encoder, a generator walk kept in that
 format's own module (``_encode_walk``). ``serialize()`` drains it into a
-flat pooled buffer; :func:`encode_cursor` runs the *same* walk over a
+flat buffer; :func:`encode_cursor` runs the *same* walk over a
 :class:`~repro.formats.plans.ChunkingBuffer` that carves the stream into
 fixed-size arenas from a :class:`~repro.common.bufpool.ChunkArenaPool`,
 and an :class:`~repro.formats.plans.EncodeCursor` resumes it one sealed

@@ -142,7 +142,7 @@ class JavaSerializer(Serializer):
     def serialize(self, root: HeapObject) -> SerializationResult:
         if self.use_plans:
             return self._drain_walk(root)
-        writer = StreamWriter(pooled=True)
+        writer = StreamWriter()
         profile = WorkProfile()
         reflect = JavaReflection()
         handles: Dict[int, int] = {}  # heap address -> stream handle
@@ -268,7 +268,7 @@ class JavaSerializer(Serializer):
             else:
                 stack.append(emit_object(child))
 
-        data = writer.detach()
+        data = writer.getvalue()
         profile.add_instructions(reflect.cost.estimated_instructions())
         profile.add_instructions(len(data) * _INSTR_PER_STREAM_BYTE)
         profile.bytes_read = ObjectGraph.from_root(root).total_bytes

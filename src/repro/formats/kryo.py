@@ -103,7 +103,7 @@ class KryoSerializer(Serializer):
     def serialize(self, root: HeapObject) -> SerializationResult:
         if self.use_plans:
             return self._drain_walk(root)
-        writer = StreamWriter(pooled=True)
+        writer = StreamWriter()
         profile = WorkProfile()
         asm = ReflectAsmAccess()
         object_ids: Dict[int, int] = {}
@@ -180,7 +180,7 @@ class KryoSerializer(Serializer):
             else:
                 stack.append(emit_object(child))
 
-        data = writer.detach()
+        data = writer.getvalue()
         profile.add_instructions(asm.cost.estimated_instructions())
         profile.add_instructions(len(data) * _INSTR_PER_STREAM_BYTE)
         profile.bytes_read = ObjectGraph.from_root(root).total_bytes

@@ -35,9 +35,9 @@ pair into flat data a tight kernel can execute:
 Plans live in a process-wide cache keyed on a stable **klass fingerprint**
 (name + field signature, or array element kind), so every serializer
 instance, service shard, and benchmark in the process shares one compiled
-plan per shape. ``plan_cache_stats()`` exposes hit/miss/eviction counters;
-the serving layer snapshots them into SLO reports and
-``benchmarks/bench_wallclock.py`` gates on warm-cache hit rates.
+plan per shape. Its hit/miss/eviction counters live in the process-wide
+metrics registry as ``plan_cache.*``; ``benchmarks/bench_wallclock.py``
+gates on the warm-cache hit rate they give.
 
 Byte-identity with the interpreters is enforced by
 ``tests/test_plans.py`` and the fuzz corpus in
@@ -190,8 +190,7 @@ _PLANS: Dict[Tuple, object] = {}
 _FINGERPRINTS: Dict[Klass, str] = {}
 _BITMAP_REFS: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
-# Recorded in the process-wide metrics registry as ``plan_cache.*``;
-# ``plan_cache_stats()`` below is a thin view over these handles.
+# Recorded in the process-wide metrics registry as ``plan_cache.*``.
 _HITS = get_registry().counter("plan_cache.hits")
 _MISSES = get_registry().counter("plan_cache.misses")
 _EVICTIONS = get_registry().counter("plan_cache.evictions")
@@ -275,22 +274,6 @@ def bitmap_reference_slots(bitmap_word: int, bitmap_width: int) -> Tuple[int, ..
     _BITMAP_REFS[key] = slots
     _ENTRIES.set(len(_PLANS) + len(_BITMAP_REFS))
     return slots
-
-
-def plan_cache_stats() -> Dict[str, object]:
-    """Hit/miss/eviction counters plus hit rate for reports and gates.
-
-    A thin view over the ``plan_cache.*`` metrics in the process-wide
-    registry (:mod:`repro.obs.metrics`)."""
-    hits, misses = _HITS.value, _MISSES.value
-    probes = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "evictions": _EVICTIONS.value,
-        "entries": len(_PLANS) + len(_BITMAP_REFS),
-        "hit_rate": round(hits / probes, 4) if probes else 0.0,
-    }
 
 
 def reset_plan_cache() -> None:
@@ -631,7 +614,7 @@ def _compile_cereal(klass: Klass, header_slots: int, length: int):
 # ``out.append(...)`` and the only read-back is ``len(out)`` (to measure
 # what a step wrote). That contract lets one walk serve both front doors:
 #
-# * ``serialize()`` hands it the pooled flat ``bytearray``; the walk never
+# * ``serialize()`` hands it a flat ``bytearray``; the walk never
 #   suspends and one ``next()`` runs it to completion;
 # * ``serialize_chunks()`` hands it a :class:`ChunkingBuffer`, which
 #   carves the output into fixed-size arenas from a

@@ -216,7 +216,7 @@ def secure_deserialize_chunks(
 
 
 def decode_stats() -> Dict[str, object]:
-    """Aggregated decode/schema counters for ``runtime_snapshot()``.
+    """Aggregated decode/schema counters (tests, the adversarial bench).
 
     Returns ``accepted``/``rejected`` totals, a rejection breakdown by
     reason, and the schema-resolution outcome counts, parsed out of the

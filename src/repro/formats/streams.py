@@ -15,7 +15,6 @@ import struct
 import zlib
 from typing import Dict
 
-from repro.common.bufpool import acquire_buffer, release_buffer
 from repro.common.errors import (
     CorruptionError,
     FormatError,
@@ -260,17 +259,10 @@ class BoundedChunkQueue(ChunkSink, ChunkSource):
 
 
 class StreamWriter:
-    """An append-only byte buffer with per-section byte accounting.
+    """An append-only byte buffer with per-section byte accounting."""
 
-    ``pooled=True`` borrows the backing ``bytearray`` from the process-wide
-    buffer pool instead of allocating a fresh one; call :meth:`detach` to
-    take the final bytes and return the arena. ``getvalue`` stays valid on
-    pooled writers too (it copies without releasing).
-    """
-
-    def __init__(self, pooled: bool = False) -> None:
-        self._pooled = pooled
-        self._buffer = acquire_buffer() if pooled else bytearray()
+    def __init__(self) -> None:
+        self._buffer = bytearray()
         self.sections: Dict[str, int] = {}
 
     def _account(self, section: str, length: int) -> None:
@@ -331,19 +323,6 @@ class StreamWriter:
 
     def getvalue(self) -> bytes:
         return bytes(self._buffer)
-
-    def detach(self) -> bytes:
-        """Snapshot the bytes and return a pooled arena to the pool.
-
-        After ``detach`` the writer must not be written to again; the
-        arena may already be serving another serialize call.
-        """
-        data = bytes(self._buffer)
-        if self._pooled:
-            release_buffer(self._buffer)
-            self._pooled = False
-            self._buffer = bytearray()
-        return data
 
     def __len__(self) -> int:
         return len(self._buffer)

@@ -30,8 +30,8 @@ from repro.obs.metrics import get_registry
 _MAX_ENTRIES = 1 << 16
 _CACHE: Dict[Tuple[Klass, int, int], "KlassLayout"] = {}
 
-# Hit/miss/eviction counters for benchmarks and SLO reports, recorded in
-# the process-wide metrics registry (``layout_cache.*``). An "eviction"
+# Hit/miss/eviction counters, recorded in the process-wide metrics
+# registry (``layout_cache.*``). An "eviction"
 # is a full clear at the entry cap (the cache is regenerable, so
 # wholesale invalidation is cheaper than tracking recency).
 _HITS = get_registry().counter("layout_cache.hits")
@@ -100,23 +100,3 @@ def clear_layout_cache(reset_stats: bool = False) -> None:
         _HITS.reset()
         _MISSES.reset()
         _EVICTIONS.reset()
-
-
-def cache_size() -> int:
-    return len(_CACHE)
-
-
-def stats() -> Dict[str, object]:
-    """Hit/miss/eviction counters plus derived hit rate.
-
-    A thin view over the ``layout_cache.*`` metrics in the process-wide
-    registry (:mod:`repro.obs.metrics`)."""
-    hits, misses = _HITS.value, _MISSES.value
-    probes = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "evictions": _EVICTIONS.value,
-        "entries": len(_CACHE),
-        "hit_rate": round(hits / probes, 4) if probes else 0.0,
-    }

@@ -7,9 +7,10 @@ that attribution everywhere, for free, in every bench and test:
 
 * :mod:`repro.obs.metrics` — a process-wide registry of labeled
   counters, gauges, and histograms (log-scale buckets + exact
-  small-sample quantiles) with ``snapshot()``/``delta()``. The
-  plan-cache, layout-cache, and buffer-pool ``stats()`` views all read
-  from it now, and the one shared quantile definition
+  small-sample quantiles) with ``snapshot()``/``delta()``. Its flat
+  ``snapshot()`` is the one runtime-stats shape (plan/layout cache,
+  chunk pool, decode, schema and memstore counters), and the one shared
+  quantile definition
   (:func:`~repro.obs.metrics.exact_quantile`) backs both
   ``repro.analysis.percentile`` and the service SLO summaries.
 * :mod:`repro.obs.trace` — a span tracer with dual clocks (simulated ns

@@ -1,14 +1,14 @@
 """Process-wide metrics: labeled counters, gauges, and histograms.
 
-The reproduction previously grew one bespoke stats dict per subsystem —
-``plan_cache_stats()``, ``layout_cache.stats()``, ``pool_stats()``, the
-hand-rolled SLO percentile math — each with its own reset semantics and
-schema. This module is the one registry they all record into now:
+One registry every instrumented layer records into — the plan and
+layout caches, the chunk arena pool, the hardened decoder, the memory
+store, the serving layer — in place of a bespoke stats dict per
+subsystem:
 
 * :class:`Counter` — monotonically increasing count (``inc``), e.g. cache
   hits, requests by outcome, fault injections by layer.
 * :class:`Gauge` — a settable level (``set`` / ``set_max``), e.g. the
-  buffer pool's high-water mark or resident cache entries.
+  chunk pool's high-water mark or resident cache entries.
 * :class:`Histogram` — a value distribution with fixed log2-scale buckets
   plus an exact small-sample reservoir, so quantiles are *exact* until the
   sample count exceeds the reservoir and bucket-interpolated beyond it.
@@ -16,14 +16,12 @@ schema. This module is the one registry they all record into now:
 Metrics are keyed on ``(name, sorted labels)``; fetching the same key
 twice returns the same object, so modules can cache handles at import
 time. :meth:`MetricsRegistry.snapshot` renders the whole registry as one
-flat JSON-able dict and :meth:`MetricsRegistry.delta` diffs two snapshots,
-which is what the benchmark emitter uses to report per-run (rather than
-per-process) movement.
+flat JSON-able dict — the ``runtime`` block of every ``BENCH_*.json`` —
+and :meth:`MetricsRegistry.delta` diffs two snapshots.
 
 Cost model: counters and gauges stay live even when the registry is
-disabled — they are single int/float updates, exactly what the bespoke
-stats dicts they replaced already paid, and the ``stats()`` views and CI
-cache-health gates depend on them. ``disable()`` is the no-op fast path
+disabled — they are single int/float updates, and the CI cache-health
+gates depend on them. ``disable()`` is the no-op fast path
 for the *expensive* instruments: histogram observation (sorting reservoir
 upkeep) returns immediately, and the span tracer in
 :mod:`repro.obs.trace` carries its own independent switch.

@@ -35,13 +35,9 @@ from repro.cereal.accelerator import CerealAccelerator
 from repro.cereal.device_sim import DeviceSimulator
 from repro.common.config import CerealConfig, DRAMConfig
 from repro.common.errors import ConfigError, SimulationError
-from repro.common.bufpool import pool_stats
 from repro.faults.injector import FaultInjector
-from repro.formats.plans import plan_cache_stats
-from repro.formats.secure import decode_stats
 from repro.formats.verify import graphs_equivalent
 from repro.jvm.heap import Heap
-from repro.jvm.layout_cache import stats as layout_cache_stats
 from repro.obs.trace import Tracer, get_tracer
 from repro.service.admission import (
     DECISION_DEGRADE,
@@ -796,16 +792,5 @@ class SerializationServer:
             mean_batch_size=self.coalescer.mean_batch_size,
             peak_outstanding=self.admission.peak_outstanding,
             verified_requests=self.verified_requests,
-            runtime_caches={
-                "plan_cache": plan_cache_stats(),
-                "layout_cache": layout_cache_stats(),
-                "buffer_pool": pool_stats(),
-                "secure_decode": decode_stats(),
-                **(
-                    {"streaming": self.streamer.stats()}
-                    if self.streamer is not None
-                    else {}
-                ),
-            },
         )
         return report

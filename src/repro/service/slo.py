@@ -104,11 +104,6 @@ class SLOReport:
     mean_batch_size: float = 0.0
     peak_outstanding: int = 0
     verified_requests: int = 0
-    #: Snapshot of the process-wide serialization caches at end of run
-    #: (compiled-plan cache, klass layout cache, output buffer pool) —
-    #: plans compile on the first request of a shape and are reused across
-    #: every later batch, so warm runs should show a high hit rate here.
-    runtime_caches: Optional[Dict] = None
 
     _latency_cache: Dict[str, List[float]] = field(
         default_factory=dict, repr=False
@@ -322,8 +317,6 @@ class SLOReport:
                 if done:
                     entry["p99_ns"] = exact_quantile(done, 99.0)
                 summary["tenants"][tenant] = entry
-        if self.runtime_caches is not None:
-            summary["runtime_caches"] = self.runtime_caches
         if self.fault_report is not None:
             summary["faults"] = self.fault_report.as_dict()
         return summary
@@ -368,16 +361,6 @@ class SLOReport:
                 f"{sum(r.chunks for r in streamed)} chunks, TTFB p50 "
                 f"{exact_quantile(ttfbs, 50.0) / 1e3:.2f} us / p99 "
                 f"{exact_quantile(ttfbs, 99.0) / 1e3:.2f} us"
-            )
-        if self.runtime_caches is not None:
-            plan = self.runtime_caches.get("plan_cache", {})
-            layout = self.runtime_caches.get("layout_cache", {})
-            pool = self.runtime_caches.get("buffer_pool", {})
-            table.add_note(
-                f"caches: plan hit rate {plan.get('hit_rate', 0.0) * 100:.1f}% "
-                f"({plan.get('entries', 0)} plans), layout hit rate "
-                f"{layout.get('hit_rate', 0.0) * 100:.1f}%, arena high water "
-                f"{pool.get('high_water_mark_bytes', 0)} B"
             )
         if self.fault_report is not None and self.fault_report.layers:
             totals = self.fault_report.totals

@@ -19,28 +19,23 @@ verified execution.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional
 
 
 class LRUCache:
-    """A small ordered-dict LRU with hit/miss accounting."""
+    """A small ordered-dict LRU."""
 
     def __init__(self, capacity: int = 128):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value, refreshed as most-recent; None on miss."""
         entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -51,20 +46,9 @@ class LRUCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Tuple[int, int, int]:
-        """(hits, misses, resident entries)."""
-        return self.hits, self.misses, len(self._entries)
 
 
 #: Catalog build cache: (size classes in build order, entry name, cereal

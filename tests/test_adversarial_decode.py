@@ -50,9 +50,11 @@ GOLDEN_SEEDS = (0xC0FFEE, 1, 2024)
 
 @pytest.fixture(autouse=True)
 def fresh_metrics():
-    set_registry(MetricsRegistry())
+    previous = set_registry(MetricsRegistry())
     yield
-    set_registry(MetricsRegistry())
+    # Restore the process-wide registry: module-level handles (plan and
+    # layout cache counters, ...) record into it, not into a fresh one.
+    set_registry(previous)
 
 
 def heap_state(heap):

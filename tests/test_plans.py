@@ -1,12 +1,11 @@
-"""Compiled serialization plans: equivalence, caches, pools, traversal.
+"""Compiled serialization plans: equivalence, caches, traversal.
 
 The plan kernels in :mod:`repro.formats.plans` exist purely for speed —
 every observable output (stream bytes, section accounting, work profiles,
 rebuilt graphs) must match the preserved interpreter paths exactly. These
 tests pin that equivalence over the fuzz corpus and hand-built edge
 shapes, and cover the supporting machinery the plans ride on: the plan
-cache, the layout-cache counters, the buffer pool, and the slot-run
-traversal fast path.
+cache, the layout-cache counters, and the slot-run traversal fast path.
 """
 
 from __future__ import annotations
@@ -15,13 +14,6 @@ import pytest
 
 from tests.test_fuzz_roundtrip import build_fuzz_graph, fuzz_registry
 
-from repro.common.bufpool import (
-    BufferPool,
-    acquire_buffer,
-    pool_stats,
-    release_buffer,
-    reset_pool,
-)
 from repro.common.errors import FormatError
 from repro.formats import (
     CerealSerializer,
@@ -42,6 +34,7 @@ from repro.jvm.graph import (
     traverse_object_graph_bfs,
     traverse_slot_runs,
 )
+from repro.obs.metrics import get_registry
 
 _SEEDS = (1, 2, 3, 4, 5, 6)
 _CHUNK_BYTES = 61
@@ -286,6 +279,19 @@ def test_slot_run_graph_matches_object_graph():
 # -- plan cache --------------------------------------------------------------------
 
 
+def _cache_counters(prefix):
+    """``<prefix>.*`` cache counters from the process-wide metrics registry,
+    plus the hit rate they give."""
+    snapshot = get_registry().snapshot()
+    counters = {
+        name: snapshot[f"{prefix}.{name}"]
+        for name in ("hits", "misses", "evictions", "entries")
+    }
+    probes = counters["hits"] + counters["misses"]
+    counters["hit_rate"] = counters["hits"] / probes if probes else 0.0
+    return counters
+
+
 def test_plan_cache_warm_hit_rate():
     plans.reset_plan_cache()
     registry = fuzz_registry()
@@ -293,16 +299,16 @@ def test_plan_cache_warm_hit_rate():
     root = build_fuzz_graph(heap, 2)
     serializer = JavaSerializer()
     serializer.serialize(root)
-    cold = plans.plan_cache_stats()
+    cold = _cache_counters("plan_cache")
     assert cold["misses"] > 0
     assert cold["entries"] == cold["misses"]
     serializer.serialize(root)
-    warm = plans.plan_cache_stats()
+    warm = _cache_counters("plan_cache")
     assert warm["misses"] == cold["misses"], "second run recompiled plans"
     assert warm["hits"] > cold["hits"]
     assert warm["hit_rate"] > 0.0
     plans.reset_plan_cache()
-    assert plans.plan_cache_stats() == {
+    assert _cache_counters("plan_cache") == {
         "hits": 0,
         "misses": 0,
         "evictions": 0,
@@ -317,17 +323,17 @@ def test_plan_cache_shared_across_serializer_instances():
     heap = Heap(registry=registry)
     root = build_fuzz_graph(heap, 5)
     JavaSerializer().serialize(root)
-    after_first = plans.plan_cache_stats()["misses"]
+    after_first = _cache_counters("plan_cache")["misses"]
     JavaSerializer().serialize(root)  # a *different* instance, same shapes
-    assert plans.plan_cache_stats()["misses"] == after_first
+    assert _cache_counters("plan_cache")["misses"] == after_first
 
 
 def test_bitmap_reference_slots_memoized():
     plans.reset_plan_cache()
     assert plans.bitmap_reference_slots(0b10100, 5) == (0, 2)
-    misses = plans.plan_cache_stats()["misses"]
+    misses = _cache_counters("plan_cache")["misses"]
     assert plans.bitmap_reference_slots(0b10100, 5) == (0, 2)
-    stats = plans.plan_cache_stats()
+    stats = _cache_counters("plan_cache")
     assert stats["misses"] == misses
     assert stats["hits"] >= 1
     assert plans.bitmap_reference_slots(0, 7) == ()
@@ -342,86 +348,13 @@ def test_layout_cache_stats_warm_hit_rate():
     heap = Heap(registry=registry)
     root = build_fuzz_graph(heap, 6)
     CerealSerializer(_registration(registry)).serialize(root)
-    cold = layout_cache.stats()
+    cold = _cache_counters("layout_cache")
     assert cold["misses"] == cold["entries"] > 0
     before_hits = cold["hits"]
     CerealSerializer(_registration(registry)).serialize(root)
-    warm = layout_cache.stats()
+    warm = _cache_counters("layout_cache")
     assert warm["misses"] == cold["misses"]
     assert warm["hits"] > before_hits
     assert warm["hit_rate"] > 0.9, "warm serialize should be nearly all hits"
     layout_cache.clear_layout_cache(reset_stats=True)
-    assert layout_cache.stats()["hits"] == 0
-
-
-# -- buffer pool -------------------------------------------------------------------
-
-
-def test_buffer_pool_reuses_arenas():
-    pool = BufferPool(max_arenas=2)
-    first = pool.acquire()
-    first += b"x" * 100
-    pool.release(first)
-    second = pool.acquire()
-    assert second is first, "arena should be recycled"
-    assert len(second) == 0, "recycled arena must come back empty"
-    stats = pool.stats()
-    assert stats["acquires"] == 2
-    assert stats["reuses"] == 1
-    assert stats["high_water_mark_bytes"] == 100
-    assert stats["reuse_rate"] == 0.5
-
-
-def test_buffer_pool_bounds_free_list():
-    pool = BufferPool(max_arenas=1)
-    a, b = pool.acquire(), pool.acquire()
-    pool.release(a)
-    pool.release(b)  # over the cap: dropped, not pooled
-    assert len(pool) == 1
-    assert pool.stats()["pooled_arenas"] == 1
-
-
-def test_global_pool_helpers():
-    reset_pool()
-    arena = acquire_buffer()
-    arena += b"payload"
-    release_buffer(arena)
-    stats = pool_stats()
-    assert stats["releases"] == 1
-    assert stats["high_water_mark_bytes"] == 7
-    again = acquire_buffer()
-    assert pool_stats()["reuses"] == 1
-    release_buffer(again)
-    reset_pool()
-    assert pool_stats()["acquires"] == 0
-
-
-# -- service report plumbing -------------------------------------------------------
-
-
-def test_slo_report_carries_runtime_cache_stats():
-    from repro.service import (
-        PoissonWorkload,
-        SerializationServer,
-        ServiceCatalog,
-        ServiceConfig,
-    )
-
-    catalog = ServiceCatalog()
-    workload = PoissonWorkload(qps=50_000.0, num_requests=50, seed=7)
-    server = SerializationServer(
-        catalog, ServiceConfig(num_shards=1, functional="off")
-    )
-    report = server.run(workload.generate(catalog))
-    caches = report.runtime_caches
-    assert caches is not None
-    assert set(caches) == {
-        "plan_cache",
-        "layout_cache",
-        "buffer_pool",
-        "secure_decode",
-    }
-    summary = report.as_dict()
-    assert summary["runtime_caches"]["plan_cache"]["hit_rate"] >= 0.0
-    rendered = report.to_table().render()
-    assert "plan hit rate" in rendered
+    assert _cache_counters("layout_cache")["hits"] == 0

@@ -31,9 +31,11 @@ from repro.obs.metrics import MetricsRegistry, set_registry
 
 @pytest.fixture(autouse=True)
 def fresh_metrics():
-    set_registry(MetricsRegistry())
+    previous = set_registry(MetricsRegistry())
     yield
-    set_registry(MetricsRegistry())
+    # Restore the process-wide registry: module-level handles (plan and
+    # layout cache counters, ...) record into it, not into a fresh one.
+    set_registry(previous)
 
 
 def make_point(fields):

@@ -1,5 +1,7 @@
 """End-to-end tests of the event-loop serialization server."""
 
+import json
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -68,13 +70,20 @@ class TestServerBasics:
             assert record.batch_id >= 0
 
     def test_same_seed_same_report(self, catalog):
-        def run():
-            server = SerializationServer(
-                catalog, ServiceConfig(num_shards=2, functional="off")
-            )
-            return server.run(_workload(catalog, 0.8)).as_dict()
+        """With verification on, the first run compiles plans and the
+        second hits them; nothing process-global may leak into the report."""
 
-        assert run() == run()
+        def run(functional):
+            server = SerializationServer(
+                catalog, ServiceConfig(num_shards=2, functional=functional)
+            )
+            report = server.run(_workload(catalog, 0.8))
+            if functional == "all":
+                assert report.verified_requests == report.completed_requests > 0
+            return json.dumps(report.as_dict(), sort_keys=True)
+
+        for functional in ("off", "all"):
+            assert run(functional) == run(functional), functional
 
     def test_latency_rises_with_load(self, catalog):
         def p99(load):

@@ -18,6 +18,7 @@ from repro.service.slo import (
     RequestRecord,
     SLOReport,
 )
+from repro.service.timing_cache import LRUCache
 from repro.service.workload import (
     DEFAULT_TENANTS,
     KIND_DESERIALIZE,
@@ -564,3 +565,18 @@ class TestPriorityAdmission:
             AdmissionConfig(priority_shares=(1.0, 1.5))
         with pytest.raises(ConfigError, match="largest"):
             AdmissionConfig(priority_shares=(0.5, 1.0))
+
+
+def test_lru_cache_evicts_least_recently_used():
+    cache = LRUCache(capacity=2)
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.get("a") == 1  # refreshes "a": "b" is now the oldest
+    cache.put("c", 3)
+    assert len(cache) == 2
+    assert cache.get("b") is None
+    assert cache.get("a") == 1
+    assert cache.get("c") == 3
+    cache.put("d", 4)  # "a" was refreshed before "c", so "a" goes
+    assert cache.get("a") is None
+    assert (cache.get("c"), cache.get("d")) == (3, 4)
