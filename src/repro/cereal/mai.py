@@ -66,62 +66,78 @@ class MemoryAccessInterface:
         self.stats = MAIStats()
         self.last_drain_ns = 0.0
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _blocks_of(self, address: int, length: int):
-        if length <= 0:
-            raise SimulationError(f"access length must be positive, got {length}")
-        first = address // self.block_bytes
-        last = (address + length - 1) // self.block_bytes
-        return range(first, last + 1)
-
-    def _track(self, block: int, completion: float) -> None:
-        self._entries[block] = completion
-        self._entries.move_to_end(block)
-        if len(self._entries) > self.config.mai_entries:
-            self._entries.popitem(last=False)
-
     # -- reads ------------------------------------------------------------------
 
     def read(self, when_ns: float, address: int, length: int) -> float:
-        """Issue a read; returns the in-order completion time (ns)."""
-        self.stats.read_requests += 1
+        """Issue a read; returns the in-order completion time (ns).
+
+        One pass over the request's 32 B blocks in address order; the block
+        counters are folded into :attr:`stats` once per request.
+        """
+        stats = self.stats
+        stats.read_requests += 1
         when_ns += self.tlb.translate(address)
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
+        block_bytes = self.block_bytes
+        first = address // block_bytes
+        last = (address + length - 1) // block_bytes
+        entries = self._entries
+        capacity = self.config.mai_entries
+        # Coherence "get": fetching the up-to-date copy may take a detour
+        # through the host's cache hierarchy (Section V-E).
+        detour_ns = self.config.coherence_extra_read_ns
+        access = self.dram.access
+        coalescing = self.coalescing
         completion = when_ns
-        for block in self._blocks_of(address, length):
-            tracked = self._entries.get(block) if self.coalescing else None
-            if tracked is not None:
-                # Coalesce onto the outstanding/recent entry.
-                self.stats.coalesced_blocks += 1
-                block_done = max(when_ns, tracked)
-            else:
-                self.stats.blocks_read += 1
-                block_done = self.dram.access(
-                    when_ns,
-                    block * self.block_bytes,
-                    self.block_bytes,
-                    is_write=False,
-                )
-                # Coherence "get": fetching the up-to-date copy may take a
-                # detour through the host's cache hierarchy (Section V-E).
-                block_done += self.config.coherence_extra_read_ns
-                self._track(block, block_done)
-            completion = max(completion, block_done)
+        fetched = 0
+        for block in range(first, last + 1):
+            if coalescing:
+                tracked = entries.get(block)
+                if tracked is not None:
+                    # Coalesce onto the outstanding/recent entry.
+                    if tracked > completion:
+                        completion = tracked
+                    continue
+            block_done = access(when_ns, block * block_bytes, block_bytes, False)
+            block_done += detour_ns
+            fetched += 1
+            entries[block] = block_done
+            entries.move_to_end(block)
+            if len(entries) > capacity:
+                entries.popitem(last=False)
+            if block_done > completion:
+                completion = block_done
+        stats.blocks_read += fetched
+        stats.coalesced_blocks += last + 1 - first - fetched
         return completion
 
     # -- writes (posted) ------------------------------------------------------------
 
     def write(self, when_ns: float, address: int, length: int) -> float:
         """Post a write; returns the hand-off time (requester continues)."""
-        self.stats.write_requests += 1
+        stats = self.stats
+        stats.write_requests += 1
         when_ns += self.tlb.translate(address)
-        for block in self._blocks_of(address, length):
-            self.stats.blocks_written += 1
-            done = self.dram.access(
-                when_ns, block * self.block_bytes, self.block_bytes, is_write=True
-            )
-            self._track(block, done)
-            self.last_drain_ns = max(self.last_drain_ns, done)
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
+        block_bytes = self.block_bytes
+        first = address // block_bytes
+        last = (address + length - 1) // block_bytes
+        entries = self._entries
+        capacity = self.config.mai_entries
+        access = self.dram.access
+        drain = self.last_drain_ns
+        for block in range(first, last + 1):
+            done = access(when_ns, block * block_bytes, block_bytes, True)
+            entries[block] = done
+            entries.move_to_end(block)
+            if len(entries) > capacity:
+                entries.popitem(last=False)
+            if done > drain:
+                drain = done
+        self.last_drain_ns = drain
+        stats.blocks_written += last + 1 - first
         return when_ns + 1.0  # one cycle to enqueue into the MAI
 
     # -- atomic read-modify-write ------------------------------------------------------

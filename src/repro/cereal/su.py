@@ -37,6 +37,7 @@ from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.tables import KlassPointerTable
 from repro.formats.registry import ClassRegistration
 from repro.jvm.heap import HeapObject
+from repro.jvm.klass import SLOT_BYTES
 
 # Synthetic physical placement of the serialized output (disjoint from the
 # heap) so output writes map onto DRAM channels like any other traffic.
@@ -167,103 +168,104 @@ class SerializationUnit:
         stalls = 0.0
         fallback_objects = 0
         serialized_size = 0  # the HM's running relative-address counter
-
-        def is_visited(obj: HeapObject) -> bool:
-            if obj.address in fallback_visited:
-                return True
-            if use_header_metadata:
-                # Only this unit's own claim counts: a header claimed by a
-                # different unit belongs to a concurrent operation whose
-                # stream this one cannot reference.
-                return (
-                    obj.serialization_counter == serialization_counter
-                    and obj.serialization_unit_id == self.unit_id + 1
-                )
-            return obj.address in visited
-
-        def mark_visited(obj: HeapObject, relative: int) -> bool:
-            """Claim the header; returns False when falling back to software."""
-            if not use_header_metadata:
-                visited[obj.address] = True
-                return True
-            if (
-                obj.serialization_counter == serialization_counter
-                and obj.serialization_unit_id != self.unit_id + 1
-            ):
-                # Another unit holds this header in the current epoch
-                # (shared object across concurrent operations).
-                fallback_visited[obj.address] = relative
-                return False
-            obj.serialization_counter = serialization_counter
-            obj.serialization_unit_id = self.unit_id + 1
-            obj.serialized_relative_address = relative & 0xFFFF_FFFF
-            return True
+        own_unit = self.unit_id + 1
+        mai_read = self.mai.read
+        object_at = heap.object_at
+        raw_cycle = 1.0 / _RAW_ITEMS_PER_CYCLE
 
         while queue:
             obj, available_ns = queue.popleft()
             encounters += 1
+            address = obj.address
 
             # -- header manager: read and inspect the (extended) header.
             hm_start = max(hm_free, available_ns)
-            header_done = self.mai.read(hm_start, obj.address, 16)
-            if is_visited(obj):
+            header_done = mai_read(hm_start, address, 16)
+            if use_header_metadata:
+                # One read of the extension word serves both the visited
+                # check and the claim below. Only this unit's own claim
+                # counts: a header claimed by a different unit belongs to a
+                # concurrent operation whose stream this one cannot reference.
+                counter, unit = obj.serialization_claim()
+                current_epoch = counter == serialization_counter
+                seen = current_epoch and unit == own_unit
+            else:
+                seen = address in visited
+            if seen or address in fallback_visited:
                 # Relative address already in the header: forward to RAW.
                 hm_free = header_done + _HM_CYCLE_NS
-                raw_free = max(raw_free, header_done) + 1.0 / _RAW_ITEMS_PER_CYCLE
+                raw_free = max(raw_free, header_done) + raw_cycle
                 ref_store.push(raw_free, self._packed_ref_bytes(obj))
                 continue
             objects += 1
+            layout = obj.layout()
+            total_slots = layout.total_slots
+            size_bytes = total_slots * SLOT_BYTES
 
             # New object: assigning its relative address needs the size
             # counter, which the OMM updates for the previous new object.
             assign_ns = max(header_done, counter_ready)
             stalls += max(0.0, counter_ready - header_done)
-            if not mark_visited(obj, serialized_size):
-                # Software fallback: thread-local hash-table insert + probe
+            if not use_header_metadata:
+                visited[address] = True
+                self.mai.atomic_rmw(assign_ns, address + 16, 8)
+            elif current_epoch:
+                # Another unit holds this header in the current epoch
+                # (shared object across concurrent operations). Software
+                # fallback: thread-local hash-table insert + probe
                 # replaces the header RMW (Section V-E).
+                fallback_visited[address] = serialized_size
                 fallback_objects += 1
                 assign_ns += _FALLBACK_NS
             else:
-                self.mai.atomic_rmw(assign_ns, obj.address + 16, 8)
-            serialized_size += obj.size_bytes
+                obj.claim_serialization(
+                    serialization_counter, own_unit, serialized_size & 0xFFFF_FFFF
+                )
+                self.mai.atomic_rmw(assign_ns, address + 16, 8)
+            serialized_size += size_bytes
             hm_free = assign_ns + _HM_CYCLE_NS
-            raw_free = max(raw_free, assign_ns) + 1.0 / _RAW_ITEMS_PER_CYCLE
+            raw_free = max(raw_free, assign_ns) + raw_cycle
             ref_store.push(raw_free, self._packed_ref_bytes(obj))
 
             # -- object metadata manager: fetch klass metadata, make bitmap.
-            assert obj.klass.metaspace_address is not None
+            metaspace_address = obj.klass.metaspace_address
+            assert metaspace_address is not None
             omm_start = max(omm_free, assign_ns)
-            metadata_done = self.mai.read(
-                omm_start, obj.klass.metaspace_address, _KLASS_METADATA_BYTES
+            metadata_done = mai_read(
+                omm_start, metaspace_address, _KLASS_METADATA_BYTES
             )
             counter_ready = metadata_done + 1.0
             bitmap_cycles = (
-                obj.total_slots + _OMM_BITMAP_BITS_PER_CYCLE - 1
+                total_slots + _OMM_BITMAP_BITS_PER_CYCLE - 1
             ) // _OMM_BITMAP_BITS_PER_CYCLE
             omm_free = metadata_done + bitmap_cycles
-            bitmap_store.push(omm_free, self._packed_bitmap_bytes(obj))
+            # Packed layout bitmap: one bit per slot plus the end bit.
+            bitmap_store.push(omm_free, (total_slots + 1 + 7) // 8)
 
             # -- object handler: load the object, split values/references.
             oh_start = max(oh_free, metadata_done)
-            load_done = self.mai.read(oh_start, obj.address, obj.size_bytes)
-            heap_bytes_read += obj.size_bytes
-            extract_ns = obj.total_slots / _OH_SLOTS_PER_CYCLE
+            load_done = mai_read(oh_start, address, size_bytes)
+            heap_bytes_read += size_bytes
+            extract_ns = total_slots / _OH_SLOTS_PER_CYCLE
             oh_done = max(oh_start, load_done) + extract_ns
             # Klass pointer -> class ID CAM lookup (single cycle).
-            self.klass_table.lookup(obj.klass.metaspace_address)
+            self.klass_table.lookup(metaspace_address)
             oh_done += 1.0
             oh_free = oh_done
 
-            reference_slots = set(obj.reference_slots())
-            value_slots = obj.total_slots - len(reference_slots)
-            value_store.push(oh_done, value_slots * 8)
-            for child in obj.referenced_objects():
-                if child is None:
-                    null_references += 1
-                    raw_free = max(raw_free, oh_done) + 1.0 / _RAW_ITEMS_PER_CYCLE
-                    ref_store.push(raw_free, 1)  # packed null: 1 bucket
-                else:
-                    queue.append((child, oh_done))
+            reference_slots = layout.reference_slots
+            value_store.push(oh_done, (total_slots - len(reference_slots)) * 8)
+            if reference_slots:
+                words = obj.image_words()
+                header_slots = layout.header_slots
+                for slot in reference_slots:
+                    child_address = words[header_slots + slot]
+                    if child_address:
+                        queue.append((object_at(child_address), oh_done))
+                    else:
+                        null_references += 1
+                        raw_free = max(raw_free, oh_done) + raw_cycle
+                        ref_store.push(raw_free, 1)  # packed null: 1 bucket
 
             if not pipelined:
                 # Cereal Vanilla: full per-object chain, no stage overlap.
@@ -308,7 +310,3 @@ class SerializationUnit:
         """
         relative = max(1, obj.address & 0xFFFF_FFFF)
         return (significant_bits(relative) + 1 + 7) // 8
-
-    @staticmethod
-    def _packed_bitmap_bytes(obj: HeapObject) -> int:
-        return (obj.total_slots + 1 + 7) // 8

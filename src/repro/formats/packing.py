@@ -31,7 +31,7 @@ as the equivalence oracle; both produce byte-identical streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.bitstream import bits_to_word, trailing_zeros, word_to_bits
 from repro.common.errors import FormatError
@@ -81,25 +81,31 @@ def pack_word_items(items: Sequence[Tuple[int, int]]) -> PackedArray:
     )
 
 
-def _item_extents(packed: PackedArray) -> Iterator[Tuple[int, int]]:
-    """Yield each item's ``(first_byte, last_byte)`` extent from the end map."""
+# Bit offsets (MSB first) of the set bits of every end-map byte value.
+_SET_BITS = tuple(
+    tuple(bit for bit in range(8) if value & (0x80 >> bit)) for value in range(256)
+)
+
+
+def _item_ends(packed: PackedArray) -> List[int]:
+    """Each item's last byte index, from one byte-wise scan of the end map."""
     data_len = len(packed.data)
     available = len(packed.end_map) * 8
     if data_len > available:
         # Same failure the per-bit kernel hits decoding a short end map.
         raise ValueError(f"bit_count {data_len} exceeds available bits {available}")
-    end_word = int.from_bytes(packed.end_map, "big")
+    ends: List[int] = []
+    append = ends.append
+    for index, value in enumerate(packed.end_map[: (data_len + 7) >> 3]):
+        if value:
+            base = index << 3
+            for bit in _SET_BITS[value]:
+                append(base + bit)
     # Only the first ``data_len`` end-map bits are meaningful; bits in the
     # end map's own tail padding are ignored, as in the per-bit kernel.
-    if data_len < available:
-        end_word >>= available - data_len
-    start = 0
-    while end_word:
-        msb = end_word.bit_length() - 1
-        position = data_len - 1 - msb  # set bits surface MSB-first = in order
-        yield (start, position)
-        start = position + 1
-        end_word &= (1 << msb) - 1
+    while ends and ends[-1] >= data_len:
+        ends.pop()
+    return ends
 
 
 def unpack_word_items(packed: PackedArray) -> List[Tuple[int, int]]:
@@ -109,14 +115,14 @@ def unpack_word_items(packed: PackedArray) -> List[Tuple[int, int]]:
     # One memoryview over the packed data: per-item slices below are
     # zero-copy views instead of per-item bytes copies.
     data = memoryview(packed.data)
-    for start, end in _item_extents(packed):
-        word = int.from_bytes(data[start : end + 1], "big")
+    for end in _item_ends(packed):
+        word = int.from_bytes(data[consumed : end + 1], "big")
         if word == 0:
             raise FormatError("packed item contains no end bit")
         # The end bit is the item's last set bit; everything above it is
         # payload, everything below is byte-alignment padding.
         pad = trailing_zeros(word)
-        width = (end + 1 - start) * 8 - pad - 1
+        width = (end + 1 - consumed) * 8 - pad - 1
         items.append((word >> (pad + 1), width))
         consumed = end + 1
     if len(items) != packed.item_count:
@@ -168,33 +174,23 @@ def unpack_items(packed: PackedArray) -> List[int]:
     item read is a zero-copy view, not a per-item bytes allocation.
     """
     data = memoryview(packed.data)
-    data_len = len(data)
-    available = len(packed.end_map) * 8
-    if data_len > available:
-        raise ValueError(f"bit_count {data_len} exceeds available bits {available}")
-    end_word = int.from_bytes(packed.end_map, "big")
-    if data_len < available:
-        end_word >>= available - data_len
     out: List[int] = []
     append = out.append
     start = 0
-    while end_word:
-        msb = end_word.bit_length() - 1
-        end = data_len - 1 - msb
+    for end in _item_ends(packed):
         word = int.from_bytes(data[start : end + 1], "big")
         if word == 0:
             raise FormatError("packed item contains no end bit")
         pad = (word & -word).bit_length() - 1
         append(word >> (pad + 1))
         start = end + 1
-        end_word &= (1 << msb) - 1
     if len(out) != packed.item_count:
         raise FormatError(
             f"end map yields {len(out)} items, expected {packed.item_count}"
         )
-    if start != data_len:
+    if start != len(data):
         raise FormatError(
-            f"{data_len - start} trailing packed bytes after last item"
+            f"{len(data) - start} trailing packed bytes after last item"
         )
     return out
 

@@ -45,6 +45,7 @@ _UNIT_SHIFT = 16
 _UNIT_MASK = 0xFF
 _RELADDR_SHIFT = 24
 _RELADDR_MASK = 0xFFFF_FFFF
+_CLAIM_MASK = (1 << (_RELADDR_SHIFT + 32)) - 1  # counter, unit ID, rel. address
 
 FieldValue = Union[int, float, bool, "HeapObject", None]
 
@@ -379,6 +380,30 @@ class HeapObject:
         word = self.heap.memory.read_u64(addr)
         word = (word & ~(_RELADDR_MASK << _RELADDR_SHIFT)) | (value << _RELADDR_SHIFT)
         self.heap.memory.write_u64(addr, word)
+
+    def serialization_claim(self) -> "tuple[int, int]":
+        """``(serialization_counter, serialization_unit_id)`` from one read."""
+        word = self.heap.memory.read_u64(self._extension_address())
+        return word & _COUNTER_MASK, (word >> _UNIT_SHIFT) & _UNIT_MASK
+
+    def claim_serialization(self, counter: int, unit: int, relative: int) -> None:
+        """Set counter, unit ID and relative address with one word write.
+
+        Same range checks, in the same order, as the three setters.
+        """
+        if not 0 <= counter <= _COUNTER_MASK:
+            raise HeapError(f"serialization counter out of 16-bit range: {counter}")
+        if not 0 <= unit <= _UNIT_MASK:
+            raise HeapError(f"unit ID out of 8-bit range: {unit}")
+        if not 0 <= relative <= _RELADDR_MASK:
+            raise HeapError(f"relative address out of 32-bit range: {relative}")
+        addr = self._extension_address()
+        memory = self.heap.memory
+        word = memory.read_u64(addr) & ~_CLAIM_MASK
+        memory.write_u64(
+            addr,
+            word | counter | (unit << _UNIT_SHIFT) | (relative << _RELADDR_SHIFT),
+        )
 
     def clear_serialization_metadata(self) -> None:
         """GC-time reset of the extension word (Section V-E)."""

@@ -24,13 +24,20 @@ For the accelerator this acts as a simple shared-bus contention model
 between concurrently active requesters (the DU's three read streams and
 its write-back traffic); the resulting per-DU block rate (~25 ns/block)
 matches what the paper's Figure 10 deserialization speedups imply.
+
+``out_of_order=True`` (the device simulator's mode) lifts that
+simplification: each channel keeps an interval schedule and an access
+takes the earliest gap at or after its issue time that fits it (first
+fit). Abutting busy intervals are stored coalesced into one run, which
+changes no start time: first fit only ever inspects gaps, and a merged
+run keeps its outer boundaries as the same floats.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common.config import DRAMConfig
 from repro.common.errors import SimulationError
@@ -65,27 +72,48 @@ class _IntervalChannel:
     simulated one after another but overlap in *simulated* time: an access
     issued "in the past" relative to already-scheduled traffic slots into
     the earliest sufficiently large gap instead of queuing at the tail.
+
+    Busy time is kept as sorted, disjoint runs in two parallel lists,
+    ``_starts`` and ``_ends``. A new interval that touches a neighbouring
+    run is merged into it, so no two runs abut and the forward scan steps
+    over one run per gap instead of one entry per access. Every occupancy
+    is positive, so a gap of zero never fits and the merged schedule makes
+    the same first-fit choices as one storing each interval separately.
     """
 
     def __init__(self) -> None:
         self._starts: List[float] = []
-        self._intervals: List[Tuple[float, float]] = []
+        self._ends: List[float] = []
 
     def schedule(self, issue_ns: float, occupancy_ns: float) -> float:
         """Reserve ``occupancy_ns`` at/after ``issue_ns``; returns start."""
+        starts = self._starts
+        ends = self._ends
         candidate = issue_ns
-        index = bisect.bisect_left(self._starts, candidate)
-        # The previous interval may still cover the candidate time.
-        if index > 0 and self._intervals[index - 1][1] > candidate:
-            candidate = self._intervals[index - 1][1]
-        while index < len(self._intervals):
-            start, end = self._intervals[index]
-            if start - candidate >= occupancy_ns:
-                break
-            candidate = max(candidate, end)
+        index = bisect.bisect_left(starts, candidate)
+        # The previous run may still cover the candidate time.
+        if index and ends[index - 1] > candidate:
+            candidate = ends[index - 1]
+        count = len(starts)
+        # Runs are disjoint and apart, so the next run's end is always past
+        # the candidate: stepping over a run moves the candidate to its end.
+        while index < count and starts[index] - candidate < occupancy_ns:
+            candidate = ends[index]
             index += 1
-        self._starts.insert(index, candidate)
-        self._intervals.insert(index, (candidate, candidate + occupancy_ns))
+        finish = candidate + occupancy_ns
+        joins_next = index < count and finish >= starts[index]
+        if index and ends[index - 1] >= candidate:
+            if joins_next:
+                ends[index - 1] = ends[index]
+                del starts[index]
+                del ends[index]
+            else:
+                ends[index - 1] = finish
+        elif joins_next:
+            starts[index] = candidate
+        else:
+            starts.insert(index, candidate)
+            ends.insert(index, finish)
         return candidate
 
 
@@ -145,22 +173,27 @@ class DRAMModel:
             raise SimulationError(f"access length must be positive, got {length}")
         if issue_ns < 0:
             raise SimulationError(f"issue time must be non-negative, got {issue_ns}")
-        channel = self.channel_of(address)
-        occupancy = self.occupancy_ns(length)
+        config = self.config
+        # channel_of() and occupancy_ns(), inlined: this runs once per block.
+        channel = (address // config.access_granularity_bytes) % config.channels
+        occupancy = length / config.channel_bandwidth_bytes_per_sec * 1e9
         if self._interval_channels is not None:
             start = self._interval_channels[channel].schedule(issue_ns, occupancy)
         else:
-            start = max(issue_ns, self._channel_free_ns[channel])
+            free = self._channel_free_ns[channel]
+            start = issue_ns if issue_ns >= free else free
             self._channel_free_ns[channel] = start + occupancy
-        completion = start + occupancy + self.config.zero_load_latency_ns
+        completion = start + occupancy + config.zero_load_latency_ns
 
-        self.stats.accesses += 1
-        self.stats.busy_time_ns += occupancy
+        stats = self.stats
+        stats.accesses += 1
+        stats.busy_time_ns += occupancy
         if is_write:
-            self.stats.write_bytes += length
+            stats.write_bytes += length
         else:
-            self.stats.read_bytes += length
-        self.stats.last_completion_ns = max(self.stats.last_completion_ns, completion)
+            stats.read_bytes += length
+        if completion > stats.last_completion_ns:
+            stats.last_completion_ns = completion
         return completion
 
     # -- analytical helpers ------------------------------------------------------------

@@ -9,6 +9,8 @@ serialized format. The heaviest oracle sweeps carry the ``perf`` marker
 (``-m "not perf"`` skips them).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from repro.common.bitstream import (
     trailing_zeros,
     word_to_bits,
 )
+from repro.common.errors import FormatError
 from repro.formats import packing
 from repro.formats import slow_reference as slow
 from repro.formats.cereal_format import CerealSerializer
@@ -76,6 +79,74 @@ class TestItemKernelEquivalence:
         with pytest.raises(ValueError) as slow_err:
             slow.slow_unpack_items(packed)
         assert str(fast_err.value) == str(slow_err.value)
+
+
+class TestEndMapScan:
+    """The end map is read in one linear pass; large streams and malformed
+    end maps must behave exactly as under the per-bit oracle."""
+
+    def test_large_items_round_trip(self):
+        rng = random.Random(5)
+        values = [rng.getrandbits(rng.randint(0, 40)) for _ in range(50_000)]
+        fast = packing.pack_items(values)
+        oracle = slow.slow_pack_items(values)
+        assert (fast.data, fast.end_map) == (oracle.data, oracle.end_map)
+        assert packing.unpack_items(fast) == values
+        assert packing.unpack_items(oracle) == slow.slow_unpack_items(oracle)
+
+    def test_large_word_items_round_trip(self):
+        rng = random.Random(6)
+        words = []
+        for _ in range(20_000):
+            width = rng.randint(1, 90)
+            words.append((rng.getrandbits(width), width))
+        packed = packing.pack_word_items(words)
+        assert packing.unpack_word_items(packed) == words
+        oracle_bits = slow.slow_unpack_bit_items(packed)
+        assert [bits_to_word(bits) for bits in oracle_bits] == words
+
+    @staticmethod
+    def _malformed():
+        good = packing.pack_items([5, 300, 0, 1 << 20])  # 7 data bytes
+        yield "tail padding bit", packing.PackedArray(
+            data=good.data,
+            end_map=bytes([good.end_map[0] | 0x01]),  # bit 7: past the data
+            item_count=good.item_count,
+        )
+        yield "short end map", packing.PackedArray(
+            data=good.data + bytes(2), end_map=good.end_map, item_count=4
+        )
+        yield "trailing bytes", packing.PackedArray(
+            data=good.data + b"\x80", end_map=good.end_map + b"\x00",
+            item_count=4,
+        )
+        yield "count mismatch", packing.PackedArray(
+            data=good.data, end_map=good.end_map, item_count=5
+        )
+        yield "empty item", packing.PackedArray(
+            data=b"\x80\x00", end_map=b"\xc0", item_count=2
+        )
+
+    def test_malformed_end_maps_match_oracle(self):
+        outcomes = {}
+        for name, packed in self._malformed():
+            for kernel in (
+                packing.unpack_items,
+                packing.unpack_word_items,
+                slow.slow_unpack_items,
+            ):
+                try:
+                    result = ("ok", kernel(packed))
+                except (ValueError, FormatError) as err:
+                    result = (type(err), str(err))
+                outcomes.setdefault(name, []).append(result)
+        for name, (items, words, oracle) in outcomes.items():
+            assert items == oracle, name
+            assert words[0] == oracle[0], name
+        assert outcomes["tail padding bit"][0] == ("ok", [5, 300, 0, 1 << 20])
+        assert outcomes["short end map"][0][0] is ValueError
+        for name in ("trailing bytes", "count mismatch", "empty item"):
+            assert outcomes[name][0][0] is FormatError, name
 
 
 class TestBitmapKernelEquivalence:

@@ -1,5 +1,8 @@
 """Tests for the accelerator's hardware tables, TLB, and MAI."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.common.config import CerealConfig
@@ -154,3 +157,122 @@ class TestMAI:
         mai = self.make_mai()
         with pytest.raises(SimulationError):
             mai.read(0.0, 0, 0)
+
+
+class _PerBlockMAI(MemoryAccessInterface):
+    """The MAI as it was before the per-request fold: one helper call, one
+    stats update and one LRU update per 32 B block. The oracle for the
+    folded :meth:`MemoryAccessInterface.read` / ``write``."""
+
+    def _blocks_of(self, address, length):
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
+        first = address // self.block_bytes
+        last = (address + length - 1) // self.block_bytes
+        return range(first, last + 1)
+
+    def _track(self, block, completion):
+        self._entries[block] = completion
+        self._entries.move_to_end(block)
+        if len(self._entries) > self.config.mai_entries:
+            self._entries.popitem(last=False)
+
+    def read(self, when_ns, address, length):
+        self.stats.read_requests += 1
+        when_ns += self.tlb.translate(address)
+        completion = when_ns
+        for block in self._blocks_of(address, length):
+            tracked = self._entries.get(block) if self.coalescing else None
+            if tracked is not None:
+                self.stats.coalesced_blocks += 1
+                block_done = max(when_ns, tracked)
+            else:
+                self.stats.blocks_read += 1
+                block_done = self.dram.access(
+                    when_ns,
+                    block * self.block_bytes,
+                    self.block_bytes,
+                    is_write=False,
+                )
+                block_done += self.config.coherence_extra_read_ns
+                self._track(block, block_done)
+            completion = max(completion, block_done)
+        return completion
+
+    def write(self, when_ns, address, length):
+        self.stats.write_requests += 1
+        when_ns += self.tlb.translate(address)
+        for block in self._blocks_of(address, length):
+            self.stats.blocks_written += 1
+            done = self.dram.access(
+                when_ns, block * self.block_bytes, self.block_bytes, is_write=True
+            )
+            self._track(block, done)
+            self.last_drain_ns = max(self.last_drain_ns, done)
+        return when_ns + 1.0
+
+
+def _mai_pair(coalescing, mai_entries, out_of_order):
+    def build(cls):
+        config = CerealConfig(mai_entries=mai_entries)
+        # A small TLB over 4 KB pages so the stream also sees misses.
+        tlb = TLB(entries=4, page_bytes=4096)
+        return cls(DRAMModel(out_of_order=out_of_order), config, tlb, coalescing)
+
+    return build(MemoryAccessInterface), build(_PerBlockMAI)
+
+
+def _random_mai_stream(rng, count):
+    """Reads, posted writes and RMWs with block-crossing lengths, reuse of
+    recent addresses (coalescing) and out-of-order issue times."""
+    clock = 0.0
+    recent = [0]
+    for _ in range(count):
+        clock = max(0.0, clock + rng.choice((0.0, 1.0, 3.5, 25.0, -40.0)))
+        if rng.random() < 0.5:
+            address = rng.choice(recent) + rng.randrange(-40, 40)
+        else:
+            address = rng.randrange(0, 1 << 16)
+        address = max(0, address)
+        recent = (recent + [address])[-16:]
+        length = rng.choice((1, 8, 16, 24, 31, 32, 33, 64, 100, 257))
+        yield rng.choice(("read", "read", "write", "rmw")), clock, address, length
+
+
+class TestMAIFoldOracle:
+    @pytest.mark.parametrize("out_of_order", [False, True])
+    @pytest.mark.parametrize("mai_entries", [2, 64])
+    @pytest.mark.parametrize("coalescing", [True, False])
+    def test_matches_per_block_mai(self, coalescing, mai_entries, out_of_order):
+        rng = random.Random(f"{coalescing}-{mai_entries}-{out_of_order}")
+        folded, oracle = _mai_pair(coalescing, mai_entries, out_of_order)
+        for op, when, address, length in _random_mai_stream(rng, 1500):
+            if op == "read":
+                assert folded.read(when, address, length) == oracle.read(
+                    when, address, length
+                )
+            elif op == "write":
+                assert folded.write(when, address, length) == oracle.write(
+                    when, address, length
+                )
+            else:
+                assert folded.atomic_rmw(when, address, length) == (
+                    oracle.atomic_rmw(when, address, length)
+                )
+            assert folded.last_drain_ns == oracle.last_drain_ns
+        assert dataclasses.asdict(folded.stats) == dataclasses.asdict(oracle.stats)
+        assert dataclasses.asdict(folded.dram.stats) == dataclasses.asdict(
+            oracle.dram.stats
+        )
+        assert (folded.tlb.hits, folded.tlb.misses) == (
+            oracle.tlb.hits,
+            oracle.tlb.misses,
+        )
+        assert list(folded._entries.items()) == list(oracle._entries.items())
+        assert len(folded._entries) == mai_entries  # the LRU overflowed
+        assert folded.drain(0.0) == oracle.drain(0.0)
+        # The stream exercised what the fold has to get right.
+        assert folded.stats.blocks_read > folded.stats.read_requests
+        assert folded.tlb.misses > 0
+        if coalescing:
+            assert folded.stats.coalesced_blocks > 0

@@ -1,5 +1,8 @@
 """Tests for the shared-DRAM device simulator and the interval channel."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.cereal import CerealAccelerator, DeviceSimulator
@@ -45,6 +48,138 @@ class TestIntervalChannel:
         starts = [channel.schedule(t, 1.0) for t in (50, 10, 30, 10, 50, 0)]
         assert all(s >= t for s, t in zip(starts, (50, 10, 30, 10, 50, 0)))
         assert channel._starts == sorted(channel._starts)
+        assert channel._ends == sorted(channel._ends)
+        _assert_disjoint_runs(channel)
+        # [0,1) [10,12) [30,31) [50,52): the abutting pairs were merged.
+        assert list(zip(channel._starts, channel._ends)) == [
+            (0, 1.0), (10, 12.0), (30, 31.0), (50, 52.0)
+        ]
+
+    def test_abutting_intervals_coalesce(self):
+        channel = _IntervalChannel()
+        for _ in range(100):
+            channel.schedule(0.0, 2.5)
+        assert (channel._starts, channel._ends) == ([0.0], [250.0])
+
+    def test_gap_fill_joins_both_neighbours(self):
+        channel = _IntervalChannel()
+        channel.schedule(0.0, 10.0)  # [0, 10)
+        channel.schedule(20.0, 10.0)  # [20, 30)
+        assert channel.schedule(10.0, 10.0) == 10.0  # exactly fills the gap
+        assert (channel._starts, channel._ends) == ([0.0], [30.0])
+
+
+class _OracleIntervalChannel:
+    """The per-access first-fit schedule the coalesced channel replaced.
+
+    Kept verbatim: every reserved interval is stored on its own, however
+    many of them abut, and the forward scan walks them one by one.
+    """
+
+    def __init__(self) -> None:
+        self._starts = []
+        self._intervals = []
+
+    def schedule(self, issue_ns: float, occupancy_ns: float) -> float:
+        """Reserve ``occupancy_ns`` at/after ``issue_ns``; returns start."""
+        candidate = issue_ns
+        index = bisect.bisect_left(self._starts, candidate)
+        # The previous interval may still cover the candidate time.
+        if index > 0 and self._intervals[index - 1][1] > candidate:
+            candidate = self._intervals[index - 1][1]
+        while index < len(self._intervals):
+            start, end = self._intervals[index]
+            if start - candidate >= occupancy_ns:
+                break
+            candidate = max(candidate, end)
+            index += 1
+        self._starts.insert(index, candidate)
+        self._intervals.insert(index, (candidate, candidate + occupancy_ns))
+        return candidate
+
+
+def _assert_disjoint_runs(channel: _IntervalChannel) -> None:
+    starts, ends = channel._starts, channel._ends
+    assert len(starts) == len(ends)
+    for start, end in zip(starts, ends):
+        assert start < end
+    for end, next_start in zip(ends, starts[1:]):
+        assert end < next_start  # disjoint, and no two runs abut
+
+
+def _merged(intervals):
+    """Union of sorted intervals, merging any that touch."""
+    runs = []
+    for start, end in intervals:
+        if runs and start <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], end)
+        else:
+            runs.append([start, end])
+    return [tuple(run) for run in runs]
+
+
+# Channel occupancy of one 32 B MAI block and of one 64 B line.
+_BLOCK_NS = DRAMModel().occupancy_ns(32)
+_LINE_NS = DRAMModel().occupancy_ns(64)
+
+
+def _random_requests(rng: random.Random, count: int):
+    """Issue times that repeat, abut earlier intervals, and land inside
+    busy runs, with device-realistic and arbitrary occupancies."""
+    issued = []  # (start, end) of earlier reservations
+    for _ in range(count):
+        occupancy = rng.choice(
+            (_BLOCK_NS, _LINE_NS, 1.0, 2.5, rng.uniform(0.1, 30.0))
+        )
+        kind = rng.random()
+        if not issued or kind < 0.2:
+            issue = rng.uniform(0.0, 2000.0)
+        elif kind < 0.4:
+            issue = rng.choice(issued)[0]  # repeated issue time
+        elif kind < 0.6:
+            issue = rng.choice(issued)[1]  # exact abutment
+        elif kind < 0.8:
+            start, end = rng.choice(issued)
+            issue = rng.uniform(start, end)  # inside a busy run
+        else:
+            issue = float(rng.randrange(0, 400, 5))  # coarse grid: collisions
+        yield issue, occupancy, issued
+
+
+class TestIntervalScheduleOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_start_times_as_oracle(self, seed):
+        rng = random.Random(seed)
+        channel = _IntervalChannel()
+        oracle = _OracleIntervalChannel()
+        for issue, occupancy, issued in _random_requests(rng, 1500):
+            start = channel.schedule(issue, occupancy)
+            assert start == oracle.schedule(issue, occupancy)
+            issued.append((start, start + occupancy))
+        _assert_disjoint_runs(channel)
+        # The coalesced runs cover exactly the oracle's busy time.
+        assert list(zip(channel._starts, channel._ends)) == _merged(
+            oracle._intervals
+        )
+        assert len(channel._starts) < len(oracle._intervals)
+
+    def test_device_shaped_stream_matches_oracle(self):
+        # Eight requesters walking their own streams at staggered clocks:
+        # the device simulator's pattern of out-of-order issue.
+        rng = random.Random(99)
+        channel = _IntervalChannel()
+        oracle = _OracleIntervalChannel()
+        clocks = [rng.uniform(0.0, 50.0) for _ in range(8)]
+        for _ in range(4000):
+            unit = rng.randrange(8)
+            occupancy = rng.choice((_BLOCK_NS, _LINE_NS))
+            start = channel.schedule(clocks[unit], occupancy)
+            assert start == oracle.schedule(clocks[unit], occupancy)
+            clocks[unit] = start + rng.choice((0.0, occupancy, 1.0, 40.0))
+        _assert_disjoint_runs(channel)
+        assert list(zip(channel._starts, channel._ends)) == _merged(
+            oracle._intervals
+        )
 
 
 class TestOutOfOrderDRAM:

@@ -303,3 +303,69 @@ class TestCerealHeaderExtension:
         obj = heap.allocate(make_point_klass())
         with pytest.raises(HeapError):
             _ = obj.serialization_counter
+
+    @given(
+        st.integers(0, 0xFFFF),
+        st.integers(0, 0xFF),
+        st.integers(0, 0xFFFF_FFFF),
+    )
+    def test_claim_agrees_with_field_properties(self, counter, unit, relative):
+        heap = Heap()
+        klass = make_point_klass()
+        obj = heap.allocate(klass)
+        # Flag bits [56, 64) survive a claim, as they survive the setters.
+        flagged = (0xA5 << 56) | 0xFFFF_FFFF_FFFF
+        heap.memory.write_u64(obj.address + 16, flagged)
+        obj.claim_serialization(counter, unit, relative)
+        assert obj.serialization_counter == counter
+        assert obj.serialization_unit_id == unit
+        assert obj.serialized_relative_address == relative
+        assert obj.serialization_claim() == (counter, unit)
+        claimed_word = heap.memory.read_u64(obj.address + 16)
+
+        other = heap.allocate(klass)
+        heap.memory.write_u64(other.address + 16, flagged)
+        other.serialization_counter = counter
+        other.serialization_unit_id = unit
+        other.serialized_relative_address = relative
+        assert heap.memory.read_u64(other.address + 16) == claimed_word
+        assert claimed_word >> 56 == 0xA5
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("serialization_counter", -1),
+            ("serialization_counter", 0x1_0000),
+            ("serialization_unit_id", -1),
+            ("serialization_unit_id", 0x100),
+            ("serialized_relative_address", -1),
+            ("serialized_relative_address", 0x1_0000_0000),
+        ],
+    )
+    def test_claim_range_errors_match_setters(self, field, value):
+        heap = Heap()
+        obj = heap.allocate(make_point_klass())
+        claim = {
+            "serialization_counter": 1,
+            "serialization_unit_id": 1,
+            "serialized_relative_address": 1,
+        }
+        claim[field] = value
+        with pytest.raises(HeapError) as setter_error:
+            setattr(obj, field, value)
+        with pytest.raises(HeapError) as claim_error:
+            obj.claim_serialization(*claim.values())
+        assert str(claim_error.value) == str(setter_error.value)
+        assert obj.serialization_claim() == (0, 0)  # nothing was written
+
+    def test_claim_unavailable_without_flag(self):
+        heap = Heap(cereal_extension=False)
+        obj = heap.allocate(make_point_klass())
+        with pytest.raises(HeapError) as property_error:
+            _ = obj.serialization_counter
+        with pytest.raises(HeapError) as read_error:
+            obj.serialization_claim()
+        with pytest.raises(HeapError) as claim_error:
+            obj.claim_serialization(1, 1, 0)
+        assert str(read_error.value) == str(property_error.value)
+        assert str(claim_error.value) == str(property_error.value)
