@@ -10,6 +10,7 @@ IPC, LLC miss rate, and DRAM bandwidth utilization.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -30,6 +31,28 @@ _STREAM_BUFFER_BASE = 0x7000_0000_0000
 # Runtime-internal structures (handle tables, reflection caches) live in
 # yet another region.
 _AUX_REGION_BASE = 0x7100_0000_0000
+
+# The aux-access LCG restarts from the same seed on every call, so its
+# ``state >> 16`` draws are one fixed sequence: generated once, packed, and
+# grown on demand.
+_AUX_LCG_SEED = 0x9E3779B97F4A7C15
+_AUX_DRAWS = array("q")
+_aux_lcg_state = _AUX_LCG_SEED
+
+
+def _aux_draws(count: int) -> array:
+    """At least the first ``count`` draws of the aux-access LCG."""
+    global _aux_lcg_state
+    missing = count - len(_AUX_DRAWS)
+    if missing > 0:
+        state = _aux_lcg_state
+        append = _AUX_DRAWS.append
+        for _ in range(missing):
+            state = (state * 0x5851F42D4C957F2D + 0x14057B7EF767814F) & (2**64 - 1)
+            append(state >> 16)
+        _aux_lcg_state = state
+    return _AUX_DRAWS
+
 
 # Per-serializer MLP (see WorkProfile.mlp): pointer chasers expose ~1 miss,
 # bulk copiers stream. Values chosen to land the paper's measured bandwidth
@@ -90,13 +113,11 @@ class SoftwarePlatform:
             return
         entries = max(profile.objects, 1)
         region_bytes = max(entries * profile.aux_bytes_per_entry, 64)
-        addresses = []
-        append = addresses.append
-        state = 0x9E3779B97F4A7C15
-        for _ in range(count):
-            state = (state * 0x5851F42D4C957F2D + 0x14057B7EF767814F) & (2**64 - 1)
-            append(_AUX_REGION_BASE + ((state >> 16) % region_bytes & ~0x7))
-        trace.record_many(addresses, 8)
+        trace.record_many(
+            [_AUX_REGION_BASE + (draw % region_bytes & ~0x7)
+             for draw in _aux_draws(count)[:count]],
+            8,
+        )
 
     def _finish(self, serializer_name: str, op: str, profile, trace: MemoryTrace):
         profile.mlp = SERIALIZER_MLP.get((serializer_name, op), _DEFAULT_MLP)

@@ -36,10 +36,11 @@ from repro.formats.base import (
 from repro.formats.limits import DecodeLimits, resolve_limits
 from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader
-from repro.jvm.graph import ObjectGraph
+from repro.jvm.graph import SlotRunGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
 from repro.jvm.klass import ArrayKlass, SLOT_BYTES
-from repro.jvm.markword import MarkWord, identity_hash_for
+from repro.jvm.layout_cache import layout_of
+from repro.jvm.markword import fresh_mark_word
 
 _SECTION_META = "metadata"
 _SECTION_HEADERS = "headers"
@@ -49,7 +50,6 @@ _SECTION_REFS = "references"
 _NULL_RELATIVE = 0xFFFF_FFFF_FFFF_FFFF  # sentinel: null reference slot
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 # Skyway ships whole objects by copy; per-object work is the visited check
 # and address bookkeeping, plus the sequential reference adjustment at the
@@ -81,11 +81,23 @@ class SkywaySerializer(Serializer):
         """Skyway's one encoder, a generator walk behind both
         :meth:`serialize` and :meth:`serialize_chunks` (see
         :mod:`repro.formats.plans`, "chunked execution"). Over a chunking
-        buffer it suspends between objects."""
-        graph = ObjectGraph.from_root(root)
+        buffer it suspends between objects.
+
+        Each object costs one word-run read of its field slots and one
+        packed image append; its heap trace is that of one ``read_u64``
+        for the mark word and one per field slot."""
+        graph = SlotRunGraph.from_root(root)
         profile = WorkProfile()
         heap = root.heap
         memory = heap.memory
+        read_u64 = memory.read_u64
+        read_word_run = memory.read_word_run
+        register = self.registration.register
+        relative_address = graph.relative_address
+        header_bytes = heap.header_bytes
+        header_slots = heap.header_slots
+        # The extension word ships zeroed.
+        extension = (0,) if heap.cereal_extension else ()
         chunk = P.chunk_bytes_of(out)
 
         out += _U32.pack(graph.total_bytes)
@@ -94,37 +106,35 @@ class SkywaySerializer(Serializer):
         value_count = 0
         ref_count = 0
 
-        for obj in graph:
+        for obj, layout in zip(graph.objects, graph.layouts):
             if chunk and out.ready_count:
                 yield
+            address = obj.address
+            field_slots = layout.field_slots
+            references = len(layout.reference_slots)
             profile.objects += 1
-            profile.add_instructions(_INSTR_PER_OBJECT)
             profile.aux_random_accesses += _AUX_ACCESSES_PER_OBJECT_SER
             profile.dependent_loads += 2
+            profile.reference_fields += references
+            profile.value_fields += field_slots - references
+            profile.add_instructions(
+                _INSTR_PER_OBJECT
+                + field_slots * _INSTR_PER_SLOT
+                + references * _INSTR_PER_REFERENCE
+            )
             # Header: mark word kept, klass pointer replaced by type ID
             # (automatic registration), extension word zeroed.
-            out += _U64.pack(memory.read_u64(obj.address))
-            out += _U64.pack(self.registration.register(obj.klass))
-            header_count += 16
-            if heap.cereal_extension:
-                out += _U64.pack(0)
-                header_count += 8
-            reference_slots = set(obj.reference_slots())
-            for slot in range(obj.field_slots):
-                raw = memory.read_u64(obj.slot_address(slot))
-                profile.add_instructions(_INSTR_PER_SLOT)
-                if slot in reference_slots:
-                    profile.reference_fields += 1
-                    profile.add_instructions(_INSTR_PER_REFERENCE)
-                    if raw == NULL_ADDRESS:
-                        out += _U64.pack(_NULL_RELATIVE)
-                    else:
-                        out += _U64.pack(graph.relative_address[raw])
-                    ref_count += 8
-                else:
-                    profile.value_fields += 1
-                    out += _U64.pack(raw)
-                    value_count += 8
+            image = [read_u64(address), register(obj.klass), *extension]
+            image += read_word_run(address + header_bytes, field_slots)
+            for slot in layout.reference_slots:
+                raw = image[header_slots + slot]
+                image[header_slots + slot] = (
+                    _NULL_RELATIVE if raw == NULL_ADDRESS else relative_address[raw]
+                )
+            out += layout.image_struct.pack(*image)
+            header_count += header_bytes
+            ref_count += references * 8
+            value_count += (field_slots - references) * 8
 
         total = len(out)
         profile.bytes_read = graph.total_bytes
@@ -172,14 +182,18 @@ class SkywaySerializer(Serializer):
         base = heap.reserve(total_bytes)
         memory = heap.memory
         header_slots = heap.header_slots
+        header_bytes = heap.header_bytes
+        extension = heap.cereal_extension
         offset = 0
         root_obj: Optional[HeapObject] = None
-        pending_reference_slots = []  # (absolute slot address, relative target)
+        # Reference slots to patch: absolute slot address, relative target.
+        pending_slots = []
+        pending_targets = []
         object_addresses = []
 
         for _ in range(object_count):
             address = base + offset
-            if offset + heap.header_bytes > total_bytes:
+            if offset + header_bytes > total_bytes:
                 raise FormatError(
                     f"Skyway header declares more objects than fit in its "
                     f"{total_bytes}-byte image"
@@ -187,29 +201,21 @@ class SkywaySerializer(Serializer):
             mark_raw = reader.read_u64()
             type_id = reader.read_u64()
             klass = self.registration.klass_of(type_id, offset=reader.position)
-            memory.write_u64(address, mark_raw)
-            assert klass.metaspace_address is not None or True
             if klass.metaspace_address is None:
                 heap.registry.register(klass)
-            memory.write_u64(address + 8, klass.metaspace_address)
-            if heap.cereal_extension:
+            image = [mark_raw, klass.metaspace_address]
+            if extension:
                 reader.read_u64()
-                memory.write_u64(address + 16, 0)
-            profile.objects += 1
-            profile.allocations += 1
-            profile.add_instructions(_INSTR_PER_OBJECT + _INSTR_PER_REGISTERED_OBJECT)
+                image.append(0)
 
             # First slot of an array is its length; we must read it before we
             # can size the object.
-            fields_base = address + header_slots * SLOT_BYTES
             if isinstance(klass, ArrayKlass):
-                length_word = reader.read_u64()
-                length = length_word
+                length = reader.read_u64()
                 limits.check_array_length(length)
-                first_slot = 1
+                image.append(length)
             else:
                 length = 0
-                first_slot = 0
             field_slots = klass.instance_slots(length)
             size_bytes = (header_slots + field_slots) * SLOT_BYTES
             if offset + size_bytes > total_bytes:
@@ -219,33 +225,39 @@ class SkywaySerializer(Serializer):
                     f"Skyway object at image offset {offset} extends "
                     f"{size_bytes} bytes past the {total_bytes}-byte image"
                 )
-            if first_slot:
-                memory.write_u64(fields_base, length_word)
-            reference_slots = set(klass.reference_slot_indices(length))
-            for slot in range(first_slot, field_slots):
-                raw = reader.read_u64()
-                slot_address = fields_base + slot * SLOT_BYTES
-                profile.add_instructions(_INSTR_PER_SLOT)
-                if slot in reference_slots:
-                    # Sequential reference adjustment (Skyway's bottleneck):
-                    # each rewrite depends on stream order.
-                    profile.reference_fields += 1
-                    profile.dependent_loads += 1
-                    profile.add_instructions(_INSTR_PER_REFERENCE)
-                    if raw == _NULL_RELATIVE:
-                        memory.write_u64(slot_address, NULL_ADDRESS)
-                    else:
-                        pending_reference_slots.append((slot_address, raw))
-                        memory.write_u64(slot_address, NULL_ADDRESS)
-                else:
-                    profile.value_fields += 1
-                    memory.write_u64(slot_address, raw)
+            # The remaining slots (an array's length slot is already read).
+            slots = header_slots + field_slots - len(image)
+            image += reader.read_u64_run(slots)
+            # Sequential reference adjustment (Skyway's bottleneck): each
+            # reference slot is written null now and patched below.
+            reference_slots = layout_of(klass, header_slots, length).reference_slots
+            fields_base = address + header_bytes
+            for slot in reference_slots:
+                raw = image[header_slots + slot]
+                if raw != _NULL_RELATIVE:
+                    pending_slots.append(fields_base + slot * SLOT_BYTES)
+                    pending_targets.append(raw)
+                image[header_slots + slot] = NULL_ADDRESS
+            memory.write_word_run(address, image)
+
+            references = len(reference_slots)
+            profile.objects += 1
+            profile.allocations += 1
+            profile.reference_fields += references
+            profile.dependent_loads += references
+            profile.value_fields += slots - references
+            profile.add_instructions(
+                _INSTR_PER_OBJECT
+                + _INSTR_PER_REGISTERED_OBJECT
+                + slots * _INSTR_PER_SLOT
+                + references * _INSTR_PER_REFERENCE
+            )
 
             obj = heap.register_object(address, klass, length)
-            object_addresses.append(obj.address)
+            object_addresses.append(address)
             if root_obj is None:
                 root_obj = obj
-            offset += obj.size_bytes
+            offset += size_bytes
 
         if offset != total_bytes:
             raise FormatError(
@@ -256,12 +268,14 @@ class SkywaySerializer(Serializer):
         # against the set of object starts actually materialized so a
         # corrupted stream cannot produce dangling references.
         valid_targets = {obj_address - base for obj_address in object_addresses}
-        for slot_address, relative in pending_reference_slots:
-            if relative not in valid_targets:
-                raise FormatError(
-                    f"relative address {relative} does not target an object"
-                )
-            memory.write_u64(slot_address, base + relative)
+        if not valid_targets.issuperset(pending_targets):
+            relative = next(r for r in pending_targets if r not in valid_targets)
+            raise FormatError(
+                f"relative address {relative} does not target an object"
+            )
+        memory.scatter_words(
+            pending_slots, [base + relative for relative in pending_targets]
+        )
 
         assert root_obj is not None
         profile.bytes_read = len(stream.data)
@@ -277,4 +291,4 @@ def strip_mark_word(obj: HeapObject) -> int:
     mark word is dropped from the stream, the receiver must rebuild it, and
     the identity hash changes.
     """
-    return MarkWord(identity_hash=identity_hash_for(obj.address)).encode()
+    return fresh_mark_word(obj.address)

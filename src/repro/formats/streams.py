@@ -378,6 +378,23 @@ class StreamReader:
     def read_u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
 
+    def read_u64_run(self, count: int) -> tuple:
+        """``count`` consecutive u64 words in one unpack.
+
+        Same values, final position and :class:`TruncatedStreamError` (at
+        the first word that does not fit) as ``count`` :meth:`read_u64`
+        calls.
+        """
+        fits = self.remaining // 8
+        if count > fits:
+            self._pos += fits * 8
+            raise TruncatedStreamError(
+                offset=self._pos, needed=8, available=self.remaining
+            )
+        words = struct.unpack_from(f"<{count}Q", self._data, self._pos)
+        self._pos += count * 8
+        return words
+
     def read_i32(self) -> int:
         return struct.unpack("<i", self._take(4))[0]
 

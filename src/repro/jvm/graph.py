@@ -77,15 +77,14 @@ def traverse_slot_runs(
     The fast path under the compiled-plan serializers: one memoized layout
     probe per object hands a consumer everything shape-dependent (slot
     counts, reference-slot runs, the bitmap word), and children are
-    discovered by reading the reference slots straight out of simulated
-    memory — no per-object klass-metadata re-derivation, no intermediate
-    child-handle lists. Traversal order (and the memory-read pattern over
-    reference slots) matches :func:`traverse_object_graph` /
+    discovered by one gather over each object's reference slots in
+    simulated memory — no per-object klass-metadata re-derivation, no
+    intermediate child-handle lists. Traversal order (and the memory-read
+    pattern over reference slots) matches :func:`traverse_object_graph` /
     :func:`traverse_object_graph_bfs` exactly.
     """
     heap = root.heap
-    memory = heap.memory
-    read_u64 = memory.read_u64
+    gather_words = heap.memory.gather_words
     object_at = heap.object_at
     header_slots = heap.header_slots
     header_bytes = header_slots * 8
@@ -106,9 +105,9 @@ def traverse_slot_runs(
             reference_slots = layout.reference_slots
             if reference_slots:
                 fields_base = address + header_bytes
-                child_addresses = [
-                    read_u64(fields_base + slot * 8) for slot in reference_slots
-                ]
+                child_addresses = gather_words(
+                    [fields_base + slot * 8 for slot in reference_slots]
+                )
                 for index in range(len(child_addresses) - 1, -1, -1):
                     child_address = child_addresses[index]
                     if child_address:
@@ -121,9 +120,13 @@ def traverse_slot_runs(
             obj = queue.popleft()
             layout = layout_of(obj.klass, header_slots, obj.length)
             yield obj, layout
+            reference_slots = layout.reference_slots
+            if not reference_slots:
+                continue
             fields_base = obj.address + header_bytes
-            for slot in layout.reference_slots:
-                child_address = read_u64(fields_base + slot * 8)
+            for child_address in gather_words(
+                [fields_base + slot * 8 for slot in reference_slots]
+            ):
                 if child_address and child_address not in seen:
                     add_seen(child_address)
                     queue.append(object_at(child_address))

@@ -33,7 +33,7 @@ from repro.jvm.klass import (
     KlassRegistry,
     SLOT_BYTES,
 )
-from repro.jvm.markword import MarkWord, identity_hash_for
+from repro.jvm.markword import MarkWord, fresh_mark_word
 from repro.memory.space import MemorySpace
 from repro.memory.trace import MemoryTrace
 
@@ -46,6 +46,7 @@ _UNIT_MASK = 0xFF
 _RELADDR_SHIFT = 24
 _RELADDR_MASK = 0xFFFF_FFFF
 _CLAIM_MASK = (1 << (_RELADDR_SHIFT + 32)) - 1  # counter, unit ID, rel. address
+_HEADER_OFFSETS = (0, 8)  # mark word, klass pointer
 
 FieldValue = Union[int, float, bool, "HeapObject", None]
 
@@ -147,16 +148,17 @@ class Heap:
             )
         self._alloc_ptr += size
 
-        self.memory.fill(address, size, 0)
-        mark = MarkWord(identity_hash=identity_hash_for(address))
-        self.memory.write_u64(address, mark.encode())
         assert klass.metaspace_address is not None
-        self.memory.write_u64(address + 8, klass.metaspace_address)
-
-        obj = HeapObject(self, address, klass, length)
+        offsets = _HEADER_OFFSETS
+        words = (fresh_mark_word(address), klass.metaspace_address)
         if klass.is_array:
             # Array length lives in the first field slot.
-            self.memory.write_u64(address + self.header_bytes, length)
+            offsets += (self.header_bytes,)
+            words += (length,)
+        # One page op, traced as a zero fill then one 8 B write per word.
+        self.memory.zero_fill_words(address, size, offsets, words)
+
+        obj = HeapObject(self, address, klass, length)
         self._objects[address] = obj
         self._alloc_order.append(address)
         return obj
@@ -592,12 +594,21 @@ class HeapObject:
         return list(self.layout().reference_slots)
 
     def referenced_objects(self) -> List[Optional["HeapObject"]]:
-        """Children in slot order, ``None`` for null references."""
-        memory = self.heap.memory
-        out: List[Optional[HeapObject]] = []
-        for slot in self.reference_slots():
-            out.append(self.heap.deref(memory.read_u64(self.slot_address(slot))))
-        return out
+        """Children in slot order, ``None`` for null references.
+
+        One gather over the reference slots: the trace of one
+        :meth:`~repro.memory.space.MemorySpace.read_u64` per slot.
+        """
+        layout = layout_of(self.klass, self.heap.header_slots, self.length)
+        if not layout.reference_slots:
+            return []
+        heap = self.heap
+        fields_base = self.address + layout.header_slots * SLOT_BYTES
+        words = heap.memory.gather_words(
+            [fields_base + slot * SLOT_BYTES for slot in layout.reference_slots]
+        )
+        deref = heap.deref
+        return [deref(word) for word in words]
 
     # -- layout bitmap (paper Figure 4) ----------------------------------------------------------
 

@@ -80,3 +80,13 @@ def identity_hash_for(address: int, salt: int = 0x9E3779B9) -> int:
     x = (address * 0x2545F4914F6CDD1D + salt) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 29
     return x & _HASH_MASK
+
+
+def fresh_mark_word(address: int) -> int:
+    """The encoded mark word of an object newly placed at ``address``.
+
+    Equal to ``MarkWord(identity_hash=identity_hash_for(address)).encode()``
+    (unlocked, no GC state) without building the dataclass: the allocation
+    hot path.
+    """
+    return identity_hash_for(address) << _HASH_SHIFT

@@ -7,6 +7,16 @@ touched.
 
 Word accessors use little-endian byte order, matching x86 hosts where HotSpot
 lays out the object heaps that Cereal serializes.
+
+A typed access that lies in one page costs one bounds check and one
+``struct`` call on the page. The word-run accessors (``read_word_run``,
+``write_word_run``, ``gather_words``, ``scatter_words``,
+``zero_fill_words``) move many 8 B words per call, with one bounds check
+and one trace call, and leave the trace that one :meth:`~MemorySpace.read_u64`
+or :meth:`~MemorySpace.write_u64` per word would: one 8 B record per word,
+in the same order. The trace is a modelled input to the cache simulator,
+so it must not change record for record. Accesses that straddle a page
+boundary take the general page-splitting copy.
 """
 
 from __future__ import annotations
@@ -16,16 +26,33 @@ from typing import Dict, Optional
 
 from repro.common.errors import HeapError
 
-_PAGE_BYTES = 64 * 1024
+_PAGE_SHIFT = 16
+_PAGE_BYTES = 1 << _PAGE_SHIFT  # 64 KiB
+_OFFSET_MASK = _PAGE_BYTES - 1
+
+# Codecs of the typed accessors.
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I32 = struct.Struct("<i")
+_I64 = struct.Struct("<q")
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
+_ZERO_WORD = bytes(8)
 
 # Precompiled struct formats for the word-vector accessors; keyed by word
 # count so repeated bulk reads of same-shaped objects pay zero parse cost.
+# The cap bounds the cache when counts come from untrusted streams.
 _WORD_STRUCTS: Dict[int, struct.Struct] = {}
+_MAX_WORD_STRUCTS = 4096
 
 
 def _word_struct(count: int) -> struct.Struct:
     cached = _WORD_STRUCTS.get(count)
     if cached is None:
+        if len(_WORD_STRUCTS) >= _MAX_WORD_STRUCTS:
+            _WORD_STRUCTS.clear()
         cached = struct.Struct(f"<{count}Q")
         _WORD_STRUCTS[count] = cached
     return cached
@@ -75,13 +102,8 @@ class MemorySpace:
         """Bytes of backing storage actually allocated."""
         return len(self._pages) * _PAGE_BYTES
 
-    # -- raw byte access -----------------------------------------------------
-
-    def read(self, address: int, length: int) -> bytes:
-        """Read ``length`` bytes starting at ``address``."""
-        self._check_range(address, length)
-        if self.trace is not None:
-            self.trace.record_read(address, length)
+    def _get(self, address: int, length: int) -> bytes:
+        """The bytes at ``[address, address + length)``: no check, no trace."""
         page_index, offset = divmod(address, _PAGE_BYTES)
         if offset + length <= _PAGE_BYTES:
             # Fast path: the range lives in one page — a single slice.
@@ -101,11 +123,8 @@ class MemorySpace:
             copied += run
         return bytes(out)
 
-    def write(self, address: int, data: bytes) -> None:
-        """Write ``data`` starting at ``address``."""
-        self._check_range(address, len(data))
-        if self.trace is not None:
-            self.trace.record_write(address, len(data))
+    def _put(self, address: int, data) -> None:
+        """Store ``data`` at ``address``: no check, no trace."""
         length = len(data)
         page_index, offset = divmod(address, _PAGE_BYTES)
         if offset + length <= _PAGE_BYTES:
@@ -121,6 +140,22 @@ class MemorySpace:
             ]
             copied += run
 
+    # -- raw byte access -----------------------------------------------------
+
+    def read(self, address: int, length: int) -> bytes:
+        """Read ``length`` bytes starting at ``address``."""
+        self._check_range(address, length)
+        if self.trace is not None:
+            self.trace.record_read(address, length)
+        return self._get(address, length)
+
+    def write(self, address: int, data: bytes) -> None:
+        """Write ``data`` starting at ``address``."""
+        self._check_range(address, len(data))
+        if self.trace is not None:
+            self.trace.record_write(address, len(data))
+        self._put(address, data)
+
     def fill(self, address: int, length: int, value: int = 0) -> None:
         """Fill a range with one byte value (used for zeroing fresh objects)."""
         if not 0 <= value <= 0xFF:
@@ -130,52 +165,175 @@ class MemorySpace:
     # -- typed little-endian accessors ----------------------------------------
 
     def read_u8(self, address: int) -> int:
-        return self.read(address, 1)[0]
+        return self._load(address, _U8)
 
     def write_u8(self, address: int, value: int) -> None:
-        self.write(address, struct.pack("<B", value))
+        self._store(address, _U8.pack(value))
 
     def read_u16(self, address: int) -> int:
-        return struct.unpack("<H", self.read(address, 2))[0]
+        return self._load(address, _U16)
 
     def write_u16(self, address: int, value: int) -> None:
-        self.write(address, struct.pack("<H", value))
+        self._store(address, _U16.pack(value))
 
     def read_u32(self, address: int) -> int:
-        return struct.unpack("<I", self.read(address, 4))[0]
+        return self._load(address, _U32)
 
     def write_u32(self, address: int, value: int) -> None:
-        self.write(address, struct.pack("<I", value))
+        self._store(address, _U32.pack(value))
 
     def read_u64(self, address: int) -> int:
-        return struct.unpack("<Q", self.read(address, 8))[0]
+        return self._load(address, _U64)
 
     def write_u64(self, address: int, value: int) -> None:
-        self.write(address, struct.pack("<Q", value))
+        self._store(address, _U64.pack(value))
 
     def read_i32(self, address: int) -> int:
-        return struct.unpack("<i", self.read(address, 4))[0]
+        return self._load(address, _I32)
 
     def write_i32(self, address: int, value: int) -> None:
-        self.write(address, struct.pack("<i", value))
+        self._store(address, _I32.pack(value))
 
     def read_i64(self, address: int) -> int:
-        return struct.unpack("<q", self.read(address, 8))[0]
+        return self._load(address, _I64)
 
     def write_i64(self, address: int, value: int) -> None:
-        self.write(address, struct.pack("<q", value))
+        self._store(address, _I64.pack(value))
 
     def read_f64(self, address: int) -> float:
-        return struct.unpack("<d", self.read(address, 8))[0]
+        return self._load(address, _F64)
 
     def write_f64(self, address: int, value: float) -> None:
-        self.write(address, struct.pack("<d", value))
+        self._store(address, _F64.pack(value))
 
     def read_f32(self, address: int) -> float:
-        return struct.unpack("<f", self.read(address, 4))[0]
+        return self._load(address, _F32)
 
     def write_f32(self, address: int, value: float) -> None:
-        self.write(address, struct.pack("<f", value))
+        self._store(address, _F32.pack(value))
+
+    def _load(self, address: int, codec: struct.Struct):
+        """One traced ``codec.size``-byte read, decoded with ``codec``."""
+        size = codec.size
+        offset = address & _OFFSET_MASK
+        if offset + size <= _PAGE_BYTES and 0 <= address and address + size <= self.size_bytes:
+            trace = self.trace
+            if trace is not None:
+                trace.record_read(address, size)
+            page = self._pages.get(address >> _PAGE_SHIFT)
+            if page is None:
+                return codec.unpack_from(_ZERO_WORD)[0]
+            return codec.unpack_from(page, offset)[0]
+        return codec.unpack(self.read(address, size))[0]
+
+    def _store(self, address: int, data: bytes) -> None:
+        """One traced write of the packed ``data``."""
+        size = len(data)
+        offset = address & _OFFSET_MASK
+        if offset + size <= _PAGE_BYTES and 0 <= address and address + size <= self.size_bytes:
+            trace = self.trace
+            if trace is not None:
+                trace.record_write(address, size)
+            self._page(address >> _PAGE_SHIFT)[offset : offset + size] = data
+            return
+        self.write(address, data)
+
+    # -- word runs: the trace of one 8 B call per word -----------------------------
+
+    def read_word_run(self, address: int, count: int) -> tuple:
+        """Read ``count`` consecutive u64 words.
+
+        Returns the values, and leaves the trace, of ``count`` calls to
+        :meth:`read_u64` at ``address``, ``address + 8``, ...: one 8 B
+        record per word. (:meth:`read_words` records one access spanning
+        the range instead.)
+        """
+        length = count * 8
+        self._check_range(address, length)
+        if self.trace is not None:
+            self.trace.record_many(range(address, address + length, 8), 8)
+        offset = address & _OFFSET_MASK
+        if offset + length <= _PAGE_BYTES:
+            page = self._pages.get(address >> _PAGE_SHIFT)
+            if page is None:
+                return (0,) * count
+            return _word_struct(count).unpack_from(page, offset)
+        return _word_struct(count).unpack(self._get(address, length))
+
+    def write_word_run(self, address: int, words) -> None:
+        """Write consecutive u64 ``words`` with one 8 B trace record each,
+        like one :meth:`write_u64` call per word."""
+        data = _word_struct(len(words)).pack(*words)
+        length = len(data)
+        self._check_range(address, length)
+        if self.trace is not None:
+            self.trace.record_many(range(address, address + length, 8), 8, write=True)
+        self._put(address, data)
+
+    def gather_words(self, addresses) -> list:
+        """The u64 at each of ``addresses``, in order, with one 8 B trace
+        record each, like one :meth:`read_u64` call per address."""
+        if not addresses:
+            return []
+        low = min(addresses)
+        span = max(addresses) + 8 - low
+        self._check_range(low, span)
+        if self.trace is not None:
+            self.trace.record_many(addresses, 8)
+        offset = low & _OFFSET_MASK
+        if offset + span <= _PAGE_BYTES:
+            page = self._pages.get(low >> _PAGE_SHIFT)
+            if page is None:
+                return [0] * len(addresses)
+            page_base = low - offset
+            unpack_from = _U64.unpack_from
+            return [unpack_from(page, word - page_base)[0] for word in addresses]
+        get = self._get
+        unpack = _U64.unpack
+        return [unpack(get(word, 8))[0] for word in addresses]
+
+    def scatter_words(self, addresses, words) -> None:
+        """Store u64 ``words[i]`` at ``addresses[i]``, in order, with one
+        8 B trace record each, like one :meth:`write_u64` call per pair."""
+        if not addresses:
+            return
+        low = min(addresses)
+        self._check_range(low, max(addresses) + 8 - low)
+        pack = _U64.pack
+        data = [pack(word) for word in words]
+        if self.trace is not None:
+            self.trace.record_many(addresses, 8, write=True)
+        pages = self._pages
+        put = self._put
+        for address, word in zip(addresses, data):
+            offset = address & _OFFSET_MASK
+            page = pages.get(address >> _PAGE_SHIFT)
+            if page is None or offset > _PAGE_BYTES - 8:
+                put(address, word)
+            else:
+                page[offset : offset + 8] = word
+
+    def zero_fill_words(self, address: int, length: int, offsets, words) -> None:
+        """Zero ``length`` bytes at ``address``, then store u64 ``words[i]``
+        at ``address + offsets[i]`` (each word inside the range).
+
+        Memory and trace are those of ``fill(address, length)`` followed by
+        one :meth:`write_u64` per word: a ``length``-byte write record, then
+        one 8 B write record per word, in order. Used to lay down a freshly
+        allocated object (zeroed image plus its header words).
+        """
+        self._check_range(address, length)
+        image = bytearray(length)
+        pack_into = _U64.pack_into
+        for at, word in zip(offsets, words):
+            if not 0 <= at <= length - 8:
+                raise HeapError(f"word offset {at} outside a {length}-byte fill")
+            pack_into(image, at, word)
+        trace = self.trace
+        if trace is not None:
+            trace.record_write(address, length)
+            trace.record_many([address + at for at in offsets], 8, write=True)
+        self._put(address, image)
 
     # -- bulk helpers ----------------------------------------------------------
 

@@ -17,9 +17,14 @@ built on demand, for tests and the per-line cache oracle.
 from __future__ import annotations
 
 import enum
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List
+
+
+# One ``array('q')`` item's bytes (native order, like the array's own).
+_NATIVE_Q = struct.Struct("=q")
 
 
 class AccessKind(enum.Enum):
@@ -63,10 +68,13 @@ class MemoryTrace:
 
     def record_many(self, addresses: Iterable[int], length: int, write: bool = False) -> None:
         """Record one ``length``-byte access at each of ``addresses``, in order."""
-        before = len(self.addresses)
-        self.addresses.extend(addresses)
-        self.lengths.extend(array("q", (~length if write else length,))
-                            * (len(self.addresses) - before))
+        if addresses.__class__ is not list:
+            addresses = list(addresses)
+        # ``fromlist``/``frombytes`` copy in C; ``extend`` from a Python
+        # iterable goes item by item.
+        self.addresses.fromlist(addresses)
+        self.lengths.frombytes(_NATIVE_Q.pack(~length if write else length)
+                               * len(addresses))
 
     # -- statistics --------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the CPU cost model: caches, core model, harness."""
 
+from array import array
+
 import pytest
 
 from repro.common.config import HostCPUConfig, SystemConfig
@@ -252,3 +254,19 @@ class TestHarnessTraffic:
         SoftwarePlatform()._aux_accesses(trace, profile)
         assert _accesses(trace) == _accesses(self.reference_aux(profile))
         assert trace.total_count == count
+
+    def test_aux_draws_grow_on_demand(self, monkeypatch):
+        """From a cold draw cache: each call that asks for more draws than
+        are cached grows it, and every call still matches the per-call LCG."""
+        monkeypatch.setattr(harness, "_AUX_DRAWS", array("q"))
+        monkeypatch.setattr(harness, "_aux_lcg_state", harness._AUX_LCG_SEED)
+        platform = SoftwarePlatform()
+        cached = []
+        for objects, count in [(3, 10), (40, 7), (40, 300), (1, 1), (900, 5000),
+                               (900, 4999), (2, 5001)]:
+            profile = WorkProfile(objects=objects, aux_random_accesses=count)
+            trace = MemoryTrace()
+            platform._aux_accesses(trace, profile)
+            assert _accesses(trace) == _accesses(self.reference_aux(profile))
+            cached.append(len(harness._AUX_DRAWS))
+        assert cached == [10, 10, 300, 300, 5000, 5000, 5001]

@@ -14,7 +14,7 @@ from repro.jvm import (
     KlassRegistry,
     MarkWord,
 )
-from repro.jvm.markword import identity_hash_for
+from repro.jvm.markword import fresh_mark_word, identity_hash_for
 
 
 def make_point_klass():
@@ -57,6 +57,11 @@ class TestMarkWord:
     def test_identity_hash_31_bits(self):
         for address in (0, 0x1000, 0xFFFF_FFFF_0000):
             assert 0 <= identity_hash_for(address) < 2**31
+
+    @given(st.integers(0, 2**48))
+    def test_fresh_mark_word_encodes_identity_hash(self, address):
+        expected = MarkWord(identity_hash=identity_hash_for(address)).encode()
+        assert fresh_mark_word(address) == expected
 
 
 class TestKlass:

@@ -1,5 +1,7 @@
 """Tests for the memory substrate: MemorySpace, MemoryTrace, DRAMModel."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -75,6 +77,166 @@ class TestMemorySpace:
         mem = MemorySpace(4096)
         mem.write(address, data)
         assert mem.read(address, len(data)) == data
+
+
+PAGE = 64 * 1024
+
+
+def _traced(size=4 * PAGE):
+    trace = MemoryTrace()
+    return MemorySpace(size, trace=trace), trace
+
+
+def _records(trace):
+    return list(trace.addresses), list(trace.lengths)
+
+
+class TestWordRuns:
+    """The word-run accessors against one 8 B call per word."""
+
+    WORDS = [0x0102030405060708, 0, (1 << 64) - 1, 42, 7 << 40]
+
+    # A run inside one page, one ending on the boundary, one straddling it.
+    @pytest.mark.parametrize("address", [8, PAGE - 40, PAGE - 16, 2 * PAGE - 24])
+    def test_write_run_matches_word_writes(self, address):
+        fast, fast_trace = _traced()
+        fast.write_word_run(address, self.WORDS)
+        slow, slow_trace = _traced()
+        for index, word in enumerate(self.WORDS):
+            slow.write_u64(address + index * 8, word)
+        assert _records(fast_trace) == _records(slow_trace)
+        assert len(fast_trace) == len(self.WORDS)
+        assert fast.read(0, 4 * PAGE) == slow.read(0, 4 * PAGE)
+
+    @pytest.mark.parametrize("address", [8, PAGE - 40, PAGE - 16, 2 * PAGE - 24])
+    def test_read_run_matches_word_reads(self, address):
+        mem, trace = _traced()
+        for index, word in enumerate(self.WORDS):
+            mem.write_u64(address + index * 8, word)
+        trace.clear()
+        assert mem.read_word_run(address, len(self.WORDS)) == tuple(self.WORDS)
+        fast = _records(trace)
+        trace.clear()
+        [mem.read_u64(address + index * 8) for index in range(len(self.WORDS))]
+        assert fast == _records(trace)
+
+    @pytest.mark.parametrize("address", [8, PAGE - 40, PAGE - 16, 2 * PAGE - 24])
+    def test_gather_matches_word_reads(self, address):
+        mem, trace = _traced()
+        for index, word in enumerate(self.WORDS):
+            mem.write_u64(address + index * 8, word)
+        picks = [address + 32, address, address + 16, address + 16]
+        trace.clear()
+        values = mem.gather_words(picks)
+        fast = _records(trace)
+        trace.clear()
+        assert values == [mem.read_u64(pick) for pick in picks]
+        assert values == [7 << 40, self.WORDS[0], self.WORDS[2], self.WORDS[2]]
+        assert fast == _records(trace)
+        assert mem.gather_words([]) == []
+
+    # Within a page, on a fresh page, and across pages with a word that
+    # straddles a boundary; addresses unsorted and one written twice.
+    @pytest.mark.parametrize("base", [64, 2 * PAGE + 8, PAGE - 12])
+    def test_scatter_matches_word_writes(self, base):
+        picks = [base + 40, base, base + PAGE + 8, base + 16, base]
+        fast, fast_trace = _traced()
+        fast.scatter_words(picks, self.WORDS)
+        fast.scatter_words([], [])
+        slow, slow_trace = _traced()
+        for pick, word in zip(picks, self.WORDS):
+            slow.write_u64(pick, word)
+        assert len(fast_trace) == len(picks)
+        assert _records(fast_trace) == _records(slow_trace)
+        assert fast.read(0, 4 * PAGE) == slow.read(0, 4 * PAGE)
+
+    def test_untouched_page_reads_zero_without_allocating(self):
+        mem, trace = _traced()
+        assert mem.read_word_run(3 * PAGE + 8, 4) == (0, 0, 0, 0)
+        assert mem.gather_words([3 * PAGE, 3 * PAGE + 64]) == [0, 0]
+        assert mem.read_u64(3 * PAGE + 16) == 0
+        assert mem.read_f64(3 * PAGE + 24) == 0.0
+        assert mem.resident_bytes == 0
+        assert len(trace) == 4 + 2 + 1 + 1
+
+    def test_out_of_range_run_raises_without_recording(self):
+        mem, trace = _traced(size=PAGE + 64)
+        with pytest.raises(HeapError):
+            mem.read_word_run(PAGE + 40, 4)
+        with pytest.raises(HeapError):
+            mem.write_word_run(PAGE + 40, [1, 2, 3, 4])
+        with pytest.raises(HeapError):
+            mem.gather_words([0, PAGE + 64])
+        with pytest.raises(HeapError):
+            mem.read_word_run(-8, 2)
+        with pytest.raises(HeapError):
+            mem.read_word_run(0, -1)
+        with pytest.raises(HeapError):
+            mem.scatter_words([8, PAGE + 64], [1, 2])
+        with pytest.raises(HeapError):
+            mem.zero_fill_words(PAGE, 128, (0, 8), (1, 2))
+        with pytest.raises(HeapError):
+            mem.zero_fill_words(0, 32, (0, 28), (1, 2))
+        assert len(trace) == 0
+
+    @pytest.mark.parametrize("address", [PAGE + 64, PAGE - 24, 3 * PAGE - 8])
+    def test_zero_fill_words_matches_fill_then_writes(self, address):
+        fast, fast_trace = _traced()
+        slow, slow_trace = _traced()
+        for mem in (fast, slow):
+            mem.fill(address - 8, 64, 0xAB)  # stale bytes the fill must clear
+        fast_trace.clear()
+        slow_trace.clear()
+        fast.zero_fill_words(address, 40, (0, 8, 24), (11, 22, 33))
+        slow.fill(address, 40, 0)
+        for at, word in zip((0, 8, 24), (11, 22, 33)):
+            slow.write_u64(address + at, word)
+        assert _records(fast_trace) == _records(slow_trace)
+        assert fast.read(0, 4 * PAGE) == slow.read(0, 4 * PAGE)
+
+    @pytest.mark.parametrize("address", [0, PAGE - 8, PAGE - 4, 2 * PAGE - 1])
+    def test_word_accessors_match_byte_path(self, address):
+        """The single-page fast path and the page-straddling general path
+        store and trace a word like ``write``/``read`` of 8 bytes."""
+        fast, fast_trace = _traced()
+        slow, slow_trace = _traced()
+        fast.write_u64(address, 0xA1B2C3D4E5F60718)
+        slow.write(address, (0xA1B2C3D4E5F60718).to_bytes(8, "little"))
+        fast.write_f64(address + 8, -2.5)
+        slow.write(address + 8, struct.pack("<d", -2.5))
+        assert fast.read_u64(address) == 0xA1B2C3D4E5F60718
+        slow.read(address, 8)
+        assert fast.read_i64(address + 8) == struct.unpack("<q", struct.pack("<d", -2.5))[0]
+        slow.read(address + 8, 8)
+        assert _records(fast_trace) == _records(slow_trace)
+        assert fast.read(0, 4 * PAGE) == slow.read(0, 4 * PAGE)
+
+    # In a page, ending on its boundary, straddling it, on an untouched page.
+    @pytest.mark.parametrize("name, code, value", [
+        ("u8", "<B", 0xF1), ("u16", "<H", 0xBEEF), ("u32", "<I", 0xDEADBEEF),
+        ("i32", "<i", -5), ("f32", "<f", 1.5), ("i64", "<q", -(1 << 40)),
+    ])
+    def test_typed_accessors_match_byte_path(self, name, code, value):
+        size = struct.calcsize(code)
+        fast, fast_trace = _traced()
+        slow, slow_trace = _traced()
+        for address in (16, PAGE - size, PAGE - 1, 2 * PAGE + 5):
+            getattr(fast, f"write_{name}")(address, value)
+            slow.write(address, struct.pack(code, value))
+            assert getattr(fast, f"read_{name}")(address) == value
+            slow.read(address, size)
+        assert getattr(fast, f"read_{name}")(3 * PAGE) == 0
+        slow.read(3 * PAGE, size)
+        assert _records(fast_trace) == _records(slow_trace)
+        assert fast.read(0, 4 * PAGE) == slow.read(0, 4 * PAGE)
+
+    def test_bad_word_value_writes_nothing(self):
+        mem, trace = _traced()
+        with pytest.raises(struct.error):
+            mem.write_u64(8, -1)
+        with pytest.raises(struct.error):
+            mem.write_word_run(8, [1, 1 << 64])
+        assert len(trace) == 0 and mem.resident_bytes == 0
 
 
 class TestMemoryTrace:

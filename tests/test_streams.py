@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.errors import FormatError
+from repro.common.errors import FormatError, TruncatedStreamError
 from repro.formats.streams import StreamReader, StreamWriter
 
 
@@ -152,6 +152,26 @@ class TestReaderBounds:
         reader.read_u8()
         assert reader.position == 1
         assert reader.remaining == 2
+
+    @pytest.mark.parametrize(
+        "size, skip, count", [(0, 0, 0), (24, 0, 3), (41, 1, 3), (24, 1, 3), (17, 1, 5)]
+    )
+    def test_u64_run_matches_word_reads(self, size, skip, count):
+        """Values, position and the underflow error of ``count`` read_u64 calls."""
+        data = bytes(range(1, size + 1))
+
+        def outcome(read):
+            reader = StreamReader(data)
+            reader.read_bytes(skip)
+            try:
+                values = read(reader)
+            except TruncatedStreamError as error:
+                values = (error.offset, error.needed, error.available)
+            return values, reader.position
+
+        run = outcome(lambda reader: reader.read_u64_run(count))
+        words = outcome(lambda reader: tuple(reader.read_u64() for _ in range(count)))
+        assert run == words
 
     def test_expect_end(self):
         reader = StreamReader(b"\x01")
