@@ -51,11 +51,6 @@ class _BitAccumulator:
         )
         self.end_map_positions.append(len(self.data) - 1)
 
-    def append_item(self, bits: Sequence[int]) -> None:
-        """Append an item given as a bit list (legacy probe surface)."""
-        value, width = bits_to_word(bits)
-        self.append_word(value, width)
-
     def result(self, item_count: int) -> PackedArray:
         end_map = bytearray((len(self.data) + 7) >> 3)
         for position in self.end_map_positions:

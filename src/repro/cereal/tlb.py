@@ -55,12 +55,6 @@ class TLB:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0

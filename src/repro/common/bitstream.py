@@ -72,143 +72,3 @@ def bits_to_word(bits) -> Tuple[int, int]:
         value = (value << 1) | bit
         width += 1
     return value, width
-
-
-class BitWriter:
-    """MSB-first bit sink backed by an int accumulator and a ``bytearray``.
-
-    Bits accumulate in ``_acc`` (a plain int, newest bits least
-    significant) and spill into ``_buffer`` in whole bytes whenever the
-    accumulator grows past ``_SPILL_BITS`` — keeping the accumulator small
-    so shifts stay cheap even for multi-megabyte streams.
-    """
-
-    _SPILL_BITS = 8192
-
-    __slots__ = ("_buffer", "_acc", "_acc_bits")
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._acc = 0
-        self._acc_bits = 0
-
-    # -- writing ----------------------------------------------------------------
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Append ``value`` as exactly ``width`` bits, MSB-first."""
-        if width < 0:
-            raise ValueError(f"width must be non-negative, got {width}")
-        if value < 0 or value.bit_length() > width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._acc_bits += width
-        if self._acc_bits >= self._SPILL_BITS:
-            self._spill()
-
-    def write_bit(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {bit}")
-        self.write_bits(bit, 1)
-
-    def write_unary_terminated(self, value: int, width: int) -> None:
-        """Append ``value`` (``width`` bits), an end bit, and tail padding.
-
-        This is the Section IV-B packed-item shape — payload, end bit 1,
-        zero-pad to the byte boundary — emitted as one word operation.
-        """
-        if width < 0:
-            raise ValueError(f"width must be non-negative, got {width}")
-        if value < 0 or value.bit_length() > width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        nbits = width + 1
-        padded = -(-nbits // 8) * 8
-        self.write_bits(((value << 1) | 1) << (padded - nbits), padded)
-
-    def align_to_byte(self) -> int:
-        """Zero-pad to the next byte boundary; returns the pad bit count."""
-        pad = (-self._acc_bits) % 8
-        if pad:
-            self._acc <<= pad
-            self._acc_bits += pad
-        return pad
-
-    def _spill(self) -> None:
-        whole, rem = divmod(self._acc_bits, 8)
-        if whole:
-            self._buffer += (self._acc >> rem).to_bytes(whole, "big")
-            self._acc &= (1 << rem) - 1
-            self._acc_bits = rem
-
-    # -- reading out ------------------------------------------------------------
-
-    @property
-    def bit_length(self) -> int:
-        """Bits written so far (before any tail padding)."""
-        return len(self._buffer) * 8 + self._acc_bits
-
-    @property
-    def byte_length(self) -> int:
-        """Bytes :meth:`getvalue` would produce (tail padding included)."""
-        return (self.bit_length + 7) // 8
-
-    def getvalue(self) -> bytes:
-        """The stream so far, tail zero-padded to a whole byte.
-
-        Non-destructive: more bits may be written afterwards, continuing
-        from the *unpadded* position.
-        """
-        self._spill()
-        if self._acc_bits == 0:
-            return bytes(self._buffer)
-        pad = (-self._acc_bits) % 8
-        tail = (self._acc << pad).to_bytes((self._acc_bits + pad) // 8, "big")
-        return bytes(self._buffer) + tail
-
-
-class BitReader:
-    """MSB-first bit source over ``bytes``, word-at-a-time.
-
-    The whole buffer is folded into one Python int up front
-    (``int.from_bytes`` runs at memcpy-like speed), after which any
-    ``read_bits(width)`` is a shift and a mask — no per-bit loop, no
-    per-byte dispatch.
-    """
-
-    __slots__ = ("_value", "_total_bits", "_cursor")
-
-    def __init__(self, data: bytes, bit_count: int | None = None):
-        total = len(data) * 8
-        if bit_count is not None:
-            if bit_count < 0 or bit_count > total:
-                raise ValueError(
-                    f"bit_count {bit_count} out of range for {len(data)} bytes"
-                )
-            total = bit_count
-        self._value = int.from_bytes(data, "big") >> (len(data) * 8 - total)
-        self._total_bits = total
-        self._cursor = 0
-
-    @property
-    def remaining_bits(self) -> int:
-        return self._total_bits - self._cursor
-
-    @property
-    def bit_position(self) -> int:
-        return self._cursor
-
-    def read_bits(self, width: int) -> int:
-        """Consume ``width`` bits, returned as an int (MSB-first order)."""
-        if width < 0:
-            raise ValueError(f"width must be non-negative, got {width}")
-        if self._cursor + width > self._total_bits:
-            raise ValueError(
-                f"read of {width} bits overruns stream "
-                f"({self.remaining_bits} bits left)"
-            )
-        self._cursor += width
-        return (self._value >> (self._total_bits - self._cursor)) & (
-            (1 << width) - 1
-        )
-
-    def read_bit(self) -> int:
-        return self.read_bits(1)

@@ -45,7 +45,9 @@ class TruncatedStreamError(FormatError):
 
 
 class MalformedVarintError(FormatError):
-    """A varint was overlong or decoded outside the u64 value space."""
+    """A varint was overlong, decoded outside the u64 value space, or
+    decoded outside the range of the field it carries (an INT beyond
+    int32)."""
 
 
 class UnknownClassError(FormatError, RegistrationError):

@@ -43,12 +43,6 @@ class CacheStats:
             return 0.0
         return self.dram_accesses / self.llc_accesses
 
-    @property
-    def l1_miss_rate(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return 1.0 - self.l1_hits / self.accesses
-
     def dram_bytes(self, line_bytes: int = 64) -> int:
         """Traffic to memory: demand fills plus dirty writebacks."""
         return (self.dram_accesses + self.writeback_lines) * line_bytes

@@ -51,10 +51,6 @@ class FaultInjector:
         )
         return mixed / _TWO64
 
-    def operation_index(self, channel: str) -> int:
-        """How many draws ``channel`` has consumed so far."""
-        return self._counters.get(channel, 0)
-
     # -- decision points ---------------------------------------------------------------
 
     def transfer_fault(self, site: str) -> Optional[str]:

@@ -97,14 +97,6 @@ class FaultPolicy:
             node_loss_prob=probability,
         )
 
-    def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        for name in _PROBABILITY_FIELDS:
-            value = getattr(self, name)
-            if name != "truncation_fraction" and value > 0:
-                parts.append(f"{name}={value:g}")
-        return "FaultPolicy(" + ", ".join(parts) + ")"
-
 
 #: Shared "nothing ever fails" policy (used as a default).
 NO_FAULTS = FaultPolicy()

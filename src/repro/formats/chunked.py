@@ -118,10 +118,6 @@ class ChunkAssembler:
     def assembled_bytes(self) -> int:
         return len(self._payload)
 
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
     def push(self, framed_chunk) -> None:
         if self.finished:
             raise CorruptionError(

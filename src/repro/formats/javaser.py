@@ -24,13 +24,18 @@ Stream grammar (tag bytes follow the real Java protocol values):
                | TC_REFERENCE handle(4)
 
 Reference-typed fields and array elements recurse into ``content``.
+
+The plan path supplies only the Java-specific preludes (tags, class
+descriptors and u32 handles) to the encode walk and decode driver it
+shares with Kryo in :mod:`repro.formats.plans`; the interpreter behind
+``use_plans=False`` is the independent oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.common.errors import (
     FormatError,
@@ -102,14 +107,18 @@ _INSTR_PER_CLASSDESC = 2000  # class lookup by name, descriptor construction
 _AUX_ACCESSES_PER_OBJECT_SER = 20  # handle-table + desc-cache probes
 _AUX_ACCESSES_PER_OBJECT_DESER = 30  # handle table, Field cache, ctor cache
 
-_F32 = struct.Struct("<f")
-_F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I32 = struct.Struct("<i")
-_MASK64 = (1 << 64) - 1
 # The 4-byte stream prelude write_u16(MAGIC)+write_u16(VERSION) produces.
 _STREAM_HEADER = struct.pack("<HH", MAGIC, VERSION)
+
+
+def _read_u32(data: bytes, pos: int):
+    """``(u32 at pos, pos + 4)``; a short stream is a truncation."""
+    if pos + 4 > len(data):
+        raise TruncatedStreamError(
+            offset=pos, needed=4, available=len(data) - pos
+        )
+    return _U32.unpack_from(data, pos)[0], pos + 4
 
 
 def serial_version_uid(klass: Klass) -> int:
@@ -286,57 +295,27 @@ class JavaSerializer(Serializer):
     # ------------------------------------------------------- serialize (plan walk)
 
     def _encode_walk(self, root: HeapObject, out):
-        """The plan encoder: one generator walk behind both the plan-path
-        :meth:`serialize` and :meth:`serialize_chunks` (see
-        :mod:`repro.formats.plans`, "chunked execution").
+        """The plan encoder: Java's prelude over the shared walk
+        (:func:`repro.formats.plans.encode_walk`), behind both the
+        plan-path :meth:`serialize` and :meth:`serialize_chunks`.
 
-        Per object: one plan-cache probe, one bulk image read, then a
-        straight-line replay of the plan's merged copy/convert/ref ops.
-        Profile deltas come pre-summed from the plan, so the resulting
-        :class:`WorkProfile` matches the interpreter's exactly.
+        The prelude writes the tag, then the class descriptor blob (or
+        ``TC_REFERENCE`` + u32 class handle) and, for arrays, the u32
+        length. Nulls are ``TC_NULL`` and back-references ``TC_REFERENCE``
+        + u32 handle, all counted in the back-references section.
         """
-        heap = root.heap
-        read = heap.memory.read
-        object_at = heap.object_at
-        header_slots = heap.header_slots
-        chunk = P.chunk_bytes_of(out)
-
         out += _STREAM_HEADER
         meta_count = 4
         type_count = 0
-        data_count = 0
-        ref_count = 0
-
-        handles: Dict[int, int] = {}  # heap address -> stream handle
+        class_ref_count = 0
+        desc_instr = 0
         class_handles: Dict[str, int] = {}
         next_handle = 0
 
-        objects = 0
-        instr = 0
-        reflect_instr = 0
-        aux = 0
-        dep = 0
-        value_fields = 0
-        reference_fields = 0
-        graph_bytes = 0
-
-        plans_local: Dict[Klass, object] = {}
-
-        def emit(obj: HeapObject):
-            """Emit one object's prelude; returns a frame if it has more."""
-            nonlocal out, meta_count, type_count, data_count, ref_count, next_handle
-            nonlocal objects, instr, reflect_instr, aux, dep
-            nonlocal value_fields, reference_fields, graph_bytes
-            klass = obj.klass
-            plan = plans_local.get(klass)
-            if plan is None:
-                plan = P.plan_for(self.name, klass, header_slots)
-                plans_local[klass] = plan
-            objects += 1
-            aux += plan.ser_aux
-            dep += plan.ser_dep
-            is_array = klass.is_array
-            out.append(TC_ARRAY if is_array else TC_OBJECT)
+        def prelude(klass: Klass, plan, length: Optional[int]) -> int:
+            nonlocal out, meta_count, type_count, class_ref_count, desc_instr
+            nonlocal next_handle
+            out.append(TC_OBJECT if length is None else TC_ARRAY)
             meta_count += 1
             class_handle = class_handles.get(klass.name)
             if class_handle is None:
@@ -345,148 +324,32 @@ class JavaSerializer(Serializer):
                 type_count += plan.desc_type_bytes
                 class_handles[klass.name] = next_handle
                 next_handle += 1
-                instr += plan.desc_ser_instr
+                desc_instr += plan.desc_ser_instr
             else:
                 out.append(TC_REFERENCE)
                 out += _U32.pack(class_handle)
-                ref_count += 5
-            handles[obj.address] = next_handle
+                class_ref_count += 5
+            handle = next_handle
             next_handle += 1
-            if is_array:
-                length = obj.length
+            if length is not None:
                 out += _U32.pack(length)
                 meta_count += 4
-                instr += plan.ser_instr + length * plan.ser_elem_instr
-                graph_bytes += obj.size_bytes
-                element_base = obj.fields_base + 8
-                if plan.is_ref:
-                    reference_fields += length
-                    if length:
-                        addresses = struct.unpack(
-                            f"<{length}Q", read(element_base, length * 8)
-                        )
-                        return [1, addresses, 0]
-                    return None
-                value_fields += length
-                nbytes = length * plan.element_width
-                data_count += nbytes
-                if 0 < chunk < nbytes:
-                    return [2, element_base, nbytes, 0]
-                if nbytes:
-                    out += read(element_base, nbytes)
-                return None
-            instr += plan.ser_instr
-            reflect_instr += plan.ser_reflect_instr
-            value_fields += plan.n_prim
-            reference_fields += plan.n_ref
-            data_count += plan.enc_data_bytes
-            graph_bytes += plan.size_bytes
-            raw = read(obj.address, plan.size_bytes)
-            if plan.n_ref == 0:
-                for op, start, end in plan.enc_ops:
-                    if op == P.OP_COPY:
-                        out += raw[start:end]
-                    else:  # OP_FLOAT
-                        out += _F32.pack(_F64.unpack_from(raw, start)[0])
-                return None
-            return [0, plan.enc_ops, 0, raw]
+            return handle
 
-        frame = emit(root)
-        stack: List[list] = [frame] if frame is not None else []
-        while stack:
-            frame = stack[-1]
-            descend = None
-            kind = frame[0]
-            if kind == 0:  # instance: interleaved copy/float/ref ops
-                ops = frame[1]
-                index = frame[2]
-                raw = frame[3]
-                op_count = len(ops)
-                while index < op_count:
-                    if chunk and out.ready_count:
-                        frame[2] = index
-                        yield
-                    op, start, end = ops[index]
-                    index += 1
-                    if op == P.OP_COPY:
-                        out += raw[start:end]
-                    elif op == P.OP_FLOAT:
-                        out += _F32.pack(_F64.unpack_from(raw, start)[0])
-                    else:  # OP_REF
-                        address = _U64.unpack_from(raw, start)[0]
-                        if address == 0:
-                            out.append(TC_NULL)
-                            ref_count += 1
-                        else:
-                            handle = handles.get(address)
-                            if handle is not None:
-                                out.append(TC_REFERENCE)
-                                out += _U32.pack(handle)
-                                ref_count += 5
-                            else:
-                                descend = emit(object_at(address))
-                                if descend is not None:
-                                    break
-                frame[2] = index
-            elif kind == 1:  # reference array: a run of ref slots
-                addresses = frame[1]
-                index = frame[2]
-                count = len(addresses)
-                while index < count:
-                    if chunk and out.ready_count:
-                        frame[2] = index
-                        yield
-                    address = addresses[index]
-                    index += 1
-                    if address == 0:
-                        out.append(TC_NULL)
-                        ref_count += 1
-                    else:
-                        handle = handles.get(address)
-                        if handle is not None:
-                            out.append(TC_REFERENCE)
-                            out += _U32.pack(handle)
-                            ref_count += 5
-                        else:
-                            descend = emit(object_at(address))
-                            if descend is not None:
-                                break
-                frame[2] = index
-            else:  # primitive array storage, chunk-sized slices
-                element_base = frame[1]
-                nbytes = frame[2]
-                offset = frame[3]
-                while offset < nbytes:
-                    if out.ready_count:
-                        frame[3] = offset
-                        yield
-                    step = min(chunk, nbytes - offset)
-                    out += read(element_base + offset, step)
-                    offset += step
-                frame[3] = offset
-            if descend is not None:
-                stack.append(descend)
-            else:
-                stack.pop()
-
-        total = len(out)
-        instr += reflect_instr + total * _INSTR_PER_STREAM_BYTE
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.dependent_loads = dep
-        profile.aux_random_accesses = aux
-        profile.bytes_read = graph_bytes
-        profile.bytes_written = total
+        profile, data_count, nulls, backrefs, backref_bytes = yield from P.encode_walk(
+            self.name, root, out, prelude, TC_NULL, TC_REFERENCE, _U32.pack,
+            _INSTR_PER_STREAM_BYTE,
+        )
+        profile.instructions += desc_instr
+        ref_count = class_ref_count + nulls + backrefs + backref_bytes
         sections = {_SECTION_META: meta_count, _SECTION_TYPES: type_count}
         if data_count:
             sections[_SECTION_DATA] = data_count
         if ref_count:
             sections[_SECTION_REFS] = ref_count
         return P.ChunkedEncodeSummary(
-            self.name, total, sections, profile, objects, graph_bytes
+            self.name, profile.bytes_written, sections, profile,
+            profile.objects, profile.bytes_read,
         )
 
     # ---------------------------------------------------------------- deserialize
@@ -724,23 +587,17 @@ class JavaSerializer(Serializer):
     def _deserialize_planned(
         self, stream: SerializedStream, heap: Heap, limits: DecodeLimits
     ) -> DeserializationResult:
-        """Compiled-plan deserialize: identical heap image and profile.
+        """Compiled-plan deserialize: Java's content prelude over the
+        shared decode driver (:func:`repro.formats.plans.decode_walk`).
 
         Class descriptors are validated with one slice comparison against
-        the plan's expected bytes; field values accumulate into a slot-word
-        list committed with one bulk ``write_words`` per object, preserving
-        the interpreter's allocation order (and therefore identity hashes).
+        the plan's expected bytes; the heap image and profile equal the
+        interpreter's.
         """
         data = stream.data
         n_data = len(data)
         limits.check_stream_bytes(n_data)
-        max_objects = limits.max_objects
-        max_array_length = limits.max_array_length
-        max_depth = limits.max_depth
-        memory = heap.memory
         header_slots = heap.header_slots
-        pos = 0
-
         if n_data < 4:
             offset = 0 if n_data < 2 else 2
             raise TruncatedStreamError(
@@ -748,283 +605,94 @@ class JavaSerializer(Serializer):
             )
         if data[:4] != _STREAM_HEADER:
             raise FormatError("bad Java serialization stream header")
-        pos = 4
 
         handle_table: list = []  # Klass and HeapObject entries, handle order
         plans_local: Dict[Klass, object] = {}
+        desc_instr = 0
 
-        objects = 0
-        allocations = 0
-        instr = 0
-        reflect_instr = 0
-        aux = 0
-        value_fields = 0
-        reference_fields = 0
-        graph_bytes = 0
-
-        def underflow(count: int) -> FormatError:
-            return TruncatedStreamError(
-                offset=pos, needed=count, available=n_data - pos
-            )
-
-        def read_class_desc():
-            """Parse a classdesc; returns ``(klass, plan)``."""
-            nonlocal pos, instr
+        def content(pos: int):
+            nonlocal desc_instr
             if pos >= n_data:
-                raise underflow(1)
-            tag = data[pos]
-            pos += 1
-            if tag == TC_REFERENCE:
-                if pos + 4 > n_data:
-                    raise underflow(4)
-                handle = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                value = handle_table[handle] if handle < len(handle_table) else None
-                if not isinstance(value, Klass):
-                    raise FormatError(
-                        "class-descriptor handle resolves to non-class"
-                    )
-                plan = plans_local.get(value)
-                if plan is None:
-                    plan = P.plan_for(self.name, value, header_slots)
-                    plans_local[value] = plan
-                return value, plan
-            if tag != TC_CLASSDESC:
-                raise FormatError(f"expected class descriptor, got tag {tag:#x}")
-            if pos + 2 > n_data:
-                raise underflow(2)
-            name_length = data[pos] | (data[pos + 1] << 8)
-            pos += 2
-            if pos + name_length > n_data:
-                raise underflow(name_length)
-            try:
-                name = data[pos:pos + name_length].decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise FormatError(f"invalid UTF-8 in stream: {error}") from None
-            pos += name_length
-            try:
-                klass = heap.registry.by_name(name)
-            except HeapError:
-                raise UnknownClassError(
-                    repr(name), detail="class name not registered", offset=pos
-                ) from None
-            plan = plans_local.get(klass)
-            if plan is None:
-                plan = P.plan_for(self.name, klass, header_slots)
-                plans_local[klass] = plan
-            tail = plan.desc_tail
-            if data[pos:pos + len(tail)] == tail:
-                pos += len(tail)
-            else:
-                pos = self._slow_parse_class_desc(data, pos, klass, name)
-            instr += plan.desc_de_instr
-            handle_table.append(klass)
-            return klass, plan
-
-        def run_dec_ops(ops, index: int, words: list) -> int:
-            """Execute decode ops until done or the next DOP_REF; returns
-            the op index where execution stopped."""
-            nonlocal pos, value_fields
-            op_count = len(ops)
-            while index < op_count:
-                op, field_index, extra = ops[index]
-                if op == P.DOP_REF:
-                    return index
-                if op == P.DOP_WORDS:
-                    nbytes = extra * 8
-                    if pos + nbytes > n_data:
-                        raise underflow(nbytes)
-                    words[field_index:field_index + extra] = struct.unpack_from(
-                        f"<{extra}Q", data, pos
-                    )
-                    pos += nbytes
-                elif op == P.DOP_INT:
-                    if pos + 4 > n_data:
-                        raise underflow(4)
-                    words[field_index] = _I32.unpack_from(data, pos)[0] & _MASK64
-                    pos += 4
-                elif op == P.DOP_FLOAT:
-                    if pos + 4 > n_data:
-                        raise underflow(4)
-                    words[field_index] = _U64.unpack(
-                        _F64.pack(_F32.unpack_from(data, pos)[0])
-                    )[0]
-                    pos += 4
-                elif op == P.DOP_BOOL:
-                    if pos >= n_data:
-                        raise underflow(1)
-                    words[field_index] = 1 if data[pos] else 0
-                    pos += 1
-                elif op == P.DOP_BYTE:
-                    if pos >= n_data:
-                        raise underflow(1)
-                    raw = data[pos]
-                    pos += 1
-                    words[field_index] = (
-                        raw if raw < 128 else (raw - 256) & _MASK64
-                    )
-                elif op == P.DOP_CHAR:
-                    if pos + 2 > n_data:
-                        raise underflow(2)
-                    words[field_index] = data[pos] | (data[pos + 1] << 8)
-                    pos += 2
-                else:  # DOP_SHORT
-                    if pos + 2 > n_data:
-                        raise underflow(2)
-                    raw = data[pos] | (data[pos + 1] << 8)
-                    pos += 2
-                    words[field_index] = (
-                        raw if raw < 32768 else (raw - 65536) & _MASK64
-                    )
-                index += 1
-            return index
-
-        def start_content():
-            """Parse one content item: ``(0, value)`` for null/backref/leaf
-            objects, ``(1, frame)`` for objects awaiting reference children."""
-            nonlocal pos, objects, allocations, instr, reflect_instr, aux
-            nonlocal value_fields, reference_fields, graph_bytes
-            if pos >= n_data:
-                raise underflow(1)
+                raise TruncatedStreamError(
+                    offset=pos, needed=1, available=n_data - pos
+                )
             tag = data[pos]
             pos += 1
             if tag == TC_NULL:
-                return 0, None
-            if tag == TC_REFERENCE:
+                return pos, None, None, False
+            if tag == TC_REFERENCE:  # the hot back-reference path: inline
                 if pos + 4 > n_data:
-                    raise underflow(4)
+                    raise TruncatedStreamError(
+                        offset=pos, needed=4, available=n_data - pos
+                    )
                 handle = _U32.unpack_from(data, pos)[0]
                 pos += 4
                 value = handle_table[handle] if handle < len(handle_table) else None
                 if not isinstance(value, HeapObject):
                     raise FormatError("object handle resolves to non-object")
-                return 0, value
+                return pos, None, value, False
             if tag not in (TC_OBJECT, TC_ARRAY):
                 raise FormatError(f"unexpected tag {tag:#x}")
-            klass, plan = read_class_desc()
-            objects += 1
-            if objects > max_objects:
-                limits.check_objects(objects)
-            allocations += 1
-            aux += plan.de_aux
-            if tag == TC_ARRAY:
-                if not isinstance(klass, ArrayKlass):
-                    raise FormatError("TC_ARRAY with non-array class")
-                if pos + 4 > n_data:
-                    raise underflow(4)
-                length = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if length > max_array_length:
-                    limits.check_array_length(length)
-                obj = heap.allocate(klass, length)
-                handle_table.append(obj)
-                instr += plan.de_instr + length * plan.de_elem_instr
-                graph_bytes += obj.size_bytes
-                if plan.is_ref:
-                    reference_fields += length
-                    if length == 0:
-                        return 0, obj
-                    return 1, [1, obj, [0] * length, 0]
-                value_fields += length
-                nbytes = length * plan.element_width
-                if nbytes:
-                    if pos + nbytes > n_data:
-                        raise underflow(nbytes)
-                    memory.write(obj.fields_base + 8, data[pos:pos + nbytes])
-                    pos += nbytes
-                return 0, obj
-            if not isinstance(klass, InstanceKlass):
-                raise FormatError("TC_OBJECT with array class")
-            obj = heap.allocate(klass)
-            handle_table.append(obj)
-            instr += plan.de_instr
-            reflect_instr += plan.de_reflect_instr
-            value_fields += plan.n_prim
-            reference_fields += plan.n_ref
-            graph_bytes += plan.size_bytes
-            words = [0] * plan.field_count
-            if plan.n_ref == 0:
-                run_dec_ops(plan.dec_ops, 0, words)
-                if words:
-                    memory.write_words(obj.fields_base, words)
-                return 0, obj
-            return 1, [0, obj, plan.dec_ops, 0, words]
+            if pos >= n_data:
+                raise TruncatedStreamError(
+                    offset=pos, needed=1, available=n_data - pos
+                )
+            desc_tag = data[pos]
+            pos += 1
+            if desc_tag == TC_REFERENCE:
+                handle, pos = _read_u32(data, pos)
+                klass = handle_table[handle] if handle < len(handle_table) else None
+                if not isinstance(klass, Klass):
+                    raise FormatError(
+                        "class-descriptor handle resolves to non-class"
+                    )
+                name = None
+            elif desc_tag != TC_CLASSDESC:
+                raise FormatError(
+                    f"expected class descriptor, got tag {desc_tag:#x}"
+                )
+            else:
+                if pos + 2 > n_data:
+                    raise TruncatedStreamError(
+                        offset=pos, needed=2, available=n_data - pos
+                    )
+                name_length = data[pos] | (data[pos + 1] << 8)
+                pos += 2
+                if pos + name_length > n_data:
+                    raise TruncatedStreamError(
+                        offset=pos, needed=name_length, available=n_data - pos
+                    )
+                try:
+                    name = data[pos:pos + name_length].decode("utf-8")
+                except UnicodeDecodeError as error:
+                    raise FormatError(
+                        f"invalid UTF-8 in stream: {error}"
+                    ) from None
+                pos += name_length
+                try:
+                    klass = heap.registry.by_name(name)
+                except HeapError:
+                    raise UnknownClassError(
+                        repr(name), detail="class name not registered", offset=pos
+                    ) from None
+            plan = plans_local.get(klass)
+            if plan is None:
+                plan = P.plan_for(self.name, klass, header_slots)
+                plans_local[klass] = plan
+            if name is not None:
+                tail = plan.desc_tail
+                if data[pos:pos + len(tail)] == tail:
+                    pos += len(tail)
+                else:
+                    pos = self._slow_parse_class_desc(data, pos, klass, name)
+                desc_instr += plan.desc_de_instr
+                handle_table.append(klass)
+            return pos, plan, klass, tag == TC_ARRAY
 
-        _UNSET = object()
-        kind, payload = start_content()
-        if kind == 0:
-            if payload is None:
-                raise FormatError("stream root must be an object")
-            root_obj = payload  # a leaf object: fully parsed inline
-            stack: List[list] = []
-        else:
-            stack = [payload]
-            root_obj = payload[1]
-        pending = _UNSET
-        while stack:
-            frame = stack[-1]
-            descend = None
-            if frame[0] == 0:  # instance frame
-                obj, ops, words = frame[1], frame[2], frame[4]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[ops[index][1]] = 0 if child is None else child.address
-                    index += 1
-                op_count = len(ops)
-                while True:
-                    index = run_dec_ops(ops, index, words)
-                    if index >= op_count:
-                        break
-                    kind, payload = start_content()
-                    if kind == 0:
-                        words[ops[index][1]] = (
-                            0 if payload is None else payload.address
-                        )
-                        index += 1
-                    else:
-                        descend = payload
-                        break
-                frame[3] = index
-                if descend is None:
-                    if words:
-                        memory.write_words(obj.fields_base, words)
-                    stack.pop()
-                    pending = obj
-            else:  # reference-array frame
-                obj, words = frame[1], frame[2]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[index] = 0 if child is None else child.address
-                    index += 1
-                count = len(words)
-                while index < count:
-                    kind, payload = start_content()
-                    if kind == 0:
-                        words[index] = 0 if payload is None else payload.address
-                        index += 1
-                    else:
-                        descend = payload
-                        break
-                frame[3] = index
-                if descend is None:
-                    memory.write_words(obj.fields_base + 8, words)
-                    stack.pop()
-                    pending = obj
-            if descend is not None:
-                if len(stack) >= max_depth:
-                    limits.check_depth(len(stack) + 1)
-                stack.append(descend)
-
-        instr += reflect_instr + n_data * _INSTR_PER_STREAM_BYTE
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.allocations = allocations
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.aux_random_accesses = aux
-        profile.bytes_read = n_data
-        profile.bytes_written = graph_bytes
-        return DeserializationResult(root_obj, profile)
+        root, profile = P.decode_walk(
+            data, 4, heap, limits, content, _read_u32,
+            ("TC_ARRAY with non-array class", "TC_OBJECT with array class"),
+            handle_table, _INSTR_PER_STREAM_BYTE,
+        )
+        profile.instructions += desc_instr
+        return DeserializationResult(root, profile)

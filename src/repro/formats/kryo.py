@@ -21,14 +21,25 @@ Stream grammar:
              | MARK_ARRAY  classId(varint) length(varint) elements...
 
 Reference fields and reference-array elements recurse into ``content``.
+
+Two implementations decode this grammar. The plan path supplies only the
+Kryo-specific preludes (markers, class-ID and length varints) to the walk
+and driver shared with Java S/D in :mod:`repro.formats.plans`. The
+field-by-field :func:`interpret` is the oracle behind ``use_plans=False``
+and, given the field table :func:`repro.formats.secure.resolve_schemas`
+builds, the schema-evolution decoder of ``VersionedKryo``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import FormatError, TruncatedStreamError
+from repro.common.errors import (
+    FormatError,
+    TruncatedStreamError,
+    UnknownClassError,
+)
 from repro.formats import plans as P
 from repro.formats.base import (
     DeserializationResult,
@@ -40,6 +51,12 @@ from repro.formats.base import (
 from repro.formats.limits import DecodeLimits, resolve_limits
 from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader, StreamWriter
+from repro.formats.varint import (
+    INT32_MAX,
+    INT32_MIN,
+    VarintBytes,
+    int32_range_error,
+)
 from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import Heap, HeapObject
 from repro.jvm.klass import ArrayKlass, FieldKind, InstanceKlass, Klass
@@ -68,12 +85,6 @@ _INSTR_PER_ALLOC = 70  # instantiator fast path
 _INSTR_PER_STREAM_BYTE = 1
 _AUX_ACCESSES_PER_OBJECT_SER = 6  # identity-map probe + insert
 _AUX_ACCESSES_PER_OBJECT_DESER = 1  # resolver table append
-
-_F32 = struct.Struct("<f")
-_F64 = struct.Struct("<d")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_MASK64 = (1 << 64) - 1
 
 
 class KryoSerializer(Serializer):
@@ -198,229 +209,52 @@ class KryoSerializer(Serializer):
     # ------------------------------------------------------- serialize (plan walk)
 
     def _encode_walk(self, root: HeapObject, out):
-        """The plan encoder: one generator walk behind both the plan-path
-        :meth:`serialize` and :meth:`serialize_chunks` (see
-        :mod:`repro.formats.plans`, "chunked execution"). Streams and
-        profiles are identical to the interpreter's.
+        """The plan encoder: Kryo's prelude over the shared walk
+        (:func:`repro.formats.plans.encode_walk`), behind both the
+        plan-path :meth:`serialize` and :meth:`serialize_chunks`.
+
+        The prelude writes the marker, the registration's class-ID varint
+        and, for arrays, the length varint. Nulls are ``MARK_NULL`` and
+        back-references ``MARK_BACKREF`` in the null-check section, with
+        the object-ID varint in the back-references section.
         """
-        heap = root.heap
-        read = heap.memory.read
-        object_at = heap.object_at
-        header_slots = heap.header_slots
         id_of = self.registration.id_of
-        append_varint = P.append_varint
-        append_signed = P.append_signed_varint
-        chunk = P.chunk_bytes_of(out)
-
-        mark_count = 0
-        class_id_count = 0
-        data_count = 0
-        ref_count = 0
-
-        object_ids: Dict[int, int] = {}  # heap address -> object id
-        next_object_id = 0
+        varints = VarintBytes()  # class IDs and back-referenced object IDs
         class_id_bytes: Dict[Klass, bytes] = {}  # per-call: registration-local
+        class_id_count = 0
+        length_count = 0
+        next_object_id = 0
 
-        objects = 0
-        instr = 0
-        reflect_instr = 0
-        aux = 0
-        dep = 0
-        value_fields = 0
-        reference_fields = 0
-        graph_bytes = 0
-
-        plans_local: Dict[Klass, object] = {}
-
-        def emit(obj: HeapObject):
-            """Emit one object's prelude; returns a frame if it has more."""
-            nonlocal out, mark_count, class_id_count, data_count, next_object_id
-            nonlocal objects, instr, reflect_instr, aux, dep
-            nonlocal value_fields, reference_fields, graph_bytes
-            klass = obj.klass
-            plan = plans_local.get(klass)
-            if plan is None:
-                plan = P.plan_for(self.name, klass, header_slots)
-                plans_local[klass] = plan
+        def prelude(klass: Klass, plan, length: Optional[int]) -> int:
+            nonlocal out, class_id_count, length_count, next_object_id
             encoded_id = class_id_bytes.get(klass)
             if encoded_id is None:
-                id_buffer = bytearray()
-                append_varint(id_buffer, id_of(klass))
-                encoded_id = bytes(id_buffer)
-                class_id_bytes[klass] = encoded_id
-            objects += 1
-            aux += plan.ser_aux
-            dep += plan.ser_dep
-            object_ids[obj.address] = next_object_id
-            next_object_id += 1
-            is_array = klass.is_array
-            out.append(MARK_ARRAY if is_array else MARK_OBJECT)
-            mark_count += 1
+                encoded_id = class_id_bytes[klass] = varints[id_of(klass)]
+            out.append(MARK_OBJECT if length is None else MARK_ARRAY)
             out += encoded_id
             class_id_count += len(encoded_id)
-            if is_array:
-                length = obj.length
-                data_count += append_varint(out, length)
-                instr += plan.ser_instr + length * plan.ser_elem_instr
-                graph_bytes += obj.size_bytes
-                element_base = obj.fields_base + 8
-                if plan.is_ref:
-                    reference_fields += length
-                    if length:
-                        addresses = struct.unpack(
-                            f"<{length}Q", read(element_base, length * 8)
-                        )
-                        return [1, addresses, 0]
-                    return None
-                value_fields += length
-                if length == 0:
-                    return None
-                if plan.copy_elements:
-                    nbytes = length * plan.element_width
-                    data_count += nbytes
-                    if 0 < chunk < nbytes:
-                        return [2, element_base, nbytes, 0]
-                    out += read(element_base, nbytes)
-                    return None
-                values = struct.unpack(  # INT/LONG: zig-zag varint each
-                    f"<{length}{plan.varint_code}",
-                    read(element_base, length * plan.element_width),
-                )
-                return [3, values, 0]
-            instr += plan.ser_instr
-            reflect_instr += plan.ser_reflect_instr
-            value_fields += plan.n_prim
-            reference_fields += plan.n_ref
-            data_count += plan.enc_data_bytes
-            graph_bytes += plan.size_bytes
-            raw = read(obj.address, plan.size_bytes)
-            if plan.n_ref == 0:
-                for op, start, end in plan.enc_ops:
-                    if op == P.OP_COPY:
-                        out += raw[start:end]
-                    elif op == P.OP_VARINT:
-                        data_count += append_signed(
-                            out, _I64.unpack_from(raw, start)[0]
-                        )
-                    else:  # OP_FLOAT
-                        out += _F32.pack(_F64.unpack_from(raw, start)[0])
-                return None
-            return [0, plan.enc_ops, 0, raw]
+            if length is not None:
+                length_count += P.append_varint(out, length)
+            object_id = next_object_id
+            next_object_id += 1
+            return object_id
 
-        frame = emit(root)
-        stack: List[list] = [frame] if frame is not None else []
-        while stack:
-            frame = stack[-1]
-            descend = None
-            kind = frame[0]
-            if kind == 0:  # instance: interleaved value/ref ops
-                ops = frame[1]
-                index = frame[2]
-                raw = frame[3]
-                op_count = len(ops)
-                while index < op_count:
-                    if chunk and out.ready_count:
-                        frame[2] = index
-                        yield
-                    op, start, end = ops[index]
-                    index += 1
-                    if op == P.OP_COPY:
-                        out += raw[start:end]
-                    elif op == P.OP_VARINT:
-                        data_count += append_signed(
-                            out, _I64.unpack_from(raw, start)[0]
-                        )
-                    elif op == P.OP_FLOAT:
-                        out += _F32.pack(_F64.unpack_from(raw, start)[0])
-                    else:  # OP_REF
-                        address = _U64.unpack_from(raw, start)[0]
-                        if address == 0:
-                            out.append(MARK_NULL)
-                            mark_count += 1
-                        else:
-                            object_id = object_ids.get(address)
-                            if object_id is not None:
-                                out.append(MARK_BACKREF)
-                                mark_count += 1
-                                ref_count += append_varint(out, object_id)
-                            else:
-                                descend = emit(object_at(address))
-                                if descend is not None:
-                                    break
-                frame[2] = index
-            elif kind == 1:  # reference array
-                addresses = frame[1]
-                index = frame[2]
-                count = len(addresses)
-                while index < count:
-                    if chunk and out.ready_count:
-                        frame[2] = index
-                        yield
-                    address = addresses[index]
-                    index += 1
-                    if address == 0:
-                        out.append(MARK_NULL)
-                        mark_count += 1
-                    else:
-                        object_id = object_ids.get(address)
-                        if object_id is not None:
-                            out.append(MARK_BACKREF)
-                            mark_count += 1
-                            ref_count += append_varint(out, object_id)
-                        else:
-                            descend = emit(object_at(address))
-                            if descend is not None:
-                                break
-                frame[2] = index
-            elif kind == 2:  # verbatim primitive array, chunk-sized slices
-                element_base = frame[1]
-                nbytes = frame[2]
-                offset = frame[3]
-                while offset < nbytes:
-                    if out.ready_count:
-                        frame[3] = offset
-                        yield
-                    step = min(chunk, nbytes - offset)
-                    out += read(element_base + offset, step)
-                    offset += step
-                frame[3] = offset
-            else:  # INT/LONG array, zig-zag varint per element
-                values = frame[1]
-                index = frame[2]
-                count = len(values)
-                while index < count:
-                    if chunk and out.ready_count:
-                        frame[2] = index
-                        yield
-                    data_count += append_signed(out, values[index])
-                    index += 1
-                frame[2] = index
-            if descend is not None:
-                stack.append(descend)
-            else:
-                stack.pop()
-
-        total = len(out)
-        instr += reflect_instr + total * _INSTR_PER_STREAM_BYTE
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.dependent_loads = dep
-        profile.aux_random_accesses = aux
-        profile.bytes_read = graph_bytes
-        profile.bytes_written = total
+        profile, data_count, nulls, backrefs, backref_bytes = yield from P.encode_walk(
+            self.name, root, out, prelude, MARK_NULL, MARK_BACKREF,
+            varints.__getitem__, _INSTR_PER_STREAM_BYTE,
+        )
+        data_count += length_count
         sections = {
-            _SECTION_MARKS: mark_count,
+            _SECTION_MARKS: profile.objects + nulls + backrefs,
             _SECTION_CLASS_IDS: class_id_count,
         }
         if data_count:
             sections[_SECTION_DATA] = data_count
-        if ref_count:
-            sections[_SECTION_REFS] = ref_count
+        if backref_bytes:
+            sections[_SECTION_REFS] = backref_bytes
         return P.ChunkedEncodeSummary(
-            self.name, total, sections, profile, objects, graph_bytes
+            self.name, profile.bytes_written, sections, profile,
+            profile.objects, profile.bytes_read,
         )
 
     # ---------------------------------------------------------------- deserialize
@@ -434,234 +268,41 @@ class KryoSerializer(Serializer):
         limits = resolve_limits(limits)
         if self.use_plans:
             return self._deserialize_planned(stream, heap, limits)
-        limits.check_stream_bytes(len(stream.data))
-        reader = StreamReader(stream.data)
-        profile = WorkProfile()
-        asm = ReflectAsmAccess()
-        objects_by_id: list = []
-
-        def read_primitive(kind: FieldKind):
-            if kind is FieldKind.BOOLEAN:
-                return bool(reader.read_u8())
-            if kind is FieldKind.BYTE:
-                raw = reader.read_u8()
-                return raw - 256 if raw >= 128 else raw
-            if kind in (FieldKind.CHAR, FieldKind.SHORT):
-                raw = reader.read_u16()
-                if kind is FieldKind.SHORT and raw >= 32768:
-                    return raw - 65536
-                return raw
-            if kind in (FieldKind.INT, FieldKind.LONG):
-                return reader.read_signed_varint()
-            if kind is FieldKind.FLOAT:
-                return struct.unpack("<f", reader.read_bytes(4))[0]
-            if kind is FieldKind.DOUBLE:
-                return reader.read_f64()
-            raise FormatError(f"not a primitive kind: {kind}")
-
-        def parse_object(mark: int):
-            class_id = reader.read_varint()
-            klass = self.registration.klass_of(class_id, offset=reader.position)
-            limits.check_objects(len(objects_by_id) + 1)
-            profile.objects += 1
-            profile.allocations += 1
-            profile.add_instructions(_INSTR_PER_OBJECT_DESER + _INSTR_PER_ALLOC)
-            profile.aux_random_accesses += _AUX_ACCESSES_PER_OBJECT_DESER
-            if mark == MARK_ARRAY:
-                if not isinstance(klass, ArrayKlass):
-                    raise FormatError("array marker with non-array class ID")
-                length = reader.read_varint()
-                limits.check_array_length(length)
-                obj = heap.allocate(klass, length)
-                objects_by_id.append(obj)
-                if klass.element_kind.is_reference:
-                    for index in range(length):
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_FIELD_DESER)
-                        child = yield obj
-                        obj.set_element(index, child)
-                else:
-                    # Decode the run, then one bulk heap write.
-                    values = []
-                    for index in range(length):
-                        values.append(read_primitive(klass.element_kind))
-                        profile.value_fields += 1
-                        profile.add_instructions(_INSTR_PER_FIELD_DESER)
-                    obj.set_elements(values)
-            else:
-                if not isinstance(klass, InstanceKlass):
-                    raise FormatError("object marker with array class ID")
-                obj = heap.allocate(klass)
-                objects_by_id.append(obj)
-                for index, descriptor in enumerate(klass.fields):
-                    if descriptor.kind.is_reference:
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_FIELD_DESER)
-                        child = yield obj
-                        asm.set_field_by_index(obj, index, child)
-                    else:
-                        asm.set_field_by_index(
-                            obj, index, read_primitive(descriptor.kind)
-                        )
-                        profile.value_fields += 1
-                        profile.add_instructions(_INSTR_PER_FIELD_DESER)
-            return
-
-        def start_content():
-            mark = reader.read_u8()
-            if mark == MARK_NULL:
-                return ("value", None)
-            if mark == MARK_BACKREF:
-                object_id = reader.read_varint()
-                if object_id >= len(objects_by_id):
-                    raise FormatError(f"forward object reference {object_id}")
-                return ("value", objects_by_id[object_id])
-            if mark in (MARK_OBJECT, MARK_ARRAY):
-                return ("frame", parse_object(mark))
-            raise FormatError(f"unexpected marker {mark:#x}")
-
-        _UNSET = object()
-        kind, payload = start_content()
-        if kind == "value":
-            raise FormatError("stream root must be an object")
-        stack = [payload]
-        object_count_at_frame = [len(objects_by_id)]
-        pending = _UNSET
-        root_obj: Optional[HeapObject] = None
-        while stack:
-            gen = stack[-1]
-            try:
-                if pending is _UNSET:
-                    next(gen)
-                else:
-                    value, pending = pending, _UNSET
-                    gen.send(value)
-                kind, payload = start_content()
-                if kind == "value":
-                    pending = payload
-                else:
-                    limits.check_depth(len(stack) + 1)
-                    stack.append(payload)
-                    object_count_at_frame.append(len(objects_by_id))
-            except StopIteration:
-                stack.pop()
-                frame_first = object_count_at_frame.pop()
-                finished = objects_by_id[frame_first]
-                pending = finished
-                root_obj = finished
-
-        if not isinstance(root_obj, HeapObject):
-            raise FormatError("deserialization produced no root object")
-        profile.bytes_read = len(stream.data)
-        profile.bytes_written = ObjectGraph.from_root(root_obj).total_bytes
-        profile.add_instructions(asm.cost.estimated_instructions())
-        profile.add_instructions(len(stream.data) * _INSTR_PER_STREAM_BYTE)
-        return DeserializationResult(root_obj, profile)
+        return interpret(
+            stream, heap, limits, identity_field_table(self.registration)
+        )
 
     # ----------------------------------------------------- deserialize (plan kernel)
 
     def _deserialize_planned(
         self, stream: SerializedStream, heap: Heap, limits: DecodeLimits
     ) -> DeserializationResult:
-        """Compiled-plan deserialize: identical heap image and profile."""
+        """Compiled-plan deserialize: Kryo's content prelude over the
+        shared decode driver (:func:`repro.formats.plans.decode_walk`);
+        identical heap image and profile to the interpreter's."""
         data = stream.data
         n_data = len(data)
         limits.check_stream_bytes(n_data)
-        max_objects = limits.max_objects
-        max_array_length = limits.max_array_length
-        max_depth = limits.max_depth
-        memory = heap.memory
         header_slots = heap.header_slots
         klass_of = self.registration.klass_of
         read_varint = P.read_varint
-        read_signed = P.read_signed_varint
-        pos = 0
-
         objects_by_id: List[HeapObject] = []
         plans_local: Dict[Klass, object] = {}
 
-        objects = 0
-        allocations = 0
-        instr = 0
-        reflect_instr = 0
-        aux = 0
-        value_fields = 0
-        reference_fields = 0
-        graph_bytes = 0
-
-        def underflow(count: int) -> FormatError:
-            return TruncatedStreamError(
-                offset=pos, needed=count, available=n_data - pos
-            )
-
-        def run_dec_ops(ops, index: int, words: list) -> int:
-            nonlocal pos
-            op_count = len(ops)
-            while index < op_count:
-                op, field_index, extra = ops[index]
-                if op == P.DOP_REF:
-                    return index
-                if op == P.DOP_VARINT:
-                    value, pos = read_signed(data, pos)
-                    words[field_index] = value & _MASK64
-                elif op == P.DOP_WORDS:
-                    nbytes = extra * 8
-                    if pos + nbytes > n_data:
-                        raise underflow(nbytes)
-                    words[field_index:field_index + extra] = struct.unpack_from(
-                        f"<{extra}Q", data, pos
-                    )
-                    pos += nbytes
-                elif op == P.DOP_FLOAT:
-                    if pos + 4 > n_data:
-                        raise underflow(4)
-                    words[field_index] = _U64.unpack(
-                        _F64.pack(_F32.unpack_from(data, pos)[0])
-                    )[0]
-                    pos += 4
-                elif op == P.DOP_BOOL:
-                    if pos >= n_data:
-                        raise underflow(1)
-                    words[field_index] = 1 if data[pos] else 0
-                    pos += 1
-                elif op == P.DOP_BYTE:
-                    if pos >= n_data:
-                        raise underflow(1)
-                    raw = data[pos]
-                    pos += 1
-                    words[field_index] = (
-                        raw if raw < 128 else (raw - 256) & _MASK64
-                    )
-                elif op == P.DOP_CHAR:
-                    if pos + 2 > n_data:
-                        raise underflow(2)
-                    words[field_index] = data[pos] | (data[pos + 1] << 8)
-                    pos += 2
-                else:  # DOP_SHORT
-                    if pos + 2 > n_data:
-                        raise underflow(2)
-                    raw = data[pos] | (data[pos + 1] << 8)
-                    pos += 2
-                    words[field_index] = (
-                        raw if raw < 32768 else (raw - 65536) & _MASK64
-                    )
-                index += 1
-            return index
-
-        def start_content():
-            nonlocal pos, objects, allocations, instr, reflect_instr, aux
-            nonlocal value_fields, reference_fields, graph_bytes
+        def content(pos: int):
             if pos >= n_data:
-                raise underflow(1)
+                raise TruncatedStreamError(
+                    offset=pos, needed=1, available=n_data - pos
+                )
             mark = data[pos]
             pos += 1
             if mark == MARK_NULL:
-                return 0, None
+                return pos, None, None, False
             if mark == MARK_BACKREF:
                 object_id, pos = read_varint(data, pos)
                 if object_id >= len(objects_by_id):
                     raise FormatError(f"forward object reference {object_id}")
-                return 0, objects_by_id[object_id]
+                return pos, None, objects_by_id[object_id], False
             if mark not in (MARK_OBJECT, MARK_ARRAY):
                 raise FormatError(f"unexpected marker {mark:#x}")
             class_id, pos = read_varint(data, pos)
@@ -670,138 +311,189 @@ class KryoSerializer(Serializer):
             if plan is None:
                 plan = P.plan_for(self.name, klass, header_slots)
                 plans_local[klass] = plan
-            objects += 1
-            if objects > max_objects:
-                limits.check_objects(objects)
-            allocations += 1
-            aux += plan.de_aux
-            if mark == MARK_ARRAY:
-                if not isinstance(klass, ArrayKlass):
-                    raise FormatError("array marker with non-array class ID")
-                length, pos = read_varint(data, pos)
-                if length > max_array_length:
-                    limits.check_array_length(length)
-                obj = heap.allocate(klass, length)
-                objects_by_id.append(obj)
-                instr += plan.de_instr + length * plan.de_elem_instr
-                graph_bytes += obj.size_bytes
-                if plan.is_ref:
-                    reference_fields += length
-                    if length == 0:
-                        return 0, obj
-                    return 1, [1, obj, [0] * length, 0]
-                value_fields += length
-                if length == 0:
-                    return 0, obj
-                element_base = obj.fields_base + 8
-                if plan.copy_elements:
-                    nbytes = length * plan.element_width
-                    if pos + nbytes > n_data:
-                        raise underflow(nbytes)
-                    memory.write(element_base, data[pos:pos + nbytes])
-                    pos += nbytes
-                else:  # INT/LONG arrays: zig-zag varint per element
-                    values = []
-                    for _ in range(length):
-                        value, pos = read_signed(data, pos)
-                        values.append(value)
-                    memory.write(
-                        element_base,
-                        struct.pack(f"<{length}{plan.varint_code}", *values),
-                    )
-                return 0, obj
+            return pos, plan, klass, mark == MARK_ARRAY
+
+        root, profile = P.decode_walk(
+            data, 0, heap, limits, content, read_varint,
+            (
+                "array marker with non-array class ID",
+                "object marker with array class ID",
+            ),
+            objects_by_id, _INSTR_PER_STREAM_BYTE,
+        )
+        return DeserializationResult(root, profile)
+
+
+# -- the interpreter ------------------------------------------------------------------
+
+#: Per writer field, in writer order: the reader's field index (``None``
+#: when the reader dropped the field) and the writer's field kind.
+FieldTable = List[Tuple[Klass, Tuple[Tuple[Optional[int], FieldKind], ...]]]
+
+
+def identity_field_table(registration: ClassRegistration) -> FieldTable:
+    """The field table that decodes a stream with the writer's own
+    registration: every class ID to its klass, every field to itself."""
+    return [
+        (
+            klass,
+            ()
+            if klass.is_array
+            else tuple(
+                (index, descriptor.kind)
+                for index, descriptor in enumerate(klass.fields)
+            ),
+        )
+        for klass in registration
+    ]
+
+
+def interpret(
+    stream: SerializedStream,
+    heap: Heap,
+    limits: DecodeLimits,
+    field_table: FieldTable,
+) -> DeserializationResult:
+    """Field-by-field Kryo decode: the oracle the plan kernel is checked
+    against, and the schema-evolution decoder.
+
+    ``field_table[class_id]`` is ``(reader klass, fields)``. The stream's
+    layout comes from the writer's fields; values land in the reader
+    klass's slots. A field the reader dropped is still parsed (reference
+    subtrees included, their objects joining the back-reference table and
+    staying on the heap, unreachable) so object numbering matches the
+    writer's exactly.
+    """
+    limits.check_stream_bytes(len(stream.data))
+    reader = StreamReader(stream.data)
+    profile = WorkProfile()
+    asm = ReflectAsmAccess()
+    objects_by_id: list = []
+
+    def read_primitive(kind: FieldKind):
+        if kind is FieldKind.BOOLEAN:
+            return bool(reader.read_u8())
+        if kind is FieldKind.BYTE:
+            raw = reader.read_u8()
+            return raw - 256 if raw >= 128 else raw
+        if kind in (FieldKind.CHAR, FieldKind.SHORT):
+            raw = reader.read_u16()
+            if kind is FieldKind.SHORT and raw >= 32768:
+                return raw - 65536
+            return raw
+        if kind is FieldKind.INT:
+            value = reader.read_signed_varint()
+            if not INT32_MIN <= value <= INT32_MAX:
+                raise int32_range_error(value)
+            return value
+        if kind is FieldKind.LONG:
+            return reader.read_signed_varint()
+        if kind is FieldKind.FLOAT:
+            return struct.unpack("<f", reader.read_bytes(4))[0]
+        if kind is FieldKind.DOUBLE:
+            return reader.read_f64()
+        raise FormatError(f"not a primitive kind: {kind}")
+
+    def parse_object(mark: int):
+        class_id = reader.read_varint()
+        if class_id >= len(field_table):
+            raise UnknownClassError(
+                class_id,
+                detail=f"registry holds {len(field_table)} classes",
+                offset=reader.position,
+            )
+        klass, fields = field_table[class_id]
+        limits.check_objects(len(objects_by_id) + 1)
+        profile.objects += 1
+        profile.allocations += 1
+        profile.add_instructions(_INSTR_PER_OBJECT_DESER + _INSTR_PER_ALLOC)
+        profile.aux_random_accesses += _AUX_ACCESSES_PER_OBJECT_DESER
+        if mark == MARK_ARRAY:
+            if not isinstance(klass, ArrayKlass):
+                raise FormatError("array marker with non-array class ID")
+            length = reader.read_varint()
+            limits.check_array_length(length)
+            obj = heap.allocate(klass, length)
+            objects_by_id.append(obj)
+            if klass.element_kind.is_reference:
+                for index in range(length):
+                    profile.reference_fields += 1
+                    profile.add_instructions(_INSTR_PER_FIELD_DESER)
+                    child = yield obj
+                    obj.set_element(index, child)
+            else:
+                # Decode the run, then one bulk heap write.
+                values = []
+                for index in range(length):
+                    values.append(read_primitive(klass.element_kind))
+                    profile.value_fields += 1
+                    profile.add_instructions(_INSTR_PER_FIELD_DESER)
+                obj.set_elements(values)
+        else:
             if not isinstance(klass, InstanceKlass):
                 raise FormatError("object marker with array class ID")
             obj = heap.allocate(klass)
             objects_by_id.append(obj)
-            instr += plan.de_instr
-            reflect_instr += plan.de_reflect_instr
-            value_fields += plan.n_prim
-            reference_fields += plan.n_ref
-            graph_bytes += plan.size_bytes
-            words = [0] * plan.field_count
-            if plan.n_ref == 0:
-                run_dec_ops(plan.dec_ops, 0, words)
-                if words:
-                    memory.write_words(obj.fields_base, words)
-                return 0, obj
-            return 1, [0, obj, plan.dec_ops, 0, words]
+            for index, kind in fields:
+                if kind.is_reference:
+                    profile.reference_fields += 1
+                    profile.add_instructions(_INSTR_PER_FIELD_DESER)
+                    value = yield obj
+                else:
+                    value = read_primitive(kind)
+                    profile.value_fields += 1
+                    profile.add_instructions(_INSTR_PER_FIELD_DESER)
+                if index is not None:
+                    asm.set_field_by_index(obj, index, value)
+        return
 
-        _UNSET = object()
-        kind, payload = start_content()
-        if kind == 0:
-            if payload is None:
-                raise FormatError("stream root must be an object")
-            root_obj = payload
-            stack: List[list] = []
-        else:
-            stack = [payload]
-            root_obj = payload[1]
-        pending = _UNSET
-        while stack:
-            frame = stack[-1]
-            descend = None
-            if frame[0] == 0:  # instance frame
-                obj, ops, words = frame[1], frame[2], frame[4]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[ops[index][1]] = 0 if child is None else child.address
-                    index += 1
-                op_count = len(ops)
-                while True:
-                    index = run_dec_ops(ops, index, words)
-                    if index >= op_count:
-                        break
-                    kind, payload = start_content()
-                    if kind == 0:
-                        words[ops[index][1]] = (
-                            0 if payload is None else payload.address
-                        )
-                        index += 1
-                    else:
-                        descend = payload
-                        break
-                frame[3] = index
-                if descend is None:
-                    if words:
-                        memory.write_words(obj.fields_base, words)
-                    stack.pop()
-                    pending = obj
-            else:  # reference-array frame
-                obj, words = frame[1], frame[2]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[index] = 0 if child is None else child.address
-                    index += 1
-                count = len(words)
-                while index < count:
-                    kind, payload = start_content()
-                    if kind == 0:
-                        words[index] = 0 if payload is None else payload.address
-                        index += 1
-                    else:
-                        descend = payload
-                        break
-                frame[3] = index
-                if descend is None:
-                    memory.write_words(obj.fields_base + 8, words)
-                    stack.pop()
-                    pending = obj
-            if descend is not None:
-                if len(stack) >= max_depth:
-                    limits.check_depth(len(stack) + 1)
-                stack.append(descend)
+    def start_content():
+        mark = reader.read_u8()
+        if mark == MARK_NULL:
+            return ("value", None)
+        if mark == MARK_BACKREF:
+            object_id = reader.read_varint()
+            if object_id >= len(objects_by_id):
+                raise FormatError(f"forward object reference {object_id}")
+            return ("value", objects_by_id[object_id])
+        if mark in (MARK_OBJECT, MARK_ARRAY):
+            return ("frame", parse_object(mark))
+        raise FormatError(f"unexpected marker {mark:#x}")
 
-        instr += reflect_instr + n_data * _INSTR_PER_STREAM_BYTE
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.allocations = allocations
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.aux_random_accesses = aux
-        profile.bytes_read = n_data
-        profile.bytes_written = graph_bytes
-        return DeserializationResult(root_obj, profile)
+    _UNSET = object()
+    kind, payload = start_content()
+    if kind == "value":
+        raise FormatError("stream root must be an object")
+    stack = [payload]
+    object_count_at_frame = [len(objects_by_id)]
+    pending = _UNSET
+    root_obj: Optional[HeapObject] = None
+    while stack:
+        gen = stack[-1]
+        try:
+            if pending is _UNSET:
+                next(gen)
+            else:
+                value, pending = pending, _UNSET
+                gen.send(value)
+            kind, payload = start_content()
+            if kind == "value":
+                pending = payload
+            else:
+                limits.check_depth(len(stack) + 1)
+                stack.append(payload)
+                object_count_at_frame.append(len(objects_by_id))
+        except StopIteration:
+            stack.pop()
+            frame_first = object_count_at_frame.pop()
+            finished = objects_by_id[frame_first]
+            pending = finished
+            root_obj = finished
+
+    if not isinstance(root_obj, HeapObject):
+        raise FormatError("deserialization produced no root object")
+    profile.bytes_read = len(stream.data)
+    profile.bytes_written = ObjectGraph.from_root(root_obj).total_bytes
+    profile.add_instructions(asm.cost.estimated_instructions())
+    profile.add_instructions(len(stream.data) * _INSTR_PER_STREAM_BYTE)
+    return DeserializationResult(root_obj, profile)

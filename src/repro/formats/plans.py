@@ -32,6 +32,16 @@ pair into flat data a tight kernel can execute:
   integers per object. Plan-path profiles are *identical* to interpreter
   profiles, not approximations — the CPU cost model sees the same work.
 
+Java S/D and Kryo run their plans through one pair of kernels defined
+here: :func:`encode_walk` (the frame-stack encode walk: instance op
+replay, reference-array and primitive-array frames, the final
+:class:`~repro.formats.base.WorkProfile`) and :func:`decode_walk` (the
+matching frame-stack decode driver). Each format passes in only what is
+its own: the per-object prelude (Java's tags and class descriptors,
+Kryo's markers and class-ID varints), its null and back-reference marker
+bytes and handle encoding, and its mapping of the walk's counts onto its
+stream sections. The shared code never branches on the format.
+
 Plans live in a process-wide cache keyed on a stable **klass fingerprint**
 (name + field signature, or array element kind), so every serializer
 instance, service shard, and benchmark in the process shares one compiled
@@ -52,10 +62,14 @@ import struct
 from hashlib import sha256
 from typing import Dict, List, Tuple
 
-from repro.common.errors import FormatError
-from repro.formats.varint import (  # noqa: F401  (re-exported: kernel API)
+from repro.common.errors import FormatError, TruncatedStreamError
+from repro.formats.base import WorkProfile
+from repro.formats.varint import (
+    INT32_MAX,
+    INT32_MIN,
     append_signed_varint,
     append_varint,
+    int32_range_error,
     read_signed_varint,
     read_varint,
 )
@@ -78,7 +92,8 @@ DOP_SHORT = 4   # u16 -> sign-extended slot word
 DOP_INT = 5     # u32 -> sign-extended slot word
 DOP_FLOAT = 6   # f32 -> f64-bit slot word
 DOP_WORDS = 7   # (index, count): run of verbatim 8-byte fields, bulk unpack
-DOP_VARINT = 8  # zig-zag varint -> slot word (Kryo INT/LONG)
+DOP_VARINT = 8  # zig-zag varint -> slot word (Kryo LONG)
+DOP_INT_VARINT = 9  # zig-zag varint, checked to int32 -> slot word (Kryo INT)
 
 _U64_MASK = (1 << 64) - 1
 
@@ -100,11 +115,6 @@ _DECODE_OPS = {
     FieldKind.INT: DOP_INT,
     FieldKind.FLOAT: DOP_FLOAT,
 }
-
-
-# The varint codecs (``append_varint`` / ``read_varint`` and zig-zag
-# variants) now live in :mod:`repro.formats.varint` and are re-exported
-# above for the Kryo kernels that import them from here.
 
 
 # -- plan containers ---------------------------------------------------------------
@@ -417,7 +427,9 @@ def _field_ops(
             n_ref += 1
         elif kind in varint_kinds:
             enc.append((OP_VARINT, offset, 0))
-            dec.append((DOP_VARINT, index, 0))
+            dec.append(
+                (DOP_INT_VARINT if kind is FieldKind.INT else DOP_VARINT, index, 0)
+            )
         elif kind is FieldKind.FLOAT:
             enc.append((OP_FLOAT, offset, 0))
             dec.append((DOP_FLOAT, index, 0))
@@ -605,11 +617,480 @@ def _compile_cereal(klass: Klass, header_slots: int, length: int):
     return plan
 
 
+# -- the shared Java/Kryo kernels ------------------------------------------------------
+#
+# Java S/D and Kryo walk the object graph the same way (paper Fig 1(b)/(c)):
+# depth first in field order, each object written once, null and revisited
+# references as markers. They differ only in per-object metadata, so one
+# encode walk and one decode driver run both. Each format supplies its
+# prelude (tag, class descriptor or class ID, array length), its marker
+# bytes and its handle encoding, and maps the counts the walk returns onto
+# its own stream sections.
+
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_I32 = struct.Struct("<i")
+
+
+def encode_walk(
+    format_name, root, out, prelude, null_mark, backref_mark, pack_handle,
+    byte_instr,
+):
+    """The plan encoder behind Java S/D's and Kryo's ``_encode_walk``.
+
+    Per object: one plan-cache probe, ``prelude(klass, plan, length)``
+    (``length`` is ``None`` for an instance), which writes the format's
+    header and returns the object's back-reference handle, then one bulk
+    image read and a straight-line replay of the plan's merged
+    copy/convert/varint/ref ops. A null reference writes ``null_mark``; a
+    revisited object writes ``backref_mark`` then the bytes
+    ``pack_handle(handle)`` returns. Profile
+    deltas come pre-summed from the plan, so the :class:`WorkProfile`
+    equals the interpreter's.
+
+    A generator (see "chunked execution" below); it returns
+    ``(profile, data_bytes, nulls, backrefs, backref_bytes)``, where
+    ``data_bytes`` counts field and element bytes, not the prelude's.
+    """
+    heap = root.heap
+    read = heap.memory.read
+    object_at = heap.object_at
+    header_slots = heap.header_slots
+    chunk = chunk_bytes_of(out)
+
+    handles: Dict[int, int] = {}  # heap address -> back-reference handle
+    plans_local: Dict[Klass, object] = {}
+
+    objects = 0
+    instr = 0
+    aux = 0
+    dep = 0
+    value_fields = 0
+    reference_fields = 0
+    graph_bytes = 0
+    data_bytes = 0
+    nulls = 0
+    backrefs = 0
+    backref_bytes = 0
+
+    def emit(obj):
+        """Emit one object's prelude; returns a frame if it has more."""
+        nonlocal out, objects, instr, aux, dep
+        nonlocal value_fields, reference_fields, graph_bytes, data_bytes
+        klass = obj.klass
+        plan = plans_local.get(klass)
+        if plan is None:
+            plan = plan_for(format_name, klass, header_slots)
+            plans_local[klass] = plan
+        objects += 1
+        aux += plan.ser_aux
+        dep += plan.ser_dep
+        if klass.is_array:
+            length = obj.length
+            handles[obj.address] = prelude(klass, plan, length)
+            instr += plan.ser_instr + length * plan.ser_elem_instr
+            graph_bytes += obj.size_bytes
+            element_base = obj.fields_base + 8
+            if plan.is_ref:
+                reference_fields += length
+                if length:
+                    addresses = struct.unpack(
+                        f"<{length}Q", read(element_base, length * 8)
+                    )
+                    return [1, addresses, 0]
+                return None
+            value_fields += length
+            if length == 0:
+                return None
+            if plan.copy_elements:
+                nbytes = length * plan.element_width
+                data_bytes += nbytes
+                if 0 < chunk < nbytes:
+                    return [2, element_base, nbytes, 0]
+                out += read(element_base, nbytes)
+                return None
+            values = struct.unpack(  # Kryo INT/LONG: zig-zag varint each
+                f"<{length}{plan.varint_code}",
+                read(element_base, length * plan.element_width),
+            )
+            return [3, values, 0]
+        handles[obj.address] = prelude(klass, plan, None)
+        instr += plan.ser_instr + plan.ser_reflect_instr
+        value_fields += plan.n_prim
+        reference_fields += plan.n_ref
+        data_bytes += plan.enc_data_bytes
+        graph_bytes += plan.size_bytes
+        raw = read(obj.address, plan.size_bytes)
+        if plan.n_ref == 0:
+            for op, start, end in plan.enc_ops:
+                if op == OP_COPY:
+                    out += raw[start:end]
+                elif op == OP_VARINT:
+                    data_bytes += append_signed_varint(
+                        out, _I64.unpack_from(raw, start)[0]
+                    )
+                else:  # OP_FLOAT
+                    out += _F32.pack(_F64.unpack_from(raw, start)[0])
+            return None
+        return [0, plan.enc_ops, 0, raw]
+
+    frame = emit(root)
+    stack: List[list] = [frame] if frame is not None else []
+    while stack:
+        frame = stack[-1]
+        descend = None
+        kind = frame[0]
+        if kind == 0:  # instance: interleaved value/ref ops
+            ops = frame[1]
+            index = frame[2]
+            raw = frame[3]
+            op_count = len(ops)
+            while index < op_count:
+                if chunk and out.ready_count:
+                    frame[2] = index
+                    yield
+                op, start, end = ops[index]
+                index += 1
+                if op == OP_COPY:
+                    out += raw[start:end]
+                elif op == OP_VARINT:
+                    data_bytes += append_signed_varint(
+                        out, _I64.unpack_from(raw, start)[0]
+                    )
+                elif op == OP_FLOAT:
+                    out += _F32.pack(_F64.unpack_from(raw, start)[0])
+                else:  # OP_REF
+                    address = _U64.unpack_from(raw, start)[0]
+                    if address == 0:
+                        out.append(null_mark)
+                        nulls += 1
+                    else:
+                        handle = handles.get(address)
+                        if handle is not None:
+                            out.append(backref_mark)
+                            backrefs += 1
+                            encoded = pack_handle(handle)
+                            out += encoded
+                            backref_bytes += len(encoded)
+                        else:
+                            descend = emit(object_at(address))
+                            if descend is not None:
+                                break
+            frame[2] = index
+        elif kind == 1:  # reference array: a run of ref slots
+            addresses = frame[1]
+            index = frame[2]
+            count = len(addresses)
+            while index < count:
+                if chunk and out.ready_count:
+                    frame[2] = index
+                    yield
+                address = addresses[index]
+                index += 1
+                if address == 0:
+                    out.append(null_mark)
+                    nulls += 1
+                else:
+                    handle = handles.get(address)
+                    if handle is not None:
+                        out.append(backref_mark)
+                        backrefs += 1
+                        encoded = pack_handle(handle)
+                        out += encoded
+                        backref_bytes += len(encoded)
+                    else:
+                        descend = emit(object_at(address))
+                        if descend is not None:
+                            break
+            frame[2] = index
+        elif kind == 2:  # verbatim primitive array, chunk-sized slices
+            element_base = frame[1]
+            nbytes = frame[2]
+            offset = frame[3]
+            while offset < nbytes:
+                if out.ready_count:
+                    frame[3] = offset
+                    yield
+                step = min(chunk, nbytes - offset)
+                out += read(element_base + offset, step)
+                offset += step
+            frame[3] = offset
+        else:  # Kryo INT/LONG array, zig-zag varint per element
+            values = frame[1]
+            index = frame[2]
+            count = len(values)
+            while index < count:
+                if chunk and out.ready_count:
+                    frame[2] = index
+                    yield
+                data_bytes += append_signed_varint(out, values[index])
+                index += 1
+            frame[2] = index
+        if descend is not None:
+            stack.append(descend)
+        else:
+            stack.pop()
+
+    total = len(out)
+    profile = WorkProfile()
+    profile.instructions = instr + total * byte_instr
+    profile.objects = objects
+    profile.value_fields = value_fields
+    profile.reference_fields = reference_fields
+    profile.dependent_loads = dep
+    profile.aux_random_accesses = aux
+    profile.bytes_read = graph_bytes
+    profile.bytes_written = total
+    return profile, data_bytes, nulls, backrefs, backref_bytes
+
+
+def decode_walk(
+    data, pos, heap, limits, content, read_length, kind_errors, handles,
+    byte_instr,
+):
+    """The plan decoder behind Java S/D's and Kryo's planned deserialize.
+
+    Decodes ``data`` from ``pos`` onto ``heap`` with an explicit frame
+    stack; returns ``(root, profile)`` with the interpreter's exact heap
+    image and :class:`WorkProfile`. ``content(pos)`` parses one content
+    item's format-specific prelude and returns ``(pos, plan, target,
+    is_array)``: ``plan`` is ``None`` for a null or back-reference, whose
+    value ``target`` is, and otherwise ``target`` is the klass of a new
+    object with tag ``is_array``. ``read_length(data, pos)`` returns
+    ``(array length, pos)``. ``kind_errors`` holds the messages for an
+    array tag naming an instance class and the reverse. Every allocated
+    object is appended to ``handles``, the format's back-reference table.
+
+    Field values accumulate into a slot-word list committed with one bulk
+    ``write_words`` per object, preserving the interpreter's allocation
+    order (and therefore identity hashes).
+    """
+    n_data = len(data)
+    max_objects = limits.max_objects
+    max_array_length = limits.max_array_length
+    max_depth = limits.max_depth
+    memory = heap.memory
+
+    objects = 0
+    instr = 0
+    aux = 0
+    value_fields = 0
+    reference_fields = 0
+    graph_bytes = 0
+
+    def underflow(count: int) -> FormatError:
+        return TruncatedStreamError(
+            offset=pos, needed=count, available=n_data - pos
+        )
+
+    def run_dec_ops(ops, index: int, words: list) -> int:
+        """Execute decode ops until done or the next DOP_REF; returns
+        the op index where execution stopped."""
+        nonlocal pos
+        op_count = len(ops)
+        while index < op_count:
+            op, field_index, extra = ops[index]
+            if op == DOP_REF:
+                return index
+            if op == DOP_WORDS:
+                nbytes = extra * 8
+                if pos + nbytes > n_data:
+                    raise underflow(nbytes)
+                words[field_index:field_index + extra] = struct.unpack_from(
+                    f"<{extra}Q", data, pos
+                )
+                pos += nbytes
+            elif op == DOP_VARINT:
+                value, pos = read_signed_varint(data, pos)
+                words[field_index] = value & _U64_MASK
+            elif op == DOP_INT_VARINT:
+                value, pos = read_signed_varint(data, pos)
+                if not INT32_MIN <= value <= INT32_MAX:
+                    raise int32_range_error(value)
+                words[field_index] = value & _U64_MASK
+            elif op == DOP_INT:
+                if pos + 4 > n_data:
+                    raise underflow(4)
+                words[field_index] = _I32.unpack_from(data, pos)[0] & _U64_MASK
+                pos += 4
+            elif op == DOP_FLOAT:
+                if pos + 4 > n_data:
+                    raise underflow(4)
+                words[field_index] = _U64.unpack(
+                    _F64.pack(_F32.unpack_from(data, pos)[0])
+                )[0]
+                pos += 4
+            elif op == DOP_BOOL:
+                if pos >= n_data:
+                    raise underflow(1)
+                words[field_index] = 1 if data[pos] else 0
+                pos += 1
+            elif op == DOP_BYTE:
+                if pos >= n_data:
+                    raise underflow(1)
+                raw = data[pos]
+                pos += 1
+                words[field_index] = raw if raw < 128 else (raw - 256) & _U64_MASK
+            elif op == DOP_CHAR:
+                if pos + 2 > n_data:
+                    raise underflow(2)
+                words[field_index] = data[pos] | (data[pos + 1] << 8)
+                pos += 2
+            else:  # DOP_SHORT
+                if pos + 2 > n_data:
+                    raise underflow(2)
+                raw = data[pos] | (data[pos + 1] << 8)
+                pos += 2
+                words[field_index] = (
+                    raw if raw < 32768 else (raw - 65536) & _U64_MASK
+                )
+            index += 1
+        return index
+
+    def new_object(plan, klass, is_array: bool):
+        """Allocate and parse one new object: ``(obj, None)`` when it is
+        complete, ``(obj, frame)`` when it awaits reference children."""
+        nonlocal pos, objects, instr, aux
+        nonlocal value_fields, reference_fields, graph_bytes
+        objects += 1
+        if objects > max_objects:
+            limits.check_objects(objects)
+        aux += plan.de_aux
+        if is_array:
+            if not klass.is_array:
+                raise FormatError(kind_errors[0])
+            length, pos = read_length(data, pos)
+            if length > max_array_length:
+                limits.check_array_length(length)
+            obj = heap.allocate(klass, length)
+            handles.append(obj)
+            instr += plan.de_instr + length * plan.de_elem_instr
+            graph_bytes += obj.size_bytes
+            if plan.is_ref:
+                reference_fields += length
+                if length == 0:
+                    return obj, None
+                return obj, [1, obj, [0] * length, 0]
+            value_fields += length
+            if length == 0:
+                return obj, None
+            element_base = obj.fields_base + 8
+            if plan.copy_elements:
+                nbytes = length * plan.element_width
+                if pos + nbytes > n_data:
+                    raise underflow(nbytes)
+                memory.write(element_base, data[pos:pos + nbytes])
+                pos += nbytes
+            else:  # Kryo INT/LONG arrays: zig-zag varint per element
+                int32 = plan.element_kind is FieldKind.INT
+                values = []
+                for _ in range(length):
+                    value, pos = read_signed_varint(data, pos)
+                    if int32 and not INT32_MIN <= value <= INT32_MAX:
+                        raise int32_range_error(value)
+                    values.append(value)
+                memory.write(
+                    element_base,
+                    struct.pack(f"<{length}{plan.varint_code}", *values),
+                )
+            return obj, None
+        if klass.is_array:
+            raise FormatError(kind_errors[1])
+        obj = heap.allocate(klass)
+        handles.append(obj)
+        instr += plan.de_instr + plan.de_reflect_instr
+        value_fields += plan.n_prim
+        reference_fields += plan.n_ref
+        graph_bytes += plan.size_bytes
+        words = [0] * plan.field_count
+        if plan.n_ref == 0:
+            run_dec_ops(plan.dec_ops, 0, words)
+            if words:
+                memory.write_words(obj.fields_base, words)
+            return obj, None
+        return obj, [0, obj, plan.dec_ops, 0, words]
+
+    _UNSET = object()
+    pos, plan, target, is_array = content(pos)
+    if plan is None:
+        raise FormatError("stream root must be an object")
+    root_obj, frame = new_object(plan, target, is_array)
+    stack: List[list] = [frame] if frame is not None else []
+    pending = _UNSET
+    while stack:
+        frame = stack[-1]
+        descend = None
+        if frame[0] == 0:  # instance frame
+            obj, ops, words = frame[1], frame[2], frame[4]
+            index = frame[3]
+            if pending is not _UNSET:
+                child, pending = pending, _UNSET
+                words[ops[index][1]] = 0 if child is None else child.address
+                index += 1
+            op_count = len(ops)
+            while True:
+                index = run_dec_ops(ops, index, words)
+                if index >= op_count:
+                    break
+                pos, plan, target, is_array = content(pos)
+                if plan is not None:
+                    target, descend = new_object(plan, target, is_array)
+                    if descend is not None:
+                        break
+                words[ops[index][1]] = 0 if target is None else target.address
+                index += 1
+            frame[3] = index
+            if descend is None:
+                if words:
+                    memory.write_words(obj.fields_base, words)
+                stack.pop()
+                pending = obj
+        else:  # reference-array frame
+            obj, words = frame[1], frame[2]
+            index = frame[3]
+            if pending is not _UNSET:
+                child, pending = pending, _UNSET
+                words[index] = 0 if child is None else child.address
+                index += 1
+            count = len(words)
+            while index < count:
+                pos, plan, target, is_array = content(pos)
+                if plan is not None:
+                    target, descend = new_object(plan, target, is_array)
+                    if descend is not None:
+                        break
+                words[index] = 0 if target is None else target.address
+                index += 1
+            frame[3] = index
+            if descend is None:
+                memory.write_words(obj.fields_base + 8, words)
+                stack.pop()
+                pending = obj
+        if descend is not None:
+            if len(stack) >= max_depth:
+                limits.check_depth(len(stack) + 1)
+            stack.append(descend)
+
+    profile = WorkProfile()
+    profile.instructions = instr + n_data * byte_instr
+    profile.objects = objects
+    profile.allocations = objects
+    profile.value_fields = value_fields
+    profile.reference_fields = reference_fields
+    profile.aux_random_accesses = aux
+    profile.bytes_read = n_data
+    profile.bytes_written = graph_bytes
+    return root_obj, profile
+
+
 # -- chunked execution ---------------------------------------------------------------
 #
 # Each plan-path format has one encoder: a private generator walk
-# (``_encode_walk(root, out)`` on the serializer) that writes the stream
-# into ``out`` and returns a :class:`ChunkedEncodeSummary`. The walk is an
+# (``_encode_walk(root, out)`` on the serializer; Java S/D's and Kryo's
+# delegate to :func:`encode_walk`) that writes the stream into ``out`` and
+# returns a :class:`ChunkedEncodeSummary`. The walk is an
 # append-only writer: every byte goes through ``out += ...`` /
 # ``out.append(...)`` and the only read-back is ``len(out)`` (to measure
 # what a step wrote). That contract lets one walk serve both front doors:

@@ -17,11 +17,17 @@ against the *reader's* registry:
 
 * fingerprints all match and class IDs align → the payload is handed to
   the plan-kernel Kryo decoder untouched (identity fast path);
-* field added by the reader → decoded as its zero default;
-* field removed by the reader → decoded per the writer's schema and
-  discarded (reference subtrees are still fully parsed so back-reference
-  numbering stays consistent);
-* fields reordered → matched by name;
+* otherwise → the resolution becomes a per-class-ID field table for the
+  Kryo interpreter (:func:`repro.formats.kryo.interpret`, the same one
+  that serves as the plan kernel's oracle), which decodes the writer's
+  layout into the reader's classes:
+
+  * field added by the reader → decoded as its zero default;
+  * field removed by the reader → decoded per the writer's schema and
+    discarded (reference subtrees are still fully parsed so
+    back-reference numbering stays consistent);
+  * fields reordered or class IDs renumbered → matched by name;
+
 * same-name field with a different kind, or an array whose element kind
   changed → :class:`SchemaMismatchError`;
 * writer class the reader never registered → :class:`UnknownClassError`.
@@ -52,15 +58,8 @@ from repro.formats.base import (
     SerializationResult,
     SerializedStream,
     Serializer,
-    WorkProfile,
 )
-from repro.formats.kryo import (
-    KryoSerializer,
-    MARK_ARRAY,
-    MARK_BACKREF,
-    MARK_NULL,
-    MARK_OBJECT,
-)
+from repro.formats.kryo import KryoSerializer, interpret
 from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits, resolve_limits
 from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader, StreamWriter
@@ -359,9 +358,10 @@ class _Resolution:
     """How one writer class decodes against the reader's registry."""
 
     reader_klass: Klass
-    element_kind: Optional[FieldKind]
-    # Per writer field, in writer order: (name, writer kind, reader keeps it).
-    fields: Tuple[Tuple[str, FieldKind, bool], ...]
+    # Per writer field, in writer order: (reader field index, or None when
+    # the reader dropped it; writer kind). The Kryo interpreter's field
+    # table entry for this class is (reader_klass, fields).
+    fields: Tuple[Tuple[Optional[int], FieldKind], ...]
     identical: bool  # fingerprint matches AND the class ID aligns
 
 
@@ -400,30 +400,30 @@ def resolve_schemas(
                     f"{schema.element_kind.value} to "
                     f"{reader_klass.element_kind.value}"
                 )
-            fields: Tuple[Tuple[str, FieldKind, bool], ...] = ()
+            fields: Tuple[Tuple[Optional[int], FieldKind], ...] = ()
         else:
             assert isinstance(reader_klass, InstanceKlass)
-            reader_kinds = {
-                descriptor.name: descriptor.kind
-                for descriptor in reader_klass.fields
+            reader_fields = {
+                descriptor.name: (index, descriptor.kind)
+                for index, descriptor in enumerate(reader_klass.fields)
             }
             resolved = []
             for field_name, writer_kind in schema.fields:
-                reader_kind = reader_kinds.get(field_name)
+                reader_index, reader_kind = reader_fields.get(
+                    field_name, (None, None)
+                )
                 if reader_kind is not None and reader_kind is not writer_kind:
                     raise SchemaMismatchError(
                         f"field {schema.name}.{field_name} changed kind from "
                         f"{writer_kind.value} to {reader_kind.value}"
                     )
-                resolved.append((field_name, writer_kind, reader_kind is not None))
+                resolved.append((reader_index, writer_kind))
             fields = tuple(resolved)
         identical = (
             reader_id == writer_id
             and schema.fingerprint == schema_fingerprint(reader_klass)
         )
-        resolutions.append(
-            _Resolution(reader_klass, schema.element_kind, fields, identical)
-        )
+        resolutions.append(_Resolution(reader_klass, fields, identical))
     return resolutions
 
 
@@ -434,8 +434,8 @@ class VersionedKryo(Serializer):
     ordinary Kryo payload. Deserialize resolves the stream's writer schema
     against *this* (possibly newer or older) registration: the identity
     fast path delegates to the plan-kernel Kryo decoder; any evolution
-    falls back to a field-by-name interpreter that honors add/remove/
-    reorder.
+    runs the Kryo interpreter over the resolved field table, which
+    honors add/remove/reorder and renumbered class IDs.
     """
 
     name = "kryo-versioned"
@@ -490,139 +490,6 @@ class VersionedKryo(Serializer):
             get_registry().counter("schema.resolved", outcome="identity").inc()
             return self.kryo.deserialize(payload, heap, limits=limits)
         get_registry().counter("schema.resolved", outcome="evolved").inc()
-        return self._deserialize_evolved(payload, heap, resolutions, limits)
-
-    def _deserialize_evolved(
-        self,
-        stream: SerializedStream,
-        heap: Heap,
-        resolutions: List[_Resolution],
-        limits: DecodeLimits,
-    ) -> DeserializationResult:
-        """Field-by-name interpreter over the writer's stream layout.
-
-        Structure comes from the *writer's* schema (what the bytes contain);
-        destinations come from the *reader's* klass. Writer-only reference
-        subtrees are still fully decoded — their objects join the back-
-        reference table (and stay on the heap, unreachable) so object
-        numbering matches the writer's exactly.
-        """
-        reader = StreamReader(stream.data)
-        profile = WorkProfile()
-        objects_by_id: List[HeapObject] = []
-
-        def read_primitive(kind: FieldKind):
-            if kind is FieldKind.BOOLEAN:
-                return bool(reader.read_u8())
-            if kind is FieldKind.BYTE:
-                raw = reader.read_u8()
-                return raw - 256 if raw >= 128 else raw
-            if kind in (FieldKind.CHAR, FieldKind.SHORT):
-                raw = reader.read_u16()
-                if kind is FieldKind.SHORT and raw >= 32768:
-                    return raw - 65536
-                return raw
-            if kind in (FieldKind.INT, FieldKind.LONG):
-                return reader.read_signed_varint()
-            if kind is FieldKind.FLOAT:
-                return struct.unpack("<f", reader.read_bytes(4))[0]
-            if kind is FieldKind.DOUBLE:
-                return reader.read_f64()
-            raise FormatError(f"not a primitive kind: {kind}")
-
-        def parse_object(mark: int):
-            class_id = reader.read_varint()
-            if class_id >= len(resolutions):
-                raise UnknownClassError(
-                    class_id,
-                    detail="beyond the writer's schema header",
-                    offset=reader.position,
-                )
-            resolution = resolutions[class_id]
-            klass = resolution.reader_klass
-            limits.check_objects(len(objects_by_id) + 1)
-            profile.objects += 1
-            profile.allocations += 1
-            if mark == MARK_ARRAY:
-                if not isinstance(klass, ArrayKlass):
-                    raise FormatError("array marker with non-array class ID")
-                length = reader.read_varint()
-                limits.check_array_length(length)
-                obj = heap.allocate(klass, length)
-                objects_by_id.append(obj)
-                if klass.element_kind.is_reference:
-                    for index in range(length):
-                        profile.reference_fields += 1
-                        child = yield obj
-                        obj.set_element(index, child)
-                else:
-                    values = []
-                    for _ in range(length):
-                        values.append(read_primitive(klass.element_kind))
-                        profile.value_fields += 1
-                    obj.set_elements(values)
-            else:
-                if not isinstance(klass, InstanceKlass):
-                    raise FormatError("object marker with array class ID")
-                obj = heap.allocate(klass)
-                objects_by_id.append(obj)
-                for field_name, writer_kind, reader_has in resolution.fields:
-                    if writer_kind.is_reference:
-                        profile.reference_fields += 1
-                        child = yield obj
-                        if reader_has:
-                            obj.set(field_name, child)
-                    else:
-                        value = read_primitive(writer_kind)
-                        profile.value_fields += 1
-                        if reader_has:
-                            obj.set(field_name, value)
-            return
-
-        def start_content():
-            mark = reader.read_u8()
-            if mark == MARK_NULL:
-                return ("value", None)
-            if mark == MARK_BACKREF:
-                object_id = reader.read_varint()
-                if object_id >= len(objects_by_id):
-                    raise FormatError(f"forward object reference {object_id}")
-                return ("value", objects_by_id[object_id])
-            if mark in (MARK_OBJECT, MARK_ARRAY):
-                return ("frame", parse_object(mark))
-            raise FormatError(f"unexpected marker {mark:#x}")
-
-        _UNSET = object()
-        kind, payload = start_content()
-        if kind == "value":
-            raise FormatError("stream root must be an object")
-        stack = [payload]
-        object_count_at_frame = [len(objects_by_id)]
-        pending = _UNSET
-        root_obj: Optional[HeapObject] = None
-        while stack:
-            gen = stack[-1]
-            try:
-                if pending is _UNSET:
-                    next(gen)
-                else:
-                    value, pending = pending, _UNSET
-                    gen.send(value)
-                kind, payload = start_content()
-                if kind == "value":
-                    pending = payload
-                else:
-                    limits.check_depth(len(stack) + 1)
-                    stack.append(payload)
-                    object_count_at_frame.append(len(objects_by_id))
-            except StopIteration:
-                stack.pop()
-                frame_first = object_count_at_frame.pop()
-                finished = objects_by_id[frame_first]
-                pending = finished
-                root_obj = finished
-
-        if not isinstance(root_obj, HeapObject):
-            raise FormatError("deserialization produced no root object")
-        profile.bytes_read = len(stream.data)
-        return DeserializationResult(root_obj, profile)
+        return interpret(
+            payload, heap, limits, [(r.reader_klass, r.fields) for r in resolutions]
+        )

@@ -151,11 +151,6 @@ def unframe_chunk(data) -> Tuple[int, memoryview, bool]:
     return seq, payload, bool(flags & CHUNK_FLAG_LAST)
 
 
-def looks_chunk_framed(data) -> bool:
-    """Cheap sniff: does ``data`` start with the chunk-frame magic?"""
-    return len(data) >= CHUNK_HEADER_BYTES and bytes(data[:4]) == CHUNK_MAGIC
-
-
 # -- chunk sinks / sources ----------------------------------------------------------
 
 

@@ -27,6 +27,11 @@ from repro.common.errors import (
 
 _U64_MASK = (1 << 64) - 1
 
+# A Kryo INT travels as a zig-zag varint that may name any i64; the
+# decoders accept only values a Java ``int`` can hold.
+INT32_MIN = -(1 << 31)
+INT32_MAX = (1 << 31) - 1
+
 
 def zigzag_encode(value: int) -> int:
     """Signed i64 -> unsigned zig-zag u64."""
@@ -72,6 +77,23 @@ def append_signed_varint(out: bytearray, value: int) -> int:
             return length
 
 
+class VarintBytes(dict):
+    """Memo of unsigned LEB128 encodings: ``memo[value]`` is the bytes.
+
+    An encoder that writes the same values again and again (Kryo's
+    back-reference object IDs) looks them up instead of re-encoding:
+    a hit is one dict probe.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> bytes:
+        buffer = bytearray()
+        append_varint(buffer, value)
+        encoded = self[value] = bytes(buffer)
+        return encoded
+
+
 def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
     """Unsigned LEB128 decode at ``pos``; returns ``(value, new_pos)``.
 
@@ -110,3 +132,10 @@ def read_signed_varint(data: bytes, pos: int) -> Tuple[int, int]:
     if value & 1:
         decoded = ~decoded
     return decoded, pos
+
+
+def int32_range_error(value: int) -> MalformedVarintError:
+    """The rejection for an INT varint that decodes outside int32."""
+    return MalformedVarintError(
+        f"INT varint decodes to {value}, outside the int32 range"
+    )

@@ -620,18 +620,9 @@ class HeapObject:
         """
         return self.layout().bitmap_bits()
 
-    def layout_bitmap_word(self) -> "tuple[int, int]":
-        """The layout bitmap as an MSB-first ``(word, width)`` pair."""
-        layout = self.layout()
-        return layout.bitmap_word, layout.bitmap_width
-
     def image_words(self) -> tuple:
         """Every 8 B word of the object image (header included), bulk-read."""
         return self.heap.memory.read_words(self.address, self.total_slots)
-
-    def raw_bytes(self) -> bytes:
-        """The object's raw memory image (header + all slots)."""
-        return self.heap.memory.read(self.address, self.size_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         suffix = f"[{self.length}]" if self.klass.is_array else ""

@@ -149,17 +149,6 @@ class InstanceKlass(Klass):
         except KeyError:
             raise HeapError(f"class {self.name} has no field {name!r}") from None
 
-    def field_kind(self, name: str) -> FieldKind:
-        return self.fields[self.field_index(name)].kind
-
-    @property
-    def reference_field_names(self) -> List[str]:
-        return [d.name for d in self.fields if d.kind.is_reference]
-
-    @property
-    def primitive_field_names(self) -> List[str]:
-        return [d.name for d in self.fields if not d.kind.is_reference]
-
 
 class ArrayKlass(Klass):
     """An array class: one length slot, then the packed element storage.

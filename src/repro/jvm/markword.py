@@ -67,9 +67,6 @@ class MarkWord:
             gc_state=(word >> _GC_SHIFT) & _GC_MASK,
         )
 
-    def with_hash(self, identity_hash: int) -> "MarkWord":
-        return MarkWord(identity_hash, self.sync_state, self.gc_state)
-
 
 def identity_hash_for(address: int, salt: int = 0x9E3779B9) -> int:
     """Deterministic 31-bit identity hash derived from the allocation address.

@@ -87,10 +87,6 @@ class MemoryTrace:
         return sum(~length for length in self.lengths if length < 0)
 
     @property
-    def read_count(self) -> int:
-        return self.total_count - self.write_count
-
-    @property
     def write_count(self) -> int:
         return sum(1 for length in self.lengths if length < 0)
 

@@ -216,9 +216,6 @@ class ExecutorMemoryManager:
     def heap_room(self, nbytes: int) -> bool:
         return self.on_heap_bytes + nbytes <= self.heap_tier_budget
 
-    def offheap_room(self, nbytes: int) -> bool:
-        return self.offheap_bytes + nbytes <= self.offheap_budget
-
     def entries_in_tier(self, tier: str) -> List[CacheEntry]:
         return [e for e in self.entries.values() if e.tier == tier]
 

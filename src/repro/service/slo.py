@@ -84,15 +84,6 @@ class RequestRecord:
     def latency_ns(self) -> float:
         return self.finish_ns - self.arrival_ns
 
-    @property
-    def queue_ns(self) -> float:
-        """Time between arrival and dispatch (batching wait + queueing)."""
-        return self.dispatch_ns - self.arrival_ns
-
-    @property
-    def service_ns(self) -> float:
-        return self.finish_ns - self.dispatch_ns
-
 
 @dataclass
 class SLOReport:

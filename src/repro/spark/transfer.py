@@ -115,10 +115,6 @@ class ChunkTransferStats:
             return 0.0
         return self.whole_first_byte_ns / self.first_byte_ns
 
-    @property
-    def overlap_saved_ns(self) -> float:
-        return self.whole_ns - self.pipelined_ns
-
 
 class ResilientTransfer:
     """Delivers serialized buckets across the (simulated) network."""

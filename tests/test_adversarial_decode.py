@@ -23,6 +23,7 @@ from repro.formats.adversarial import (
     as_stream,
     build_corpus,
 )
+from repro.formats.kryo import MARK_ARRAY, MARK_OBJECT
 from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits, resolve_limits
 from repro.formats.secure import (
     REASON_MALFORMED,
@@ -35,6 +36,7 @@ from repro.formats.secure import (
     secure_deserialize,
 )
 from repro.formats.streams import StreamReader
+from repro.formats.varint import append_signed_varint
 from repro.jvm import (
     FieldDescriptor,
     FieldKind,
@@ -284,3 +286,56 @@ class TestSecureDeserialize:
             == REASON_RESOURCE_LIMIT
         )
         assert classify_rejection(ValueError("junk")) == REASON_MALFORMED
+
+
+class TestKryoIntRange:
+    """A Kryo INT travels as a zig-zag varint that can name any i64; a
+    value outside int32 is a malformed varint, in a field or an ``int[]``
+    element, on the plan kernel and the interpreter alike."""
+
+    @staticmethod
+    def world():
+        registry = KlassRegistry()
+        box = InstanceKlass("IntBox", [FieldDescriptor("x", FieldKind.INT)])
+        registry.register(box)
+        registration = ClassRegistration()
+        registration.register(box)  # class ID 0
+        registration.register(registry.array_klass(FieldKind.INT))  # ID 1
+        return registry, registration
+
+    @staticmethod
+    def stream(target, value):
+        """A one-object Kryo stream holding ``value`` as field ``x`` of
+        an ``IntBox`` or as the only element of an ``int[]``."""
+        data = bytearray(
+            [MARK_OBJECT, 0] if target == "field" else [MARK_ARRAY, 1, 1]
+        )
+        append_signed_varint(data, value)
+        return as_stream("kryo", bytes(data))
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("target", ["field", "element"])
+    @pytest.mark.parametrize("value", [2**31, -(2**31) - 1, 2**40])
+    def test_out_of_range_rejected(self, use_plans, target, value):
+        registry, registration = self.world()
+        serializer = KryoSerializer(registration, use_plans=use_plans)
+        stream = self.stream(target, value)
+        with pytest.raises(MalformedVarintError, match="int32"):
+            serializer.deserialize(stream, Heap(registry=registry))
+        heap = Heap(registry=registry)
+        before = heap_state(heap)
+        with pytest.raises(MalformedVarintError, match="int32"):
+            secure_deserialize(serializer, stream, heap)
+        assert heap_state(heap) == before
+        assert decode_stats()["rejected_by_reason"] == {REASON_VARINT: 1}
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("target", ["field", "element"])
+    @pytest.mark.parametrize("value", [2**31 - 1, -(2**31)])
+    def test_int32_bounds_accepted(self, use_plans, target, value):
+        registry, registration = self.world()
+        serializer = KryoSerializer(registration, use_plans=use_plans)
+        root = serializer.deserialize(
+            self.stream(target, value), Heap(registry=registry)
+        ).root
+        assert (root.get("x") if target == "field" else root.get_element(0)) == value

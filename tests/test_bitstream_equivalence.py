@@ -16,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitstream import (
-    BitReader,
-    BitWriter,
     bits_to_word,
     popcount_word,
     trailing_zeros,
@@ -189,28 +187,6 @@ class TestBitstreamPrimitives:
         value, width = bits_to_word(bits)
         assert width == len(bits)
         assert word_to_bits(value, width) == list(bits)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=64).flatmap(
-                    lambda w: st.tuples(
-                        st.integers(min_value=0, max_value=(1 << w) - 1),
-                        st.just(w),
-                    )
-                )
-            ).map(lambda t: t[0]),
-            max_size=80,
-        )
-    )
-    def test_bitwriter_bitreader_round_trip(self, fields):
-        writer = BitWriter()
-        for value, width in fields:
-            writer.write_bits(value, width)
-        payload = writer.getvalue()
-        reader = BitReader(payload)
-        for value, width in fields:
-            assert reader.read_bits(width) == value
 
 
 class TestFormatByteIdentity:

@@ -26,7 +26,9 @@ from repro.jvm import (
     InstanceKlass,
     KlassRegistry,
 )
+from repro.jvm.heap import HEAP_BASE
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.workloads.micro import build_microbench, register_micro_klasses
 
 
 @pytest.fixture(autouse=True)
@@ -175,6 +177,40 @@ class TestEvolutionRoundtrip:
         plain_heap = Heap(registry=reader_registry)
         plain = KryoSerializer(reader_reg).deserialize(plain_stream, plain_heap).root
         assert graphs_equivalent(rebuilt, plain)
+
+    @pytest.mark.parametrize("graph", ["tree-narrow", "graph-sparse", "list-small"])
+    def test_permuted_ids_match_the_interpreter(self, graph):
+        """A reader that registered the same classes under other IDs takes
+        the evolved path, which must decode exactly as the Kryo
+        interpreter with the writer's own registration: same heap bytes,
+        same work profile."""
+        registry = KlassRegistry()
+        register_micro_klasses(registry)
+        root = build_microbench(Heap(registry=registry), graph)
+        writer_reg = ClassRegistration()
+        for klass in registry:
+            writer_reg.register(klass)
+        reader_reg = ClassRegistration()
+        for klass in reversed(list(registry)):
+            reader_reg.register(klass)
+        stream = VersionedKryo(registration=writer_reg).serialize(root).stream
+        payload = KryoSerializer(writer_reg).serialize(root).stream
+
+        evolved_heap = Heap(registry=registry)
+        evolved = VersionedKryo(registration=reader_reg).deserialize(
+            stream, evolved_heap
+        )
+        oracle_heap = Heap(registry=registry)
+        oracle = KryoSerializer(writer_reg, use_plans=False).deserialize(
+            payload, oracle_heap
+        )
+
+        assert evolved.profile == oracle.profile
+        assert evolved_heap.used_bytes == oracle_heap.used_bytes
+        assert evolved_heap.memory.read(
+            HEAP_BASE, evolved_heap.used_bytes
+        ) == oracle_heap.memory.read(HEAP_BASE, oracle_heap.used_bytes)
+        assert decode_stats()["schema_resolutions"] == {"evolved": 1}
 
     def test_writer_only_reference_subtree_is_dropped(self):
         """A reference field the reader removed still parses correctly."""
