@@ -18,7 +18,7 @@ benches:
 ``runtime`` is :meth:`repro.obs.metrics.MetricsRegistry.snapshot` of the
 process-wide registry at emit time: one flat dict keyed by metric name
 (``plan_cache.hits``, ``layout_cache.misses``,
-``chunkpool.high_water_mark_bytes``, ``decode.rejected{reason=...}``,
+``transfer.chunk_high_water_mark_bytes``, ``decode.rejected{reason=...}``,
 ``memstore.*``, ...), so cache health, decode rejections and every other
 counter the run recorded can be diffed across commits alongside
 throughput.

@@ -9,8 +9,9 @@ instead of the whole payload:
   whole-stream and chunked (:class:`repro.spark.ChunkingConfig`). Gates:
   chunked-vs-single-shot byte identity (formats-level and end-to-end
   record equivalence), total ledger time within 0.1%, aggregate
-  time-to-first-byte reduced >= 5x, and the chunk arena pool's
-  high-water mark >= 4x below the whole-stream encode buffer.
+  time-to-first-byte reduced >= 5x, and the largest chunk a delivery
+  held (the ``transfer.chunk_high_water_mark_bytes`` gauge) >= 4x below
+  the whole-stream encode buffer.
 * **Service leg** — large responses streamed from the serialization
   server (:class:`repro.service.StreamingConfig`). Gates: identical
   completed-request count and goodput, dispatch-relative TTFB reduced
@@ -46,7 +47,6 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_streaming.py`
 
 from _emit import emit_json, emit_trace, trace_json_path  # noqa: E402
 from repro.analysis import ReportTable  # noqa: E402
-from repro.common.bufpool import chunk_pool_stats, reset_chunk_pool  # noqa: E402
 from repro.formats import (  # noqa: E402
     CerealSerializer,
     KryoSerializer,
@@ -56,6 +56,7 @@ from repro.jvm.klass import FieldDescriptor, FieldKind, InstanceKlass  # noqa: E
 from repro.obs import (  # noqa: E402
     Tracer,
     exact_quantile,
+    get_registry,
     set_tracer,
     validate_chrome_trace,
 )
@@ -74,6 +75,7 @@ _SEED = 0x57E4
 _TTFB_GATE = 5.0
 _ARENA_GATE = 4.0
 _CHUNK_BYTES = 2048
+_CHUNK_HWM = "transfer.chunk_high_water_mark_bytes"
 
 _RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
@@ -122,7 +124,8 @@ def run_shuffle_leg(smoke: bool, tracer: Tracer) -> Dict:
     whole_keys = _shuffle_keys(whole_context, klass, num_records)
     whole_total_ns = whole_context.breakdown.total_ns
 
-    reset_chunk_pool()
+    chunk_hwm = get_registry().gauge(_CHUNK_HWM)
+    chunk_hwm.reset()
     previous = set_tracer(tracer)
     try:
         chunked_context, klass = _kv_context(
@@ -133,7 +136,7 @@ def run_shuffle_leg(smoke: bool, tracer: Tracer) -> Dict:
         set_tracer(previous)
     chunked_total_ns = chunked_context.breakdown.total_ns
     stats = chunked_context.chunk_stats
-    pool = chunk_pool_stats()
+    arena_hwm = int(chunk_hwm.value)
 
     first_sum = sum(s.first_byte_ns for s in stats)
     whole_first_sum = sum(s.whole_first_byte_ns for s in stats)
@@ -151,13 +154,8 @@ def run_shuffle_leg(smoke: bool, tracer: Tracer) -> Dict:
         "chunked_total_ns": chunked_total_ns,
         "ttfb_speedup": whole_first_sum / first_sum if first_sum else 0.0,
         "max_bucket_bytes": whole_buffer,
-        "arena_hwm_bytes": pool["high_water_mark_bytes"],
-        "arena_reduction": (
-            whole_buffer / pool["high_water_mark_bytes"]
-            if pool["high_water_mark_bytes"]
-            else 0.0
-        ),
-        "chunk_pool": pool,
+        "arena_hwm_bytes": arena_hwm,
+        "arena_reduction": whole_buffer / arena_hwm if arena_hwm else 0.0,
         "trace_chunk_spans": len(chunk_spans),
         "retries": sum(s.retries for s in stats),
     }
@@ -166,19 +164,14 @@ def run_shuffle_leg(smoke: bool, tracer: Tracer) -> Dict:
 def byte_identity_check(catalog: ServiceCatalog) -> Dict:
     """Chunked concatenation must equal the single-shot encode, byte for
     byte, on the catalog's largest graph."""
-    from repro.common.bufpool import ChunkArenaPool
-
     serializer = CerealSerializer(catalog.registration)
     entry = max(catalog.entries.values(), key=lambda e: e.stream_bytes)
     whole = serializer.serialize(entry.root)
     failures = []
     for chunk_bytes in (1024, _CHUNK_BYTES, len(whole.stream.data) + 1):
-        # Private pool: the over-payload chunk size legitimately fills one
-        # arena with the whole stream, which must not pollute the global
-        # pool's high-water mark the CI gate reads.
-        chunks, summary = collect_chunks(
-            serializer, entry.root, chunk_bytes, pool=ChunkArenaPool(4, chunk_bytes)
-        )
+        # No transfer runs here, so the over-payload chunk size (one chunk
+        # holding the whole stream) never reaches the chunk HWM gauge.
+        chunks, summary = collect_chunks(serializer, entry.root, chunk_bytes)
         if b"".join(chunks) != whole.stream.data:
             failures.append(f"chunk_bytes={chunk_bytes} diverged")
         if summary.total_bytes != len(whole.stream.data):

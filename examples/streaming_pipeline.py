@@ -1,19 +1,19 @@
 #!/usr/bin/env python
-"""Threaded streaming pipeline: bounded encode -> queue -> reassembly.
+"""Threaded streaming pipeline: pull-cursor encode -> queue -> reassembly.
 
-A producer thread runs a resumable chunked encode
-(:func:`repro.formats.encode_cursor`) against a small arena pool with
-``block=True``, CRC-frames each sealed chunk, and hands it to a
-:class:`repro.formats.BoundedChunkQueue`. The consumer (main thread)
-pulls framed chunks off the queue and feeds them to a
-:class:`repro.formats.ChunkAssembler`, which verifies every frame and
-reassembles the payload.
+A producer thread pulls a resumable chunked encode
+(:meth:`repro.formats.Serializer.serialize_chunks`), CRC-frames each
+sealed chunk, and puts it on a bounded stdlib ``queue.Queue``. The
+consumer (main thread) takes framed chunks off the queue and feeds them
+to a :class:`repro.formats.ChunkAssembler`, which verifies every frame
+and reassembles the payload.
 
 Backpressure flows end to end: when the consumer lags, the queue fills
-and ``put`` blocks; when the producer would seal a chunk with no arena
-free, the pooled buffer blocks the *encoder walk itself* — the whole
-pipeline never holds more than ``pool arenas + queue slots`` chunks of
-memory, no matter how large the graph is.
+and ``put`` blocks the producer, which then stops pulling the cursor —
+and the encode walk only advances when it is pulled, so the *encoder
+walk itself* stops. The pipeline never holds more than the queue slots
+plus the producer's one pending chunk and the one it is sealing, no
+matter how large the graph is.
 
 The script verifies the reassembled bytes equal the single-shot
 ``serialize()`` output and exits non-zero on any mismatch, so CI can run
@@ -22,24 +22,18 @@ it as a smoke test.
 Run:  PYTHONPATH=src python examples/streaming_pipeline.py
 """
 
+import queue
 import sys
 import threading
 import time
 
-from repro.common.bufpool import ChunkArenaPool
-from repro.formats import (
-    BoundedChunkQueue,
-    ChunkAssembler,
-    KryoSerializer,
-    encode_cursor,
-    frame_chunk,
-)
+from repro.formats import ChunkAssembler, KryoSerializer, frame_chunk
 from repro.jvm import FieldDescriptor, FieldKind, Heap, InstanceKlass
 
 CHUNK_BYTES = 512
-POOL_ARENAS = 2
 QUEUE_SLOTS = 3
 TREE_DEPTH = 9
+END = None  # end-of-stream marker on the queue
 
 
 def build_tree(heap, depth):
@@ -56,30 +50,24 @@ def build_tree(heap, depth):
     return make(0)
 
 
-def produce(serializer, root, queue, stats):
+def produce(serializer, root, chunks, stats):
     """Encode chunk by chunk; frame with one-chunk lookahead so the final
-    frame carries the LAST flag; block when the queue or pool is full."""
-    cursor = encode_cursor(
-        serializer,
-        root,
-        CHUNK_BYTES,
-        pool=ChunkArenaPool(POOL_ARENAS, CHUNK_BYTES),
-        block=True,
-    )
+    frame carries the LAST flag; block while the queue is full."""
+    cursor = serializer.serialize_chunks(root, CHUNK_BYTES)
     seq = 0
     pending = None  # one-chunk lookahead: is the *next* chunk the last?
     while True:
-        arena = cursor.next_chunk()
+        chunk = cursor.next_chunk()
         if pending is not None:
-            queue.put(frame_chunk(seq, pending, last=(arena is None)))
+            if chunks.full():
+                stats["blocked_puts"] += 1
+            chunks.put(frame_chunk(seq, pending, last=(chunk is None)))
             seq += 1
-        if arena is None:
+        if chunk is None:
             break
-        pending = bytes(arena)
-        cursor.recycle(arena)
+        pending = chunk
     stats["chunks"] = seq
-    stats["summary"] = cursor.summary
-    queue.close()
+    chunks.put(END)
 
 
 def main():
@@ -101,16 +89,16 @@ def main():
         serializer.registration.register(klass)
     whole = serializer.serialize(root).stream.data
 
-    queue = BoundedChunkQueue(max_chunks=QUEUE_SLOTS)
-    stats = {}
+    chunks = queue.Queue(maxsize=QUEUE_SLOTS)
+    stats = {"blocked_puts": 0}
     producer = threading.Thread(
-        target=produce, args=(serializer, root, queue, stats), name="encoder"
+        target=produce, args=(serializer, root, chunks, stats), name="encoder"
     )
     producer.start()
 
     assembler = ChunkAssembler()
     consumed = 0
-    for framed in queue:
+    while (framed := chunks.get()) is not END:
         assembler.push(framed)
         consumed += 1
         time.sleep(0)  # consumer yield: lets the producer hit backpressure
@@ -123,8 +111,7 @@ def main():
     )
     print(
         f"pipeline: {consumed} chunks of <= {CHUNK_BYTES} B through a "
-        f"{POOL_ARENAS}-arena pool and a {QUEUE_SLOTS}-slot queue "
-        f"({queue.blocked_puts} blocked puts)"
+        f"{QUEUE_SLOTS}-slot queue ({stats['blocked_puts']} puts found it full)"
     )
     if consumed != stats["chunks"]:
         print(

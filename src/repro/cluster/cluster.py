@@ -61,10 +61,10 @@ from repro.cluster.routing import ClusterRouter
 from repro.service.server import ServiceConfig
 from repro.service.slo import (
     BACKEND_NONE,
-    OUTCOME_REJECTED,
     OUTCOME_SHED,
     RequestRecord,
     SLOReport,
+    emit_request_spans,
 )
 from repro.service.workload import ServiceCatalog, ServiceRequest
 
@@ -489,14 +489,7 @@ class SerializationCluster:
         self._records = {}
         self._requests = {}
         for request in requests:
-            self._records[request.request_id] = RequestRecord(
-                request_id=request.request_id,
-                kind=request.kind,
-                size_class=request.entry.name,
-                arrival_ns=request.arrival_ns,
-                tenant=request.tenant,
-                priority=request.priority,
-            )
+            self._records[request.request_id] = RequestRecord.of(request)
             self._requests[request.request_id] = request
         if len(self._records) != len(requests):
             raise ConfigError("request_ids must be unique within one run")
@@ -617,70 +610,12 @@ class SerializationCluster:
         """One retrospective span tree per request, on its serving node's
         ``requests`` track, parented under that node's lifetime span (the
         cluster-trace analogue of the standalone server's emission)."""
-        tracer = self.tracer
         for request in requests:
             record = self._records[request.request_id]
-            track = (
-                f"{record.node}.requests" if record.node else "cluster"
-            )
-            if not record.completed:
-                name = (
-                    "request.rejected"
-                    if record.outcome == OUTCOME_REJECTED
-                    else "request.shed"
-                )
-                tracer.instant(
-                    name,
-                    ts_ns=record.arrival_ns,
-                    category="request",
-                    track=track,
-                    request_id=record.request_id,
-                )
-                continue
-            parent = tracer.record_span(
-                "request",
-                record.arrival_ns,
-                record.finish_ns,
-                category="request",
-                track=track,
+            emit_request_spans(
+                self.tracer,
+                record,
+                f"{record.node}.requests" if record.node else "cluster",
                 parent=self._node_spans.get(record.node),
-                request_id=record.request_id,
-                kind=record.kind,
-                size_class=record.size_class,
-                outcome=record.outcome,
-                backend=record.backend,
-                node=record.node,
-                retries=record.retries,
-                tenant=record.tenant,
+                extra=("node", "retries", "tenant"),
             )
-            tracer.record_span(
-                "request.queue",
-                record.arrival_ns,
-                record.dispatch_ns,
-                category="request",
-                track=track,
-                parent=parent,
-                request_id=record.request_id,
-            )
-            tracer.record_span(
-                "request.execute",
-                record.dispatch_ns,
-                record.finish_ns,
-                category="request",
-                track=track,
-                parent=parent,
-                request_id=record.request_id,
-                backend=record.backend,
-            )
-            if record.streamed and record.chunk_timeline:
-                for seq, start_ns, done_ns in record.chunk_timeline:
-                    tracer.record_span(
-                        "response.chunk",
-                        start_ns,
-                        done_ns,
-                        category="chunk",
-                        track=track,
-                        parent=parent,
-                        request_id=record.request_id,
-                        chunk=seq,
-                    )

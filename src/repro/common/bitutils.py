@@ -9,7 +9,7 @@ and the hardware model use identical semantics.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 
 def significant_bits(value: int) -> int:
@@ -28,8 +28,7 @@ def int_to_bits(value: int, width: int) -> List[int]:
 
     ``width`` must be at least 1: a zero-width encoding carries no bits to
     decode and historically produced a silent empty list (so
-    ``int_to_bits(0, 0)`` round-tripped through ``bits_to_int`` as an
-    *absence* rather than a value). Both ends of that asymmetry now raise.
+    ``int_to_bits(0, 0)`` encoded an *absence* rather than a value).
     """
     if value < 0:
         raise ValueError(f"value must be non-negative, got {value}")
@@ -38,22 +37,6 @@ def int_to_bits(value: int, width: int) -> List[int]:
     if width < value.bit_length():
         raise ValueError(f"width {width} too small for value {value}")
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Inverse of :func:`int_to_bits` (big-endian).
-
-    Rejects the empty sequence for symmetry with :func:`int_to_bits`:
-    zero-width bit strings are not valid encodings of any value.
-    """
-    if len(bits) == 0:
-        raise ValueError("cannot decode an empty bit sequence")
-    value = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {bit}")
-        value = (value << 1) | bit
-    return value
 
 
 def bits_to_bytes(bits: Sequence[int]) -> bytes:
@@ -111,51 +94,9 @@ def popcount(value: int) -> int:
     return bin(value).count("1")
 
 
-def iter_bit_runs(bits: Sequence[int]) -> Iterator[tuple]:
-    """Yield ``(bit, run_length)`` pairs for consecutive equal bits."""
-    run_bit = None
-    run_len = 0
-    for bit in bits:
-        if bit == run_bit:
-            run_len += 1
-        else:
-            if run_bit is not None:
-                yield (run_bit, run_len)
-            run_bit = bit
-            run_len = 1
-    if run_bit is not None:
-        yield (run_bit, run_len)
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to the nearest multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
-    return (value + alignment - 1) // alignment * alignment
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to the nearest multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
-    return value // alignment * alignment
-
-
 def chunks(seq: Sequence, size: int) -> Iterator[Sequence]:
     """Yield successive ``size``-length chunks of ``seq`` (last may be short)."""
     if size <= 0:
         raise ValueError(f"size must be positive, got {size}")
     for start in range(0, len(seq), size):
         yield seq[start : start + size]
-
-
-def concat_bits(groups: Iterable[Sequence[int]]) -> List[int]:
-    """Concatenate several bit sequences into one list."""
-    out: List[int] = []
-    for group in groups:
-        out.extend(group)
-    return out

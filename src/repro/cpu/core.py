@@ -57,10 +57,6 @@ class CPUTimingResult:
             return 0.0
         return self.instructions / self.cycles
 
-    @property
-    def time_seconds(self) -> float:
-        return self.time_ns * 1e-9
-
 
 class CPUCostModel:
     """Combines a work profile and cache stats into a timing result."""

@@ -138,7 +138,6 @@ class SoftwarePlatform:
         serializer: Serializer,
         root: HeapObject,
         chunk_bytes: int,
-        pool=None,
     ):
         """Chunked-encode ``root`` under the same instrumentation as
         :meth:`run_serialize`: the cursor drain happens inside the heap
@@ -153,10 +152,9 @@ class SoftwarePlatform:
         chunks = []
 
         def encode(root: HeapObject) -> SerializationResult:
-            cursor = serializer.serialize_chunks(root, chunk_bytes, pool=pool)
-            while (arena := cursor.next_chunk()) is not None:
-                chunks.append(bytes(arena))
-                cursor.recycle(arena)
+            cursor = serializer.serialize_chunks(root, chunk_bytes)
+            while (chunk := cursor.next_chunk()) is not None:
+                chunks.append(chunk)
             summary = cursor.summary
             stream = SerializedStream(
                 format_name=summary.format_name,

@@ -31,11 +31,7 @@ from repro.formats.skyway import SkywaySerializer
 from repro.formats.cereal_format import CerealSerializer, CerealStreamSections
 from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits
 from repro.formats.packing import pack_items, unpack_items
-from repro.formats.chunked import (
-    ChunkAssembler,
-    collect_chunks,
-    encode_cursor,
-)
+from repro.formats.chunked import ChunkAssembler, collect_chunks
 from repro.formats.plans import (
     ChunkedEncodeSummary,
     ChunkingBuffer,
@@ -48,14 +44,7 @@ from repro.formats.secure import (
     secure_deserialize,
     secure_deserialize_chunks,
 )
-from repro.formats.streams import (
-    BoundedChunkQueue,
-    ChunkSink,
-    ChunkSource,
-    CollectingChunkSink,
-    frame_chunk,
-    unframe_chunk,
-)
+from repro.formats.streams import frame_chunk, unframe_chunk
 from repro.formats.verify import graphs_equivalent
 
 __all__ = [
@@ -78,15 +67,10 @@ __all__ = [
     "secure_deserialize",
     "secure_deserialize_chunks",
     "ChunkAssembler",
-    "BoundedChunkQueue",
-    "ChunkSink",
-    "ChunkSource",
-    "CollectingChunkSink",
     "ChunkedEncodeSummary",
     "ChunkingBuffer",
     "EncodeCursor",
     "collect_chunks",
-    "encode_cursor",
     "frame_chunk",
     "unframe_chunk",
     "pack_items",

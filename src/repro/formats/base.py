@@ -18,6 +18,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.common.errors import FormatError
 from repro.formats.limits import DecodeLimits
 from repro.jvm.heap import Heap, HeapObject
 
@@ -171,25 +172,21 @@ class Serializer(abc.ABC):
         applies :data:`repro.formats.limits.DEFAULT_LIMITS`.
         """
 
-    def serialize_chunks(
-        self,
-        root: HeapObject,
-        chunk_bytes: int,
-        pool=None,
-        block: bool = False,
-    ):
+    def serialize_chunks(self, root: HeapObject, chunk_bytes: int):
         """A resumable chunked encode of ``root``: returns an
         :class:`~repro.formats.plans.EncodeCursor` that yields the stream
-        in exact ``chunk_bytes``-sized arenas drawn from ``pool`` (default
-        the process-wide chunk pool). It runs the same encode walk as the
-        plan-path :meth:`serialize`, so chunk concatenation is
-        byte-identical to it; see :mod:`repro.formats.chunked`.
+        as exact ``chunk_bytes``-sized ``bytearray`` chunks the caller
+        owns. It runs the same encode walk as the plan-path
+        :meth:`serialize`, so chunk concatenation is byte-identical to
+        it; see :mod:`repro.formats.chunked`.
         """
-        from repro.formats.chunked import encode_cursor
+        from repro.formats.plans import ChunkingBuffer, EncodeCursor
 
-        return encode_cursor(
-            self, root, chunk_bytes, pool=pool, block=block
-        )
+        walk = getattr(self, "_encode_walk", None)
+        if walk is None:
+            raise FormatError(f"no chunked walk for serializer {self.name!r}")
+        buffer = ChunkingBuffer(chunk_bytes)
+        return EncodeCursor(walk(root, buffer), buffer)
 
     def _drain_walk(self, root: HeapObject) -> SerializationResult:
         """Single-shot serialize through the format's encode walk.

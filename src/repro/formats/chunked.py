@@ -1,13 +1,14 @@
-"""Chunked, resumable serialization: the shared front doors.
+"""Chunked, resumable serialization: reassembly and the reference drain.
 
 Every plan-path format has one encoder, a generator walk kept in that
 format's own module (``_encode_walk``). ``serialize()`` drains it into a
-flat buffer; :func:`encode_cursor` runs the *same* walk over a
-:class:`~repro.formats.plans.ChunkingBuffer` that carves the stream into
-fixed-size arenas from a :class:`~repro.common.bufpool.ChunkArenaPool`,
-and an :class:`~repro.formats.plans.EncodeCursor` resumes it one sealed
-chunk at a time, so the encoder never runs ahead of its consumer by more
-than the pool population: backpressure reaches the plan executor itself.
+flat buffer; :meth:`~repro.formats.base.Serializer.serialize_chunks` runs
+the *same* walk over a :class:`~repro.formats.plans.ChunkingBuffer` that
+carves the stream into fixed-size ``bytearray`` chunks, and an
+:class:`~repro.formats.plans.EncodeCursor` resumes it one sealed chunk
+at a time. The walk only advances when the cursor is pulled, so the
+encoder never runs ahead of its consumer: backpressure reaches the plan
+executor itself.
 
 Resumability is structural, not re-entrant: suspending at a chunk
 boundary costs one generator yield, and resuming continues from the
@@ -29,61 +30,28 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.common.errors import (
-    CorruptionError,
-    FormatError,
-    TruncatedStreamError,
-)
+from repro.common.errors import CorruptionError, TruncatedStreamError
 from repro.formats.limits import DecodeLimits, resolve_limits
-from repro.formats.plans import ChunkingBuffer, EncodeCursor
 from repro.formats.streams import frame_chunk, unframe_chunk
 from repro.jvm.heap import HeapObject
-
-
-def encode_cursor(
-    serializer,
-    root: HeapObject,
-    chunk_bytes: int,
-    pool=None,
-    block: bool = False,
-) -> EncodeCursor:
-    """A resumable chunked encode of ``root`` under ``serializer``.
-
-    ``pool`` defaults to the process-wide
-    :data:`~repro.common.bufpool.GLOBAL_CHUNK_POOL`; ``block=True``
-    makes arena exhaustion wait (threaded producer/consumer pipelines)
-    instead of drawing counted overflow arenas.
-    """
-    walk = getattr(serializer, "_encode_walk", None)
-    if walk is None:
-        raise FormatError(f"no chunked walk for serializer {serializer.name!r}")
-    buffer = ChunkingBuffer(chunk_bytes, pool=pool, block=block)
-    return EncodeCursor(walk(root, buffer), buffer)
 
 
 def collect_chunks(
     serializer,
     root: HeapObject,
     chunk_bytes: int,
-    pool=None,
     framed: bool = False,
 ):
     """Drain a full chunked encode; returns ``(chunks, summary)``.
 
-    Each chunk is copied out of its arena (which returns to the pool
-    immediately), so this is the reference single-threaded pull loop:
-    the pool's high-water mark stays at one chunk regardless of payload
-    size. With ``framed=True`` every chunk is wrapped in the CRC chunk
-    frame, the final one carrying the LAST flag.
+    This is the reference single-threaded pull loop. With
+    ``framed=True`` every chunk is wrapped in the CRC chunk frame, the
+    final one carrying the LAST flag.
     """
-    cursor = encode_cursor(serializer, root, chunk_bytes, pool=pool)
-    chunks: List[bytes] = []
-    while True:
-        arena = cursor.next_chunk()
-        if arena is None:
-            break
-        chunks.append(bytes(arena))
-        cursor.recycle(arena)
+    cursor = serializer.serialize_chunks(root, chunk_bytes)
+    chunks: List[bytearray] = []
+    while (chunk := cursor.next_chunk()) is not None:
+        chunks.append(chunk)
     if framed:
         last = len(chunks) - 1
         chunks = [

@@ -1098,15 +1098,14 @@ def decode_walk(
 # * ``serialize()`` hands it a flat ``bytearray``; the walk never
 #   suspends and one ``next()`` runs it to completion;
 # * ``serialize_chunks()`` hands it a :class:`ChunkingBuffer`, which
-#   carves the output into fixed-size arenas from a
-#   :class:`~repro.common.bufpool.ChunkArenaPool`, and an
+#   carves the output into fixed-size chunks, and an
 #   :class:`EncodeCursor` resumes the walk one sealed chunk at a time.
 #
 # A walk suspends only when ``out`` is a :class:`ChunkingBuffer` holding a
 # sealed chunk, and its explicit frame stack *is* the resume state, so
 # continuing never re-visits an already-encoded object. Bulk writes (a
 # primitive array's storage, Cereal's trailing sections) advance in
-# chunk-sized slices, so no single step overshoots an arena by more than
+# chunk-sized slices, so no single step overshoots a chunk by more than
 # one object's prelude.
 
 
@@ -1120,7 +1119,7 @@ def chunk_bytes_of(out) -> int:
 
 
 class ChunkingBuffer:
-    """An append-only output buffer that carves fixed-size chunk arenas.
+    """An append-only output buffer that carves fixed-size chunks.
 
     Drop-in for the ``bytearray`` the encode walks write into:
     supports ``append``/``extend``/``+=`` and ``len()`` — where ``len()``
@@ -1128,29 +1127,23 @@ class ChunkingBuffer:
     kernels that measure a step via ``base = len(out) ... len(out) - base``
     see exactly the numbers they would against a flat buffer.
 
-    Writes land in the current arena; the instant it reaches
-    ``chunk_bytes`` it is sealed onto the ready list and a fresh arena is
-    acquired from the pool. One oversized ``extend`` seals as many full
+    Writes land in the current chunk; the instant it reaches
+    ``chunk_bytes`` it is sealed onto the ready list and a fresh
+    ``bytearray`` is started. One oversized ``extend`` seals as many full
     chunks as it spans — every sealed chunk is *exactly* ``chunk_bytes``
     long, so chunk boundaries are deterministic functions of the byte
     stream alone (resume-determinism relies on this).
     """
 
-    __slots__ = ("chunk_bytes", "_pool", "_block", "_current", "_ready", "_total")
+    __slots__ = ("chunk_bytes", "_current", "_ready", "_total")
 
-    def __init__(self, chunk_bytes: int, pool=None, block: bool = False):
+    def __init__(self, chunk_bytes: int):
         if chunk_bytes <= 0:
             raise FormatError(
                 f"chunk_bytes must be positive, got {chunk_bytes}"
             )
-        if pool is None:
-            from repro.common.bufpool import GLOBAL_CHUNK_POOL
-
-            pool = GLOBAL_CHUNK_POOL
         self.chunk_bytes = chunk_bytes
-        self._pool = pool
-        self._block = block
-        self._current = pool.acquire(block=block)
+        self._current = bytearray()
         self._ready: List[bytearray] = []
         self._total = 0
 
@@ -1192,10 +1185,10 @@ class ChunkingBuffer:
 
     def _seal(self) -> None:
         self._ready.append(self._current)
-        self._current = self._pool.acquire(block=self._block)
+        self._current = bytearray()
 
     def pop_ready(self):
-        """The oldest sealed chunk arena, or ``None``."""
+        """The oldest sealed chunk, or ``None``."""
         if self._ready:
             return self._ready.pop(0)
         return None
@@ -1203,27 +1196,9 @@ class ChunkingBuffer:
     def flush_tail(self) -> None:
         """Seal the final partial chunk (end of stream). An empty tail —
         the stream length was an exact multiple of ``chunk_bytes`` — is
-        released straight back to the pool, never emitted."""
-        cur = self._current
-        if cur is None:
-            return
-        self._current = None
-        if len(cur):
-            self._ready.append(cur)
-        else:
-            self._pool.release(cur)
-
-    def recycle(self, arena) -> None:
-        """Return a consumed chunk arena to the pool."""
-        self._pool.release(arena)
-
-    def abandon(self) -> None:
-        """Release every arena still held (error/teardown path)."""
-        if self._current is not None:
-            self._pool.release(self._current)
-            self._current = None
-        while self._ready:
-            self._pool.release(self._ready.pop())
+        never emitted."""
+        if self._current:
+            self._seal()
 
 
 class ChunkedEncodeSummary:
@@ -1256,16 +1231,14 @@ class EncodeCursor:
     generator that yields whenever a chunk has sealed (its local frame
     stack carries all traversal state) and returns a
     :class:`ChunkedEncodeSummary`. ``next_chunk()`` advances the walk
-    only as far as the next sealed chunk, so the producer never runs
-    ahead of its consumer by more than the pool population: backpressure
-    reaches the plan executor itself.
-
-    The caller owns each returned arena until it hands it back via
-    ``recycle()`` — the pull loop is::
+    only as far as the next sealed chunk, so the walk never runs ahead
+    of its consumer: a consumer that stops pulling stops the encode, and
+    that is the backpressure (a producer thread feeding a bounded
+    ``queue.Queue`` blocks in ``put`` and so stops pulling). Each
+    returned chunk is a ``bytearray`` the caller owns::
 
         while (chunk := cursor.next_chunk()) is not None:
-            consume(chunk)          # copy/frame/transmit
-            cursor.recycle(chunk)   # arena returns to the pool
+            consume(chunk)          # copy/frame/transmit/keep
 
     ``summary`` is available once ``next_chunk()`` has returned ``None``.
     """
@@ -1275,14 +1248,9 @@ class EncodeCursor:
         self._buffer = buffer
         self._exhausted = False
         self.summary = None
-        self.chunks_emitted = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._exhausted
 
     def next_chunk(self):
-        """The next sealed chunk arena, or ``None`` at end of stream."""
+        """The next sealed chunk, or ``None`` at end of stream."""
         buf = self._buffer
         while not buf.ready_count and not self._exhausted:
             try:
@@ -1298,18 +1266,9 @@ class EncodeCursor:
                         f"sum to {declared}, stream is "
                         f"{self.summary.total_bytes} bytes"
                     )
-        chunk = buf.pop_ready()
-        if chunk is None:
-            return None
-        self.chunks_emitted += 1
-        return chunk
-
-    def recycle(self, arena) -> None:
-        self._buffer.recycle(arena)
+        return buf.pop_ready()
 
     def close(self) -> None:
-        """Abort a partially-drained cursor, releasing held arenas."""
-        if not self._exhausted:
-            self._walk.close()
-            self._exhausted = True
-        self._buffer.abandon()
+        """Abort a partially-drained cursor: closes the walk."""
+        self._walk.close()
+        self._exhausted = True

@@ -106,7 +106,7 @@ def frame_chunk(seq: int, payload, last: bool = False) -> bytes:
     """Wrap one chunk payload in the 21-byte checksummed chunk frame.
 
     ``payload`` may be any buffer-protocol object (bytes, bytearray,
-    memoryview) — chunk arenas frame without an intermediate copy.
+    memoryview) — chunks frame without an intermediate copy.
     """
     flags = CHUNK_FLAG_LAST if last else 0
     header = CHUNK_MAGIC + struct.pack(
@@ -149,108 +149,6 @@ def unframe_chunk(data) -> Tuple[int, memoryview, bool]:
     if zlib.crc32(payload) & 0xFFFFFFFF != payload_crc:
         raise CorruptionError(f"chunk {seq} payload checksum mismatch")
     return seq, payload, bool(flags & CHUNK_FLAG_LAST)
-
-
-# -- chunk sinks / sources ----------------------------------------------------------
-
-
-class ChunkSink:
-    """Protocol: a consumer of serialized chunks, in stream order.
-
-    ``put`` receives one chunk (any buffer-protocol object); the chunk is
-    only valid for the duration of the call — a sink that defers
-    consumption must copy (or own the arena via its pool contract).
-    ``close`` marks end of stream.
-    """
-
-    def put(self, chunk) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """End of stream; default is a no-op."""
-
-
-class ChunkSource:
-    """Protocol: a producer of serialized chunks, in stream order.
-
-    ``next_chunk`` returns the next chunk or ``None`` at end of stream;
-    iteration is provided on top of it.
-    """
-
-    def next_chunk(self):
-        raise NotImplementedError
-
-    def __iter__(self):
-        while True:
-            chunk = self.next_chunk()
-            if chunk is None:
-                return
-            yield chunk
-
-
-class CollectingChunkSink(ChunkSink):
-    """Reassembles chunks into one contiguous byte string (tests, and the
-    receiver side of a transfer, which must materialize before decode)."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self.chunks = 0
-        self.closed = False
-
-    def put(self, chunk) -> None:
-        self._buffer.extend(chunk)
-        self.chunks += 1
-
-    def close(self) -> None:
-        self.closed = True
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buffer)
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-
-class BoundedChunkQueue(ChunkSink, ChunkSource):
-    """A bounded handoff queue: ``put`` blocks while ``max_chunks`` are
-    unconsumed, propagating backpressure from a slow consumer thread back
-    into the producing encoder. Chunks are copied on ``put`` so the
-    producer may recycle its arena immediately."""
-
-    def __init__(self, max_chunks: int = 4) -> None:
-        if max_chunks <= 0:
-            raise FormatError(f"max_chunks must be positive, got {max_chunks}")
-        import threading
-
-        self.max_chunks = max_chunks
-        self._chunks: list = []
-        self._closed = False
-        self._cond = threading.Condition()
-        self.blocked_puts = 0
-
-    def put(self, chunk) -> None:
-        with self._cond:
-            if self._closed:
-                raise FormatError("put() on a closed BoundedChunkQueue")
-            if len(self._chunks) >= self.max_chunks:
-                self.blocked_puts += 1
-                self._cond.wait_for(lambda: len(self._chunks) < self.max_chunks)
-            self._chunks.append(bytes(chunk))
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def next_chunk(self):
-        with self._cond:
-            self._cond.wait_for(lambda: self._chunks or self._closed)
-            if self._chunks:
-                chunk = self._chunks.pop(0)
-                self._cond.notify_all()
-                return chunk
-            return None
 
 
 class StreamWriter:

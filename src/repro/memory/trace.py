@@ -87,10 +87,6 @@ class MemoryTrace:
         return sum(~length for length in self.lengths if length < 0)
 
     @property
-    def write_count(self) -> int:
-        return sum(1 for length in self.lengths if length < 0)
-
-    @property
     def total_bytes(self) -> int:
         return self.read_bytes + self.write_bytes
 

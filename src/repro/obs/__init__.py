@@ -9,7 +9,7 @@ that attribution everywhere, for free, in every bench and test:
   counters, gauges, and histograms (log-scale buckets + exact
   small-sample quantiles) with ``snapshot()``/``delta()``. Its flat
   ``snapshot()`` is the one runtime-stats shape (plan/layout cache,
-  chunk pool, decode, schema and memstore counters), and the one shared
+  chunked transfer, decode, schema and memstore counters), and the one shared
   quantile definition
   (:func:`~repro.obs.metrics.exact_quantile`) backs both
   ``repro.analysis.percentile`` and the service SLO summaries.

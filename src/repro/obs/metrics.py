@@ -1,14 +1,14 @@
 """Process-wide metrics: labeled counters, gauges, and histograms.
 
 One registry every instrumented layer records into — the plan and
-layout caches, the chunk arena pool, the hardened decoder, the memory
-store, the serving layer — in place of a bespoke stats dict per
+layout caches, the chunked transfer path, the hardened decoder, the
+memory store, the serving layer — in place of a bespoke stats dict per
 subsystem:
 
 * :class:`Counter` — monotonically increasing count (``inc``), e.g. cache
   hits, requests by outcome, fault injections by layer.
 * :class:`Gauge` — a settable level (``set`` / ``set_max``), e.g. the
-  chunk pool's high-water mark or resident cache entries.
+  largest chunk a chunked transfer held or resident cache entries.
 * :class:`Histogram` — a value distribution with fixed log2-scale buckets
   plus an exact small-sample reservoir, so quantiles are *exact* until the
   sample count exceeds the reservoir and bucket-interpolated beyond it.

@@ -56,6 +56,7 @@ from repro.service.slo import (
     OUTCOME_SHED,
     RequestRecord,
     SLOReport,
+    emit_request_spans,
 )
 from repro.service.streaming import ResponseStreamer, StreamingConfig
 from repro.service.timing_cache import device_batch_cache
@@ -565,94 +566,22 @@ class SerializationServer:
     # -- tracing ------------------------------------------------------------------------------
 
     def _emit_request_spans(self, requests: Sequence[ServiceRequest]) -> None:
-        """Retrospectively record one span tree per completed request.
-
-        The event loop learns a request's finish time the moment its batch
-        dispatches (virtual time runs ahead of completion), so request
-        spans are emitted from the finished records rather than around live
-        code. Each completed request becomes a ``request`` span
-        (arrival → finish) on the ``requests`` track with ``queue``
-        (arrival → dispatch, the admission + coalescing wait) and
-        ``execute`` (dispatch → finish) children; shed requests leave an
-        instant marker instead. The span durations *are* the record's
-        latency decomposition, which is what lets the reconciliation test
-        re-derive the SLO percentiles from the exported trace exactly.
-        """
-        tracer = self.tracer
+        """One retrospective span tree per request on the ``requests``
+        track (see :func:`~repro.service.slo.emit_request_spans`)."""
+        track = self._track("requests")
         for request in requests:
-            record = self._records[request.request_id]
-            if not record.completed:
-                name = (
-                    "request.rejected"
-                    if record.outcome == OUTCOME_REJECTED
-                    else "request.shed"
-                )
-                tracer.instant(
-                    name,
-                    ts_ns=record.arrival_ns,
-                    category="request",
-                    track=self._track("requests"),
-                    request_id=record.request_id,
-                )
-                continue
-            parent = tracer.record_span(
-                "request",
-                record.arrival_ns,
-                record.finish_ns,
-                category="request",
-                track=self._track("requests"),
-                request_id=record.request_id,
-                kind=record.kind,
-                size_class=record.size_class,
-                outcome=record.outcome,
-                backend=record.backend,
-                batch_id=record.batch_id,
-                batch_size=record.batch_size,
+            emit_request_spans(
+                self.tracer,
+                self._records[request.request_id],
+                track,
+                extra=("batch_id", "batch_size"),
             )
-            tracer.record_span(
-                "request.queue",
-                record.arrival_ns,
-                record.dispatch_ns,
-                category="request",
-                track=self._track("requests"),
-                parent=parent,
-                request_id=record.request_id,
-            )
-            tracer.record_span(
-                "request.execute",
-                record.dispatch_ns,
-                record.finish_ns,
-                category="request",
-                track=self._track("requests"),
-                parent=parent,
-                request_id=record.request_id,
-                backend=record.backend,
-            )
-            if record.streamed and record.chunk_timeline:
-                for seq, start_ns, done_ns in record.chunk_timeline:
-                    tracer.record_span(
-                        "response.chunk",
-                        start_ns,
-                        done_ns,
-                        category="chunk",
-                        track=self._track("requests"),
-                        parent=parent,
-                        request_id=record.request_id,
-                        chunk=seq,
-                    )
 
     # -- incremental event API (cluster driving) ------------------------------------------
 
     def register(self, request: ServiceRequest) -> RequestRecord:
         """Create (and index) the record for a request this server will see."""
-        record = RequestRecord(
-            request_id=request.request_id,
-            kind=request.kind,
-            size_class=request.entry.name,
-            arrival_ns=request.arrival_ns,
-            tenant=request.tenant,
-            priority=request.priority,
-        )
+        record = RequestRecord.of(request)
         self._records[request.request_id] = record
         return record
 

@@ -15,7 +15,7 @@ fault-recovery counters when a chaos schedule was active.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import ReportTable
 from repro.faults.report import FaultReport
@@ -68,6 +68,18 @@ class RequestRecord:
     #: ``response.chunk`` spans nested under the request span.
     chunk_timeline: Optional[List] = None
 
+    @classmethod
+    def of(cls, request) -> "RequestRecord":
+        """The fresh record of a :class:`~repro.service.workload.ServiceRequest`."""
+        return cls(
+            request_id=request.request_id,
+            kind=request.kind,
+            size_class=request.entry.name,
+            arrival_ns=request.arrival_ns,
+            tenant=request.tenant,
+            priority=request.priority,
+        )
+
     @property
     def completed(self) -> bool:
         return self.outcome not in (OUTCOME_SHED, OUTCOME_REJECTED)
@@ -83,6 +95,89 @@ class RequestRecord:
     @property
     def latency_ns(self) -> float:
         return self.finish_ns - self.arrival_ns
+
+
+def emit_request_spans(
+    tracer,
+    record: RequestRecord,
+    track: str,
+    parent=None,
+    extra: Sequence[str] = (),
+) -> None:
+    """Retrospectively record one request's span tree on ``track``.
+
+    The event loop learns a request's finish time the moment its batch
+    dispatches (virtual time runs ahead of completion), so request spans
+    are emitted from the finished records rather than around live code.
+    A completed request becomes a ``request`` span (arrival → finish,
+    under ``parent``) with ``queue`` (arrival → dispatch, the admission +
+    coalescing wait) and ``execute`` (dispatch → finish) children, plus
+    one ``response.chunk`` child per streamed chunk; a shed or rejected
+    request leaves an instant marker instead. The span durations *are*
+    the record's latency decomposition, which is what lets the
+    reconciliation tests re-derive the SLO percentiles from the exported
+    trace exactly. ``extra`` names further record fields to attach to
+    the ``request`` span.
+    """
+    if not record.completed:
+        name = (
+            "request.rejected"
+            if record.outcome == OUTCOME_REJECTED
+            else "request.shed"
+        )
+        tracer.instant(
+            name,
+            ts_ns=record.arrival_ns,
+            category="request",
+            track=track,
+            request_id=record.request_id,
+        )
+        return
+    span = tracer.record_span(
+        "request",
+        record.arrival_ns,
+        record.finish_ns,
+        category="request",
+        track=track,
+        parent=parent,
+        request_id=record.request_id,
+        kind=record.kind,
+        size_class=record.size_class,
+        outcome=record.outcome,
+        backend=record.backend,
+        **{name: getattr(record, name) for name in extra},
+    )
+    tracer.record_span(
+        "request.queue",
+        record.arrival_ns,
+        record.dispatch_ns,
+        category="request",
+        track=track,
+        parent=span,
+        request_id=record.request_id,
+    )
+    tracer.record_span(
+        "request.execute",
+        record.dispatch_ns,
+        record.finish_ns,
+        category="request",
+        track=track,
+        parent=span,
+        request_id=record.request_id,
+        backend=record.backend,
+    )
+    if record.streamed and record.chunk_timeline:
+        for seq, start_ns, done_ns in record.chunk_timeline:
+            tracer.record_span(
+                "response.chunk",
+                start_ns,
+                done_ns,
+                category="chunk",
+                track=track,
+                parent=span,
+                request_id=record.request_id,
+                chunk=seq,
+            )
 
 
 @dataclass

@@ -87,9 +87,7 @@ class SoftwareBackend(SDBackend):
         )
         return result.stream, op
 
-    def serialize_chunked(
-        self, root: HeapObject, site: str, chunk_bytes: int, pool=None
-    ):
+    def serialize_chunked(self, root: HeapObject, site: str, chunk_bytes: int):
         """Serialize through the resumable chunked encoder.
 
         Returns ``(stream, op, chunks)``; ``chunks`` are the payload
@@ -103,7 +101,7 @@ class SoftwareBackend(SDBackend):
 
         try:
             result, run, chunks = self.platform.run_serialize_chunked(
-                self.serializer, root, chunk_bytes, pool=pool
+                self.serializer, root, chunk_bytes
             )
         except FormatError:
             stream, op = self.serialize(root, site)

@@ -403,6 +403,11 @@ class ResilientTransfer:
 
         registry = get_registry()
         registry.counter("transfer.chunks", site=site).inc(stats.chunks)
+        # The largest chunk a chunked delivery held: the footprint the
+        # streaming benchmarks gate against the whole-stream buffer.
+        registry.gauge("transfer.chunk_high_water_mark_bytes").set_max(
+            max(len(chunk) for chunk in chunks)
+        )
         if stats.retries:
             registry.counter("transfer.chunk_retries", site=site).inc(
                 stats.retries

@@ -8,8 +8,8 @@ Covers the chunked encode/decode stack end to end:
   across adversarial chunk sizes (1 byte, primes, larger than the
   payload), and one shared walk behind ``serialize()`` and
   ``serialize_chunks()``;
-* bounded arena pools as the backpressure primitive (blocking acquires,
-  overflow accounting, high-water marks);
+* the pull cursor as the backpressure primitive (a producer thread
+  feeding a bounded queue never lets the walk run ahead of the consumer);
 * the secure per-chunk decode front end (incremental limits, rejection
   at the offending chunk);
 * the mini-Spark chunked shuffle (record equivalence, per-chunk retry)
@@ -19,17 +19,17 @@ Covers the chunked encode/decode stack end to end:
 from __future__ import annotations
 
 import hashlib
+import queue
 import threading
+import time
 
 import pytest
 
-from repro.common.bufpool import ChunkArenaPool
 from repro.common.errors import (
     ConfigError,
     CorruptionError,
     FormatError,
     ResourceLimitError,
-    TransientError,
     TruncatedStreamError,
 )
 from repro.formats import (
@@ -46,14 +46,11 @@ from repro.formats import (
     secure_deserialize_chunks,
     unframe_chunk,
 )
+from repro.formats.plans import ChunkingBuffer
 from repro.formats.slow_reference import oracle_serializer
-from repro.formats.streams import (
-    BoundedChunkQueue,
-    CHUNK_HEADER_BYTES,
-    StreamReader,
-)
+from repro.formats.streams import CHUNK_HEADER_BYTES, StreamReader
 from repro.formats.verify import graphs_equivalent
-from repro.jvm import FieldKind, Heap
+from repro.jvm import FieldDescriptor, FieldKind, Heap, InstanceKlass
 from repro.obs.trace import Tracer
 
 from tests.test_fuzz_roundtrip import build_fuzz_graph, fuzz_registry
@@ -229,24 +226,20 @@ class TestChunkedEncodeEquivalence:
             digest, sections, object_count, profile = _expected(
                 serializer, root
             )
-            pool = ChunkArenaPool(arena_count=4, arena_bytes=chunk_bytes)
-            chunks, summary = collect_chunks(
-                serializer, root, chunk_bytes, pool=pool
-            )
+            chunks, summary = collect_chunks(serializer, root, chunk_bytes)
             stream = b"".join(chunks)
             assert hashlib.sha256(stream).hexdigest() == digest, serializer.name
             assert summary.total_bytes == len(stream)
             assert summary.sections == sections, serializer.name
             assert summary.object_count == object_count
             assert vars(summary.profile) == profile, serializer.name
-            # Every chunk but the tail is exactly one arena.
+            # Every chunk but the tail is exactly chunk_bytes long.
             for chunk in chunks[:-1]:
                 assert len(chunk) == chunk_bytes
             if chunks:
                 assert 0 < len(chunks[-1]) <= chunk_bytes
-            # Pulled one-at-a-time, the pool never holds more than one
-            # arena in flight: the high-water mark is chunk-sized.
-            assert pool.high_water_mark <= chunk_bytes
+            # The largest chunk the caller is handed is chunk-sized.
+            assert max(map(len, chunks), default=0) <= chunk_bytes
 
     def test_serialize_and_chunks_share_one_walk(self):
         """Both front doors drive the format's one encode walk."""
@@ -281,12 +274,11 @@ class TestChunkedEncodeEquivalence:
                 for i, cursor in enumerate(cursors):
                     if done[i]:
                         continue
-                    arena = cursor.next_chunk()
-                    if arena is None:
+                    chunk = cursor.next_chunk()
+                    if chunk is None:
                         done[i] = True
                         continue
-                    streams[i] += arena
-                    cursor.recycle(arena)
+                    streams[i] += chunk
             assert streams[0] == streams[1], serializer.name
 
     def test_framed_collection_reassembles(self):
@@ -383,107 +375,97 @@ class TestSecureChunkDecode:
             secure_deserialize_chunks(serializer, framed, target, limits)
 
 
-# -- arena pool backpressure -----------------------------------------------------------
+# -- pull-cursor backpressure ----------------------------------------------------------
 
 
-class TestChunkArenaPool:
-    def test_overflow_when_non_blocking(self):
-        pool = ChunkArenaPool(arena_count=2, arena_bytes=64)
-        arenas = [pool.acquire() for _ in range(3)]
-        assert pool.overflow_allocations == 1
-        assert pool.blocked_acquires == 1
-        for arena in arenas:
-            arena += b"x" * 10
-            pool.release(arena)
-        assert pool.high_water_mark == 10
+def _tree(depth):
+    """A binary tree of ``Node {value: long, left, right}``: 2**(depth+1)-1
+    objects of one shape, so the payload grows while no single walk step
+    does."""
+    heap = Heap()
+    heap.registry.register(
+        InstanceKlass(
+            "Node",
+            [
+                FieldDescriptor("value", FieldKind.LONG),
+                FieldDescriptor("left", FieldKind.REFERENCE),
+                FieldDescriptor("right", FieldKind.REFERENCE),
+            ],
+        )
+    )
 
-    def test_blocking_acquire_waits_for_release(self):
-        pool = ChunkArenaPool(arena_count=1, arena_bytes=64)
-        held = pool.acquire()
-        got = []
+    def make(level):
+        node = heap.new_instance("Node")
+        node.set("value", level)
+        if level < depth:
+            node.set("left", make(level + 1))
+            node.set("right", make(level + 1))
+        return node
 
-        def consumer():
-            got.append(pool.acquire(block=True, timeout_s=30.0))
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        # Let the consumer reach the wait before we release.
-        deadline = threading.Event()
-        deadline.wait(0.05)
-        pool.release(held)
-        thread.join(timeout=30.0)
-        assert not thread.is_alive()
-        assert len(got) == 1
-        assert pool.blocked_acquires == 1
-        assert pool.overflow_allocations == 0
-
-    def test_blocking_acquire_times_out(self):
-        pool = ChunkArenaPool(arena_count=1, arena_bytes=64)
-        pool.acquire()
-        with pytest.raises(TransientError, match="timed out"):
-            pool.acquire(block=True, timeout_s=0.01)
-        assert pool.blocked_wait_ns > 0
-
-    def test_stats_and_reset(self):
-        pool = ChunkArenaPool(arena_count=2, arena_bytes=64)
-        arena = pool.acquire()
-        arena += b"y" * 33
-        pool.release(arena)
-        stats = pool.stats()
-        assert stats["acquires"] == 1
-        assert stats["high_water_mark_bytes"] == 33
-        assert stats["in_flight"] == 0
-        pool.reset()
-        assert pool.stats()["acquires"] == 0
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkArenaPool(arena_count=0)
-        with pytest.raises(ValueError):
-            ChunkArenaPool(arena_bytes=-1)
+    return heap.registry, make(0)
 
 
-class TestBoundedChunkQueue:
-    def test_producer_consumer_with_backpressure(self):
-        queue = BoundedChunkQueue(max_chunks=2)
-        registry, heap, root = _graph()
+class TestPullBackpressure:
+    #: Queue slots between the producer thread and the consumer.
+    QUEUE_SLOTS = 2
+    #: Most chunks the walk holds sealed but not yet pulled at a seal
+    #: (the chunk being sealed counts); one walk step fills at most one
+    #: 64-byte Kryo chunk of this tree, whatever the payload size.
+    WALK_AHEAD = 1
+
+    @pytest.mark.parametrize("depth", (7, 10))
+    def test_lagging_consumer_bounds_the_walk(self, depth, monkeypatch):
+        """A producer thread drains a ``serialize_chunks`` cursor into a
+        bounded ``queue.Queue`` while the consumer lags: the walk stays at
+        most ``QUEUE_SLOTS + WALK_AHEAD`` chunks ahead of the consumer,
+        independent of the payload size, and the reassembled bytes equal
+        ``serialize()``."""
+        registry, root = _tree(depth)
         serializer = KryoSerializer(_registration(registry))
-        whole = serializer.serialize(root)
-        received = bytearray()
+        whole = serializer.serialize(root).stream.data
+        chunks = queue.Queue(maxsize=self.QUEUE_SLOTS)
+        sealed = puts = 0
+        walk_ahead = []  # sealed, not yet pulled off the cursor and put
+        lags = []  # sealed, not yet taken off the queue by the consumer
+        seal = ChunkingBuffer._seal
+
+        def counting_seal(buffer):
+            nonlocal sealed
+            seal(buffer)
+            sealed += 1
+            # Runs on the producer thread inside next_chunk(), so every
+            # chunk it pulled so far has been put: consumed = puts - qsize.
+            walk_ahead.append(sealed - puts)
+            lags.append(sealed - (puts - chunks.qsize()))
+
+        monkeypatch.setattr(ChunkingBuffer, "_seal", counting_seal)
 
         def producer():
-            cursor = serializer.serialize_chunks(root, 128)
-            while True:
-                arena = cursor.next_chunk()
-                if arena is None:
-                    break
-                queue.put(arena)
-                cursor.recycle(arena)
-            queue.close()
+            nonlocal puts
+            cursor = serializer.serialize_chunks(root, 64)
+            while (chunk := cursor.next_chunk()) is not None:
+                chunks.put(chunk)
+                puts += 1
+            chunks.put(None)
 
         thread = threading.Thread(target=producer)
         thread.start()
-        for chunk in queue:
+        received = bytearray()
+        while True:
+            time.sleep(0.002)  # the lagging consumer
+            chunk = chunks.get()
+            if chunk is None:
+                break
             received += chunk
         thread.join(timeout=30.0)
         assert not thread.is_alive()
-        assert bytes(received) == whole.stream.data
-        # With a 2-deep queue and a drain that starts after the producer,
-        # the producer must have hit the bound at least once.
-        assert queue.blocked_puts >= 0
-
-    def test_close_yields_end_of_stream(self):
-        queue = BoundedChunkQueue(max_chunks=1)
-        queue.put(b"last")
-        queue.close()
-        assert queue.next_chunk() == b"last"
-        assert queue.next_chunk() is None
-        with pytest.raises(FormatError):
-            queue.put(b"late")
-
-    def test_invalid_depth_rejected(self):
-        with pytest.raises(FormatError):
-            BoundedChunkQueue(max_chunks=0)
+        assert bytes(received) == whole
+        assert sealed == puts > 4 * self.QUEUE_SLOTS
+        assert max(walk_ahead) == self.WALK_AHEAD
+        # The consumer lagged far enough to fill the queue, and the walk
+        # still never ran further ahead than the queue plus one step.
+        assert self.QUEUE_SLOTS < max(lags)
+        assert max(lags) <= self.QUEUE_SLOTS + self.WALK_AHEAD
 
 
 class TestStreamReaderBufferProtocol:

@@ -344,9 +344,8 @@ def run_round_trip(graph_name: str, cereal_extension: bool = True):
         heap.memory.trace = None
         chunks = []
         cursor = serializer.serialize_chunks(root, 256)
-        while (arena := cursor.next_chunk()) is not None:
-            chunks.append(bytes(arena))
-            cursor.recycle(arena)
+        while (chunk := cursor.next_chunk()) is not None:
+            chunks.append(chunk)
         de_trace = MemoryTrace()
         receiver = Heap(registry=heap.registry, cereal_extension=cereal_extension,
                         trace=de_trace)
