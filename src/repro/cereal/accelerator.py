@@ -130,9 +130,13 @@ class CerealAccelerator:
     def deserialize(
         self, stream: SerializedStream, heap: Heap
     ) -> Tuple[HeapObject, OperationTiming, DUResult]:
-        """Deserialize functionally and time the DU pipeline."""
-        deser = self.codec.deserialize(stream, heap)
+        """Deserialize functionally and time the DU pipeline.
+
+        The stream is decoded once; the rebuild and the DU workload share
+        the unpacked arrays.
+        """
         sections = CerealSerializer.decode_sections(stream)
+        deser = self.codec.deserialize(stream, heap, sections=sections)
         workload = DUWorkload.from_stream_sections(sections)
         mai = self._fresh_memory_system()
         unit = DeserializationUnit(mai, self.class_id_table, self.config)
@@ -231,7 +235,7 @@ class CerealAccelerator:
         total_dram_bytes = 0
         for op in sorted(timings, key=lambda t: -t.elapsed_ns):
             pool = su_pool if op.kind == "serialize" else du_pool
-            slot = min(range(len(pool)), key=lambda i: pool[i])
+            slot = pool.index(min(pool))
             pool[slot] += op.elapsed_ns
             total_dram_bytes += op.dram_bytes
         pool_time = max(max(su_pool), max(du_pool))

@@ -25,9 +25,9 @@ whole per-block chain serializes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import accumulate
+from typing import List, Optional
 
-from repro.common.bitutils import significant_bits
 from repro.common.config import CerealConfig
 from repro.common.errors import SimulationError
 from repro.cereal.mai import MemoryAccessInterface
@@ -44,6 +44,9 @@ _BM_DISPATCH_NS = 1.0  # block-manager retrieval + dispatch
 _RECONSTRUCT_NS = 9.0  # scan 8 slots + issue write
 _PREFETCH_DEPTH = 8  # outstanding 64 B lines per stream prefetcher
 
+# Set bits of every byte value, for ``bytes.translate``.
+_POPCOUNT = bytes(bin(value).count("1") for value in range(256))
+
 
 @dataclass
 class BlockDescriptor:
@@ -57,59 +60,87 @@ class BlockDescriptor:
 
 @dataclass
 class DUWorkload:
-    """Stream-side description of one deserialization operation."""
+    """Stream-side description of one deserialization operation.
+
+    Per-block requirements are columns with one entry per 64 B output
+    block; :attr:`blocks` views them as :class:`BlockDescriptor` rows.
+    """
 
     image_bytes: int
-    blocks: List[BlockDescriptor]
+    value_slots: List[int]  # zeros in each block's 8-bit bitmap chunk
+    reference_slots: List[int]  # ones in each chunk
+    has_header: bytes  # 1 where the block holds an object's class-ID slot
+    reference_bytes: List[int]  # packed reference-array bytes per block
     value_array_bytes: int
     reference_array_bytes: int
     bitmap_bytes: int
 
+    @property
+    def blocks(self) -> List[BlockDescriptor]:
+        return [
+            BlockDescriptor(values, refs, bool(header), ref_bytes)
+            for values, refs, header, ref_bytes in zip(
+                self.value_slots,
+                self.reference_slots,
+                self.has_header,
+                self.reference_bytes,
+            )
+        ]
+
     @classmethod
     def from_stream_sections(cls, sections) -> "DUWorkload":
-        """Build block descriptors from decoded Cereal stream sections.
+        """Build block columns from decoded Cereal stream sections.
 
         ``sections`` is a :class:`repro.formats.cereal_format.CerealStreamSections`.
-        Flattens the per-object bitmaps into the image's slot sequence and
-        slices it into 8-slot blocks, tracking exactly how many values and
-        packed reference bytes each block consumes.
+        The per-object ``(word, width)`` bitmaps are joined into one bit
+        string of the image's slots, read back as one byte per 8-slot block
+        (the tail zero-padded), and each byte's popcount is the block's
+        reference count. Prefix sums then give the packed reference bytes
+        each block consumes.
         """
-        bitmaps = sections.layout_bitmaps()
+        items = sections.layout_bitmap_words()
         references = sections.reference_values()
 
-        flat_bits: List[int] = []
-        header_slots: List[int] = []  # absolute slot index of each klass slot
-        slot_cursor = 0
-        for bitmap in bitmaps:
-            header_slots.append(slot_cursor + 1)  # klass slot is slot 1
-            flat_bits.extend(bitmap)
-            slot_cursor += len(bitmap)
+        # The sentinel bit above each word keeps its leading zeros.
+        bits = "".join([bin(word | 1 << width)[3:] for word, width in items])
+        slot_count = len(bits)
+        block_count = (slot_count + 7) >> 3
+        tail = block_count * 8 - slot_count
+        chunks = (
+            int(bits + "0" * tail, 2).to_bytes(block_count, "big")
+            if block_count
+            else b""
+        )
+        reference_slots = list(chunks.translate(_POPCOUNT))
+        value_slots = [8 - ones for ones in reference_slots]
+        if tail:
+            value_slots[-1] -= tail
+
+        has_header = bytearray(block_count)
+        object_start = 0
+        for _, width in items:
+            klass_slot = object_start + 1  # klass slot is slot 1
+            if klass_slot < slot_count:
+                has_header[klass_slot >> 3] = 1
+            object_start += width
 
         if sections.packed:
             ref_sizes = [
-                (significant_bits(value) + 1 + 7) // 8 for value in references
+                ((value.bit_length() or 1) + 8) >> 3 for value in references
             ]
         else:
             ref_sizes = [8] * len(references)  # baseline: raw 8 B offsets
+        ref_ends = list(accumulate(ref_sizes, initial=0))
+        ones_ends = list(accumulate(reference_slots, initial=0))
+        if ones_ends[-1] >= len(ref_ends):
+            # More reference slots than entries: the tail blocks pay only
+            # for the entries that remain.
+            ref_ends += [ref_ends[-1]] * (ones_ends[-1] + 1 - len(ref_ends))
+        reference_bytes = [
+            ref_ends[stop] - ref_ends[begin]
+            for begin, stop in zip(ones_ends, ones_ends[1:])
+        ]
 
-        blocks: List[BlockDescriptor] = []
-        header_set = set(header_slots)
-        ref_index = 0
-        for block_start in range(0, len(flat_bits), 8):
-            chunk = flat_bits[block_start : block_start + 8]
-            ones = sum(chunk)
-            ref_bytes = sum(ref_sizes[ref_index : ref_index + ones])
-            ref_index += ones
-            blocks.append(
-                BlockDescriptor(
-                    value_slots=len(chunk) - ones,
-                    reference_slots=ones,
-                    has_header=any(
-                        (block_start + i) in header_set for i in range(len(chunk))
-                    ),
-                    reference_bytes=ref_bytes,
-                )
-            )
         if sections.packed:
             reference_array_bytes = (
                 len(sections.references.data) + len(sections.references.end_map)
@@ -119,10 +150,13 @@ class DUWorkload:
             )
         else:
             reference_array_bytes = len(references) * 8
-            bitmap_bytes = sum(8 + (len(b) + 7) // 8 for b in bitmaps)
+            bitmap_bytes = sum(8 + (width + 7) // 8 for _, width in items)
         return cls(
             image_bytes=sections.graph_total_bytes,
-            blocks=blocks,
+            value_slots=value_slots,
+            reference_slots=reference_slots,
+            has_header=bytes(has_header),
+            reference_bytes=reference_bytes,
             value_array_bytes=len(sections.value_words) * 8,
             reference_array_bytes=reference_array_bytes,
             bitmap_bytes=bitmap_bytes,
@@ -244,7 +278,10 @@ class DeserializationUnit:
         ref_pos = 0
         finish = start_ns
 
-        for index, block in enumerate(workload.blocks):
+        blocks = zip(
+            workload.value_slots, workload.reference_bytes, workload.has_header
+        )
+        for index, (value_slots, reference_bytes, has_header) in enumerate(blocks):
             # Layout manager: the packed bitmap for 8 slots is ~1 byte + its
             # end-map share; consume proportionally.
             bitmap_pos += 1
@@ -255,8 +292,8 @@ class DeserializationUnit:
             lm_free = lm_time
 
             # Block manager: needs the block's values and references.
-            value_pos += block.value_slots * 8
-            ref_pos += block.reference_bytes
+            value_pos += value_slots * 8
+            ref_pos += reference_bytes
             bm_ready = max(
                 value_stream.available_at(value_pos),
                 ref_stream.available_at(ref_pos),
@@ -265,10 +302,10 @@ class DeserializationUnit:
             bm_free = bm_time
 
             # Block reconstructor: earliest-free of the pool.
-            slot = min(range(reconstructors), key=lambda k: reconstructor_free[k])
+            slot = reconstructor_free.index(min(reconstructor_free))
             rec_start = max(bm_time, reconstructor_free[slot])
             rec_done = rec_start + _RECONSTRUCT_NS
-            if block.has_header:
+            if has_header:
                 self.class_id_table.lookups += 1
                 rec_done += 1.0
             self.mai.write(rec_done, destination_base + index * 64, 64)
@@ -286,10 +323,11 @@ class DeserializationUnit:
             + workload.value_array_bytes
             + workload.reference_array_bytes
         )
+        block_count = len(workload.value_slots)
         return DUResult(
             start_ns=start_ns,
             finish_ns=finish,
-            blocks=len(workload.blocks),
-            image_bytes_written=len(workload.blocks) * 64,
+            blocks=block_count,
+            image_bytes_written=block_count * 64,
             stream_bytes_read=stream_bytes,
         )

@@ -33,7 +33,7 @@ model in :mod:`repro.cereal` produces identical bytes while accounting time.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.common.errors import (
@@ -91,6 +91,11 @@ class CerealStreamSections:
     ``packed`` selects which representation is populated: the optimized
     Section IV-B format carries :class:`PackedArray`s, the Section IV-A
     baseline carries raw 8 B reference words and length-prefixed bitmaps.
+
+    Each packed array is unpacked at most once: :meth:`reference_values`
+    and :meth:`layout_bitmap_words` keep their first result, so the
+    functional rebuild and the DU workload built from one sections object
+    share the lists. Callers must not mutate them.
     """
 
     graph_total_bytes: int
@@ -102,14 +107,23 @@ class CerealStreamSections:
     mark_stripped: bool = False
     raw_references: Optional[List[int]] = None
     raw_bitmaps: Optional[List[List[int]]] = None
+    _reference_values: Optional[List[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _bitmap_words: Optional[List[tuple]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def reference_values(self) -> List[int]:
         """Reference-array entries (relative+1, 0=null), either format."""
-        if self.packed:
-            assert self.references is not None
-            return unpack_items(self.references)
-        assert self.raw_references is not None
-        return list(self.raw_references)
+        if self._reference_values is None:
+            if self.packed:
+                assert self.references is not None
+                self._reference_values = unpack_items(self.references)
+            else:
+                assert self.raw_references is not None
+                self._reference_values = self.raw_references
+        return self._reference_values
 
     def layout_bitmaps(self) -> List[List[int]]:
         """Per-object layout bitmaps, either format."""
@@ -120,11 +134,16 @@ class CerealStreamSections:
 
     def layout_bitmap_words(self) -> List[tuple]:
         """Per-object layout bitmaps as ``(word, width)`` pairs (fast path)."""
-        if self.packed:
-            assert self.bitmaps is not None
-            return unpack_bitmap_words(self.bitmaps)
-        assert self.raw_bitmaps is not None
-        return [bits_to_word(bitmap) for bitmap in self.raw_bitmaps]
+        if self._bitmap_words is None:
+            if self.packed:
+                assert self.bitmaps is not None
+                self._bitmap_words = unpack_bitmap_words(self.bitmaps)
+            else:
+                assert self.raw_bitmaps is not None
+                self._bitmap_words = [
+                    bits_to_word(bitmap) for bitmap in self.raw_bitmaps
+                ]
+        return self._bitmap_words
 
     @property
     def reference_count(self) -> int:
@@ -428,9 +447,15 @@ class CerealSerializer(Serializer):
     # -------------------------------------------------------------- stream decoding
 
     @staticmethod
-    def decode_sections(stream: SerializedStream) -> CerealStreamSections:
-        """Parse the framing into the three structures (no object rebuild)."""
+    def decode_sections(
+        stream: SerializedStream, limits: Optional[DecodeLimits] = None
+    ) -> CerealStreamSections:
+        """Parse the framing into the three structures (no object rebuild).
+
+        The stream-size limit is checked before any parsing.
+        """
         data = stream.data
+        resolve_limits(limits).check_stream_bytes(len(data))
         if len(data) < 13:
             raise FormatError("Cereal stream too short for framing")
         offset = 0
@@ -517,10 +542,19 @@ class CerealSerializer(Serializer):
         stream: SerializedStream,
         heap: Heap,
         limits: Optional[DecodeLimits] = None,
+        sections: Optional[CerealStreamSections] = None,
     ) -> DeserializationResult:
+        """Rebuild ``stream`` into ``heap``.
+
+        ``sections``, when given, must be ``decode_sections(stream)``: a
+        caller that also times the stream (the Cereal device) decodes it
+        once and shares the unpacked arrays with this rebuild.
+        """
         limits = resolve_limits(limits)
-        limits.check_stream_bytes(len(stream.data))
-        sections = self.decode_sections(stream)
+        if sections is None:
+            sections = self.decode_sections(stream, limits)
+        else:
+            limits.check_stream_bytes(len(stream.data))
         profile = WorkProfile()
         if sections.object_count == 0:
             raise FormatError("empty Cereal stream")
@@ -585,12 +619,13 @@ class CerealSerializer(Serializer):
                 obj = heap.register_object(address, klass, length)
                 if root_obj is None:
                     root_obj = obj
-                if obj.size_bytes != bitmap_width * SLOT_BYTES:
+                size = obj.size_bytes
+                if size != bitmap_width * SLOT_BYTES:
                     raise FormatError(
                         f"bitmap length {bitmap_width} disagrees with object size "
-                        f"{obj.size_bytes} for {klass.name}"
+                        f"{size} for {klass.name}"
                     )
-                offset += obj.size_bytes
+                offset += size
                 continue
             # Assemble the whole object image in Python, then commit it to
             # simulated memory with one bulk word write.
@@ -638,12 +673,13 @@ class CerealSerializer(Serializer):
             obj = heap.register_object(address, klass, length)
             if root_obj is None:
                 root_obj = obj
-            if obj.size_bytes != bitmap_width * SLOT_BYTES:
+            size = obj.size_bytes
+            if size != bitmap_width * SLOT_BYTES:
                 raise FormatError(
                     f"bitmap length {bitmap_width} disagrees with object size "
-                    f"{obj.size_bytes} for {klass.name}"
+                    f"{size} for {klass.name}"
                 )
-            offset += obj.size_bytes
+            offset += size
 
         if offset != sections.graph_total_bytes:
             raise FormatError(

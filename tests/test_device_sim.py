@@ -2,16 +2,36 @@
 
 import bisect
 import random
+import struct
 
 import pytest
 
 from repro.cereal import CerealAccelerator, DeviceSimulator
+from repro.cereal.device_sim import DeviceOperation, DeviceRunResult
+from repro.cereal.du import DeserializationUnit, DUWorkload
+from repro.cereal.mai import MemoryAccessInterface
+from repro.cereal.su import SerializationUnit
+from repro.cereal.tlb import TLB
 from repro.common.config import CerealConfig
-from repro.common.errors import SimulationError
-from repro.formats import graphs_equivalent
+from repro.common.errors import (
+    FormatError,
+    ResourceLimitError,
+    SimulationError,
+    TruncatedStreamError,
+)
+from repro.formats import CerealSerializer, SerializedStream, graphs_equivalent
+from repro.formats import limits as limits_module
+from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits
 from repro.jvm import Heap
 from repro.memory.dram import DRAMModel, _IntervalChannel
-from tests.test_serializers import build_tree, make_registry
+from tests.test_serializers import (
+    build_mixed,
+    build_primitive_array,
+    build_reference_array,
+    build_shared,
+    build_tree,
+    make_registry,
+)
 
 
 class TestIntervalChannel:
@@ -363,3 +383,341 @@ class TestSchedulingInvariants:
             op for op in result.operations if op.kind == "deserialize"
         )
         assert first_deser.start_ns == 0.0
+
+
+def _oracle_device_run(simulator, requests):
+    """The per-request device run the decode-once run replaced.
+
+    Kept verbatim: every serialize request encodes its root, and every
+    deserialize request decodes its stream, unpacks both packed arrays
+    and builds its DU workload, however many requests share an input.
+    """
+    if not requests:
+        return DeviceRunResult(
+            operations=[], wall_time_ns=0.0, dram_bytes=0,
+            bandwidth_utilization=0.0,
+        )
+    dram = DRAMModel(simulator.dram_config, out_of_order=True)
+
+    def make_mai() -> MemoryAccessInterface:
+        tlb = TLB(
+            entries=simulator.config.tlb_entries,
+            page_bytes=simulator.config.page_bytes,
+        )
+        return MemoryAccessInterface(dram, simulator.config, tlb=tlb)
+
+    su_free = [0.0] * simulator.config.num_serializer_units
+    du_free = [0.0] * simulator.config.num_deserializer_units
+    su_mais = [make_mai() for _ in su_free]
+    du_mais = [make_mai() for _ in du_free]
+
+    operations = []
+    wall_time = 0.0
+    for request in requests:
+        kind = request[0]
+        if kind == "serialize":
+            _, root = request
+            unit_index = min(range(len(su_free)), key=lambda i: su_free[i])
+            start = su_free[unit_index]
+            result = simulator.accelerator.codec.serialize(root)
+            unit = SerializationUnit(
+                su_mais[unit_index],
+                simulator.accelerator.klass_pointer_table,
+                simulator.config,
+                unit_id=unit_index,
+            )
+            epoch = root.heap.next_serialization_epoch(
+                simulator.config.header_counter_bits
+            )
+            su = unit.run(
+                root,
+                simulator.accelerator.registration,
+                start_ns=start,
+                serialization_counter=epoch,
+            )
+            su_free[unit_index] = su.finish_ns
+            operations.append(
+                DeviceOperation(
+                    kind="serialize",
+                    unit_index=unit_index,
+                    start_ns=start,
+                    finish_ns=su.finish_ns,
+                    graph_bytes=result.stream.graph_bytes,
+                    stream=result.stream,
+                )
+            )
+            wall_time = max(wall_time, su.finish_ns)
+        elif kind == "deserialize":
+            _, stream, heap = request
+            unit_index = min(range(len(du_free)), key=lambda i: du_free[i])
+            start = du_free[unit_index]
+            deser = simulator.accelerator.codec.deserialize(stream, heap)
+            sections = CerealSerializer.decode_sections(stream)
+            workload = DUWorkload.from_stream_sections(sections)
+            unit = DeserializationUnit(
+                du_mais[unit_index],
+                simulator.accelerator.class_id_table,
+                simulator.config,
+                unit_id=unit_index,
+            )
+            du = unit.run(
+                workload,
+                destination_base=deser.root.address,
+                start_ns=start,
+            )
+            du_free[unit_index] = du.finish_ns
+            operations.append(
+                DeviceOperation(
+                    kind="deserialize",
+                    unit_index=unit_index,
+                    start_ns=start,
+                    finish_ns=du.finish_ns,
+                    graph_bytes=sections.graph_total_bytes,
+                    root=deser.root,
+                )
+            )
+            wall_time = max(wall_time, du.finish_ns)
+        else:
+            raise SimulationError(f"unknown device request kind {kind!r}")
+
+    utilization = dram.stats.bandwidth_utilization(
+        wall_time, simulator.dram_config
+    )
+    return DeviceRunResult(
+        operations=operations,
+        wall_time_ns=wall_time,
+        dram_bytes=dram.stats.total_bytes,
+        bandwidth_utilization=min(1.0, utilization),
+    )
+
+
+def _assert_same_run(run, oracle, run_heaps, oracle_heaps):
+    """Field-for-field equality of two device runs and their receivers."""
+    assert run.wall_time_ns == oracle.wall_time_ns
+    assert run.dram_bytes == oracle.dram_bytes
+    assert run.bandwidth_utilization == oracle.bandwidth_utilization
+    assert len(run.operations) == len(oracle.operations)
+    for op, want in zip(run.operations, oracle.operations):
+        assert (op.kind, op.unit_index, op.start_ns, op.finish_ns,
+                op.graph_bytes) == (want.kind, want.unit_index, want.start_ns,
+                                    want.finish_ns, want.graph_bytes)
+        if want.stream is None:
+            assert op.stream is None
+        else:
+            assert op.stream == want.stream  # bytes, sections and counts
+        if want.root is None:
+            assert op.root is None
+        else:
+            assert op.root.address == want.root.address
+            assert graphs_equivalent(op.root, want.root)
+    for heap, want in zip(run_heaps, oracle_heaps):
+        assert heap.used_bytes == want.used_bytes
+
+
+def _baseline_stream(accelerator, root):
+    baseline = CerealSerializer(accelerator.registration, use_packing=False)
+    return baseline.serialize(root).stream
+
+
+class TestDecodeOnceOracle:
+    """The decode-once device run matches the per-request oracle."""
+
+    def _compare(self, device, make_requests):
+        """``make_requests(new_heap)`` builds one run's requests; receiver
+        heaps come from ``new_heap`` so both runs rebuild at the same
+        addresses."""
+        registry, _, _, simulator = device
+        heaps = {"run": [], "oracle": []}
+
+        def heap_for(label):
+            def new_heap():
+                heap = Heap(registry=registry)
+                heaps[label].append(heap)
+                return heap
+            return new_heap
+
+        oracle = _oracle_device_run(simulator, make_requests(heap_for("oracle")))
+        run = simulator.run(make_requests(heap_for("run")))
+        _assert_same_run(run, oracle, heaps["run"], heaps["oracle"])
+        return run
+
+    def test_repeated_root_serialize_batch(self, device):
+        _, _, heap, _ = device
+        root = build_tree(heap, depth=5)
+        run = self._compare(device, lambda _: [("serialize", root)] * 8)
+        streams = [op.stream for op in run.operations]
+        # Each operation owns its stream object.
+        assert len({id(stream) for stream in streams}) == len(streams)
+
+    def test_repeated_stream_deserialize_batch(self, device):
+        _, accelerator, heap, _ = device
+        stream = accelerator.serialize(build_tree(heap, depth=5))[0].stream
+        self._compare(
+            device,
+            lambda new_heap: [
+                ("deserialize", stream, new_heap()) for _ in range(8)
+            ],
+        )
+
+    def test_distinct_and_repeated_inputs_interleaved(self, device):
+        _, accelerator, heap, _ = device
+        roots = [
+            build_tree(heap, depth=4),
+            build_shared(heap),
+            build_reference_array(heap),  # null references
+            build_mixed(heap),
+            build_primitive_array(heap),
+        ]
+        streams = [accelerator.serialize(root)[0].stream for root in roots]
+        # A second stream object with the same bytes shares one decode.
+        twin = SerializedStream(
+            format_name="cereal", data=bytes(streams[0].data)
+        )
+
+        inputs = streams + [twin]
+
+        def make(new_heap):
+            requests = []
+            for index in range(14):
+                requests.append(("serialize", roots[index % 3]))
+                requests.append(
+                    ("deserialize", inputs[index % len(inputs)], new_heap())
+                )
+            return requests
+
+        self._compare(device, make)
+
+    def test_baseline_format_streams_and_codec(self, device):
+        _, accelerator, heap, _ = device
+        roots = [build_tree(heap, depth=4), build_reference_array(heap)]
+        streams = [_baseline_stream(accelerator, root) for root in roots]
+        packed = accelerator.serialize(roots[0])[0].stream
+        self._compare(
+            device,
+            lambda new_heap: [
+                ("deserialize", streams[index % 2], new_heap())
+                for index in range(6)
+            ] + [("deserialize", packed, new_heap())],
+        )
+        accelerator.codec = CerealSerializer(
+            accelerator.registration, use_packing=False
+        )
+        self._compare(
+            device,
+            lambda new_heap: [("serialize", roots[index % 2]) for index in range(5)]
+            + [("deserialize", streams[0], new_heap())],
+        )
+
+    def test_bitmap_widths_not_byte_multiples(self, device):
+        _, accelerator, heap, _ = device
+        root = build_mixed(heap)
+        stream = accelerator.serialize(root)[0].stream
+        widths = {
+            width
+            for _, width in CerealSerializer.decode_sections(stream)
+            .layout_bitmap_words()
+        }
+        assert any(width % 8 for width in widths)
+        self._compare(
+            device,
+            lambda new_heap: [("serialize", root)] * 3
+            + [("deserialize", stream, new_heap()) for _ in range(3)],
+        )
+
+    def test_stream_data_replaced_between_runs(self, device):
+        _, accelerator, heap, _ = device
+        small = accelerator.serialize(build_tree(heap, depth=3))[0].stream
+        large = accelerator.serialize(build_tree(heap, depth=6))[0].stream
+        stream = SerializedStream(format_name="cereal", data=small.data)
+        def make(new_heap):
+            return [("deserialize", stream, new_heap()) for _ in range(2)]
+
+        self._compare(device, make)
+        stream.data = large.data
+        run = self._compare(device, make)
+        assert all(op.graph_bytes == large.graph_bytes for op in run.operations)
+
+
+class TestSharedSectionsNotMutated:
+    """The rebuild reads the shared unpacked lists and never writes them."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"use_packing": False}, {"strip_mark_word": True},
+         {"use_plans": False}],
+        ids=["packed", "baseline", "mark-stripped", "interpreter"],
+    )
+    def test_rebuild_leaves_sections_intact(self, device, options):
+        registry, accelerator, heap, _ = device
+        codec = CerealSerializer(accelerator.registration, **options)
+        for build in (build_tree, build_reference_array, build_mixed,
+                      build_primitive_array):
+            stream = codec.serialize(build(heap)).stream
+            sections = CerealSerializer.decode_sections(stream)
+            references = sections.reference_values()
+            bitmaps = sections.layout_bitmap_words()
+            values = sections.value_words
+            snapshot = (list(references), list(bitmaps), list(values))
+            for _ in range(2):
+                codec.deserialize(stream, Heap(registry=registry),
+                                  sections=sections)
+                DUWorkload.from_stream_sections(sections)
+            # Unpacked at most once: the same lists come back, unchanged.
+            assert sections.reference_values() is references
+            assert sections.layout_bitmap_words() is bitmaps
+            assert (references, bitmaps, values) == snapshot
+
+
+class TestDeviceErrorPaths:
+    """Bad streams fail the device paths with the codec's typed errors."""
+
+    def _errors(self, device, stream):
+        """The error of the plain codec, the accelerator and a device run."""
+        registry, accelerator, _, simulator = device
+        calls = [
+            lambda: accelerator.codec.deserialize(stream, Heap(registry=registry)),
+            lambda: accelerator.deserialize(stream, Heap(registry=registry)),
+            lambda: simulator.run(
+                [("deserialize", stream, Heap(registry=registry))] * 2
+            ),
+        ]
+        errors = []
+        for call in calls:
+            with pytest.raises(Exception) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+        return errors
+
+    @pytest.mark.parametrize("packing", [True, False], ids=["packed", "baseline"])
+    def test_truncated_stream(self, device, packing):
+        _, accelerator, heap, _ = device
+        codec = CerealSerializer(accelerator.registration, use_packing=packing)
+        stream = codec.serialize(build_tree(heap, depth=3)).stream
+        for cut in (5, 20, len(stream.data) // 2, len(stream.data) - 1):
+            short = SerializedStream(format_name="cereal", data=stream.data[:cut])
+            errors = self._errors(device, short)
+            assert errors[0][0] in (FormatError, TruncatedStreamError)
+            assert errors == [errors[0]] * 3
+
+    @pytest.mark.parametrize("packing", [True, False], ids=["packed", "baseline"])
+    def test_header_inflated_object_count(self, device, packing):
+        _, accelerator, heap, _ = device
+        codec = CerealSerializer(accelerator.registration, use_packing=packing)
+        stream = codec.serialize(build_tree(heap, depth=3)).stream
+        data = bytearray(stream.data)
+        struct.pack_into("<I", data, 4, DEFAULT_LIMITS.max_objects + 1)
+        inflated = SerializedStream(format_name="cereal", data=bytes(data))
+        errors = self._errors(device, inflated)
+        if packing:
+            assert errors[0][0] is ResourceLimitError
+        assert errors == [errors[0]] * 3
+
+    def test_stream_size_checked_before_parsing(self, device, monkeypatch):
+        """An oversized stream of garbage fails on its size, not its framing."""
+        monkeypatch.setattr(limits_module, "DEFAULT_LIMITS",
+                            DecodeLimits(max_stream_bytes=32))
+        garbage = SerializedStream(format_name="cereal", data=b"\xff" * 33)
+        errors = self._errors(device, garbage)
+        assert errors[0][0] is ResourceLimitError
+        assert "stream_bytes" in errors[0][1]
+        assert errors == [errors[0]] * 3

@@ -1,5 +1,7 @@
 """Direct unit tests for the SU and DU timing models (below the façade)."""
 
+import random
+
 import pytest
 
 from repro.cereal.du import (
@@ -11,12 +13,23 @@ from repro.cereal.du import (
 from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.su import SerializationUnit, _BufferedStore
 from repro.cereal.tables import ClassIDTable, KlassPointerTable
+from repro.common.bitstream import word_to_bits
+from repro.common.bitutils import significant_bits
 from repro.common.config import CerealConfig
 from repro.common.errors import SimulationError
-from repro.formats import ClassRegistration
+from repro.formats import CerealSerializer, ClassRegistration
+from repro.formats.cereal_format import CerealStreamSections
+from repro.formats.packing import pack_bitmap_words, pack_items
 from repro.jvm import Heap
 from repro.memory.dram import DRAMModel
-from tests.test_serializers import build_shared, build_tree, make_registry
+from tests.test_serializers import (
+    build_mixed,
+    build_primitive_array,
+    build_reference_array,
+    build_shared,
+    build_tree,
+    make_registry,
+)
 
 
 def make_su(config=None, unit_id=0):
@@ -151,15 +164,10 @@ class TestDeserializationUnitDirect:
     def make_workload(self, blocks=16, values=6, refs=2):
         return DUWorkload(
             image_bytes=blocks * 64,
-            blocks=[
-                BlockDescriptor(
-                    value_slots=values,
-                    reference_slots=refs,
-                    has_header=(index % 2 == 0),
-                    reference_bytes=refs * 2,
-                )
-                for index in range(blocks)
-            ],
+            value_slots=[values] * blocks,
+            reference_slots=[refs] * blocks,
+            has_header=bytes(index % 2 == 0 for index in range(blocks)),
+            reference_bytes=[refs * 2] * blocks,
             value_array_bytes=blocks * values * 8,
             reference_array_bytes=blocks * refs * 2,
             bitmap_bytes=blocks * 2,
@@ -203,3 +211,150 @@ class TestDeserializationUnitDirect:
         fast = pipelined.run(workload, destination_base=0x2000_0000)
         slow = vanilla.run(workload, destination_base=0x2000_0000)
         assert slow.elapsed_ns > fast.elapsed_ns
+
+
+def _oracle_du_workload(sections):
+    """The per-slot DU workload build the columnar one replaced.
+
+    Kept verbatim: flattens every bitmap into a bit list and slices it into
+    8-slot blocks. Returns ``(blocks, image, value, reference, bitmap
+    bytes)``.
+    """
+    bitmaps = sections.layout_bitmaps()
+    references = sections.reference_values()
+
+    flat_bits = []
+    header_slots = []  # absolute slot index of each klass slot
+    slot_cursor = 0
+    for bitmap in bitmaps:
+        header_slots.append(slot_cursor + 1)  # klass slot is slot 1
+        flat_bits.extend(bitmap)
+        slot_cursor += len(bitmap)
+
+    if sections.packed:
+        ref_sizes = [
+            (significant_bits(value) + 1 + 7) // 8 for value in references
+        ]
+    else:
+        ref_sizes = [8] * len(references)  # baseline: raw 8 B offsets
+
+    blocks = []
+    header_set = set(header_slots)
+    ref_index = 0
+    for block_start in range(0, len(flat_bits), 8):
+        chunk = flat_bits[block_start : block_start + 8]
+        ones = sum(chunk)
+        ref_bytes = sum(ref_sizes[ref_index : ref_index + ones])
+        ref_index += ones
+        blocks.append(
+            BlockDescriptor(
+                value_slots=len(chunk) - ones,
+                reference_slots=ones,
+                has_header=any(
+                    (block_start + i) in header_set for i in range(len(chunk))
+                ),
+                reference_bytes=ref_bytes,
+            )
+        )
+    if sections.packed:
+        reference_array_bytes = (
+            len(sections.references.data) + len(sections.references.end_map)
+        )
+        bitmap_bytes = (
+            len(sections.bitmaps.data) + len(sections.bitmaps.end_map)
+        )
+    else:
+        reference_array_bytes = len(references) * 8
+        bitmap_bytes = sum(8 + (len(b) + 7) // 8 for b in bitmaps)
+    return (
+        blocks,
+        sections.graph_total_bytes,
+        len(sections.value_words) * 8,
+        reference_array_bytes,
+        bitmap_bytes,
+    )
+
+
+def _assert_matches_oracle(sections):
+    workload = DUWorkload.from_stream_sections(sections)
+    blocks, image, values, refs, bitmaps = _oracle_du_workload(sections)
+    assert workload.blocks == blocks
+    assert all(
+        type(block.has_header) is bool for block in workload.blocks
+    )
+    assert (
+        workload.image_bytes,
+        workload.value_array_bytes,
+        workload.reference_array_bytes,
+        workload.bitmap_bytes,
+    ) == (image, values, refs, bitmaps)
+
+
+def _sections(bitmaps, references, packed):
+    """Hand-built sections over ``(word, width)`` bitmaps."""
+    slots = sum(width for _, width in bitmaps)
+    common = dict(
+        graph_total_bytes=slots * 8,
+        object_count=len(bitmaps),
+        value_words=[0] * (slots - sum(bin(word).count("1") for word, _ in bitmaps)),
+        packed=packed,
+    )
+    if packed:
+        return CerealStreamSections(
+            references=pack_items(references),
+            bitmaps=pack_bitmap_words(bitmaps),
+            **common,
+        )
+    return CerealStreamSections(
+        raw_references=list(references),
+        raw_bitmaps=[word_to_bits(word, width) for word, width in bitmaps],
+        **common,
+    )
+
+
+class TestDUWorkloadOracle:
+    """The columnar DU workload matches the per-slot oracle block for block."""
+
+    @pytest.mark.parametrize("packing", [True, False], ids=["packed", "baseline"])
+    @pytest.mark.parametrize(
+        "build", [build_tree, build_shared, build_mixed, build_reference_array,
+                  build_primitive_array],
+    )
+    def test_real_streams(self, packing, build):
+        registry = make_registry()
+        registration = ClassRegistration()
+        for klass in registry:
+            registration.register(klass)
+        heap = Heap(registry=registry)
+        codec = CerealSerializer(registration, use_packing=packing)
+        stream = codec.serialize(build(heap)).stream
+        _assert_matches_oracle(CerealSerializer.decode_sections(stream))
+
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "baseline"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_bitmaps(self, packed, seed):
+        """Odd widths, single-slot objects, null and wide references."""
+        rng = random.Random(seed)
+        bitmaps = []
+        for _ in range(rng.randint(0, 40)):
+            width = rng.choice([1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 64, 71])
+            bitmaps.append((rng.getrandbits(width), width))
+        ones = sum(bin(word).count("1") for word, _ in bitmaps)
+        references = [
+            rng.choice([0, 1, rng.getrandbits(12), rng.getrandbits(40)])
+            for _ in range(ones)
+        ]
+        _assert_matches_oracle(_sections(bitmaps, references, packed))
+
+    @pytest.mark.parametrize("extra", [-3, -1, 1, 4])
+    def test_reference_count_mismatch(self, extra):
+        """Blocks past the last entry pay only for the entries that remain."""
+        bitmaps = [(0b00110011_1, 9), (0b0111, 4), (0b1, 1), (0b10101, 5)]
+        ones = sum(bin(word).count("1") for word, _ in bitmaps)
+        references = [300 * index for index in range(ones + extra)]
+        _assert_matches_oracle(_sections(bitmaps, references, packed=False))
+
+    def test_empty_and_zero_width_bitmaps(self):
+        _assert_matches_oracle(_sections([], [], packed=False))
+        _assert_matches_oracle(_sections([(0, 0), (0b11, 2), (0, 0)], [5, 0],
+                                         packed=False))
