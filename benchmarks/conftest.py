@@ -105,8 +105,9 @@ def _measure_software(name: str, workload: str) -> MicroMeasurement:
     )
 
 
-def _device_utilization(accelerator: CerealAccelerator, root, stream) -> tuple:
-    """(ser, deser) device-level utilization with all 8 units busy.
+def _device_runs(accelerator: CerealAccelerator, root, stream) -> tuple:
+    """(ser, deser) :class:`~repro.cereal.device_sim.DeviceRunResult` of
+    one batch per pool with all 8 units busy.
 
     Simulates eight concurrent operations on the shared memory system via
     :class:`~repro.cereal.device_sim.DeviceSimulator`.
@@ -123,21 +124,27 @@ def _device_utilization(accelerator: CerealAccelerator, root, stream) -> tuple:
     de_run = simulator.run(
         [("deserialize", stream, receiver) for receiver in receivers]
     )
-    return ser_run.bandwidth_utilization, de_run.bandwidth_utilization
+    return ser_run, de_run
 
 
-def _measure_cereal(workload: str, vanilla: bool = False) -> MicroMeasurement:
+def _cereal_inputs(workload: str, vanilla: bool = False) -> tuple:
+    """(heap, root, accelerator) for one Table II graph on Cereal."""
     heap = Heap(registry=None)
     register_micro_klasses(heap.registry)
-    receiver = Heap(registry=heap.registry)
     root = build_microbench(heap, workload)
     config = CerealConfig().vanilla() if vanilla else CerealConfig()
     accelerator = CerealAccelerator(config)
     for klass in heap.registry:
         accelerator.register_class(klass)
+    return heap, root, accelerator
+
+
+def _measure_cereal(workload: str, vanilla: bool = False) -> MicroMeasurement:
+    heap, root, accelerator = _cereal_inputs(workload, vanilla)
+    receiver = Heap(registry=heap.registry)
     result, ser_timing, _ = accelerator.serialize(root)
     _, de_timing, _ = accelerator.deserialize(result.stream, receiver)
-    ser_8u, de_8u = _device_utilization(accelerator, root, result.stream)
+    ser_8u, de_8u = _device_runs(accelerator, root, result.stream)
     return MicroMeasurement(
         serialize_time_ns=ser_timing.elapsed_ns,
         deserialize_time_ns=de_timing.elapsed_ns,
@@ -146,8 +153,8 @@ def _measure_cereal(workload: str, vanilla: bool = False) -> MicroMeasurement:
         stream_bytes=result.stream.size_bytes,
         graph_bytes=result.stream.graph_bytes,
         objects=result.stream.object_count,
-        serialize_bandwidth_8u=ser_8u,
-        deserialize_bandwidth_8u=de_8u,
+        serialize_bandwidth_8u=ser_8u.bandwidth_utilization,
+        deserialize_bandwidth_8u=de_8u.bandwidth_utilization,
     )
 
 

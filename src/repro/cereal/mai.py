@@ -74,11 +74,11 @@ class MemoryAccessInterface:
         One pass over the request's 32 B blocks in address order; the block
         counters are folded into :attr:`stats` once per request.
         """
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
         stats = self.stats
         stats.read_requests += 1
         when_ns += self.tlb.translate(address)
-        if length <= 0:
-            raise SimulationError(f"access length must be positive, got {length}")
         block_bytes = self.block_bytes
         first = address // block_bytes
         last = (address + length - 1) // block_bytes
@@ -116,11 +116,11 @@ class MemoryAccessInterface:
 
     def write(self, when_ns: float, address: int, length: int) -> float:
         """Post a write; returns the hand-off time (requester continues)."""
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
         stats = self.stats
         stats.write_requests += 1
         when_ns += self.tlb.translate(address)
-        if length <= 0:
-            raise SimulationError(f"access length must be positive, got {length}")
         block_bytes = self.block_bytes
         first = address // block_bytes
         last = (address + length - 1) // block_bytes
@@ -144,6 +144,8 @@ class MemoryAccessInterface:
 
     def atomic_rmw(self, when_ns: float, address: int, length: int = 8) -> float:
         """Atomic update (visited-bit / relative-address header writes)."""
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
         self.stats.atomic_rmws += 1
         read_done = self.read(when_ns, address, length)
         # The buffered RMW entry applies the modify and writes back without

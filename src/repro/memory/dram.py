@@ -30,7 +30,10 @@ simplification: each channel keeps an interval schedule and an access
 takes the earliest gap at or after its issue time that fits it (first
 fit). Abutting busy intervals are stored coalesced into one run, which
 changes no start time: first fit only ever inspects gaps, and a merged
-run keeps its outer boundaries as the same floats.
+run keeps its outer boundaries as the same floats. The runs sit in blocks
+of at most :data:`BLOCK_RUNS`, so an insert shifts one block rather than
+a schedule of ~100k interleaved runs; the flat two-list schedule they
+replace is the oracle in ``tests/test_device_sim.py``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from typing import List, Optional
 
 from repro.common.config import DRAMConfig
 from repro.common.errors import SimulationError
+
+# Most runs one block of an interval channel holds before it splits.
+BLOCK_RUNS = 512
 
 
 @dataclass
@@ -73,47 +79,111 @@ class _IntervalChannel:
     issued "in the past" relative to already-scheduled traffic slots into
     the earliest sufficiently large gap instead of queuing at the tail.
 
-    Busy time is kept as sorted, disjoint runs in two parallel lists,
-    ``_starts`` and ``_ends``. A new interval that touches a neighbouring
-    run is merged into it, so no two runs abut and the forward scan steps
-    over one run per gap instead of one entry per access. Every occupancy
-    is positive, so a gap of zero never fits and the merged schedule makes
-    the same first-fit choices as one storing each interval separately.
+    Busy time is kept as sorted, disjoint runs. A new interval that touches
+    a neighbouring run is merged into it, so no two runs abut and the
+    forward scan steps over one run per gap instead of one entry per
+    access. Every occupancy is positive, so a gap of zero never fits and
+    the merged schedule makes the same first-fit choices as one storing
+    each interval separately.
+
+    The runs are stored in blocks of at most :data:`BLOCK_RUNS` runs, each
+    block a pair of parallel ``starts``/``ends`` lists, so an insert or a
+    delete shifts one block's tail rather than the whole schedule's (eight
+    interleaved device units leave ~100k runs per channel). ``_bounds``
+    holds the first start of every block after the first: ``schedule``
+    bisects it for the block, bisects within that block, and lets the
+    forward scan cross into the following blocks. A block that outgrows
+    the cap splits in two and a block emptied by a merge is dropped; only
+    the first block is ever empty, and only before the first access.
+    Every start time is the float the flat two-list schedule returns; that
+    schedule is kept as the oracle in ``tests/test_device_sim.py``.
     """
 
     def __init__(self) -> None:
-        self._starts: List[float] = []
-        self._ends: List[float] = []
+        self._bounds: List[float] = []
+        self._start_blocks: List[List[float]] = [[]]
+        self._end_blocks: List[List[float]] = [[]]
 
     def schedule(self, issue_ns: float, occupancy_ns: float) -> float:
         """Reserve ``occupancy_ns`` at/after ``issue_ns``; returns start."""
-        starts = self._starts
-        ends = self._ends
+        bounds = self._bounds
         candidate = issue_ns
+        block = bisect.bisect_right(bounds, candidate)
+        starts = self._start_blocks[block]
+        ends = self._end_blocks[block]
         index = bisect.bisect_left(starts, candidate)
-        # The previous run may still cover the candidate time.
+        # The previous run may still cover the candidate time. At index 0
+        # of a later block the start equals the candidate, so the previous
+        # block's last run ends before it.
         if index and ends[index - 1] > candidate:
             candidate = ends[index - 1]
         count = len(starts)
+        last_block = len(bounds)
         # Runs are disjoint and apart, so the next run's end is always past
         # the candidate: stepping over a run moves the candidate to its end.
-        while index < count and starts[index] - candidate < occupancy_ns:
-            candidate = ends[index]
-            index += 1
+        while True:
+            while index < count and starts[index] - candidate < occupancy_ns:
+                candidate = ends[index]
+                index += 1
+            if (
+                index < count
+                or block == last_block
+                or bounds[block] - candidate >= occupancy_ns
+            ):
+                break
+            block += 1
+            starts = self._start_blocks[block]
+            ends = self._end_blocks[block]
+            count = len(starts)
+            index = 0
+        # Past the scan, index 0 only occurs in the first block: a later
+        # block's first run always starts before the candidate can fit.
         finish = candidate + occupancy_ns
-        joins_next = index < count and finish >= starts[index]
-        if index and ends[index - 1] >= candidate:
+        if index < count:
+            joins_next = finish >= starts[index]
+            if index and ends[index - 1] >= candidate:
+                if joins_next:
+                    ends[index - 1] = ends[index]
+                    del starts[index]
+                    del ends[index]
+                else:
+                    ends[index - 1] = finish
+                return candidate
             if joins_next:
-                ends[index - 1] = ends[index]
-                del starts[index]
-                del ends[index]
-            else:
-                ends[index - 1] = finish
-        elif joins_next:
-            starts[index] = candidate
+                starts[index] = candidate
+                return candidate
         else:
-            starts.insert(index, candidate)
-            ends.insert(index, finish)
+            # The next run, if any, opens the following block.
+            joins_next = block < last_block and finish >= bounds[block]
+            if index and ends[index - 1] >= candidate:
+                if not joins_next:
+                    ends[index - 1] = finish
+                    return candidate
+                next_starts = self._start_blocks[block + 1]
+                next_ends = self._end_blocks[block + 1]
+                ends[index - 1] = next_ends[0]
+                if len(next_starts) == 1:
+                    del self._start_blocks[block + 1]
+                    del self._end_blocks[block + 1]
+                    del bounds[block]
+                else:
+                    del next_starts[0]
+                    del next_ends[0]
+                    bounds[block] = next_starts[0]
+                return candidate
+            if joins_next:
+                self._start_blocks[block + 1][0] = candidate
+                bounds[block] = candidate
+                return candidate
+        starts.insert(index, candidate)
+        ends.insert(index, finish)
+        if count >= BLOCK_RUNS:
+            half = (count + 1) // 2
+            self._start_blocks.insert(block + 1, starts[half:])
+            self._end_blocks.insert(block + 1, ends[half:])
+            bounds.insert(block, starts[half])
+            del starts[half:]
+            del ends[half:]
         return candidate
 
 

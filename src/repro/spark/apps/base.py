@@ -82,13 +82,11 @@ def register_backend_classes(backend: SDBackend, registry: KlassRegistry) -> Non
 
 def new_double_array(heap: Heap, rng: DeterministicRandom, length: int) -> HeapObject:
     array = heap.new_array(FieldKind.DOUBLE, length)
-    for index in range(length):
-        array.set_element(index, rng.random() * 2.0 - 1.0)
+    array.set_elements([rng.random() * 2.0 - 1.0 for _ in range(length)])
     return array
 
 
 def new_long_array(heap: Heap, rng: DeterministicRandom, length: int) -> HeapObject:
     array = heap.new_array(FieldKind.LONG, length)
-    for index in range(length):
-        array.set_element(index, rng.next_u64() >> 16)
+    array.set_elements([rng.next_u64() >> 16 for _ in range(length)])
     return array

@@ -176,11 +176,7 @@ class MiniSparkContext:
         return array
 
     def _unwrap_records(self, root: HeapObject) -> List[HeapObject]:
-        return [
-            root.get_element(index)
-            for index in range(root.length)
-            if root.get_element(index) is not None
-        ]
+        return [record for record in root.get_elements() if record is not None]
 
     def serialize_bucket(
         self, records: Sequence[HeapObject], site: str

@@ -154,9 +154,37 @@ class TestMAI:
         assert mai.stats.atomic_rmws == 1
 
     def test_zero_length_rejected(self):
-        mai = self.make_mai()
-        with pytest.raises(SimulationError):
-            mai.read(0.0, 0, 0)
+        # Rejection comes before any state change: no request counted, no
+        # TLB hit, miss or LRU move, no MAI entry, no DRAM traffic.
+        for op in ("read", "write", "atomic_rmw"):
+            for length in (0, -8):
+                # Two 4 KB pages in the TLB, so a translate of the rejected
+                # request's address would reorder them.
+                mai = MemoryAccessInterface(
+                    DRAMModel(), CerealConfig(), tlb=TLB(entries=4, page_bytes=4096)
+                )
+                mai.read(0.0, 0x0, 8)
+                mai.write(10.0, 0x1000, 64)
+                mai.atomic_rmw(20.0, 0x40)
+                before = self._state(mai)
+                with pytest.raises(
+                    SimulationError,
+                    match=f"^access length must be positive, got {length}$",
+                ):
+                    getattr(mai, op)(30.0, 0x0, length)
+                assert self._state(mai) == before, (op, length)
+
+    @staticmethod
+    def _state(mai):
+        return (
+            dataclasses.replace(mai.stats),
+            mai.tlb.hits,
+            mai.tlb.misses,
+            list(mai.tlb._pages),
+            list(mai._entries.items()),
+            mai.last_drain_ns,
+            dataclasses.replace(mai.dram.stats),
+        )
 
 
 class _PerBlockMAI(MemoryAccessInterface):

@@ -3,6 +3,7 @@
 import bisect
 import random
 import struct
+from typing import List
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.formats import CerealSerializer, SerializedStream, graphs_equivalent
 from repro.formats import limits as limits_module
 from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits
 from repro.jvm import Heap
+from repro.memory import dram as dram_module
 from repro.memory.dram import DRAMModel, _IntervalChannel
 from tests.test_serializers import (
     build_mixed,
@@ -67,26 +69,25 @@ class TestIntervalChannel:
         channel = _IntervalChannel()
         starts = [channel.schedule(t, 1.0) for t in (50, 10, 30, 10, 50, 0)]
         assert all(s >= t for s, t in zip(starts, (50, 10, 30, 10, 50, 0)))
-        assert channel._starts == sorted(channel._starts)
-        assert channel._ends == sorted(channel._ends)
+        run_starts, run_ends = _flat(channel)
+        assert run_starts == sorted(run_starts)
+        assert run_ends == sorted(run_ends)
         _assert_disjoint_runs(channel)
         # [0,1) [10,12) [30,31) [50,52): the abutting pairs were merged.
-        assert list(zip(channel._starts, channel._ends)) == [
-            (0, 1.0), (10, 12.0), (30, 31.0), (50, 52.0)
-        ]
+        assert _runs(channel) == [(0, 1.0), (10, 12.0), (30, 31.0), (50, 52.0)]
 
     def test_abutting_intervals_coalesce(self):
         channel = _IntervalChannel()
         for _ in range(100):
             channel.schedule(0.0, 2.5)
-        assert (channel._starts, channel._ends) == ([0.0], [250.0])
+        assert _flat(channel) == ([0.0], [250.0])
 
     def test_gap_fill_joins_both_neighbours(self):
         channel = _IntervalChannel()
         channel.schedule(0.0, 10.0)  # [0, 10)
         channel.schedule(20.0, 10.0)  # [20, 30)
         assert channel.schedule(10.0, 10.0) == 10.0  # exactly fills the gap
-        assert (channel._starts, channel._ends) == ([0.0], [30.0])
+        assert _flat(channel) == ([0.0], [30.0])
 
 
 class _OracleIntervalChannel:
@@ -118,8 +119,79 @@ class _OracleIntervalChannel:
         return candidate
 
 
-def _assert_disjoint_runs(channel: _IntervalChannel) -> None:
-    starts, ends = channel._starts, channel._ends
+class _FlatIntervalChannel:
+    """The coalesced schedule in two flat lists, before block storage.
+
+    Kept verbatim as the oracle for the blocked :class:`_IntervalChannel`:
+    the same first-fit and coalescing rules over one ``_starts``/``_ends``
+    pair, where every insert or delete shifts the whole tail.
+    """
+
+    def __init__(self) -> None:
+        self._starts: List[float] = []
+        self._ends: List[float] = []
+
+    def schedule(self, issue_ns: float, occupancy_ns: float) -> float:
+        """Reserve ``occupancy_ns`` at/after ``issue_ns``; returns start."""
+        starts = self._starts
+        ends = self._ends
+        candidate = issue_ns
+        index = bisect.bisect_left(starts, candidate)
+        # The previous run may still cover the candidate time.
+        if index and ends[index - 1] > candidate:
+            candidate = ends[index - 1]
+        count = len(starts)
+        # Runs are disjoint and apart, so the next run's end is always past
+        # the candidate: stepping over a run moves the candidate to its end.
+        while index < count and starts[index] - candidate < occupancy_ns:
+            candidate = ends[index]
+            index += 1
+        finish = candidate + occupancy_ns
+        joins_next = index < count and finish >= starts[index]
+        if index and ends[index - 1] >= candidate:
+            if joins_next:
+                ends[index - 1] = ends[index]
+                del starts[index]
+                del ends[index]
+            else:
+                ends[index - 1] = finish
+        elif joins_next:
+            starts[index] = candidate
+        else:
+            starts.insert(index, candidate)
+            ends.insert(index, finish)
+        return candidate
+
+
+def _flat(channel):
+    """A channel's runs as one flat ``(starts, ends)`` pair of lists."""
+    if isinstance(channel, _FlatIntervalChannel):
+        return list(channel._starts), list(channel._ends)
+    return (
+        [start for block in channel._start_blocks for start in block],
+        [end for block in channel._end_blocks for end in block],
+    )
+
+
+def _runs(channel):
+    return list(zip(*_flat(channel)))
+
+
+def _assert_blocks(channel: _IntervalChannel) -> None:
+    """Block storage invariants: no empty block past an empty channel,
+    no block over the cap, and each bound is its block's first start."""
+    start_blocks, end_blocks = channel._start_blocks, channel._end_blocks
+    assert len(start_blocks) == len(end_blocks) == len(channel._bounds) + 1
+    for starts, ends in zip(start_blocks, end_blocks):
+        assert len(starts) == len(ends) <= dram_module.BLOCK_RUNS
+        assert starts or len(start_blocks) == 1
+    assert channel._bounds == [starts[0] for starts in start_blocks[1:]]
+
+
+def _assert_disjoint_runs(channel) -> None:
+    if isinstance(channel, _IntervalChannel):
+        _assert_blocks(channel)
+    starts, ends = _flat(channel)
     assert len(starts) == len(ends)
     for start, end in zip(starts, ends):
         assert start < end
@@ -166,6 +238,27 @@ def _random_requests(rng: random.Random, count: int):
         yield issue, occupancy, issued
 
 
+def _drive_device_stream(rng: random.Random, count: int, schedule,
+                         start_at_zero: bool) -> None:
+    """Eight requesters walking their own streams at staggered clocks:
+    the device simulator's pattern of out-of-order issue."""
+    clocks = [0.0 if start_at_zero else rng.uniform(0.0, 50.0) for _ in range(8)]
+    for _ in range(count):
+        unit = rng.randrange(8)
+        occupancy = rng.choice((_BLOCK_NS, _LINE_NS))
+        start = schedule(clocks[unit], occupancy)
+        clocks[unit] = start + rng.choice((0.0, occupancy, 1.0, 40.0))
+
+
+def _same_start(channel, oracle):
+    """A schedule callback that asserts both channels pick the same start."""
+    def schedule(issue, occupancy):
+        start = channel.schedule(issue, occupancy)
+        assert start == oracle.schedule(issue, occupancy)
+        return start
+    return schedule
+
+
 class TestIntervalScheduleOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_same_start_times_as_oracle(self, seed):
@@ -178,28 +271,115 @@ class TestIntervalScheduleOracle:
             issued.append((start, start + occupancy))
         _assert_disjoint_runs(channel)
         # The coalesced runs cover exactly the oracle's busy time.
-        assert list(zip(channel._starts, channel._ends)) == _merged(
-            oracle._intervals
-        )
-        assert len(channel._starts) < len(oracle._intervals)
+        assert _runs(channel) == _merged(oracle._intervals)
+        assert len(_flat(channel)[0]) < len(oracle._intervals)
 
     def test_device_shaped_stream_matches_oracle(self):
-        # Eight requesters walking their own streams at staggered clocks:
-        # the device simulator's pattern of out-of-order issue.
         rng = random.Random(99)
         channel = _IntervalChannel()
         oracle = _OracleIntervalChannel()
-        clocks = [rng.uniform(0.0, 50.0) for _ in range(8)]
-        for _ in range(4000):
-            unit = rng.randrange(8)
-            occupancy = rng.choice((_BLOCK_NS, _LINE_NS))
-            start = channel.schedule(clocks[unit], occupancy)
-            assert start == oracle.schedule(clocks[unit], occupancy)
-            clocks[unit] = start + rng.choice((0.0, occupancy, 1.0, 40.0))
-        _assert_disjoint_runs(channel)
-        assert list(zip(channel._starts, channel._ends)) == _merged(
-            oracle._intervals
+        _drive_device_stream(
+            rng, 4000, _same_start(channel, oracle), start_at_zero=False
         )
+        _assert_disjoint_runs(channel)
+        assert _runs(channel) == _merged(oracle._intervals)
+
+
+def _assert_matches_flat(channel, flat, issue, occupancy):
+    start = channel.schedule(issue, occupancy)
+    assert start == flat.schedule(issue, occupancy)
+    assert _flat(channel) == _flat(flat)
+    _assert_blocks(channel)
+    return start
+
+
+class TestBlockedScheduleOracle:
+    """The blocked channel against the flat two-list schedule it replaced."""
+
+    @pytest.mark.parametrize("block_runs", [2, 3, 4, dram_module.BLOCK_RUNS])
+    @pytest.mark.parametrize("seed", range(75))
+    def test_same_start_times_and_runs_as_flat(self, monkeypatch, block_runs, seed):
+        monkeypatch.setattr(dram_module, "BLOCK_RUNS", block_runs)
+        rng = random.Random(f"blocked-{block_runs}-{seed}")
+        channel = _IntervalChannel()
+        flat = _FlatIntervalChannel()
+        for issue, occupancy, issued in _random_requests(rng, 300):
+            start = channel.schedule(issue, occupancy)
+            assert start == flat.schedule(issue, occupancy)
+            issued.append((start, start + occupancy))
+        assert _flat(channel) == _flat(flat)
+        _assert_disjoint_runs(channel)
+
+    @pytest.mark.parametrize("block_runs", [2, 3, 4, dram_module.BLOCK_RUNS])
+    def test_device_shaped_stream_matches_flat(self, monkeypatch, block_runs):
+        # Eight units all starting at 0, as in one DeviceSimulator batch.
+        monkeypatch.setattr(dram_module, "BLOCK_RUNS", block_runs)
+        rng = random.Random(block_runs)
+        channel = _IntervalChannel()
+        flat = _FlatIntervalChannel()
+        _drive_device_stream(rng, 6000, _same_start(channel, flat), start_at_zero=True)
+        assert _flat(channel) == _flat(flat)
+        _assert_disjoint_runs(channel)
+        assert len(channel._start_blocks) > 1  # the stream crossed blocks
+
+    def test_overflowing_block_splits(self, monkeypatch):
+        monkeypatch.setattr(dram_module, "BLOCK_RUNS", 2)
+        channel, flat = _IntervalChannel(), _FlatIntervalChannel()
+        for issue in (0.0, 4.0, 8.0):
+            _assert_matches_flat(channel, flat, issue, 1.0)
+        assert channel._start_blocks == [[0.0], [4.0, 8.0]]
+        assert channel._bounds == [4.0]
+
+    def test_scan_crosses_blocks(self, monkeypatch):
+        monkeypatch.setattr(dram_module, "BLOCK_RUNS", 2)
+        channel, flat = _IntervalChannel(), _FlatIntervalChannel()
+        for issue in (0.0, 2.0, 4.0, 6.0, 8.0, 12.0):
+            _assert_matches_flat(channel, flat, issue, 1.0)
+        assert channel._start_blocks == [[0.0], [2.0], [4.0], [6.0], [8.0, 12.0]]
+        # Only the gap [9, 12) fits 2 units: the scan crosses four blocks.
+        assert _assert_matches_flat(channel, flat, 0.5, 2.0) == 9.0
+        # No gap fits 1.5 units any more: the scan walks every block.
+        assert _assert_matches_flat(channel, flat, 0.5, 1.5) == 13.0
+
+    def test_merge_that_empties_a_block_drops_it(self, monkeypatch):
+        monkeypatch.setattr(dram_module, "BLOCK_RUNS", 2)
+        channel, flat = _IntervalChannel(), _FlatIntervalChannel()
+        for issue in (0.0, 4.0, 8.0, 12.0):
+            _assert_matches_flat(channel, flat, issue, 1.0)
+        assert channel._start_blocks == [[0.0], [4.0], [8.0, 12.0]]
+        # [1, 4) joins the first block's run to the second block's only run.
+        assert _assert_matches_flat(channel, flat, 1.0, 3.0) == 1.0
+        assert channel._start_blocks == [[0.0], [8.0, 12.0]]
+        assert channel._end_blocks == [[5.0], [9.0, 13.0]]
+        assert channel._bounds == [8.0]
+
+    def test_merge_across_blocks_keeps_nonempty_block(self, monkeypatch):
+        monkeypatch.setattr(dram_module, "BLOCK_RUNS", 2)
+        channel, flat = _IntervalChannel(), _FlatIntervalChannel()
+        for issue in (0.0, 4.0, 8.0):
+            _assert_matches_flat(channel, flat, issue, 1.0)
+        assert _assert_matches_flat(channel, flat, 1.0, 3.0) == 1.0
+        assert channel._start_blocks == [[0.0], [8.0]]
+        assert channel._bounds == [8.0]
+
+    def test_insert_at_a_blocks_first_slot(self, monkeypatch):
+        monkeypatch.setattr(dram_module, "BLOCK_RUNS", 2)
+        channel, flat = _IntervalChannel(), _FlatIntervalChannel()
+        for issue in (10.0, 20.0, 30.0):
+            _assert_matches_flat(channel, flat, issue, 1.0)
+        assert channel._start_blocks == [[10.0], [20.0, 30.0]]
+        # Before every run: the first block's first slot.
+        assert _assert_matches_flat(channel, flat, 0.0, 1.0) == 0.0
+        assert channel._start_blocks == [[0.0, 10.0], [20.0, 30.0]]
+        # Abutting the second block's first run from below moves its bound.
+        assert _assert_matches_flat(channel, flat, 18.0, 2.0) == 18.0
+        assert channel._start_blocks == [[0.0, 10.0], [18.0, 30.0]]
+        assert channel._bounds == [18.0]
+        # A new run between the blocks lands at the end of the first one
+        # and splits it.
+        assert _assert_matches_flat(channel, flat, 14.0, 1.0) == 14.0
+        assert channel._start_blocks == [[0.0], [10.0, 14.0], [18.0, 30.0]]
+        assert channel._bounds == [10.0, 18.0]
 
 
 class TestOutOfOrderDRAM:

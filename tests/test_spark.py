@@ -4,6 +4,7 @@ import pytest
 
 from repro.cereal import CerealAccelerator
 from repro.formats import JavaSerializer, KryoSerializer
+from repro.jvm import Heap
 from repro.jvm.klass import FieldDescriptor, FieldKind, InstanceKlass
 from repro.spark import (
     CerealBackend,
@@ -11,7 +12,9 @@ from repro.spark import (
     SoftwareBackend,
 )
 from repro.spark.apps import PAPER_INPUT_MB, SPARK_APPS
+from repro.spark.apps.base import new_double_array, new_long_array
 from repro.spark.metrics import SDOperation, TimeBreakdown
+from repro.workloads.datagen import DeterministicRandom
 
 
 def kv_klass():
@@ -138,6 +141,19 @@ class TestEngine:
         context, klass = make_context()
         context.parallelize(make_records(context, klass, 50), 2)
         assert context.breakdown.gc_ns > 0
+
+
+class TestInputArrays:
+    def test_bulk_inputs_draw_values_in_index_order(self):
+        heap = Heap(registry=None)
+        doubles = new_double_array(heap, DeterministicRandom(7), 33)
+        longs = new_long_array(heap, DeterministicRandom(7), 33)
+        rng = DeterministicRandom(7)
+        assert doubles.get_elements() == [
+            rng.random() * 2.0 - 1.0 for _ in range(33)
+        ]
+        rng = DeterministicRandom(7)
+        assert longs.get_elements() == [rng.next_u64() >> 16 for _ in range(33)]
 
 
 class TestBackends:
