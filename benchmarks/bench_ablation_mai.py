@@ -7,7 +7,7 @@ Disabling coalescing or shrinking the tracker shows its contribution.
 
 from repro.analysis import ReportTable
 from repro.cereal.mai import MemoryAccessInterface
-from repro.cereal.su import SerializationUnit
+from repro.cereal.su import SerializationUnit, SUWorkload
 from repro.cereal.tables import KlassPointerTable
 from repro.common.config import CerealConfig
 from repro.formats import ClassRegistration
@@ -24,10 +24,10 @@ def _run_su(root, registration, coalescing=True, mai_entries=64):
     for class_id, klass in enumerate(registration):
         table.install(klass.metaspace_address, class_id)
     unit = SerializationUnit(mai, table, config)
-    # Each run needs its own visited-tracking epoch, or the second run
-    # would see the first run's header marks (Section V-E).
+    # Each run takes its own visited-tracking epoch, as every operation
+    # does (Section V-E).
     epoch = root.heap.next_serialization_epoch()
-    result = unit.run(root, registration, serialization_counter=epoch)
+    result = unit.run(SUWorkload.from_root(root), serialization_counter=epoch)
     return result, mai
 
 

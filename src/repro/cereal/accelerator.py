@@ -28,7 +28,7 @@ from repro.common.config import CerealConfig, DRAMConfig
 from repro.common.errors import SimulationError
 from repro.cereal.du import DeserializationUnit, DUResult, DUWorkload
 from repro.cereal.mai import MemoryAccessInterface
-from repro.cereal.su import SerializationUnit, SUResult
+from repro.cereal.su import SerializationUnit, SUResult, SUWorkload
 from repro.cereal.tables import ClassIDTable, KlassPointerTable
 from repro.cereal.tlb import TLB
 from repro.formats.base import SerializationResult, SerializedStream
@@ -116,7 +116,7 @@ class CerealAccelerator:
         epoch = root.heap.next_serialization_epoch(
             self.config.header_counter_bits
         )
-        su = unit.run(root, self.registration, serialization_counter=epoch)
+        su = unit.run(SUWorkload.from_root(root), serialization_counter=epoch)
         timing = self._timing_from(
             "serialize",
             su.elapsed_ns,
@@ -205,7 +205,7 @@ class CerealAccelerator:
                 self.config,
                 unit_id=index % self.config.num_serializer_units,
             )
-            su = unit.run(root, self.registration, serialization_counter=epoch)
+            su = unit.run(SUWorkload.from_root(root), serialization_counter=epoch)
             timing = self._timing_from(
                 "serialize",
                 su.elapsed_ns,

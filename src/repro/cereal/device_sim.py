@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cereal.du import DeserializationUnit, DUWorkload
 from repro.cereal.mai import MemoryAccessInterface
-from repro.cereal.su import SerializationUnit
+from repro.cereal.su import SerializationUnit, SUWorkload
 from repro.cereal.tlb import TLB
 from repro.common.errors import SimulationError
 from repro.formats.base import SerializedStream
@@ -149,7 +149,7 @@ class DeviceSimulator:
         # The functional work depends only on the input, so it is done once
         # per distinct root or stream bytes in this run; the unit timing and
         # each request's rebuild into its own heap stay per request.
-        encoded: Dict[HeapObject, SerializedStream] = {}
+        encoded: Dict[HeapObject, Tuple[SerializedStream, SUWorkload]] = {}
         decoded: Dict[bytes, Tuple[CerealStreamSections, DUWorkload]] = {}
         operations: List[DeviceOperation] = []
         wall_time = 0.0
@@ -159,9 +159,12 @@ class DeviceSimulator:
                 _, root = request  # type: ignore[misc]
                 unit_index = su_free.index(min(su_free))
                 start = su_free[unit_index]
-                stream = encoded.get(root)
-                if stream is None:
-                    stream = encoded[root] = codec.serialize(root).stream
+                entry = encoded.get(root)
+                if entry is None:
+                    entry = encoded[root] = (
+                        codec.serialize(root).stream, SUWorkload.from_root(root)
+                    )
+                stream, workload = entry
                 unit = SerializationUnit(
                     su_mais[unit_index],
                     self.accelerator.klass_pointer_table,
@@ -172,8 +175,7 @@ class DeviceSimulator:
                     self.config.header_counter_bits
                 )
                 su = unit.run(
-                    root,
-                    self.accelerator.registration,
+                    workload,
                     start_ns=start,
                     serialization_counter=epoch,
                 )

@@ -27,15 +27,12 @@ before the next encounter starts.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.common.bitutils import significant_bits
 from repro.common.config import CerealConfig
 from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.tables import KlassPointerTable
-from repro.formats.registry import ClassRegistration
 from repro.jvm.heap import HeapObject
 from repro.jvm.klass import SLOT_BYTES
 
@@ -109,6 +106,88 @@ class _BufferedStore:
             self.pending = 0
 
 
+@dataclass
+class SUWorkload:
+    """Heap-side description of one serialization operation.
+
+    One breadth-first pass over the graph in the SU's reference-queue
+    order, stored as columns. Per-object columns hold one entry per object
+    in first-encounter order; the encounter columns hold one entry per
+    reference-queue pop. A pop whose target index equals the number of
+    objects popped before it is that object's first encounter.
+    """
+
+    cereal_extension: bool  # the heap carries the Section V-E header word
+    objects: List[HeapObject]
+    addresses: List[int]
+    total_slots: List[int]
+    reference_slots: List[int]  # reference-slot count per object
+    metaspace_addresses: List[int]
+    packed_ref_bytes: List[int]  # packed relative-address item per object
+    null_references: List[int]  # null reference slots per object
+    targets: List[int]  # per pop: index of the popped object
+    enqueuers: List[int]  # per pop: index of the object that queued it, -1 for the root
+
+    @classmethod
+    def from_root(cls, root: HeapObject) -> "SUWorkload":
+        """Walk the graph under ``root`` once and build the columns.
+
+        The reference queue holds heap addresses; it is FIFO, so pops come
+        in push order and the list of pushed addresses is the pop order.
+        Each packed relative-address item is sized from the low 32 bits of
+        the object's heap address, a proxy with the magnitude of a graph
+        offset: this is timing-side accounting, the exact stream bytes come
+        from the functional encoder.
+        """
+        heap = root.heap
+        object_at = heap.object_at
+        index: Dict[int, int] = {}  # address -> object index
+        objects: List[HeapObject] = []
+        addresses: List[int] = []
+        total_slots: List[int] = []
+        reference_slots: List[int] = []
+        metaspace_addresses: List[int] = []
+        packed_ref_bytes: List[int] = []
+        null_references: List[int] = []
+        queued = [root.address]
+        enqueuers = [-1]
+        targets: List[int] = []
+        for address, enqueuer in zip(queued, enqueuers):
+            target = index.get(address)
+            if target is None:
+                target = index[address] = len(objects)
+                obj = object_at(address)
+                layout = obj.layout()
+                metaspace_address = obj.klass.metaspace_address
+                assert metaspace_address is not None
+                slots = layout.reference_slots
+                nulls = 0
+                if slots:
+                    words = obj.image_words()
+                    header_slots = layout.header_slots
+                    for slot in slots:
+                        child_address = words[header_slots + slot]
+                        if child_address:
+                            queued.append(child_address)
+                            enqueuers.append(target)
+                        else:
+                            nulls += 1
+                objects.append(obj)
+                addresses.append(address)
+                total_slots.append(layout.total_slots)
+                reference_slots.append(len(slots))
+                metaspace_addresses.append(metaspace_address)
+                relative = max(1, address & 0xFFFF_FFFF)
+                packed_ref_bytes.append((relative.bit_length() + 8) >> 3)
+                null_references.append(nulls)
+            targets.append(target)
+        return cls(
+            heap.cereal_extension, objects, addresses, total_slots,
+            reference_slots, metaspace_addresses, packed_ref_bytes,
+            null_references, targets, enqueuers,
+        )
+
+
 class SerializationUnit:
     """Cycle-accounted model of one SU."""
 
@@ -126,26 +205,26 @@ class SerializationUnit:
 
     def run(
         self,
-        root: HeapObject,
-        registration: ClassRegistration,
+        workload: SUWorkload,
         start_ns: float = 0.0,
         output_base: int = OUTPUT_REGION_BASE,
         serialization_counter: int = 1,
     ) -> SUResult:
-        """Simulate serializing the graph under ``root``; returns timing.
+        """Time serializing the walked graph of ``workload``.
 
-        Visited tracking uses the Section V-E header-extension mechanism
-        when the heap carries the Cereal extension: an object is "visited"
-        when its header's 16-bit counter equals ``serialization_counter``,
-        and the unit claims the header area by writing its unit ID. A
-        header already claimed by a *different* unit in the same counter
-        epoch forces the software-fallback path for that object (thread-
-        local hash table), which costs extra time but stays functionally
-        identical.
+        Visited tracking is local to this walk: an encounter is a revisit
+        when its target was popped before. A new object's header is read
+        once, for the Section V-E header-extension mechanism when the heap
+        carries it: a header claimed by a *different* unit in the current
+        counter epoch belongs to a concurrent operation whose stream this
+        one cannot reference, so that object takes the software-fallback
+        path (thread-local hash table), which costs extra time but stays
+        functionally identical. Any other header is claimed by writing
+        ``serialization_counter``, this unit's ID and the relative address;
+        a claim this unit left in an earlier, finished operation is stale.
         """
         pipelined = self.config.pipelined
-        heap = root.heap
-        use_header_metadata = heap.cereal_extension
+        use_header_metadata = workload.cereal_extension
 
         value_store = _BufferedStore(self.mai, output_base + _VALUE_REGION)
         ref_store = _BufferedStore(self.mai, output_base + _REF_REGION)
@@ -157,12 +236,18 @@ class SerializationUnit:
         raw_free = start_ns
         counter_ready = start_ns  # serialized-size counter availability
 
-        visited: Dict[int, bool] = {}
-        fallback_visited: Dict[int, int] = {}  # software hash table path
-        # Queue entries: (object, time the reference became available to HM).
-        queue: deque = deque([(root, start_ns)])
+        heap_objects = workload.objects
+        addresses = workload.addresses
+        all_total_slots = workload.total_slots
+        all_reference_slots = workload.reference_slots
+        metaspace_addresses = workload.metaspace_addresses
+        packed_ref_bytes = workload.packed_ref_bytes
+        all_null_references = workload.null_references
+        # When each object's OH finished, i.e. when the references it
+        # queued became available to the HM. The root's enqueuer is -1,
+        # which reads the start time in the last entry.
+        queued_ns = [0.0] * len(heap_objects) + [start_ns]
         objects = 0
-        encounters = 0
         null_references = 0
         heap_bytes_read = 0
         stalls = 0.0
@@ -170,36 +255,24 @@ class SerializationUnit:
         serialized_size = 0  # the HM's running relative-address counter
         own_unit = self.unit_id + 1
         mai_read = self.mai.read
-        object_at = heap.object_at
+        atomic_rmw = self.mai.atomic_rmw
+        klass_lookup = self.klass_table.lookup
         raw_cycle = 1.0 / _RAW_ITEMS_PER_CYCLE
 
-        while queue:
-            obj, available_ns = queue.popleft()
-            encounters += 1
-            address = obj.address
+        for target, enqueuer in zip(workload.targets, workload.enqueuers):
+            address = addresses[target]
 
             # -- header manager: read and inspect the (extended) header.
-            hm_start = max(hm_free, available_ns)
+            hm_start = max(hm_free, queued_ns[enqueuer])
             header_done = mai_read(hm_start, address, 16)
-            if use_header_metadata:
-                # One read of the extension word serves both the visited
-                # check and the claim below. Only this unit's own claim
-                # counts: a header claimed by a different unit belongs to a
-                # concurrent operation whose stream this one cannot reference.
-                counter, unit = obj.serialization_claim()
-                current_epoch = counter == serialization_counter
-                seen = current_epoch and unit == own_unit
-            else:
-                seen = address in visited
-            if seen or address in fallback_visited:
+            if target < objects:
                 # Relative address already in the header: forward to RAW.
                 hm_free = header_done + _HM_CYCLE_NS
                 raw_free = max(raw_free, header_done) + raw_cycle
-                ref_store.push(raw_free, self._packed_ref_bytes(obj))
+                ref_store.push(raw_free, packed_ref_bytes[target])
                 continue
             objects += 1
-            layout = obj.layout()
-            total_slots = layout.total_slots
+            total_slots = all_total_slots[target]
             size_bytes = total_slots * SLOT_BYTES
 
             # New object: assigning its relative address needs the size
@@ -207,29 +280,30 @@ class SerializationUnit:
             assign_ns = max(header_done, counter_ready)
             stalls += max(0.0, counter_ready - header_done)
             if not use_header_metadata:
-                visited[address] = True
-                self.mai.atomic_rmw(assign_ns, address + 16, 8)
-            elif current_epoch:
-                # Another unit holds this header in the current epoch
-                # (shared object across concurrent operations). Software
-                # fallback: thread-local hash-table insert + probe
-                # replaces the header RMW (Section V-E).
-                fallback_visited[address] = serialized_size
-                fallback_objects += 1
-                assign_ns += _FALLBACK_NS
+                atomic_rmw(assign_ns, address + 16, 8)
             else:
-                obj.claim_serialization(
-                    serialization_counter, own_unit, serialized_size & 0xFFFF_FFFF
-                )
-                self.mai.atomic_rmw(assign_ns, address + 16, 8)
+                obj = heap_objects[target]
+                counter, unit = obj.serialization_claim()
+                if counter == serialization_counter and unit != own_unit:
+                    # Another unit holds this header in the current epoch
+                    # (shared object across concurrent operations).
+                    # Software fallback: thread-local hash-table insert +
+                    # probe replaces the header RMW (Section V-E).
+                    fallback_objects += 1
+                    assign_ns += _FALLBACK_NS
+                else:
+                    obj.claim_serialization(
+                        serialization_counter, own_unit,
+                        serialized_size & 0xFFFF_FFFF,
+                    )
+                    atomic_rmw(assign_ns, address + 16, 8)
             serialized_size += size_bytes
             hm_free = assign_ns + _HM_CYCLE_NS
             raw_free = max(raw_free, assign_ns) + raw_cycle
-            ref_store.push(raw_free, self._packed_ref_bytes(obj))
+            ref_store.push(raw_free, packed_ref_bytes[target])
 
             # -- object metadata manager: fetch klass metadata, make bitmap.
-            metaspace_address = obj.klass.metaspace_address
-            assert metaspace_address is not None
+            metaspace_address = metaspace_addresses[target]
             omm_start = max(omm_free, assign_ns)
             metadata_done = mai_read(
                 omm_start, metaspace_address, _KLASS_METADATA_BYTES
@@ -249,23 +323,19 @@ class SerializationUnit:
             extract_ns = total_slots / _OH_SLOTS_PER_CYCLE
             oh_done = max(oh_start, load_done) + extract_ns
             # Klass pointer -> class ID CAM lookup (single cycle).
-            self.klass_table.lookup(metaspace_address)
+            klass_lookup(metaspace_address)
             oh_done += 1.0
             oh_free = oh_done
+            queued_ns[target] = oh_done
 
-            reference_slots = layout.reference_slots
-            value_store.push(oh_done, (total_slots - len(reference_slots)) * 8)
-            if reference_slots:
-                words = obj.image_words()
-                header_slots = layout.header_slots
-                for slot in reference_slots:
-                    child_address = words[header_slots + slot]
-                    if child_address:
-                        queue.append((object_at(child_address), oh_done))
-                    else:
-                        null_references += 1
-                        raw_free = max(raw_free, oh_done) + raw_cycle
-                        ref_store.push(raw_free, 1)  # packed null: 1 bucket
+            value_store.push(
+                oh_done, (total_slots - all_reference_slots[target]) * 8
+            )
+            nulls = all_null_references[target]
+            null_references += nulls
+            for _ in range(nulls):
+                raw_free = max(raw_free, oh_done) + raw_cycle
+                ref_store.push(raw_free, 1)  # packed null: 1 bucket
 
             if not pipelined:
                 # Cereal Vanilla: full per-object chain, no stage overlap.
@@ -287,7 +357,7 @@ class SerializationUnit:
             start_ns=start_ns,
             finish_ns=finish,
             objects=objects,
-            encounters=encounters,
+            encounters=len(workload.targets),
             null_references=null_references,
             heap_bytes_read=heap_bytes_read,
             value_bytes_written=value_store.total,
@@ -296,17 +366,3 @@ class SerializationUnit:
             stalls_on_counter_ns=stalls,
             fallback_objects=fallback_objects,
         )
-
-    # -- packed-size helpers (exact per-item byte counts, Section IV-B) ----------
-
-    @staticmethod
-    def _packed_ref_bytes(obj: HeapObject) -> int:
-        """Packed bytes of one relative-address item for ``obj``.
-
-        The relative address is bounded by the graph size; we use the
-        object's own image offset proxy (its heap offset) which has the
-        same magnitude distribution. Exact stream bytes come from the
-        functional encoder; this is timing-side accounting only.
-        """
-        relative = max(1, obj.address & 0xFFFF_FFFF)
-        return (significant_bits(relative) + 1 + 7) // 8

@@ -34,6 +34,7 @@ from tests.test_serializers import (
     build_tree,
     make_registry,
 )
+from tests.test_su_du_units import _oracle_su_run
 
 
 class TestIntervalChannel:
@@ -568,9 +569,10 @@ class TestSchedulingInvariants:
 def _oracle_device_run(simulator, requests):
     """The per-request device run the decode-once run replaced.
 
-    Kept verbatim: every serialize request encodes its root, and every
-    deserialize request decodes its stream, unpacks both packed arrays
-    and builds its DU workload, however many requests share an input.
+    Kept verbatim: every serialize request encodes its root and walks it
+    through the per-object SU oracle, and every deserialize request
+    decodes its stream, unpacks both packed arrays and builds its DU
+    workload, however many requests share an input.
     """
     if not requests:
         return DeviceRunResult(
@@ -609,11 +611,8 @@ def _oracle_device_run(simulator, requests):
             epoch = root.heap.next_serialization_epoch(
                 simulator.config.header_counter_bits
             )
-            su = unit.run(
-                root,
-                simulator.accelerator.registration,
-                start_ns=start,
-                serialization_counter=epoch,
+            su = _oracle_su_run(
+                unit, root, start_ns=start, serialization_counter=epoch
             )
             su_free[unit_index] = su.finish_ns
             operations.append(

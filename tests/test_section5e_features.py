@@ -142,6 +142,24 @@ class TestSharedObjectFallback:
             rebuilt, _, _ = accelerator.deserialize(result.stream, receiver)
             assert graphs_equivalent(original, rebuilt)
 
+    def test_more_roots_than_units_reuse_a_unit(self, setup):
+        """Root 8 runs on unit 0 again in the same epoch. The claims root 0
+        left are stale, not root 8's visited marks: its walk covers its
+        whole graph and falls back on none of it."""
+        _, accelerator, heap = setup
+        shared = build_tree(heap, depth=3)
+        roots = []
+        for _ in range(9):
+            root = heap.new_instance("Node")
+            root.set("left", shared)
+            roots.append(root)
+        results = accelerator.serialize_concurrent(roots)
+        for result, _, su in results:
+            assert su.objects == result.stream.object_count
+        fallbacks = [su.fallback_objects for _, _, su in results]
+        assert fallbacks[1:8] == [15] * 7
+        assert fallbacks[8] == 0
+
     def test_concurrent_requires_one_heap(self, setup):
         registry, accelerator, heap = setup
         other_heap = Heap(registry=registry)

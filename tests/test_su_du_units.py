@@ -1,9 +1,13 @@
 """Direct unit tests for the SU and DU timing models (below the façade)."""
 
+import dataclasses
 import random
+from collections import deque
+from typing import Dict
 
 import pytest
 
+from repro.cereal import CerealAccelerator
 from repro.cereal.du import (
     BlockDescriptor,
     DeserializationUnit,
@@ -11,7 +15,22 @@ from repro.cereal.du import (
     _StreamPrefetcher,
 )
 from repro.cereal.mai import MemoryAccessInterface
-from repro.cereal.su import SerializationUnit, _BufferedStore
+from repro.cereal.su import (
+    _BITMAP_REGION,
+    _FALLBACK_NS,
+    _HM_CYCLE_NS,
+    _KLASS_METADATA_BYTES,
+    _OH_SLOTS_PER_CYCLE,
+    _OMM_BITMAP_BITS_PER_CYCLE,
+    _RAW_ITEMS_PER_CYCLE,
+    _REF_REGION,
+    _VALUE_REGION,
+    OUTPUT_REGION_BASE,
+    SerializationUnit,
+    SUResult,
+    SUWorkload,
+    _BufferedStore,
+)
 from repro.cereal.tables import ClassIDTable, KlassPointerTable
 from repro.common.bitstream import word_to_bits
 from repro.common.bitutils import significant_bits
@@ -21,7 +40,11 @@ from repro.formats import CerealSerializer, ClassRegistration
 from repro.formats.cereal_format import CerealStreamSections
 from repro.formats.packing import pack_bitmap_words, pack_items
 from repro.jvm import Heap
+from repro.jvm.heap import HeapObject
+from repro.jvm.klass import SLOT_BYTES, FieldKind
 from repro.memory.dram import DRAMModel
+from repro.workloads import MICROBENCH_CONFIGS
+from repro.workloads.micro import _BUILDERS, register_micro_klasses
 from tests.test_serializers import (
     build_mixed,
     build_primitive_array,
@@ -76,7 +99,7 @@ class TestSerializationUnit:
     def test_start_time_offsets_result(self):
         unit, heap, registration, _ = make_su()
         root = build_tree(heap, depth=3)
-        late = unit.run(root, registration, start_ns=1000.0,
+        late = unit.run(SUWorkload.from_root(root), start_ns=1000.0,
                         serialization_counter=1)
         assert late.start_ns == 1000.0
         assert late.finish_ns > 1000.0
@@ -84,7 +107,7 @@ class TestSerializationUnit:
     def test_output_traffic_matches_stream_structure(self):
         unit, heap, registration, _ = make_su()
         root = build_tree(heap, depth=4)
-        result = unit.run(root, registration, serialization_counter=1)
+        result = unit.run(SUWorkload.from_root(root), serialization_counter=1)
         # Full binary tree of depth 4 -> 31 Node objects, each 6 slots
         # (3 header + 1 value + 2 references).
         assert result.objects == 31
@@ -94,7 +117,7 @@ class TestSerializationUnit:
     def test_unit_ids_recorded_in_headers(self):
         unit, heap, registration, _ = make_su(unit_id=3)
         root = build_tree(heap, depth=2)
-        unit.run(root, registration, serialization_counter=7)
+        unit.run(SUWorkload.from_root(root), serialization_counter=7)
         assert root.serialization_unit_id == 4  # unit_id + 1
         assert root.serialization_counter == 7
 
@@ -110,14 +133,14 @@ class TestSerializationUnit:
         unit = SerializationUnit(mai, table, CerealConfig())
         heap = Heap(registry=registry, cereal_extension=False)
         root = build_shared(heap)
-        result = unit.run(root, registration, serialization_counter=1)
+        result = unit.run(SUWorkload.from_root(root), serialization_counter=1)
         assert result.objects == 2
         assert result.encounters == 3
 
     def test_mai_sees_header_rmws(self):
         unit, heap, registration, mai = make_su()
         root = build_tree(heap, depth=3)
-        unit.run(root, registration, serialization_counter=1)
+        unit.run(SUWorkload.from_root(root), serialization_counter=1)
         assert mai.stats.atomic_rmws == 15  # one per new object (depth-3 tree)
 
 
@@ -358,3 +381,461 @@ class TestDUWorkloadOracle:
         _assert_matches_oracle(_sections([], [], packed=False))
         _assert_matches_oracle(_sections([(0, 0), (0b11, 2), (0, 0)], [5, 0],
                                          packed=False))
+
+
+# -- the per-object SU walk the column walk replaced ---------------------------
+
+
+def _oracle_su_run(
+    su: SerializationUnit,
+    root: HeapObject,
+    start_ns: float = 0.0,
+    output_base: int = OUTPUT_REGION_BASE,
+    serialization_counter: int = 1,
+) -> SUResult:
+    """The per-object SU walk the column walk replaced, kept verbatim.
+
+    It reads every encountered header, looks up the layout, reads the
+    image words and resolves each child per run, and tracks visited
+    objects through the header claims. Only ``registration``, which it
+    never read, is dropped. Reading the claims as visited marks is where
+    it differs from the column walk: a claim the same unit left in an
+    earlier operation of the same epoch prunes its walk
+    (``TestSUConcurrentOracle``).
+
+    Simulate serializing the graph under ``root``; returns timing.
+
+    Visited tracking uses the Section V-E header-extension mechanism
+    when the heap carries the Cereal extension: an object is "visited"
+    when its header's 16-bit counter equals ``serialization_counter``,
+    and the unit claims the header area by writing its unit ID. A
+    header already claimed by a *different* unit in the same counter
+    epoch forces the software-fallback path for that object (thread-
+    local hash table), which costs extra time but stays functionally
+    identical.
+    """
+    pipelined = su.config.pipelined
+    heap = root.heap
+    use_header_metadata = heap.cereal_extension
+
+    value_store = _BufferedStore(su.mai, output_base + _VALUE_REGION)
+    ref_store = _BufferedStore(su.mai, output_base + _REF_REGION)
+    bitmap_store = _BufferedStore(su.mai, output_base + _BITMAP_REGION)
+
+    hm_free = start_ns
+    omm_free = start_ns
+    oh_free = start_ns
+    raw_free = start_ns
+    counter_ready = start_ns  # serialized-size counter availability
+
+    visited: Dict[int, bool] = {}
+    fallback_visited: Dict[int, int] = {}  # software hash table path
+    # Queue entries: (object, time the reference became available to HM).
+    queue: deque = deque([(root, start_ns)])
+    objects = 0
+    encounters = 0
+    null_references = 0
+    heap_bytes_read = 0
+    stalls = 0.0
+    fallback_objects = 0
+    serialized_size = 0  # the HM's running relative-address counter
+    own_unit = su.unit_id + 1
+    mai_read = su.mai.read
+    object_at = heap.object_at
+    raw_cycle = 1.0 / _RAW_ITEMS_PER_CYCLE
+
+    while queue:
+        obj, available_ns = queue.popleft()
+        encounters += 1
+        address = obj.address
+
+        # -- header manager: read and inspect the (extended) header.
+        hm_start = max(hm_free, available_ns)
+        header_done = mai_read(hm_start, address, 16)
+        if use_header_metadata:
+            # One read of the extension word serves both the visited
+            # check and the claim below. Only this unit's own claim
+            # counts: a header claimed by a different unit belongs to a
+            # concurrent operation whose stream this one cannot reference.
+            counter, unit = obj.serialization_claim()
+            current_epoch = counter == serialization_counter
+            seen = current_epoch and unit == own_unit
+        else:
+            seen = address in visited
+        if seen or address in fallback_visited:
+            # Relative address already in the header: forward to RAW.
+            hm_free = header_done + _HM_CYCLE_NS
+            raw_free = max(raw_free, header_done) + raw_cycle
+            ref_store.push(raw_free, _oracle_packed_ref_bytes(obj))
+            continue
+        objects += 1
+        layout = obj.layout()
+        total_slots = layout.total_slots
+        size_bytes = total_slots * SLOT_BYTES
+
+        # New object: assigning its relative address needs the size
+        # counter, which the OMM updates for the previous new object.
+        assign_ns = max(header_done, counter_ready)
+        stalls += max(0.0, counter_ready - header_done)
+        if not use_header_metadata:
+            visited[address] = True
+            su.mai.atomic_rmw(assign_ns, address + 16, 8)
+        elif current_epoch:
+            # Another unit holds this header in the current epoch
+            # (shared object across concurrent operations). Software
+            # fallback: thread-local hash-table insert + probe
+            # replaces the header RMW (Section V-E).
+            fallback_visited[address] = serialized_size
+            fallback_objects += 1
+            assign_ns += _FALLBACK_NS
+        else:
+            obj.claim_serialization(
+                serialization_counter, own_unit, serialized_size & 0xFFFF_FFFF
+            )
+            su.mai.atomic_rmw(assign_ns, address + 16, 8)
+        serialized_size += size_bytes
+        hm_free = assign_ns + _HM_CYCLE_NS
+        raw_free = max(raw_free, assign_ns) + raw_cycle
+        ref_store.push(raw_free, _oracle_packed_ref_bytes(obj))
+
+        # -- object metadata manager: fetch klass metadata, make bitmap.
+        metaspace_address = obj.klass.metaspace_address
+        assert metaspace_address is not None
+        omm_start = max(omm_free, assign_ns)
+        metadata_done = mai_read(
+            omm_start, metaspace_address, _KLASS_METADATA_BYTES
+        )
+        counter_ready = metadata_done + 1.0
+        bitmap_cycles = (
+            total_slots + _OMM_BITMAP_BITS_PER_CYCLE - 1
+        ) // _OMM_BITMAP_BITS_PER_CYCLE
+        omm_free = metadata_done + bitmap_cycles
+        # Packed layout bitmap: one bit per slot plus the end bit.
+        bitmap_store.push(omm_free, (total_slots + 1 + 7) // 8)
+
+        # -- object handler: load the object, split values/references.
+        oh_start = max(oh_free, metadata_done)
+        load_done = mai_read(oh_start, address, size_bytes)
+        heap_bytes_read += size_bytes
+        extract_ns = total_slots / _OH_SLOTS_PER_CYCLE
+        oh_done = max(oh_start, load_done) + extract_ns
+        # Klass pointer -> class ID CAM lookup (single cycle).
+        su.klass_table.lookup(metaspace_address)
+        oh_done += 1.0
+        oh_free = oh_done
+
+        reference_slots = layout.reference_slots
+        value_store.push(oh_done, (total_slots - len(reference_slots)) * 8)
+        if reference_slots:
+            words = obj.image_words()
+            header_slots = layout.header_slots
+            for slot in reference_slots:
+                child_address = words[header_slots + slot]
+                if child_address:
+                    queue.append((object_at(child_address), oh_done))
+                else:
+                    null_references += 1
+                    raw_free = max(raw_free, oh_done) + raw_cycle
+                    ref_store.push(raw_free, 1)  # packed null: 1 bucket
+
+        if not pipelined:
+            # Cereal Vanilla: full per-object chain, no stage overlap.
+            barrier = max(hm_free, omm_free, oh_free, raw_free)
+            hm_free = omm_free = oh_free = raw_free = barrier
+            counter_ready = min(counter_ready, barrier)
+
+    finish = max(hm_free, omm_free, oh_free, raw_free)
+    value_store.flush(finish)
+    ref_store.flush(finish)
+    bitmap_store.flush(finish)
+    # End maps for the two packed structures (1 bit per packed byte).
+    end_map_bytes = (ref_store.total + 7) // 8 + (bitmap_store.total + 7) // 8
+    su.mai.write(finish, OUTPUT_REGION_BASE + _REF_REGION + ref_store.total,
+                   max(1, end_map_bytes))
+    finish = su.mai.drain(finish)
+
+    return SUResult(
+        start_ns=start_ns,
+        finish_ns=finish,
+        objects=objects,
+        encounters=encounters,
+        null_references=null_references,
+        heap_bytes_read=heap_bytes_read,
+        value_bytes_written=value_store.total,
+        reference_bytes_written=ref_store.total + end_map_bytes,
+        bitmap_bytes_written=bitmap_store.total,
+        stalls_on_counter_ns=stalls,
+        fallback_objects=fallback_objects,
+    )
+
+
+def _oracle_packed_ref_bytes(obj: HeapObject) -> int:
+    """Packed bytes of one relative-address item for ``obj``.
+
+    The relative address is bounded by the graph size; we use the
+    object's own image offset proxy (its heap offset) which has the
+    same magnitude distribution. Exact stream bytes come from the
+    functional encoder; this is timing-side accounting only.
+    """
+    relative = max(1, obj.address & 0xFFFF_FFFF)
+    return (significant_bits(relative) + 1 + 7) // 8
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, by address, breadth first."""
+    seen = {root.address: root}
+    queue = deque([root])
+    while queue:
+        for child in queue.popleft().referenced_objects():
+            if child is not None and child.address not in seen:
+                seen[child.address] = child
+                queue.append(child)
+    return list(seen.values())
+
+
+def _su_outcome(unit, root, result):
+    """Everything the SU run models or leaves behind, for comparison."""
+    mai = unit.mai
+    heap = root.heap
+    words = (
+        [heap.memory.read_u64(obj.address + 16) for obj in _reachable(root)]
+        if heap.cereal_extension
+        else []
+    )
+    return {
+        "result": result,
+        "mai": dataclasses.replace(mai.stats),
+        "dram": dataclasses.replace(mai.dram.stats),
+        "tlb": (mai.tlb.hits, mai.tlb.misses),
+        "klass_lookups": unit.klass_table.lookups,
+        "extension_words": words,
+    }
+
+
+def _new_su_run(unit, root, **kwargs):
+    return unit.run(SUWorkload.from_root(root), **kwargs)
+
+
+def _compare_su(build, registry, config=None, unit_id=0, cereal_extension=True,
+                **kwargs):
+    """Run the column walk and the oracle on two identical fresh heaps.
+
+    ``build(heap)`` returns the root; both heaps share ``registry``, so
+    every address and klass pointer is the same on both sides.
+    """
+    config = config or CerealConfig()
+    outcomes = []
+    for runner in (_oracle_su_run, _new_su_run):
+        heap = Heap(registry=registry, cereal_extension=cereal_extension)
+        root = build(heap)
+        table = KlassPointerTable()
+        for class_id, klass in enumerate(registry):
+            table.install(klass.metaspace_address, class_id)
+        mai = MemoryAccessInterface(DRAMModel(), config)
+        unit = SerializationUnit(mai, table, config, unit_id=unit_id)
+        outcomes.append(_su_outcome(unit, root, runner(unit, root, **kwargs)))
+    oracle, new = outcomes
+    for key in oracle:
+        assert new[key] == oracle[key], key
+    return new["result"]
+
+
+def _micro_registry():
+    registry = make_registry()
+    register_micro_klasses(registry)
+    return registry
+
+
+def _miniature(name, scale=64):
+    """A Table II graph at ``scale`` objects per paper-scale unit."""
+    config = MICROBENCH_CONFIGS[name]
+    config = dataclasses.replace(config, paper_objects=scale * config.scale)
+    return lambda heap: _BUILDERS[config.shape](heap, config)
+
+
+def _random_graph(seed, count=60):
+    """Seeded random graph: shared children, cycles, nulls and arrays."""
+
+    def build(heap):
+        rng = random.Random(seed)
+        objects = []
+        for _ in range(count):
+            kind = rng.choice(["Node", "Node", "Mixed", "Point", "refs",
+                               "longs", "doubles"])
+            if kind == "refs":
+                objects.append(heap.new_array(FieldKind.REFERENCE,
+                                              rng.randint(0, 9)))
+            elif kind == "longs":
+                objects.append(heap.new_array(FieldKind.LONG, rng.randint(0, 20)))
+            elif kind == "doubles":
+                objects.append(heap.new_array(FieldKind.DOUBLE,
+                                              rng.randint(0, 20)))
+            else:
+                objects.append(heap.new_instance(kind))
+
+        def pick():
+            return None if rng.random() < 0.25 else rng.choice(objects)
+
+        for obj in objects:
+            name = obj.klass.name
+            if name == "Node":
+                obj.set("value", rng.getrandbits(40))
+                obj.set("left", pick())
+                obj.set("right", pick())
+            elif name == "Mixed":
+                obj.set("child", pick())
+            elif obj.klass.is_array and obj.klass.element_kind is FieldKind.REFERENCE:
+                for index in range(obj.length):
+                    obj.set_element(index, pick())
+        root = heap.new_array(FieldKind.REFERENCE, 8)
+        for index in range(8):
+            root.set_element(index, pick())
+        return root
+
+    return build
+
+
+class TestSUColumnWalkOracle:
+    """The column walk matches the per-object oracle field for field."""
+
+    @pytest.mark.parametrize("name", sorted(MICROBENCH_CONFIGS))
+    @pytest.mark.parametrize("vanilla", [False, True], ids=["pipelined", "vanilla"])
+    def test_table_ii_miniatures(self, name, vanilla):
+        config = CerealConfig().vanilla() if vanilla else None
+        result = _compare_su(_miniature(name), _micro_registry(), config=config)
+        assert result.objects > 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, seed):
+        result = _compare_su(_random_graph(seed), make_registry(),
+                             serialization_counter=3)
+        assert result.encounters >= result.objects
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_vanilla(self, seed):
+        _compare_su(_random_graph(seed), make_registry(),
+                    config=CerealConfig().vanilla())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heap_without_extension(self, seed):
+        result = _compare_su(_random_graph(seed), make_registry(),
+                             cereal_extension=False)
+        assert result.fallback_objects == 0
+
+    @pytest.mark.parametrize("build", [build_tree, build_shared, build_mixed,
+                                       build_primitive_array,
+                                       build_reference_array])
+    def test_start_time_output_base_and_unit(self, build):
+        _compare_su(build, make_registry(), unit_id=5, start_ns=1234.5,
+                    output_base=0x50_0000_0000, serialization_counter=9)
+
+    def test_addresses_across_a_packed_width_step(self):
+        """Objects on both sides of 0x40_0000, where the packed item of a
+        23-bit address takes one byte more than that of a 22-bit one."""
+
+        def build(heap):
+            heap.new_array(FieldKind.LONG, (0x40_0000 - 0x1_0000) // 8 - 40)
+            return build_tree(heap, depth=5)
+
+        result = _compare_su(build, make_registry())
+        assert result.objects == 63
+
+    def test_stale_claims_of_other_units(self):
+        """Headers claimed by other units in earlier epochs are reclaimed."""
+
+        def build(heap):
+            root = _random_graph(1)(heap)
+            for index, obj in enumerate(_reachable(root)):
+                obj.claim_serialization(index % 3, index % 4, 8 * index)
+            return root
+
+        _compare_su(build, make_registry(), unit_id=2, serialization_counter=3)
+
+    def test_eight_units_on_one_out_of_order_dram(self):
+        """Eight units sharing one out-of-order DRAM, as a device batch."""
+        registry = _micro_registry()
+        outcomes = []
+        for runner in (_oracle_su_run, _new_su_run):
+            heap = Heap(registry=registry)
+            roots = [_miniature(name)(heap) for name in sorted(MICROBENCH_CONFIGS)]
+            roots += roots[:2]
+            table = KlassPointerTable()
+            for class_id, klass in enumerate(registry):
+                table.install(klass.metaspace_address, class_id)
+            config = CerealConfig()
+            dram = DRAMModel(out_of_order=True)
+            runs = []
+            for unit_id, root in enumerate(roots):
+                mai = MemoryAccessInterface(dram, config)
+                unit = SerializationUnit(mai, table, config, unit_id=unit_id)
+                epoch = heap.next_serialization_epoch()
+                result = runner(unit, root, start_ns=7.0 * unit_id,
+                                serialization_counter=epoch)
+                runs.append(_su_outcome(unit, root, result))
+            outcomes.append(runs)
+        oracle, new = outcomes
+        assert len(new) == 8
+        for got, want in zip(new, oracle):
+            for key in want:
+                assert got[key] == want[key], key
+
+
+def _concurrent(roots_for, oracle, monkeypatch):
+    """``serialize_concurrent`` on a fresh heap, through the column walk or
+    the oracle, with each op's outcome recorded as its SU run returns."""
+    registry = make_registry()
+    accelerator = CerealAccelerator()
+    for klass in registry:
+        accelerator.register_class(klass)
+    heap = Heap(registry=registry)
+    roots = roots_for(heap)
+    run = SerializationUnit.run
+    outcomes = []
+
+    def recording_run(unit, workload, **kwargs):
+        root = workload.objects[0]
+        if oracle:
+            result = _oracle_su_run(unit, root, **kwargs)
+        else:
+            result = run(unit, workload, **kwargs)
+        outcomes.append(_su_outcome(unit, root, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SerializationUnit, "run", recording_run)
+        accelerator.serialize_concurrent(roots)
+    return outcomes
+
+
+def _roots_sharing_tree(count, depth=3):
+    def roots_for(heap):
+        shared = build_tree(heap, depth=depth)
+        roots = []
+        for _ in range(count):
+            root = heap.new_instance("Node")
+            root.set("left", shared)
+            roots.append(root)
+        return roots
+
+    return roots_for
+
+
+class TestSUConcurrentOracle:
+    def test_two_roots_foreign_claim_fallback(self, monkeypatch):
+        roots_for = _roots_sharing_tree(2)
+        oracle = _concurrent(roots_for, True, monkeypatch)
+        new = _concurrent(roots_for, False, monkeypatch)
+        assert [outcome["result"].fallback_objects for outcome in new] == [0, 15]
+        assert new == oracle
+
+    def test_reused_unit_is_the_one_change(self, monkeypatch):
+        """With more roots than SUs, root 8 runs on unit 0 again in the same
+        epoch. The oracle reads root 0's finished claims as its own visited
+        marks and prunes the walk; the column walk reclaims them."""
+        roots_for = _roots_sharing_tree(9)
+        oracle = _concurrent(roots_for, True, monkeypatch)
+        new = _concurrent(roots_for, False, monkeypatch)
+        assert new[:8] == oracle[:8]
+        assert oracle[8]["result"].objects == 1
+        assert new[8]["result"].objects == 16
+        assert new[8]["result"].fallback_objects == 0
