@@ -247,7 +247,6 @@ class DeserializationUnit:
         workload: DUWorkload,
         destination_base: int,
         start_ns: float = 0.0,
-        input_base: int = INPUT_REGION_BASE,
     ) -> DUResult:
         """Simulate deserializing ``workload`` into memory at ``destination_base``."""
         pipelined = self.config.pipelined
@@ -257,15 +256,15 @@ class DeserializationUnit:
         depth = self.config.du_prefetch_depth if pipelined else 1
 
         bitmap_stream = _StreamPrefetcher(
-            self.mai, input_base + _BITMAP_REGION, workload.bitmap_bytes,
+            self.mai, INPUT_REGION_BASE + _BITMAP_REGION, workload.bitmap_bytes,
             start_ns, depth,
         )
         value_stream = _StreamPrefetcher(
-            self.mai, input_base + _VALUE_REGION, workload.value_array_bytes,
+            self.mai, INPUT_REGION_BASE + _VALUE_REGION, workload.value_array_bytes,
             start_ns, depth,
         )
         ref_stream = _StreamPrefetcher(
-            self.mai, input_base + _REF_REGION, workload.reference_array_bytes,
+            self.mai, INPUT_REGION_BASE + _REF_REGION, workload.reference_array_bytes,
             start_ns, depth,
         )
 

@@ -207,7 +207,6 @@ class SerializationUnit:
         self,
         workload: SUWorkload,
         start_ns: float = 0.0,
-        output_base: int = OUTPUT_REGION_BASE,
         serialization_counter: int = 1,
     ) -> SUResult:
         """Time serializing the walked graph of ``workload``.
@@ -226,9 +225,9 @@ class SerializationUnit:
         pipelined = self.config.pipelined
         use_header_metadata = workload.cereal_extension
 
-        value_store = _BufferedStore(self.mai, output_base + _VALUE_REGION)
-        ref_store = _BufferedStore(self.mai, output_base + _REF_REGION)
-        bitmap_store = _BufferedStore(self.mai, output_base + _BITMAP_REGION)
+        value_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _VALUE_REGION)
+        ref_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _REF_REGION)
+        bitmap_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _BITMAP_REGION)
 
         hm_free = start_ns
         omm_free = start_ns
@@ -341,7 +340,6 @@ class SerializationUnit:
                 # Cereal Vanilla: full per-object chain, no stage overlap.
                 barrier = max(hm_free, omm_free, oh_free, raw_free)
                 hm_free = omm_free = oh_free = raw_free = barrier
-                counter_ready = min(counter_ready, barrier)
 
         finish = max(hm_free, omm_free, oh_free, raw_free)
         value_store.flush(finish)

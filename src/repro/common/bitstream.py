@@ -24,23 +24,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-# ``int.bit_count`` landed in Python 3.10; the CI matrix still runs 3.9.
-if hasattr(int, "bit_count"):  # pragma: no branch
-
-    def popcount_word(value: int) -> int:
-        """Set-bit count of a non-negative word (O(1) on CPython >= 3.10)."""
-        if value < 0:
-            raise ValueError(f"value must be non-negative, got {value}")
-        return value.bit_count()
-
-else:  # pragma: no cover - exercised only on Python 3.9
-
-    def popcount_word(value: int) -> int:
-        """Set-bit count of a non-negative word."""
-        if value < 0:
-            raise ValueError(f"value must be non-negative, got {value}")
-        return bin(value).count("1")
-
 
 def trailing_zeros(value: int) -> int:
     """Number of trailing zero bits of a positive integer."""
@@ -53,7 +36,7 @@ def word_to_bits(value: int, width: int) -> List[int]:
     """Big-endian bit list of ``value`` over exactly ``width`` bits.
 
     The bridge back to the legacy list representation; used where a
-    consumer still wants a ``List[int]`` (tests, RTL probes).
+    consumer still wants a ``List[int]`` (tests, per-bit bitmap views).
     """
     if width < 0:
         raise ValueError(f"width must be non-negative, got {width}")

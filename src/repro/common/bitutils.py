@@ -1,15 +1,16 @@
-"""Bit-level helpers shared by the JVM heap model and the packing scheme.
+"""Per-bit helpers for the Cereal bit formats.
 
 The Cereal serialization format (paper Section IV) is defined at the bit
 level: layout bitmaps mark 8-byte slots, and the object packing scheme stores
 only the significant bits of each value followed by an *end bit*. These
-helpers implement the primitive operations once so both the format encoder
-and the hardware model use identical semantics.
+bit-list primitives sit under the packing oracle
+(:mod:`repro.formats.slow_reference`); the fast path works on words in
+:mod:`repro.common.bitstream`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 
 def significant_bits(value: int) -> int:
@@ -85,18 +86,3 @@ def bytes_to_bits(data: bytes, bit_count: int | None = None) -> List[int]:
             )
         bits = bits[:bit_count]
     return bits
-
-
-def popcount(value: int) -> int:
-    """Count set bits in a non-negative integer."""
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
-    return bin(value).count("1")
-
-
-def chunks(seq: Sequence, size: int) -> Iterator[Sequence]:
-    """Yield successive ``size``-length chunks of ``seq`` (last may be short)."""
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    for start in range(0, len(seq), size):
-        yield seq[start : start + size]

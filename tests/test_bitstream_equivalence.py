@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.common.bitstream import (
     bits_to_word,
-    popcount_word,
     trailing_zeros,
     word_to_bits,
 )
@@ -172,10 +171,6 @@ class TestBitmapKernelEquivalence:
 
 
 class TestBitstreamPrimitives:
-    @given(st.integers(min_value=0, max_value=2**80))
-    def test_popcount_matches_bin_count(self, value):
-        assert popcount_word(value) == bin(value).count("1")
-
     @given(st.integers(min_value=1, max_value=2**80))
     def test_trailing_zeros_definition(self, value):
         tz = trailing_zeros(value)

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.common.bitutils import (
     bits_to_bytes,
     bytes_to_bits,
-    chunks,
     int_to_bits,
-    popcount,
     significant_bits,
 )
 
@@ -70,15 +68,3 @@ class TestBytesBitsRoundTrip:
         with pytest.raises(ValueError):
             bytes_to_bits(b"\x00", bit_count=9)
 
-
-class TestMisc:
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-
-    def test_chunks(self):
-        assert list(chunks([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-
-    def test_chunks_bad_size(self):
-        with pytest.raises(ValueError):
-            list(chunks([1], 0))

@@ -9,6 +9,8 @@ import pytest
 
 from repro.cereal import CerealAccelerator
 from repro.cereal.du import (
+    _LM_CHUNK_NS,
+    _POPCOUNT,
     BlockDescriptor,
     DeserializationUnit,
     DUWorkload,
@@ -67,6 +69,32 @@ def make_su(config=None, unit_id=0):
     unit = SerializationUnit(mai, table, config or CerealConfig(), unit_id=unit_id)
     heap = Heap(registry=registry)
     return unit, heap, registration, mai
+
+
+class TestUnitRates:
+    """The per-cycle rates the SU and DU timing models charge."""
+
+    def test_reference_array_writer_packs_one_item_per_cycle(self):
+        assert _RAW_ITEMS_PER_CYCLE == 1.0
+
+    def test_omm_makes_one_64_bit_bitmap_beat_per_cycle(self):
+        assert _OMM_BITMAP_BITS_PER_CYCLE == 64
+
+        def beats(slots):
+            return (
+                slots + _OMM_BITMAP_BITS_PER_CYCLE - 1
+            ) // _OMM_BITMAP_BITS_PER_CYCLE
+
+        assert beats(64) == 1  # exactly one 64-bit beat
+        assert beats(65) == 2  # spills into a second beat
+
+    def test_layout_manager_takes_one_cycle_per_8_slot_chunk(self):
+        assert _LM_CHUNK_NS == 1.0
+
+    def test_popcount_table_covers_every_byte(self):
+        assert len(_POPCOUNT) == 256
+        for value in range(256):
+            assert _POPCOUNT[value] == bin(value).count("1")
 
 
 class TestBufferedStore:
@@ -725,9 +753,9 @@ class TestSUColumnWalkOracle:
     @pytest.mark.parametrize("build", [build_tree, build_shared, build_mixed,
                                        build_primitive_array,
                                        build_reference_array])
-    def test_start_time_output_base_and_unit(self, build):
+    def test_start_time_and_unit(self, build):
         _compare_su(build, make_registry(), unit_id=5, start_ns=1234.5,
-                    output_base=0x50_0000_0000, serialization_counter=9)
+                    serialization_counter=9)
 
     def test_addresses_across_a_packed_width_step(self):
         """Objects on both sides of 0x40_0000, where the packed item of a
