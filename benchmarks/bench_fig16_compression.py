@@ -4,47 +4,80 @@ Paper: packing the reference offsets and layout bitmaps (plus optional
 mark-word stripping) reduces the stream by 28.3% on average versus the
 baseline format of Section IV-A; reference-rich NWeight compresses best,
 while value-dominated ML apps (SVM, Bayes, LR) barely change.
+
+Every size is the encoder's own: the packed size is the stream's length,
+the header-strip size drops one 8 B mark word per object, and the
+baseline size re-frames the stream's sections the way
+``CerealSerializer(use_packing=False)`` does.
+``test_fig16_sizes_match_the_encoder`` checks all three against real
+encodes of the six Table II graphs.
 """
 
 from repro.analysis import ReportTable
-from repro.formats.cereal_format import CerealSerializer
+from repro.formats import CerealSerializer, ClassRegistration
+from repro.formats.cereal_format import SECTION_VALUES
+from repro.jvm import Heap
+from repro.workloads import MICROBENCH_CONFIGS, build_microbench
+from repro.workloads.micro import register_micro_klasses
+
+# Section IV-A framing: the 13 B stream header (graph size, object count,
+# flags, value-array length) and one 4 B length before each of the
+# reference and bitmap arrays.
+_BASELINE_METADATA_BYTES = 21
+
+# (baseline, packed, packed + header strip) stream bytes summed over each
+# app's Cereal streams. The apps and the encoder are seeded, so these are
+# exact.
+PINNED_APP_BYTES = {
+    "nweight": (666032, 510076, 415804),
+    "svm": (287868, 255972, 235876),
+    "bayes": (334158, 264972, 223916),
+    "lr": (372320, 337184, 314320),
+    "terasort": (375241, 321101, 288973),
+    "als": (367376, 306800, 270704),
+}
 
 
-def _baseline_bytes(sections) -> int:
-    """Size of the unpacked Section IV-A format for the same stream.
-
-    References stored as 8 B relative addresses; each object's layout
-    bitmap stored with an 8 B length word plus the raw bitmap bytes —
-    exactly what ``CerealSerializer(use_packing=False)`` emits.
-    """
-    value_bytes = len(sections.value_words) * 8
-    reference_bytes = sections.reference_count * 8
+def _stream_sizes(stream) -> tuple:
+    """(baseline, packed, packed + header strip) bytes of a packed stream."""
+    sections = CerealSerializer.decode_sections(stream)
     bitmap_bytes = sum(
         8 + (len(bitmap) + 7) // 8 for bitmap in sections.layout_bitmaps()
     )
-    metadata = 9  # graph size + object count + flags
-    return value_bytes + reference_bytes + bitmap_bytes + metadata
-
-
-def _packed_bytes(sections) -> int:
-    return (
-        len(sections.value_words) * 8
-        + sections.references.total_bytes
-        + sections.bitmaps.total_bytes
-        + 9
+    baseline = (
+        _BASELINE_METADATA_BYTES
+        + stream.sections[SECTION_VALUES]
+        + 8 * sections.reference_count
+        + bitmap_bytes
     )
+    packed = stream.size_bytes
+    return baseline, packed, packed - 8 * stream.object_count
 
 
-def _app_compression(streams):
-    baseline = 0
-    packed = 0
-    header_strip = 0
-    for stream in streams:
-        sections = CerealSerializer.decode_sections(stream)
-        baseline += _baseline_bytes(sections)
-        packed += _packed_bytes(sections)
-        header_strip += _packed_bytes(sections) - 8 * sections.object_count
-    return baseline, packed, header_strip
+def _app_bytes(streams) -> tuple:
+    sizes = [_stream_sizes(stream) for stream in streams]
+    return tuple(sum(column) for column in zip(*sizes))
+
+
+def test_fig16_sizes_match_the_encoder():
+    for workload in MICROBENCH_CONFIGS:
+        heap = Heap()
+        register_micro_klasses(heap.registry)
+        root = build_microbench(heap, workload)
+        registration = ClassRegistration()
+        for klass in heap.registry:
+            registration.register(klass)
+
+        def size(**options):
+            serializer = CerealSerializer(registration, **options)
+            return serializer.serialize(root).stream.size_bytes
+
+        packed = CerealSerializer(registration).serialize(root).stream
+        assert _stream_sizes(packed) == (
+            size(use_packing=False),
+            size(),
+            size(strip_mark_word=True),
+        ), workload
 
 
 def test_fig16_compression_rate(benchmark, spark_results, results_dir):
@@ -53,9 +86,10 @@ def test_fig16_compression_rate(benchmark, spark_results, results_dir):
             "Figure 16: packing compression rate per Spark app",
             ["App", "Packing", "Packing + header strip"],
         )
+        totals = {}
         rates = {}
         for app, streams in spark_results.cereal_streams.items():
-            baseline, packed, stripped = _app_compression(streams)
+            baseline, packed, stripped = totals[app] = _app_bytes(streams)
             packing_rate = 1.0 - packed / baseline
             strip_rate = 1.0 - stripped / baseline
             rates[app] = (packing_rate, strip_rate)
@@ -66,9 +100,10 @@ def test_fig16_compression_rate(benchmark, spark_results, results_dir):
         table.add_note(f"average packing rate {average * 100:.1f}% (paper: 28.3%)")
         table.show()
         table.save(results_dir, "fig16_compression")
-        return rates, average
+        return totals, rates, average
 
-    rates, average = benchmark.pedantic(build, rounds=1, iterations=1)
+    totals, rates, average = benchmark.pedantic(build, rounds=1, iterations=1)
+    assert totals == PINNED_APP_BYTES
     assert 0.1 < average < 0.5  # paper: 28.3% average
     # Header stripping always helps on top of packing.
     for packing_rate, strip_rate in rates.values():
@@ -82,7 +117,7 @@ def test_fig16_nweight_compresses_best(benchmark, spark_results, results_dir):
     def best():
         rates = {}
         for app, streams in spark_results.cereal_streams.items():
-            baseline, packed, _ = _app_compression(streams)
+            baseline, packed, _ = _app_bytes(streams)
             rates[app] = 1.0 - packed / baseline
         value_apps = [rates[app] for app in ("svm", "lr")]
         return rates["nweight"], max(value_apps)

@@ -109,23 +109,8 @@ class CerealAccelerator:
     def serialize(
         self, root: HeapObject
     ) -> Tuple[SerializationResult, OperationTiming, SUResult]:
-        """Serialize functionally and time the SU pipeline."""
-        result = self.codec.serialize(root)
-        mai = self._fresh_memory_system()
-        unit = SerializationUnit(mai, self.klass_pointer_table, self.config)
-        epoch = root.heap.next_serialization_epoch(
-            self.config.header_counter_bits
-        )
-        su = unit.run(SUWorkload.from_root(root), serialization_counter=epoch)
-        timing = self._timing_from(
-            "serialize",
-            su.elapsed_ns,
-            mai,
-            graph_bytes=result.stream.graph_bytes,
-            stream_bytes=result.stream.size_bytes,
-            objects=result.stream.object_count,
-        )
-        return result, timing, su
+        """Serialize functionally and time the SU pipeline on unit 0."""
+        return self.serialize_concurrent([root])[0]
 
     def deserialize(
         self, stream: SerializedStream, heap: Heap

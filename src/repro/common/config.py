@@ -15,7 +15,7 @@ components without defensive copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigError
 from repro.common.units import GB, KIB, MIB
@@ -169,16 +169,12 @@ class CerealConfig:
     mai_block_bytes: int = 32
     tlb_entries: int = 128
     page_bytes: int = 1 << 30  # 1 GiB huge pages (Section V-E)
-    klass_pointer_table_bytes: int = 4 * KIB  # CAM used by SUs
-    class_id_table_bytes: int = 2 * KIB  # SRAM used by DUs
     max_class_types: int = 4096  # 4K entries (Section V-E)
     header_counter_bits: int = 16  # visited-tracking counter width
-    value_buffer_bytes: int = 64  # object handler write granularity
     block_bytes: int = 64  # DU reconstruction granularity
     # Outstanding 64 B lines each DU stream loader keeps in flight; sized
     # by the loader's internal buffer. 8 sustains ~12 GB/s per stream.
     du_prefetch_depth: int = 8
-    command_queue_depth: int = 32
     # Extra latency per demand block read for coherence "get" messages
     # (Section V-E: Cereal participates in the on-chip coherence domain
     # and fetches up-to-date copies from cache or memory). 0 models clean
@@ -203,25 +199,8 @@ class CerealConfig:
         Keeps operation-level parallelism (multiple units) but removes the
         SU pipelining and uses a single block reconstructor per DU.
         """
-        return CerealConfig(
-            num_serializer_units=self.num_serializer_units,
-            num_deserializer_units=self.num_deserializer_units,
-            block_reconstructors_per_du=1,
-            du_prefetch_depth=1,
-            coherence_extra_read_ns=self.coherence_extra_read_ns,
-            clock_ghz=self.clock_ghz,
-            mai_entries=self.mai_entries,
-            mai_block_bytes=self.mai_block_bytes,
-            tlb_entries=self.tlb_entries,
-            page_bytes=self.page_bytes,
-            klass_pointer_table_bytes=self.klass_pointer_table_bytes,
-            class_id_table_bytes=self.class_id_table_bytes,
-            max_class_types=self.max_class_types,
-            header_counter_bits=self.header_counter_bits,
-            value_buffer_bytes=self.value_buffer_bytes,
-            block_bytes=self.block_bytes,
-            command_queue_depth=self.command_queue_depth,
-            pipelined=False,
+        return replace(
+            self, block_reconstructors_per_du=1, du_prefetch_depth=1, pipelined=False
         )
 
 

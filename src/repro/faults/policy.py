@@ -8,7 +8,7 @@ must stay <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 
@@ -100,6 +100,3 @@ class FaultPolicy:
 
 #: Shared "nothing ever fails" policy (used as a default).
 NO_FAULTS = FaultPolicy()
-
-# Keep the fields() import referenced for introspection helpers/tests.
-POLICY_FIELD_NAMES = tuple(f.name for f in fields(FaultPolicy))

@@ -1,19 +1,22 @@
 """The six S/D-intensive HiBench applications of paper Table III.
 
-Each application module exposes
-``run(backend, scale=1.0, injector=None, frame_streams=False,
-retry_policy=None) -> AppResult``. ``scale`` multiplies the record counts
-(1.0 = the repository's default scaled-down size; Table III's full inputs
-are ~4096x larger). ``injector``/``frame_streams`` enable chaos mode: pass
-a :class:`repro.faults.FaultInjector` (and hand the same injector to a
+Every entry of :data:`SPARK_APPS` is a plain function
+``run_<app>(backend, scale=1.0, injector=None, frame_streams=False,
+retry_policy=None) -> AppResult`` that builds its own
+:class:`~repro.spark.engine.MiniSparkContext` and reaches the backend
+only through ``backend.serialize`` / ``backend.deserialize``. SVM and LR
+are one trainer (:mod:`repro.spark.apps.linear`) with one spec each.
+``scale`` multiplies the record counts (1.0 = the repository's default
+scaled-down size; Table III's full inputs are ~4096x larger).
+``injector``/``frame_streams`` enable chaos mode: pass a
+:class:`repro.faults.FaultInjector` (and hand the same injector to a
 ``CerealBackend``) to exercise the resilience layers deterministically.
 """
 
 from repro.spark.apps.base import AppResult
 from repro.spark.apps.nweight import run_nweight
-from repro.spark.apps.svm import run_svm
+from repro.spark.apps.linear import run_logistic_regression, run_svm
 from repro.spark.apps.bayes import run_bayes
-from repro.spark.apps.logistic import run_logistic_regression
 from repro.spark.apps.terasort import run_terasort
 from repro.spark.apps.als import run_als
 

@@ -13,11 +13,11 @@ from repro.jvm.klass import FieldKind
 from repro.spark.apps.base import (
     AppResult,
     ensure_klass,
-    make_context,
     new_double_array,
     register_backend_classes,
 )
 from repro.spark.backend import SDBackend
+from repro.spark.engine import MiniSparkContext
 from repro.workloads.datagen import DeterministicRandom
 
 _USERS = 360
@@ -38,7 +38,7 @@ def run_als(
     frame_streams: bool = False,
     retry_policy=None,
 ) -> AppResult:
-    context = make_context(
+    context = MiniSparkContext(
         backend,
         injector=injector,
         frame_streams=frame_streams,

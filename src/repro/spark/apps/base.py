@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.faults.injector import FaultInjector
 from repro.jvm.heap import Heap, HeapObject
 from repro.jvm.klass import FieldDescriptor, FieldKind, InstanceKlass, KlassRegistry
 from repro.spark.backend import SDBackend
-from repro.spark.engine import MiniSparkContext
 from repro.spark.metrics import TimeBreakdown
-from repro.spark.transfer import RetryPolicy
 from repro.workloads.datagen import DeterministicRandom
 
 
@@ -31,27 +27,6 @@ class AppResult:
     @property
     def sd_fraction(self) -> float:
         return self.breakdown.sd_fraction
-
-
-def make_context(
-    backend: SDBackend,
-    injector: Optional[FaultInjector] = None,
-    frame_streams: bool = False,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> MiniSparkContext:
-    """Context with a fresh registry; apps register their own classes.
-
-    ``injector`` / ``frame_streams`` enable chaos mode: the same injector
-    should also be handed to the backend (``CerealBackend(injector=...)``)
-    so all layers share one fault schedule and one report.
-    """
-    context = MiniSparkContext(
-        backend,
-        injector=injector,
-        frame_streams=frame_streams,
-        retry_policy=retry_policy,
-    )
-    return context
 
 
 def ensure_klass(registry: KlassRegistry, name: str, fields) -> InstanceKlass:

@@ -13,10 +13,10 @@ from repro.jvm.klass import FieldKind
 from repro.spark.apps.base import (
     AppResult,
     ensure_klass,
-    make_context,
     register_backend_classes,
 )
 from repro.spark.backend import SDBackend
+from repro.spark.engine import MiniSparkContext
 from repro.workloads.datagen import DeterministicRandom
 
 _DOCUMENTS = 700
@@ -37,7 +37,7 @@ def run_bayes(
     frame_streams: bool = False,
     retry_policy=None,
 ) -> AppResult:
-    context = make_context(
+    context = MiniSparkContext(
         backend,
         injector=injector,
         frame_streams=frame_streams,

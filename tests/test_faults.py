@@ -11,6 +11,9 @@ Covers the acceptance criteria of the fault-tolerance work:
   fallback instead of propagating.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.cereal import CerealAccelerator
@@ -247,6 +250,83 @@ class TestRecovery:
         acc = report.layer("accelerator")
         assert acc.fallbacks == result.breakdown.fallback_count
         assert acc.detected == acc.recovered
+
+
+class TestChaosPin:
+    """Exact modelled outputs of one chaos run, fallback paths included.
+
+    Terasort under ``FaultPolicy.chaos(seed=1, probability=0.2)`` with
+    framed streams. On Cereal the schedule injects two serialize faults
+    (run on the Kryo fallback) and three deserialize faults (decoded by the
+    software Cereal codec); the two Kryo-produced streams then decode on
+    Kryo too. Every number is seeded, so the pins are exact: the ledger
+    digest is ``repr`` of each :class:`SDOperation` as a tuple.
+    """
+
+    PINNED = {
+        "cereal": (
+            "d010e6839d25b306581065b43c9f1451a9c0a904121975b1466f5a0e59029ce9",
+            (4441581.650606592, 1321088.0, 180000000.0, 2272290.1045751637,
+             3890558.470588235, 10193221.238986235),
+            7,
+            (18, 20, 20, 7),
+            {
+                "accelerator": {"injected": 5, "detected": 7, "recovered": 7,
+                                "fallbacks": 7},
+                "executor": {"injected": 3, "detected": 3, "recovered": 3,
+                             "fallbacks": 0},
+                "heap": {"injected": 7, "detected": 7, "recovered": 7,
+                         "fallbacks": 0},
+                "transfer": {"injected": 3, "detected": 3, "recovered": 3,
+                             "fallbacks": 0},
+            },
+        ),
+        "kryo": (
+            "f5abca25ddfcfd8f40bba2733fc4233254c6f3972987cb9856fefcf53e6b3a99",
+            (4441581.650606592, 1321088.0, 180000000.0, 9595107.614379086,
+             7444579.379084969, 10191810.038986236),
+            0,
+            (13, 13, 13, 0),
+            {
+                "executor": {"injected": 3, "detected": 3, "recovered": 3,
+                             "fallbacks": 0},
+                "heap": {"injected": 7, "detected": 7, "recovered": 7,
+                         "fallbacks": 0},
+                "transfer": {"injected": 3, "detected": 3, "recovered": 3,
+                             "fallbacks": 0},
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_terasort_chaos_outputs_pinned(self, name):
+        injector = FaultInjector(FaultPolicy.chaos(seed=1, probability=0.2))
+        if name == "cereal":
+            backend = CerealBackend(CerealAccelerator(), injector=injector)
+        else:
+            backend = _kryo_backend()
+        result = SPARK_APPS["terasort"](
+            backend, scale=0.2, injector=injector, frame_streams=True
+        )
+        breakdown = result.breakdown
+        ledger = hashlib.sha256(
+            repr([dataclasses.astuple(op) for op in breakdown.operations]).encode()
+        ).hexdigest()
+        buckets = (
+            breakdown.compute_ns,
+            breakdown.gc_ns,
+            breakdown.io_ns,
+            breakdown.serialize_ns,
+            breakdown.deserialize_ns,
+            breakdown.retry_ns,
+        )
+        ledger_digest, bucket_ns, fallbacks, totals, layers = self.PINNED[name]
+        assert ledger == ledger_digest
+        assert buckets == bucket_ns
+        assert breakdown.fallback_count == fallbacks
+        assert getattr(backend, "fallback_count", 0) == fallbacks
+        assert dataclasses.astuple(injector.report.totals) == totals
+        assert injector.report.as_dict() == layers
 
 
 class TestAcceleratorFallback:

@@ -162,12 +162,26 @@ class TestBackends:
         assert SoftwareBackend(KryoSerializer()).name == "kryo"
 
     def test_framework_cost_added(self):
-        context, klass = make_context()
-        records = make_records(context, klass, 8)
-        stream = context.serialize_bucket(records, "shuffle")
-        op = context.breakdown.operations[-1]
-        framework = context.backend._framework_ns(stream.size_bytes)
-        assert op.time_ns > framework  # kernel + framework
+        accelerator = CerealAccelerator()
+        cereal = MiniSparkContext(CerealBackend(accelerator))
+        cereal_klass = cereal.registry.register(kv_klass())
+        cereal.registry.array_klass(FieldKind.REFERENCE)
+        for k in cereal.registry:
+            accelerator.register_class(k)
+        for context, klass in (make_context(), (cereal, cereal_klass)):
+            records = make_records(context, klass, 8)
+            stream = context.serialize_bucket(records, "shuffle")
+            context.deserialize_bucket(stream, "shuffle")
+            ser, de = context.breakdown.operations[-2:]
+            assert (ser.kind, de.kind) == ("serialize", "deserialize")
+            for op in (ser, de):
+                assert op.stream_bytes == stream.size_bytes
+                assert op.kernel_time_ns > 0
+                # Kernel time plus the per-byte framework stream path, exactly.
+                assert op.time_ns == (
+                    op.kernel_time_ns
+                    + op.stream_bytes * context.backend.stream_ns_per_byte
+                )
 
     def test_cereal_backend_round_trip(self):
         accelerator = CerealAccelerator()
