@@ -97,7 +97,7 @@ def _grid(smoke: bool) -> int:
 
 def _single_shard_capacity_qps(catalog: ServiceCatalog, mix: RequestMix) -> float:
     mean_ns = catalog.mean_service_ns("serialize", mix.size_weights)
-    units = catalog.cereal_config.num_serializer_units
+    units = catalog.accelerator.config.num_serializer_units
     return units * 1e9 / mean_ns / max(mix.serialize_fraction, 1e-9)
 
 

@@ -80,7 +80,7 @@ def _single_shard_capacity_qps(catalog: ServiceCatalog, mix: RequestMix) -> floa
     """Offered QPS that saturates one shard's serialize pool (the
     bottleneck pool under a 50/50 kind mix)."""
     mean_ns = catalog.mean_service_ns("serialize", mix.size_weights)
-    units = catalog.cereal_config.num_serializer_units
+    units = catalog.accelerator.config.num_serializer_units
     return units * 1e9 / mean_ns / max(mix.serialize_fraction, 1e-9)
 
 

@@ -10,9 +10,10 @@
   operation *functionally* (producing/consuming real Cereal-format bytes
   through :class:`repro.formats.CerealSerializer`) and simultaneously run
   the cycle-level SU/DU model to produce an :class:`OperationTiming`;
-* ``run_batch(requests)`` — schedule many independent operations across
-  the 8 SU / 8 DU pools (operation-level parallelism), respecting the
-  command-queue model and the shared-DRAM bandwidth ceiling.
+* ``run_batch(timings)`` — schedule the :class:`OperationTiming` of many
+  independent operations across the 8 SU / 8 DU pools (operation-level
+  parallelism), respecting the command-queue model and the shared-DRAM
+  bandwidth ceiling.
 
 Each single operation is timed against an otherwise-idle memory system, as
 in the paper's per-operation measurements; batches add a bandwidth-sharing

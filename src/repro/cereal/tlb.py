@@ -25,7 +25,6 @@ class TLB:
         self,
         entries: int = DEFAULT_ENTRIES,
         page_bytes: int = DEFAULT_PAGE_BYTES,
-        walk_ns: float = PAGE_WALK_NS,
     ):
         if entries <= 0:
             raise SimulationError("TLB needs at least one entry")
@@ -33,7 +32,6 @@ class TLB:
             raise SimulationError("page size must be a positive power of two")
         self.entries = entries
         self.page_bytes = page_bytes
-        self.walk_ns = walk_ns
         self._pages: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -49,7 +47,7 @@ class TLB:
         self._pages[page] = None
         if len(self._pages) > self.entries:
             self._pages.popitem(last=False)
-        return self.walk_ns
+        return PAGE_WALK_NS
 
     @property
     def accesses(self) -> int:

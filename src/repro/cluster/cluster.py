@@ -80,20 +80,12 @@ class ClusterConfig:
     #: Zones assigned to nodes round-robin; locality routing prefers a
     #: replica in the request's zone.
     zones: Tuple[str, ...] = DEFAULT_ZONES
-    #: Preference-list length: primary + (replication_factor - 1) backups.
-    replication_factor: int = 2
-    vnodes: int = 64
     locality_aware: bool = True
     #: Per-node server deployment (shards, batching, admission, ...).
     service: ServiceConfig = dataclass_field(default_factory=ServiceConfig)
     #: Cadence of the cluster control loop (gauge refresh, node-loss
     #: draws, autoscaler evaluation, drain completion).
     control_interval_ns: float = 100_000.0
-    #: Node-loss detection + re-route lag: reaped requests land on their
-    #: replica this long after the failure.
-    failover_delay_ns: float = 50_000.0
-    #: Completions feeding the windowed ``cluster.p99_ns`` gauge.
-    p99_window: int = 256
     #: None = static fleet (no scaling).
     autoscaler: Optional[AutoscalerConfig] = None
 
@@ -102,14 +94,8 @@ class ClusterConfig:
             raise ConfigError("num_nodes must be positive")
         if not self.zones:
             raise ConfigError("zones must be non-empty")
-        if self.replication_factor <= 0:
-            raise ConfigError("replication_factor must be positive")
         if self.control_interval_ns <= 0:
             raise ConfigError("control_interval_ns must be positive")
-        if self.failover_delay_ns < 0:
-            raise ConfigError("failover_delay_ns must be non-negative")
-        if self.p99_window <= 0:
-            raise ConfigError("p99_window must be positive")
 
 
 @dataclass
@@ -145,7 +131,17 @@ class ClusterReport:
 
 
 class SerializationCluster:
-    """Discrete-event simulation of the multi-node serving fleet."""
+    """Discrete-event simulation of the multi-node serving fleet.
+
+    Placement uses :class:`ClusterRouter`'s defaults: a preference list of
+    two nodes (primary + one backup) over 64 virtual nodes per server.
+    """
+
+    #: Node-loss detection + re-route lag: reaped requests land on their
+    #: replica this long after the failure.
+    failover_delay_ns = 50_000.0
+    #: Completions feeding the windowed ``cluster.p99_ns`` gauge.
+    p99_window = 256
 
     def __init__(
         self,
@@ -160,11 +156,7 @@ class SerializationCluster:
         self.injector = injector
         self.tracer = tracer if tracer is not None else get_tracer()
         self.registry = registry if registry is not None else get_registry()
-        self.router = ClusterRouter(
-            replication_factor=self.config.replication_factor,
-            vnodes=self.config.vnodes,
-            locality_aware=self.config.locality_aware,
-        )
+        self.router = ClusterRouter(locality_aware=self.config.locality_aware)
         self.autoscaler = (
             Autoscaler(self.config.autoscaler)
             if self.config.autoscaler is not None
@@ -179,9 +171,7 @@ class SerializationCluster:
         # (finish_ns, request_id, node_id) of future completions; entries
         # go stale when a failover re-executes the request elsewhere.
         self._completions: List[Tuple[float, int, str]] = []
-        self._latency_window: Deque[float] = deque(
-            maxlen=self.config.p99_window
-        )
+        self._latency_window: Deque[float] = deque(maxlen=self.p99_window)
         self.failovers = 0
         self.lost_after_failover = 0
         self._peak_queue_depth = 0
@@ -288,7 +278,7 @@ class SerializationCluster:
                 node.registry.histogram(
                     "node.latency_ns",
                     node=node_id,
-                    exact_limit=self.config.p99_window,
+                    exact_limit=self.p99_window,
                 ).observe(record.latency_ns)
 
     # -- request handling --------------------------------------------------------------
@@ -395,7 +385,7 @@ class SerializationCluster:
             node=node.node_id,
             reaped=len(lost),
         )
-        retry_at = now_ns + self.config.failover_delay_ns
+        retry_at = now_ns + self.failover_delay_ns
         for request in sorted(lost, key=lambda r: r.request_id):
             self._push(retry_at, "retry", request)
 

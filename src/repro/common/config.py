@@ -54,10 +54,8 @@ class HostCPUConfig:
     clock_ghz: float = 3.6
     tdp_watts: float = 140.0
     die_area_mm2: float = 2362.5  # paper Section VI-E (14 nm die)
-    # Microarchitectural limits that bound memory-level parallelism for the
-    # software serializers (paper Section III).
-    instruction_window: int = 224
-    load_store_queue: int = 72
+    # The microarchitectural limit that bounds memory-level parallelism for
+    # the software serializers (paper Section III).
     max_outstanding_misses: int = 10  # MSHRs per core
     # Retire rate the dependency- and branch-heavy S/D code sustains when
     # not stalled on memory. The machine issues 4/cycle, but the paper's
@@ -115,16 +113,9 @@ class HostCPUConfig:
                 latency_cycles=level.latency_cycles,
             )
 
-        return HostCPUConfig(
+        return replace(
+            self,
             name=f"{self.name} (caches/{factor})",
-            cores=self.cores,
-            clock_ghz=self.clock_ghz,
-            tdp_watts=self.tdp_watts,
-            die_area_mm2=self.die_area_mm2,
-            instruction_window=self.instruction_window,
-            load_store_queue=self.load_store_queue,
-            max_outstanding_misses=self.max_outstanding_misses,
-            base_ipc=self.base_ipc,
             l1=shrink(self.l1),
             l2=shrink(self.l2),
             l3=shrink(self.l3),
@@ -137,7 +128,6 @@ class DRAMConfig:
 
     standard: str = "DDR4-2400"
     channels: int = 4
-    capacity_bytes: int = 128 * GB
     channel_bandwidth_bytes_per_sec: float = 19.2 * GB
     zero_load_latency_ns: float = 40.0
     access_granularity_bytes: int = 64
@@ -214,3 +204,8 @@ class SystemConfig:
 
 
 DEFAULT_SYSTEM = SystemConfig()
+
+#: Sequential disk bandwidth (B/s) of the Spark model's executors, outside
+#: Table I: HDFS-style input/output, memstore spills and spill re-reads
+#: are all charged at this rate.
+DISK_BANDWIDTH = 500e6

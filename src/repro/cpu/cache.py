@@ -85,8 +85,9 @@ class _PrefetchClassifier:
     already remembered does not renew it.
     """
 
-    def __init__(self, window: int = 64):
-        self.window = window
+    window = 64
+
+    def __init__(self):
         self._recent: Set[int] = set()
         self._order: Deque[int] = deque()
 

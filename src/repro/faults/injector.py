@@ -31,6 +31,12 @@ FAULT_CORRUPT = "corrupt"
 FAULT_DROP = "drop"
 FAULT_LATENCY = "latency"
 
+#: Extra delay the transfer layer charges for one latency spike.
+LATENCY_SPIKE_NS = 5e6
+
+#: Of the corruption faults, this fraction truncate instead of bit-flip.
+_TRUNCATION_FRACTION = 0.25
+
 
 class FaultInjector:
     """Seeded fault oracle shared by every resilience layer of one run."""
@@ -79,7 +85,7 @@ class FaultInjector:
         if not data:
             return data
         channel = f"corrupt.{site}"
-        if self.draw(channel) < self.policy.truncation_fraction:
+        if self.draw(channel) < _TRUNCATION_FRACTION:
             keep = min(int(self.draw(channel) * len(data)), len(data) - 1)
             return data[:keep]
         position = min(int(self.draw(channel) * len(data)), len(data) - 1)

@@ -20,7 +20,6 @@ _PROBABILITY_FIELDS = (
     "accelerator_fault_prob",
     "heap_exhaustion_prob",
     "node_loss_prob",
-    "truncation_fraction",
 )
 
 
@@ -29,16 +28,14 @@ class FaultPolicy:
     """Seeded, per-fault-kind probabilities for one chaos configuration."""
 
     seed: int = 0
-    #: Transfer arrives with flipped bytes (or truncated — see below).
+    #: Transfer arrives with flipped bytes or truncated (a quarter of the
+    #: corruption faults truncate; see ``FaultInjector.corrupt_bytes``).
     corruption_prob: float = 0.0
-    #: Of the corruption faults, this fraction truncate instead of bit-flip.
-    truncation_fraction: float = 0.25
     #: Transfer never arrives (network drop / peer died before sending).
     drop_prob: float = 0.0
-    #: Transfer arrives intact but late (congested network, GC'd peer).
+    #: Transfer arrives intact but late (congested network, GC'd peer);
+    #: each spike costs :data:`repro.faults.injector.LATENCY_SPIKE_NS`.
     latency_spike_prob: float = 0.0
-    #: Extra delay charged for one latency spike.
-    latency_spike_ns: float = 5e6
     #: A map-side executor dies after producing a shuffle bucket.
     executor_loss_prob: float = 0.0
     #: The accelerator overflows a fixed-capacity structure (CAM / MAI
@@ -61,8 +58,6 @@ class FaultPolicy:
                 "corruption_prob + drop_prob + latency_spike_prob must not "
                 f"exceed 1, got {self.transfer_fault_prob}"
             )
-        if self.latency_spike_ns < 0:
-            raise ConfigError("latency_spike_ns must be non-negative")
 
     @property
     def transfer_fault_prob(self) -> float:
@@ -71,11 +66,7 @@ class FaultPolicy:
 
     @property
     def any_faults(self) -> bool:
-        return any(
-            getattr(self, name) > 0.0
-            for name in _PROBABILITY_FIELDS
-            if name != "truncation_fraction"
-        )
+        return any(getattr(self, name) > 0.0 for name in _PROBABILITY_FIELDS)
 
     @classmethod
     def chaos(cls, seed: int = 0, probability: float = 0.05) -> "FaultPolicy":

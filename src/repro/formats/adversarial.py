@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.formats.base import SerializedStream, Serializer
 from repro.formats.cereal_format import CerealSerializer
@@ -354,13 +354,12 @@ def build_corpus(
     truncations: int = 8,
     bitflips: int = 8,
     garbage: int = 4,
-    workload: str = "tree-narrow",
 ) -> AdversarialCorpus:
     """Generate the full seeded corpus across every format.
 
-    One valid baseline stream per format is produced from ``workload``,
-    then mutated; the crafted attacks are appended. Identical
-    ``(seed, counts, workload)`` always yields identical bytes.
+    One valid baseline stream per format is produced from the tree-narrow
+    microbenchmark, then mutated; the crafted attacks are appended.
+    Identical ``(seed, counts)`` always yields identical bytes.
     """
     rng = random.Random(seed)
     registry = KlassRegistry()
@@ -369,7 +368,7 @@ def build_corpus(
     # registered class ID to point their absurd length claims at.
     registry.array_klass(FieldKind.LONG)
     heap = Heap(registry=registry)
-    root = build_microbench(heap, workload)
+    root = build_microbench(heap, "tree-narrow")
     registration = ClassRegistration()
     for klass in registry:
         registration.register(klass)

@@ -250,14 +250,14 @@ def packed_size_bytes(values: Sequence[int]) -> int:
     return data_bytes + end_map_bytes
 
 
-def unpacked_size_bytes(values: Sequence[int], fixed_width: int = 8) -> int:
-    """Size if each value were stored at ``fixed_width`` bytes (baseline)."""
-    return len(values) * fixed_width
+def unpacked_size_bytes(values: Sequence[int]) -> int:
+    """Size if each value were stored in a full 8 B word (baseline)."""
+    return len(values) * 8
 
 
-def compression_ratio(values: Sequence[int], fixed_width: int = 8) -> float:
-    """Space saved by packing relative to the fixed-width baseline."""
-    baseline = unpacked_size_bytes(values, fixed_width)
+def compression_ratio(values: Sequence[int]) -> float:
+    """Space saved by packing relative to the 8 B-per-value baseline."""
+    baseline = unpacked_size_bytes(values)
     if baseline == 0:
         return 0.0
     return 1.0 - packed_size_bytes(values) / baseline

@@ -226,7 +226,7 @@ class ObjectGraph:
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Shape statistics used by workload generators and reports."""
+    """Shape statistics of one object graph (only the tests read them)."""
 
     object_count: int
     total_bytes: int

@@ -83,11 +83,10 @@ class FieldDescriptor:
 class Klass:
     """Common base for type descriptors."""
 
-    def __init__(self, name: str, serializable: bool = True):
+    def __init__(self, name: str):
         if not name:
             raise HeapError("klass name must be non-empty")
         self.name = name
-        self.serializable = serializable
         self.metaspace_address: Optional[int] = None
 
     # Subclasses implement the layout protocol used by heap and serializers.
@@ -111,13 +110,8 @@ class Klass:
 class InstanceKlass(Klass):
     """A normal class: named fields, each in one 8 B slot, declaration order."""
 
-    def __init__(
-        self,
-        name: str,
-        fields: Sequence[FieldDescriptor] = (),
-        serializable: bool = True,
-    ):
-        super().__init__(name, serializable)
+    def __init__(self, name: str, fields: Sequence[FieldDescriptor] = ()):
+        super().__init__(name)
         self.fields: Tuple[FieldDescriptor, ...] = tuple(fields)
         seen = set()
         for descriptor in self.fields:
@@ -161,8 +155,8 @@ class ArrayKlass(Klass):
     bitmap must mark each reference individually.
     """
 
-    def __init__(self, element_kind: FieldKind, serializable: bool = True):
-        super().__init__(f"{element_kind.value}[]", serializable)
+    def __init__(self, element_kind: FieldKind):
+        super().__init__(f"{element_kind.value}[]")
         self.element_kind = element_kind
         self.element_width = element_kind.java_width_bytes
 

@@ -68,13 +68,14 @@ class MarkWord:
         )
 
 
-def identity_hash_for(address: int, salt: int = 0x9E3779B9) -> int:
+def identity_hash_for(address: int) -> int:
     """Deterministic 31-bit identity hash derived from the allocation address.
 
     HotSpot lazily computes identity hashes from a thread-local RNG; we need
-    determinism across runs, so we mix the address with a golden-ratio salt.
+    determinism across runs, so we mix the address with a golden-ratio salt
+    (``0x9E3779B9``).
     """
-    x = (address * 0x2545F4914F6CDD1D + salt) & 0xFFFFFFFFFFFFFFFF
+    x = (address * 0x2545F4914F6CDD1D + 0x9E3779B9) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 29
     return x & _HASH_MASK
 

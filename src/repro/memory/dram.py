@@ -39,7 +39,7 @@ replace is the oracle in ``tests/test_device_sim.py``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.config import DRAMConfig
@@ -265,26 +265,3 @@ class DRAMModel:
         if completion > stats.last_completion_ns:
             stats.last_completion_ns = completion
         return completion
-
-    # -- analytical helpers ------------------------------------------------------------
-
-    def stream_time_ns(self, total_bytes: int, outstanding: int = 16) -> float:
-        """Closed-form time to move ``total_bytes`` with ``outstanding`` requests.
-
-        Used by analytical cost models (e.g. the CPU serializer model) that do
-        not simulate individual accesses. With ``outstanding`` overlapped
-        requests, effective throughput is limited either by bandwidth or by
-        latency divided by the overlap factor:
-
-            per_line = max(occupancy_all_channels, zero_load / outstanding)
-        """
-        if total_bytes <= 0:
-            return 0.0
-        if outstanding <= 0:
-            raise SimulationError("outstanding must be positive")
-        line = self.config.access_granularity_bytes
-        lines = (total_bytes + line - 1) // line
-        bandwidth_limited = line / self.config.peak_bandwidth_bytes_per_sec * 1e9
-        latency_limited = self.config.zero_load_latency_ns / outstanding
-        per_line = max(bandwidth_limited, latency_limited)
-        return lines * per_line + self.config.zero_load_latency_ns

@@ -36,13 +36,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.common.config import DISK_BANDWIDTH
 from repro.common.errors import ConfigError
-from repro.memstore.model import (
-    BASE_GC_NS_PER_BYTE,
-    DEFAULT_KNEE,
-    DEFAULT_MAX_MULTIPLIER,
-    GcCostModel,
-)
+from repro.memstore.model import GcCostModel
 from repro.memstore.policy import EvictionPolicy, make_policy
 from repro.memstore.tiers import (
     DEMOTION,
@@ -57,14 +53,14 @@ from repro.obs.metrics import get_registry
 
 __all__ = ["ExecutorMemoryManager", "MemstoreConfig"]
 
-#: Local-disk spill bandwidth (B/s); matches the engine's HDFS-style
-#: sequential I/O constant so spill traffic prices like other disk work.
-_SPILL_DISK_BANDWIDTH = 500e6
-
 
 @dataclass(frozen=True)
 class MemstoreConfig:
-    """Budgets, policy, and GC-curve shape for one executor."""
+    """Budgets and eviction policy for one executor.
+
+    GC is priced by a :class:`GcCostModel` over ``budget_bytes`` with the
+    model's default curve (8 ns/B floor, knee 0.3, 24x clamp).
+    """
 
     budget_bytes: int = 512 * 1024 * 1024
     #: Fraction of the heap budget the deserialized tier may pin
@@ -74,9 +70,6 @@ class MemstoreConfig:
     #: (compact streams rarely bind before the heap does).
     offheap_budget_bytes: Optional[int] = None
     policy: str = "lru"
-    base_gc_ns_per_byte: float = BASE_GC_NS_PER_BYTE
-    gc_knee: float = DEFAULT_KNEE
-    gc_max_multiplier: float = DEFAULT_MAX_MULTIPLIER
 
     def __post_init__(self):
         if self.budget_bytes <= 0:
@@ -98,12 +91,7 @@ class MemstoreConfig:
         make_policy(self.policy)  # validate the name eagerly
 
     def build_gc_model(self) -> GcCostModel:
-        return GcCostModel(
-            budget_bytes=self.budget_bytes,
-            base_ns_per_byte=self.base_gc_ns_per_byte,
-            knee=self.gc_knee,
-            max_multiplier=self.gc_max_multiplier,
-        )
+        return GcCostModel(budget_bytes=self.budget_bytes)
 
     @property
     def heap_tier_budget_bytes(self) -> int:
@@ -127,7 +115,6 @@ class ExecutorMemoryManager:
         tracer=None,
         injector=None,
         transfer=None,
-        disk_bandwidth: float = _SPILL_DISK_BANDWIDTH,
     ):
         self.config = config
         self.breakdown = breakdown
@@ -136,7 +123,7 @@ class ExecutorMemoryManager:
         self.tracer = tracer
         self.injector = injector
         self.transfer = transfer
-        self.io_ns_per_byte = 1e9 / disk_bandwidth
+        self.io_ns_per_byte = 1e9 / DISK_BANDWIDTH
 
         self.heap_tier_budget = config.heap_tier_budget_bytes
         self.offheap_budget = config.resolved_offheap_budget_bytes

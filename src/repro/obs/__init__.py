@@ -20,8 +20,8 @@ that attribution everywhere, for free, in every bench and test:
   into it when enabled; disabled (the default) every hook is a single
   attribute check.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in
-  ``chrome://tracing`` / Perfetto) plus a flat text summary, with a
-  structural validator the tests and CI run over every exported file.
+  ``chrome://tracing`` / Perfetto), with a structural validator the
+  tests and CI run over every exported file.
 """
 
 from repro.obs.metrics import (
@@ -41,7 +41,6 @@ from repro.obs.trace import (
     set_tracer,
 )
 from repro.obs.export import (
-    text_summary,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
@@ -60,7 +59,6 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "set_tracer",
-    "text_summary",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",

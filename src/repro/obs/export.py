@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON and a flat text summary.
+"""Trace exporter: Chrome trace-event JSON.
 
 :func:`to_chrome_trace` renders a :class:`~repro.obs.trace.Tracer` as a
 Chrome trace-event document — open it at ``chrome://tracing`` or
@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 from repro.obs.trace import Tracer
 
 __all__ = [
-    "text_summary",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",
@@ -169,32 +168,3 @@ def validate_chrome_trace(document: Dict[str, object]) -> Dict[str, int]:
                 raise ValueError(f"{where} 'dur' must be a non-negative number")
     return counts
 
-
-def text_summary(tracer: Tracer, top: int = 12) -> str:
-    """A flat per-(category, name) digest of the trace, for logs."""
-    groups: Dict[tuple, List[float]] = {}
-    for span in tracer.spans():
-        groups.setdefault((span.category, span.name), []).append(span.duration_ns)
-    event_counts: Dict[tuple, int] = {}
-    for event in tracer.events():
-        key = (event.category, event.name)
-        event_counts[key] = event_counts.get(key, 0) + 1
-    lines = [
-        f"trace summary: {tracer.spans_recorded} spans "
-        f"({tracer.dropped_spans} dropped), "
-        f"{tracer.events_recorded} instants "
-        f"({tracer.dropped_events} dropped)"
-    ]
-    ranked = sorted(
-        groups.items(), key=lambda item: -sum(item[1])
-    )[:top]
-    for (category, name), durations in ranked:
-        total = sum(durations)
-        lines.append(
-            f"  {category}/{name}: n={len(durations)} "
-            f"total={total / 1e3:,.1f}us mean={total / len(durations) / 1e3:,.2f}us "
-            f"max={max(durations) / 1e3:,.2f}us"
-        )
-    for (category, name), count in sorted(event_counts.items()):
-        lines.append(f"  {category}/{name}: {count} instant(s)")
-    return "\n".join(lines)

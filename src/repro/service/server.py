@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cereal.accelerator import CerealAccelerator
 from repro.cereal.device_sim import DeviceSimulator
-from repro.common.config import CerealConfig, DRAMConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.formats.verify import graphs_equivalent
@@ -77,14 +76,7 @@ class ServiceConfig:
 
     num_shards: int = 2
     routing: str = "least-loaded"
-    max_batch_requests: int = 8
-    max_batch_bytes: int = 1 << 20
     batch_wait_ns: float = 20_000.0
-    #: Command-queue descriptor setup + doorbell + DMA programming, paid
-    #: once per dispatch on every unit the batch occupies.
-    dispatch_overhead_ns: float = 2_000.0
-    software_workers: int = 4
-    software_overhead_ns: float = 1_000.0
     engine: str = "analytic"
     functional: str = "sample"
     functional_every: int = 16
@@ -111,31 +103,21 @@ class ServiceConfig:
             raise ConfigError(f"unknown functional mode {self.functional!r}")
         if self.functional_every <= 0:
             raise ConfigError("functional_every must be positive")
-        if self.software_workers <= 0:
-            raise ConfigError("software_workers must be positive")
-        if self.dispatch_overhead_ns < 0 or self.software_overhead_ns < 0:
-            raise ConfigError("overheads must be non-negative")
 
 
 class AcceleratorShard:
-    """One Cereal device plus its scheduling state inside the server."""
+    """One Table I Cereal device plus its scheduling state inside the server."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        catalog: ServiceCatalog,
-        cereal_config: CerealConfig,
-        dram_config: DRAMConfig,
-    ):
+    #: Command-queue descriptor setup + doorbell + DMA programming, paid
+    #: once per dispatch on every unit the batch occupies.
+    dispatch_overhead_ns = 2_000.0
+
+    def __init__(self, shard_id: int, catalog: ServiceCatalog):
         self.shard_id = shard_id
-        self._cereal_config = cereal_config
-        self._dram_config = dram_config
-        self.accelerator = CerealAccelerator(
-            cereal_config, dram_config, registration=catalog.registration
-        )
+        self.accelerator = CerealAccelerator(registration=catalog.registration)
         self.simulator = DeviceSimulator(self.accelerator)
-        self.su_free = [0.0] * cereal_config.num_serializer_units
-        self.du_free = [0.0] * cereal_config.num_deserializer_units
+        self.su_free = [0.0] * self.accelerator.config.num_serializer_units
+        self.du_free = [0.0] * self.accelerator.config.num_deserializer_units
         self.busy_until = 0.0  # device-engine batches run back-to-back
         self.dispatched_batches = 0
         self.dispatched_requests = 0
@@ -151,7 +133,7 @@ class AcceleratorShard:
     # -- analytic engine ------------------------------------------------------------
 
     def service_analytic(
-        self, batch: Batch, now_ns: float, overhead_ns: float
+        self, batch: Batch, now_ns: float
     ) -> List[Tuple[ServiceRequest, float]]:
         """Schedule the batch on the unit pool; returns (request, finish).
 
@@ -174,7 +156,7 @@ class AcceleratorShard:
             begin = max(pool[unit], now_ns)
             if unit not in touched:
                 touched[unit] = True
-                begin += overhead_ns
+                begin += self.dispatch_overhead_ns
             finish = begin + request.accel_timing.elapsed_ns
             pool[unit] = finish
             total_dram_bytes += request.accel_timing.dram_bytes
@@ -198,7 +180,6 @@ class AcceleratorShard:
         self,
         batch: Batch,
         now_ns: float,
-        overhead_ns: float,
         tracer: Optional[Tracer] = None,
         parent=None,
         track: Optional[str] = None,
@@ -211,8 +192,7 @@ class AcceleratorShard:
         decode onto fresh heaps — functional correctness is inherent here.
 
         Batch timelines are deterministic in the batch's composition (the
-        kinds and catalog entries it contains) and the device configs, so
-        repeated compositions replay the first verified execution's
+        kinds and catalog entries it contains), so repeated compositions replay the first verified execution's
         timeline from an LRU instead of re-running the simulator.
 
         When ``tracer`` is enabled, a fresh simulator run emits per-unit
@@ -220,10 +200,8 @@ class AcceleratorShard:
         only retain request finish times, so unit activity appears in the
         trace the first time a batch composition executes.
         """
-        start = max(now_ns, self.busy_until) + overhead_ns
+        start = max(now_ns, self.busy_until) + self.dispatch_overhead_ns
         cache_key = (
-            self._cereal_config,
-            self._dram_config,
             batch.kind,
             tuple(request.entry.stream_digest for request in batch.requests),
         )
@@ -277,10 +255,12 @@ class AcceleratorShard:
 class SoftwareLane:
     """CPU degrade path: a small pool of software-serializer workers."""
 
-    def __init__(self, catalog: ServiceCatalog, workers: int, overhead_ns: float):
+    workers = 4
+    overhead_ns = 1_000.0
+
+    def __init__(self, catalog: ServiceCatalog):
         self.catalog = catalog
-        self.worker_free = [0.0] * workers
-        self.overhead_ns = overhead_ns
+        self.worker_free = [0.0] * self.workers
         self.served = 0
 
     def service(self, request: ServiceRequest, now_ns: float) -> float:
@@ -344,22 +324,11 @@ class SerializationServer:
         #: nest under in cluster traces.
         self.trace_parent = None
         self.shards = [
-            AcceleratorShard(
-                shard_id,
-                catalog,
-                catalog.cereal_config,
-                catalog.dram_config,
-            )
+            AcceleratorShard(shard_id, catalog)
             for shard_id in range(self.config.num_shards)
         ]
-        self.software = SoftwareLane(
-            catalog, self.config.software_workers, self.config.software_overhead_ns
-        )
-        self.coalescer = BatchCoalescer(
-            max_batch_requests=self.config.max_batch_requests,
-            max_batch_bytes=self.config.max_batch_bytes,
-            max_wait_ns=self.config.batch_wait_ns,
-        )
+        self.software = SoftwareLane(catalog)
+        self.coalescer = BatchCoalescer(max_wait_ns=self.config.batch_wait_ns)
         self.admission = AdmissionController(self.config.admission)
         self.streamer = (
             ResponseStreamer(self.config.streaming)
@@ -537,15 +506,12 @@ class SerializationServer:
             finishes = shard.service_device(
                 batch,
                 now_ns,
-                self.config.dispatch_overhead_ns,
                 tracer=tracer,
                 parent=batch_span,
                 track=self._track(f"shard{shard.shard_id}"),
             )
         else:
-            finishes = shard.service_analytic(
-                batch, now_ns, self.config.dispatch_overhead_ns
-            )
+            finishes = shard.service_analytic(batch, now_ns)
         if batch_span is not None and finishes:
             batch_span.end_ns = max(f for _, f in finishes)
         for request, finish in finishes:

@@ -407,9 +407,9 @@ class SLOReport:
             summary["faults"] = self.fault_report.as_dict()
         return summary
 
-    def to_table(self, title: str = "Service SLO report") -> ReportTable:
+    def to_table(self) -> ReportTable:
         table = ReportTable(
-            title,
+            "Service SLO report",
             ["Kind", "N", "p50 (us)", "p95 (us)", "p99 (us)", "p999 (us)",
              "Mean (us)", "Max (us)"],
         )

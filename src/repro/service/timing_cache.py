@@ -1,16 +1,16 @@
 """LRU timing caches for the serving layer's deterministic models.
 
 Everything the service layer times is *deterministic*: a catalog entry's
-accelerator and software timings are pure functions of (payload shape,
-device configs), and a device-engine batch timeline is a pure function of
-(request kinds, catalog entry composition). Sweeps — QPS curves, shard
+accelerator and software timings are pure functions of its payload shape
+(every device is the Table I configuration), and a device-engine batch
+timeline is a pure function of (request kind, catalog entry composition). Sweeps — QPS curves, shard
 scaling, the perf harness — rebuild identical catalogs and replay
 identical batch compositions thousands of times, so memoizing the timing
 results changes wall-clock cost, never simulated results.
 
 The caches are deliberately keyed on *complete* input signatures (all
-size classes in build order, full config dataclasses) so two runs that
-could diverge can never share an entry. Correctness note for the batch
+size classes in build order, stream digests rather than entry names) so
+two runs that could diverge can never share an entry. Correctness note for the batch
 cache: the device engine functionally verifies every round trip the first
 time a composition runs; a cache hit replays the timeline of that
 verified execution.
@@ -51,17 +51,17 @@ class LRUCache:
         return len(self._entries)
 
 
-#: Catalog build cache: (size classes in build order, entry name, cereal
-#: config, dram config) -> (stream, accel timings, software timings).
+#: Catalog build cache: (size classes in build order, entry name) ->
+#: (stream, accel timings, software timings).
 catalog_timing_cache = LRUCache(capacity=64)
 
-#: Device-engine batch cache, shared across shards with identical configs:
-#: (cereal config, dram config, kind, entry-name tuple) ->
-#: (wall_time_ns, per-request relative finish times).
+#: Device-engine batch cache, shared across shards: (kind, tuple of the
+#: requests' stream digests) -> (wall_time_ns, per-request relative
+#: finish times).
 device_batch_cache = LRUCache(capacity=256)
 
 
 def clear_timing_caches() -> None:
-    """Reset both service-layer timing caches (tests, config experiments)."""
+    """Reset both service-layer timing caches (tests measuring cold runs)."""
     catalog_timing_cache.clear()
     device_batch_cache.clear()

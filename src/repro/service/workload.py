@@ -28,7 +28,6 @@ from math import log
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cereal.accelerator import CerealAccelerator, OperationTiming
-from repro.common.config import CerealConfig, DRAMConfig
 from repro.common.errors import ConfigError
 from repro.cpu.harness import SoftwarePlatform
 from repro.formats.base import SerializedStream
@@ -101,21 +100,14 @@ class ServiceCatalog:
     The catalog, every accelerator shard, and the software degrade path all
     share one :class:`~repro.formats.registry.ClassRegistration`, so a
     stream produced anywhere in the service is decodable everywhere (class
-    IDs agree by construction).
+    IDs agree by construction). Every device is the Table I configuration.
     """
 
-    def __init__(
-        self,
-        size_classes: Sequence[SizeClass] = DEFAULT_SIZE_CLASSES,
-        cereal_config: Optional[CerealConfig] = None,
-        dram_config: Optional[DRAMConfig] = None,
-    ):
+    def __init__(self, size_classes: Sequence[SizeClass] = DEFAULT_SIZE_CLASSES):
         if not size_classes:
             raise ConfigError("catalog needs at least one size class")
         self.heap = Heap(registry=None)
         self.registration = ClassRegistration()
-        self.cereal_config = cereal_config or CerealConfig()
-        self.dram_config = dram_config or DRAMConfig()
         self.entries: Dict[str, CatalogEntry] = {}
         self._build(size_classes)
 
@@ -140,25 +132,18 @@ class ServiceCatalog:
                 raise ConfigError(f"unknown workload shape {size.shape!r}")
         # Reference accelerator: produces the catalog streams and the
         # cached single-op timings every analytic shard replays.
-        self.accelerator = CerealAccelerator(
-            self.cereal_config, self.dram_config, registration=self.registration
-        )
+        self.accelerator = CerealAccelerator(registration=self.registration)
         for klass in self.heap.registry:
             self.accelerator.register_class(klass)
         self.software = SoftwarePlatform()
         self.fallback_serializer = KryoSerializer(self.registration)
-        # Catalog timings are a deterministic function of the build inputs
-        # (payload shapes + device configs), so identical catalogs — the
-        # common case across QPS/shard sweeps — reuse them via the LRU.
+        # Catalog timings are a deterministic function of the payload
+        # shapes, so identical catalogs — the common case across QPS/shard
+        # sweeps — reuse them via the LRU.
         build_signature = tuple(size_classes)
         for size in size_classes:
             root = roots[size.name]
-            cache_key = (
-                build_signature,
-                size.name,
-                self.cereal_config,
-                self.dram_config,
-            )
+            cache_key = (build_signature, size.name)
             cached = catalog_timing_cache.get(cache_key)
             if cached is not None:
                 stream, accel_timing, software_ns = cached
@@ -282,7 +267,6 @@ class KeySkew:
 
     key_space: int = 1024
     exponent: float = 1.1
-    prefix: str = "key"
 
     def __post_init__(self) -> None:
         if self.key_space <= 0:
@@ -407,7 +391,7 @@ class OpenLoopWorkload:
                 hi = mid
             else:
                 lo = mid + 1
-        return f"{self.keys.prefix}-{lo}"
+        return f"key-{lo}"
 
     def _draw_tenant(self, rng: DeterministicRandom) -> TenantClass:
         draw = rng.random() * self._tenant_total
@@ -497,6 +481,9 @@ class BurstyWorkload(OpenLoopWorkload):
     burst schedule is as reproducible as the arrivals themselves.
     """
 
+    #: Mean length of one ON + OFF cycle, in requests.
+    mean_phase_requests = 32
+
     def __init__(
         self,
         qps: float,
@@ -505,7 +492,6 @@ class BurstyWorkload(OpenLoopWorkload):
         mix: Optional[RequestMix] = None,
         burst_factor: float = 8.0,
         burst_fraction: float = 0.25,
-        mean_phase_requests: int = 32,
         malformed_fraction: float = 0.0,
         keys: Optional[KeySkew] = None,
         tenants: Optional[Sequence[TenantClass]] = None,
@@ -523,11 +509,8 @@ class BurstyWorkload(OpenLoopWorkload):
             raise ConfigError("burst_factor must be >= 1")
         if not 0.0 < burst_fraction < 1.0:
             raise ConfigError("burst_fraction must be in (0, 1)")
-        if mean_phase_requests <= 0:
-            raise ConfigError("mean_phase_requests must be positive")
         self.burst_factor = burst_factor
         self.burst_fraction = burst_fraction
-        self.mean_phase_requests = mean_phase_requests
 
     def _unit_gaps(self) -> List[float]:
         gaps = super()._unit_gaps()
@@ -589,7 +572,6 @@ class DiurnalWorkload(OpenLoopWorkload):
         mix: Optional[RequestMix] = None,
         amplitude: float = 0.6,
         period_requests: int = 1000,
-        phase: float = 0.0,
         malformed_fraction: float = 0.0,
         keys: Optional[KeySkew] = None,
         tenants: Optional[Sequence[TenantClass]] = None,
@@ -609,7 +591,6 @@ class DiurnalWorkload(OpenLoopWorkload):
             raise ConfigError("period_requests must be > 1")
         self.amplitude = amplitude
         self.period_requests = period_requests
-        self.phase = phase
 
     def _unit_gaps(self) -> List[float]:
         from math import pi, sin
@@ -618,7 +599,7 @@ class DiurnalWorkload(OpenLoopWorkload):
         shaped = []
         for index, gap in enumerate(gaps):
             rate = 1.0 + self.amplitude * sin(
-                2.0 * pi * index / self.period_requests + self.phase
+                2.0 * pi * index / self.period_requests
             )
             shaped.append(gap / rate)
         mean = sum(shaped) / len(shaped)

@@ -34,6 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.common.config import DISK_BANDWIDTH
 from repro.common.errors import ConfigError, ExecutorLostError
 from repro.faults.injector import FaultInjector
 from repro.formats.base import SerializedStream
@@ -57,7 +58,6 @@ from repro.spark.transfer import (
 
 _COMPUTE_IPC = 2.5  # user numeric code pipelines better than S/D code
 _CLOCK_GHZ = 3.6
-_DISK_BANDWIDTH = 500e6  # B/s HDFS-style sequential I/O
 
 
 class MiniSparkContext:
@@ -140,7 +140,7 @@ class MiniSparkContext:
         self.breakdown.compute_ns += instructions / (_COMPUTE_IPC * _CLOCK_GHZ)
 
     def account_io(self, nbytes: float) -> None:
-        self.breakdown.io_ns += nbytes / _DISK_BANDWIDTH * 1e9
+        self.breakdown.io_ns += nbytes / DISK_BANDWIDTH * 1e9
 
     def _account_gc(self) -> None:
         """Charge GC for heap growth since the last mark.

@@ -17,36 +17,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.common.config import DISK_BANDWIDTH
 from repro.common.errors import ConfigError, CorruptionError, TransientError
 from repro.faults.injector import (
     FAULT_CORRUPT,
     FAULT_DROP,
     FAULT_LATENCY,
+    LATENCY_SPIKE_NS,
     FaultInjector,
 )
 from repro.formats.base import SerializedStream
 from repro.obs.trace import get_tracer
 from repro.spark.metrics import TimeBreakdown
 
-#: Executor-to-executor re-fetch rate (~1.25 GB/s network); only charged
-#: for retries — the first copy's wire cost lives inside the per-operation
-#: framework stream path.
-_WIRE_NS_PER_BYTE = 0.8
-
 #: Re-fetch rate for the ``spill`` site: a spilled cache block is re-read
-#: from local disk (500 MB/s sequential), not across the network.
-_SPILL_REFETCH_NS_PER_BYTE = 2.0
+#: from local disk, not across the network.
+_SPILL_REFETCH_NS_PER_BYTE = 1e9 / DISK_BANDWIDTH
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff and jitter."""
 
+    base_backoff_ns = 200_000.0  # 0.2 ms first wait
+    multiplier = 2.0
+    max_backoff_ns = 50_000_000.0  # 50 ms ceiling
+
     max_retries: int = 8
-    base_backoff_ns: float = 200_000.0  # 0.2 ms first wait
-    multiplier: float = 2.0
-    max_backoff_ns: float = 50_000_000.0  # 50 ms ceiling
     jitter: float = 0.2  # +/- 20% around the nominal backoff
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigError(
+                f"max_retries must be non-negative, got {self.max_retries}"
+            )
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
 
     def backoff_ns(self, attempt: int, jitter_draw: float) -> float:
         """Backoff before retry ``attempt`` (0-based), jittered."""
@@ -69,7 +75,6 @@ class ChunkingConfig:
 
     chunk_bytes: int = 64 * 1024
     max_inflight_chunks: int = 4
-    trace_chunks: bool = True
 
     def __post_init__(self):
         if self.chunk_bytes <= 0:
@@ -119,19 +124,22 @@ class ChunkTransferStats:
 class ResilientTransfer:
     """Delivers serialized buckets across the (simulated) network."""
 
+    #: Executor-to-executor re-fetch rate (~1.25 GB/s network); only charged
+    #: for retries — the first copy's wire cost lives inside the
+    #: per-operation framework stream path.
+    wire_ns_per_byte = 0.8
+
     def __init__(
         self,
         breakdown: TimeBreakdown,
         injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
         frame_streams: bool = False,
-        wire_ns_per_byte: float = _WIRE_NS_PER_BYTE,
     ):
         self.breakdown = breakdown
         self.injector = injector
         self.retry = retry if retry is not None else RetryPolicy()
         self.frame_streams = frame_streams
-        self.wire_ns_per_byte = wire_ns_per_byte
 
     def _refetch_rate(self, site: str) -> float:
         """ns/B charged per re-fetch: local-disk re-read for spill blocks,
@@ -183,7 +191,7 @@ class ResilientTransfer:
             received, fault = self._attempt(wire, site)
             if fault == FAULT_LATENCY:
                 # Intact but late: absorb the spike, nothing to re-fetch.
-                self.breakdown.retry_ns += self.injector.policy.latency_spike_ns
+                self.breakdown.retry_ns += LATENCY_SPIKE_NS
                 self.injector.report.record_detected("transfer")
                 self.injector.report.record_recovered("transfer")
             delivered = self._verify(received, site)
@@ -259,7 +267,6 @@ class ResilientTransfer:
         chunks: Optional[List[bytes]] = None,
         encode_ns: float = 0.0,
         config: Optional[ChunkingConfig] = None,
-        parent_span=None,
     ) -> Tuple[SerializedStream, ChunkTransferStats]:
         """Ship ``stream`` as a sequence of CRC-framed chunks.
 
@@ -321,9 +328,8 @@ class ResilientTransfer:
             while True:
                 received, fault = self._attempt_chunk(framed, site)
                 if fault == FAULT_LATENCY:
-                    spike = self.injector.policy.latency_spike_ns
-                    self.breakdown.retry_ns += spike
-                    chunk_retry_ns += spike
+                    self.breakdown.retry_ns += LATENCY_SPIKE_NS
+                    chunk_retry_ns += LATENCY_SPIKE_NS
                     self.injector.report.record_detected("transfer")
                     self.injector.report.record_recovered("transfer")
                 verified = False
@@ -378,18 +384,16 @@ class ResilientTransfer:
             )
             wire_done.append(done_ns)
             stats.chunk_timeline.append((seq, enc_ready, done_ns))
-            if config.trace_chunks:
-                tracer.record_span(
-                    "transfer.chunk",
-                    base_ns + start_ns,
-                    base_ns + done_ns,
-                    category="transfer",
-                    track="spark",
-                    parent=parent_span,
-                    site=site,
-                    chunk=seq,
-                    bytes=len(payload),
-                )
+            tracer.record_span(
+                "transfer.chunk",
+                base_ns + start_ns,
+                base_ns + done_ns,
+                category="transfer",
+                track="spark",
+                site=site,
+                chunk=seq,
+                bytes=len(payload),
+            )
 
         stats.first_byte_ns = wire_done[0]
         stats.pipelined_ns = wire_done[-1]

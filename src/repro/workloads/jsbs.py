@@ -176,7 +176,7 @@ def _heap_string(heap: Heap, text: str) -> HeapObject:
     return new_string(heap, text)
 
 
-def build_media_content(heap: Heap, image_count: int = 2) -> HeapObject:
+def build_media_content(heap: Heap) -> HeapObject:
     """The JSBS ``MediaContent`` benchmark object."""
     register_jsbs_klasses(heap.registry)
     rng = DeterministicRandom(seed=0x4A5B)
@@ -197,8 +197,8 @@ def build_media_content(heap: Heap, image_count: int = 2) -> HeapObject:
     persons.set_element(1, _heap_string(heap, "Steve Jobs"))
     media.set("persons", persons)
 
-    images = heap.new_array(FieldKind.REFERENCE, image_count)
-    for index in range(image_count):
+    images = heap.new_array(FieldKind.REFERENCE, 2)
+    for index in range(2):
         image = heap.new_instance("Image")
         image.set(
             "uri",

@@ -47,6 +47,15 @@ class TestHostCPUConfig:
             assert host.l1.num_sets >= 1
             assert host.l2.num_sets >= 1
 
+    def test_scaled_caches_changes_only_name_and_caches(self):
+        host = HostCPUConfig().scaled_caches(64)
+        assert host == HostCPUConfig(
+            name="Intel i7-7820X (caches/64)",
+            l1=CacheLevelConfig("L1D", 512, associativity=8, latency_cycles=4),
+            l2=CacheLevelConfig("L2", 16 * KIB, associativity=16, latency_cycles=14),
+            l3=CacheLevelConfig("L3", 176 * KIB, associativity=11, latency_cycles=44),
+        )
+
     def test_scaled_caches_bad_factor(self):
         with pytest.raises(ConfigError):
             HostCPUConfig().scaled_caches(0)

@@ -127,6 +127,22 @@ class TestRetryPolicy:
         assert low == pytest.approx(policy.base_backoff_ns * 0.8)
         assert high == pytest.approx(policy.base_backoff_ns * 1.2)
 
+    @pytest.mark.parametrize("jitter", [-0.1, 1.5])
+    def test_jitter_outside_unit_interval_rejected(self, jitter):
+        # A jitter above 1 makes a low draw charge negative backoff time.
+        with pytest.raises(ConfigError, match="jitter"):
+            RetryPolicy(jitter=jitter)
+
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ConfigError, match="max_retries"):
+            RetryPolicy(max_retries=-1)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1.0])
+    def test_full_jitter_range_never_charges_negative_time(self, jitter):
+        policy = RetryPolicy(jitter=jitter, max_retries=0)
+        assert policy.backoff_ns(0, 0.0) >= 0.0
+        assert policy.backoff_ns(0, 1.0) <= 2 * policy.base_backoff_ns
+
     def test_retries_exhausted_raises_transient_error(self):
         breakdown = TimeBreakdown()
         injector = FaultInjector(FaultPolicy(seed=3, drop_prob=1.0))

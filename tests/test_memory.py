@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.config import DRAMConfig
 from repro.common.errors import HeapError
 from repro.memory import AccessKind, DRAMModel, MemorySpace, MemoryTrace
 
@@ -316,21 +315,6 @@ class TestDRAMModel:
             dram.stats.last_completion_ns, dram.config
         )
         assert 0.0 < util <= 1.0
-
-    def test_stream_time_bandwidth_bound(self):
-        config = DRAMConfig()
-        dram = DRAMModel(config)
-        total = 64 * 1000 * 1000  # 64 MB
-        time_ns = dram.stream_time_ns(total, outstanding=64)
-        ideal_ns = total / config.peak_bandwidth_bytes_per_sec * 1e9
-        assert time_ns >= ideal_ns
-        assert time_ns < ideal_ns * 1.2
-
-    def test_stream_time_latency_bound_with_one_outstanding(self):
-        dram = DRAMModel()
-        # One outstanding request: every line pays full zero-load latency.
-        time_ns = dram.stream_time_ns(64 * 100, outstanding=1)
-        assert time_ns >= 100 * dram.config.zero_load_latency_ns
 
     def test_reset(self):
         dram = DRAMModel()

@@ -42,7 +42,7 @@ def catalog():
 
 def _capacity_qps(catalog):
     mean_ns = catalog.mean_service_ns(KIND_SERIALIZE, _MIX.size_weights)
-    units = catalog.cereal_config.num_serializer_units
+    units = catalog.accelerator.config.num_serializer_units
     return units * 1e9 / mean_ns / _MIX.serialize_fraction
 
 
