@@ -9,7 +9,7 @@ constant-factor variant of kryo, skyway) anchor the field; the remaining
 84 entries come from calibrated cost profiles relative to Java S/D.
 """
 
-from repro.analysis import ReportTable, geomean
+from repro.analysis import ReportTable
 from repro.workloads import JSBS_LIBRARY_PROFILES
 from repro.workloads.jsbs import KRYO_MANUAL_TIME_FACTOR
 

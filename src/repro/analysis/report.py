@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.obs.metrics import exact_quantile
 

@@ -64,7 +64,7 @@ from repro.formats.registry import ClassRegistration
 from repro.jvm.graph import ObjectGraph, SlotRunGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
 from repro.jvm.klass import ArrayKlass, SLOT_BYTES
-from repro.jvm.markword import MarkWord, identity_hash_for
+from repro.jvm.markword import MarkWord, fresh_mark_word, identity_hash_for
 
 SECTION_META = "metadata"
 SECTION_VALUES = "value_array"
@@ -82,6 +82,7 @@ _FLAG_MARK_STRIPPED = 0x02
 
 _INSTR_PER_OBJECT = 20
 _INSTR_PER_SLOT = 2
+_INSTR_PER_MARK_REBUILD = 12
 
 
 @dataclass
@@ -568,7 +569,186 @@ class CerealSerializer(Serializer):
                 f"header claims {sections.object_count} objects, bitmap "
                 f"table holds {len(bitmap_items)}"
             )
+        # Every non-null entry must be an object start + 1. Checked before
+        # any write, so no entry is translated past the image (or past 64
+        # bits) and a corrupted stream cannot leave dangling references.
+        targets = {0}
+        start = 1
+        for _, width in bitmap_items:
+            targets.add(start)
+            start += width * SLOT_BYTES
+        if not targets.issuperset(references):
+            relative = next(r for r in references if r not in targets)
+            raise FormatError(
+                f"reference offset {relative - 1} does not target an object"
+            )
         base = heap.reserve(sections.graph_total_bytes)
+        rebuild = self._rebuild if self.use_plans else self._rebuild_per_slot
+        root_obj = rebuild(sections, references, bitmap_items, heap, base, profile)
+        profile.bytes_read = len(stream.data)
+        profile.bytes_written = sections.graph_total_bytes
+        profile.add_instructions(sections.graph_total_bytes // 8)
+        return DeserializationResult(root_obj, profile)
+
+    def _rebuild(
+        self,
+        sections: CerealStreamSections,
+        references: List[int],
+        bitmap_items: List[tuple],
+        heap: Heap,
+        base: int,
+        profile: WorkProfile,
+    ) -> HeapObject:
+        """Rebuild every object from its bitmap's memoized plan.
+
+        Each image is a slice of the value array and a slice of the
+        reference array (translated to heap addresses once per call),
+        permuted into slot order by the plan; it is committed with one
+        bulk word write and registered, in stream order, exactly as
+        :meth:`_rebuild_per_slot` does. The work profile is summed from
+        the section sizes.
+        """
+        header_slots = heap.header_slots
+        graph_total = sections.graph_total_bytes
+        values = sections.value_words
+        value_count = len(values)
+        ref_count = len(references)
+        stripped = sections.mark_stripped
+        shift = base - 1
+        addresses = [relative + shift if relative else NULL_ADDRESS
+                     for relative in references]
+
+        write_words = heap.memory.write_words
+        register_object = heap.register_object
+        klass_of = self.registration.klass_of
+        shapes: dict = {}   # (word, width) -> per-call plan tuple
+        klasses: dict = {}  # class ID -> (klass, klass address, size or 0)
+        offset = value_cursor = ref_cursor = 0
+        root: Optional[HeapObject] = None
+        for item in bitmap_items:
+            shape = shapes.get(item)
+            if shape is None:
+                width = item[1]
+                if width < header_slots:
+                    raise FormatError(
+                        "layout bitmap smaller than the object header"
+                    )
+                plan = P.bitmap_rebuild_plan(*item)
+                if plan.klass_index is None:
+                    raise FormatError(
+                        "object bitmap marks the klass slot as reference"
+                    )
+                rebuild_mark = stripped and plan.mark_is_value
+                shape = (
+                    plan.n_value - rebuild_mark,
+                    plan.n_ref,
+                    rebuild_mark,
+                    plan.klass_index,
+                    plan.gather,
+                    width * SLOT_BYTES,
+                )
+                shapes[item] = shape
+            n_value, n_ref, rebuild_mark, klass_index, gather, size = shape
+            if offset + size > graph_total:
+                # A lying bitmap would otherwise let the image walk write
+                # past the reserved region into unrelated heap memory.
+                raise FormatError(
+                    f"object at image offset {offset} extends past the "
+                    f"{graph_total}-byte image"
+                )
+            value_end = value_cursor + n_value
+            if value_end > value_count:
+                raise FormatError("value array exhausted mid-object")
+            ref_end = ref_cursor + n_ref
+            if ref_end > ref_count:
+                raise FormatError("reference array exhausted mid-object")
+            address = base + offset
+            image = values[value_cursor:value_end]
+            value_cursor = value_end
+            if rebuild_mark:
+                # Header strip: rebuild the mark word at the receiver.
+                image.insert(_MARK_SLOT, fresh_mark_word(address))
+            if n_ref:
+                image += addresses[ref_cursor:ref_end]
+                ref_cursor = ref_end
+            # Class ID Table lookup: class ID -> klass address.
+            class_id = image[klass_index]
+            entry = klasses.get(class_id)
+            if entry is None:
+                klass = klass_of(class_id)
+                assert klass.metaspace_address is not None
+                entry = (klass, klass.metaspace_address,
+                         0 if isinstance(klass, ArrayKlass)
+                         else (header_slots + klass.instance_slots()) * SLOT_BYTES)
+                klasses[class_id] = entry
+            klass, image[klass_index], klass_size = entry
+            if gather is not None:
+                image = gather(image)
+            write_words(address, image)
+            if klass_size:
+                obj = register_object(address, klass)
+            elif size > header_slots * SLOT_BYTES:
+                obj = register_object(address, klass, image[header_slots])
+                klass_size = obj.size_bytes
+            else:
+                raise FormatError(f"array {klass.name} has no length slot")
+            if root is None:
+                root = obj
+            if klass_size != size:
+                raise FormatError(
+                    f"bitmap length {size // SLOT_BYTES} disagrees with object "
+                    f"size {klass_size} for {klass.name}"
+                )
+            offset += size
+
+        self._check_consumed(
+            sections, offset, value_cursor, ref_cursor, ref_count
+        )
+        objects = sections.object_count
+        slots = graph_total // SLOT_BYTES
+        value_fields = slots - ref_count
+        profile.objects = profile.allocations = objects
+        profile.value_fields = value_fields
+        profile.reference_fields = ref_count
+        # Each rebuilt mark word is a value slot the value array lacks.
+        profile.instructions = (
+            _INSTR_PER_OBJECT * objects
+            + _INSTR_PER_SLOT * slots
+            + _INSTR_PER_MARK_REBUILD * (value_fields - value_count)
+        )
+        assert root is not None
+        return root
+
+    @staticmethod
+    def _check_consumed(
+        sections: CerealStreamSections,
+        offset: int,
+        value_cursor: int,
+        ref_cursor: int,
+        ref_count: int,
+    ) -> None:
+        """The walk must end exactly at the image, value and reference ends."""
+        if offset != sections.graph_total_bytes:
+            raise FormatError(
+                f"image walked {offset} bytes, header said "
+                f"{sections.graph_total_bytes}"
+            )
+        if ref_cursor != ref_count:
+            raise FormatError("unconsumed reference-array entries")
+        if value_cursor != len(sections.value_words):
+            raise FormatError("unconsumed value-array words")
+
+    def _rebuild_per_slot(
+        self,
+        sections: CerealStreamSections,
+        references: List[int],
+        bitmap_items: List[tuple],
+        heap: Heap,
+        base: int,
+        profile: WorkProfile,
+    ) -> HeapObject:
+        """The oracle rebuild (``use_plans=False``): classify every slot of
+        every object against its bitmap, one at a time."""
         memory = heap.memory
         header_slots = heap.header_slots
         value_words_in = sections.value_words
@@ -578,13 +758,6 @@ class CerealSerializer(Serializer):
         ref_cursor = 0
         offset = 0
         root_obj: Optional[HeapObject] = None
-        reference_slot_addresses = []  # (slot address, relative) to validate
-        # Reference-free objects (the common case in array-heavy workloads)
-        # take a bulk-slice path: the memoized bitmap classification says
-        # "no reference slots", so the whole image is a contiguous run of
-        # the value array. Mark-stripped streams rebuild the mark word per
-        # object and stay on the per-slot loop.
-        use_fast = self.use_plans and not sections.mark_stripped
 
         for bitmap_word, bitmap_width in bitmap_items:
             address = base + offset
@@ -594,45 +767,19 @@ class CerealSerializer(Serializer):
             if bitmap_width < header_slots:
                 raise FormatError("layout bitmap smaller than the object header")
             if offset + bitmap_width * SLOT_BYTES > sections.graph_total_bytes:
-                # A lying bitmap would otherwise let the image walk write
-                # past the reserved region into unrelated heap memory.
                 raise FormatError(
                     f"object at image offset {offset} extends past the "
                     f"{sections.graph_total_bytes}-byte image"
                 )
             klass = None
-            if use_fast and not P.bitmap_reference_slots(bitmap_word, bitmap_width):
-                end = value_cursor + bitmap_width
-                if end > value_count:
-                    raise FormatError("value array exhausted mid-object")
-                slot_words = value_words_in[value_cursor:end]
-                value_cursor = end
-                klass = self.registration.klass_of(slot_words[_KLASS_SLOT])
-                assert klass.metaspace_address is not None
-                slot_words[_KLASS_SLOT] = klass.metaspace_address
-                profile.add_instructions(_INSTR_PER_SLOT * bitmap_width)
-                profile.value_fields += bitmap_width
-                memory.write_words(address, slot_words)
-                length = 0
-                if isinstance(klass, ArrayKlass):
-                    length = slot_words[header_slots]
-                obj = heap.register_object(address, klass, length)
-                if root_obj is None:
-                    root_obj = obj
-                size = obj.size_bytes
-                if size != bitmap_width * SLOT_BYTES:
-                    raise FormatError(
-                        f"bitmap length {bitmap_width} disagrees with object size "
-                        f"{size} for {klass.name}"
-                    )
-                offset += size
-                continue
             # Assemble the whole object image in Python, then commit it to
             # simulated memory with one bulk word write.
             slot_words = []
             for slot in range(bitmap_width):
                 profile.add_instructions(_INSTR_PER_SLOT)
                 if (bitmap_word >> (bitmap_width - 1 - slot)) & 1:
+                    if ref_cursor >= len(references):
+                        raise FormatError("reference array exhausted mid-object")
                     relative = references[ref_cursor]
                     ref_cursor += 1
                     profile.reference_fields += 1
@@ -640,16 +787,13 @@ class CerealSerializer(Serializer):
                         slot_words.append(NULL_ADDRESS)
                     else:
                         slot_words.append(base + relative - 1)
-                        reference_slot_addresses.append(
-                            (address + slot * SLOT_BYTES, relative - 1)
-                        )
                     continue
                 if slot == _MARK_SLOT and sections.mark_stripped:
                     # Header strip: rebuild the mark word at the receiver.
                     word = MarkWord(
                         identity_hash=identity_hash_for(address)
                     ).encode()
-                    profile.add_instructions(12)
+                    profile.add_instructions(_INSTR_PER_MARK_REBUILD)
                 elif value_cursor < value_count:
                     word = value_words_in[value_cursor]
                     value_cursor += 1
@@ -669,6 +813,8 @@ class CerealSerializer(Serializer):
                 raise FormatError("object bitmap marks the klass slot as reference")
             length = 0
             if isinstance(klass, ArrayKlass):
+                if bitmap_width <= header_slots:
+                    raise FormatError(f"array {klass.name} has no length slot")
                 length = slot_words[header_slots]
             obj = heap.register_object(address, klass, length)
             if root_obj is None:
@@ -681,30 +827,8 @@ class CerealSerializer(Serializer):
                 )
             offset += size
 
-        if offset != sections.graph_total_bytes:
-            raise FormatError(
-                f"image walked {offset} bytes, header said "
-                f"{sections.graph_total_bytes}"
-            )
-        if ref_cursor != len(references):
-            raise FormatError("unconsumed reference-array entries")
-        if value_cursor != len(sections.value_words):
-            raise FormatError("unconsumed value-array words")
-        # Validate every reference against the materialized object starts
-        # so a corrupted stream cannot leave dangling references behind.
-        valid_offsets = set()
-        cursor = 0
-        for _, bitmap_width in bitmap_items:
-            valid_offsets.add(cursor)
-            cursor += bitmap_width * SLOT_BYTES
-        for slot_address, relative in reference_slot_addresses:
-            if relative not in valid_offsets:
-                raise FormatError(
-                    f"reference offset {relative} does not target an object"
-                )
-
+        self._check_consumed(
+            sections, offset, value_cursor, ref_cursor, len(references)
+        )
         assert root_obj is not None
-        profile.bytes_read = len(stream.data)
-        profile.bytes_written = sections.graph_total_bytes
-        profile.add_instructions(sections.graph_total_bytes // 8)
-        return DeserializationResult(root_obj, profile)
+        return root_obj

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import struct
 from hashlib import sha256
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.common.errors import FormatError, TruncatedStreamError
@@ -68,10 +69,10 @@ from repro.formats.varint import (
     INT32_MAX,
     INT32_MIN,
     append_signed_varint,
-    append_varint,
+    append_varint as append_varint,  # re-exported for the Kryo kernels
     int32_range_error,
     read_signed_varint,
-    read_varint,
+    read_varint as read_varint,
 )
 from repro.jvm.klass import ArrayKlass, FieldKind, InstanceKlass, Klass
 from repro.jvm.layout_cache import layout_of
@@ -190,6 +191,25 @@ class CerealPlan:
     )
 
 
+class CerealRebuildPlan:
+    """How one Cereal layout bitmap rebuilds its object image.
+
+    The image is the object's value words followed by its translated
+    reference words, permuted into slot order by ``gather`` (``None``
+    when no value slot follows a reference slot, so the concatenation
+    already is the image).
+    """
+
+    __slots__ = (
+        "n_value",
+        "n_ref",
+        "mark_is_value",        # slot 0 is a value slot (rebuilt if stripped)
+        "klass_index",          # klass word's index in the concatenation,
+                                # None when the bitmap marks it a reference
+        "gather",
+    )
+
+
 # -- the process-wide plan cache ----------------------------------------------------
 
 # Bounded like the layout cache: plans are regenerable, the cap only guards
@@ -198,7 +218,7 @@ class CerealPlan:
 _MAX_ENTRIES = 1 << 16
 _PLANS: Dict[Tuple, object] = {}
 _FINGERPRINTS: Dict[Klass, str] = {}
-_BITMAP_REFS: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+_BITMAP_PLANS: Dict[Tuple[int, int], "CerealRebuildPlan"] = {}
 
 # Recorded in the process-wide metrics registry as ``plan_cache.*``.
 _HITS = get_registry().counter("plan_cache.hits")
@@ -256,40 +276,56 @@ def plan_for(format_name: str, klass: Klass, header_slots: int, length: int = 0)
         _PLANS.clear()
         _EVICTIONS.inc()
     _PLANS[key] = plan
-    _ENTRIES.set(len(_PLANS) + len(_BITMAP_REFS))
+    _ENTRIES.set(len(_PLANS) + len(_BITMAP_PLANS))
     return plan
 
 
-def bitmap_reference_slots(bitmap_word: int, bitmap_width: int) -> Tuple[int, ...]:
-    """Memoized MSB-first set-bit positions of a layout bitmap word.
+def bitmap_rebuild_plan(bitmap_word: int, bitmap_width: int) -> "CerealRebuildPlan":
+    """The memoized Cereal rebuild plan for one layout bitmap.
 
-    The Cereal decode loop classifies every slot of every object against
-    the bitmap; repeated shapes reuse the classification instead of
-    re-shifting per slot.
+    The Cereal decoder rebuilds an object image from its bitmap alone
+    (paper Sections IV-A and V-C), so every object with the same
+    ``(word, width)`` takes the same slices of the value and reference
+    arrays; the plan is computed once per bitmap, not once per slot.
     """
     key = (bitmap_word, bitmap_width)
-    slots = _BITMAP_REFS.get(key)
-    if slots is not None:
-        _HITS.value += 1  # direct bump: this is the per-object hot path
-        return slots
+    plan = _BITMAP_PLANS.get(key)
+    if plan is not None:
+        _HITS.inc()
+        return plan
     _MISSES.inc()
-    slots = tuple(
-        slot
+    bits = [
+        (bitmap_word >> (bitmap_width - 1 - slot)) & 1
         for slot in range(bitmap_width)
-        if (bitmap_word >> (bitmap_width - 1 - slot)) & 1
-    )
-    if len(_BITMAP_REFS) >= _MAX_ENTRIES:
-        _BITMAP_REFS.clear()
+    ]
+    plan = CerealRebuildPlan()
+    plan.n_ref = sum(bits)
+    plan.n_value = bitmap_width - plan.n_ref
+    plan.mark_is_value = bits[:1] == [0]
+    plan.klass_index = int(plan.mark_is_value) if bits[1:2] == [0] else None
+    # Each slot's place in the values-then-references concatenation.
+    order = []
+    value_index, ref_index = 0, plan.n_value
+    for bit in bits:
+        if bit:
+            order.append(ref_index)
+            ref_index += 1
+        else:
+            order.append(value_index)
+            value_index += 1
+    plan.gather = None if order == sorted(order) else itemgetter(*order)
+    if len(_BITMAP_PLANS) >= _MAX_ENTRIES:
+        _BITMAP_PLANS.clear()
         _EVICTIONS.inc()
-    _BITMAP_REFS[key] = slots
-    _ENTRIES.set(len(_PLANS) + len(_BITMAP_REFS))
-    return slots
+    _BITMAP_PLANS[key] = plan
+    _ENTRIES.set(len(_PLANS) + len(_BITMAP_PLANS))
+    return plan
 
 
 def reset_plan_cache() -> None:
     """Drop compiled plans and zero the counters (tests, benchmarks)."""
     _PLANS.clear()
-    _BITMAP_REFS.clear()
+    _BITMAP_PLANS.clear()
     _FINGERPRINTS.clear()
     _HITS.reset()
     _MISSES.reset()

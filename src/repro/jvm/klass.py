@@ -21,7 +21,7 @@ standing in for the JVM metaspace.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import HeapError

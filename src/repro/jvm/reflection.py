@@ -14,7 +14,7 @@ cost model later converts into instructions and cache accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.jvm.heap import FieldValue, HeapObject
 from repro.jvm.klass import InstanceKlass

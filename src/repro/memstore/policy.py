@@ -33,7 +33,6 @@ from repro.memstore.tiers import (
     CacheEntry,
     TIER_DESERIALIZED,
     TIER_SERIALIZED,
-    TIER_SPILLED,
 )
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -20,7 +20,7 @@ the chunked encode path keeps on the Spark side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.errors import ConfigError
 from repro.formats.streams import CHUNK_HEADER_BYTES

@@ -19,7 +19,6 @@ from repro.common.errors import (
 )
 from repro.formats import ClassRegistration, KryoSerializer
 from repro.formats.adversarial import (
-    AdversarialSample,
     as_stream,
     build_corpus,
 )

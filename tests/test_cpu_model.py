@@ -8,7 +8,6 @@ from repro.common.config import HostCPUConfig, SystemConfig
 import repro.cpu.harness as harness
 from repro.cpu import CacheHierarchy, CPUCostModel, SoftwarePlatform
 from repro.cpu.cache import CacheStats
-from repro.formats import KryoSerializer
 from repro.formats.base import WorkProfile
 from repro.jvm import Heap
 from repro.memory.trace import MemoryTrace

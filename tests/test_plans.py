@@ -328,15 +328,25 @@ def test_plan_cache_shared_across_serializer_instances():
     assert _cache_counters("plan_cache")["misses"] == after_first
 
 
-def test_bitmap_reference_slots_memoized():
+def test_bitmap_rebuild_plan_memoized():
     plans.reset_plan_cache()
-    assert plans.bitmap_reference_slots(0b10100, 5) == (0, 2)
+    plan = plans.bitmap_rebuild_plan(0b00101, 5)
+    assert (plan.n_value, plan.n_ref, plan.mark_is_value) == (3, 2, True)
+    assert plan.klass_index == 1
+    # Slots 0,1,3 are values (concatenation 0,1,2), slots 2,4 references (3,4).
+    assert plan.gather([10, 11, 13, 12, 14]) == (10, 11, 12, 13, 14)
     misses = _cache_counters("plan_cache")["misses"]
-    assert plans.bitmap_reference_slots(0b10100, 5) == (0, 2)
+    assert plans.bitmap_rebuild_plan(0b00101, 5) is plan
     stats = _cache_counters("plan_cache")
     assert stats["misses"] == misses
     assert stats["hits"] >= 1
-    assert plans.bitmap_reference_slots(0, 7) == ()
+    # Values before references need no permutation.
+    assert plans.bitmap_rebuild_plan(0b00011, 5).gather is None
+    assert plans.bitmap_rebuild_plan(0, 7).gather is None
+    # A reference in the klass slot leaves no klass index.
+    assert plans.bitmap_rebuild_plan(0b0100, 4).klass_index is None
+    reference_mark = plans.bitmap_rebuild_plan(0b10000, 5)
+    assert (reference_mark.mark_is_value, reference_mark.klass_index) == (False, 0)
 
 
 # -- layout cache counters ---------------------------------------------------------

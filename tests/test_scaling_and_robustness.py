@@ -16,14 +16,7 @@ from repro.cereal import CerealAccelerator
 from repro.common.config import HostCPUConfig, SystemConfig
 from repro.common.errors import CerealError
 from repro.cpu import SoftwarePlatform
-from repro.formats import (
-    CerealSerializer,
-    ClassRegistration,
-    JavaSerializer,
-    KryoSerializer,
-    SerializedStream,
-    SkywaySerializer,
-)
+from repro.formats import SerializedStream
 from repro.jvm import Heap
 from tests.test_serializers import build_tree, make_registry, make_serializer
 

@@ -151,8 +151,6 @@ class TestJSBS:
         assert images.length == 2
 
     def test_media_content_serializable_by_all(self):
-        from tests.test_serializers import make_serializer
-
         heap = Heap()
         content = build_media_content(heap)
         receiver = Heap(registry=heap.registry)
