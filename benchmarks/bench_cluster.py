@@ -107,7 +107,6 @@ def _service_config(max_outstanding: int = 200_000) -> ServiceConfig:
         admission=AdmissionConfig(
             max_outstanding=max_outstanding, enable_degrade=False
         ),
-        functional="sample",
         functional_every=256,
     )
 

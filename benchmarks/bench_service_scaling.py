@@ -108,7 +108,6 @@ def run_sweep(smoke: bool = False) -> Tuple[Dict, ReportTable]:
                     num_shards=shards,
                     batch_wait_ns=deadline_ns,
                     admission=admission,
-                    functional="sample",
                     functional_every=64,
                 )
                 server = SerializationServer(catalog, config)
@@ -182,7 +181,6 @@ def _chaos_run(
     )
     config = ServiceConfig(
         num_shards=1,
-        functional="sample",
         functional_every=8,
         admission=AdmissionConfig(max_outstanding=256, degrade_threshold=0.75),
     )

@@ -207,7 +207,7 @@ def _run_service(
     ).generate(catalog)
     server = SerializationServer(
         catalog,
-        ServiceConfig(num_shards=2, functional="off", streaming=streaming),
+        ServiceConfig(num_shards=2, functional_every=0, streaming=streaming),
         tracer=tracer,
     )
     report = server.run(workload)

@@ -358,7 +358,7 @@ def bench_service(smoke: bool) -> Dict[str, float]:
     begin = time.perf_counter()
     catalog = ServiceCatalog()
     build_s = time.perf_counter() - begin
-    config = ServiceConfig(num_shards=2, engine="analytic", functional="off")
+    config = ServiceConfig(num_shards=2, functional_every=0)
     workload = PoissonWorkload(
         qps=120_000.0,
         num_requests=1_000 if smoke else 5_000,

@@ -83,33 +83,6 @@ class DeviceRunResult:
             timeline.setdefault((op.kind, op.unit_index), []).append(op)
         return timeline
 
-    def emit_spans(self, tracer, base_ns: float = 0.0, parent=None,
-                   track: str = "device") -> int:
-        """Record each operation as a child span on ``tracer``.
-
-        Operation times are relative to the batch (unit 0 starts at 0);
-        ``base_ns`` rebases them onto the caller's simulated clock — the
-        service layer passes the batch's dispatch time so unit activity
-        lines up under the request spans. Returns the number of spans
-        recorded (0 when the tracer is disabled).
-        """
-        if not tracer.enabled:
-            return 0
-        emitted = 0
-        for op in self.operations:
-            tracer.record_span(
-                f"{'su' if op.kind == 'serialize' else 'du'}{op.unit_index}.{op.kind}",
-                base_ns + op.start_ns,
-                base_ns + op.finish_ns,
-                category="device",
-                track=track,
-                parent=parent,
-                unit=op.unit_index,
-                graph_bytes=op.graph_bytes,
-            )
-            emitted += 1
-        return emitted
-
 
 #: A request: ("serialize", root) or ("deserialize", stream, destination heap).
 SerializeRequest = Tuple[str, HeapObject]

@@ -20,9 +20,7 @@ from repro.common.units import (
     MIB,
     Cycles,
     Nanoseconds,
-    bytes_human,
     cycles_to_seconds,
-    seconds_to_cycles,
 )
 
 __all__ = [
@@ -39,7 +37,5 @@ __all__ = [
     "GIB",
     "Cycles",
     "Nanoseconds",
-    "bytes_human",
     "cycles_to_seconds",
-    "seconds_to_cycles",
 ]

@@ -29,27 +29,3 @@ def cycles_to_seconds(cycles: Cycles, clock_ghz: float = DEFAULT_CLOCK_GHZ) -> f
     if clock_ghz <= 0:
         raise ValueError(f"clock_ghz must be positive, got {clock_ghz}")
     return cycles / (clock_ghz * 1e9)
-
-
-def seconds_to_cycles(seconds: float, clock_ghz: float = DEFAULT_CLOCK_GHZ) -> Cycles:
-    """Convert seconds into a (rounded-up) cycle count at ``clock_ghz``."""
-    if clock_ghz <= 0:
-        raise ValueError(f"clock_ghz must be positive, got {clock_ghz}")
-    if seconds < 0:
-        raise ValueError(f"seconds must be non-negative, got {seconds}")
-    cycles = seconds * clock_ghz * 1e9
-    return int(cycles) if cycles == int(cycles) else int(cycles) + 1
-
-
-def bytes_human(num_bytes: int) -> str:
-    """Render a byte count with a binary-unit suffix, e.g. ``'1.5 MiB'``."""
-    if num_bytes < 0:
-        raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
-    value = float(num_bytes)
-    for suffix in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if value < 1024 or suffix == "TiB":
-            if suffix == "B":
-                return f"{int(value)} B"
-            return f"{value:.2f} {suffix}"
-        value /= 1024
-    raise AssertionError("unreachable")

@@ -16,8 +16,7 @@ subsystem:
 Metrics are keyed on ``(name, sorted labels)``; fetching the same key
 twice returns the same object, so modules can cache handles at import
 time. :meth:`MetricsRegistry.snapshot` renders the whole registry as one
-flat JSON-able dict — the ``runtime`` block of every ``BENCH_*.json`` —
-and :meth:`MetricsRegistry.delta` diffs two snapshots.
+flat JSON-able dict — the ``runtime`` block of every ``BENCH_*.json``.
 
 Cost model: counters and gauges stay live even when the registry is
 disabled — they are single int/float updates, and the CI cache-health
@@ -344,32 +343,6 @@ class MetricsRegistry:
             else:
                 out[key] = metric.summary()  # type: ignore[union-attr]
         return dict(sorted(out.items()))
-
-    def delta(self, previous: Mapping[str, object]) -> Dict[str, object]:
-        """Movement since ``previous`` (an earlier :meth:`snapshot`).
-
-        Counters and gauges subtract; histogram summaries report the count
-        delta plus the *current* distribution (quantiles are not
-        subtractable).
-        """
-        current = self.snapshot()
-        out: Dict[str, object] = {}
-        for key, value in current.items():
-            prior = previous.get(key)
-            if isinstance(value, dict):
-                changed = dict(value)
-                if isinstance(prior, dict):
-                    changed["count_delta"] = value.get("count", 0) - prior.get(
-                        "count", 0
-                    )
-                else:
-                    changed["count_delta"] = value.get("count", 0)
-                out[key] = changed
-            elif isinstance(prior, (int, float)):
-                out[key] = value - prior
-            else:
-                out[key] = value
-        return out
 
     def merge_snapshot(self, other: "MetricsRegistry") -> None:
         """Fold another registry's current state into this one.

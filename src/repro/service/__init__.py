@@ -5,7 +5,7 @@ under *sustained request traffic*, where queueing, batching, and memory
 contention dominate. The pieces:
 
 * :mod:`repro.service.workload` — payload catalog + seeded open-loop
-  arrival generators (Poisson and bursty) with a configurable
+  arrival generators (Poisson and flash crowd) with a configurable
   serialize/deserialize mix over :mod:`repro.workloads` object graphs;
 * :mod:`repro.service.batching` — batch coalescer (count / byte / wait
   triggers) amortizing per-dispatch overhead the way the accelerator's
@@ -14,9 +14,8 @@ contention dominate. The pieces:
   degrade-to-software routing (open-loop backpressure);
 * :mod:`repro.service.server` — the event-loop
   :class:`~repro.service.server.SerializationServer` owning N
-  accelerator shards plus a CPU software lane, with round-robin /
-  least-loaded / size-aware routing and fault-driven degrade via
-  :mod:`repro.faults`;
+  accelerator shards plus a CPU software lane, with least-loaded
+  routing and fault-driven degrade via :mod:`repro.faults`;
 * :mod:`repro.service.slo` — per-request latency traces and the
   p50/p95/p99/p999 + goodput/shed-rate summaries.
 
@@ -42,11 +41,9 @@ from repro.service.server import (
 from repro.service.slo import RequestRecord, SLOReport
 from repro.service.streaming import ResponseStreamer, StreamingConfig
 from repro.service.workload import (
-    BurstyWorkload,
     CatalogEntry,
     DEFAULT_SIZE_CLASSES,
     DEFAULT_TENANTS,
-    DiurnalWorkload,
     FlashCrowdWorkload,
     KeySkew,
     OpenLoopWorkload,
@@ -76,11 +73,9 @@ __all__ = [
     "SLOReport",
     "ResponseStreamer",
     "StreamingConfig",
-    "BurstyWorkload",
     "CatalogEntry",
     "DEFAULT_SIZE_CLASSES",
     "DEFAULT_TENANTS",
-    "DiurnalWorkload",
     "FlashCrowdWorkload",
     "KeySkew",
     "OpenLoopWorkload",

@@ -39,10 +39,6 @@ class Batch:
     def size(self) -> int:
         return len(self.requests)
 
-    @property
-    def payload_bytes(self) -> int:
-        return sum(request.payload_bytes for request in self.requests)
-
 
 @dataclass
 class _PendingGroup:

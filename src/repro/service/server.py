@@ -2,27 +2,20 @@
 
 :class:`SerializationServer` advances virtual time over an open-loop
 request sequence. Each arriving request passes admission control, joins
-the batch coalescer, and — when its batch closes — is dispatched to one of
-N accelerator *shards* (each shard owns a full Cereal device:
-:class:`~repro.cereal.accelerator.CerealAccelerator` plus
-:class:`~repro.cereal.device_sim.DeviceSimulator`) or to the CPU
-*software lane* when admission degrades it or a capacity fault knocks the
-batch off the accelerator path.
+the batch coalescer, and — when its batch closes — is dispatched to the
+least-loaded of N accelerator *shards* (each shard models one Table I
+Cereal device's SU/DU pools) or to the CPU *software lane* when
+admission degrades it or a capacity fault knocks the batch off the
+accelerator path.
 
-Two shard engines share one scheduling contract:
-
-* ``analytic`` (default): replays the catalog's cached single-operation
-  timings through the same earliest-free-unit dispatch the device
-  simulator uses, plus a per-batch dispatch overhead on every unit a
-  batch touches and the shared-DRAM bandwidth floor. Fast enough for
-  million-request sweeps.
-* ``device``: runs the real :class:`DeviceSimulator` (functional codec +
-  cycle model, shared-channel contention) per batch. Slow but exact; the
-  tests use it to validate the analytic engine's scheduling.
+A shard replays the catalog's cached single-operation timings through
+the device simulator's dispatch policy (longest operation first, each to
+the earliest-free unit), plus a per-batch dispatch overhead on every unit
+a batch touches and the shared-DRAM bandwidth floor.
 
 Virtual time is event-driven: arrivals, batch deadlines, and completions
 are the only points where state changes, so a 10k-request run takes
-milliseconds of wall clock in analytic mode.
+milliseconds of wall clock.
 """
 
 from __future__ import annotations
@@ -31,8 +24,6 @@ import heapq
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cereal.accelerator import CerealAccelerator
-from repro.cereal.device_sim import DeviceSimulator
 from repro.common.errors import ConfigError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.formats.verify import graphs_equivalent
@@ -58,16 +49,11 @@ from repro.service.slo import (
     emit_request_spans,
 )
 from repro.service.streaming import ResponseStreamer, StreamingConfig
-from repro.service.timing_cache import device_batch_cache
 from repro.service.workload import (
     KIND_SERIALIZE,
     ServiceCatalog,
     ServiceRequest,
 )
-
-ROUTING_POLICIES = ("round-robin", "least-loaded", "size-aware")
-ENGINES = ("analytic", "device")
-FUNCTIONAL_MODES = ("off", "sample", "all")
 
 
 @dataclass(frozen=True)
@@ -75,14 +61,10 @@ class ServiceConfig:
     """Knobs of one service deployment."""
 
     num_shards: int = 2
-    routing: str = "least-loaded"
     batch_wait_ns: float = 20_000.0
-    engine: str = "analytic"
-    functional: str = "sample"
+    #: Functional verification of completed requests: 0 is off, N checks
+    #: requests 1, N+1, 2N+1, ... (so 1 checks every request).
     functional_every: int = 16
-    #: Batches at or above this payload route to the large-partition
-    #: shards under the size-aware policy.
-    size_aware_bytes: int = 16 * 1024
     admission: AdmissionConfig = dataclass_field(default_factory=AdmissionConfig)
     #: When set, large responses leave chunk by chunk with bounded
     #: in-flight arenas (see :mod:`repro.service.streaming`); ``None``
@@ -92,21 +74,12 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ConfigError("num_shards must be positive")
-        if self.routing not in ROUTING_POLICIES:
-            raise ConfigError(
-                f"unknown routing policy {self.routing!r}; "
-                f"choose from {ROUTING_POLICIES}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.functional not in FUNCTIONAL_MODES:
-            raise ConfigError(f"unknown functional mode {self.functional!r}")
-        if self.functional_every <= 0:
-            raise ConfigError("functional_every must be positive")
+        if self.functional_every < 0:
+            raise ConfigError("functional_every must be non-negative")
 
 
 class AcceleratorShard:
-    """One Table I Cereal device plus its scheduling state inside the server."""
+    """The SU/DU unit pools of one Table I Cereal device inside the server."""
 
     #: Command-queue descriptor setup + doorbell + DMA programming, paid
     #: once per dispatch on every unit the batch occupies.
@@ -114,11 +87,10 @@ class AcceleratorShard:
 
     def __init__(self, shard_id: int, catalog: ServiceCatalog):
         self.shard_id = shard_id
-        self.accelerator = CerealAccelerator(registration=catalog.registration)
-        self.simulator = DeviceSimulator(self.accelerator)
-        self.su_free = [0.0] * self.accelerator.config.num_serializer_units
-        self.du_free = [0.0] * self.accelerator.config.num_deserializer_units
-        self.busy_until = 0.0  # device-engine batches run back-to-back
+        device = catalog.accelerator
+        self.su_free = [0.0] * device.config.num_serializer_units
+        self.du_free = [0.0] * device.config.num_deserializer_units
+        self.peak_bandwidth = device.dram_config.peak_bandwidth_bytes_per_sec
         self.dispatched_batches = 0
         self.dispatched_requests = 0
 
@@ -127,12 +99,9 @@ class AcceleratorShard:
 
     def backlog_ns(self, kind: str, now_ns: float) -> float:
         """Pending work on this shard's pool for ``kind`` at ``now_ns``."""
-        backlog = sum(max(0.0, f - now_ns) for f in self._pool(kind))
-        return backlog + max(0.0, self.busy_until - now_ns)
+        return sum(max(0.0, f - now_ns) for f in self._pool(kind))
 
-    # -- analytic engine ------------------------------------------------------------
-
-    def service_analytic(
+    def service(
         self, batch: Batch, now_ns: float
     ) -> List[Tuple[ServiceRequest, float]]:
         """Schedule the batch on the unit pool; returns (request, finish).
@@ -144,7 +113,6 @@ class AcceleratorShard:
         batch's completions out if aggregate traffic exceeds the DDR4 peak.
         """
         pool = self._pool(batch.kind)
-        dram = self.accelerator.dram_config
         touched: Dict[int, bool] = {}
         finishes: List[Tuple[ServiceRequest, float]] = []
         total_dram_bytes = 0
@@ -164,89 +132,12 @@ class AcceleratorShard:
         # Bandwidth floor: the batch cannot finish faster than its DRAM
         # traffic drains at peak bandwidth.
         wall = max(f for _, f in finishes) - now_ns
-        floor = total_dram_bytes / dram.peak_bandwidth_bytes_per_sec * 1e9
+        floor = total_dram_bytes / self.peak_bandwidth * 1e9
         if floor > wall:
             delta = floor - wall
             finishes = [(r, f + delta) for r, f in finishes]
             for unit in touched:
                 pool[unit] += delta
-        self.dispatched_batches += 1
-        self.dispatched_requests += batch.size
-        return finishes
-
-    # -- device engine -------------------------------------------------------------------
-
-    def service_device(
-        self,
-        batch: Batch,
-        now_ns: float,
-        tracer: Optional[Tracer] = None,
-        parent=None,
-        track: Optional[str] = None,
-    ) -> List[Tuple[ServiceRequest, float]]:
-        """Run the batch through the real device simulator.
-
-        The simulator owns per-batch unit state, so batches on one shard
-        execute back-to-back (``busy_until``); within a batch the full
-        shared-channel contention model applies. Deserialize requests
-        decode onto fresh heaps — functional correctness is inherent here.
-
-        Batch timelines are deterministic in the batch's composition (the
-        kinds and catalog entries it contains), so repeated compositions replay the first verified execution's
-        timeline from an LRU instead of re-running the simulator.
-
-        When ``tracer`` is enabled, a fresh simulator run emits per-unit
-        child spans under ``parent`` on this shard's track; cached replays
-        only retain request finish times, so unit activity appears in the
-        trace the first time a batch composition executes.
-        """
-        start = max(now_ns, self.busy_until) + self.dispatch_overhead_ns
-        cache_key = (
-            batch.kind,
-            tuple(request.entry.stream_digest for request in batch.requests),
-        )
-        cached = device_batch_cache.get(cache_key)
-        if cached is not None:
-            wall_time_ns, relative_finishes = cached
-            self.busy_until = start + wall_time_ns
-            self.dispatched_batches += 1
-            self.dispatched_requests += batch.size
-            return [
-                (request, start + finish_ns)
-                for request, finish_ns in zip(batch.requests, relative_finishes)
-            ]
-        device_requests = []
-        for request in batch.requests:
-            if request.kind == KIND_SERIALIZE:
-                device_requests.append(("serialize", request.entry.root))
-            else:
-                receiver = Heap(registry=request.entry.root.heap.registry)
-                device_requests.append(
-                    ("deserialize", request.entry.stream, receiver)
-                )
-        run = self.simulator.run(device_requests)
-        if tracer is not None and tracer.enabled:
-            run.emit_spans(
-                tracer,
-                base_ns=start,
-                parent=parent,
-                track=track if track is not None else f"shard{self.shard_id}",
-            )
-        self.busy_until = start + run.wall_time_ns
-        finishes = []
-        for request, op in zip(batch.requests, run.operations):
-            if op.root is not None and not graphs_equivalent(
-                request.entry.root, op.root
-            ):
-                raise SimulationError(
-                    f"device shard {self.shard_id}: deserialize of "
-                    f"{request.entry.name!r} did not round-trip"
-                )
-            finishes.append((request, start + op.finish_ns))
-        device_batch_cache.put(
-            cache_key,
-            (run.wall_time_ns, tuple(op.finish_ns for op in run.operations)),
-        )
         self.dispatched_batches += 1
         self.dispatched_requests += batch.size
         return finishes
@@ -337,7 +228,6 @@ class SerializationServer:
         )
         self.degraded_batches = 0
         self.verified_requests = 0
-        self._rr_next = 0
         self._functional_counter = 0
         self._records: Dict[int, RequestRecord] = {}
         #: ``(finish_ns, request_id)`` of admitted-but-unfinished requests;
@@ -350,36 +240,20 @@ class SerializationServer:
     # -- routing ---------------------------------------------------------------------
 
     def _route(self, batch: Batch, now_ns: float) -> AcceleratorShard:
-        policy = self.config.routing
-        if policy == "round-robin":
-            shard = self.shards[self._rr_next % len(self.shards)]
-            self._rr_next += 1
-            return shard
-        if policy == "least-loaded":
-            candidates = self.shards
-        else:  # size-aware: isolate large batches on a reserved partition
-            split = max(1, len(self.shards) // 4)
-            if len(self.shards) == 1:
-                candidates = self.shards
-            elif batch.payload_bytes >= self.config.size_aware_bytes:
-                candidates = self.shards[:split]
-            else:
-                candidates = self.shards[split:]
+        """The shard with the least pending work on the batch's pool."""
         return min(
-            candidates,
+            self.shards,
             key=lambda s: (s.backlog_ns(batch.kind, now_ns), s.shard_id),
         )
 
     # -- functional execution (correctness checking) ----------------------------------
 
     def _should_verify(self) -> bool:
-        mode = self.config.functional
-        if mode == "off":
+        every = self.config.functional_every
+        if every == 0:
             return False
-        if mode == "all":
-            return True
         self._functional_counter += 1
-        return self._functional_counter % self.config.functional_every == 1
+        return (self._functional_counter - 1) % every == 0
 
     def _verify(self, request: ServiceRequest, backend: str) -> None:
         """Execute the operation for real and check the round trip."""
@@ -485,35 +359,19 @@ class SerializationServer:
                 )
             return completions
         shard = self._route(batch, now_ns)
-        # The batch span is recorded up front (so device unit spans can
-        # parent on it) and closed once the last finish time is known —
-        # spans are records, not live handles, so patching end_ns is safe.
-        batch_span = None
-        if tracer.enabled:
-            batch_span = tracer.record_span(
+        finishes = shard.service(batch, now_ns)
+        if tracer.enabled and finishes:
+            tracer.record_span(
                 "batch.execute",
                 now_ns,
-                now_ns,
+                max(f for _, f in finishes),
                 category="batch",
                 track=self._track(f"shard{shard.shard_id}"),
                 parent=self.trace_parent,
                 batch_id=batch.batch_id,
                 kind=batch.kind,
                 size=batch.size,
-                engine=self.config.engine,
             )
-        if self.config.engine == "device":
-            finishes = shard.service_device(
-                batch,
-                now_ns,
-                tracer=tracer,
-                parent=batch_span,
-                track=self._track(f"shard{shard.shard_id}"),
-            )
-        else:
-            finishes = shard.service_analytic(batch, now_ns)
-        if batch_span is not None and finishes:
-            batch_span.end_ns = max(f for _, f in finishes)
         for request, finish in finishes:
             record = self._records[request.request_id]
             record.dispatch_ns = now_ns
@@ -525,7 +383,7 @@ class SerializationServer:
             record.node = self.node_id
             self._stream_response(request, record, f"shard{shard.shard_id}")
             completions.append((finish, request.request_id))
-            if self.config.engine != "device" and self._should_verify():
+            if self._should_verify():
                 self._verify(request, BACKEND_CEREAL)
         return completions
 

@@ -1,19 +1,14 @@
-"""LRU timing caches for the serving layer's deterministic models.
+"""LRU timing cache for the serving layer's catalog builds.
 
-Everything the service layer times is *deterministic*: a catalog entry's
-accelerator and software timings are pure functions of its payload shape
-(every device is the Table I configuration), and a device-engine batch
-timeline is a pure function of (request kind, catalog entry composition). Sweeps — QPS curves, shard
-scaling, the perf harness — rebuild identical catalogs and replay
-identical batch compositions thousands of times, so memoizing the timing
-results changes wall-clock cost, never simulated results.
+A catalog entry's accelerator and software timings are pure functions of
+its payload shape (every device is the Table I configuration). Sweeps —
+QPS curves, shard scaling, the perf harness — rebuild identical catalogs
+many times, so memoizing the timing results changes wall-clock cost,
+never simulated results.
 
-The caches are deliberately keyed on *complete* input signatures (all
-size classes in build order, stream digests rather than entry names) so
-two runs that could diverge can never share an entry. Correctness note for the batch
-cache: the device engine functionally verifies every round trip the first
-time a composition runs; a cache hit replays the timeline of that
-verified execution.
+The cache is deliberately keyed on the *complete* build signature (all
+size classes in build order plus the entry name) so two catalogs that
+could diverge can never share an entry.
 """
 
 from __future__ import annotations
@@ -44,9 +39,6 @@ class LRUCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -54,14 +46,3 @@ class LRUCache:
 #: Catalog build cache: (size classes in build order, entry name) ->
 #: (stream, accel timings, software timings).
 catalog_timing_cache = LRUCache(capacity=64)
-
-#: Device-engine batch cache, shared across shards: (kind, tuple of the
-#: requests' stream digests) -> (wall_time_ns, per-request relative
-#: finish times).
-device_batch_cache = LRUCache(capacity=256)
-
-
-def clear_timing_caches() -> None:
-    """Reset both service-layer timing caches (tests measuring cold runs)."""
-    catalog_timing_cache.clear()
-    device_batch_cache.clear()

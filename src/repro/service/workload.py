@@ -11,10 +11,10 @@ pays the functional serialization cost once per entry — the event loop
 replays cached timings, and functional execution is re-run on a sampled
 (or exhaustive) subset of requests for correctness checking.
 
-The **arrival generators** answer "when": open-loop (the paper's
-wimpy-vs-beefy argument only bites when clients do not wait for the
-server), seeded, and deliberately structured so that *one* master
-unit-rate arrival sequence is rescaled for every offered QPS. Two runs at
+The **arrival generators** (Poisson and flash crowd) answer "when":
+open-loop (the paper's wimpy-vs-beefy argument only bites when clients do
+not wait for the server), seeded, and deliberately structured so that
+*one* master unit-rate arrival sequence is rescaled for every offered QPS. Two runs at
 different QPS therefore see the *same* requests in the same order with the
 same sizes — only compressed in time — which makes latency-vs-load curves
 monotone by construction rather than by luck.
@@ -23,7 +23,6 @@ monotone by construction rather than by luck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from hashlib import sha256
 from math import log
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -76,14 +75,6 @@ class CatalogEntry:
     stream: SerializedStream  # Cereal-format bytes (deserialize input)
     accel_timing: Dict[str, OperationTiming]
     software_ns: Dict[str, float]
-    #: Content identity of the payload (the Cereal stream identifies the
-    #: graph too — serialization is deterministic). Timing caches key on
-    #: this, never on the entry name alone.
-    stream_digest: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.stream_digest:
-            self.stream_digest = sha256(self.stream.data).hexdigest()
 
     @property
     def graph_bytes(self) -> int:
@@ -97,10 +88,11 @@ class CatalogEntry:
 class ServiceCatalog:
     """Builds and owns the payload graphs plus their cached timings.
 
-    The catalog, every accelerator shard, and the software degrade path all
-    share one :class:`~repro.formats.registry.ClassRegistration`, so a
-    stream produced anywhere in the service is decodable everywhere (class
-    IDs agree by construction). Every device is the Table I configuration.
+    The catalog's device and the software degrade path share one
+    :class:`~repro.formats.registry.ClassRegistration`, so a stream
+    produced anywhere in the service is decodable everywhere (class IDs
+    agree by construction). The device is the Table I configuration, and
+    every accelerator shard sizes its unit pools from it.
     """
 
     def __init__(self, size_classes: Sequence[SizeClass] = DEFAULT_SIZE_CLASSES):
@@ -131,7 +123,7 @@ class ServiceCatalog:
             else:
                 raise ConfigError(f"unknown workload shape {size.shape!r}")
         # Reference accelerator: produces the catalog streams and the
-        # cached single-op timings every analytic shard replays.
+        # cached single-op timings every shard replays.
         self.accelerator = CerealAccelerator(registration=self.registration)
         for klass in self.heap.registry:
             self.accelerator.register_class(klass)
@@ -315,13 +307,12 @@ DEFAULT_TENANTS: Tuple[TenantClass, ...] = (
 
 # Substream tags: every draw category gets its own xorshift stream seeded
 # from ``(seed << 1) ^ tag``, so adding a traffic shape (or turning a
-# feature on) can never perturb the draws of another. The first five tags
-# predate the cluster layer and must never change — seeded workload tests
-# and recorded benchmark trajectories depend on those exact sequences.
+# feature on) can never perturb the draws of another. The tags must never
+# change — seeded workload tests and recorded benchmark trajectories depend
+# on those exact sequences.
 _STREAM_ARRIVAL = 0xA881_17A1
 _STREAM_KIND = 0x5EED_0002
 _STREAM_SIZE = 0x5EED_0003
-_STREAM_PHASE = 0x5EED_0004
 _STREAM_MALFORMED = 0x5EED_0005
 _STREAM_KEY = 0x5EED_0006
 _STREAM_TENANT = 0x5EED_0007
@@ -470,140 +461,6 @@ class OpenLoopWorkload:
 
 class PoissonWorkload(OpenLoopWorkload):
     """Memoryless open-loop arrivals at a fixed mean rate."""
-
-
-class BurstyWorkload(OpenLoopWorkload):
-    """On/off modulated Poisson arrivals with the same mean rate.
-
-    Requests alternate between ON phases (inter-arrival gaps divided by
-    ``burst_factor``) and OFF phases (gaps stretched so the *mean* rate
-    stays ``qps``). Phase lengths are drawn from the seeded stream, so the
-    burst schedule is as reproducible as the arrivals themselves.
-    """
-
-    #: Mean length of one ON + OFF cycle, in requests.
-    mean_phase_requests = 32
-
-    def __init__(
-        self,
-        qps: float,
-        num_requests: int,
-        seed: int = 0,
-        mix: Optional[RequestMix] = None,
-        burst_factor: float = 8.0,
-        burst_fraction: float = 0.25,
-        malformed_fraction: float = 0.0,
-        keys: Optional[KeySkew] = None,
-        tenants: Optional[Sequence[TenantClass]] = None,
-    ):
-        super().__init__(
-            qps,
-            num_requests,
-            seed=seed,
-            mix=mix,
-            malformed_fraction=malformed_fraction,
-            keys=keys,
-            tenants=tenants,
-        )
-        if burst_factor < 1.0:
-            raise ConfigError("burst_factor must be >= 1")
-        if not 0.0 < burst_fraction < 1.0:
-            raise ConfigError("burst_fraction must be in (0, 1)")
-        self.burst_factor = burst_factor
-        self.burst_fraction = burst_fraction
-
-    def _unit_gaps(self) -> List[float]:
-        gaps = super()._unit_gaps()
-        phase_rng = self._stream(_STREAM_PHASE)
-        # Slow-phase stretch chosen so the long-run mean gap stays 1.0:
-        #   burst_fraction / factor + (1 - burst_fraction) * stretch == 1.
-        stretch = (1.0 - self.burst_fraction / self.burst_factor) / (
-            1.0 - self.burst_fraction
-        )
-        shaped: List[float] = []
-        index = 0
-        in_burst = True
-        while index < len(gaps):
-            if in_burst:
-                length = max(
-                    1,
-                    int(
-                        self.mean_phase_requests
-                        * self.burst_fraction
-                        * (0.5 + phase_rng.random())
-                    ),
-                )
-                factor = 1.0 / self.burst_factor
-            else:
-                length = max(
-                    1,
-                    int(
-                        self.mean_phase_requests
-                        * (1.0 - self.burst_fraction)
-                        * (0.5 + phase_rng.random())
-                    ),
-                )
-                factor = stretch
-            for _ in range(length):
-                if index >= len(gaps):
-                    break
-                shaped.append(gaps[index] * factor)
-                index += 1
-            in_burst = not in_burst
-        return shaped
-
-
-class DiurnalWorkload(OpenLoopWorkload):
-    """Sinusoidal day/night rate modulation at a preserved mean rate.
-
-    The arrival rate follows ``1 + amplitude * sin(...)`` over
-    ``period_requests``-request "days" (gaps divide by the instantaneous
-    rate), then the whole gap sequence is renormalized to mean 1.0 so the
-    long-run rate is exactly ``qps``. Deterministic in the request index —
-    no extra rng draws, so composing it with key skew or tenant mixes
-    reuses the identical request sequence.
-    """
-
-    def __init__(
-        self,
-        qps: float,
-        num_requests: int,
-        seed: int = 0,
-        mix: Optional[RequestMix] = None,
-        amplitude: float = 0.6,
-        period_requests: int = 1000,
-        malformed_fraction: float = 0.0,
-        keys: Optional[KeySkew] = None,
-        tenants: Optional[Sequence[TenantClass]] = None,
-    ):
-        super().__init__(
-            qps,
-            num_requests,
-            seed=seed,
-            mix=mix,
-            malformed_fraction=malformed_fraction,
-            keys=keys,
-            tenants=tenants,
-        )
-        if not 0.0 <= amplitude < 1.0:
-            raise ConfigError("amplitude must be in [0, 1)")
-        if period_requests <= 1:
-            raise ConfigError("period_requests must be > 1")
-        self.amplitude = amplitude
-        self.period_requests = period_requests
-
-    def _unit_gaps(self) -> List[float]:
-        from math import pi, sin
-
-        gaps = super()._unit_gaps()
-        shaped = []
-        for index, gap in enumerate(gaps):
-            rate = 1.0 + self.amplitude * sin(
-                2.0 * pi * index / self.period_requests
-            )
-            shaped.append(gap / rate)
-        mean = sum(shaped) / len(shaped)
-        return [gap / mean for gap in shaped]
 
 
 class FlashCrowdWorkload(OpenLoopWorkload):

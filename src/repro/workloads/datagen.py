@@ -7,7 +7,7 @@ small xorshift* generator independent of Python's global RNG state.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,26 +47,6 @@ class DeterministicRandom:
         if not items:
             raise ValueError("cannot choose from an empty sequence")
         return items[self.randint(0, len(items) - 1)]
-
-    def sample_indices(self, population: int, count: int) -> List[int]:
-        """``count`` distinct indices from ``range(population)``."""
-        if count > population:
-            raise ValueError(f"cannot sample {count} from {population}")
-        if count > population // 2:
-            # Dense draw: partial Fisher-Yates over the full range.
-            pool = list(range(population))
-            for i in range(count):
-                j = self.randint(i, population - 1)
-                pool[i], pool[j] = pool[j], pool[i]
-            return pool[:count]
-        chosen = set()
-        out = []
-        while len(out) < count:
-            index = self.randint(0, population - 1)
-            if index not in chosen:
-                chosen.add(index)
-                out.append(index)
-        return out
 
     def ascii_string(self, length: int) -> str:
         letters = "abcdefghijklmnopqrstuvwxyz0123456789"

@@ -1,11 +1,8 @@
-"""Tests for the analysis/report helpers and the summary tool."""
-
-import os
+"""Tests for the analysis/report helpers."""
 
 import pytest
 
 from repro.analysis import ReportTable, format_speedup, geomean
-from repro.analysis.summary import build_summary, collect_reports
 
 
 class TestGeomean:
@@ -71,34 +68,3 @@ class TestReportTable:
         path = table.save(str(tmp_path), "demo")
         with open(path) as handle:
             assert "alpha" in handle.read()
-
-
-class TestSummary:
-    def _populate(self, directory):
-        for name in ("fig10_serialize", "zz_custom"):
-            table = ReportTable(name, ["k"])
-            table.add_row(name)
-            table.save(str(directory), name)
-
-    def test_collect_orders_known_first(self, tmp_path):
-        self._populate(tmp_path)
-        reports = collect_reports(str(tmp_path))
-        assert [name for name, _ in reports] == ["fig10_serialize", "zz_custom"]
-
-    def test_build_summary_contains_everything(self, tmp_path):
-        self._populate(tmp_path)
-        summary = build_summary(str(tmp_path))
-        assert "fig10_serialize" in summary
-        assert "zz_custom" in summary
-        assert "2 tables" in summary
-
-    def test_missing_directory_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            collect_reports(str(tmp_path / "nope"))
-
-    def test_summary_file_excluded_from_collection(self, tmp_path):
-        self._populate(tmp_path)
-        with open(os.path.join(tmp_path, "SUMMARY.txt"), "w") as handle:
-            handle.write("previous run")
-        reports = collect_reports(str(tmp_path))
-        assert all(name != "SUMMARY" for name, _ in reports)

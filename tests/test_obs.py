@@ -93,14 +93,6 @@ class TestMetricsRegistry:
         assert snap["a.count{site=s1}"] == 1
         assert snap["b.count"] == 2
 
-    def test_delta_subtracts_scalars(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("n")
-        counter.inc(10)
-        before = registry.snapshot()
-        counter.inc(7)
-        assert registry.delta(before)["n"] == 7
-
     def test_reset_zeroes_but_preserves_handles(self):
         registry = MetricsRegistry()
         counter = registry.counter("n")

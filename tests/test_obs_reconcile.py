@@ -46,23 +46,17 @@ def _capacity_qps(catalog):
     return units * 1e9 / mean_ns / _MIX.serialize_fraction
 
 
-def _traced_run(catalog, with_faults=True, num_requests=300, engine="analytic"):
+def _traced_run(catalog):
     """One seeded overload run with tracing on; returns (report, tracer)."""
-    injector = (
-        FaultInjector(FaultPolicy(seed=_SEED, accelerator_fault_prob=0.05))
-        if with_faults
-        else None
-    )
+    injector = FaultInjector(FaultPolicy(seed=_SEED, accelerator_fault_prob=0.05))
     config = ServiceConfig(
         num_shards=2,
-        engine=engine,
-        functional="sample",
         functional_every=8,
         admission=AdmissionConfig(max_outstanding=128, degrade_threshold=0.75),
     )
     workload = PoissonWorkload(
         qps=_capacity_qps(catalog) * 1.2,
-        num_requests=num_requests,
+        num_requests=300,
         seed=_SEED + 1,
         mix=_MIX,
     )
@@ -143,23 +137,3 @@ class TestTraceReconcilesSLO:
             return json.dumps(to_chrome_trace(tracer), sort_keys=True)
 
         assert render() == render()
-
-    def test_device_unit_spans_nest_in_batches(self, catalog):
-        # Unit timelines are only re-simulated (and so only traced) on
-        # device-batch-cache misses; start cold to guarantee fresh runs.
-        from repro.service.timing_cache import clear_timing_caches
-
-        clear_timing_caches()
-        _, tracer = _traced_run(
-            catalog, with_faults=False, num_requests=60, engine="device"
-        )
-        batches = {
-            s.span_id: s for s in tracer.spans() if s.name == "batch.execute"
-        }
-        assert batches, "expected batch.execute spans from the dispatcher"
-        units = [s for s in tracer.spans() if s.category == "device"]
-        assert units, "expected device unit spans from fresh simulator runs"
-        for unit in units:
-            batch = batches[unit.parent_id]
-            assert unit.start_ns >= batch.start_ns
-            assert unit.end_ns <= batch.end_ns

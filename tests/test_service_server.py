@@ -56,7 +56,7 @@ def _workload(catalog, load_fraction, num_requests=400, seed=11):
 class TestServerBasics:
     def test_moderate_load_all_served_on_accelerator(self, catalog):
         server = SerializationServer(
-            catalog, ServiceConfig(num_shards=2, functional="all")
+            catalog, ServiceConfig(num_shards=2, functional_every=1)
         )
         report = server.run(_workload(catalog, 0.4))
         assert report.total_requests == 400
@@ -73,24 +73,25 @@ class TestServerBasics:
         """With verification on, the first run compiles plans and the
         second hits them; nothing process-global may leak into the report."""
 
-        def run(functional):
+        def run(functional_every):
             server = SerializationServer(
-                catalog, ServiceConfig(num_shards=2, functional=functional)
+                catalog,
+                ServiceConfig(num_shards=2, functional_every=functional_every),
             )
             report = server.run(_workload(catalog, 0.8))
-            if functional == "all":
+            if functional_every == 1:
                 assert report.verified_requests == report.completed_requests > 0
             return json.dumps(report.as_dict(), sort_keys=True)
 
-        for functional in ("off", "all"):
-            assert run(functional) == run(functional), functional
+        for functional_every in (0, 1):
+            assert run(functional_every) == run(functional_every), functional_every
 
     def test_latency_rises_with_load(self, catalog):
         def p99(load):
             config = ServiceConfig(
                 num_shards=1,
                 batch_wait_ns=0.0,
-                functional="off",
+                functional_every=0,
                 admission=AdmissionConfig(
                     max_outstanding=100_000, enable_degrade=False
                 ),
@@ -106,7 +107,7 @@ class TestServerBasics:
             config = ServiceConfig(
                 num_shards=shards,
                 batch_wait_ns=0.0,
-                functional="off",
+                functional_every=0,
                 admission=AdmissionConfig(
                     max_outstanding=100_000, enable_degrade=False
                 ),
@@ -121,7 +122,7 @@ class TestServerBasics:
             config = ServiceConfig(
                 num_shards=1,
                 batch_wait_ns=wait_ns,
-                functional="off",
+                functional_every=0,
                 admission=AdmissionConfig(
                     max_outstanding=100_000, enable_degrade=False
                 ),
@@ -140,81 +141,53 @@ class TestServerBasics:
         with pytest.raises(ConfigError):
             ServiceConfig(num_shards=0)
         with pytest.raises(ConfigError):
-            ServiceConfig(routing="random")
-        with pytest.raises(ConfigError):
-            ServiceConfig(engine="fpga")
-        with pytest.raises(ConfigError):
-            ServiceConfig(functional="sometimes")
+            ServiceConfig(functional_every=-1)
 
     def test_duplicate_request_ids_rejected(self, catalog):
         requests = _workload(catalog, 0.5, num_requests=4)
         requests[1].request_id = requests[0].request_id
-        server = SerializationServer(catalog, ServiceConfig(functional="off"))
+        server = SerializationServer(catalog, ServiceConfig(functional_every=0))
         with pytest.raises(ConfigError):
             server.run(requests)
 
 
 class TestRouting:
-    def _run(self, catalog, routing, shards=4):
-        config = ServiceConfig(
-            num_shards=shards, routing=routing, functional="off"
-        )
+    def _run(self, catalog, shards=4):
+        config = ServiceConfig(num_shards=shards, functional_every=0)
         server = SerializationServer(catalog, config)
         report = server.run(_workload(catalog, 1.0, num_requests=600))
         return server, report
 
-    @pytest.mark.parametrize("routing", ["round-robin", "least-loaded", "size-aware"])
+    # Least-loaded is the server's only routing policy.
+    @pytest.mark.parametrize("routing", ["least-loaded"])
     def test_policies_complete_all_requests(self, catalog, routing):
-        _, report = self._run(catalog, routing)
+        _, report = self._run(catalog)
         assert report.completed_requests == report.total_requests
 
-    def test_round_robin_spreads_batches(self, catalog):
-        server, _ = self._run(catalog, "round-robin")
-        counts = [shard.dispatched_batches for shard in server.shards]
-        assert min(counts) > 0
-        assert max(counts) - min(counts) <= 1
-
     def test_least_loaded_uses_every_shard(self, catalog):
-        server, _ = self._run(catalog, "least-loaded")
+        server, _ = self._run(catalog)
         assert all(shard.dispatched_requests > 0 for shard in server.shards)
 
-    def test_size_aware_isolates_large_batches(self, catalog):
-        """All-large traffic lands on the reserved partition only."""
-        mix = RequestMix(serialize_fraction=0.5, size_weights={"large": 1.0})
-        qps = 0.5 * _capacity_qps(catalog)
-        requests = PoissonWorkload(qps, 200, seed=3, mix=mix).generate(catalog)
-        config = ServiceConfig(
-            num_shards=4,
-            routing="size-aware",
-            functional="off",
-            size_aware_bytes=1,  # every batch counts as large
-        )
-        server = SerializationServer(catalog, config)
-        server.run(requests)
-        assert server.shards[0].dispatched_requests == 200
-        assert all(s.dispatched_requests == 0 for s in server.shards[1:])
 
-    def test_size_aware_keeps_small_batches_off_reserved_shard(self, catalog):
-        mix = RequestMix(serialize_fraction=0.5, size_weights={"small": 1.0})
-        qps = 0.5 * _capacity_qps(catalog)
-        requests = PoissonWorkload(qps, 200, seed=3, mix=mix).generate(catalog)
-        config = ServiceConfig(
-            num_shards=4,
-            routing="size-aware",
-            functional="off",
-            size_aware_bytes=1 << 30,  # nothing counts as large
-        )
+class TestFunctionalSampling:
+    """``functional_every=N`` verifies requests 1, N+1, 2N+1, ..."""
+
+    @pytest.mark.parametrize("every", [0, 1, 2, 16])
+    def test_verified_count_follows_functional_every(self, catalog, every):
+        config = ServiceConfig(num_shards=2, functional_every=every)
         server = SerializationServer(catalog, config)
-        server.run(requests)
-        assert server.shards[0].dispatched_requests == 0
-        assert sum(s.dispatched_requests for s in server.shards[1:]) == 200
+        report = server.run(_workload(catalog, 0.4, num_requests=60))
+        completed = report.completed_requests
+        assert completed == 60
+        expected = 0 if every == 0 else -(-completed // every)
+        assert report.verified_requests == expected
 
 
 class TestDegradeAndShed:
     def test_overload_degrades_then_sheds(self, catalog):
         config = ServiceConfig(
             num_shards=1,
-            functional="off",
+            functional_every=0,
             admission=AdmissionConfig(
                 max_outstanding=64, degrade_threshold=0.5
             ),
@@ -237,7 +210,7 @@ class TestDegradeAndShed:
     def test_chaos_faults_degrade_without_dropping_requests(self, catalog):
         """Acceptance: capacity faults shed/degrade but never lose work.
 
-        ``functional="all"`` makes the server actually execute and
+        ``functional_every=1`` makes the server actually execute and
         round-trip-check every admitted request it claims completed, so
         correctness under the fault schedule is verified, not assumed.
         """
@@ -246,7 +219,7 @@ class TestDegradeAndShed:
         )
         config = ServiceConfig(
             num_shards=1,
-            functional="all",
+            functional_every=1,
             admission=AdmissionConfig(
                 max_outstanding=128, degrade_threshold=0.75
             ),
@@ -282,7 +255,7 @@ class TestDegradeAndShed:
     def test_degraded_requests_use_software_timing(self, catalog):
         config = ServiceConfig(
             num_shards=1,
-            functional="off",
+            functional_every=0,
             admission=AdmissionConfig(
                 max_outstanding=32, degrade_threshold=0.25
             ),
@@ -294,28 +267,3 @@ class TestDegradeAndShed:
         ]
         assert degraded
         assert server.software.served == len(degraded)
-
-
-class TestDeviceEngine:
-    def test_device_engine_serves_and_verifies(self, catalog):
-        config = ServiceConfig(
-            num_shards=2, engine="device", functional="off"
-        )
-        server = SerializationServer(catalog, config)
-        report = server.run(_workload(catalog, 0.5, num_requests=60))
-        assert report.completed_requests == 60
-        assert all(r.backend == BACKEND_CEREAL for r in report.records)
-
-    def test_device_and_analytic_agree_on_outcomes(self, catalog):
-        """Same workload, same admission outcomes on both engines."""
-        requests = _workload(catalog, 0.5, num_requests=60)
-
-        def outcomes(engine):
-            server = SerializationServer(
-                catalog,
-                ServiceConfig(num_shards=2, engine=engine, functional="off"),
-            )
-            report = server.run(list(requests))
-            return [r.outcome for r in report.records]
-
-        assert outcomes("analytic") == outcomes("device")

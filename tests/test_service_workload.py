@@ -23,8 +23,6 @@ from repro.service.workload import (
     DEFAULT_TENANTS,
     KIND_DESERIALIZE,
     KIND_SERIALIZE,
-    BurstyWorkload,
-    DiurnalWorkload,
     FlashCrowdWorkload,
     KeySkew,
     PoissonWorkload,
@@ -133,31 +131,6 @@ class TestOpenLoopWorkload:
         assert ser.payload_bytes == entry.graph_bytes
         assert de.payload_bytes == entry.stream_bytes
 
-    def test_bursty_preserves_mean_rate_and_adds_variance(self, catalog):
-        poisson = PoissonWorkload(1e6, 4000, seed=5, mix=_mix()).generate(
-            catalog
-        )
-        bursty = BurstyWorkload(
-            1e6, 4000, seed=5, mix=_mix(), burst_factor=8.0
-        ).generate(catalog)
-        # Same requests, same mean rate (within sampling noise)...
-        assert _signature(poisson) == _signature(bursty)
-        assert bursty[-1].arrival_ns == pytest.approx(
-            poisson[-1].arrival_ns, rel=0.2
-        )
-
-        # ...but burstier inter-arrival gaps (higher squared CV).
-        def cv2(requests):
-            gaps = [
-                b.arrival_ns - a.arrival_ns
-                for a, b in zip(requests, requests[1:])
-            ]
-            mean = sum(gaps) / len(gaps)
-            var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-            return var / (mean * mean)
-
-        assert cv2(bursty) > 1.5 * cv2(poisson)
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):
             PoissonWorkload(0.0, 10)
@@ -167,10 +140,6 @@ class TestOpenLoopWorkload:
             RequestMix(serialize_fraction=1.5)
         with pytest.raises(ConfigError):
             RequestMix(size_weights={})
-        with pytest.raises(ConfigError):
-            BurstyWorkload(1e6, 10, burst_factor=0.5)
-        with pytest.raises(ConfigError):
-            BurstyWorkload(1e6, 10, burst_fraction=1.0)
 
     def test_mix_must_reference_catalog(self, catalog):
         workload = PoissonWorkload(
@@ -360,37 +329,10 @@ class TestSLOReport:
         assert "p99" in text and "goodput" in text
 
 
-# -- workload shapes (diurnal, flash crowd) ------------------------------------------
+# -- workload shapes (flash crowd) ---------------------------------------------------
 
 
 class TestWorkloadShapes:
-    def test_diurnal_preserves_mean_rate_and_sequence(self, catalog):
-        poisson = PoissonWorkload(1e6, 3000, seed=5, mix=_mix()).generate(
-            catalog
-        )
-        diurnal = DiurnalWorkload(
-            1e6, 3000, seed=5, mix=_mix(), amplitude=0.8, period_requests=500
-        ).generate(catalog)
-        # Rate shaping touches only gaps: kinds and sizes are untouched,
-        # and renormalization keeps the long-run rate exact.
-        assert _signature(diurnal) == _signature(poisson)
-        # Diurnal gaps renormalize to an exact mean of 1.0; the Poisson
-        # horizon carries sampling noise, so compare loosely.
-        assert diurnal[-1].arrival_ns == pytest.approx(
-            poisson[-1].arrival_ns, rel=0.1
-        )
-
-    def test_diurnal_modulates_local_rate(self, catalog):
-        requests = DiurnalWorkload(
-            1e6, 4000, seed=9, mix=_mix(), amplitude=0.9,
-            period_requests=4000,
-        ).generate(catalog)
-        # First half of the sine period runs above the mean rate, the
-        # second half below: the peak half must finish disproportionately
-        # early in wall-clock terms.
-        half_time = requests[1999].arrival_ns
-        assert half_time < 0.40 * requests[-1].arrival_ns
-
     def test_flash_crowd_compresses_only_the_window(self, catalog):
         base = PoissonWorkload(1e6, 2000, seed=4, mix=_mix()).generate(
             catalog
@@ -422,10 +364,6 @@ class TestWorkloadShapes:
             FlashCrowdWorkload(1e6, 100, spike_factor=0.5)
         with pytest.raises(ConfigError, match="spike_start_fraction"):
             FlashCrowdWorkload(1e6, 100, spike_start_fraction=1.0)
-        with pytest.raises(ConfigError, match="amplitude"):
-            DiurnalWorkload(1e6, 100, amplitude=1.0)
-        with pytest.raises(ConfigError, match="period_requests"):
-            DiurnalWorkload(1e6, 100, period_requests=1)
 
 
 # -- rng stream isolation ------------------------------------------------------------

@@ -644,7 +644,7 @@ class TestServiceStreaming:
         ).generate(catalog)
         server = SerializationServer(
             catalog,
-            ServiceConfig(num_shards=2, functional="off", streaming=streaming),
+            ServiceConfig(num_shards=2, functional_every=0, streaming=streaming),
             tracer=tracer,
         )
         return server, server.run(workload)

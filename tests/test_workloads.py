@@ -29,16 +29,6 @@ class TestDeterministicRandom:
         rng = DeterministicRandom()
         assert all(0.0 <= rng.random() < 1.0 for _ in range(100))
 
-    def test_sample_indices_distinct(self):
-        rng = DeterministicRandom()
-        indices = rng.sample_indices(100, 30)
-        assert len(set(indices)) == 30
-
-    def test_sample_too_many_rejected(self):
-        rng = DeterministicRandom()
-        with pytest.raises(ValueError):
-            rng.sample_indices(5, 6)
-
     def test_zero_seed_survives(self):
         rng = DeterministicRandom(seed=0)
         assert rng.next_u64() != 0
