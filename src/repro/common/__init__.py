@@ -13,14 +13,10 @@ from repro.common.errors import (
 )
 from repro.common.units import (
     GB,
-    GIB,
     KB,
     KIB,
     MB,
     MIB,
-    Cycles,
-    Nanoseconds,
-    cycles_to_seconds,
 )
 
 __all__ = [
@@ -34,8 +30,4 @@ __all__ = [
     "GB",
     "KIB",
     "MIB",
-    "GIB",
-    "Cycles",
-    "Nanoseconds",
-    "cycles_to_seconds",
 ]

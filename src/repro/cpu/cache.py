@@ -11,7 +11,7 @@ paper's observation that S/D is dominated by random, dependent misses.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Deque, List, Optional, Set
 
 from repro.common.config import CacheLevelConfig, HostCPUConfig
@@ -43,9 +43,17 @@ class CacheStats:
             return 0.0
         return self.dram_accesses / self.llc_accesses
 
+    def add(self, other: "CacheStats") -> None:
+        """Add every counter of ``other`` to these."""
+        for name in _STAT_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def dram_bytes(self, line_bytes: int = 64) -> int:
         """Traffic to memory: demand fills plus dirty writebacks."""
         return (self.dram_accesses + self.writeback_lines) * line_bytes
+
+
+_STAT_NAMES = tuple(f.name for f in fields(CacheStats))
 
 
 class _SetAssociativeCache:

@@ -2,20 +2,21 @@
 
 Runs a serializer *functionally* on the simulated heap while capturing the
 real heap memory trace, appends the stream I/O as sequential buffer
-accesses, replays everything through the cache hierarchy, and feeds the
-result plus the serializer's work profile into the core cost model. The
-output mirrors what the paper measures with Linux perf (Figure 3): time,
-IPC, LLC miss rate, and DRAM bandwidth utilization.
+accesses, replays that through the cache hierarchy, adds the cache stats of
+the synthesized runtime-data-structure reads, and feeds the result plus the
+serializer's work profile into the core cost model. The output mirrors what
+the paper measures with Linux perf (Figure 3): time, IPC, LLC miss rate, and
+DRAM bandwidth utilization.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.config import SystemConfig
-from repro.cpu.cache import CacheHierarchy
+from repro.cpu.cache import CacheHierarchy, CacheStats
 from repro.cpu.core import CPUCostModel, CPUTimingResult
 from repro.formats.base import (
     DeserializationResult,
@@ -25,12 +26,25 @@ from repro.formats.base import (
 )
 from repro.jvm.heap import Heap, HeapObject
 from repro.memory.trace import MemoryTrace
+from repro.obs.metrics import get_registry
 
 # The serialized stream lives in a malloc'd buffer far from the heap.
 _STREAM_BUFFER_BASE = 0x7000_0000_0000
 # Runtime-internal structures (handle tables, reflection caches) live in
-# yet another region.
+# yet another region, more than two lines from any heap or stream line:
+# ``SoftwarePlatform._cache_stats`` relies on that.
 _AUX_REGION_BASE = 0x7100_0000_0000
+
+# Cache stats of the aux reads replayed alone, keyed by (count, region bytes,
+# host). Bounded like the plan cache: entries are regenerable, the cap only
+# guards against unboundedly many distinct keys. Recorded in the
+# process-wide metrics registry as ``aux_cache.*``.
+_AUX_STATS_MAX_ENTRIES = 1 << 12
+_AUX_STATS: Dict[Tuple, CacheStats] = {}
+_AUX_HITS = get_registry().counter("aux_cache.hits")
+_AUX_MISSES = get_registry().counter("aux_cache.misses")
+_AUX_EVICTIONS = get_registry().counter("aux_cache.evictions")
+_AUX_ENTRIES = get_registry().gauge("aux_cache.entries")
 
 # The aux-access LCG restarts from the same seed on every call, so its
 # ``state >> 16`` draws are one fixed sequence: generated once, packed, and
@@ -52,6 +66,11 @@ def _aux_draws(count: int) -> array:
             append(state >> 16)
         _aux_lcg_state = state
     return _AUX_DRAWS
+
+
+def _aux_region_bytes(profile) -> int:
+    """Size of the runtime-data-structure region a call's aux reads cover."""
+    return max(max(profile.objects, 1) * profile.aux_bytes_per_entry, 64)
 
 
 # Per-serializer MLP (see WorkProfile.mlp): pointer chasers expose ~1 miss,
@@ -111,20 +130,59 @@ class SoftwarePlatform:
         count = profile.aux_random_accesses
         if count <= 0:
             return
-        entries = max(profile.objects, 1)
-        region_bytes = max(entries * profile.aux_bytes_per_entry, 64)
+        region_bytes = _aux_region_bytes(profile)
         trace.record_many(
             [_AUX_REGION_BASE + (draw % region_bytes & ~0x7)
              for draw in _aux_draws(count)[:count]],
             8,
         )
 
+    def _aux_stats(self, profile) -> Optional[CacheStats]:
+        """Stats of the call's aux reads replayed alone on a fresh hierarchy.
+
+        They depend only on the count, the region size and the host, so
+        each distinct key is replayed once per process.
+        """
+        count = profile.aux_random_accesses
+        if count <= 0:
+            return None
+        host = self.system.host
+        key = (count, _aux_region_bytes(profile), host)
+        stats = _AUX_STATS.get(key)
+        if stats is not None:
+            _AUX_HITS.inc()
+            return stats
+        _AUX_MISSES.inc()
+        trace = MemoryTrace()
+        self._aux_accesses(trace, profile)
+        stats = CacheHierarchy(host).replay(trace)
+        if len(_AUX_STATS) >= _AUX_STATS_MAX_ENTRIES:
+            _AUX_STATS.clear()
+            _AUX_EVICTIONS.inc()
+        _AUX_STATS[key] = stats
+        _AUX_ENTRIES.set(len(_AUX_STATS))
+        return stats
+
+    def _cache_stats(self, profile, trace: MemoryTrace) -> CacheStats:
+        """Stats of ``trace`` followed by the call's aux reads.
+
+        Exactly what one replay of both would give. The aux reads come last
+        and sit in their own region, more than two lines from any heap or
+        stream line. Per-level LRU lets a later line in a set evict only
+        older ones, so each aux read hits or misses by the earlier aux reads
+        alone. The prefetch classifier's ``line - 1``/``line - 2`` test never
+        matches across regions, and its FIFO drops an aux line after exactly
+        ``window`` further inserts whatever it held before.
+        """
+        aux = self._aux_stats(profile)  # before the main hierarchy: lower peak
+        stats = CacheHierarchy(self.system.host).replay(trace)
+        if aux is not None:
+            stats.add(aux)
+        return stats
+
     def _finish(self, serializer_name: str, op: str, profile, trace: MemoryTrace):
         profile.mlp = SERIALIZER_MLP.get((serializer_name, op), _DEFAULT_MLP)
-        self._aux_accesses(trace, profile)
-        hierarchy = CacheHierarchy(self.system.host)
-        stats = hierarchy.replay(trace)
-        return self.cost_model.estimate(profile, stats)
+        return self.cost_model.estimate(profile, self._cache_stats(profile, trace))
 
     # -- public API -----------------------------------------------------------------------
 

@@ -125,7 +125,8 @@ class WorkProfile:
     # cannot see: the handle/identity hash table, ObjectStreamClass and
     # reflection caches, Kryo's reference resolver. These are hash-
     # distributed (random) accesses over a region that grows with the
-    # object count; the CPU harness synthesizes them into the trace.
+    # object count; the CPU harness synthesizes them and adds their cache
+    # stats to the replayed trace's.
     aux_random_accesses: int = 0
     aux_bytes_per_entry: int = 48  # hash entry + boxed key + cache node
 

@@ -500,9 +500,14 @@ class SerializationServer:
     # -- the event loop ----------------------------------------------------------------------
 
     def run(self, requests: Sequence[ServiceRequest]) -> SLOReport:
-        """Simulate the full request sequence; returns the SLO report."""
-        self._records = {}
-        self._inflight = []
+        """Simulate the full request sequence; returns the SLO report.
+
+        A server runs one sequence: its shards, lanes, coalescer, admission
+        and counters keep that run's state, so a second run (or a run after
+        the incremental API registered requests) raises ``ConfigError``.
+        """
+        if self._records:
+            raise ConfigError("a SerializationServer runs once; build a new one")
         for request in requests:
             self.register(request)
         if len(self._records) != len(requests):

@@ -6,6 +6,10 @@ deliberately plain per-line path. Every counter of the two must agree on
 generated traces (every level's sets overflowing, same-line runs,
 multi-line spans, zero-length accesses) and on the real serializer traces
 the harness replays.
+
+The harness replays only a call's heap and stream accesses and adds the
+memoized stats of its aux reads replayed alone; that split must equal the
+per-line oracle over heap, stream and aux in order.
 """
 
 import math
@@ -19,7 +23,9 @@ import repro.cpu.harness as harness
 from repro.common.config import CacheLevelConfig, HostCPUConfig, SystemConfig
 from repro.cpu import CacheHierarchy, SoftwarePlatform
 from repro.formats import ClassRegistration, JavaSerializer, KryoSerializer, SkywaySerializer
+from repro.formats.base import WorkProfile
 from repro.jvm import Heap
+from repro.jvm.heap import HEAP_BASE
 from repro.memory.trace import AccessKind, MemoryTrace
 from repro.workloads import MICROBENCH_CONFIGS, build_list_bench
 from repro.workloads.micro import register_micro_klasses
@@ -135,24 +141,135 @@ def _list_small():
     return heap, root, registration
 
 
+def with_aux(trace, profile):
+    """``trace`` followed by the aux reads the harness synthesizes."""
+    full = MemoryTrace()
+    full.addresses.extend(trace.addresses)
+    full.lengths.extend(trace.lengths)
+    SoftwarePlatform()._aux_accesses(full, profile)
+    return full
+
+
+def split_stats(host, profile, trace):
+    """The harness's stats: heap/stream replay plus the memoized aux stats."""
+    return asdict(SoftwarePlatform(SystemConfig(host=host))._cache_stats(profile, trace))
+
+
+def stream_trace(accesses, nbytes, kind):
+    """Heap ``accesses`` followed by the harness's stream-buffer traffic."""
+    trace = make_trace(accesses)
+    SoftwarePlatform()._stream_accesses(trace, nbytes, kind)
+    return trace
+
+
+@pytest.mark.parametrize("host_name", sorted(HOSTS))
+def test_split_replay_matches_oracle(host_name):
+    host = HOSTS[host_name]
+
+    @settings(max_examples=100, deadline=None)
+    @given(access_runs(host), st.integers(0, 700), st.sampled_from(["read", "write"]),
+           st.integers(0, 80), st.integers(0, 400), st.sampled_from([8, 24, 48, 64, 200]))
+    def check(accesses, nbytes, kind, objects, count, entry_bytes):
+        profile = WorkProfile(objects=objects, aux_random_accesses=count,
+                              aux_bytes_per_entry=entry_bytes)
+        trace = stream_trace(accesses, nbytes, kind)
+        expected = oracle_stats(host, [with_aux(trace, profile)])
+        # The second call takes the aux stats from the memo.
+        assert split_stats(host, profile, trace) == expected
+        assert split_stats(host, profile, trace) == expected
+
+    check()
+
+
+def test_aux_stats_are_memoized():
+    misses = harness._AUX_MISSES.value
+    hits = harness._AUX_HITS.value
+    host = HOSTS["tiny"]
+    platform = SoftwarePlatform(SystemConfig(host=host))
+    first = platform._aux_stats(WorkProfile(objects=123_457, aux_random_accesses=77))
+    again = platform._aux_stats(WorkProfile(objects=123_457, aux_random_accesses=77))
+    assert again is first
+    assert harness._AUX_MISSES.value - misses <= 1
+    assert harness._AUX_HITS.value - hits >= 1
+    assert platform._aux_stats(WorkProfile(objects=5)) is None
+
+
+def test_aux_memo_clears_when_full(monkeypatch):
+    monkeypatch.setattr(harness, "_AUX_STATS", {})
+    monkeypatch.setattr(harness, "_AUX_STATS_MAX_ENTRIES", 2)
+    evictions = harness._AUX_EVICTIONS.value
+    platform = SoftwarePlatform()
+    for count in (1, 2, 3):
+        platform._aux_stats(WorkProfile(objects=10, aux_random_accesses=count))
+    assert len(harness._AUX_STATS) == 1
+    assert harness._AUX_EVICTIONS.value == evictions + 1
+
+
+def _serializers(registration):
+    return (JavaSerializer(), KryoSerializer(registration), SkywaySerializer(registration))
+
+
 @pytest.mark.parametrize("host_name", sorted(HOSTS))
 def test_real_serializer_traces_match_oracle(host_name, monkeypatch):
-    """java-builtin, kryo and skyway S/D of list-small through the harness."""
+    """java-builtin, kryo and skyway S/D of list-small through the harness:
+    every call's split stats equal the oracle over heap, stream and aux."""
     host = HOSTS[host_name]
     checked = []
+    cache_stats = SoftwarePlatform._cache_stats
 
-    class CheckedHierarchy(CacheHierarchy):
-        def replay(self, trace):
-            stats = asdict(super().replay(trace))
-            assert stats == oracle_stats(self.host, [trace])
-            checked.append(stats["accesses"])
-            return self.stats
+    def checked_cache_stats(self, profile, trace):
+        stats = cache_stats(self, profile, trace)
+        assert asdict(stats) == oracle_stats(self.system.host, [with_aux(trace, profile)])
+        checked.append((stats.accesses, profile.aux_random_accesses))
+        return stats
 
-    monkeypatch.setattr(harness, "CacheHierarchy", CheckedHierarchy)
+    monkeypatch.setattr(SoftwarePlatform, "_cache_stats", checked_cache_stats)
     heap, root, registration = _list_small()
     platform = SoftwarePlatform(SystemConfig(host=host))
-    for serializer in (JavaSerializer(), KryoSerializer(registration),
-                       SkywaySerializer(registration)):
+    for serializer in _serializers(registration):
         result, _ = platform.run_serialize(serializer, root)
         platform.run_deserialize(serializer, result.stream, Heap(registry=heap.registry))
-    assert len(checked) == 6 and all(checked)
+    assert len(checked) == 6
+    assert all(accesses for accesses, _ in checked)
+    assert any(aux for _, aux in checked)
+
+
+def test_address_regions_stay_apart(monkeypatch):
+    """The split replay's precondition: heap, stream buffer and aux region
+    never share a line or sit within two lines of each other."""
+    line = 64
+    # Bases: a terabyte or more apart, far beyond any heap, stream or aux
+    # region the simulator builds.
+    assert HEAP_BASE < harness._STREAM_BUFFER_BASE < harness._AUX_REGION_BASE
+    assert harness._STREAM_BUFFER_BASE - HEAP_BASE >= 1 << 40
+    assert harness._AUX_REGION_BASE - harness._STREAM_BUFFER_BASE >= 1 << 40
+    assert Heap().memory.size_bytes + 2 * line < harness._STREAM_BUFFER_BASE
+
+    # Every line of every real call, by region.
+    traces = []
+    cache_stats = SoftwarePlatform._cache_stats
+
+    def keep(self, profile, trace):
+        traces.append(with_aux(trace, profile))
+        return cache_stats(self, profile, trace)
+
+    monkeypatch.setattr(SoftwarePlatform, "_cache_stats", keep)
+    heap, root, registration = _list_small()
+    platform = SoftwarePlatform()
+    for serializer in _serializers(registration):
+        result, _ = platform.run_serialize(serializer, root)
+        platform.run_deserialize(serializer, result.stream, Heap(registry=heap.registry))
+    bases = (HEAP_BASE, harness._STREAM_BUFFER_BASE, harness._AUX_REGION_BASE)
+    regions_seen = set()
+    for trace in traces:
+        spans = {}
+        for access in trace:
+            lines = access.cache_lines(line)
+            region = max(i for i, base in enumerate(bases) if access.address >= base)
+            low, high = spans.get(region, (lines.start, lines.stop - 1))
+            spans[region] = (min(low, lines.start), max(high, lines.stop - 1))
+        regions_seen.update(spans)
+        ordered = [spans[region] for region in sorted(spans)]
+        for (_, lower_end), (upper_start, _) in zip(ordered, ordered[1:]):
+            assert upper_start - lower_end > 2
+    assert regions_seen == {0, 1, 2}

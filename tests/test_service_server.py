@@ -150,6 +150,13 @@ class TestServerBasics:
         with pytest.raises(ConfigError):
             server.run(requests)
 
+    def test_second_run_rejected(self, catalog):
+        server = SerializationServer(catalog, ServiceConfig(functional_every=1))
+        report = server.run(_workload(catalog, 0.5, num_requests=100))
+        assert report.verified_requests == report.completed_requests == 100
+        with pytest.raises(ConfigError):
+            server.run(_workload(catalog, 0.5, num_requests=100))
+
 
 class TestRouting:
     def _run(self, catalog, shards=4):

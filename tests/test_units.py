@@ -1,20 +1,6 @@
 """Tests for repro.common.units."""
 
-import pytest
-
-from repro.common.units import GB, KIB, MB, cycles_to_seconds
-
-
-class TestConversions:
-    def test_cycles_to_seconds_at_1ghz(self):
-        assert cycles_to_seconds(1_000_000_000, clock_ghz=1.0) == pytest.approx(1.0)
-
-    def test_cycles_to_seconds_at_3_6ghz(self):
-        assert cycles_to_seconds(3_600_000_000, clock_ghz=3.6) == pytest.approx(1.0)
-
-    def test_invalid_clock_rejected(self):
-        with pytest.raises(ValueError):
-            cycles_to_seconds(1, clock_ghz=0)
+from repro.common.units import GB, KIB, MB
 
 
 class TestUnitsConstants:
