@@ -42,7 +42,7 @@ def _stream_sizes(stream) -> tuple:
     """(baseline, packed, packed + header strip) bytes of a packed stream."""
     sections = CerealSerializer.decode_sections(stream)
     bitmap_bytes = sum(
-        8 + (len(bitmap) + 7) // 8 for bitmap in sections.layout_bitmaps()
+        8 + (width + 7) // 8 for _, width in sections.layout_bitmap_words()
     )
     baseline = (
         _BASELINE_METADATA_BYTES

@@ -68,11 +68,10 @@ class CerealAccelerator:
     def __init__(
         self,
         config: Optional[CerealConfig] = None,
-        dram_config: Optional[DRAMConfig] = None,
         registration: Optional[ClassRegistration] = None,
     ):
         self.config = config or CerealConfig()
-        self.dram_config = dram_config or DRAMConfig()
+        self.dram_config = DRAMConfig()
         if registration is None:
             registration = ClassRegistration(max_entries=self.config.max_class_types)
         self.registration = registration

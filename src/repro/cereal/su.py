@@ -34,7 +34,7 @@ from repro.common.config import CerealConfig
 from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.tables import KlassPointerTable
 from repro.jvm.heap import HeapObject
-from repro.jvm.klass import SLOT_BYTES
+from repro.jvm.klass import HEADER_SLOTS, SLOT_BYTES
 
 # Synthetic physical placement of the serialized output (disjoint from the
 # heap) so output writes map onto DRAM channels like any other traffic.
@@ -49,6 +49,7 @@ _OH_SLOTS_PER_CYCLE = 1.0  # value/reference extraction rate
 _RAW_ITEMS_PER_CYCLE = 1.0  # packing throughput
 _KLASS_METADATA_BYTES = 32  # layout + size fetched per class
 _FALLBACK_NS = 60.0  # software visited-hash insert when a header is foreign
+_STORE_BYTES = 64  # write-combining buffer: one MAI write per 64 B
 
 
 @dataclass
@@ -86,19 +87,20 @@ class SUResult:
 class _BufferedStore:
     """64 B write-combining buffer in front of the MAI (posted stores)."""
 
-    def __init__(self, mai: MemoryAccessInterface, base: int, chunk: int = 64):
+    def __init__(self, mai: MemoryAccessInterface, base: int):
         self.mai = mai
         self.base = base
-        self.chunk = chunk
         self.pending = 0
         self.total = 0
 
     def push(self, when_ns: float, nbytes: int) -> None:
         self.pending += nbytes
         self.total += nbytes
-        while self.pending >= self.chunk:
-            self.mai.write(when_ns, self.base + self.total - self.pending, self.chunk)
-            self.pending -= self.chunk
+        while self.pending >= _STORE_BYTES:
+            self.mai.write(
+                when_ns, self.base + self.total - self.pending, _STORE_BYTES
+            )
+            self.pending -= _STORE_BYTES
 
     def flush(self, when_ns: float) -> None:
         if self.pending:
@@ -117,7 +119,6 @@ class SUWorkload:
     objects popped before it is that object's first encounter.
     """
 
-    cereal_extension: bool  # the heap carries the Section V-E header word
     objects: List[HeapObject]
     addresses: List[int]
     total_slots: List[int]
@@ -164,9 +165,8 @@ class SUWorkload:
                 nulls = 0
                 if slots:
                     words = obj.image_words()
-                    header_slots = layout.header_slots
                     for slot in slots:
-                        child_address = words[header_slots + slot]
+                        child_address = words[HEADER_SLOTS + slot]
                         if child_address:
                             queued.append(child_address)
                             enqueuers.append(target)
@@ -182,9 +182,9 @@ class SUWorkload:
                 null_references.append(nulls)
             targets.append(target)
         return cls(
-            heap.cereal_extension, objects, addresses, total_slots,
-            reference_slots, metaspace_addresses, packed_ref_bytes,
-            null_references, targets, enqueuers,
+            objects, addresses, total_slots, reference_slots,
+            metaspace_addresses, packed_ref_bytes, null_references, targets,
+            enqueuers,
         )
 
 
@@ -213,17 +213,15 @@ class SerializationUnit:
 
         Visited tracking is local to this walk: an encounter is a revisit
         when its target was popped before. A new object's header is read
-        once, for the Section V-E header-extension mechanism when the heap
-        carries it: a header claimed by a *different* unit in the current
-        counter epoch belongs to a concurrent operation whose stream this
-        one cannot reference, so that object takes the software-fallback
+        once, for the Section V-E header-extension mechanism: a header
+        claimed by a *different* unit in the current counter epoch belongs
+        to a concurrent operation whose stream this one cannot reference, so that object takes the software-fallback
         path (thread-local hash table), which costs extra time but stays
         functionally identical. Any other header is claimed by writing
         ``serialization_counter``, this unit's ID and the relative address;
         a claim this unit left in an earlier, finished operation is stale.
         """
         pipelined = self.config.pipelined
-        use_header_metadata = workload.cereal_extension
 
         value_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _VALUE_REGION)
         ref_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _REF_REGION)
@@ -278,24 +276,21 @@ class SerializationUnit:
             # counter, which the OMM updates for the previous new object.
             assign_ns = max(header_done, counter_ready)
             stalls += max(0.0, counter_ready - header_done)
-            if not use_header_metadata:
-                atomic_rmw(assign_ns, address + 16, 8)
+            obj = heap_objects[target]
+            counter, unit = obj.serialization_claim()
+            if counter == serialization_counter and unit != own_unit:
+                # Another unit holds this header in the current epoch
+                # (shared object across concurrent operations).
+                # Software fallback: thread-local hash-table insert +
+                # probe replaces the header RMW (Section V-E).
+                fallback_objects += 1
+                assign_ns += _FALLBACK_NS
             else:
-                obj = heap_objects[target]
-                counter, unit = obj.serialization_claim()
-                if counter == serialization_counter and unit != own_unit:
-                    # Another unit holds this header in the current epoch
-                    # (shared object across concurrent operations).
-                    # Software fallback: thread-local hash-table insert +
-                    # probe replaces the header RMW (Section V-E).
-                    fallback_objects += 1
-                    assign_ns += _FALLBACK_NS
-                else:
-                    obj.claim_serialization(
-                        serialization_counter, own_unit,
-                        serialized_size & 0xFFFF_FFFF,
-                    )
-                    atomic_rmw(assign_ns, address + 16, 8)
+                obj.claim_serialization(
+                    serialization_counter, own_unit,
+                    serialized_size & 0xFFFF_FFFF,
+                )
+                atomic_rmw(assign_ns, address + 16, 8)
             serialized_size += size_bytes
             hm_free = assign_ns + _HM_CYCLE_NS
             raw_free = max(raw_free, assign_ns) + raw_cycle

@@ -9,9 +9,9 @@ without forking the server — each
 :class:`~repro.cluster.node.ServerNode` wraps an unmodified server,
 driven through its incremental event API on one shared virtual clock:
 
-* :mod:`repro.cluster.routing` — consistent-hash ring (virtual nodes),
-  replica preference lists on distinct physical nodes, locality-aware
-  dispatch;
+* :mod:`repro.cluster.routing` — consistent-hash ring (64 virtual nodes
+  per server), two-node preference lists on distinct physical nodes,
+  same-zone dispatch (nodes alternate between two zones);
 * :mod:`repro.cluster.node` — node lifecycle (STARTING → UP → DRAINING
   → DOWN), shard-second cost accounting, per-node metric registries;
 * :mod:`repro.cluster.autoscale` — the reactive controller reading

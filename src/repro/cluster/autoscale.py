@@ -6,15 +6,16 @@ the cluster publishes into the :mod:`repro.obs` metrics registry each
 control tick (queue depth summed over routable nodes, windowed p99 over
 recent completions, node counts). Decisions:
 
-* **scale up** when per-node queue depth exceeds ``queue_high_per_node``
-  or the windowed p99 exceeds ``p99_high_ns`` (when set). Booting a node
-  takes ``provision_delay_ns`` of simulated time, during which the node
-  accrues cost but serves nothing — reactive scaling therefore always
-  trails a flash crowd's leading edge, and the bench quantifies by how
-  much.
+* **scale up** when per-node queue depth exceeds ``queue_high_per_node``.
+  Booting a node takes ``provision_delay_ns`` of simulated time, during
+  which the node accrues cost but serves nothing — reactive scaling
+  therefore always trails a flash crowd's leading edge, and the bench
+  quantifies by how much.
 * **scale down** when per-node queue depth falls below
-  ``queue_low_per_node`` (and p99 is below the ceiling): one node is
-  drained — it finishes queued work, then retires.
+  ``queue_low_per_node``: one node is drained — it finishes queued work,
+  then retires.
+
+Each decision is logged with the windowed p99 it saw.
 
 A cooldown separates consecutive actions so one burst cannot slam the
 cluster through its whole node budget, and ``min_nodes``/``max_nodes``
@@ -50,9 +51,6 @@ class AutoscalerConfig:
     queue_high_per_node: float = 48.0
     #: Scale down when (queue depth / routable nodes) is below this.
     queue_low_per_node: float = 4.0
-    #: Optional latency trigger: scale up when the windowed p99 exceeds
-    #: this many nanoseconds (0 disables the latency path).
-    p99_high_ns: float = 0.0
     #: Minimum simulated time between consecutive scaling actions.
     cooldown_ns: float = 2_000_000.0
     #: STARTING -> UP boot lag for nodes this controller provisions.
@@ -67,7 +65,7 @@ class AutoscalerConfig:
             raise ConfigError(
                 "queue_high_per_node must exceed queue_low_per_node"
             )
-        if self.queue_low_per_node < 0 or self.p99_high_ns < 0:
+        if self.queue_low_per_node < 0:
             raise ConfigError("thresholds must be non-negative")
         if self.cooldown_ns < 0 or self.provision_delay_ns < 0:
             raise ConfigError("delays must be non-negative")
@@ -114,15 +112,11 @@ class Autoscaler:
         p99_ns = registry.gauge(GAUGE_P99_NS).value
         queue_per_node = queue_depth / up
         provisioned = up + starting
-        hot = queue_per_node > config.queue_high_per_node or (
-            config.p99_high_ns > 0 and p99_ns > config.p99_high_ns
-        )
+        hot = queue_per_node > config.queue_high_per_node
         if hot and provisioned < config.max_nodes:
             self._log(SCALE_UP, now_ns, queue_per_node, p99_ns)
             return SCALE_UP
-        cold = queue_per_node < config.queue_low_per_node and (
-            config.p99_high_ns == 0 or p99_ns <= config.p99_high_ns
-        )
+        cold = queue_per_node < config.queue_low_per_node
         if cold and starting == 0 and up > config.min_nodes:
             self._log(SCALE_DOWN, now_ns, queue_per_node, p99_ns)
             return SCALE_DOWN

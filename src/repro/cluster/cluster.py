@@ -68,7 +68,9 @@ from repro.service.slo import (
 )
 from repro.service.workload import ServiceCatalog, ServiceRequest
 
-DEFAULT_ZONES = ("zone-a", "zone-b")
+#: Zones assigned to nodes round-robin; locality routing prefers a
+#: replica in the request's zone.
+ZONES = ("zone-a", "zone-b")
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,6 @@ class ClusterConfig:
 
     #: Initial fleet size (all UP at t=0; the autoscaler moves it later).
     num_nodes: int = 2
-    #: Zones assigned to nodes round-robin; locality routing prefers a
-    #: replica in the request's zone.
-    zones: Tuple[str, ...] = DEFAULT_ZONES
-    locality_aware: bool = True
     #: Per-node server deployment (shards, batching, admission, ...).
     service: ServiceConfig = dataclass_field(default_factory=ServiceConfig)
     #: Cadence of the cluster control loop (gauge refresh, node-loss
@@ -92,8 +90,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise ConfigError("num_nodes must be positive")
-        if not self.zones:
-            raise ConfigError("zones must be non-empty")
         if self.control_interval_ns <= 0:
             raise ConfigError("control_interval_ns must be positive")
 
@@ -133,8 +129,8 @@ class ClusterReport:
 class SerializationCluster:
     """Discrete-event simulation of the multi-node serving fleet.
 
-    Placement uses :class:`ClusterRouter`'s defaults: a preference list of
-    two nodes (primary + one backup) over 64 virtual nodes per server.
+    Placement uses :class:`ClusterRouter`: a preference list of two nodes
+    (primary + one backup) over 64 virtual nodes per server.
     """
 
     #: Node-loss detection + re-route lag: reaped requests land on their
@@ -156,7 +152,7 @@ class SerializationCluster:
         self.injector = injector
         self.tracer = tracer if tracer is not None else get_tracer()
         self.registry = registry if registry is not None else get_registry()
-        self.router = ClusterRouter(locality_aware=self.config.locality_aware)
+        self.router = ClusterRouter()
         self.autoscaler = (
             Autoscaler(self.config.autoscaler)
             if self.config.autoscaler is not None
@@ -183,7 +179,7 @@ class SerializationCluster:
     # -- fleet management --------------------------------------------------------------
 
     def _zone_for_index(self, index: int) -> str:
-        return self.config.zones[index % len(self.config.zones)]
+        return ZONES[index % len(ZONES)]
 
     def _new_node(self, provisioned_ns: float) -> ServerNode:
         node_id = f"node{self._next_node_index}"

@@ -28,14 +28,16 @@ from repro.common.hashing import stable_hash
 
 __all__ = ["ClusterRouter", "ConsistentHashRing", "stable_hash"]
 
+#: Virtual nodes per physical node on the ring.
+VNODES = 64
+#: Preference-list length: the primary plus one failover replica.
+REPLICATION_FACTOR = 2
+
 
 class ConsistentHashRing:
     """The classic virtual-node consistent-hash ring."""
 
-    def __init__(self, vnodes: int = 64):
-        if vnodes <= 0:
-            raise ConfigError("vnodes must be positive")
-        self.vnodes = vnodes
+    def __init__(self):
         self._points: List[int] = []  # sorted ring positions
         self._owner: Dict[int, str] = {}  # position -> physical node
         self._nodes: Dict[str, List[int]] = {}  # node -> its positions
@@ -56,7 +58,7 @@ class ConsistentHashRing:
         if node_id in self._nodes:
             raise ConfigError(f"node {node_id!r} is already on the ring")
         points = []
-        for replica in range(self.vnodes):
+        for replica in range(VNODES):
             point = stable_hash(f"{node_id}#{replica}")
             # A 64-bit collision across vnode labels is effectively
             # impossible, but dropping the duplicate keeps the ring sane.
@@ -106,23 +108,14 @@ class ClusterRouter:
 
     The router owns the ring membership (only UP nodes are on it) and a
     zone map. Dispatch walks the key's preference list of
-    ``replication_factor`` nodes: with locality on and a request zone
-    given, the first replica in that zone wins; otherwise the primary
-    does. Because failed/draining nodes leave the ring, failover routing
-    is just the same walk on the shrunken ring.
+    ``REPLICATION_FACTOR`` nodes: with a request zone given, the first
+    replica in that zone wins; otherwise the primary does. Because
+    failed/draining nodes leave the ring, failover routing is just the
+    same walk on the shrunken ring.
     """
 
-    def __init__(
-        self,
-        replication_factor: int = 2,
-        vnodes: int = 64,
-        locality_aware: bool = True,
-    ):
-        if replication_factor <= 0:
-            raise ConfigError("replication_factor must be positive")
-        self.ring = ConsistentHashRing(vnodes=vnodes)
-        self.replication_factor = replication_factor
-        self.locality_aware = locality_aware
+    def __init__(self):
+        self.ring = ConsistentHashRing()
         self._zones: Dict[str, str] = {}
         self.locality_hits = 0
         self.locality_misses = 0
@@ -140,7 +133,7 @@ class ClusterRouter:
 
     def replicas_for(self, key: str) -> List[str]:
         """The key's current preference list (primary first)."""
-        return self.ring.preference(key, self.replication_factor)
+        return self.ring.preference(key, REPLICATION_FACTOR)
 
     def route(
         self, key: str, zone: str = "", exclude: Sequence[str] = ()
@@ -155,7 +148,7 @@ class ClusterRouter:
         ]
         if not candidates:
             return None
-        if self.locality_aware and zone:
+        if zone:
             for node in candidates:
                 if self._zones.get(node, "") == zone:
                     self.locality_hits += 1

@@ -36,6 +36,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.common.config import CerealConfig
 from repro.common.errors import (
     FormatError,
     RegistrationError,
@@ -48,8 +49,6 @@ from repro.formats.base import (
     Serializer,
     WorkProfile,
 )
-from repro.common.bitstream import bits_to_word, word_to_bits
-from repro.common.bitutils import bytes_to_bits
 from repro.formats import plans as P
 from repro.formats.packing import (
     PackedArray,
@@ -63,7 +62,7 @@ from repro.jvm.layout_cache import layout_of
 from repro.formats.registry import ClassRegistration
 from repro.jvm.graph import ObjectGraph, SlotRunGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
-from repro.jvm.klass import ArrayKlass, SLOT_BYTES
+from repro.jvm.klass import ArrayKlass, HEADER_SLOTS, SLOT_BYTES
 from repro.jvm.markword import MarkWord, fresh_mark_word, identity_hash_for
 
 SECTION_META = "metadata"
@@ -91,7 +90,8 @@ class CerealStreamSections:
 
     ``packed`` selects which representation is populated: the optimized
     Section IV-B format carries :class:`PackedArray`s, the Section IV-A
-    baseline carries raw 8 B reference words and length-prefixed bitmaps.
+    baseline carries raw 8 B reference words and each length-prefixed
+    bitmap as a ``(word, width)`` pair.
 
     Each packed array is unpacked at most once: :meth:`reference_values`
     and :meth:`layout_bitmap_words` keep their first result, so the
@@ -107,7 +107,7 @@ class CerealStreamSections:
     packed: bool = True
     mark_stripped: bool = False
     raw_references: Optional[List[int]] = None
-    raw_bitmaps: Optional[List[List[int]]] = None
+    raw_bitmap_words: Optional[List[tuple]] = None
     _reference_values: Optional[List[int]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -126,24 +126,15 @@ class CerealStreamSections:
                 self._reference_values = self.raw_references
         return self._reference_values
 
-    def layout_bitmaps(self) -> List[List[int]]:
-        """Per-object layout bitmaps, either format."""
-        return [
-            word_to_bits(word, width)
-            for word, width in self.layout_bitmap_words()
-        ]
-
     def layout_bitmap_words(self) -> List[tuple]:
-        """Per-object layout bitmaps as ``(word, width)`` pairs (fast path)."""
+        """Per-object layout bitmaps as ``(word, width)`` pairs, either format."""
         if self._bitmap_words is None:
             if self.packed:
                 assert self.bitmaps is not None
                 self._bitmap_words = unpack_bitmap_words(self.bitmaps)
             else:
-                assert self.raw_bitmaps is not None
-                self._bitmap_words = [
-                    bits_to_word(bitmap) for bitmap in self.raw_bitmaps
-                ]
+                assert self.raw_bitmap_words is not None
+                self._bitmap_words = self.raw_bitmap_words
         return self._bitmap_words
 
     @property
@@ -172,13 +163,15 @@ class CerealSerializer(Serializer):
     def __init__(
         self,
         registration: Optional[ClassRegistration] = None,
-        max_class_types: int = 4096,
         strip_mark_word: bool = False,
         use_packing: bool = True,
         use_plans: bool = True,
     ):
         if registration is None:
-            registration = ClassRegistration(max_entries=max_class_types)
+            # The Class ID Table's size bounds the types (Section V-E).
+            registration = ClassRegistration(
+                max_entries=CerealConfig.max_class_types
+            )
         self.registration = registration
         self.strip_mark_word = strip_mark_word
         # use_packing=False emits the Section IV-A baseline format: raw
@@ -201,7 +194,6 @@ class CerealSerializer(Serializer):
         profile = WorkProfile()
         heap = root.heap
         memory = heap.memory
-        header_slots = heap.header_slots
 
         value_words: List[int] = []
         reference_values: List[int] = []
@@ -219,7 +211,7 @@ class CerealSerializer(Serializer):
             class_id = self.registration.id_of(obj.klass)
             # All per-shape metadata comes from the memoized klass layout;
             # the whole object image is read in one bulk word access.
-            layout = layout_of(obj.klass, header_slots, obj.length)
+            layout = layout_of(obj.klass, obj.length)
             bitmap_words.append((layout.bitmap_word, layout.bitmap_width))
             words = memory.read_words(obj.address, layout.total_slots)
             profile.add_instructions(_INSTR_PER_SLOT * layout.total_slots)
@@ -227,10 +219,10 @@ class CerealSerializer(Serializer):
             if not self.strip_mark_word:
                 value_words.append(words[_MARK_SLOT])
             value_words.append(class_id)
-            value_words.extend([0] * (header_slots - 2))  # zeroed extension
+            value_words.append(0)  # zeroed extension
             reference_slot_set = layout.reference_slot_set
             for field_slot in range(layout.field_slots):
-                raw = words[header_slots + field_slot]
+                raw = words[HEADER_SLOTS + field_slot]
                 if field_slot in reference_slot_set:
                     profile.reference_fields += 1
                     if raw == NULL_ADDRESS:
@@ -268,19 +260,17 @@ class CerealSerializer(Serializer):
         graph = SlotRunGraph.from_root(root, order="bfs")
         heap = root.heap
         read_words = heap.memory.read_words
-        header_slots = heap.header_slots
         registration = self.registration
         relative_address = graph.relative_address
         strip_mark = self.strip_mark_word
-        extension = [0] * (header_slots - 2)  # zeroed Cereal extension words
         chunk = P.chunk_bytes_of(out)
 
         # Pass 1: (plan, class ID) per object, one cache probe per shape.
         shapes: dict = {}
         object_plans = []
-        value_word_total = graph.object_count * (
-            (0 if strip_mark else 1) + 1 + len(extension)
-        )
+        # Per object: the mark word (unless stripped), the class ID and
+        # the zeroed extension word, then the plan's value slots.
+        value_word_total = graph.object_count * (2 if strip_mark else 3)
         for obj in graph.objects:
             klass = obj.klass
             shape = (klass, obj.length)
@@ -291,7 +281,7 @@ class CerealSerializer(Serializer):
                         f"class {klass.name!r} not registered with Cereal; "
                         f"call register_class() first"
                     )
-                plan = P.plan_for("cereal", klass, header_slots, obj.length)
+                plan = P.plan_for("cereal", klass, obj.length)
                 entry = (plan, registration.id_of(klass))
                 shapes[shape] = entry
             object_plans.append(entry)
@@ -309,7 +299,6 @@ class CerealSerializer(Serializer):
         reference_values: List[int] = []
         bitmap_words: List[tuple] = []
         append_value = values.append
-        extend_values = values.extend
         append_ref = reference_values.append
         append_bitmap = bitmap_words.append
         for obj, (plan, class_id) in zip(graph.objects, object_plans):
@@ -319,8 +308,7 @@ class CerealSerializer(Serializer):
             if not strip_mark:
                 append_value(words[_MARK_SLOT])
             append_value(class_id)
-            if extension:
-                extend_values(extension)
+            append_value(0)  # zeroed extension
             for index in plan.value_word_indices:
                 append_value(words[index])
             for index in plan.ref_word_indices:
@@ -495,7 +483,7 @@ class CerealSerializer(Serializer):
                 item_count=object_count,
             )
             raw_references = None
-            raw_bitmaps = None
+            raw_bitmap_words = None
         else:
             references = None
             bitmaps = None
@@ -505,7 +493,7 @@ class CerealSerializer(Serializer):
             )
             (bitmap_len,) = struct.unpack("<I", take(4))
             bitmap_blob = take(bitmap_len)
-            raw_bitmaps = []
+            raw_bitmap_words = []
             cursor = 0
             for _ in range(object_count):
                 if cursor + 8 > len(bitmap_blob):
@@ -519,7 +507,10 @@ class CerealSerializer(Serializer):
                 if len(chunk) != byte_length:
                     raise FormatError("baseline bitmap truncated")
                 cursor += byte_length
-                raw_bitmaps.append(bytes_to_bits(chunk, bit_count=bit_length))
+                # The bitmap is MSB-first; drop the tail padding bits.
+                padding = byte_length * 8 - bit_length
+                word = int.from_bytes(chunk, "big") >> padding
+                raw_bitmap_words.append((word, bit_length))
             if cursor != len(bitmap_blob):
                 raise FormatError("trailing bytes in baseline bitmap table")
         if offset != len(data):
@@ -533,7 +524,7 @@ class CerealSerializer(Serializer):
             packed=packed,
             mark_stripped=mark_stripped,
             raw_references=raw_references,
-            raw_bitmaps=raw_bitmaps,
+            raw_bitmap_words=raw_bitmap_words,
         )
 
     # ---------------------------------------------------------------- deserialize
@@ -608,7 +599,6 @@ class CerealSerializer(Serializer):
         :meth:`_rebuild_per_slot` does. The work profile is summed from
         the section sizes.
         """
-        header_slots = heap.header_slots
         graph_total = sections.graph_total_bytes
         values = sections.value_words
         value_count = len(values)
@@ -629,7 +619,7 @@ class CerealSerializer(Serializer):
             shape = shapes.get(item)
             if shape is None:
                 width = item[1]
-                if width < header_slots:
+                if width < HEADER_SLOTS:
                     raise FormatError(
                         "layout bitmap smaller than the object header"
                     )
@@ -679,7 +669,7 @@ class CerealSerializer(Serializer):
                 assert klass.metaspace_address is not None
                 entry = (klass, klass.metaspace_address,
                          0 if isinstance(klass, ArrayKlass)
-                         else (header_slots + klass.instance_slots()) * SLOT_BYTES)
+                         else (HEADER_SLOTS + klass.instance_slots()) * SLOT_BYTES)
                 klasses[class_id] = entry
             klass, image[klass_index], klass_size = entry
             if gather is not None:
@@ -687,8 +677,8 @@ class CerealSerializer(Serializer):
             write_words(address, image)
             if klass_size:
                 obj = register_object(address, klass)
-            elif size > header_slots * SLOT_BYTES:
-                obj = register_object(address, klass, image[header_slots])
+            elif size > HEADER_SLOTS * SLOT_BYTES:
+                obj = register_object(address, klass, image[HEADER_SLOTS])
                 klass_size = obj.size_bytes
             else:
                 raise FormatError(f"array {klass.name} has no length slot")
@@ -750,7 +740,6 @@ class CerealSerializer(Serializer):
         """The oracle rebuild (``use_plans=False``): classify every slot of
         every object against its bitmap, one at a time."""
         memory = heap.memory
-        header_slots = heap.header_slots
         value_words_in = sections.value_words
         value_count = len(value_words_in)
 
@@ -764,7 +753,7 @@ class CerealSerializer(Serializer):
             profile.objects += 1
             profile.allocations += 1
             profile.add_instructions(_INSTR_PER_OBJECT)
-            if bitmap_width < header_slots:
+            if bitmap_width < HEADER_SLOTS:
                 raise FormatError("layout bitmap smaller than the object header")
             if offset + bitmap_width * SLOT_BYTES > sections.graph_total_bytes:
                 raise FormatError(
@@ -813,9 +802,9 @@ class CerealSerializer(Serializer):
                 raise FormatError("object bitmap marks the klass slot as reference")
             length = 0
             if isinstance(klass, ArrayKlass):
-                if bitmap_width <= header_slots:
+                if bitmap_width <= HEADER_SLOTS:
                     raise FormatError(f"array {klass.name} has no length slot")
-                length = slot_words[header_slots]
+                length = slot_words[HEADER_SLOTS]
             obj = heap.register_object(address, klass, length)
             if root_obj is None:
                 root_obj = obj

@@ -597,7 +597,6 @@ class JavaSerializer(Serializer):
         data = stream.data
         n_data = len(data)
         limits.check_stream_bytes(n_data)
-        header_slots = heap.header_slots
         if n_data < 4:
             offset = 0 if n_data < 2 else 2
             raise TruncatedStreamError(
@@ -677,7 +676,7 @@ class JavaSerializer(Serializer):
                     ) from None
             plan = plans_local.get(klass)
             if plan is None:
-                plan = P.plan_for(self.name, klass, header_slots)
+                plan = P.plan_for(self.name, klass)
                 plans_local[klass] = plan
             if name is not None:
                 tail = plan.desc_tail

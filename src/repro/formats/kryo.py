@@ -283,7 +283,6 @@ class KryoSerializer(Serializer):
         data = stream.data
         n_data = len(data)
         limits.check_stream_bytes(n_data)
-        header_slots = heap.header_slots
         klass_of = self.registration.klass_of
         read_varint = P.read_varint
         objects_by_id: List[HeapObject] = []
@@ -309,7 +308,7 @@ class KryoSerializer(Serializer):
             klass = klass_of(class_id, offset=pos)
             plan = plans_local.get(klass)
             if plan is None:
-                plan = P.plan_for(self.name, klass, header_slots)
+                plan = P.plan_for(self.name, klass)
                 plans_local[klass] = plan
             return pos, plan, klass, mark == MARK_ARRAY
 

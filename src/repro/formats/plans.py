@@ -74,7 +74,14 @@ from repro.formats.varint import (
     read_signed_varint,
     read_varint as read_varint,
 )
-from repro.jvm.klass import ArrayKlass, FieldKind, InstanceKlass, Klass
+from repro.jvm.klass import (
+    ArrayKlass,
+    FieldKind,
+    HEADER_BYTES,
+    HEADER_SLOTS,
+    InstanceKlass,
+    Klass,
+)
 from repro.jvm.layout_cache import layout_of
 from repro.obs.metrics import get_registry
 
@@ -250,26 +257,26 @@ def klass_fingerprint(klass: Klass) -> str:
     return fingerprint
 
 
-def plan_for(format_name: str, klass: Klass, header_slots: int, length: int = 0):
-    """The memoized plan for ``(format, klass shape, header geometry)``.
+def plan_for(format_name: str, klass: Klass, length: int = 0):
+    """The memoized plan for ``(format, klass shape)``.
 
     ``length`` only differentiates Cereal plans (their layout bitmap is
     per-length); the Java/Kryo array plans are length-independent.
     """
     if klass.is_array and format_name != "cereal":
         length = -1
-    key = (format_name, klass_fingerprint(klass), header_slots, length)
+    key = (format_name, klass_fingerprint(klass), length)
     plan = _PLANS.get(key)
     if plan is not None:
         _HITS.value += 1  # direct bump: this is the per-object hot path
         return plan
     _MISSES.inc()
     if format_name == "java-builtin":
-        plan = _compile_java(klass, header_slots)
+        plan = _compile_java(klass)
     elif format_name == "kryo":
-        plan = _compile_kryo(klass, header_slots)
+        plan = _compile_kryo(klass)
     elif format_name == "cereal":
-        plan = _compile_cereal(klass, header_slots, max(length, 0))
+        plan = _compile_cereal(klass, max(length, 0))
     else:
         raise FormatError(f"no plan compiler for format {format_name!r}")
     if len(_PLANS) >= _MAX_ENTRIES:
@@ -447,7 +454,7 @@ def _java_desc_blob(klass: Klass) -> Tuple[bytes, int, int, bytes]:
 
 
 def _field_ops(
-    klass: InstanceKlass, header_bytes: int, varint_kinds: Tuple[FieldKind, ...]
+    klass: InstanceKlass, varint_kinds: Tuple[FieldKind, ...]
 ) -> Tuple[Tuple, Tuple, int, int]:
     """(enc_ops, dec_ops, static_data_bytes, n_ref) for an instance klass."""
     enc: List[Tuple[int, int, int]] = []
@@ -455,7 +462,7 @@ def _field_ops(
     data_bytes = 0
     n_ref = 0
     for index, descriptor in enumerate(klass.fields):
-        offset = header_bytes + index * 8
+        offset = HEADER_BYTES + index * 8
         kind = descriptor.kind
         if kind is FieldKind.REFERENCE:
             enc.append((OP_REF, offset, 0))
@@ -485,10 +492,9 @@ def _field_ops(
 # -- format compilers ----------------------------------------------------------------
 
 
-def _compile_java(klass: Klass, header_slots: int):
+def _compile_java(klass: Klass):
     from repro.formats import javaser as J
 
-    header_bytes = header_slots * 8
     blob, meta_bytes, type_bytes, tail = _java_desc_blob(klass)
     if isinstance(klass, ArrayKlass):
         plan = ArrayPlan()
@@ -518,12 +524,12 @@ def _compile_java(klass: Klass, header_slots: int):
         return plan
 
     assert isinstance(klass, InstanceKlass)
-    enc_ops, dec_ops, data_bytes, n_ref = _field_ops(klass, header_bytes, ())
+    enc_ops, dec_ops, data_bytes, n_ref = _field_ops(klass, ())
     field_count = len(klass.fields)
     n_prim = field_count - n_ref
     plan = InstancePlan()
     plan.klass = klass
-    plan.size_bytes = header_bytes + field_count * 8
+    plan.size_bytes = HEADER_BYTES + field_count * 8
     plan.field_count = field_count
     plan.enc_ops = enc_ops
     plan.enc_data_bytes = data_bytes
@@ -554,10 +560,9 @@ def _compile_java(klass: Klass, header_slots: int):
     return plan
 
 
-def _compile_kryo(klass: Klass, header_slots: int):
+def _compile_kryo(klass: Klass):
     from repro.formats import kryo as K
 
-    header_bytes = header_slots * 8
     if isinstance(klass, ArrayKlass):
         plan = ArrayPlan()
         plan.klass = klass
@@ -590,14 +595,12 @@ def _compile_kryo(klass: Klass, header_slots: int):
         return plan
 
     assert isinstance(klass, InstanceKlass)
-    enc_ops, dec_ops, data_bytes, n_ref = _field_ops(
-        klass, header_bytes, (FieldKind.INT, FieldKind.LONG)
-    )
+    enc_ops, dec_ops, data_bytes, n_ref = _field_ops(klass, (FieldKind.INT, FieldKind.LONG))
     field_count = len(klass.fields)
     n_prim = field_count - n_ref
     plan = InstancePlan()
     plan.klass = klass
-    plan.size_bytes = header_bytes + field_count * 8
+    plan.size_bytes = HEADER_BYTES + field_count * 8
     plan.field_count = field_count
     plan.enc_ops = enc_ops
     plan.enc_data_bytes = data_bytes
@@ -629,19 +632,19 @@ def _compile_kryo(klass: Klass, header_slots: int):
     return plan
 
 
-def _compile_cereal(klass: Klass, header_slots: int, length: int):
+def _compile_cereal(klass: Klass, length: int):
     from repro.formats import cereal_format as C
 
-    layout = layout_of(klass, header_slots, length)
+    layout = layout_of(klass, length)
     reference_set = layout.reference_slot_set
     plan = CerealPlan()
     plan.klass = klass
     plan.total_slots = layout.total_slots
     plan.ref_word_indices = tuple(
-        header_slots + slot for slot in layout.reference_slots
+        HEADER_SLOTS + slot for slot in layout.reference_slots
     )
     plan.value_word_indices = tuple(
-        header_slots + slot
+        HEADER_SLOTS + slot
         for slot in range(layout.field_slots)
         if slot not in reference_set
     )
@@ -693,7 +696,6 @@ def encode_walk(
     heap = root.heap
     read = heap.memory.read
     object_at = heap.object_at
-    header_slots = heap.header_slots
     chunk = chunk_bytes_of(out)
 
     handles: Dict[int, int] = {}  # heap address -> back-reference handle
@@ -718,7 +720,7 @@ def encode_walk(
         klass = obj.klass
         plan = plans_local.get(klass)
         if plan is None:
-            plan = plan_for(format_name, klass, header_slots)
+            plan = plan_for(format_name, klass)
             plans_local[klass] = plan
         objects += 1
         aux += plan.ser_aux

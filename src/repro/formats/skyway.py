@@ -38,7 +38,7 @@ from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader
 from repro.jvm.graph import SlotRunGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
-from repro.jvm.klass import ArrayKlass, SLOT_BYTES
+from repro.jvm.klass import ArrayKlass, HEADER_BYTES, HEADER_SLOTS, SLOT_BYTES
 from repro.jvm.layout_cache import layout_of
 from repro.jvm.markword import fresh_mark_word
 
@@ -94,10 +94,6 @@ class SkywaySerializer(Serializer):
         read_word_run = memory.read_word_run
         register = self.registration.register
         relative_address = graph.relative_address
-        header_bytes = heap.header_bytes
-        header_slots = heap.header_slots
-        # The extension word ships zeroed.
-        extension = (0,) if heap.cereal_extension else ()
         chunk = P.chunk_bytes_of(out)
 
         out += _U32.pack(graph.total_bytes)
@@ -124,15 +120,15 @@ class SkywaySerializer(Serializer):
             )
             # Header: mark word kept, klass pointer replaced by type ID
             # (automatic registration), extension word zeroed.
-            image = [read_u64(address), register(obj.klass), *extension]
-            image += read_word_run(address + header_bytes, field_slots)
+            image = [read_u64(address), register(obj.klass), 0]
+            image += read_word_run(address + HEADER_BYTES, field_slots)
             for slot in layout.reference_slots:
-                raw = image[header_slots + slot]
-                image[header_slots + slot] = (
+                raw = image[HEADER_SLOTS + slot]
+                image[HEADER_SLOTS + slot] = (
                     _NULL_RELATIVE if raw == NULL_ADDRESS else relative_address[raw]
                 )
             out += layout.image_struct.pack(*image)
-            header_count += header_bytes
+            header_count += HEADER_BYTES
             ref_count += references * 8
             value_count += (field_slots - references) * 8
 
@@ -181,9 +177,6 @@ class SkywaySerializer(Serializer):
 
         base = heap.reserve(total_bytes)
         memory = heap.memory
-        header_slots = heap.header_slots
-        header_bytes = heap.header_bytes
-        extension = heap.cereal_extension
         offset = 0
         root_obj: Optional[HeapObject] = None
         # Reference slots to patch: absolute slot address, relative target.
@@ -193,7 +186,7 @@ class SkywaySerializer(Serializer):
 
         for _ in range(object_count):
             address = base + offset
-            if offset + header_bytes > total_bytes:
+            if offset + HEADER_BYTES > total_bytes:
                 raise FormatError(
                     f"Skyway header declares more objects than fit in its "
                     f"{total_bytes}-byte image"
@@ -203,10 +196,8 @@ class SkywaySerializer(Serializer):
             klass = self.registration.klass_of(type_id, offset=reader.position)
             if klass.metaspace_address is None:
                 heap.registry.register(klass)
-            image = [mark_raw, klass.metaspace_address]
-            if extension:
-                reader.read_u64()
-                image.append(0)
+            reader.read_u64()  # the zeroed extension word
+            image = [mark_raw, klass.metaspace_address, 0]
 
             # First slot of an array is its length; we must read it before we
             # can size the object.
@@ -217,7 +208,7 @@ class SkywaySerializer(Serializer):
             else:
                 length = 0
             field_slots = klass.instance_slots(length)
-            size_bytes = (header_slots + field_slots) * SLOT_BYTES
+            size_bytes = (HEADER_SLOTS + field_slots) * SLOT_BYTES
             if offset + size_bytes > total_bytes:
                 # A lying length or type ID would otherwise let slot writes
                 # run past the reserved region into unrelated heap memory.
@@ -226,18 +217,18 @@ class SkywaySerializer(Serializer):
                     f"{size_bytes} bytes past the {total_bytes}-byte image"
                 )
             # The remaining slots (an array's length slot is already read).
-            slots = header_slots + field_slots - len(image)
+            slots = HEADER_SLOTS + field_slots - len(image)
             image += reader.read_u64_run(slots)
             # Sequential reference adjustment (Skyway's bottleneck): each
             # reference slot is written null now and patched below.
-            reference_slots = layout_of(klass, header_slots, length).reference_slots
-            fields_base = address + header_bytes
+            reference_slots = layout_of(klass, length).reference_slots
+            fields_base = address + HEADER_BYTES
             for slot in reference_slots:
-                raw = image[header_slots + slot]
+                raw = image[HEADER_SLOTS + slot]
                 if raw != _NULL_RELATIVE:
                     pending_slots.append(fields_base + slot * SLOT_BYTES)
                     pending_targets.append(raw)
-                image[header_slots + slot] = NULL_ADDRESS
+                image[HEADER_SLOTS + slot] = NULL_ADDRESS
             memory.write_word_run(address, image)
 
             references = len(reference_slots)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.jvm.heap import HeapObject
+from repro.jvm.klass import HEADER_BYTES
 from repro.jvm.layout_cache import KlassLayout, layout_of
 
 
@@ -86,8 +87,6 @@ def traverse_slot_runs(
     heap = root.heap
     gather_words = heap.memory.gather_words
     object_at = heap.object_at
-    header_slots = heap.header_slots
-    header_bytes = header_slots * 8
 
     if order == "dfs":
         visited: Set[int] = set()
@@ -100,11 +99,11 @@ def traverse_slot_runs(
             if address in visited:
                 continue
             add_visited(address)
-            layout = layout_of(obj.klass, header_slots, obj.length)
+            layout = layout_of(obj.klass, obj.length)
             yield obj, layout
             reference_slots = layout.reference_slots
             if reference_slots:
-                fields_base = address + header_bytes
+                fields_base = address + HEADER_BYTES
                 child_addresses = gather_words(
                     [fields_base + slot * 8 for slot in reference_slots]
                 )
@@ -118,12 +117,12 @@ def traverse_slot_runs(
         queue = deque([root])
         while queue:
             obj = queue.popleft()
-            layout = layout_of(obj.klass, header_slots, obj.length)
+            layout = layout_of(obj.klass, obj.length)
             yield obj, layout
             reference_slots = layout.reference_slots
             if not reference_slots:
                 continue
-            fields_base = obj.address + header_bytes
+            fields_base = obj.address + HEADER_BYTES
             for child_address in gather_words(
                 [fields_base + slot * 8 for slot in reference_slots]
             ):

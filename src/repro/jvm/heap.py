@@ -5,7 +5,7 @@ Section V-E header extension):
 
     offset 0   mark word            (8 B)
     offset 8   klass pointer        (8 B)
-    offset 16  Cereal extension     (8 B, only when the heap enables it)
+    offset 16  Cereal extension     (8 B)
     then       fields, one 8 B slot each (arrays: length slot + elements)
 
 The Cereal extension word packs the serialization metadata of Section V-E:
@@ -28,6 +28,8 @@ from repro.jvm.layout_cache import KlassLayout, layout_of
 from repro.jvm.klass import (
     ArrayKlass,
     FieldKind,
+    HEADER_BYTES,
+    HEADER_SLOTS,
     InstanceKlass,
     Klass,
     KlassRegistry,
@@ -35,7 +37,6 @@ from repro.jvm.klass import (
 )
 from repro.jvm.markword import MarkWord, fresh_mark_word
 from repro.memory.space import MemorySpace
-from repro.memory.trace import MemoryTrace
 
 HEAP_BASE = 0x0001_0000
 NULL_ADDRESS = 0
@@ -47,6 +48,7 @@ _RELADDR_SHIFT = 24
 _RELADDR_MASK = 0xFFFF_FFFF
 _CLAIM_MASK = (1 << (_RELADDR_SHIFT + 32)) - 1  # counter, unit ID, rel. address
 _HEADER_OFFSETS = (0, 8)  # mark word, klass pointer
+_EXTENSION_OFFSET = 16  # the Cereal extension word
 
 FieldValue = Union[int, float, bool, "HeapObject", None]
 
@@ -82,12 +84,9 @@ class Heap:
         self,
         size_bytes: int = 256 * 1024 * 1024,
         registry: Optional[KlassRegistry] = None,
-        cereal_extension: bool = True,
-        trace: Optional[MemoryTrace] = None,
     ):
         self.registry = registry if registry is not None else KlassRegistry()
-        self.cereal_extension = cereal_extension
-        self.memory = MemorySpace(HEAP_BASE + size_bytes, trace=trace)
+        self.memory = MemorySpace(HEAP_BASE + size_bytes)
         self._alloc_ptr = HEAP_BASE
         self._objects: Dict[int, HeapObject] = {}
         self._alloc_order: List[int] = []
@@ -107,22 +106,11 @@ class Heap:
         limit = (1 << counter_bits) - 1
         self._serialization_epoch += 1
         if self._serialization_epoch > limit:
-            if self.cereal_extension:
-                for obj in self.objects():
-                    obj.clear_serialization_metadata()
+            for obj in self.objects():
+                obj.clear_serialization_metadata()
             self.forced_gc_count += 1
             self._serialization_epoch = 1
         return self._serialization_epoch
-
-    # -- layout constants ----------------------------------------------------------
-
-    @property
-    def header_bytes(self) -> int:
-        return 24 if self.cereal_extension else 16
-
-    @property
-    def header_slots(self) -> int:
-        return self.header_bytes // SLOT_BYTES
 
     # -- allocation ------------------------------------------------------------------
 
@@ -140,7 +128,7 @@ class Heap:
             raise HeapError("length is only valid for array klasses")
 
         slots = klass.instance_slots(length)
-        size = self.header_bytes + slots * SLOT_BYTES
+        size = HEADER_BYTES + slots * SLOT_BYTES
         address = self._alloc_ptr
         if address + size > self.memory.size_bytes:
             raise HeapError(
@@ -153,7 +141,7 @@ class Heap:
         words = (fresh_mark_word(address), klass.metaspace_address)
         if klass.is_array:
             # Array length lives in the first field slot.
-            offsets += (self.header_bytes,)
+            offsets += (HEADER_BYTES,)
             words += (length,)
         # One page op, traced as a zero fill then one 8 B write per word.
         self.memory.zero_fill_words(address, size, offsets, words)
@@ -298,7 +286,7 @@ class HeapObject:
 
     @property
     def total_slots(self) -> int:
-        return self.heap.header_slots + self.field_slots
+        return HEADER_SLOTS + self.field_slots
 
     @property
     def size_bytes(self) -> int:
@@ -306,7 +294,7 @@ class HeapObject:
 
     @property
     def fields_base(self) -> int:
-        return self.address + self.heap.header_bytes
+        return self.address + HEADER_BYTES
 
     def slot_address(self, slot_index: int) -> int:
         """Heap address of field slot ``slot_index`` (0-based after header)."""
@@ -337,55 +325,50 @@ class HeapObject:
 
     # -- Cereal header extension (Section V-E) -------------------------------------------
 
-    def _extension_address(self) -> int:
-        if not self.heap.cereal_extension:
-            raise HeapError("heap was created without the Cereal header extension")
-        return self.address + 16
-
     @property
     def serialization_counter(self) -> int:
-        word = self.heap.memory.read_u64(self._extension_address())
+        word = self.heap.memory.read_u64(self.address + _EXTENSION_OFFSET)
         return word & _COUNTER_MASK
 
     @serialization_counter.setter
     def serialization_counter(self, value: int) -> None:
         if not 0 <= value <= _COUNTER_MASK:
             raise HeapError(f"serialization counter out of 16-bit range: {value}")
-        addr = self._extension_address()
+        addr = self.address + _EXTENSION_OFFSET
         word = self.heap.memory.read_u64(addr)
         self.heap.memory.write_u64(addr, (word & ~_COUNTER_MASK) | value)
 
     @property
     def serialization_unit_id(self) -> int:
-        word = self.heap.memory.read_u64(self._extension_address())
+        word = self.heap.memory.read_u64(self.address + _EXTENSION_OFFSET)
         return (word >> _UNIT_SHIFT) & _UNIT_MASK
 
     @serialization_unit_id.setter
     def serialization_unit_id(self, value: int) -> None:
         if not 0 <= value <= _UNIT_MASK:
             raise HeapError(f"unit ID out of 8-bit range: {value}")
-        addr = self._extension_address()
+        addr = self.address + _EXTENSION_OFFSET
         word = self.heap.memory.read_u64(addr)
         word = (word & ~(_UNIT_MASK << _UNIT_SHIFT)) | (value << _UNIT_SHIFT)
         self.heap.memory.write_u64(addr, word)
 
     @property
     def serialized_relative_address(self) -> int:
-        word = self.heap.memory.read_u64(self._extension_address())
+        word = self.heap.memory.read_u64(self.address + _EXTENSION_OFFSET)
         return (word >> _RELADDR_SHIFT) & _RELADDR_MASK
 
     @serialized_relative_address.setter
     def serialized_relative_address(self, value: int) -> None:
         if not 0 <= value <= _RELADDR_MASK:
             raise HeapError(f"relative address out of 32-bit range: {value}")
-        addr = self._extension_address()
+        addr = self.address + _EXTENSION_OFFSET
         word = self.heap.memory.read_u64(addr)
         word = (word & ~(_RELADDR_MASK << _RELADDR_SHIFT)) | (value << _RELADDR_SHIFT)
         self.heap.memory.write_u64(addr, word)
 
     def serialization_claim(self) -> "tuple[int, int]":
         """``(serialization_counter, serialization_unit_id)`` from one read."""
-        word = self.heap.memory.read_u64(self._extension_address())
+        word = self.heap.memory.read_u64(self.address + _EXTENSION_OFFSET)
         return word & _COUNTER_MASK, (word >> _UNIT_SHIFT) & _UNIT_MASK
 
     def claim_serialization(self, counter: int, unit: int, relative: int) -> None:
@@ -399,7 +382,7 @@ class HeapObject:
             raise HeapError(f"unit ID out of 8-bit range: {unit}")
         if not 0 <= relative <= _RELADDR_MASK:
             raise HeapError(f"relative address out of 32-bit range: {relative}")
-        addr = self._extension_address()
+        addr = self.address + _EXTENSION_OFFSET
         memory = self.heap.memory
         word = memory.read_u64(addr) & ~_CLAIM_MASK
         memory.write_u64(
@@ -409,7 +392,7 @@ class HeapObject:
 
     def clear_serialization_metadata(self) -> None:
         """GC-time reset of the extension word (Section V-E)."""
-        self.heap.memory.write_u64(self._extension_address(), 0)
+        self.heap.memory.write_u64(self.address + _EXTENSION_OFFSET, 0)
 
     # -- typed slot access ------------------------------------------------------------------
 
@@ -587,7 +570,7 @@ class HeapObject:
 
     def layout(self) -> KlassLayout:
         """The memoized :class:`KlassLayout` for this object's shape."""
-        return layout_of(self.klass, self.heap.header_slots, self.length)
+        return layout_of(self.klass, self.length)
 
     def reference_slots(self) -> List[int]:
         """Field-slot indices holding references (from the klass layout)."""
@@ -599,11 +582,11 @@ class HeapObject:
         One gather over the reference slots: the trace of one
         :meth:`~repro.memory.space.MemorySpace.read_u64` per slot.
         """
-        layout = layout_of(self.klass, self.heap.header_slots, self.length)
+        layout = layout_of(self.klass, self.length)
         if not layout.reference_slots:
             return []
         heap = self.heap
-        fields_base = self.address + layout.header_slots * SLOT_BYTES
+        fields_base = self.address + HEADER_BYTES
         words = heap.memory.gather_words(
             [fields_base + slot * SLOT_BYTES for slot in layout.reference_slots]
         )

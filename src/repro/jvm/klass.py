@@ -27,6 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.errors import HeapError
 
 SLOT_BYTES = 8
+#: Every object header: mark word, klass pointer and the Section V-E
+#: Cereal extension word.
+HEADER_SLOTS = 3
+HEADER_BYTES = HEADER_SLOTS * SLOT_BYTES
 
 
 class FieldKind(enum.Enum):

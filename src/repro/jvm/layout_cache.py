@@ -3,12 +3,11 @@
 Every serializer in the reproduction needs the same facts about an object's
 shape — which field slots hold references, the layout bitmap, the total
 slot count — and the seed recomputed them from the klass descriptor for
-*every object serialized*. But the answers depend only on the klass, the
-heap's header geometry, and (for arrays) the length: they are immutable
-once a klass is registered. This module computes them once per distinct
-``(klass, header_slots, length)`` shape and hands back a frozen
-:class:`KlassLayout`, so the per-object cost in ``javaser``/``kryo``/
-``cereal_format`` drops to one dict probe.
+*every object serialized*. But the answers depend only on the klass and
+(for arrays) the length: they are immutable once a klass is registered.
+This module computes them once per distinct ``(klass, length)`` shape
+and hands back a frozen :class:`KlassLayout`, so the per-object cost in
+``javaser``/``kryo``/``cereal_format`` drops to one dict probe.
 
 The layout bitmap is carried as a ``(word, width)`` pair — bit ``slot`` is
 ``(word >> (width - 1 - slot)) & 1``, MSB-first like the rest of the bit
@@ -22,13 +21,13 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from repro.jvm.klass import Klass
+from repro.jvm.klass import HEADER_SLOTS, Klass
 from repro.obs.metrics import get_registry
 
 # Regenerable cache; the cap only guards against pathological workloads
 # that allocate arrays of unboundedly many distinct lengths.
 _MAX_ENTRIES = 1 << 16
-_CACHE: Dict[Tuple[Klass, int, int], "KlassLayout"] = {}
+_CACHE: Dict[Tuple[Klass, int], "KlassLayout"] = {}
 
 # Hit/miss/eviction counters, recorded in the process-wide metrics
 # registry (``layout_cache.*``). An "eviction"
@@ -42,9 +41,8 @@ _ENTRIES = get_registry().gauge("layout_cache.entries")
 
 @dataclass(frozen=True)
 class KlassLayout:
-    """Immutable layout facts for one ``(klass, header_slots, length)`` shape."""
+    """Immutable layout facts for one ``(klass, length)`` shape."""
 
-    header_slots: int
     field_slots: int
     total_slots: int
     reference_slots: Tuple[int, ...]
@@ -59,9 +57,9 @@ class KlassLayout:
         return [(word >> (width - 1 - i)) & 1 for i in range(width)]
 
 
-def layout_of(klass: Klass, header_slots: int, length: int = 0) -> KlassLayout:
-    """The memoized layout for ``klass`` under a given header geometry."""
-    key = (klass, header_slots, length)
+def layout_of(klass: Klass, length: int = 0) -> KlassLayout:
+    """The memoized layout for ``klass`` (and an array's ``length``)."""
+    key = (klass, length)
     layout = _CACHE.get(key)
     if layout is not None:
         _HITS.value += 1  # direct bump: this is the per-object hot path
@@ -69,13 +67,12 @@ def layout_of(klass: Klass, header_slots: int, length: int = 0) -> KlassLayout:
     _MISSES.inc()
 
     field_slots = klass.instance_slots(length)
-    total_slots = header_slots + field_slots
+    total_slots = HEADER_SLOTS + field_slots
     reference_slots = tuple(klass.reference_slot_indices(length))
     bitmap_word = 0
     for slot in reference_slots:
-        bitmap_word |= 1 << (total_slots - 1 - (header_slots + slot))
+        bitmap_word |= 1 << (field_slots - 1 - slot)
     layout = KlassLayout(
-        header_slots=header_slots,
         field_slots=field_slots,
         total_slots=total_slots,
         reference_slots=reference_slots,

@@ -66,17 +66,17 @@ class MemorySpace:
     size_bytes:
         Total addressable size. Accesses outside ``[0, size_bytes)`` raise
         :class:`~repro.common.errors.HeapError`.
-    trace:
-        Optional :class:`~repro.memory.trace.MemoryTrace`; when set, every
-        read/write is recorded (used by the CPU cache model and the
-        accelerator bandwidth accounting).
+
+    ``trace`` starts unset; assign a :class:`~repro.memory.trace.MemoryTrace`
+    to record every read and write (the CPU cache model and the
+    accelerator bandwidth accounting read it).
     """
 
-    def __init__(self, size_bytes: int, trace: Optional["MemoryTrace"] = None):
+    def __init__(self, size_bytes: int):
         if size_bytes <= 0:
             raise HeapError(f"size_bytes must be positive, got {size_bytes}")
         self.size_bytes = size_bytes
-        self.trace = trace
+        self.trace: Optional["MemoryTrace"] = None
         self._pages: Dict[int, bytearray] = {}
 
     # -- bounds & paging -----------------------------------------------------

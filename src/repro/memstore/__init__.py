@@ -18,8 +18,8 @@ imports it) and must never import spark modules.
 from repro.memstore.manager import ExecutorMemoryManager, MemstoreConfig
 from repro.memstore.model import (
     BASE_GC_NS_PER_BYTE,
-    DEFAULT_KNEE,
-    DEFAULT_MAX_MULTIPLIER,
+    GC_KNEE,
+    GC_MAX_MULTIPLIER,
     GcCostModel,
 )
 from repro.memstore.policy import (
@@ -44,11 +44,11 @@ __all__ = [
     "BASE_GC_NS_PER_BYTE",
     "CacheEntry",
     "CostAwarePolicy",
-    "DEFAULT_KNEE",
-    "DEFAULT_MAX_MULTIPLIER",
     "DEMOTION",
     "EvictionPolicy",
     "ExecutorMemoryManager",
+    "GC_KNEE",
+    "GC_MAX_MULTIPLIER",
     "GcCostModel",
     "LRUPolicy",
     "MemstoreConfig",

@@ -58,8 +58,8 @@ __all__ = ["ExecutorMemoryManager", "MemstoreConfig"]
 class MemstoreConfig:
     """Budgets and eviction policy for one executor.
 
-    GC is priced by a :class:`GcCostModel` over ``budget_bytes`` with the
-    model's default curve (8 ns/B floor, knee 0.3, 24x clamp).
+    GC is priced by a :class:`GcCostModel` over ``budget_bytes`` (8 ns/B
+    floor, knee 0.3, 24x clamp).
     """
 
     budget_bytes: int = 512 * 1024 * 1024

@@ -12,11 +12,11 @@ Cost per allocated byte rises super-linearly with occupancy.
 :class:`GcCostModel` keeps the seed's flat rate as its floor and layers a
 pressure multiplier on top:
 
-* occupancy at or below ``knee`` — multiplier 1.0, byte-identical to the
-  seed model (a mostly-empty heap collects young garbage cheaply);
-* occupancy between ``knee`` and 1.0 — the multiplier rises
-  quadratically to ``max_multiplier``;
-* occupancy at or past the budget — clamped at ``max_multiplier`` (the
+* occupancy at or below ``GC_KNEE`` — multiplier 1.0, byte-identical to
+  the seed model (a mostly-empty heap collects young garbage cheaply);
+* occupancy between ``GC_KNEE`` and 1.0 — the multiplier rises
+  quadratically to ``GC_MAX_MULTIPLIER``;
+* occupancy at or past the budget — clamped at ``GC_MAX_MULTIPLIER`` (the
   collector is thrashing; the model stays finite and deterministic).
 
 "Occupancy" here is *modelled live set over budget* — for the Spark model
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigError
 
-__all__ = ["BASE_GC_NS_PER_BYTE", "GcCostModel"]
+__all__ = ["BASE_GC_NS_PER_BYTE", "GC_KNEE", "GC_MAX_MULTIPLIER", "GcCostModel"]
 
 #: The seed model's flat copying-collector cost per allocated byte at this
 #: scale: each scaled allocation stands in for the full-scale app's nursery
@@ -41,44 +41,25 @@ __all__ = ["BASE_GC_NS_PER_BYTE", "GcCostModel"]
 #: floor — at low occupancy the two models are byte-identical.
 BASE_GC_NS_PER_BYTE = 8.0
 
-#: Default occupancy where pressure starts to bite. Below this the young
+#: Occupancy where pressure starts to bite. Below this the young
 #: generation absorbs everything and collections stay cheap.
-DEFAULT_KNEE = 0.3
+GC_KNEE = 0.3
 
-#: Default multiplier at 100% occupancy (and the clamp beyond it).
-DEFAULT_MAX_MULTIPLIER = 24.0
+#: Multiplier at 100% occupancy (and the clamp beyond it).
+GC_MAX_MULTIPLIER = 24.0
 
 
 class GcCostModel:
     """Cost-per-allocated-byte as a function of modelled heap occupancy."""
 
-    __slots__ = ("budget_bytes", "base_ns_per_byte", "knee", "max_multiplier")
+    __slots__ = ("budget_bytes",)
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        base_ns_per_byte: float = BASE_GC_NS_PER_BYTE,
-        knee: float = DEFAULT_KNEE,
-        max_multiplier: float = DEFAULT_MAX_MULTIPLIER,
-    ):
+    def __init__(self, budget_bytes: int):
         if budget_bytes <= 0:
             raise ConfigError(
                 f"gc budget_bytes must be positive, got {budget_bytes}"
             )
-        if base_ns_per_byte <= 0:
-            raise ConfigError(
-                f"base_ns_per_byte must be positive, got {base_ns_per_byte}"
-            )
-        if not 0.0 <= knee < 1.0:
-            raise ConfigError(f"knee must be in [0, 1), got {knee}")
-        if max_multiplier < 1.0:
-            raise ConfigError(
-                f"max_multiplier must be >= 1, got {max_multiplier}"
-            )
         self.budget_bytes = budget_bytes
-        self.base_ns_per_byte = base_ns_per_byte
-        self.knee = knee
-        self.max_multiplier = max_multiplier
 
     def occupancy(self, live_bytes: float) -> float:
         """Modelled live set as a fraction of the budget (may exceed 1)."""
@@ -87,20 +68,20 @@ class GcCostModel:
     def multiplier(self, live_bytes: float) -> float:
         """Pressure multiplier at ``live_bytes`` of pinned live set.
 
-        1.0 up to the knee, quadratic rise to ``max_multiplier`` at the
+        1.0 up to the knee, quadratic rise to ``GC_MAX_MULTIPLIER`` at the
         budget, clamped beyond it. Monotone non-decreasing in
         ``live_bytes`` by construction.
         """
         occupancy = self.occupancy(live_bytes)
-        if occupancy <= self.knee:
+        if occupancy <= GC_KNEE:
             return 1.0
         if occupancy >= 1.0:
-            return self.max_multiplier
-        x = (occupancy - self.knee) / (1.0 - self.knee)
-        return 1.0 + (self.max_multiplier - 1.0) * x * x
+            return GC_MAX_MULTIPLIER
+        x = (occupancy - GC_KNEE) / (1.0 - GC_KNEE)
+        return 1.0 + (GC_MAX_MULTIPLIER - 1.0) * x * x
 
     def ns_per_byte(self, live_bytes: float) -> float:
-        return self.base_ns_per_byte * self.multiplier(live_bytes)
+        return BASE_GC_NS_PER_BYTE * self.multiplier(live_bytes)
 
     def charge_ns(self, grown_bytes: float, live_bytes: float) -> float:
         """GC cost of allocating ``grown_bytes`` at the current pressure.
@@ -113,8 +94,4 @@ class GcCostModel:
         return grown_bytes * self.ns_per_byte(live_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GcCostModel(budget={self.budget_bytes}, "
-            f"base={self.base_ns_per_byte}, knee={self.knee}, "
-            f"max={self.max_multiplier})"
-        )
+        return f"GcCostModel(budget={self.budget_bytes})"

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigError
+from repro.memstore.model import BASE_GC_NS_PER_BYTE
 from repro.memstore.tiers import (
     CacheEntry,
     TIER_DESERIALIZED,
@@ -114,7 +115,7 @@ class CostAwarePolicy(EvictionPolicy):
         expected_reads = entry.reads
         if entry.tier == TIER_DESERIALIZED:
             per_read = entry.read_op.time_ns + (
-                entry.graph_bytes * manager.gc_model.base_ns_per_byte
+                entry.graph_bytes * BASE_GC_NS_PER_BYTE
             )
             return entry.serialize_op.time_ns + expected_reads * per_read
         # serialized -> spilled: disk traffic both ways.
@@ -142,11 +143,11 @@ class CostAwarePolicy(EvictionPolicy):
             return TIER_SERIALIZED
         model = manager.gc_model
         live = manager.on_heap_bytes
-        penalty_per_read = entry.graph_bytes * model.base_ns_per_byte * (
+        penalty_per_read = entry.graph_bytes * BASE_GC_NS_PER_BYTE * (
             model.multiplier(live + entry.graph_bytes) - 1.0
         )
         sd_per_read = entry.read_op.time_ns + (
-            entry.graph_bytes * model.base_ns_per_byte
+            entry.graph_bytes * BASE_GC_NS_PER_BYTE
         )
         if penalty_per_read < sd_per_read:
             return TIER_DESERIALIZED

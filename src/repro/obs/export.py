@@ -12,9 +12,7 @@ shard unit timelines, and fault markers. The mapping:
   event, so Perfetto labels rows "requests", "shard0", "spark", ...
 
 Exports are deterministic for a seeded run: events sort on
-``(ts, tid, name)`` and wall-clock fields are only included when
-``include_wall=True`` (they land under ``args`` and naturally differ
-run-to-run).
+``(ts, tid, name)`` and carry the simulated clock only.
 
 :func:`validate_chrome_trace` is the structural gate the tests and CI
 run over every exported file: required keys per phase, integer pid/tid,
@@ -46,7 +44,6 @@ def _track_ids(tracer: Tracer) -> Dict[str, int]:
 
 def to_chrome_trace(
     tracer: Tracer,
-    include_wall: bool = False,
     metadata: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """The tracer's contents as a Chrome trace-event document (a dict)."""
@@ -57,8 +54,6 @@ def to_chrome_trace(
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
-        if include_wall:
-            args["wall_dur_ns"] = span.wall_duration_ns
         events.append(
             {
                 "name": span.name,
@@ -110,11 +105,10 @@ def to_chrome_trace(
 def write_chrome_trace(
     tracer: Tracer,
     path: str,
-    include_wall: bool = False,
     metadata: Optional[Dict[str, object]] = None,
 ) -> str:
     """Validate and write the trace JSON to ``path``; returns ``path``."""
-    document = to_chrome_trace(tracer, include_wall=include_wall, metadata=metadata)
+    document = to_chrome_trace(tracer, metadata=metadata)
     validate_chrome_trace(document)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1, sort_keys=True)

@@ -15,9 +15,8 @@ injections). Every span carries two clocks:
 * **wall nanoseconds** — ``time.perf_counter_ns()`` captured at span
   enter/exit, so real Python cost can be read next to modelled cost.
 
-Exports (:mod:`repro.obs.export`) use the simulated clock, which makes a
-seeded run's trace byte-deterministic; wall times ride along as optional
-attributes.
+Exports (:mod:`repro.obs.export`) use the simulated clock only, which
+makes a seeded run's trace byte-deterministic.
 
 The span and event stores are bounded ring buffers (oldest entries are
 dropped first and counted), so an hours-long service run with tracing
@@ -66,10 +65,6 @@ class Span:
     @property
     def duration_ns(self) -> float:
         return self.end_ns - self.start_ns
-
-    @property
-    def wall_duration_ns(self) -> int:
-        return self.end_wall_ns - self.start_wall_ns
 
 
 @dataclass

@@ -30,7 +30,7 @@ software lane. Those are counted separately as fault fallbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.common.errors import ConfigError
 
@@ -47,34 +47,12 @@ class AdmissionConfig:
     max_outstanding: int = 1024
     degrade_threshold: float = 0.75
     enable_degrade: bool = True
-    #: Per-QoS-priority capacity shares, indexed by request priority
-    #: (0 = most protected; priorities past the end clamp to the last
-    #: entry). A request of priority ``p`` sees an *effective* queue of
-    #: ``max_outstanding * priority_shares[p]`` slots, so under pressure
-    #: best-effort tenants degrade and shed first while the protected
-    #: class keeps the full queue. The default single-entry tuple makes
-    #: every priority identical — exactly the pre-QoS behaviour.
-    priority_shares: Tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
         if self.max_outstanding <= 0:
             raise ConfigError("max_outstanding must be positive")
         if not 0.0 < self.degrade_threshold <= 1.0:
             raise ConfigError("degrade_threshold must be in (0, 1]")
-        if not self.priority_shares:
-            raise ConfigError("priority_shares must be non-empty")
-        for share in self.priority_shares:
-            if not 0.0 < share <= 1.0:
-                raise ConfigError("priority shares must be in (0, 1]")
-        if self.priority_shares[0] != max(self.priority_shares):
-            raise ConfigError(
-                "priority 0 must hold the largest capacity share"
-            )
-
-    def share_for(self, priority: int) -> float:
-        """The capacity share of ``priority`` (clamped to the table)."""
-        index = min(max(priority, 0), len(self.priority_shares) - 1)
-        return self.priority_shares[index]
 
 
 class AdmissionController:
@@ -109,13 +87,11 @@ class AdmissionController:
     def decide(self, priority: int = 0) -> str:
         """Decision for one arriving request; occupies a slot unless shed.
 
-        ``priority`` is the request's QoS class (0 = most protected): the
-        shed and degrade thresholds both scale by that class's capacity
-        share, so lower classes hit them at lower occupancy. The default
-        priority sees the full queue — identical to the pre-QoS policy.
+        ``priority`` is the request's QoS class: every class sees the
+        full queue; sheds and degrades are counted per class.
         """
-        effective = self.config.share_for(priority) * self.config.max_outstanding
-        if self.outstanding >= effective:
+        capacity = self.config.max_outstanding
+        if self.outstanding >= capacity:
             self.shed += 1
             self.shed_by_priority[priority] = (
                 self.shed_by_priority.get(priority, 0) + 1
@@ -124,7 +100,7 @@ class AdmissionController:
         decision = DECISION_ADMIT
         if (
             self.config.enable_degrade
-            and self.outstanding >= self.config.degrade_threshold * effective
+            and self.outstanding >= self.config.degrade_threshold * capacity
         ):
             decision = DECISION_DEGRADE
             self.degraded += 1

@@ -24,6 +24,11 @@ from typing import Dict, List, Optional
 from repro.common.errors import ConfigError
 from repro.service.workload import KINDS, ServiceRequest
 
+#: Requests per batch: one per unit of the default pool.
+MAX_BATCH_REQUESTS = 8
+#: Payload bytes per batch: the shard's per-dispatch memory bound.
+MAX_BATCH_BYTES = 1 << 20
+
 
 @dataclass
 class Batch:
@@ -62,20 +67,9 @@ class AddOutcome:
 class BatchCoalescer:
     """Per-kind accumulation with count/byte caps and a wait deadline."""
 
-    def __init__(
-        self,
-        max_batch_requests: int = 8,
-        max_batch_bytes: int = 1 << 20,
-        max_wait_ns: float = 20_000.0,
-    ):
-        if max_batch_requests <= 0:
-            raise ConfigError("max_batch_requests must be positive")
-        if max_batch_bytes <= 0:
-            raise ConfigError("max_batch_bytes must be positive")
+    def __init__(self, max_wait_ns: float = 20_000.0):
         if max_wait_ns < 0:
             raise ConfigError("max_wait_ns must be non-negative")
-        self.max_batch_requests = max_batch_requests
-        self.max_batch_bytes = max_batch_bytes
         self.max_wait_ns = max_wait_ns
         self._pending: Dict[str, Optional[_PendingGroup]] = {k: None for k in KINDS}
         self._next_seq = 0
@@ -126,8 +120,8 @@ class BatchCoalescer:
         group.requests.append(request)
         group.payload_bytes += request.payload_bytes
         if (
-            len(group.requests) >= self.max_batch_requests
-            or group.payload_bytes >= self.max_batch_bytes
+            len(group.requests) >= MAX_BATCH_REQUESTS
+            or group.payload_bytes >= MAX_BATCH_BYTES
         ):
             outcome.batch = self._close(request.kind, now_ns)
         return outcome

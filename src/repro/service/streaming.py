@@ -27,6 +27,9 @@ from repro.formats.streams import CHUNK_HEADER_BYTES
 from repro.obs.metrics import get_registry
 from repro.service.slo import RequestRecord
 
+#: Response egress link (~2 GB/s NIC towards the client).
+EGRESS_NS_PER_BYTE = 0.5
+
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -39,8 +42,6 @@ class StreamingConfig:
     #: Responses smaller than this are sent whole (chunk framing would
     #: cost more than it saves).
     threshold_bytes: int = 32 * 1024
-    #: Response egress link (~2 GB/s NIC towards the client).
-    egress_ns_per_byte: float = 0.5
 
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
@@ -54,8 +55,6 @@ class StreamingConfig:
             )
         if self.threshold_bytes < 0:
             raise ConfigError("threshold_bytes must be non-negative")
-        if self.egress_ns_per_byte < 0:
-            raise ConfigError("egress_ns_per_byte must be non-negative")
 
 
 class ResponseStreamer:
@@ -64,16 +63,16 @@ class ResponseStreamer:
     ``stream_response`` re-times a completed record: chunk ``k`` of the
     response is encode-ready at ``dispatch + service * cum_bytes_k /
     total`` (the shard emits bytes as it works through the payload) and
-    drains at ``egress_ns_per_byte``; ``record.first_byte_ns`` becomes
+    drains at ``EGRESS_NS_PER_BYTE``; ``record.first_byte_ns`` becomes
     the wire-done time of chunk 0 and ``record.finish_ns`` extends to the
     last chunk. Responses under the threshold keep their legacy timing
     but still count toward the whole-buffer high-water mark.
     """
 
-    def __init__(self, config: StreamingConfig, registry=None):
+    def __init__(self, config: StreamingConfig):
         self.config = config
         self._egress_free: Dict[str, float] = {}
-        registry = registry if registry is not None else get_registry()
+        registry = get_registry()
         self._chunk_counter = registry.counter("service.response_chunks")
         self._streamed_counter = registry.counter("service.streamed_responses")
         self._buffer_hwm = registry.gauge("service.response_buffer_hwm_bytes")
@@ -124,7 +123,7 @@ class ResponseStreamer:
                 else 0.0
             )
             start = max(ready, link_free, gate)
-            done = start + (size + CHUNK_HEADER_BYTES) * cfg.egress_ns_per_byte
+            done = start + (size + CHUNK_HEADER_BYTES) * EGRESS_NS_PER_BYTE
             link_free = done
             wire_done.append(done)
             timeline.append((seq, start, done))
@@ -132,7 +131,7 @@ class ResponseStreamer:
 
         whole_first = record.finish_ns + (
             (min(cfg.chunk_bytes, response_bytes) + CHUNK_HEADER_BYTES)
-            * cfg.egress_ns_per_byte
+            * EGRESS_NS_PER_BYTE
         )
         record.streamed = True
         record.chunks = chunk_count

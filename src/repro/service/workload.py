@@ -279,9 +279,9 @@ class KeySkew:
 class TenantClass:
     """One QoS class in a multi-tenant mix.
 
-    ``priority`` indexes :attr:`AdmissionConfig.priority_shares` (0 is
-    the most protected); ``zone`` is the locality hint cluster routing
-    consumes. Weights are relative draw probabilities.
+    ``priority`` labels the class in the admission controller's per-class
+    shed and degrade counts; ``zone`` is the locality hint cluster
+    routing consumes. Weights are relative draw probabilities.
     """
 
     name: str
@@ -296,8 +296,8 @@ class TenantClass:
             raise ConfigError("tenant priority must be non-negative")
 
 
-#: Default three-class tenant mix: a protected interactive tenant, a
-#: bulk-analytics tenant, and a best-effort batch tenant across two zones.
+#: Default three-class tenant mix: an interactive, a bulk-analytics and a
+#: batch tenant (priorities 0-2) across two zones.
 DEFAULT_TENANTS: Tuple[TenantClass, ...] = (
     TenantClass("interactive", weight=0.5, priority=0, zone="zone-a"),
     TenantClass("analytics", weight=0.3, priority=1, zone="zone-b"),

@@ -1,8 +1,8 @@
 """The six S/D-intensive HiBench applications of paper Table III.
 
 Every entry of :data:`SPARK_APPS` is a plain function
-``run_<app>(backend, scale=1.0, injector=None, frame_streams=False,
-retry_policy=None) -> AppResult`` that builds its own
+``run_<app>(backend, scale=1.0, injector=None, frame_streams=False)
+-> AppResult`` that builds its own
 :class:`~repro.spark.engine.MiniSparkContext` and reaches the backend
 only through ``backend.serialize`` / ``backend.deserialize``. SVM and LR
 are one trainer (:mod:`repro.spark.apps.linear`) with one spec each.

@@ -81,13 +81,11 @@ def train(
     scale: float = 1.0,
     injector=None,
     frame_streams: bool = False,
-    retry_policy=None,
 ) -> AppResult:
     context = MiniSparkContext(
         backend,
         injector=injector,
         frame_streams=frame_streams,
-        retry_policy=retry_policy,
     )
     registry = context.registry
     point_klass = ensure_klass(
@@ -140,9 +138,8 @@ def run_svm(
     scale: float = 1.0,
     injector=None,
     frame_streams: bool = False,
-    retry_policy=None,
 ) -> AppResult:
-    return train(SVM, backend, scale, injector, frame_streams, retry_policy)
+    return train(SVM, backend, scale, injector, frame_streams)
 
 
 def run_logistic_regression(
@@ -150,8 +147,5 @@ def run_logistic_regression(
     scale: float = 1.0,
     injector=None,
     frame_streams: bool = False,
-    retry_policy=None,
 ) -> AppResult:
-    return train(
-        LOGISTIC_REGRESSION, backend, scale, injector, frame_streams, retry_policy
-    )
+    return train(LOGISTIC_REGRESSION, backend, scale, injector, frame_streams)

@@ -35,13 +35,11 @@ def run_nweight(
     scale: float = 1.0,
     injector=None,
     frame_streams: bool = False,
-    retry_policy=None,
 ) -> AppResult:
     context = MiniSparkContext(
         backend,
         injector=injector,
         frame_streams=frame_streams,
-        retry_policy=retry_policy,
     )
     registry = context.registry
     edge_klass = ensure_klass(

@@ -53,9 +53,9 @@ from repro.spark.transfer import (
     ChunkingConfig,
     ChunkTransferStats,
     ResilientTransfer,
-    RetryPolicy,
 )
 
+_EXECUTOR_HEAP_BYTES = 512 * 1024 * 1024
 _COMPUTE_IPC = 2.5  # user numeric code pipelines better than S/D code
 _CLOCK_GHZ = 3.6
 
@@ -67,18 +67,20 @@ class MiniSparkContext:
         self,
         backend: SDBackend,
         registry: Optional[KlassRegistry] = None,
-        heap_bytes: int = 512 * 1024 * 1024,
         injector: Optional[FaultInjector] = None,
         frame_streams: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         chunking: Optional[ChunkingConfig] = None,
         memstore_config: Optional[MemstoreConfig] = None,
     ):
         self.backend = backend
         self.registry = registry if registry is not None else KlassRegistry()
-        self.executor_heap = Heap(size_bytes=heap_bytes, registry=self.registry)
-        self.driver_heap = Heap(size_bytes=heap_bytes // 4, registry=self.registry)
+        self.executor_heap = Heap(
+            size_bytes=_EXECUTOR_HEAP_BYTES, registry=self.registry
+        )
+        self.driver_heap = Heap(
+            size_bytes=_EXECUTOR_HEAP_BYTES // 4, registry=self.registry
+        )
         self.breakdown = TimeBreakdown()
         self._last_alloc_mark = 0
         self.injector = injector
@@ -92,7 +94,6 @@ class MiniSparkContext:
         self.transfer = ResilientTransfer(
             self.breakdown,
             injector=injector,
-            retry=retry_policy,
             frame_streams=frame_streams,
         )
         # The GC budget defaults to the modelled executor heap; an explicit
@@ -100,7 +101,7 @@ class MiniSparkContext:
         self.memstore_config = (
             memstore_config
             if memstore_config is not None
-            else MemstoreConfig(budget_bytes=heap_bytes)
+            else MemstoreConfig(budget_bytes=_EXECUTOR_HEAP_BYTES)
         )
         self.gc_model = self.memstore_config.build_gc_model()
         self.memstore = ExecutorMemoryManager(

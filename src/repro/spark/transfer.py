@@ -14,7 +14,7 @@ so fault-free runs reproduce the seed model's times bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from repro.common.config import DISK_BANDWIDTH
@@ -35,24 +35,14 @@ from repro.spark.metrics import TimeBreakdown
 _SPILL_REFETCH_NS_PER_BYTE = 1e9 / DISK_BANDWIDTH
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff and jitter."""
 
     base_backoff_ns = 200_000.0  # 0.2 ms first wait
     multiplier = 2.0
     max_backoff_ns = 50_000_000.0  # 50 ms ceiling
-
-    max_retries: int = 8
-    jitter: float = 0.2  # +/- 20% around the nominal backoff
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
+    max_retries = 8
+    jitter = 0.2  # +/- 20% around the nominal backoff
 
     def backoff_ns(self, attempt: int, jitter_draw: float) -> float:
         """Backoff before retry ``attempt`` (0-based), jittered."""
@@ -73,18 +63,14 @@ class ChunkingConfig:
     pool's backpressure.
     """
 
+    max_inflight_chunks = 4
+
     chunk_bytes: int = 64 * 1024
-    max_inflight_chunks: int = 4
 
     def __post_init__(self):
         if self.chunk_bytes <= 0:
             raise ConfigError(
                 f"chunk_bytes must be positive, got {self.chunk_bytes}"
-            )
-        if self.max_inflight_chunks < 1:
-            raise ConfigError(
-                f"max_inflight_chunks must be >= 1, "
-                f"got {self.max_inflight_chunks}"
             )
 
 
@@ -133,12 +119,11 @@ class ResilientTransfer:
         self,
         breakdown: TimeBreakdown,
         injector: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
         frame_streams: bool = False,
     ):
         self.breakdown = breakdown
         self.injector = injector
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = RetryPolicy()
         self.frame_streams = frame_streams
 
     def _refetch_rate(self, site: str) -> float:
@@ -151,27 +136,21 @@ class ResilientTransfer:
     # -- one attempt -------------------------------------------------------------------
 
     def _attempt(
-        self, wire: SerializedStream, site: str
-    ) -> Tuple[Optional[SerializedStream], Optional[str]]:
-        """Simulate one wire crossing: (received stream or None, fault kind)."""
+        self, data: bytes, site: str
+    ) -> Tuple[Optional[bytes], Optional[str]]:
+        """One wire crossing of ``data`` (a whole stream or one framed
+        chunk): (received bytes or None, fault kind)."""
         if self.injector is None:
-            return wire, None
+            return data, None
         fault = self.injector.transfer_fault(site)
         if fault is None:
-            return wire, None
+            return data, None
         self.injector.report.record_injected("transfer")
         if fault == FAULT_DROP:
             return None, fault
         if fault == FAULT_CORRUPT:
-            damaged = SerializedStream(
-                format_name=wire.format_name,
-                data=self.injector.corrupt_bytes(wire.data, site),
-                sections=dict(wire.sections),
-                object_count=wire.object_count,
-                graph_bytes=wire.graph_bytes,
-            )
-            return damaged, fault
-        return wire, fault  # latency spike: intact but late
+            return self.injector.corrupt_bytes(data, site), fault
+        return data, fault  # latency spike: intact but late
 
     # -- delivery with bounded retries ------------------------------------------------
 
@@ -188,7 +167,13 @@ class ResilientTransfer:
 
         failures = 0
         while True:
-            received, fault = self._attempt(wire, site)
+            received, fault = self._attempt(wire.data, site)
+            if fault == FAULT_CORRUPT:
+                received = replace(
+                    wire, data=received, sections=dict(wire.sections)
+                )
+            elif received is not None:
+                received = wire
             if fault == FAULT_LATENCY:
                 # Intact but late: absorb the spike, nothing to re-fetch.
                 self.breakdown.retry_ns += LATENCY_SPIKE_NS
@@ -243,22 +228,6 @@ class ResilientTransfer:
             return None
 
     # -- chunked (pipelined) delivery --------------------------------------------------
-
-    def _attempt_chunk(
-        self, framed: bytes, site: str
-    ) -> Tuple[Optional[bytes], Optional[str]]:
-        """One wire crossing of a single framed chunk."""
-        if self.injector is None:
-            return framed, None
-        fault = self.injector.transfer_fault(site)
-        if fault is None:
-            return framed, None
-        self.injector.report.record_injected("transfer")
-        if fault == FAULT_DROP:
-            return None, fault
-        if fault == FAULT_CORRUPT:
-            return self.injector.corrupt_bytes(framed, site), fault
-        return framed, fault  # latency spike: intact but late
 
     def deliver_chunked(
         self,
@@ -326,7 +295,7 @@ class ResilientTransfer:
 
             failures = 0
             while True:
-                received, fault = self._attempt_chunk(framed, site)
+                received, fault = self._attempt(framed, site)
                 if fault == FAULT_LATENCY:
                     self.breakdown.retry_ns += LATENCY_SPIKE_NS
                     chunk_retry_ns += LATENCY_SPIKE_NS
@@ -363,7 +332,7 @@ class ResilientTransfer:
                     else 0.5
                 )
                 cost = self.retry.backoff_ns(failures - 1, jitter_draw)
-                cost += len(framed) * self.wire_ns_per_byte
+                cost += len(framed) * self._refetch_rate(site)
                 self.breakdown.retry_ns += cost
                 chunk_retry_ns += cost
                 tracer.instant(

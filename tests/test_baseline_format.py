@@ -1,9 +1,13 @@
 """Tests for the Section IV-A baseline Cereal format (packing disabled)."""
 
+import struct
+
 import pytest
 
 from repro.cereal.du import DUWorkload
+from repro.common.errors import FormatError
 from repro.formats import CerealSerializer, ClassRegistration, graphs_equivalent
+from repro.formats.base import SerializedStream
 from repro.jvm import Heap
 from tests.test_serializers import (
     build_cycle,
@@ -64,9 +68,49 @@ class TestBaselineRoundTrip:
             == baseline_sections.reference_values()
         )
         assert (
-            packed_sections.layout_bitmaps()
-            == baseline_sections.layout_bitmaps()
+            packed_sections.layout_bitmap_words()
+            == baseline_sections.layout_bitmap_words()
         )
+
+
+class TestBaselineBitmapTable:
+    """Each length-prefixed bitmap is read straight into ``(word, width)``."""
+
+    @staticmethod
+    def _table(setup):
+        """A baseline stream split at its bitmap table: (head, blob)."""
+        _, _, baseline, heap = setup
+        stream = baseline.serialize(build_tree(heap, depth=3)).stream
+        blob_start = len(stream.data) - stream.sections["layout_bitmap"]
+        return stream.data[: blob_start - 4], stream.data[blob_start:]
+
+    @staticmethod
+    def _decode(head, blob):
+        data = head + struct.pack("<I", len(blob)) + blob
+        return CerealSerializer.decode_sections(SerializedStream("cereal", data))
+
+    def test_padding_bits_are_dropped(self, setup):
+        head, blob = self._table(setup)
+        words = self._decode(head, blob).layout_bitmap_words()
+        (width,) = struct.unpack("<Q", blob[:8])
+        nbytes = (width + 7) // 8
+        assert nbytes * 8 > width  # the first bitmap has tail padding
+        padded = bytearray(blob)
+        padded[8 + nbytes - 1] |= (1 << (nbytes * 8 - width)) - 1
+        assert self._decode(head, bytes(padded)).layout_bitmap_words() == words
+
+    def test_truncated_bitmap_rejected(self, setup):
+        head, blob = self._table(setup)
+        with pytest.raises(FormatError, match="baseline bitmap truncated"):
+            self._decode(head, blob[:-1])
+        (width,) = struct.unpack("<Q", blob[:8])
+        with pytest.raises(FormatError, match="bitmap table truncated"):
+            self._decode(head, blob[: 8 + (width + 7) // 8 + 4])
+
+    def test_trailing_bytes_rejected(self, setup):
+        head, blob = self._table(setup)
+        with pytest.raises(FormatError, match="trailing bytes in baseline"):
+            self._decode(head, blob + b"\x00")
 
 
 class TestBaselineSizeOverhead:
@@ -85,7 +129,7 @@ class TestBaselineSizeOverhead:
         sections = CerealSerializer.decode_sections(stream)
         assert stream.sections["reference_array"] == 8 * sections.reference_count
         expected_bitmap = sum(
-            8 + (len(b) + 7) // 8 for b in sections.layout_bitmaps()
+            8 + (width + 7) // 8 for _, width in sections.layout_bitmap_words()
         )
         assert stream.sections["layout_bitmap"] == expected_bitmap
 

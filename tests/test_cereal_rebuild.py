@@ -25,7 +25,7 @@ from repro.formats.packing import pack_bitmap_words, pack_items
 from repro.formats.secure import secure_deserialize
 from repro.formats.slow_reference import oracle_serializer
 from repro.jvm import FieldKind, Heap
-from repro.jvm.klass import FieldDescriptor, InstanceKlass, KlassRegistry
+from repro.jvm.klass import HEADER_SLOTS, FieldDescriptor, InstanceKlass, KlassRegistry
 from repro.memory.trace import MemoryTrace
 from repro.workloads import build_microbench
 from repro.workloads.micro import register_micro_klasses
@@ -229,7 +229,7 @@ class TestCraftedFaults:
         serializer = CerealSerializer(registration)
         stream = serializer.serialize(root).stream
         sections = serializer.decode_sections(stream)
-        return registry, registration, heap.header_slots, (
+        return registry, registration, HEADER_SLOTS, (
             sections.graph_total_bytes,
             sections.object_count,
             list(sections.value_words),

@@ -69,7 +69,7 @@ class TestConsistentHashRing:
         assert stable_hash("abc") != stable_hash("abd")
 
     def test_all_keys_land_on_some_node(self):
-        ring = ConsistentHashRing(vnodes=32)
+        ring = ConsistentHashRing()
         for node in ("node0", "node1", "node2"):
             ring.add_node(node)
         owners = {ring.node_for(key) for key in _keys(500)}
@@ -78,7 +78,7 @@ class TestConsistentHashRing:
 
     def test_add_one_node_remaps_about_one_over_n(self):
         """The stability property consistent hashing exists for."""
-        ring = ConsistentHashRing(vnodes=64)
+        ring = ConsistentHashRing()
         nodes = [f"node{i}" for i in range(5)]
         for node in nodes:
             ring.add_node(node)
@@ -94,7 +94,7 @@ class TestConsistentHashRing:
             assert after == before[key] or after == "node5"
 
     def test_remove_one_node_remaps_only_its_keys(self):
-        ring = ConsistentHashRing(vnodes=64)
+        ring = ConsistentHashRing()
         nodes = [f"node{i}" for i in range(5)]
         for node in nodes:
             ring.add_node(node)
@@ -109,7 +109,7 @@ class TestConsistentHashRing:
 
     def test_preference_list_never_colocates_replicas(self):
         """Primary and replicas are always distinct physical nodes."""
-        ring = ConsistentHashRing(vnodes=48)
+        ring = ConsistentHashRing()
         for index in range(4):
             ring.add_node(f"node{index}")
         for key in _keys(1000):
@@ -118,7 +118,7 @@ class TestConsistentHashRing:
             assert len(set(preference)) == 3
 
     def test_preference_clamps_to_fleet_size(self):
-        ring = ConsistentHashRing(vnodes=16)
+        ring = ConsistentHashRing()
         ring.add_node("only")
         assert ring.preference("k", 3) == ["only"]
         assert ring.node_for("k") == "only"
@@ -139,7 +139,7 @@ class TestConsistentHashRing:
 
 class TestClusterRouter:
     def test_locality_prefers_zone_replica(self):
-        router = ClusterRouter(replication_factor=2, locality_aware=True)
+        router = ClusterRouter()
         router.add_node("node0", "zone-a")
         router.add_node("node1", "zone-b")
         for key in _keys(200):
@@ -149,21 +149,20 @@ class TestClusterRouter:
             assert router.zone_of(target) == "zone-b"
 
     def test_no_zone_uses_primary(self):
-        router = ClusterRouter(replication_factor=2)
+        router = ClusterRouter()
         router.add_node("node0", "zone-a")
         router.add_node("node1", "zone-b")
         for key in _keys(100):
             assert router.route(key) == router.replicas_for(key)[0]
 
     def test_exclude_walks_down_preference_list(self):
-        router = ClusterRouter(replication_factor=3, locality_aware=False)
+        router = ClusterRouter()
         for index in range(3):
             router.add_node(f"node{index}", "zone-a")
         key = "key-7"
-        first, second, third = router.replicas_for(key)
+        first, second = router.replicas_for(key)
         assert router.route(key, exclude=(first,)) == second
-        assert router.route(key, exclude=(first, second)) == third
-        assert router.route(key, exclude=(first, second, third)) is None
+        assert router.route(key, exclude=(first, second)) is None
 
 
 # -- node lifecycle ------------------------------------------------------------------
@@ -248,13 +247,15 @@ class TestAutoscaler:
         _publish(registry, 0, 0.0, up=2)
         assert scaler.decide(registry, 0.0) == ""
 
-    def test_latency_trigger(self):
+    def test_decisions_follow_queue_and_log_p99(self):
         registry = MetricsRegistry(enabled=True)
-        scaler = Autoscaler(
-            AutoscalerConfig(queue_high_per_node=1e9, p99_high_ns=1e6)
-        )
-        _publish(registry, 1, 5e6, up=2)
+        scaler = Autoscaler(AutoscalerConfig(queue_high_per_node=10.0))
+        # 5 per node: neither hot nor cold, however high the p99.
+        _publish(registry, 10, 5e6, up=2)
+        assert scaler.decide(registry, 0.0) == ""
+        _publish(registry, 50, 5e6, up=2)
         assert scaler.decide(registry, 0.0) == SCALE_UP
+        assert scaler.actions[-1]["p99_ns"] == 5e6
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -291,7 +292,7 @@ class TestSerializationCluster:
 
     def test_same_key_routes_to_same_node(self, catalog):
         cluster = SerializationCluster(
-            catalog, ClusterConfig(num_nodes=3, locality_aware=False)
+            catalog, ClusterConfig(num_nodes=3)
         )
         report = cluster.run(_workload(catalog))
         key_nodes = {}
@@ -418,10 +419,7 @@ class TestSerializationCluster:
             num_nodes=2,
             service=ServiceConfig(
                 num_shards=1,
-                admission=AdmissionConfig(
-                    max_outstanding=64,
-                    priority_shares=(1.0, 0.6, 0.3),
-                ),
+                admission=AdmissionConfig(max_outstanding=8),
             ),
         )
         cluster = SerializationCluster(catalog, config)
@@ -435,11 +433,18 @@ class TestSerializationCluster:
         assert set(summary["tenants"]) == {
             "interactive", "analytics", "batch"
         }
-        shed_rate = {}
-        for tenant, entry in summary["tenants"].items():
-            shed_rate[tenant] = entry["shed"] / entry["total"]
-        # The protected class sheds least under pressure.
-        assert shed_rate["interactive"] <= shed_rate["batch"]
+        tenants = summary["tenants"]
+        assert [tenants[t]["priority"] for t in (
+            "interactive", "analytics", "batch"
+        )] == [0, 1, 2]
+        assert sum(entry["total"] for entry in tenants.values()) == 3000
+        # Every priority sees the full queue; the per-class counts add up.
+        for outcome in ("shed", "degraded"):
+            assert (
+                sum(entry[outcome] for entry in tenants.values())
+                == summary["requests"][outcome]
+            )
+        assert summary["requests"]["degraded"] > 0
 
     def test_duplicate_request_ids_rejected(self, catalog):
         requests = _workload(catalog, num_requests=10)
@@ -451,7 +456,5 @@ class TestSerializationCluster:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ClusterConfig(num_nodes=0)
-        with pytest.raises(ConfigError):
-            ClusterConfig(zones=())
         with pytest.raises(ConfigError):
             ClusterConfig(control_interval_ns=0.0)

@@ -114,34 +114,26 @@ class TestFaultInjectorDeterminism:
 
 class TestRetryPolicy:
     def test_backoff_grows_then_caps(self):
-        policy = RetryPolicy(jitter=0.0)
+        policy = RetryPolicy()
+        # A 0.5 draw sits at the centre of the jitter band: no jitter.
         waits = [policy.backoff_ns(n, 0.5) for n in range(12)]
         assert waits == sorted(waits)
         assert waits[0] == policy.base_backoff_ns
         assert waits[-1] == policy.max_backoff_ns
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(jitter=0.2)
+        policy = RetryPolicy()
         low = policy.backoff_ns(0, 0.0)
         high = policy.backoff_ns(0, 1.0)
         assert low == pytest.approx(policy.base_backoff_ns * 0.8)
         assert high == pytest.approx(policy.base_backoff_ns * 1.2)
 
-    @pytest.mark.parametrize("jitter", [-0.1, 1.5])
-    def test_jitter_outside_unit_interval_rejected(self, jitter):
-        # A jitter above 1 makes a low draw charge negative backoff time.
-        with pytest.raises(ConfigError, match="jitter"):
-            RetryPolicy(jitter=jitter)
-
-    def test_negative_max_retries_rejected(self):
-        with pytest.raises(ConfigError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
-
-    @pytest.mark.parametrize("jitter", [0.0, 1.0])
-    def test_full_jitter_range_never_charges_negative_time(self, jitter):
-        policy = RetryPolicy(jitter=jitter, max_retries=0)
-        assert policy.backoff_ns(0, 0.0) >= 0.0
-        assert policy.backoff_ns(0, 1.0) <= 2 * policy.base_backoff_ns
+    @pytest.mark.parametrize("draw", [0.0, 1.0])
+    def test_full_jitter_range_never_charges_negative_time(self, draw):
+        # A jitter above 1 would make a low draw charge negative time.
+        policy = RetryPolicy()
+        assert 0.0 <= policy.jitter <= 1.0
+        assert 0.0 <= policy.backoff_ns(0, draw) <= 2 * policy.base_backoff_ns
 
     def test_retries_exhausted_raises_transient_error(self):
         breakdown = TimeBreakdown()
@@ -149,7 +141,6 @@ class TestRetryPolicy:
         transfer = ResilientTransfer(
             breakdown,
             injector=injector,
-            retry=RetryPolicy(max_retries=3),
             frame_streams=True,
         )
         backend = _kryo_backend()
@@ -159,7 +150,8 @@ class TestRetryPolicy:
         with pytest.raises(TransientError):
             transfer.deliver(stream, "shuffle")
         stats = injector.report.layer("transfer")
-        assert stats.detected == 4  # initial attempt + 3 retries
+        # The initial attempt plus every retry.
+        assert stats.detected == 1 + RetryPolicy.max_retries == 9
         assert stats.recovered == 0
         assert breakdown.retry_ns > 0
 

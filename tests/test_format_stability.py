@@ -32,6 +32,7 @@ from repro.jvm import (
     InstanceKlass,
     KlassRegistry,
 )
+from repro.jvm.klass import HEADER_BYTES
 from repro.jvm.strings import new_string, read_string, string_bytes
 
 # Hashes pinned at format version 1.0.0. Any change here is a breaking
@@ -175,7 +176,7 @@ class TestStringsHelper:
     def test_packed_footprint(self):
         heap = Heap()
         s = new_string(heap, "x" * 16)  # 32 B of chars -> 4 slots
-        assert string_bytes(s) == heap.header_bytes + 8 + 32
+        assert string_bytes(s) == HEADER_BYTES + 8 + 32
 
     def test_non_bmp_rejected(self):
         heap = Heap()

@@ -14,6 +14,7 @@ from repro.jvm import (
     KlassRegistry,
     MarkWord,
 )
+from repro.jvm.klass import HEADER_BYTES, HEADER_SLOTS
 from repro.jvm.markword import fresh_mark_word, identity_hash_for
 
 
@@ -121,9 +122,9 @@ class TestKlass:
 
 class TestHeapAllocation:
     def test_header_size_with_extension(self):
-        heap = Heap(cereal_extension=True)
-        assert heap.header_bytes == 24
-        assert Heap(cereal_extension=False).header_bytes == 16
+        assert (HEADER_SLOTS, HEADER_BYTES) == (3, 24)
+        obj = Heap().allocate(make_point_klass())
+        assert obj.fields_base == obj.address + 24
 
     def test_allocate_sets_header(self):
         heap = Heap()
@@ -267,11 +268,6 @@ class TestLayoutBitmap:
         arr = heap.new_array(FieldKind.DOUBLE, 3)
         assert arr.layout_bitmap() == [0] * 7
 
-    def test_no_extension_bitmap(self):
-        heap = Heap(cereal_extension=False)
-        obj = heap.allocate(make_node_klass())
-        assert obj.layout_bitmap() == [0, 0, 0, 1]
-
 
 class TestCerealHeaderExtension:
     def test_counter_round_trip(self):
@@ -302,12 +298,6 @@ class TestCerealHeaderExtension:
         obj.serialization_counter = 9
         obj.clear_serialization_metadata()
         assert obj.serialization_counter == 0
-
-    def test_extension_unavailable_without_flag(self):
-        heap = Heap(cereal_extension=False)
-        obj = heap.allocate(make_point_klass())
-        with pytest.raises(HeapError):
-            _ = obj.serialization_counter
 
     @given(
         st.integers(0, 0xFFFF),
@@ -362,15 +352,3 @@ class TestCerealHeaderExtension:
             obj.claim_serialization(*claim.values())
         assert str(claim_error.value) == str(setter_error.value)
         assert obj.serialization_claim() == (0, 0)  # nothing was written
-
-    def test_claim_unavailable_without_flag(self):
-        heap = Heap(cereal_extension=False)
-        obj = heap.allocate(make_point_klass())
-        with pytest.raises(HeapError) as property_error:
-            _ = obj.serialization_counter
-        with pytest.raises(HeapError) as read_error:
-            obj.serialization_claim()
-        with pytest.raises(HeapError) as claim_error:
-            obj.claim_serialization(1, 1, 0)
-        assert str(read_error.value) == str(property_error.value)
-        assert str(claim_error.value) == str(property_error.value)

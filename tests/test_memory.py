@@ -82,8 +82,9 @@ PAGE = 64 * 1024
 
 
 def _traced(size=4 * PAGE):
-    trace = MemoryTrace()
-    return MemorySpace(size, trace=trace), trace
+    mem = MemorySpace(size)
+    mem.trace = MemoryTrace()
+    return mem, mem.trace
 
 
 def _records(trace):
@@ -240,8 +241,8 @@ class TestWordRuns:
 
 class TestMemoryTrace:
     def test_records_reads_and_writes(self):
-        trace = MemoryTrace()
-        mem = MemorySpace(1024, trace=trace)
+        mem = MemorySpace(1024)
+        trace = mem.trace = MemoryTrace()
         mem.write(0, b"abcd")
         mem.read(0, 4)
         assert trace.write_bytes == 4
@@ -250,8 +251,8 @@ class TestMemoryTrace:
         assert trace.accesses[1].kind is AccessKind.READ
 
     def test_unique_line_count(self):
-        trace = MemoryTrace()
-        mem = MemorySpace(4096, trace=trace)
+        mem = MemorySpace(4096)
+        trace = mem.trace = MemoryTrace()
         mem.read(0, 8)
         mem.read(8, 8)  # same 64 B line
         mem.read(128, 8)  # different line

@@ -25,6 +25,8 @@ from repro.memstore import (
     TIER_DESERIALIZED,
     TIER_SERIALIZED,
     TIER_SPILLED,
+    GC_KNEE,
+    GC_MAX_MULTIPLIER,
     ExecutorMemoryManager,
     GcCostModel,
     MemstoreConfig,
@@ -48,16 +50,18 @@ class TestGcCostModel:
         assert model.charge_ns(100, 0) == pytest.approx(100 * BASE)
 
     def test_flat_below_knee(self):
-        model = GcCostModel(budget_bytes=1000, knee=0.3)
+        assert GC_KNEE == 0.3
+        model = GcCostModel(budget_bytes=1000)
         assert model.multiplier(299) == 1.0
         assert model.multiplier(300) == 1.0  # knee is inclusive
 
     def test_exactly_at_budget_hits_max(self):
-        model = GcCostModel(budget_bytes=1000, max_multiplier=24.0)
+        assert GC_MAX_MULTIPLIER == 24.0
+        model = GcCostModel(budget_bytes=1000)
         assert model.multiplier(1000) == 24.0
 
     def test_over_budget_clamped(self):
-        model = GcCostModel(budget_bytes=1000, max_multiplier=24.0)
+        model = GcCostModel(budget_bytes=1000)
         assert model.multiplier(5000) == 24.0
         assert model.occupancy(5000) == 5.0  # occupancy itself is honest
 
@@ -79,12 +83,6 @@ class TestGcCostModel:
     def test_validation(self):
         with pytest.raises(ConfigError):
             GcCostModel(budget_bytes=0)
-        with pytest.raises(ConfigError):
-            GcCostModel(budget_bytes=10, base_ns_per_byte=0.0)
-        with pytest.raises(ConfigError):
-            GcCostModel(budget_bytes=10, knee=1.0)
-        with pytest.raises(ConfigError):
-            GcCostModel(budget_bytes=10, max_multiplier=0.5)
 
 
 class TestMemstoreConfig:
@@ -315,12 +313,11 @@ class TestStatsAndObservability:
 # -- engine integration ------------------------------------------------------------------
 
 
-def _context(memstore_config=None, injector=None, heap_bytes=512 * 1024 * 1024):
+def _context(memstore_config=None, injector=None):
     context = MiniSparkContext(
         SoftwareBackend(KryoSerializer()),
         memstore_config=memstore_config,
         injector=injector,
-        heap_bytes=heap_bytes,
     )
     klass = context.registry.register(
         InstanceKlass(

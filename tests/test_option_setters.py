@@ -2,14 +2,17 @@
 
 A config field that no file ever sets is a constant that pretends to be a
 knob: every reader has to treat it as live, and no experiment moves it.
-This guard parses the five trees (``src/``, ``benchmarks/``, ``examples/``,
-``hostbench/``, ``tests/``) with :mod:`ast`, never importing them, and
-collects every keyword passed to a ``*Config`` or ``*Policy`` class by
-name, to ``cls(...)`` inside that class, or to ``replace(...)``
-(``dataclasses.replace``; its target type is not known statically, so its
-keywords count for every class). A defaulted field of such a class under
-``src/repro`` that none of those calls names is reported: make it a
-constant in the code that reads it, or delete it.
+This guard parses the four trees that run the system (``src/``,
+``benchmarks/``, ``examples/``, ``hostbench/``) with :mod:`ast`, never
+importing them, and collects every keyword passed to a ``*Config`` or
+``*Policy`` class by name, to ``cls(...)`` inside that class, or to
+``replace(...)`` (``dataclasses.replace``; its target type is not known
+statically, so its keywords count for every class). A defaulted field of
+such a class under ``src/repro`` that none of those calls names is
+reported: make it a constant in the code that reads it, or delete it.
+
+``tests/`` is not scanned: a test is not a caller, so a field that only a
+test sets is still a constant.
 """
 
 import ast
@@ -17,8 +20,10 @@ import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "benchmarks", "examples", "hostbench", "tests")
+SCANNED = ("src", "benchmarks", "examples", "hostbench")
 _OPTION_CLASS = re.compile(r"\w*(Config|Policy)")
 
 # Files whose defaulted fields are documentation, not knobs.
@@ -117,7 +122,7 @@ def test_scan_sees_the_option_classes():
     for path in sorted((REPO / "src" / "repro").rglob("*.py")):
         fields |= set(_defaulted_fields(ast.parse(path.read_text())))
     classes = {cls for cls, _ in fields}
-    assert {"ServiceConfig", "ClusterConfig", "FaultPolicy", "RetryPolicy"} <= classes
+    assert {"ServiceConfig", "ClusterConfig", "FaultPolicy", "AutoscalerConfig"} <= classes
     assert len(fields) > 20
 
 
@@ -148,30 +153,38 @@ class TestFindUnsetOptions:
         _write(tmp_path, "src/repro/toy.py", self.CONFIG)
         for relative, text in files.items():
             _write(tmp_path, relative, text)
-        return find_unset_options(tmp_path, scanned=("src", "tests"))
+        return find_unset_options(tmp_path)
 
     def test_unset_field_is_flagged(self, tmp_path):
         assert self._scan(tmp_path, {}) == ["ToyConfig.width"]
 
-    def test_keyword_in_a_test_counts(self, tmp_path):
+    def test_keyword_only_in_a_test_is_flagged(self, tmp_path):
         unset = self._scan(tmp_path, {
             "tests/test_toy.py": "from repro.toy import ToyConfig\n"
                                  "ToyConfig(required=1, width=3)\n",
+        })
+        assert unset == ["ToyConfig.width"]
+
+    @pytest.mark.parametrize("top", ["benchmarks", "examples", "hostbench"])
+    def test_keyword_in_a_runner_counts(self, tmp_path, top):
+        unset = self._scan(tmp_path, {
+            f"{top}/toy.py": "from repro.toy import ToyConfig\n"
+                             "ToyConfig(required=1, width=3)\n",
         })
         assert unset == []
 
     def test_attribute_call_and_replace_count(self, tmp_path):
         assert self._scan(tmp_path, {
-            "tests/test_toy.py": "import repro.toy as t\nt.ToyConfig(width=3)\n",
+            "examples/toy.py": "import repro.toy as t\nt.ToyConfig(width=3)\n",
         }) == []
         assert self._scan(tmp_path, {
-            "tests/test_toy.py": "import dataclasses\n"
-                                 "dataclasses.replace(c, width=3)\n",
+            "examples/toy.py": "import dataclasses\n"
+                               "dataclasses.replace(c, width=3)\n",
         }) == []
 
     def test_keyword_to_another_class_does_not_count(self, tmp_path):
         unset = self._scan(tmp_path, {
-            "tests/test_toy.py": "OtherConfig(width=3)\nToyConfig(3)\n",
+            "examples/toy.py": "OtherConfig(width=3)\nToyConfig(3)\n",
         })
         assert unset == ["ToyConfig.width"]
 

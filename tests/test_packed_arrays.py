@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.formats import graphs_equivalent
 from repro.jvm import FieldKind, Heap
+from repro.jvm.klass import HEADER_BYTES
 from tests.test_serializers import make_registry, make_serializer
 
 
@@ -34,7 +35,7 @@ class TestPackedSizes:
 
     def test_char_array_quarter_of_long_array(self):
         heap = Heap()
-        overhead = heap.header_bytes + 8  # header + length slot
+        overhead = HEADER_BYTES + 8  # header + length slot
         chars = heap.new_array(FieldKind.CHAR, 32)
         longs = heap.new_array(FieldKind.LONG, 32)
         assert chars.size_bytes - overhead == 64  # 32 x 2 B

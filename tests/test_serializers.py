@@ -346,7 +346,9 @@ class TestCerealDetails:
             serializer.serialize(build_flat(sender))
 
     def test_class_table_capacity_enforced(self):
-        serializer = CerealSerializer(max_class_types=2)
+        # The default registration is sized by the Class ID Table.
+        assert CerealSerializer().registration.max_entries == 4096
+        serializer = CerealSerializer(ClassRegistration(max_entries=2))
         serializer.register_class(InstanceKlass("A", []))
         serializer.register_class(InstanceKlass("B", []))
         with pytest.raises(RegistrationError):

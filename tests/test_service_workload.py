@@ -1,5 +1,7 @@
 """Tests for the service workload generators, coalescer, admission, SLO."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -10,7 +12,11 @@ from repro.service.admission import (
     AdmissionConfig,
     AdmissionController,
 )
-from repro.service.batching import BatchCoalescer
+from repro.service.batching import (
+    MAX_BATCH_BYTES,
+    MAX_BATCH_REQUESTS,
+    BatchCoalescer,
+)
 from repro.service.slo import (
     OUTCOME_DEGRADED,
     OUTCOME_OK,
@@ -155,46 +161,63 @@ def _request(catalog, request_id, kind=KIND_SERIALIZE, name="small"):
 
 class TestBatchCoalescer:
     def test_count_cap_closes_batch(self, catalog):
-        coalescer = BatchCoalescer(max_batch_requests=3, max_wait_ns=1e6)
+        coalescer = BatchCoalescer(max_wait_ns=1e6)
         outcomes = [
-            coalescer.add(_request(catalog, i), float(i)) for i in range(3)
+            coalescer.add(_request(catalog, i), float(i))
+            for i in range(MAX_BATCH_REQUESTS)
         ]
         assert outcomes[0].opened_seq is not None
         assert outcomes[0].deadline_ns == pytest.approx(1e6)
-        assert outcomes[1].batch is None and outcomes[1].opened_seq is None
-        batch = outcomes[2].batch
-        assert batch is not None and batch.size == 3
-        assert batch.opened_ns == 0.0 and batch.closed_ns == 2.0
+        assert all(
+            outcome.batch is None and outcome.opened_seq is None
+            for outcome in outcomes[1:-1]
+        )
+        batch = outcomes[-1].batch
+        assert batch is not None and batch.size == MAX_BATCH_REQUESTS
+        assert batch.opened_ns == 0.0
+        assert batch.closed_ns == float(MAX_BATCH_REQUESTS - 1)
 
     def test_byte_cap_closes_batch(self, catalog):
-        payload = catalog.entries["small"].graph_bytes
-        coalescer = BatchCoalescer(
-            max_batch_requests=100,
-            max_batch_bytes=2 * payload,
-            max_wait_ns=1e6,
+        small = catalog.entries["small"]
+        half = dataclasses.replace(
+            small,
+            stream=dataclasses.replace(
+                small.stream, graph_bytes=MAX_BATCH_BYTES // 2
+            ),
         )
-        assert coalescer.add(_request(catalog, 0), 0.0).batch is None
-        batch = coalescer.add(_request(catalog, 1), 1.0).batch
+        coalescer = BatchCoalescer(max_wait_ns=1e6)
+        first = ServiceRequest(0, KIND_SERIALIZE, half, 0.0)
+        assert coalescer.add(first, 0.0).batch is None
+        second = ServiceRequest(1, KIND_SERIALIZE, half, 1.0)
+        batch = coalescer.add(second, 1.0).batch
         assert batch is not None and batch.size == 2
 
+    def _fill(self, coalescer, catalog, kind=KIND_SERIALIZE, start=0):
+        """Add one request short of the count cap; returns the group seq."""
+        seq = coalescer.add(_request(catalog, start, kind), 0.0).opened_seq
+        for i in range(start + 1, start + MAX_BATCH_REQUESTS - 1):
+            assert coalescer.add(_request(catalog, i, kind), 0.0).batch is None
+        return seq
+
     def test_kinds_batch_separately(self, catalog):
-        coalescer = BatchCoalescer(max_batch_requests=2, max_wait_ns=1e6)
-        coalescer.add(_request(catalog, 0, KIND_SERIALIZE), 0.0)
+        coalescer = BatchCoalescer(max_wait_ns=1e6)
+        self._fill(coalescer, catalog)
         assert (
-            coalescer.add(_request(catalog, 1, KIND_DESERIALIZE), 0.0).batch
+            coalescer.add(_request(catalog, 100, KIND_DESERIALIZE), 0.0).batch
             is None
         )
-        batch = coalescer.add(_request(catalog, 2, KIND_SERIALIZE), 1.0).batch
+        batch = coalescer.add(_request(catalog, 101, KIND_SERIALIZE), 1.0).batch
         assert batch is not None and batch.kind == KIND_SERIALIZE
+        assert batch.size == MAX_BATCH_REQUESTS
 
     def test_stale_deadline_is_noop(self, catalog):
-        coalescer = BatchCoalescer(max_batch_requests=2, max_wait_ns=1e6)
-        seq = coalescer.add(_request(catalog, 0), 0.0).opened_seq
-        coalescer.add(_request(catalog, 1), 1.0)  # closes by count
+        coalescer = BatchCoalescer(max_wait_ns=1e6)
+        seq = self._fill(coalescer, catalog)
+        coalescer.add(_request(catalog, 99), 1.0)  # closes by count
         assert coalescer.flush_due(KIND_SERIALIZE, seq, 1e6) is None
 
     def test_live_deadline_flushes(self, catalog):
-        coalescer = BatchCoalescer(max_batch_requests=8, max_wait_ns=1e6)
+        coalescer = BatchCoalescer(max_wait_ns=1e6)
         seq = coalescer.add(_request(catalog, 0), 0.0).opened_seq
         batch = coalescer.flush_due(KIND_SERIALIZE, seq, 1e6)
         assert batch is not None and batch.size == 1
@@ -208,7 +231,7 @@ class TestBatchCoalescer:
         assert coalescer.mean_batch_size == 1.0
 
     def test_flush_all_drains_both_kinds(self, catalog):
-        coalescer = BatchCoalescer(max_batch_requests=8, max_wait_ns=1e6)
+        coalescer = BatchCoalescer(max_wait_ns=1e6)
         coalescer.add(_request(catalog, 0, KIND_SERIALIZE), 0.0)
         coalescer.add(_request(catalog, 1, KIND_DESERIALIZE), 0.0)
         batches = coalescer.flush_all(5.0)
@@ -217,8 +240,6 @@ class TestBatchCoalescer:
         assert coalescer.flush_all(6.0) == []
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ConfigError):
-            BatchCoalescer(max_batch_requests=0)
         with pytest.raises(ConfigError):
             BatchCoalescer(max_wait_ns=-1.0)
 
@@ -461,48 +482,22 @@ class TestKeySkewAndTenants:
 
 
 class TestPriorityAdmission:
-    def test_lower_priority_sheds_first(self):
-        config = AdmissionConfig(
-            max_outstanding=10,
-            degrade_threshold=0.8,
-            priority_shares=(1.0, 0.5),
-        )
-        controller = AdmissionController(config)
-        for _ in range(5):
-            assert controller.decide(priority=0) == DECISION_ADMIT
-        # Best-effort sees an effective queue of 5 slots: full now.
-        assert controller.decide(priority=1) == DECISION_SHED
-        # The protected class still has headroom (degrades at 8).
-        assert controller.decide(priority=0) == DECISION_ADMIT
-        assert controller.shed_by_priority == {1: 1}
-
-    def test_priority_degrades_earlier_too(self):
-        config = AdmissionConfig(
-            max_outstanding=20,
-            degrade_threshold=0.5,
-            priority_shares=(1.0, 0.6),
-        )
-        controller = AdmissionController(config)
-        for _ in range(6):
-            controller.decide(priority=0)
-        # priority 1: effective queue 12, degrade from occupancy 6.
-        assert controller.decide(priority=1) == DECISION_DEGRADE
-        # priority 0 degrades only from occupancy 10.
-        assert controller.decide(priority=0) == DECISION_ADMIT
-
     def test_default_shares_match_pre_qos_behaviour(self):
         classic = AdmissionController(AdmissionConfig(max_outstanding=4))
         qos = AdmissionController(AdmissionConfig(max_outstanding=4))
         for _ in range(6):
             assert classic.decide() == qos.decide(priority=5)
 
-    def test_share_table_validation(self):
-        with pytest.raises(ConfigError, match="non-empty"):
-            AdmissionConfig(priority_shares=())
-        with pytest.raises(ConfigError, match="in \\(0, 1\\]"):
-            AdmissionConfig(priority_shares=(1.0, 1.5))
-        with pytest.raises(ConfigError, match="largest"):
-            AdmissionConfig(priority_shares=(0.5, 1.0))
+    def test_outcomes_counted_per_priority(self):
+        config = AdmissionConfig(max_outstanding=4, degrade_threshold=0.5)
+        controller = AdmissionController(config)
+        decisions = [controller.decide(priority=p) for p in (0, 1, 2, 1, 0)]
+        assert decisions == [
+            DECISION_ADMIT, DECISION_ADMIT, DECISION_DEGRADE,
+            DECISION_DEGRADE, DECISION_SHED,
+        ]
+        assert controller.degraded_by_priority == {2: 1, 1: 1}
+        assert controller.shed_by_priority == {0: 1}
 
 
 def test_lru_cache_evicts_least_recently_used():

@@ -610,8 +610,6 @@ class TestSparkChunkedShuffle:
 
         with pytest.raises(ConfigError):
             ChunkingConfig(chunk_bytes=0)
-        with pytest.raises(ConfigError):
-            ChunkingConfig(max_inflight_chunks=0)
 
 
 # -- service response streaming --------------------------------------------------------
@@ -706,5 +704,3 @@ class TestServiceStreaming:
             StreamingConfig(max_inflight_chunks=0)
         with pytest.raises(ConfigError):
             StreamingConfig(threshold_bytes=-1)
-        with pytest.raises(ConfigError):
-            StreamingConfig(egress_ns_per_byte=-0.5)

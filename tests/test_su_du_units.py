@@ -43,7 +43,7 @@ from repro.formats.cereal_format import CerealStreamSections
 from repro.formats.packing import pack_bitmap_words, pack_items
 from repro.jvm import Heap
 from repro.jvm.heap import HeapObject
-from repro.jvm.klass import SLOT_BYTES, FieldKind
+from repro.jvm.klass import HEADER_SLOTS, SLOT_BYTES, FieldKind
 from repro.memory.dram import DRAMModel
 from repro.workloads import MICROBENCH_CONFIGS
 from repro.workloads.micro import _BUILDERS, register_micro_klasses
@@ -148,22 +148,6 @@ class TestSerializationUnit:
         unit.run(SUWorkload.from_root(root), serialization_counter=7)
         assert root.serialization_unit_id == 4  # unit_id + 1
         assert root.serialization_counter == 7
-
-    def test_without_extension_uses_internal_tracking(self):
-        registry = make_registry()
-        registration = ClassRegistration()
-        for klass in registry:
-            registration.register(klass)
-        mai = MemoryAccessInterface(DRAMModel(), CerealConfig())
-        table = KlassPointerTable()
-        for class_id, klass in enumerate(registration):
-            table.install(klass.metaspace_address, class_id)
-        unit = SerializationUnit(mai, table, CerealConfig())
-        heap = Heap(registry=registry, cereal_extension=False)
-        root = build_shared(heap)
-        result = unit.run(SUWorkload.from_root(root), serialization_counter=1)
-        assert result.objects == 2
-        assert result.encounters == 3
 
     def test_mai_sees_header_rmws(self):
         unit, heap, registration, mai = make_su()
@@ -271,7 +255,9 @@ def _oracle_du_workload(sections):
     8-slot blocks. Returns ``(blocks, image, value, reference, bitmap
     bytes)``.
     """
-    bitmaps = sections.layout_bitmaps()
+    bitmaps = [
+        word_to_bits(word, width) for word, width in sections.layout_bitmap_words()
+    ]
     references = sections.reference_values()
 
     flat_bits = []
@@ -358,7 +344,7 @@ def _sections(bitmaps, references, packed):
         )
     return CerealStreamSections(
         raw_references=list(references),
-        raw_bitmaps=[word_to_bits(word, width) for word, width in bitmaps],
+        raw_bitmap_words=list(bitmaps),
         **common,
     )
 
@@ -433,9 +419,9 @@ def _oracle_su_run(
 
     Simulate serializing the graph under ``root``; returns timing.
 
-    Visited tracking uses the Section V-E header-extension mechanism
-    when the heap carries the Cereal extension: an object is "visited"
-    when its header's 16-bit counter equals ``serialization_counter``,
+    Visited tracking uses the Section V-E header-extension mechanism: an
+    object is "visited" when its header's 16-bit counter equals
+    ``serialization_counter``,
     and the unit claims the header area by writing its unit ID. A
     header already claimed by a *different* unit in the same counter
     epoch forces the software-fallback path for that object (thread-
@@ -444,7 +430,6 @@ def _oracle_su_run(
     """
     pipelined = su.config.pipelined
     heap = root.heap
-    use_header_metadata = heap.cereal_extension
 
     value_store = _BufferedStore(su.mai, output_base + _VALUE_REGION)
     ref_store = _BufferedStore(su.mai, output_base + _REF_REGION)
@@ -456,7 +441,6 @@ def _oracle_su_run(
     raw_free = start_ns
     counter_ready = start_ns  # serialized-size counter availability
 
-    visited: Dict[int, bool] = {}
     fallback_visited: Dict[int, int] = {}  # software hash table path
     # Queue entries: (object, time the reference became available to HM).
     queue: deque = deque([(root, start_ns)])
@@ -480,16 +464,13 @@ def _oracle_su_run(
         # -- header manager: read and inspect the (extended) header.
         hm_start = max(hm_free, available_ns)
         header_done = mai_read(hm_start, address, 16)
-        if use_header_metadata:
-            # One read of the extension word serves both the visited
-            # check and the claim below. Only this unit's own claim
-            # counts: a header claimed by a different unit belongs to a
-            # concurrent operation whose stream this one cannot reference.
-            counter, unit = obj.serialization_claim()
-            current_epoch = counter == serialization_counter
-            seen = current_epoch and unit == own_unit
-        else:
-            seen = address in visited
+        # One read of the extension word serves both the visited check
+        # and the claim below. Only this unit's own claim counts: a header
+        # claimed by a different unit belongs to a concurrent operation
+        # whose stream this one cannot reference.
+        counter, unit = obj.serialization_claim()
+        current_epoch = counter == serialization_counter
+        seen = current_epoch and unit == own_unit
         if seen or address in fallback_visited:
             # Relative address already in the header: forward to RAW.
             hm_free = header_done + _HM_CYCLE_NS
@@ -505,10 +486,7 @@ def _oracle_su_run(
         # counter, which the OMM updates for the previous new object.
         assign_ns = max(header_done, counter_ready)
         stalls += max(0.0, counter_ready - header_done)
-        if not use_header_metadata:
-            visited[address] = True
-            su.mai.atomic_rmw(assign_ns, address + 16, 8)
-        elif current_epoch:
+        if current_epoch:
             # Another unit holds this header in the current epoch
             # (shared object across concurrent operations). Software
             # fallback: thread-local hash-table insert + probe
@@ -556,9 +534,8 @@ def _oracle_su_run(
         value_store.push(oh_done, (total_slots - len(reference_slots)) * 8)
         if reference_slots:
             words = obj.image_words()
-            header_slots = layout.header_slots
             for slot in reference_slots:
-                child_address = words[header_slots + slot]
+                child_address = words[HEADER_SLOTS + slot]
                 if child_address:
                     queue.append((object_at(child_address), oh_done))
                 else:
@@ -625,11 +602,7 @@ def _su_outcome(unit, root, result):
     """Everything the SU run models or leaves behind, for comparison."""
     mai = unit.mai
     heap = root.heap
-    words = (
-        [heap.memory.read_u64(obj.address + 16) for obj in _reachable(root)]
-        if heap.cereal_extension
-        else []
-    )
+    words = [heap.memory.read_u64(obj.address + 16) for obj in _reachable(root)]
     return {
         "result": result,
         "mai": dataclasses.replace(mai.stats),
@@ -644,8 +617,7 @@ def _new_su_run(unit, root, **kwargs):
     return unit.run(SUWorkload.from_root(root), **kwargs)
 
 
-def _compare_su(build, registry, config=None, unit_id=0, cereal_extension=True,
-                **kwargs):
+def _compare_su(build, registry, config=None, unit_id=0, **kwargs):
     """Run the column walk and the oracle on two identical fresh heaps.
 
     ``build(heap)`` returns the root; both heaps share ``registry``, so
@@ -654,7 +626,7 @@ def _compare_su(build, registry, config=None, unit_id=0, cereal_extension=True,
     config = config or CerealConfig()
     outcomes = []
     for runner in (_oracle_su_run, _new_su_run):
-        heap = Heap(registry=registry, cereal_extension=cereal_extension)
+        heap = Heap(registry=registry)
         root = build(heap)
         table = KlassPointerTable()
         for class_id, klass in enumerate(registry):
@@ -743,12 +715,6 @@ class TestSUColumnWalkOracle:
     def test_random_graphs_vanilla(self, seed):
         _compare_su(_random_graph(seed), make_registry(),
                     config=CerealConfig().vanilla())
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_heap_without_extension(self, seed):
-        result = _compare_su(_random_graph(seed), make_registry(),
-                             cereal_extension=False)
-        assert result.fallback_objects == 0
 
     @pytest.mark.parametrize("build", [build_tree, build_shared, build_mixed,
                                        build_primitive_array,

@@ -37,7 +37,15 @@ from repro.formats.streams import StreamReader
 from repro.jvm import Heap
 from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import HEAP_BASE, NULL_ADDRESS, HeapObject
-from repro.jvm.klass import ArrayKlass, FieldDescriptor, FieldKind, InstanceKlass, SLOT_BYTES
+from repro.jvm.klass import (
+    HEADER_BYTES,
+    HEADER_SLOTS,
+    SLOT_BYTES,
+    ArrayKlass,
+    FieldDescriptor,
+    FieldKind,
+    InstanceKlass,
+)
 from repro.jvm.layout_cache import layout_of
 from repro.jvm.markword import MarkWord, identity_hash_for
 from repro.memory.space import MemorySpace
@@ -74,7 +82,7 @@ def oracle_allocate(self, klass, length=0):
     elif length:
         raise HeapError("length is only valid for array klasses")
     slots = klass.instance_slots(length)
-    size = self.header_bytes + slots * SLOT_BYTES
+    size = HEADER_BYTES + slots * SLOT_BYTES
     address = self._alloc_ptr
     if address + size > self.memory.size_bytes:
         raise HeapError(f"heap exhausted allocating {size} bytes at {address:#x}")
@@ -85,7 +93,7 @@ def oracle_allocate(self, klass, length=0):
     self.memory.write_u64(address + 8, klass.metaspace_address)
     obj = HeapObject(self, address, klass, length)
     if klass.is_array:
-        self.memory.write_u64(address + self.header_bytes, length)
+        self.memory.write_u64(address + HEADER_BYTES, length)
     self._objects[address] = obj
     self._alloc_order.append(address)
     return obj
@@ -102,8 +110,6 @@ def oracle_referenced_objects(self):
 def oracle_traverse_slot_runs(root, order="dfs"):
     heap = root.heap
     read_u64 = heap.memory.read_u64
-    header_slots = heap.header_slots
-    header_bytes = header_slots * 8
     if order == "dfs":
         visited = set()
         stack = [root]
@@ -112,9 +118,9 @@ def oracle_traverse_slot_runs(root, order="dfs"):
             if obj.address in visited:
                 continue
             visited.add(obj.address)
-            layout = layout_of(obj.klass, header_slots, obj.length)
+            layout = layout_of(obj.klass, obj.length)
             yield obj, layout
-            fields_base = obj.address + header_bytes
+            fields_base = obj.address + HEADER_BYTES
             children = [read_u64(fields_base + slot * 8) for slot in layout.reference_slots]
             for child in reversed(children):
                 if child:
@@ -124,9 +130,9 @@ def oracle_traverse_slot_runs(root, order="dfs"):
         queue = deque([root])
         while queue:
             obj = queue.popleft()
-            layout = layout_of(obj.klass, header_slots, obj.length)
+            layout = layout_of(obj.klass, obj.length)
             yield obj, layout
-            fields_base = obj.address + header_bytes
+            fields_base = obj.address + HEADER_BYTES
             for slot in layout.reference_slots:
                 child = read_u64(fields_base + slot * 8)
                 if child and child not in seen:
@@ -156,10 +162,8 @@ def oracle_skyway_encode_walk(self, root, out):
         profile.dependent_loads += 2
         out += _U64.pack(memory.read_u64(obj.address))
         out += _U64.pack(self.registration.register(obj.klass))
-        header_count += 16
-        if heap.cereal_extension:
-            out += _U64.pack(0)
-            header_count += 8
+        out += _U64.pack(0)
+        header_count += 24
         reference_slots = set(obj.reference_slots())
         for slot in range(obj.field_slots):
             raw = memory.read_u64(obj.slot_address(slot))
@@ -205,14 +209,13 @@ def oracle_skyway_deserialize(self, stream, heap, limits=None):
         raise FormatError("Skyway header claims more image bytes than shipped")
     base = heap.reserve(total_bytes)
     memory = heap.memory
-    header_slots = heap.header_slots
     offset = 0
     root_obj = None
     pending = []
     object_addresses = []
     for _ in range(object_count):
         address = base + offset
-        if offset + heap.header_bytes > total_bytes:
+        if offset + HEADER_BYTES > total_bytes:
             raise FormatError("more objects than fit in the image")
         mark_raw = reader.read_u64()
         type_id = reader.read_u64()
@@ -221,15 +224,14 @@ def oracle_skyway_deserialize(self, stream, heap, limits=None):
         if klass.metaspace_address is None:
             heap.registry.register(klass)
         memory.write_u64(address + 8, klass.metaspace_address)
-        if heap.cereal_extension:
-            reader.read_u64()
-            memory.write_u64(address + 16, 0)
+        reader.read_u64()
+        memory.write_u64(address + 16, 0)
         profile.objects += 1
         profile.allocations += 1
         profile.add_instructions(
             skyway_module._INSTR_PER_OBJECT + skyway_module._INSTR_PER_REGISTERED_OBJECT
         )
-        fields_base = address + header_slots * SLOT_BYTES
+        fields_base = address + HEADER_BYTES
         if isinstance(klass, ArrayKlass):
             length_word = reader.read_u64()
             length = length_word
@@ -239,7 +241,7 @@ def oracle_skyway_deserialize(self, stream, heap, limits=None):
             length = 0
             first_slot = 0
         field_slots = klass.instance_slots(length)
-        size_bytes = (header_slots + field_slots) * SLOT_BYTES
+        size_bytes = (HEADER_SLOTS + field_slots) * SLOT_BYTES
         if offset + size_bytes > total_bytes:
             raise FormatError("object extends past the image")
         if first_slot:
@@ -325,13 +327,14 @@ def _make(name, registry):
     }[name]()
 
 
-def run_round_trip(graph_name: str, cereal_extension: bool = True):
+def run_round_trip(graph_name: str):
     """Everything modelled about building a miniature Table II graph and
     round-tripping it through each serializer, traces included."""
     config = MICROBENCH_CONFIGS[graph_name]
     config = dataclasses.replace(config, paper_objects=16 * config.scale)
     build_trace = MemoryTrace()
-    heap = Heap(cereal_extension=cereal_extension, trace=build_trace)
+    heap = Heap()
+    heap.memory.trace = build_trace
     register_micro_klasses(heap.registry)
     root = _BUILDERS[config.shape](heap, config)
     heap.memory.trace = None
@@ -347,8 +350,8 @@ def run_round_trip(graph_name: str, cereal_extension: bool = True):
         while (chunk := cursor.next_chunk()) is not None:
             chunks.append(chunk)
         de_trace = MemoryTrace()
-        receiver = Heap(registry=heap.registry, cereal_extension=cereal_extension,
-                        trace=de_trace)
+        receiver = Heap(registry=heap.registry)
+        receiver.memory.trace = de_trace
         decoded = serializer.deserialize(result.stream, receiver)
         receiver.memory.trace = None
         out[name] = {
@@ -382,12 +385,6 @@ def test_round_trip_matches_per_slot_oracle(graph_name, oracle_paths):
     oracle = run_round_trip(graph_name)
     assert fast["skyway"]["ser_trace"][0], "no trace recorded"
     _assert_same(fast, oracle)
-
-
-def test_round_trip_without_cereal_extension_matches_oracle(oracle_paths):
-    fast = run_round_trip("graph-sparse", cereal_extension=False)
-    oracle_paths()
-    _assert_same(fast, run_round_trip("graph-sparse", cereal_extension=False))
 
 
 def test_harness_timing_matches_oracle(oracle_paths):
@@ -462,7 +459,8 @@ def _slot_workload(heap: Heap):
 def test_slot_access_matches_oracle(oracle_paths):
     def run():
         trace = MemoryTrace()
-        heap = Heap(trace=trace)
+        heap = Heap()
+        heap.memory.trace = trace
         values = _slot_workload(heap)
         return values, _columns(trace), _heap_bytes(heap)
 
