@@ -23,7 +23,7 @@ from repro.jvm import (
     FieldKind,
     Heap,
     InstanceKlass,
-    traverse_object_graph,
+    ObjectGraph,
 )
 
 
@@ -55,7 +55,7 @@ def main():
         )
     )
     root = build_tree(heap, depth=8)  # 511 objects
-    object_count = sum(1 for _ in traverse_object_graph(root))
+    object_count = ObjectGraph.from_root(root).object_count
     print(f"built a tree of {object_count} objects, {root.size_bytes} B per node\n")
 
     # 2. Software serializers, timed by the CPU cost model.

@@ -58,9 +58,8 @@ from repro.formats.packing import (
     unpack_items,
 )
 from repro.formats.limits import DecodeLimits, resolve_limits
-from repro.jvm.layout_cache import layout_of
 from repro.formats.registry import ClassRegistration
-from repro.jvm.graph import ObjectGraph, SlotRunGraph
+from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
 from repro.jvm.klass import ArrayKlass, HEADER_SLOTS, SLOT_BYTES
 from repro.jvm.markword import MarkWord, fresh_mark_word, identity_hash_for
@@ -200,7 +199,7 @@ class CerealSerializer(Serializer):
         bitmap_words: List[tuple] = []
         relative_address = graph.relative_address
 
-        for obj in graph:
+        for obj, layout in zip(graph.objects, graph.layouts):
             profile.objects += 1
             profile.add_instructions(_INSTR_PER_OBJECT)
             if not self.registration.is_registered(obj.klass):
@@ -211,7 +210,6 @@ class CerealSerializer(Serializer):
             class_id = self.registration.id_of(obj.klass)
             # All per-shape metadata comes from the memoized klass layout;
             # the whole object image is read in one bulk word access.
-            layout = layout_of(obj.klass, obj.length)
             bitmap_words.append((layout.bitmap_word, layout.bitmap_width))
             words = memory.read_words(obj.address, layout.total_slots)
             profile.add_instructions(_INSTR_PER_SLOT * layout.total_slots)
@@ -257,7 +255,7 @@ class CerealSerializer(Serializer):
         framed at the end by :meth:`_trailer`, as the interpreter frames them.
         Streams and profiles are identical to the interpreter's.
         """
-        graph = SlotRunGraph.from_root(root, order="bfs")
+        graph = ObjectGraph.from_root(root, order="bfs")
         heap = root.heap
         read_words = heap.memory.read_words
         registration = self.registration

@@ -36,7 +36,7 @@ from repro.formats.base import (
 from repro.formats.limits import DecodeLimits, resolve_limits
 from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader
-from repro.jvm.graph import SlotRunGraph
+from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
 from repro.jvm.klass import ArrayKlass, HEADER_BYTES, HEADER_SLOTS, SLOT_BYTES
 from repro.jvm.layout_cache import layout_of
@@ -86,7 +86,7 @@ class SkywaySerializer(Serializer):
         Each object costs one word-run read of its field slots and one
         packed image append; its heap trace is that of one ``read_u64``
         for the mark word and one per field slot."""
-        graph = SlotRunGraph.from_root(root)
+        graph = ObjectGraph.from_root(root)
         profile = WorkProfile()
         heap = root.heap
         memory = heap.memory

@@ -3,15 +3,18 @@
 This package models exactly the parts of HotSpot that the Cereal paper's
 hardware interacts with (paper Section II, "Java Object Layout"):
 
-* objects with a 16 B header — an 8 B *mark word* and an 8 B *klass pointer*;
-* an optional extra 8 B *Cereal header extension* carrying the serialization
+* objects with a 24 B header — an 8 B *mark word*, an 8 B *klass pointer*
+  and the 8 B *Cereal header extension* carrying the serialization
   metadata described in Section V-E (visited counter, unit ID, relative
   address);
 * 8 B-aligned fields, so one bit of a layout bitmap describes one 8 B slot;
 * klass descriptors ("type descriptors") holding the object layout — the
   offsets of every reference — and total object size;
 * a klass registry standing in for the JVM metaspace, addressable by klass
-  pointer.
+  pointer;
+* the object-graph walk every serializer starts from
+  (:func:`~repro.jvm.graph.traverse_slot_runs`, materialized as
+  :class:`ObjectGraph`).
 """
 
 from repro.jvm.markword import MarkWord
@@ -24,12 +27,7 @@ from repro.jvm.klass import (
     KlassRegistry,
 )
 from repro.jvm.heap import Heap, HeapObject
-from repro.jvm.graph import (
-    ObjectGraph,
-    object_graph_stats,
-    traverse_object_graph,
-    traverse_object_graph_bfs,
-)
+from repro.jvm.graph import ObjectGraph
 from repro.jvm.gc import clear_serialization_metadata, walk_heap
 from repro.jvm.strings import new_string, read_string
 
@@ -44,9 +42,6 @@ __all__ = [
     "Heap",
     "HeapObject",
     "ObjectGraph",
-    "traverse_object_graph",
-    "traverse_object_graph_bfs",
-    "object_graph_stats",
     "clear_serialization_metadata",
     "walk_heap",
     "new_string",

@@ -13,9 +13,9 @@ that attribution everywhere, for free, in every bench and test:
   quantile definition
   (:func:`~repro.obs.metrics.exact_quantile`) backs both
   ``repro.analysis.percentile`` and the service SLO summaries.
-* :mod:`repro.obs.trace` — a span tracer with dual clocks (simulated ns
-  + wall ns), context-manager/decorator/retrospective APIs, parent/child
-  nesting, instant events, and bounded ring buffers. The service event
+* :mod:`repro.obs.trace` — a span tracer on the simulated clock,
+  context-manager/retrospective APIs, parent/child nesting, instant
+  events, and bounded ring buffers. The service event
   loop, device simulator, mini-Spark engine, and fault injector all emit
   into it when enabled; disabled (the default) every hook is a single
   attribute check.

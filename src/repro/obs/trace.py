@@ -1,22 +1,17 @@
-"""Span tracing with dual clocks and a bounded ring buffer.
+"""Span tracing on the simulated clock with a bounded ring buffer.
 
 A :class:`Tracer` records *spans* (named intervals with parent/child
 nesting, per-span attributes, and a track — the Chrome-trace "thread" the
 span renders on) and *instant events* (zero-duration markers, e.g. fault
-injections). Every span carries two clocks:
-
-* **simulated nanoseconds** — the discrete-event clock of whatever layer
-  is being traced (service event loop, device timeline, Spark time
-  ledger). The tracer holds the current simulated time; integrations push
-  it forward with :meth:`Tracer.advance` and spans default to it. Layers
-  that already know exact interval bounds (the server's per-request
-  records, the device simulator's unit timelines) record them
-  retrospectively with :meth:`Tracer.record_span`.
-* **wall nanoseconds** — ``time.perf_counter_ns()`` captured at span
-  enter/exit, so real Python cost can be read next to modelled cost.
-
-Exports (:mod:`repro.obs.export`) use the simulated clock only, which
-makes a seeded run's trace byte-deterministic.
+injections). Both are stamped in **simulated nanoseconds**: the
+discrete-event clock of whatever layer is being traced (service event
+loop, device timeline, Spark time ledger). The tracer holds the current
+simulated time; integrations push it forward with :meth:`Tracer.advance`
+and spans default to it. Layers that already know exact interval bounds
+(the server's per-request records, the device simulator's unit
+timelines) record them retrospectively with :meth:`Tracer.record_span`.
+With no wall clock in a span, a seeded run's exported trace
+(:mod:`repro.obs.export`) is byte-deterministic.
 
 The span and event stores are bounded ring buffers (oldest entries are
 dropped first and counted), so an hours-long service run with tracing
@@ -29,12 +24,10 @@ fast paths pay (the ≤5% budget gated by ``bench_wallclock.py``).
 
 from __future__ import annotations
 
-import functools
-import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "InstantEvent",
@@ -58,8 +51,6 @@ class Span:
     track: str
     start_ns: float  # simulated clock
     end_ns: float = 0.0
-    start_wall_ns: int = 0
-    end_wall_ns: int = 0
     attrs: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -75,7 +66,6 @@ class InstantEvent:
     category: str
     track: str
     ts_ns: float  # simulated clock
-    wall_ns: int
     attrs: Dict[str, object] = field(default_factory=dict)
 
 
@@ -150,7 +140,6 @@ class Tracer:
             category=category,
             track=track,
             start_ns=self._sim_now,
-            start_wall_ns=time.perf_counter_ns(),
             attrs=dict(attrs),
         )
         self._stack.append(span)
@@ -158,24 +147,8 @@ class Tracer:
             yield span
         finally:
             self._stack.pop()
-            span.end_wall_ns = time.perf_counter_ns()
             span.end_ns = max(self._sim_now, span.start_ns)
             self._append_span(span)
-
-    def trace(self, name: str, category: str = "span", track: str = "main") -> Callable:
-        """Decorator form of :meth:`span` (disabled mode adds one branch)."""
-
-        def decorate(fn: Callable) -> Callable:
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(name, category=category, track=track):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def record_span(
         self,
@@ -196,7 +169,6 @@ class Tracer:
             raise ValueError(
                 f"span {name!r} ends before it starts ({end_ns} < {start_ns})"
             )
-        wall = time.perf_counter_ns()
         span = Span(
             span_id=self._new_id(),
             parent_id=parent.span_id if parent is not None else None,
@@ -205,8 +177,6 @@ class Tracer:
             track=track,
             start_ns=start_ns,
             end_ns=end_ns,
-            start_wall_ns=wall,
-            end_wall_ns=wall,
             attrs=dict(attrs),
         )
         self._append_span(span)
@@ -229,7 +199,6 @@ class Tracer:
                 category=category,
                 track=track,
                 ts_ns=self._sim_now if ts_ns is None else ts_ns,
-                wall_ns=time.perf_counter_ns(),
                 attrs=dict(attrs),
             )
         )

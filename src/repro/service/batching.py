@@ -4,11 +4,10 @@ The accelerator's command-queue interface rewards batches: descriptor
 setup, doorbell, and DMA programming are paid once per dispatch, and a
 batch of independent operations fills the whole SU/DU pool in one shot.
 The coalescer holds arriving requests per kind (serialize and deserialize
-target different unit pools, so they batch separately) until one of three
+target different unit pools, so they batch separately) until one of two
 triggers closes the batch:
 
 * the request-count cap (fills the unit pool exactly),
-* the byte cap (bounds shard memory footprint per dispatch),
 * the wait deadline (bounds the latency cost of waiting for peers).
 
 ``max_wait_ns == 0`` degenerates to one-request batches dispatched
@@ -26,8 +25,6 @@ from repro.service.workload import KINDS, ServiceRequest
 
 #: Requests per batch: one per unit of the default pool.
 MAX_BATCH_REQUESTS = 8
-#: Payload bytes per batch: the shard's per-dispatch memory bound.
-MAX_BATCH_BYTES = 1 << 20
 
 
 @dataclass
@@ -52,7 +49,6 @@ class _PendingGroup:
     seq: int
     opened_ns: float
     requests: List[ServiceRequest] = field(default_factory=list)
-    payload_bytes: int = 0
 
 
 @dataclass
@@ -65,7 +61,7 @@ class AddOutcome:
 
 
 class BatchCoalescer:
-    """Per-kind accumulation with count/byte caps and a wait deadline."""
+    """Per-kind accumulation with a count cap and a wait deadline."""
 
     def __init__(self, max_wait_ns: float = 20_000.0):
         if max_wait_ns < 0:
@@ -104,8 +100,7 @@ class BatchCoalescer:
         if self.max_wait_ns == 0:
             # Unbatched mode: every request is its own immediate batch.
             self._pending[request.kind] = _PendingGroup(
-                seq=self._next_seq, opened_ns=now_ns, requests=[request],
-                payload_bytes=request.payload_bytes,
+                seq=self._next_seq, opened_ns=now_ns, requests=[request]
             )
             self._next_seq += 1
             return AddOutcome(batch=self._close(request.kind, now_ns))
@@ -118,18 +113,14 @@ class BatchCoalescer:
             outcome.opened_seq = group.seq
             outcome.deadline_ns = now_ns + self.max_wait_ns
         group.requests.append(request)
-        group.payload_bytes += request.payload_bytes
-        if (
-            len(group.requests) >= MAX_BATCH_REQUESTS
-            or group.payload_bytes >= MAX_BATCH_BYTES
-        ):
+        if len(group.requests) >= MAX_BATCH_REQUESTS:
             outcome.batch = self._close(request.kind, now_ns)
         return outcome
 
     def flush_due(self, kind: str, seq: int, now_ns: float) -> Optional[Batch]:
         """Close the pending group iff it is still the one that set ``seq``.
 
-        Deadline events for groups already closed by a count/byte trigger
+        Deadline events for groups already closed by the count cap
         arrive stale; the sequence check makes them harmless no-ops.
         """
         group = self._pending.get(kind)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import ReportTable
 from repro.faults.report import FaultReport
-from repro.obs.metrics import Histogram, exact_quantile
+from repro.obs.metrics import exact_quantile
 
 OUTCOME_OK = "ok"
 OUTCOME_DEGRADED = "degraded"
@@ -194,7 +194,6 @@ class SLOReport:
     _latency_cache: Dict[str, List[float]] = field(
         default_factory=dict, repr=False
     )
-    _hist_cache: Dict[str, Histogram] = field(default_factory=dict, repr=False)
 
     # -- basic populations -------------------------------------------------------
 
@@ -250,31 +249,16 @@ class SLOReport:
 
     # -- latency ------------------------------------------------------------------
 
-    def _latency_hist(self, kind: str) -> Histogram:
-        """An obs histogram over this population's latencies.
-
-        Sized so the exact reservoir covers every record — the quantiles
-        below are therefore :func:`repro.obs.metrics.exact_quantile` over
-        the raw series, the same definition the tracing exports and
-        ``repro.analysis.percentile`` use. That shared definition is what
-        lets ``tests/test_obs_reconcile.py`` demand span-derived and
-        SLO-reported percentiles agree to the nanosecond.
-        """
-        cached = self._hist_cache.get(kind)
-        if cached is None:
-            values = self._latencies(kind)
-            cached = Histogram(
-                f"slo.latency_ns.{kind}", exact_limit=max(1, len(values))
-            )
-            for value in values:
-                cached.observe(value)
-            self._hist_cache[kind] = cached
-        return cached
-
     def latency_ns_at(self, q: float, kind: str = "all") -> float:
-        if not self._latencies(kind):
+        """:func:`repro.obs.metrics.exact_quantile` over the sorted raw
+        latencies: the one quantile definition the tracing exports and
+        ``repro.analysis.percentile`` use too, which is what lets
+        ``tests/test_obs_reconcile.py`` demand span-derived and
+        SLO-reported percentiles agree to the nanosecond."""
+        values = self._latencies(kind)
+        if not values:
             return 0.0
-        return self._latency_hist(kind).quantile(q)
+        return exact_quantile(values, q)
 
     def p50(self, kind: str = "all") -> float:
         return self.latency_ns_at(50.0, kind)

@@ -214,13 +214,6 @@ class ServiceRequest:
     zone: str = ""
 
     @property
-    def payload_bytes(self) -> int:
-        """Bytes the operation must move in: heap graph (ser) or stream (de)."""
-        if self.kind == KIND_SERIALIZE:
-            return self.entry.graph_bytes
-        return self.entry.stream_bytes
-
-    @property
     def accel_timing(self) -> OperationTiming:
         return self.entry.accel_timing[self.kind]
 

@@ -9,10 +9,9 @@ from repro.jvm import (
     InstanceKlass,
     ObjectGraph,
     clear_serialization_metadata,
-    object_graph_stats,
-    traverse_object_graph,
 )
 from repro.jvm.gc import max_serialization_counter
+from repro.jvm.graph import traverse_slot_runs
 from repro.jvm.reflection import JavaReflection, ReflectAsmAccess
 
 
@@ -42,12 +41,24 @@ def build_small_tree(heap, klass):
     return root, a, b, c
 
 
+def walk(root, order="dfs"):
+    return [obj for obj, _ in traverse_slot_runs(root, order=order)]
+
+
+def out_degrees(graph):
+    """Non-null references per object, duplicates included."""
+    return [
+        sum(1 for child in obj.referenced_objects() if child is not None)
+        for obj in graph.objects
+    ]
+
+
 class TestTraversal:
     def test_dfs_order(self):
         heap, klass = make_heap_with_node()
         root, a, b, c = build_small_tree(heap, klass)
-        order = list(traverse_object_graph(root))
-        assert order == [root, a, c, b]
+        assert walk(root) == [root, a, c, b]
+        assert walk(root, "bfs") == [root, a, b, c]
 
     def test_shared_object_visited_once(self):
         heap, klass = make_heap_with_node()
@@ -55,7 +66,8 @@ class TestTraversal:
         shared = heap.allocate(klass)
         root.set("left", shared)
         root.set("right", shared)
-        assert list(traverse_object_graph(root)) == [root, shared]
+        assert walk(root) == [root, shared]
+        assert walk(root, "bfs") == [root, shared]
 
     def test_cycle_terminates(self):
         heap, klass = make_heap_with_node()
@@ -63,7 +75,8 @@ class TestTraversal:
         b = heap.allocate(klass)
         a.set("left", b)
         b.set("left", a)
-        assert list(traverse_object_graph(a)) == [a, b]
+        assert walk(a) == [a, b]
+        assert walk(a, "bfs") == [a, b]
 
     def test_deep_list_no_recursion_error(self):
         heap, klass = make_heap_with_node()
@@ -73,7 +86,7 @@ class TestTraversal:
             nxt = heap.allocate(klass)
             current.set("left", nxt)
             current = nxt
-        assert sum(1 for _ in traverse_object_graph(head)) == 5001
+        assert len(walk(head)) == 5001
 
 
 class TestObjectGraph:
@@ -101,27 +114,31 @@ class TestObjectGraph:
         root.set("right", shared)
         graph = ObjectGraph.from_root(root)
         assert graph.object_count == 2
-        assert graph.reference_count == 2
+        assert sum(out_degrees(graph)) == 2
 
 
 class TestGraphStats:
     def test_stats_for_tree(self):
         heap, klass = make_heap_with_node()
         root, *_ = build_small_tree(heap, klass)
-        stats = object_graph_stats(root)
-        assert stats.object_count == 4
-        assert stats.reference_count == 3
-        assert stats.null_reference_count == 5
-        assert stats.max_out_degree == 2
-        assert stats.references_per_object == pytest.approx(0.75)
+        graph = ObjectGraph.from_root(root)
+        degrees = out_degrees(graph)
+        reference_slots = sum(len(layout.reference_slots) for layout in graph.layouts)
+        assert graph.object_count == 4
+        assert sum(degrees) == 3
+        assert reference_slots - sum(degrees) == 5  # null references
+        assert max(degrees) == 2
+        assert sum(degrees) / graph.object_count == pytest.approx(0.75)
 
     def test_slot_partition(self):
         heap, klass = make_heap_with_node()
         root, *_ = build_small_tree(heap, klass)
-        stats = object_graph_stats(root)
+        graph = ObjectGraph.from_root(root)
+        reference_slots = sum(len(layout.reference_slots) for layout in graph.layouts)
+        total_slots = sum(layout.total_slots for layout in graph.layouts)
         # Per object: 6 slots total, 2 reference slots, 4 value slots.
-        assert stats.reference_slots == 8
-        assert stats.value_slots == 16
+        assert reference_slots == 8
+        assert total_slots - reference_slots == 16
 
 
 class TestGC:

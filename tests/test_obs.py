@@ -339,17 +339,6 @@ class TestTracer:
         assert tracer.dropped_spans == 6
         assert [s.name for s in tracer.spans()] == ["s6", "s7", "s8", "s9"]
 
-    def test_decorator(self):
-        tracer = Tracer(enabled=True)
-
-        @tracer.trace("work", category="test")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        (span,) = tracer.spans()
-        assert span.name == "work" and span.category == "test"
-
 
 # -- chrome trace export + validator ------------------------------------------------
 

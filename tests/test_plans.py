@@ -10,11 +10,14 @@ cache, the layout-cache counters, and the slot-run traversal fast path.
 
 from __future__ import annotations
 
+import sys
+from collections import deque
+
 import pytest
 
 from tests.test_fuzz_roundtrip import build_fuzz_graph, fuzz_registry
 
-from repro.common.errors import FormatError
+from repro.common.errors import FormatError, HeapError
 from repro.formats import (
     CerealSerializer,
     ClassRegistration,
@@ -27,14 +30,9 @@ from repro.formats.slow_reference import oracle_serializer
 from repro.formats.verify import first_difference
 from repro.jvm import FieldKind, Heap
 from repro.jvm import layout_cache
-from repro.jvm.graph import (
-    ObjectGraph,
-    SlotRunGraph,
-    traverse_object_graph,
-    traverse_object_graph_bfs,
-    traverse_slot_runs,
-)
+from repro.jvm.graph import ObjectGraph, traverse_slot_runs
 from repro.obs.metrics import get_registry
+from repro.workloads import MICROBENCH_CONFIGS, build_microbench
 
 _SEEDS = (1, 2, 3, 4, 5, 6)
 _CHUNK_BYTES = 61
@@ -193,6 +191,10 @@ def test_oracle_serializer_factory():
 
 
 # -- traversal order ---------------------------------------------------------------
+#
+# The one walk, ``traverse_slot_runs``, and its materialization,
+# ``ObjectGraph``, against two deliberately plain oracles that find children
+# through ``HeapObject.referenced_objects``.
 
 
 def _reference_dfs(root):
@@ -209,8 +211,31 @@ def _reference_dfs(root):
             if child is not None:
                 visit(child)
 
-    visit(root)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))  # list-large is 2048 deep
+    try:
+        visit(root)
+    finally:
+        sys.setrecursionlimit(limit)
     return order
+
+
+def _reference_bfs(root):
+    """Queue-order BFS: children in slot order behind every earlier find."""
+    seen = {root.address}
+    order = []
+    queue = deque([root])
+    while queue:
+        obj = queue.popleft()
+        order.append(obj.address)
+        for child in obj.referenced_objects():
+            if child is not None and child.address not in seen:
+                seen.add(child.address)
+                queue.append(child)
+    return order
+
+
+_ORACLES = {"dfs": _reference_dfs, "bfs": _reference_bfs}
 
 
 def _shared_cyclic_graph():
@@ -230,33 +255,43 @@ def _shared_cyclic_graph():
     return root
 
 
+def _walk_addresses(root, order):
+    return [obj.address for obj, _ in traverse_slot_runs(root, order=order)]
+
+
+def _assert_graph_matches_oracle(root, order):
+    """``ObjectGraph`` holds the oracle's visit order, each object's layout,
+    and offsets that are running sums of ``size_bytes``."""
+    graph = ObjectGraph.from_root(root, order=order)
+    assert [obj.address for obj in graph.objects] == _ORACLES[order](root)
+    offset = 0
+    for obj, layout in zip(graph.objects, graph.layouts):
+        assert layout is obj.layout()
+        assert graph.relative_address[obj.address] == offset
+        offset += obj.size_bytes
+    assert len(graph.layouts) == graph.object_count
+    assert len(graph.relative_address) == graph.object_count
+    assert graph.total_bytes == offset
+
+
 def test_traversal_order_matches_recursive_dfs_on_shared_cyclic_graph():
     root = _shared_cyclic_graph()
-    expected = _reference_dfs(root)
-    assert [o.address for o in traverse_object_graph(root)] == expected
+    assert _walk_addresses(root, "dfs") == _reference_dfs(root)
 
 
 @pytest.mark.parametrize("seed", _SEEDS[:3])
 def test_traversal_order_matches_recursive_dfs_on_fuzz_graphs(seed):
     heap = Heap(registry=fuzz_registry())
     root = build_fuzz_graph(heap, seed)
-    assert [o.address for o in traverse_object_graph(root)] == _reference_dfs(
-        root
-    )
+    assert _walk_addresses(root, "dfs") == _reference_dfs(root)
 
 
 @pytest.mark.parametrize("order", ["dfs", "bfs"])
 def test_slot_run_traversal_matches_object_traversal(order):
     heap = Heap(registry=fuzz_registry())
     root = build_fuzz_graph(heap, 3)
-    baseline = (
-        traverse_object_graph(root)
-        if order == "dfs"
-        else traverse_object_graph_bfs(root)
-    )
-    expected = [o.address for o in baseline]
     runs = list(traverse_slot_runs(root, order=order))
-    assert [o.address for o, _ in runs] == expected
+    assert [o.address for o, _ in runs] == _ORACLES[order](root)
     for obj, layout in runs:
         assert layout.total_slots * 8 == obj.size_bytes
 
@@ -264,16 +299,44 @@ def test_slot_run_traversal_matches_object_traversal(order):
 def test_slot_run_graph_matches_object_graph():
     heap = Heap(registry=fuzz_registry())
     root = build_fuzz_graph(heap, 4)
-    slow = ObjectGraph.from_root(root, order="bfs")
-    fast = SlotRunGraph.from_root(root, order="bfs")
-    assert [o.address for o in fast.objects] == [
-        o.address for o in slow.objects
-    ]
-    assert fast.relative_address == slow.relative_address
-    assert fast.total_bytes == slow.total_bytes
-    assert fast.object_count == slow.object_count
+    _assert_graph_matches_oracle(root, "bfs")
     with pytest.raises(ValueError):
-        SlotRunGraph.from_root(root, order="spiral")
+        ObjectGraph.from_root(root, order="spiral")
+    with pytest.raises(ValueError):
+        list(traverse_slot_runs(root, order="spiral"))
+
+
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+def test_object_graph_matches_oracles_on_shared_and_fuzz_graphs(order):
+    _assert_graph_matches_oracle(_shared_cyclic_graph(), order)
+    for seed in _SEEDS:
+        heap = Heap(registry=fuzz_registry())
+        _assert_graph_matches_oracle(build_fuzz_graph(heap, seed), order)
+
+
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+@pytest.mark.parametrize("name", sorted(MICROBENCH_CONFIGS))
+def test_object_graph_matches_oracles_on_table_ii_graphs(name, order):
+    _assert_graph_matches_oracle(build_microbench(Heap(), name), order)
+
+
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+def test_dangling_reference_raises_heap_error(order):
+    """A reference slot holding an address with no object behind it."""
+    registry = fuzz_registry()
+    heap = Heap(registry=registry)
+    leaf = heap.new_instance("FuzzLeaf")
+    root = heap.new_instance("FuzzNode")
+    root.set("peer", leaf)
+    memory = heap.memory
+    (address,) = [
+        root.slot_address(slot)
+        for slot in root.reference_slots()
+        if memory.read_u64(root.slot_address(slot)) == leaf.address
+    ]
+    memory.write_u64(address, leaf.address + 8)  # inside the leaf's header
+    with pytest.raises(HeapError):
+        ObjectGraph.from_root(root, order=order)
 
 
 # -- plan cache --------------------------------------------------------------------

@@ -190,7 +190,7 @@ class TestCerealStreamInvariants:
         assert sections.object_count == graph.object_count
         # Value words + 8 x reference entries == all slots of all objects
         # (value array excludes reference slots; bitmap marks them).
-        total_slots = sum(obj.total_slots for obj in graph)
+        total_slots = sum(obj.total_slots for obj in graph.objects)
         assert (
             len(sections.value_words) + sections.references.item_count
             == total_slots
@@ -207,7 +207,7 @@ class TestCerealStreamInvariants:
         sections = CS.decode_sections(stream)
         bitmaps = unpack_bitmaps(sections.bitmaps)
         graph = ObjectGraph.from_root(root, order="bfs")
-        for obj, bitmap in zip(graph, bitmaps):
+        for obj, bitmap in zip(graph.objects, bitmaps):
             assert len(bitmap) * 8 == obj.size_bytes
 
     @_SETTINGS

@@ -121,10 +121,10 @@ class TestCorruptionRobustness:
 
 
 def _walk_safely(root, limit=10_000):
-    from repro.jvm import traverse_object_graph
+    from repro.jvm.graph import traverse_slot_runs
 
     count = 0
-    for obj in traverse_object_graph(root):
+    for obj, _ in traverse_slot_runs(root):
         yield obj
         count += 1
         if count > limit:

@@ -1,7 +1,5 @@
 """Tests for the service workload generators, coalescer, admission, SLO."""
 
-import dataclasses
-
 import pytest
 
 from repro.common.errors import ConfigError
@@ -13,7 +11,6 @@ from repro.service.admission import (
     AdmissionController,
 )
 from repro.service.batching import (
-    MAX_BATCH_BYTES,
     MAX_BATCH_REQUESTS,
     BatchCoalescer,
 )
@@ -130,13 +127,6 @@ class TestOpenLoopWorkload:
         assert ser / len(requests) == pytest.approx(0.5, abs=0.05)
         assert small / len(requests) == pytest.approx(0.7, abs=0.05)
 
-    def test_payload_bytes_follow_kind(self, catalog):
-        entry = catalog.entries["small"]
-        ser = ServiceRequest(0, KIND_SERIALIZE, entry, 0.0)
-        de = ServiceRequest(1, KIND_DESERIALIZE, entry, 0.0)
-        assert ser.payload_bytes == entry.graph_bytes
-        assert de.payload_bytes == entry.stream_bytes
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):
             PoissonWorkload(0.0, 10)
@@ -176,21 +166,6 @@ class TestBatchCoalescer:
         assert batch is not None and batch.size == MAX_BATCH_REQUESTS
         assert batch.opened_ns == 0.0
         assert batch.closed_ns == float(MAX_BATCH_REQUESTS - 1)
-
-    def test_byte_cap_closes_batch(self, catalog):
-        small = catalog.entries["small"]
-        half = dataclasses.replace(
-            small,
-            stream=dataclasses.replace(
-                small.stream, graph_bytes=MAX_BATCH_BYTES // 2
-            ),
-        )
-        coalescer = BatchCoalescer(max_wait_ns=1e6)
-        first = ServiceRequest(0, KIND_SERIALIZE, half, 0.0)
-        assert coalescer.add(first, 0.0).batch is None
-        second = ServiceRequest(1, KIND_SERIALIZE, half, 1.0)
-        batch = coalescer.add(second, 1.0).batch
-        assert batch is not None and batch.size == 2
 
     def _fill(self, coalescer, catalog, kind=KIND_SERIALIZE, start=0):
         """Add one request short of the count cap; returns the group seq."""

@@ -153,7 +153,7 @@ def oracle_skyway_encode_walk(self, root, out):
     out += _U32.pack(graph.total_bytes)
     out += _U32.pack(graph.object_count)
     header_count = value_count = ref_count = 0
-    for obj in graph:
+    for obj in graph.objects:
         if chunk and out.ready_count:
             yield
         profile.objects += 1

@@ -1,9 +1,11 @@
 """Tests for workload generators: microbenchmarks, JSBS, datagen."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.jvm import Heap, object_graph_stats
+from repro.jvm import Heap, ObjectGraph
 from repro.workloads import (
     JSBS_LIBRARY_PROFILES,
     MICROBENCH_CONFIGS,
@@ -12,6 +14,22 @@ from repro.workloads import (
     build_microbench,
 )
 from repro.workloads.micro import register_micro_klasses
+
+
+class Shape(NamedTuple):
+    object_count: int
+    total_bytes: int
+    max_out_degree: int
+    reference_count: int  # non-null references, duplicates included
+
+
+def graph_shape(root) -> Shape:
+    graph = ObjectGraph.from_root(root)
+    degrees = [
+        sum(1 for child in obj.referenced_objects() if child is not None)
+        for obj in graph.objects
+    ]
+    return Shape(graph.object_count, graph.total_bytes, max(degrees), sum(degrees))
 
 
 class TestDeterministicRandom:
@@ -58,7 +76,7 @@ class TestTreeBench:
     def test_narrow_tree_shape(self):
         heap = Heap()
         root = build_microbench(heap, "tree-narrow")
-        stats = object_graph_stats(root)
+        stats = graph_shape(root)
         config = MICROBENCH_CONFIGS["tree-narrow"]
         assert stats.object_count == config.scaled_objects
         assert stats.max_out_degree == 2
@@ -66,13 +84,13 @@ class TestTreeBench:
     def test_wide_tree_fanout(self):
         heap = Heap()
         root = build_microbench(heap, "tree-wide")
-        stats = object_graph_stats(root)
+        stats = graph_shape(root)
         assert stats.max_out_degree == 8
 
     def test_trees_are_acyclic_trees(self):
         heap = Heap()
         root = build_microbench(heap, "tree-narrow")
-        stats = object_graph_stats(root)
+        stats = graph_shape(root)
         # A tree has exactly objects-1 edges.
         assert stats.reference_count == stats.object_count - 1
 
@@ -81,7 +99,7 @@ class TestListBench:
     def test_list_lengths(self):
         heap = Heap()
         small = build_microbench(heap, "list-small")
-        assert object_graph_stats(small).object_count == 512
+        assert graph_shape(small).object_count == 512
 
     def test_large_is_4x_small(self):
         assert (
@@ -92,7 +110,7 @@ class TestListBench:
     def test_list_is_chain(self):
         heap = Heap()
         root = build_microbench(heap, "list-small")
-        stats = object_graph_stats(root)
+        stats = graph_shape(root)
         assert stats.max_out_degree == 1
 
 
@@ -100,7 +118,7 @@ class TestGraphBench:
     def test_sparse_connected(self):
         heap = Heap()
         root = build_microbench(heap, "graph-sparse")
-        stats = object_graph_stats(root)
+        stats = graph_shape(root)
         config = MICROBENCH_CONFIGS["graph-sparse"]
         # All nodes plus their adjacency arrays are reachable from the root.
         assert stats.object_count == 2 * config.scaled_objects
@@ -108,15 +126,15 @@ class TestGraphBench:
     def test_dense_has_many_references(self):
         heap = Heap()
         root = build_microbench(heap, "graph-dense")
-        stats = object_graph_stats(root)
+        stats = graph_shape(root)
         sparse_heap = Heap()
         sparse = build_microbench(sparse_heap, "graph-sparse")
-        sparse_stats = object_graph_stats(sparse)
+        sparse_stats = graph_shape(sparse)
         assert stats.reference_count > 50 * sparse_stats.reference_count
 
     def test_deterministic_across_builds(self):
-        a = object_graph_stats(build_microbench(Heap(), "graph-dense"))
-        b = object_graph_stats(build_microbench(Heap(), "graph-dense"))
+        a = graph_shape(build_microbench(Heap(), "graph-dense"))
+        b = graph_shape(build_microbench(Heap(), "graph-dense"))
         assert a == b
 
     def test_unknown_name_rejected(self):
