@@ -6,14 +6,14 @@ Python kernels burn. It covers the three layers the integer-bitstream
 fast path rewrote:
 
 1. **Packing kernels** — the Section IV-B pack/unpack round trip, fast
-   word-level kernels vs the preserved per-bit oracle in
-   :mod:`repro.formats.slow_reference`. Output bytes are asserted
-   identical; the speedup is the tentpole metric and must stay >= 3x.
+   word-level kernels vs the per-bit oracle in ``tests/oracles.py``.
+   Output bytes are asserted identical; the speedup is the tentpole
+   metric and must stay >= 3x.
 2. **Format codecs** — encode/decode MB/s and objects/s for all four
    serializers over a seeded microbenchmark graph.
 3. **Compiled plans** — plan-on vs plan-off serialize/deserialize for the
-   java/kryo/cereal codecs on a cache-warm workload, asserted
-   byte-identical; the gated serialize speedups must stay >= 2x, the
+   java/kryo/cereal codecs on a cache-warm workload, where plan-off is the
+   interpreter oracle of ``tests/oracles.py``, asserted byte-identical; the gated serialize speedups must stay >= 2x, the
    gated deserialize speedups carry their own floor, and the plan-cache
    hit rate must show the cache actually warming.
 4. **Service layer** — simulated-nanoseconds advanced per wall-clock
@@ -44,9 +44,9 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 if __name__ == "__main__":  # allow `python benchmarks/bench_wallclock.py`
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    )
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, _ROOT)  # the test-side oracles: tests/oracles.py
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from _emit import emit_json  # noqa: E402
@@ -61,7 +61,6 @@ from repro.formats import (  # noqa: E402
 )
 from repro.formats import packing  # noqa: E402
 from repro.formats import plans  # noqa: E402
-from repro.formats import slow_reference as slow  # noqa: E402
 from repro.jvm import Heap  # noqa: E402
 from repro.service import (  # noqa: E402
     PoissonWorkload,
@@ -71,6 +70,7 @@ from repro.service import (  # noqa: E402
 )
 from repro.workloads.datagen import DeterministicRandom  # noqa: E402
 from repro.workloads.micro import MicrobenchConfig, build_tree_bench  # noqa: E402
+from tests import oracles as slow  # noqa: E402
 
 _SEED = 0xB175
 _SPEEDUP_FLOOR = 3.0  # tentpole: fast packing round trip must stay >= 3x
@@ -235,14 +235,14 @@ def bench_plans(smoke: bool) -> Dict[str, object]:
     heap, root, registration = _build_payload(smoke)
     plans.reset_plan_cache()
     pairs = {
-        "java": (JavaSerializer(), JavaSerializer(use_plans=False)),
+        "java": (JavaSerializer(), slow.JavaOracle()),
         "kryo": (
             KryoSerializer(registration),
-            KryoSerializer(registration, use_plans=False),
+            slow.KryoOracle(registration),
         ),
         "cereal": (
             CerealSerializer(registration),
-            CerealSerializer(registration, use_plans=False),
+            slow.CerealOracle(registration),
         ),
     }
     repeats = 3 if smoke else 5

@@ -1,8 +1,7 @@
 """Reporting helpers: aligned text tables and experiment result records.
 
 Also re-exports :class:`~repro.faults.report.FaultReport` so chaos runs can
-be summarized next to the timing tables (``FaultReport.to_text()`` renders
-through :class:`ReportTable`).
+be summarized next to the timing tables.
 """
 
 from repro.analysis.report import ReportTable, format_speedup, geomean, percentile

@@ -55,12 +55,6 @@ class OperationTiming:
     def elapsed_seconds(self) -> float:
         return self.elapsed_ns * 1e-9
 
-    @property
-    def throughput_bytes_per_sec(self) -> float:
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.graph_bytes / (self.elapsed_ns * 1e-9)
-
 
 class CerealAccelerator:
     """Functional + timing model of the whole Cereal device."""

@@ -63,26 +63,6 @@ class DeviceRunResult:
     def total_graph_bytes(self) -> int:
         return sum(op.graph_bytes for op in self.operations)
 
-    @property
-    def throughput_bytes_per_sec(self) -> float:
-        if self.wall_time_ns <= 0:
-            return 0.0
-        return self.total_graph_bytes / (self.wall_time_ns * 1e-9)
-
-    def unit_timeline(self) -> "dict[Tuple[str, int], List[DeviceOperation]]":
-        """Operations grouped per physical unit, in dispatch order.
-
-        Keys are ``(kind, unit_index)`` — serialize ops run on the SU pool
-        and deserialize ops on the DU pool, so the same index under a
-        different kind is a different piece of hardware. The scheduling
-        invariants (no overlap on a unit, per-unit monotone finish times)
-        are assertions over these lists.
-        """
-        timeline: dict = {}
-        for op in self.operations:
-            timeline.setdefault((op.kind, op.unit_index), []).append(op)
-        return timeline
-
 
 #: A request: ("serialize", root) or ("deserialize", stream, destination heap).
 SerializeRequest = Tuple[str, HeapObject]

@@ -31,10 +31,6 @@ class ModuleSpec:
     count: int
 
     @property
-    def total_area_mm2(self) -> float:
-        return self.area_mm2 * self.count
-
-    @property
     def total_power_mw(self) -> float:
         return self.power_mw * self.count
 

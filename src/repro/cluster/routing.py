@@ -78,11 +78,6 @@ class ConsistentHashRing:
             index = bisect.bisect_left(self._points, point)
             self._points.pop(index)
 
-    def node_for(self, key: str) -> Optional[str]:
-        """The primary owner of ``key`` (None on an empty ring)."""
-        preference = self.preference(key, 1)
-        return preference[0] if preference else None
-
     def preference(self, key: str, count: int) -> List[str]:
         """The first ``count`` *distinct physical nodes* clockwise from
         the key's ring point — primary first, then failover replicas."""
@@ -127,9 +122,6 @@ class ClusterRouter:
     def remove_node(self, node_id: str) -> None:
         self.ring.remove_node(node_id)
         self._zones.pop(node_id, None)
-
-    def zone_of(self, node_id: str) -> str:
-        return self._zones.get(node_id, "")
 
     def replicas_for(self, key: str) -> List[str]:
         """The key's current preference list (primary first)."""

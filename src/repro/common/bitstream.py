@@ -11,18 +11,19 @@ same discipline real serialization kernels use (HPS's word-packing units,
 AwkwardForth's buffer ops): the interpreter dispatch happens per field,
 never per bit.
 
-Conventions (identical to :mod:`repro.common.bitutils`, which remains the
-slow per-bit reference):
+Conventions (identical to the slow per-bit reference in
+``tests/oracles.py``):
 
 * bit order is **MSB-first**: the first bit written is the most
   significant bit of the first byte;
 * byte output is **zero-padded at the tail** to a whole byte; the declared
-  bit length is the caller's to carry (see ``bits_to_bytes`` docs).
+  bit length is the caller's to carry (see ``bits_to_bytes`` in
+  ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 
 def trailing_zeros(value: int) -> int:
@@ -43,15 +44,3 @@ def word_to_bits(value: int, width: int) -> List[int]:
     if value < 0 or value.bit_length() > width:
         raise ValueError(f"value {value} does not fit in {width} bits")
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def bits_to_word(bits) -> Tuple[int, int]:
-    """Fold a big-endian bit list into ``(value, width)``, validating bits."""
-    value = 0
-    width = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {bit}")
-        value = (value << 1) | bit
-        width += 1
-    return value, width

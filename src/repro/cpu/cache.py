@@ -113,10 +113,9 @@ class _PrefetchClassifier:
 class CacheHierarchy:
     """L1D + L2 + L3 replayed over line-granular accesses.
 
-    :meth:`replay` is the fast path. :meth:`access_line` is the per-line
-    reference it must match counter for counter (the tests replay real
-    and generated traces through both); both work on the same sets, so
-    they can be mixed on one hierarchy.
+    :meth:`replay` is the one path. The tests hold it counter for counter
+    to a plain per-line walk over the same sets (``access_line`` in
+    ``tests/oracles.py``) on real and generated traces.
     """
 
     def __init__(self, host: Optional[HostCPUConfig] = None):
@@ -128,31 +127,10 @@ class CacheHierarchy:
         self.stats = CacheStats()
         self._prefetch = _PrefetchClassifier()
 
-    def access_line(self, line: int, is_write: bool) -> None:
-        stats = self.stats
-        stats.accesses += 1
-        if self.l1.access(line):
-            stats.l1_hits += 1
-            return
-        if self.l2.access(line):
-            stats.l2_hits += 1
-            return
-        if self.l3.access(line):
-            stats.l3_hits += 1
-            return
-        stats.dram_accesses += 1
-        if is_write:
-            stats.write_misses += 1
-            stats.writeback_lines += 1  # allocated line eventually written back
-        if self._prefetch.is_sequential(line):
-            stats.sequential_misses += 1
-        else:
-            stats.random_misses += 1
-
     def replay(self, trace: MemoryTrace) -> CacheStats:
         """Replay ``trace`` line by line; returns the accumulated stats.
 
-        Equivalent to :meth:`access_line` on every line of every access,
+        Equivalent to a per-line walk over every line of every access,
         with the three lookups and the prefetch classifier inlined over
         locals and the counters folded into :attr:`stats` once. A line
         equal to the previous one is the L1 MRU line, so it is counted as

@@ -249,11 +249,3 @@ class SoftwarePlatform:
         self._stream_accesses(trace, stream.size_bytes, "read")
         timing = self._finish(serializer.name, "deserialize", result.profile, trace)
         return result, SoftwareRunResult(timing=timing, root=result.root)
-
-    def round_trip_timings(
-        self, serializer: Serializer, root: HeapObject, receiver: Heap
-    ) -> Tuple[CPUTimingResult, CPUTimingResult]:
-        """Convenience: (serialize timing, deserialize timing)."""
-        result, ser_run = self.run_serialize(serializer, root)
-        _, deser_run = self.run_deserialize(serializer, result.stream, receiver)
-        return ser_run.timing, deser_run.timing

@@ -64,10 +64,6 @@ class FaultPolicy:
         """Combined probability that one transfer attempt misbehaves."""
         return self.corruption_prob + self.drop_prob + self.latency_spike_prob
 
-    @property
-    def any_faults(self) -> bool:
-        return any(getattr(self, name) > 0.0 for name in _PROBABILITY_FIELDS)
-
     @classmethod
     def chaos(cls, seed: int = 0, probability: float = 0.05) -> "FaultPolicy":
         """Uniform chaos: every fault kind fires with ``probability``.

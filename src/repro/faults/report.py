@@ -92,31 +92,3 @@ class FaultReport:
             name: self.layers[name].as_dict() for name in sorted(self.layers)
         }
 
-    def to_text(self) -> str:
-        """Deterministic plain-text rendering (byte-identical per seed)."""
-        from repro.analysis.report import ReportTable
-
-        table = ReportTable(
-            "Fault report",
-            ["Layer", "Injected", "Detected", "Recovered", "Fallbacks"],
-        )
-        ordered = [name for name in LAYERS if name in self.layers]
-        ordered += [name for name in sorted(self.layers) if name not in LAYERS]
-        for name in ordered:
-            stats = self.layers[name]
-            table.add_row(
-                name,
-                str(stats.injected),
-                str(stats.detected),
-                str(stats.recovered),
-                str(stats.fallbacks),
-            )
-        totals = self.totals
-        table.add_row(
-            "TOTAL",
-            str(totals.injected),
-            str(totals.detected),
-            str(totals.recovered),
-            str(totals.fallbacks),
-        )
-        return table.render()

@@ -37,12 +37,6 @@ class SerializedStream:
     def size_bytes(self) -> int:
         return len(self.data)
 
-    def section_fraction(self, name: str) -> float:
-        """Fraction of the stream occupied by section ``name``."""
-        if not self.data:
-            return 0.0
-        return self.sections.get(name, 0) / len(self.data)
-
     def check_sections(self) -> None:
         """Invariant: section sizes must sum to the stream size."""
         total = sum(self.sections.values())
@@ -177,7 +171,7 @@ class Serializer(abc.ABC):
         """A resumable chunked encode of ``root``: returns an
         :class:`~repro.formats.plans.EncodeCursor` that yields the stream
         as exact ``chunk_bytes``-sized ``bytearray`` chunks the caller
-        owns. It runs the same encode walk as the plan-path
+        owns. It runs the same encode walk as
         :meth:`serialize`, so chunk concatenation is byte-identical to
         it; see :mod:`repro.formats.chunked`.
         """
@@ -210,8 +204,3 @@ class Serializer(abc.ABC):
         )
         stream.check_sections()
         return SerializationResult(stream, summary.profile)
-
-    def round_trip(self, root: HeapObject, heap: Heap) -> HeapObject:
-        """Serialize then deserialize; convenience for tests and examples."""
-        result = self.serialize(root)
-        return self.deserialize(result.stream, heap).root

@@ -28,6 +28,9 @@ Stream framing (all little-endian):
 
 This module is the *functional reference implementation*; the cycle-level
 model in :mod:`repro.cereal` produces identical bytes while accounting time.
+S/D runs one compiled plan per object shape (:mod:`repro.formats.plans`).
+The per-object encoder and per-slot rebuild they must match byte for byte
+are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from repro.formats.registry import ClassRegistration
 from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
 from repro.jvm.klass import ArrayKlass, HEADER_SLOTS, SLOT_BYTES
-from repro.jvm.markword import MarkWord, fresh_mark_word, identity_hash_for
+from repro.jvm.markword import fresh_mark_word
 
 SECTION_META = "metadata"
 SECTION_VALUES = "value_array"
@@ -164,7 +167,6 @@ class CerealSerializer(Serializer):
         registration: Optional[ClassRegistration] = None,
         strip_mark_word: bool = False,
         use_packing: bool = True,
-        use_plans: bool = True,
     ):
         if registration is None:
             # The Class ID Table's size bounds the types (Section V-E).
@@ -176,9 +178,6 @@ class CerealSerializer(Serializer):
         # use_packing=False emits the Section IV-A baseline format: raw
         # 8 B reference offsets and an 8 B length word per layout bitmap.
         self.use_packing = use_packing
-        # use_plans=True routes hot paths through compiled per-shape plans
-        # (repro.formats.plans); streams are byte-identical either way.
-        self.use_plans = use_plans
 
     def register_class(self, klass) -> int:
         """The paper's ``RegisterClass(Class Type)`` API."""
@@ -187,61 +186,10 @@ class CerealSerializer(Serializer):
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
-        if self.use_plans:
-            return self._drain_walk(root)
-        graph = ObjectGraph.from_root(root, order="bfs")
-        profile = WorkProfile()
-        heap = root.heap
-        memory = heap.memory
-
-        value_words: List[int] = []
-        reference_values: List[int] = []
-        bitmap_words: List[tuple] = []
-        relative_address = graph.relative_address
-
-        for obj, layout in zip(graph.objects, graph.layouts):
-            profile.objects += 1
-            profile.add_instructions(_INSTR_PER_OBJECT)
-            if not self.registration.is_registered(obj.klass):
-                raise RegistrationError(
-                    f"class {obj.klass.name!r} not registered with Cereal; "
-                    f"call register_class() first"
-                )
-            class_id = self.registration.id_of(obj.klass)
-            # All per-shape metadata comes from the memoized klass layout;
-            # the whole object image is read in one bulk word access.
-            bitmap_words.append((layout.bitmap_word, layout.bitmap_width))
-            words = memory.read_words(obj.address, layout.total_slots)
-            profile.add_instructions(_INSTR_PER_SLOT * layout.total_slots)
-
-            if not self.strip_mark_word:
-                value_words.append(words[_MARK_SLOT])
-            value_words.append(class_id)
-            value_words.append(0)  # zeroed extension
-            reference_slot_set = layout.reference_slot_set
-            for field_slot in range(layout.field_slots):
-                raw = words[HEADER_SLOTS + field_slot]
-                if field_slot in reference_slot_set:
-                    profile.reference_fields += 1
-                    if raw == NULL_ADDRESS:
-                        reference_values.append(0)
-                    else:
-                        reference_values.append(relative_address[raw] + 1)
-                else:
-                    profile.value_fields += 1
-                    value_words.append(raw)
-
-        return self._assemble_stream(
-            value_words,
-            reference_values,
-            bitmap_words,
-            graph.total_bytes,
-            graph.object_count,
-            profile,
-        )
+        return self._drain_walk(root)
 
     def _encode_walk(self, root: HeapObject, out):
-        """The plan encoder: one generator walk behind both the plan-path
+        """The plan encoder: one generator walk behind both
         :meth:`serialize` and :meth:`serialize_chunks` (see
         :mod:`repro.formats.plans`, "chunked execution").
 
@@ -252,8 +200,7 @@ class CerealSerializer(Serializer):
         so a first pass resolves every object's plan (which sizes the
         frame) and a second streams the value words. References and
         bitmaps, the trailing sections, gather during that pass and are
-        framed at the end by :meth:`_trailer`, as the interpreter frames them.
-        Streams and profiles are identical to the interpreter's.
+        framed at the end by :meth:`_trailer`.
         """
         graph = ObjectGraph.from_root(root, order="bfs")
         heap = root.heap
@@ -398,39 +345,6 @@ class CerealSerializer(Serializer):
             (bitmap_bytes, SECTION_BITMAPS),
         ]
 
-    def _assemble_stream(
-        self,
-        value_words: List[int],
-        reference_values: List[int],
-        bitmap_words: List[tuple],
-        graph_total_bytes: int,
-        object_count: int,
-        profile: WorkProfile,
-    ) -> SerializationResult:
-        """Frame the interpreter's three gathered structures into a stream."""
-        value_bytes = struct.pack(f"<{len(value_words)}Q", *value_words)
-        out = bytearray()
-        out += self._stream_header(graph_total_bytes, object_count)
-        out += struct.pack("<I", len(value_bytes))
-        out += value_bytes
-        sections = {SECTION_META: 13, SECTION_VALUES: len(value_bytes)}
-        for part, section in self._trailer(reference_values, bitmap_words):
-            out += part
-            sections[section] = sections.get(section, 0) + len(part)
-        data = bytes(out)
-        profile.bytes_read = graph_total_bytes
-        profile.bytes_written = len(data)
-        profile.add_instructions(len(data) // 4)
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=sections,
-            object_count=object_count,
-            graph_bytes=graph_total_bytes,
-        )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
-
     # -------------------------------------------------------------- stream decoding
 
     @staticmethod
@@ -572,8 +486,9 @@ class CerealSerializer(Serializer):
                 f"reference offset {relative - 1} does not target an object"
             )
         base = heap.reserve(sections.graph_total_bytes)
-        rebuild = self._rebuild if self.use_plans else self._rebuild_per_slot
-        root_obj = rebuild(sections, references, bitmap_items, heap, base, profile)
+        root_obj = self._rebuild(
+            sections, references, bitmap_items, heap, base, profile
+        )
         profile.bytes_read = len(stream.data)
         profile.bytes_written = sections.graph_total_bytes
         profile.add_instructions(sections.graph_total_bytes // 8)
@@ -593,9 +508,8 @@ class CerealSerializer(Serializer):
         Each image is a slice of the value array and a slice of the
         reference array (translated to heap addresses once per call),
         permuted into slot order by the plan; it is committed with one
-        bulk word write and registered, in stream order, exactly as
-        :meth:`_rebuild_per_slot` does. The work profile is summed from
-        the section sizes.
+        bulk word write and registered, in stream order. The work profile
+        is summed from the section sizes.
         """
         graph_total = sections.graph_total_bytes
         values = sections.value_words
@@ -725,97 +639,3 @@ class CerealSerializer(Serializer):
             raise FormatError("unconsumed reference-array entries")
         if value_cursor != len(sections.value_words):
             raise FormatError("unconsumed value-array words")
-
-    def _rebuild_per_slot(
-        self,
-        sections: CerealStreamSections,
-        references: List[int],
-        bitmap_items: List[tuple],
-        heap: Heap,
-        base: int,
-        profile: WorkProfile,
-    ) -> HeapObject:
-        """The oracle rebuild (``use_plans=False``): classify every slot of
-        every object against its bitmap, one at a time."""
-        memory = heap.memory
-        value_words_in = sections.value_words
-        value_count = len(value_words_in)
-
-        value_cursor = 0
-        ref_cursor = 0
-        offset = 0
-        root_obj: Optional[HeapObject] = None
-
-        for bitmap_word, bitmap_width in bitmap_items:
-            address = base + offset
-            profile.objects += 1
-            profile.allocations += 1
-            profile.add_instructions(_INSTR_PER_OBJECT)
-            if bitmap_width < HEADER_SLOTS:
-                raise FormatError("layout bitmap smaller than the object header")
-            if offset + bitmap_width * SLOT_BYTES > sections.graph_total_bytes:
-                raise FormatError(
-                    f"object at image offset {offset} extends past the "
-                    f"{sections.graph_total_bytes}-byte image"
-                )
-            klass = None
-            # Assemble the whole object image in Python, then commit it to
-            # simulated memory with one bulk word write.
-            slot_words = []
-            for slot in range(bitmap_width):
-                profile.add_instructions(_INSTR_PER_SLOT)
-                if (bitmap_word >> (bitmap_width - 1 - slot)) & 1:
-                    if ref_cursor >= len(references):
-                        raise FormatError("reference array exhausted mid-object")
-                    relative = references[ref_cursor]
-                    ref_cursor += 1
-                    profile.reference_fields += 1
-                    if relative == 0:
-                        slot_words.append(NULL_ADDRESS)
-                    else:
-                        slot_words.append(base + relative - 1)
-                    continue
-                if slot == _MARK_SLOT and sections.mark_stripped:
-                    # Header strip: rebuild the mark word at the receiver.
-                    word = MarkWord(
-                        identity_hash=identity_hash_for(address)
-                    ).encode()
-                    profile.add_instructions(_INSTR_PER_MARK_REBUILD)
-                elif value_cursor < value_count:
-                    word = value_words_in[value_cursor]
-                    value_cursor += 1
-                else:
-                    raise FormatError("value array exhausted mid-object")
-                if slot == _KLASS_SLOT:
-                    # Class ID Table lookup: class ID -> klass address.
-                    klass = self.registration.klass_of(word)
-                    assert klass.metaspace_address is not None
-                    slot_words.append(klass.metaspace_address)
-                else:
-                    slot_words.append(word)
-                profile.value_fields += 1
-            memory.write_words(address, slot_words)
-
-            if klass is None:
-                raise FormatError("object bitmap marks the klass slot as reference")
-            length = 0
-            if isinstance(klass, ArrayKlass):
-                if bitmap_width <= HEADER_SLOTS:
-                    raise FormatError(f"array {klass.name} has no length slot")
-                length = slot_words[HEADER_SLOTS]
-            obj = heap.register_object(address, klass, length)
-            if root_obj is None:
-                root_obj = obj
-            size = obj.size_bytes
-            if size != bitmap_width * SLOT_BYTES:
-                raise FormatError(
-                    f"bitmap length {bitmap_width} disagrees with object size "
-                    f"{size} for {klass.name}"
-                )
-            offset += size
-
-        self._check_consumed(
-            sections, offset, value_cursor, ref_cursor, len(references)
-        )
-        assert root_obj is not None
-        return root_obj

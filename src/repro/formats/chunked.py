@@ -82,10 +82,6 @@ class ChunkAssembler:
         self.finished = False
         self.chunks_received = 0
 
-    @property
-    def assembled_bytes(self) -> int:
-        return len(self._payload)
-
     def push(self, framed_chunk) -> None:
         if self.finished:
             raise CorruptionError(

@@ -6,9 +6,10 @@ behaviours Section II calls out as expensive:
 * every class is described *by name*: the class name string, a
   serialVersionUID, and per-field metadata (type code + field name string,
   plus a type string for reference fields) are embedded in the stream;
-* field values are extracted through ``java.lang.reflect`` — modelled by the
-  :class:`~repro.jvm.reflection.JavaReflection` shim, which accounts the
-  string-matching work that dominates Java S/D time;
+* field values are extracted through ``java.lang.reflect`` — each class's
+  plan accounts, once, the field-name string matching that
+  :class:`~repro.jvm.reflection.JavaReflection` models per access, the
+  work that dominates Java S/D time;
 * previously-visited objects are written as a 5-byte back reference
   (``TC_REFERENCE`` + handle), which also makes cyclic graphs safe.
 
@@ -25,17 +26,17 @@ Stream grammar (tag bytes follow the real Java protocol values):
 
 Reference-typed fields and array elements recurse into ``content``.
 
-The plan path supplies only the Java-specific preludes (tags, class
-descriptors and u32 handles) to the encode walk and decode driver it
-shares with Kryo in :mod:`repro.formats.plans`; the interpreter behind
-``use_plans=False`` is the independent oracle.
+S/D supplies only the Java-specific preludes (tags, class descriptors and
+u32 handles) to the encode walk and decode driver it shares with Kryo in
+:mod:`repro.formats.plans`. The field-by-field interpreter they must match
+byte for byte is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.common.errors import (
     FormatError,
@@ -49,14 +50,11 @@ from repro.formats.base import (
     SerializationResult,
     SerializedStream,
     Serializer,
-    WorkProfile,
 )
 from repro.formats.limits import DecodeLimits, resolve_limits
-from repro.formats.streams import StreamReader, StreamWriter
-from repro.jvm.graph import ObjectGraph
+from repro.formats.streams import StreamReader
 from repro.jvm.heap import Heap, HeapObject
-from repro.jvm.klass import ArrayKlass, FieldKind, InstanceKlass, Klass
-from repro.jvm.reflection import JavaReflection
+from repro.jvm.klass import FieldKind, InstanceKlass, Klass
 
 MAGIC = 0xACED
 VERSION = 5
@@ -134,170 +132,21 @@ def serial_version_uid(klass: Klass) -> int:
 class JavaSerializer(Serializer):
     """The baseline Java built-in serializer (paper "Java S/D").
 
-    ``use_plans=True`` (the default) routes S/D through the compiled-plan
-    kernels of :mod:`repro.formats.plans`: byte-identical streams, heap
-    images, sections, and work profiles, minus the per-object interpretive
-    overhead. ``use_plans=False`` keeps the original field-by-field
-    interpreter — the oracle the fuzz equivalence tests compare against.
+    S/D runs the compiled-plan kernels of :mod:`repro.formats.plans`,
+    which account the reflection-shim work per class once.
     """
 
     name = "java-builtin"
 
-    def __init__(self, use_plans: bool = True):
-        self.use_plans = use_plans
-
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
-        if self.use_plans:
-            return self._drain_walk(root)
-        writer = StreamWriter()
-        profile = WorkProfile()
-        reflect = JavaReflection()
-        handles: Dict[int, int] = {}  # heap address -> stream handle
-        class_handles: Dict[str, int] = {}
-        next_handle = [0]
-
-        writer.write_u16(MAGIC, _SECTION_META)
-        writer.write_u16(VERSION, _SECTION_META)
-
-        def assign_handle() -> int:
-            handle = next_handle[0]
-            next_handle[0] += 1
-            return handle
-
-        def write_class_desc(klass: Klass) -> None:
-            existing = class_handles.get(klass.name)
-            if existing is not None:
-                writer.write_u8(TC_REFERENCE, _SECTION_REFS)
-                writer.write_u32(existing, _SECTION_REFS)
-                return
-            writer.write_u8(TC_CLASSDESC, _SECTION_META)
-            writer.write_utf(klass.name, _SECTION_TYPES)
-            writer.write_u64(serial_version_uid(klass), _SECTION_META)
-            writer.write_u8(SC_SERIALIZABLE, _SECTION_META)
-            if isinstance(klass, InstanceKlass):
-                writer.write_u16(len(klass.fields), _SECTION_META)
-                for descriptor in klass.fields:
-                    writer.write_u8(_TYPE_CODES[descriptor.kind], _SECTION_META)
-                    writer.write_utf(descriptor.name, _SECTION_TYPES)
-                    if descriptor.kind.is_reference:
-                        writer.write_utf(_REFERENCE_TYPE_STRING, _SECTION_TYPES)
-            else:
-                assert isinstance(klass, ArrayKlass)
-                writer.write_u16(0, _SECTION_META)
-                writer.write_u8(_TYPE_CODES[klass.element_kind], _SECTION_META)
-            class_handles[klass.name] = assign_handle()
-            profile.add_instructions(_INSTR_PER_CLASSDESC)
-
-        def write_primitive(kind: FieldKind, value) -> None:
-            if kind is FieldKind.BOOLEAN:
-                writer.write_u8(1 if value else 0, _SECTION_DATA)
-            elif kind is FieldKind.BYTE:
-                writer.write_bytes(
-                    (int(value) & 0xFF).to_bytes(1, "little"), _SECTION_DATA
-                )
-            elif kind is FieldKind.CHAR:
-                writer.write_u16(int(value) & 0xFFFF, _SECTION_DATA)
-            elif kind is FieldKind.SHORT:
-                writer.write_u16(int(value) & 0xFFFF, _SECTION_DATA)
-            elif kind is FieldKind.INT:
-                writer.write_bytes(
-                    (int(value) & 0xFFFFFFFF).to_bytes(4, "little"), _SECTION_DATA
-                )
-            elif kind is FieldKind.FLOAT:
-                import struct as _struct
-
-                writer.write_bytes(
-                    _struct.pack("<f", float(value)), _SECTION_DATA
-                )
-            elif kind is FieldKind.LONG:
-                writer.write_i64(int(value), _SECTION_DATA)
-            elif kind is FieldKind.DOUBLE:
-                writer.write_f64(float(value), _SECTION_DATA)
-            else:  # pragma: no cover - guarded by callers
-                raise FormatError(f"not a primitive kind: {kind}")
-            profile.value_fields += 1
-            profile.add_instructions(_INSTR_PER_PRIMITIVE)
-
-        def emit_object(obj: HeapObject) -> Iterator[Optional[HeapObject]]:
-            """Generator writing one object; yields reference children."""
-            profile.objects += 1
-            profile.add_instructions(_INSTR_PER_OBJECT)
-            profile.aux_random_accesses += _AUX_ACCESSES_PER_OBJECT_SER
-            profile.dependent_loads += 2  # header + klass metadata chase
-            if isinstance(obj.klass, ArrayKlass):
-                writer.write_u8(TC_ARRAY, _SECTION_META)
-                write_class_desc(obj.klass)
-                handles[obj.address] = assign_handle()
-                writer.write_u32(obj.length, _SECTION_META)
-                if obj.klass.element_kind.is_reference:
-                    for index in range(obj.length):
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_REFERENCE)
-                        yield obj.get_element(index)  # type: ignore[misc]
-                else:
-                    # One bulk heap read for the whole element storage; the
-                    # per-element stream encoding (and accounting) is
-                    # unchanged.
-                    element_kind = obj.klass.element_kind
-                    for value in obj.get_elements():
-                        write_primitive(element_kind, value)
-            else:
-                klass = obj.klass
-                assert isinstance(klass, InstanceKlass)
-                writer.write_u8(TC_OBJECT, _SECTION_META)
-                write_class_desc(klass)
-                handles[obj.address] = assign_handle()
-                for descriptor in klass.fields:
-                    if descriptor.kind.is_reference:
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_REFERENCE)
-                        profile.dependent_loads += 1
-                        yield reflect.get_field(obj, descriptor.name)  # type: ignore[misc]
-                    else:
-                        write_primitive(
-                            descriptor.kind, reflect.get_field(obj, descriptor.name)
-                        )
-
-        # Iterative driver: keeps the Java recursive write order without
-        # Python recursion-depth limits on deep lists.
-        stack = [emit_object(root)]
-        while stack:
-            try:
-                child = next(stack[-1])
-            except StopIteration:
-                stack.pop()
-                continue
-            if child is None:
-                writer.write_u8(TC_NULL, _SECTION_REFS)
-            elif child.address in handles:
-                writer.write_u8(TC_REFERENCE, _SECTION_REFS)
-                writer.write_u32(handles[child.address], _SECTION_REFS)
-            else:
-                stack.append(emit_object(child))
-
-        data = writer.getvalue()
-        profile.add_instructions(reflect.cost.estimated_instructions())
-        profile.add_instructions(len(data) * _INSTR_PER_STREAM_BYTE)
-        profile.bytes_read = ObjectGraph.from_root(root).total_bytes
-        profile.bytes_written = len(data)
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=dict(writer.sections),
-            object_count=profile.objects,
-            graph_bytes=profile.bytes_read,
-        )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
-
-    # ------------------------------------------------------- serialize (plan walk)
+        return self._drain_walk(root)
 
     def _encode_walk(self, root: HeapObject, out):
         """The plan encoder: Java's prelude over the shared walk
-        (:func:`repro.formats.plans.encode_walk`), behind both the
-        plan-path :meth:`serialize` and :meth:`serialize_chunks`.
+        (:func:`repro.formats.plans.encode_walk`), behind both
+        :meth:`serialize` and :meth:`serialize_chunks`.
 
         The prelude writes the tag, then the class descriptor blob (or
         ``TC_REFERENCE`` + u32 class handle) and, for arrays, the u32
@@ -354,213 +203,14 @@ class JavaSerializer(Serializer):
 
     # ---------------------------------------------------------------- deserialize
 
-    def deserialize(
-        self,
-        stream: SerializedStream,
-        heap: Heap,
-        limits: Optional[DecodeLimits] = None,
-    ) -> DeserializationResult:
-        limits = resolve_limits(limits)
-        if self.use_plans:
-            return self._deserialize_planned(stream, heap, limits)
-        limits.check_stream_bytes(len(stream.data))
-        reader = StreamReader(stream.data)
-        profile = WorkProfile()
-        reflect = JavaReflection()
-        handle_table: Dict[int, object] = {}  # handle -> HeapObject or Klass
-        next_handle = [0]
-
-        if reader.read_u16() != MAGIC or reader.read_u16() != VERSION:
-            raise FormatError("bad Java serialization stream header")
-
-        def assign_handle(value: object) -> None:
-            handle_table[next_handle[0]] = value
-            next_handle[0] += 1
-
-        def read_class_desc() -> Klass:
-            tag = reader.read_u8()
-            if tag == TC_REFERENCE:
-                value = handle_table.get(reader.read_u32())
-                if not isinstance(value, Klass):
-                    raise FormatError("class-descriptor handle resolves to non-class")
-                return value
-            if tag != TC_CLASSDESC:
-                raise FormatError(f"expected class descriptor, got tag {tag:#x}")
-            name = reader.read_utf()
-            uid = reader.read_u64()
-            reader.read_u8()  # flags
-            # Resolving a class by name: the expensive string lookup the
-            # paper blames for Java S/D type-resolution overhead.
-            profile.add_instructions(_INSTR_PER_CLASSDESC + len(name) * 2)
-            try:
-                klass = heap.registry.by_name(name)
-            except HeapError:
-                raise UnknownClassError(
-                    repr(name),
-                    detail="class name not registered",
-                    offset=reader.position,
-                ) from None
-            if serial_version_uid(klass) != uid:
-                raise FormatError(f"serialVersionUID mismatch for {name}")
-            if isinstance(klass, InstanceKlass):
-                nfields = reader.read_u16()
-                if nfields != len(klass.fields):
-                    raise FormatError(f"field count mismatch for {name}")
-                for descriptor in klass.fields:
-                    code = reader.read_u8()
-                    if _KIND_BY_CODE.get(code) is not descriptor.kind:
-                        raise FormatError(f"field kind mismatch in {name}")
-                    reader.read_utf()  # field name
-                    if descriptor.kind.is_reference:
-                        reader.read_utf()  # type string
-            else:
-                reader.read_u16()
-                reader.read_u8()
-            assign_handle(klass)
-            return klass
-
-        def read_primitive(kind: FieldKind):
-            import struct as _struct
-
-            if kind is FieldKind.BOOLEAN:
-                return bool(reader.read_u8())
-            if kind is FieldKind.BYTE:
-                raw = reader.read_u8()
-                return raw - 256 if raw >= 128 else raw
-            if kind is FieldKind.CHAR:
-                return reader.read_u16()
-            if kind is FieldKind.SHORT:
-                raw = reader.read_u16()
-                return raw - 65536 if raw >= 32768 else raw
-            if kind is FieldKind.INT:
-                return reader.read_i32()
-            if kind is FieldKind.FLOAT:
-                return _struct.unpack("<f", reader.read_bytes(4))[0]
-            if kind is FieldKind.LONG:
-                return reader.read_i64()
-            if kind is FieldKind.DOUBLE:
-                return reader.read_f64()
-            raise FormatError(f"not a primitive kind: {kind}")
-
-        def parse_object(tag: int, holder: list):
-            """Generator parsing one object; yields to request a reference.
-
-            Appends the allocated object to ``holder`` so the driver can
-            recover it when the generator finishes.
-            """
-            klass = read_class_desc()
-            limits.check_objects(profile.objects + 1)
-            profile.objects += 1
-            profile.allocations += 1
-            profile.add_instructions(_INSTR_PER_OBJECT_DESER + _INSTR_PER_ALLOC)
-            profile.aux_random_accesses += _AUX_ACCESSES_PER_OBJECT_DESER
-            if tag == TC_ARRAY:
-                if not isinstance(klass, ArrayKlass):
-                    raise FormatError("TC_ARRAY with non-array class")
-                length = reader.read_u32()
-                limits.check_array_length(length)
-                obj = heap.allocate(klass, length)
-                assign_handle(obj)
-                holder.append(obj)
-                if klass.element_kind.is_reference:
-                    for index in range(length):
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_FIELD_DESER)
-                        child = yield obj
-                        obj.set_element(index, child)
-                else:
-                    # Decode the whole element run, then commit it with one
-                    # bulk heap write; stream decode order and accounting
-                    # are unchanged.
-                    values = []
-                    for index in range(length):
-                        values.append(read_primitive(klass.element_kind))
-                        profile.value_fields += 1
-                        # Primitive array elements bypass reflection.
-                        profile.add_instructions(_INSTR_PER_PRIMITIVE // 4)
-                    obj.set_elements(values)
-            else:
-                if not isinstance(klass, InstanceKlass):
-                    raise FormatError("TC_OBJECT with array class")
-                obj = heap.allocate(klass)
-                assign_handle(obj)
-                holder.append(obj)
-                for descriptor in klass.fields:
-                    if descriptor.kind.is_reference:
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_FIELD_DESER)
-                        child = yield obj
-                        reflect.set_field(obj, descriptor.name, child)
-                    else:
-                        value = read_primitive(descriptor.kind)
-                        reflect.set_field(obj, descriptor.name, value)
-                        profile.value_fields += 1
-                        profile.add_instructions(_INSTR_PER_FIELD_DESER)
-            return
-
-        def start_content():
-            """Read a content tag; returns ('value', v) or ('frame', gen, holder)."""
-            tag = reader.read_u8()
-            if tag == TC_NULL:
-                return ("value", None, None)
-            if tag == TC_REFERENCE:
-                value = handle_table.get(reader.read_u32())
-                if not isinstance(value, HeapObject):
-                    raise FormatError("object handle resolves to non-object")
-                return ("value", value, None)
-            if tag in (TC_OBJECT, TC_ARRAY):
-                holder: list = []
-                return ("frame", parse_object(tag, holder), holder)
-            raise FormatError(f"unexpected tag {tag:#x}")
-
-        _UNSET = object()
-        kind, payload, holder = start_content()
-        if kind == "value":
-            raise FormatError("stream root must be an object")
-        stack = [(payload, holder)]
-        pending = _UNSET
-        root_obj: Optional[HeapObject] = None
-        while stack:
-            gen, gen_holder = stack[-1]
-            try:
-                if pending is _UNSET:
-                    next(gen)
-                else:
-                    value, pending = pending, _UNSET
-                    gen.send(value)
-                # The generator requested one reference value.
-                kind, payload, holder = start_content()
-                if kind == "value":
-                    pending = payload
-                else:
-                    limits.check_depth(len(stack) + 1)
-                    stack.append((payload, holder))
-            except StopIteration:
-                stack.pop()
-                if not gen_holder:
-                    raise FormatError("object frame finished without allocating")
-                finished = gen_holder[0]
-                pending = finished
-                root_obj = finished  # last finished frame is the root
-
-        if not isinstance(root_obj, HeapObject):
-            raise FormatError("deserialization produced no root object")
-        profile.bytes_read = len(stream.data)
-        profile.bytes_written = ObjectGraph.from_root(root_obj).total_bytes
-        profile.add_instructions(reflect.cost.estimated_instructions())
-        profile.add_instructions(len(stream.data) * _INSTR_PER_STREAM_BYTE)
-        return DeserializationResult(root_obj, profile)
-
-    # ----------------------------------------------------- deserialize (plan kernel)
-
     @staticmethod
     def _slow_parse_class_desc(data: bytes, pos: int, klass: Klass, name: str) -> int:
         """Field-by-field descriptor parse, used when the fast byte compare
         against the plan's expected descriptor fails.
 
-        Replicates the interpreter exactly — including its leniency about
-        field-name strings (read and discarded) and its precise error
-        messages for uid/count/kind mismatches. Returns the new cursor.
+        Replicates the oracle interpreter's parse exactly — including its
+        leniency about field-name strings (read and discarded) and its precise
+        error messages for uid/count/kind mismatches. Returns the new cursor.
         """
         reader = StreamReader(data)
         reader._pos = pos
@@ -584,16 +234,19 @@ class JavaSerializer(Serializer):
             reader.read_u8()
         return reader._pos
 
-    def _deserialize_planned(
-        self, stream: SerializedStream, heap: Heap, limits: DecodeLimits
+    def deserialize(
+        self,
+        stream: SerializedStream,
+        heap: Heap,
+        limits: Optional[DecodeLimits] = None,
     ) -> DeserializationResult:
-        """Compiled-plan deserialize: Java's content prelude over the
-        shared decode driver (:func:`repro.formats.plans.decode_walk`).
+        """Java's content prelude over the shared decode driver
+        (:func:`repro.formats.plans.decode_walk`).
 
         Class descriptors are validated with one slice comparison against
-        the plan's expected bytes; the heap image and profile equal the
-        interpreter's.
+        the plan's expected bytes.
         """
+        limits = resolve_limits(limits)
         data = stream.data
         n_data = len(data)
         limits.check_stream_bytes(n_data)

@@ -22,12 +22,12 @@ Stream grammar:
 
 Reference fields and reference-array elements recurse into ``content``.
 
-Two implementations decode this grammar. The plan path supplies only the
-Kryo-specific preludes (markers, class-ID and length varints) to the walk
-and driver shared with Java S/D in :mod:`repro.formats.plans`. The
-field-by-field :func:`interpret` is the oracle behind ``use_plans=False``
-and, given the field table :func:`repro.formats.secure.resolve_schemas`
-builds, the schema-evolution decoder of ``VersionedKryo``.
+S/D supplies only the Kryo-specific preludes (markers, class-ID and
+length varints) to the walk and driver shared with Java S/D in
+:mod:`repro.formats.plans`. The field-by-field :func:`interpret` decodes
+with the field table :func:`repro.formats.secure.resolve_schemas` builds:
+it is ``VersionedKryo``'s schema-evolution decoder, and, with every field
+mapped to itself, the decode oracle of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.formats.base import (
 )
 from repro.formats.limits import DecodeLimits, resolve_limits
 from repro.formats.registry import ClassRegistration
-from repro.formats.streams import StreamReader, StreamWriter
+from repro.formats.streams import StreamReader
 from repro.formats.varint import (
     INT32_MAX,
     INT32_MIN,
@@ -92,18 +92,10 @@ class KryoSerializer(Serializer):
 
     name = "kryo"
 
-    def __init__(
-        self,
-        registration: Optional[ClassRegistration] = None,
-        use_plans: bool = True,
-    ):
+    def __init__(self, registration: Optional[ClassRegistration] = None):
         self.registration = (
             registration if registration is not None else ClassRegistration()
         )
-        # Plan kernels are byte-identical to the interpreter; the class-ID
-        # varints depend on this instance's registration, so they are
-        # cached per serialize call, not baked into the shared plans.
-        self.use_plans = use_plans
 
     def register(self, klass) -> int:
         """Kryo's ``register(Class)``: required before S/D of that type."""
@@ -112,106 +104,12 @@ class KryoSerializer(Serializer):
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
-        if self.use_plans:
-            return self._drain_walk(root)
-        writer = StreamWriter()
-        profile = WorkProfile()
-        asm = ReflectAsmAccess()
-        object_ids: Dict[int, int] = {}
-
-        def write_primitive(kind: FieldKind, value) -> None:
-            if kind is FieldKind.BOOLEAN:
-                writer.write_u8(1 if value else 0, _SECTION_DATA)
-            elif kind is FieldKind.BYTE:
-                writer.write_bytes(
-                    (int(value) & 0xFF).to_bytes(1, "little"), _SECTION_DATA
-                )
-            elif kind in (FieldKind.CHAR, FieldKind.SHORT):
-                writer.write_u16(int(value) & 0xFFFF, _SECTION_DATA)
-            elif kind in (FieldKind.INT, FieldKind.LONG):
-                writer.write_signed_varint(int(value), _SECTION_DATA)
-            elif kind is FieldKind.FLOAT:
-                writer.write_bytes(struct.pack("<f", float(value)), _SECTION_DATA)
-            elif kind is FieldKind.DOUBLE:
-                writer.write_f64(float(value), _SECTION_DATA)
-            else:  # pragma: no cover - guarded by callers
-                raise FormatError(f"not a primitive kind: {kind}")
-            profile.value_fields += 1
-            profile.add_instructions(_INSTR_PER_PRIMITIVE)
-
-        def emit_object(obj: HeapObject):
-            profile.objects += 1
-            profile.add_instructions(_INSTR_PER_OBJECT)
-            profile.aux_random_accesses += _AUX_ACCESSES_PER_OBJECT_SER
-            profile.dependent_loads += 2
-            class_id = self.registration.id_of(obj.klass)
-            object_ids[obj.address] = len(object_ids)
-            if isinstance(obj.klass, ArrayKlass):
-                writer.write_u8(MARK_ARRAY, _SECTION_MARKS)
-                writer.write_varint(class_id, _SECTION_CLASS_IDS)
-                writer.write_varint(obj.length, _SECTION_DATA)
-                if obj.klass.element_kind.is_reference:
-                    for index in range(obj.length):
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_REFERENCE)
-                        yield obj.get_element(index)
-                else:
-                    # One bulk heap read for the whole element storage.
-                    element_kind = obj.klass.element_kind
-                    for value in obj.get_elements():
-                        write_primitive(element_kind, value)
-            else:
-                klass = obj.klass
-                assert isinstance(klass, InstanceKlass)
-                writer.write_u8(MARK_OBJECT, _SECTION_MARKS)
-                writer.write_varint(class_id, _SECTION_CLASS_IDS)
-                for index, descriptor in enumerate(klass.fields):
-                    if descriptor.kind.is_reference:
-                        profile.reference_fields += 1
-                        profile.add_instructions(_INSTR_PER_REFERENCE)
-                        profile.dependent_loads += 1
-                        yield asm.get_field_by_index(obj, index)
-                    else:
-                        write_primitive(
-                            descriptor.kind, asm.get_field_by_index(obj, index)
-                        )
-
-        stack = [emit_object(root)]
-        while stack:
-            try:
-                child = next(stack[-1])
-            except StopIteration:
-                stack.pop()
-                continue
-            if child is None:
-                writer.write_u8(MARK_NULL, _SECTION_MARKS)
-            elif child.address in object_ids:
-                writer.write_u8(MARK_BACKREF, _SECTION_MARKS)
-                writer.write_varint(object_ids[child.address], _SECTION_REFS)
-            else:
-                stack.append(emit_object(child))
-
-        data = writer.getvalue()
-        profile.add_instructions(asm.cost.estimated_instructions())
-        profile.add_instructions(len(data) * _INSTR_PER_STREAM_BYTE)
-        profile.bytes_read = ObjectGraph.from_root(root).total_bytes
-        profile.bytes_written = len(data)
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=dict(writer.sections),
-            object_count=profile.objects,
-            graph_bytes=profile.bytes_read,
-        )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
-
-    # ------------------------------------------------------- serialize (plan walk)
+        return self._drain_walk(root)
 
     def _encode_walk(self, root: HeapObject, out):
         """The plan encoder: Kryo's prelude over the shared walk
-        (:func:`repro.formats.plans.encode_walk`), behind both the
-        plan-path :meth:`serialize` and :meth:`serialize_chunks`.
+        (:func:`repro.formats.plans.encode_walk`), behind both
+        :meth:`serialize` and :meth:`serialize_chunks`.
 
         The prelude writes the marker, the registration's class-ID varint
         and, for arrays, the length varint. Nulls are ``MARK_NULL`` and
@@ -265,21 +163,9 @@ class KryoSerializer(Serializer):
         heap: Heap,
         limits: Optional[DecodeLimits] = None,
     ) -> DeserializationResult:
+        """Kryo's content prelude over the shared decode driver
+        (:func:`repro.formats.plans.decode_walk`)."""
         limits = resolve_limits(limits)
-        if self.use_plans:
-            return self._deserialize_planned(stream, heap, limits)
-        return interpret(
-            stream, heap, limits, identity_field_table(self.registration)
-        )
-
-    # ----------------------------------------------------- deserialize (plan kernel)
-
-    def _deserialize_planned(
-        self, stream: SerializedStream, heap: Heap, limits: DecodeLimits
-    ) -> DeserializationResult:
-        """Compiled-plan deserialize: Kryo's content prelude over the
-        shared decode driver (:func:`repro.formats.plans.decode_walk`);
-        identical heap image and profile to the interpreter's."""
         data = stream.data
         n_data = len(data)
         limits.check_stream_bytes(n_data)
@@ -330,31 +216,14 @@ class KryoSerializer(Serializer):
 FieldTable = List[Tuple[Klass, Tuple[Tuple[Optional[int], FieldKind], ...]]]
 
 
-def identity_field_table(registration: ClassRegistration) -> FieldTable:
-    """The field table that decodes a stream with the writer's own
-    registration: every class ID to its klass, every field to itself."""
-    return [
-        (
-            klass,
-            ()
-            if klass.is_array
-            else tuple(
-                (index, descriptor.kind)
-                for index, descriptor in enumerate(klass.fields)
-            ),
-        )
-        for klass in registration
-    ]
-
-
 def interpret(
     stream: SerializedStream,
     heap: Heap,
     limits: DecodeLimits,
     field_table: FieldTable,
 ) -> DeserializationResult:
-    """Field-by-field Kryo decode: the oracle the plan kernel is checked
-    against, and the schema-evolution decoder.
+    """Field-by-field Kryo decode: the schema-evolution decoder, and the
+    oracle the plan kernel is checked against.
 
     ``field_table[class_id]`` is ``(reader klass, fields)``. The stream's
     layout comes from the writer's fields; values land in the reader

@@ -24,8 +24,8 @@ the DU's unpackers implement exactly these loops.
 ``(value, width)`` *words*, never as per-bit lists: one packed item is a
 shift, an or, and an ``int.to_bytes``; one unpacked item is an
 ``int.from_bytes``, a trailing-zero count, and a shift. The original
-per-bit kernels survive verbatim in :mod:`repro.formats.slow_reference`
-as the equivalence oracle; both produce byte-identical streams.
+per-bit kernels survive as the equivalence oracle in ``tests/oracles.py``;
+both produce byte-identical streams.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.common.bitstream import bits_to_word, trailing_zeros, word_to_bits
+from repro.common.bitstream import trailing_zeros, word_to_bits
 from repro.common.errors import FormatError
 
 
@@ -220,44 +220,6 @@ def unpack_bitmap_words(packed: PackedArray) -> List[Tuple[int, int]]:
     return unpack_word_items(packed)
 
 
-def pack_bitmaps(bitmaps: Sequence[Sequence[int]]) -> PackedArray:
-    """Pack layout bitmaps given as bit lists (compatibility surface)."""
-    words: List[Tuple[int, int]] = []
-    for bitmap in bitmaps:
-        if len(bitmap) == 0:
-            raise FormatError("layout bitmap must be non-empty")
-        try:
-            words.append(bits_to_word(bitmap))
-        except ValueError:
-            raise FormatError("layout bitmap must contain only 0/1") from None
-    return pack_word_items(words)
-
-
 def unpack_bitmaps(packed: PackedArray) -> List[List[int]]:
-    """Inverse of :func:`pack_bitmaps`."""
+    """:func:`unpack_bitmap_words`, each bitmap as a list of bits."""
     return [word_to_bits(value, width) for value, width in unpack_word_items(packed)]
-
-
-# -- analytical helpers -----------------------------------------------------------------
-
-
-def packed_size_bytes(values: Sequence[int]) -> int:
-    """Total packed bytes (data + end map) for ``values`` without packing."""
-    data_bytes = sum(
-        ((value.bit_length() or 1) + 1 + 7) // 8 for value in values
-    )
-    end_map_bytes = (data_bytes + 7) // 8
-    return data_bytes + end_map_bytes
-
-
-def unpacked_size_bytes(values: Sequence[int]) -> int:
-    """Size if each value were stored in a full 8 B word (baseline)."""
-    return len(values) * 8
-
-
-def compression_ratio(values: Sequence[int]) -> float:
-    """Space saved by packing relative to the 8 B-per-value baseline."""
-    baseline = unpacked_size_bytes(values)
-    if baseline == 0:
-        return 0.0
-    return 1.0 - packed_size_bytes(values) / baseline

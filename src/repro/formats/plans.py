@@ -1,10 +1,9 @@
 """Compiled serialization plans: shape-specialized encode/decode op-lists.
 
-The interpreters in :mod:`repro.formats.javaser`, :mod:`repro.formats.kryo`
-and :mod:`repro.formats.cereal_format` re-derive the same facts for *every
-object* they touch: which slot holds which field kind, how the field is
-encoded on the wire, what the class descriptor bytes look like, how much
-modelled work the operation costs. All of that depends only on the
+A field-by-field interpreter for Java S/D, Kryo or Cereal re-derives the
+same facts for *every object* it touches: which slot holds which field
+kind, how the field is encoded on the wire, what the class descriptor
+bytes look like, how much modelled work the operation costs. All of that depends only on the
 object's *shape* — the klass (plus, for Cereal bitmaps, the array length)
 — so it can be computed once and replayed.
 
@@ -49,11 +48,10 @@ plan per shape. Its hit/miss/eviction counters live in the process-wide
 metrics registry as ``plan_cache.*``; ``benchmarks/bench_wallclock.py``
 gates on the warm-cache hit rate they give.
 
-Byte-identity with the interpreters is enforced by
-``tests/test_plans.py`` and the fuzz corpus in
-``tests/test_fuzz_roundtrip.py``; the interpreters themselves remain
-available as the oracle via ``use_plans=False`` (see
-:func:`repro.formats.slow_reference.oracle_serializer`).
+Plans are the only S/D path of those three formats. The interpreters
+they replaced live on as test oracles in ``tests/oracles.py``, and
+``tests/test_plans.py`` holds the plans byte-identical to them over the
+fuzz corpus of ``tests/test_fuzz_roundtrip.py``.
 """
 
 from __future__ import annotations

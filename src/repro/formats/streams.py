@@ -173,9 +173,6 @@ class StreamWriter:
     def write_u16(self, value: int, section: str) -> None:
         self.write_bytes(struct.pack("<H", value), section)
 
-    def write_u32(self, value: int, section: str) -> None:
-        self.write_bytes(struct.pack("<I", value), section)
-
     def write_u64(self, value: int, section: str) -> None:
         self.write_bytes(struct.pack("<Q", value), section)
 
@@ -193,12 +190,6 @@ class StreamWriter:
     def write_varint(self, value: int, section: str) -> int:
         """LEB128 unsigned varint; returns encoded length."""
         length = V.append_varint(self._buffer, value)
-        self._account(section, length)
-        return length
-
-    def write_signed_varint(self, value: int, section: str) -> int:
-        """Zig-zag mapped signed varint."""
-        length = V.append_signed_varint(self._buffer, value)
         self._account(section, length)
         return length
 
@@ -317,7 +308,3 @@ class StreamReader:
             return bytes(raw).decode("utf-8")
         except UnicodeDecodeError as error:
             raise FormatError(f"invalid UTF-8 in stream: {error}") from None
-
-    def expect_end(self) -> None:
-        if self.remaining:
-            raise FormatError(f"{self.remaining} trailing bytes in stream")

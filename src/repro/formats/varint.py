@@ -33,19 +33,6 @@ INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 
 
-def zigzag_encode(value: int) -> int:
-    """Signed i64 -> unsigned zig-zag u64."""
-    return ((value << 1) ^ (value >> 63) if value < 0 else value << 1) & _U64_MASK
-
-
-def zigzag_decode(zigzag: int) -> int:
-    """Unsigned zig-zag u64 -> signed i64."""
-    value = zigzag >> 1
-    if zigzag & 1:
-        value = ~value
-    return value
-
-
 def append_varint(out: bytearray, value: int) -> int:
     """Unsigned LEB128 append; returns the encoded length in bytes."""
     if value < 0:

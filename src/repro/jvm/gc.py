@@ -33,11 +33,3 @@ def clear_serialization_metadata(heap: Heap) -> int:
         obj.clear_serialization_metadata()
         cleared += 1
     return cleared
-
-
-def max_serialization_counter(heap: Heap) -> int:
-    """Highest visited-counter value on the heap (overflow monitoring)."""
-    highest = 0
-    for obj in walk_heap(heap):
-        highest = max(highest, obj.serialization_counter)
-    return highest

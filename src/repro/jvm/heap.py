@@ -319,10 +319,6 @@ class HeapObject:
     def identity_hash(self) -> int:
         return self.mark_word.identity_hash
 
-    @property
-    def klass_pointer(self) -> int:
-        return self.heap.memory.read_u64(self.address + 8)
-
     # -- Cereal header extension (Section V-E) -------------------------------------------
 
     @property

@@ -194,7 +194,6 @@ class KlassRegistry:
 
     def __init__(self) -> None:
         self._klasses: List[Klass] = []
-        self._by_address: Dict[int, Klass] = {}
         self._by_name: Dict[str, Klass] = {}
 
     def register(self, klass: Klass) -> Klass:
@@ -207,16 +206,8 @@ class KlassRegistry:
         address = self.METASPACE_BASE + len(self._klasses) * self._KLASS_STRIDE
         klass.metaspace_address = address
         self._klasses.append(klass)
-        self._by_address[address] = klass
         self._by_name[klass.name] = klass
         return klass
-
-    def resolve(self, address: int) -> Klass:
-        """Look up a klass by its metaspace address (the klass pointer)."""
-        try:
-            return self._by_address[address]
-        except KeyError:
-            raise HeapError(f"no klass at metaspace address {address:#x}") from None
 
     def by_name(self, name: str) -> Klass:
         try:

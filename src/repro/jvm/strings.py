@@ -33,8 +33,3 @@ def read_string(array: HeapObject) -> str:
     if not isinstance(klass, ArrayKlass) or klass.element_kind is not FieldKind.CHAR:
         raise HeapError(f"{klass.name} is not a char array")
     return "".join(chr(array.get_element(i)) for i in range(array.length))
-
-
-def string_bytes(array: HeapObject) -> int:
-    """On-heap footprint of the string (header + length slot + chars)."""
-    return array.size_bytes

@@ -220,11 +220,6 @@ class DRAMModel:
 
     # -- address mapping ---------------------------------------------------------
 
-    def channel_of(self, address: int) -> int:
-        """Line-interleaved channel mapping."""
-        line = address // self.config.access_granularity_bytes
-        return line % self.config.channels
-
     def occupancy_ns(self, length: int) -> float:
         """Channel busy time to move ``length`` bytes."""
         return length / self.config.channel_bandwidth_bytes_per_sec * 1e9
@@ -244,7 +239,8 @@ class DRAMModel:
         if issue_ns < 0:
             raise SimulationError(f"issue time must be non-negative, got {issue_ns}")
         config = self.config
-        # channel_of() and occupancy_ns(), inlined: this runs once per block.
+        # Line-interleaved channel and occupancy_ns(), inlined: this runs
+        # once per block.
         channel = (address // config.access_granularity_bytes) % config.channels
         occupancy = length / config.channel_bandwidth_bytes_per_sec * 1e9
         if self._interval_channels is not None:

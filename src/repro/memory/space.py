@@ -97,11 +97,6 @@ class MemorySpace:
             self._pages[page_index] = page
         return page
 
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of backing storage actually allocated."""
-        return len(self._pages) * _PAGE_BYTES
-
     def _get(self, address: int, length: int) -> bytes:
         """The bytes at ``[address, address + length)``: no check, no trace."""
         page_index, offset = divmod(address, _PAGE_BYTES)
@@ -178,9 +173,6 @@ class MemorySpace:
 
     def read_u32(self, address: int) -> int:
         return self._load(address, _U32)
-
-    def write_u32(self, address: int, value: int) -> None:
-        self._store(address, _U32.pack(value))
 
     def read_u64(self, address: int) -> int:
         return self._load(address, _U64)

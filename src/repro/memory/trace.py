@@ -40,12 +40,6 @@ class MemoryAccess:
     address: int
     length: int
 
-    def cache_lines(self, line_bytes: int = 64) -> range:
-        """Indices of the cache lines this access touches."""
-        first = self.address // line_bytes
-        last = (self.address + self.length - 1) // line_bytes
-        return range(first, last + 1)
-
 
 class MemoryTrace:
     """Ordered record of memory accesses with aggregate statistics."""
@@ -94,15 +88,6 @@ class MemoryTrace:
     def total_count(self) -> int:
         return len(self.addresses)
 
-    @property
-    def unique_line_count(self) -> int:
-        """Number of distinct cache lines touched (footprint / locality proxy)."""
-        touched = set()
-        for access in self:
-            if access.length > 0:
-                touched.update(access.cache_lines(self.line_bytes))
-        return len(touched)
-
     def __len__(self) -> int:
         return len(self.addresses)
 
@@ -122,19 +107,3 @@ class MemoryTrace:
     def clear(self) -> None:
         del self.addresses[:]
         del self.lengths[:]
-
-    # -- derived views -------------------------------------------------------------
-
-    def line_accesses(self) -> Iterator[MemoryAccess]:
-        """Split each access into per-cache-line accesses.
-
-        Cache and DRAM models operate at line granularity; this expands a
-        multi-line access (e.g. a 64 B buffered store) into one access per
-        line so each model stage sees uniform units.
-        """
-        for access in self:
-            for line in access.cache_lines(self.line_bytes):
-                line_start = line * self.line_bytes
-                start = max(access.address, line_start)
-                end = min(access.address + access.length, line_start + self.line_bytes)
-                yield MemoryAccess(access.kind, start, end - start)

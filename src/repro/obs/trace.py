@@ -105,10 +105,6 @@ class Tracer:
 
     # -- the simulated clock ------------------------------------------------------
 
-    @property
-    def sim_now_ns(self) -> float:
-        return self._sim_now
-
     def advance(self, sim_ns: float) -> None:
         """Push the simulated clock forward (never backward)."""
         if self.enabled and sim_ns > self._sim_now:

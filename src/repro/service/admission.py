@@ -120,7 +120,3 @@ class AdmissionController:
                 f"are outstanding"
             )
         self.outstanding -= count
-
-    @property
-    def total_seen(self) -> int:
-        return self.admitted + self.shed + self.rejected

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.report import ReportTable
 from repro.faults.report import FaultReport
 from repro.obs.metrics import exact_quantile
 
@@ -391,52 +390,3 @@ class SLOReport:
             summary["faults"] = self.fault_report.as_dict()
         return summary
 
-    def to_table(self) -> ReportTable:
-        table = ReportTable(
-            "Service SLO report",
-            ["Kind", "N", "p50 (us)", "p95 (us)", "p99 (us)", "p999 (us)",
-             "Mean (us)", "Max (us)"],
-        )
-        for kind in ("all", "serialize", "deserialize"):
-            values = self._latencies(kind)
-            if not values:
-                continue
-            table.add_row(
-                kind,
-                str(len(values)),
-                f"{self.p50(kind) / 1e3:.2f}",
-                f"{self.p95(kind) / 1e3:.2f}",
-                f"{self.p99(kind) / 1e3:.2f}",
-                f"{self.p999(kind) / 1e3:.2f}",
-                f"{self.mean_latency_ns(kind) / 1e3:.2f}",
-                f"{self.max_latency_ns(kind) / 1e3:.2f}",
-            )
-        table.add_note(
-            f"offered {self.offered_qps:,.0f} rps, goodput "
-            f"{self.goodput_qps:,.0f} rps, shed {self.shed_requests} "
-            f"({self.shed_rate * 100:.2f}%), rejected "
-            f"{self.rejected_requests} ({self.rejected_rate * 100:.2f}%), "
-            f"degraded {self.degraded_requests} "
-            f"(batches {self.degraded_batches})"
-        )
-        table.add_note(
-            f"mean batch size {self.mean_batch_size:.2f}, peak queue "
-            f"{self.peak_outstanding}, verified {self.verified_requests}"
-        )
-        streamed = [r for r in self.records if r.streamed and r.completed]
-        if streamed:
-            ttfbs = sorted(r.ttfb_ns for r in streamed)
-            table.add_note(
-                f"streaming: {len(streamed)} responses in "
-                f"{sum(r.chunks for r in streamed)} chunks, TTFB p50 "
-                f"{exact_quantile(ttfbs, 50.0) / 1e3:.2f} us / p99 "
-                f"{exact_quantile(ttfbs, 99.0) / 1e3:.2f} us"
-            )
-        if self.fault_report is not None and self.fault_report.layers:
-            totals = self.fault_report.totals
-            table.add_note(
-                f"faults: injected {totals.injected}, detected "
-                f"{totals.detected}, recovered {totals.recovered}, "
-                f"fallbacks {totals.fallbacks}"
-            )
-        return table

@@ -96,18 +96,6 @@ class TimeBreakdown:
         self.operations.extend(other.operations)
 
     @property
-    def total_stream_bytes(self) -> int:
-        return sum(op.stream_bytes for op in self.operations)
-
-    @property
-    def serialize_count(self) -> int:
-        return sum(1 for op in self.operations if op.kind == "serialize")
-
-    @property
-    def deserialize_count(self) -> int:
-        return sum(1 for op in self.operations if op.kind == "deserialize")
-
-    @property
     def fallback_count(self) -> int:
         """Operations the accelerator handed to the software fallback."""
         return sum(1 for op in self.operations if op.fallback)

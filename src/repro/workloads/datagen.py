@@ -7,8 +7,6 @@ small xorshift* generator independent of Python's global RNG state.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -42,12 +40,3 @@ class DeterministicRandom:
     def gauss_like(self) -> float:
         """Cheap approximately-normal draw (sum of three uniforms)."""
         return (self.random() + self.random() + self.random()) / 1.5 - 1.0
-
-    def choice(self, items: Sequence):
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return items[self.randint(0, len(items) - 1)]
-
-    def ascii_string(self, length: int) -> str:
-        letters = "abcdefghijklmnopqrstuvwxyz0123456789"
-        return "".join(self.choice(letters) for _ in range(length))

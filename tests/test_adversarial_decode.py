@@ -45,6 +45,7 @@ from repro.jvm import (
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.workloads.micro import build_microbench, register_micro_klasses
+from tests.oracles import KryoOracle
 
 GOLDEN_SEEDS = (0xC0FFEE, 1, 2024)
 
@@ -312,12 +313,12 @@ class TestKryoIntRange:
         append_signed_varint(data, value)
         return as_stream("kryo", bytes(data))
 
-    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("planned", [True, False])
     @pytest.mark.parametrize("target", ["field", "element"])
     @pytest.mark.parametrize("value", [2**31, -(2**31) - 1, 2**40])
-    def test_out_of_range_rejected(self, use_plans, target, value):
+    def test_out_of_range_rejected(self, planned, target, value):
         registry, registration = self.world()
-        serializer = KryoSerializer(registration, use_plans=use_plans)
+        serializer = (KryoSerializer if planned else KryoOracle)(registration)
         stream = self.stream(target, value)
         with pytest.raises(MalformedVarintError, match="int32"):
             serializer.deserialize(stream, Heap(registry=registry))
@@ -328,12 +329,12 @@ class TestKryoIntRange:
         assert heap_state(heap) == before
         assert decode_stats()["rejected_by_reason"] == {REASON_VARINT: 1}
 
-    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("planned", [True, False])
     @pytest.mark.parametrize("target", ["field", "element"])
     @pytest.mark.parametrize("value", [2**31 - 1, -(2**31)])
-    def test_int32_bounds_accepted(self, use_plans, target, value):
+    def test_int32_bounds_accepted(self, planned, target, value):
         registry, registration = self.world()
-        serializer = KryoSerializer(registration, use_plans=use_plans)
+        serializer = (KryoSerializer if planned else KryoOracle)(registration)
         root = serializer.deserialize(
             self.stream(target, value), Heap(registry=registry)
         ).root

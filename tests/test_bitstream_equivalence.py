@@ -2,7 +2,7 @@
 
 The word-level kernels in :mod:`repro.formats.packing` and the primitives
 in :mod:`repro.common.bitstream` replaced per-bit loops wholesale. The
-original loops survive verbatim in :mod:`repro.formats.slow_reference`;
+original loops survive as the oracles in ``tests/oracles.py``;
 these tests assert the two implementations are *byte-identical* on random
 inputs in both directions, so the fast path can never silently change the
 serialized format. The heaviest oracle sweeps carry the ``perf`` marker
@@ -15,22 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bitstream import (
-    bits_to_word,
-    trailing_zeros,
-    word_to_bits,
-)
+from repro.common.bitstream import trailing_zeros, word_to_bits
 from repro.common.errors import FormatError
 from repro.formats import packing
-from repro.formats import slow_reference as slow
 from repro.formats.cereal_format import CerealSerializer
 from repro.jvm import Heap
 
+from tests import oracles as slow
+from tests.oracles import bits_to_word
 from tests.test_format_stability import (
     _golden_registry,
     _make_serializer,
     build_golden_graph,
 )
+from tests.test_packing import pack_bitmaps
 
 values_strategy = st.lists(st.integers(min_value=0, max_value=2**60), max_size=120)
 bitmap_strategy = st.lists(
@@ -149,7 +147,7 @@ class TestEndMapScan:
 class TestBitmapKernelEquivalence:
     @given(bitmap_strategy)
     def test_pack_bitmaps_byte_identical(self, bitmaps):
-        fast = packing.pack_bitmaps(bitmaps)
+        fast = pack_bitmaps(bitmaps)
         oracle = slow.slow_pack_bitmaps(bitmaps)
         assert fast.data == oracle.data
         assert fast.end_map == oracle.end_map
@@ -164,7 +162,7 @@ class TestBitmapKernelEquivalence:
     def test_word_form_matches_bit_form(self, bitmaps):
         words = [bits_to_word(b) for b in bitmaps]
         from_words = packing.pack_bitmap_words(words)
-        from_bits = packing.pack_bitmaps(bitmaps)
+        from_bits = slow.slow_pack_bitmaps(bitmaps)
         assert from_words.data == from_bits.data
         assert from_words.end_map == from_bits.end_map
         assert packing.unpack_bitmap_words(from_words) == words
@@ -223,7 +221,8 @@ class TestFormatByteIdentity:
             for klass in registration_klasses:
                 registration.register(klass)
             serializer = CerealSerializer(registration, use_packing=pack_layouts)
-            rebuilt = serializer.round_trip(root, Heap(registry=registry))
+            stream = serializer.serialize(root).stream
+            rebuilt = serializer.deserialize(stream, Heap(registry=registry)).root
             assert graphs_equivalent(root, rebuilt)
 
 
@@ -245,7 +244,7 @@ class TestOracleSweeps:
             [(i >> (j % 13)) & 1 for j in range(1 + (i % 77))]
             for i in range(1500)
         ]
-        fast = packing.pack_bitmaps(bitmaps)
+        fast = pack_bitmaps(bitmaps)
         oracle = slow.slow_pack_bitmaps(bitmaps)
         assert fast.data == oracle.data
         assert fast.end_map == oracle.end_map

@@ -1,15 +1,13 @@
-"""Tests for repro.common.bitutils, including property-based round trips."""
+"""Tests for the per-bit helpers: ``repro.common.bitutils`` and the bit-list
+primitives under the packing oracle in ``tests/oracles.py``, including
+property-based round trips."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bitutils import (
-    bits_to_bytes,
-    bytes_to_bits,
-    int_to_bits,
-    significant_bits,
-)
+from repro.common.bitutils import bytes_to_bits
+from tests.oracles import bits_to_bytes, int_to_bits, significant_bits
 
 
 def _bits_value(bits):

@@ -1,8 +1,8 @@
 """The fast cache replay against the per-line reference.
 
 ``CacheHierarchy.replay`` inlines the three lookups and the prefetch
-classifier over a packed trace; ``CacheHierarchy.access_line`` is the
-deliberately plain per-line path. Every counter of the two must agree on
+classifier over a packed trace; ``access_line`` in ``tests/oracles.py`` is
+the deliberately plain per-line path. Every counter of the two must agree on
 generated traces (every level's sets overflowing, same-line runs,
 multi-line spans, zero-length accesses) and on the real serializer traces
 the harness replays.
@@ -29,6 +29,7 @@ from repro.jvm.heap import HEAP_BASE
 from repro.memory.trace import AccessKind, MemoryTrace
 from repro.workloads import MICROBENCH_CONFIGS, build_list_bench
 from repro.workloads.micro import register_micro_klasses
+from tests.oracles import access_line, cache_lines
 
 HOSTS = {
     "default": HostCPUConfig(),
@@ -48,8 +49,8 @@ def oracle_stats(host, traces):
     for trace in traces:
         for access in trace:
             is_write = access.kind is AccessKind.WRITE
-            for line in access.cache_lines(hierarchy.line_bytes):
-                hierarchy.access_line(line, is_write)
+            for line in cache_lines(access, hierarchy.line_bytes):
+                access_line(hierarchy, line, is_write)
     return asdict(hierarchy.stats)
 
 
@@ -264,7 +265,7 @@ def test_address_regions_stay_apart(monkeypatch):
     for trace in traces:
         spans = {}
         for access in trace:
-            lines = access.cache_lines(line)
+            lines = cache_lines(access, line)
             region = max(i for i, base in enumerate(bases) if access.address >= base)
             low, high = spans.get(region, (lines.start, lines.stop - 1))
             spans[region] = (min(low, lines.start), max(high, lines.stop - 1))

@@ -1,8 +1,8 @@
 """The planned Cereal rebuild against the per-slot oracle.
 
 ``CerealSerializer.deserialize`` rebuilds every object from a memoized
-plan per layout bitmap; ``use_plans=False`` keeps the per-slot walk as
-the oracle. These tests hold the two to the same heap pages, registered
+plan per layout bitmap; ``CerealOracle`` in ``tests/oracles.py`` keeps
+the per-slot walk as the oracle. These tests hold the two to the same heap pages, registered
 objects, work profile and memory-trace records on shapes the Table II
 graphs lack (interleaved value and reference slots, reference and
 primitive arrays, null references) in packed, baseline and mark-stripped
@@ -15,6 +15,7 @@ import struct
 
 import pytest
 
+from tests.oracles import CerealOracle, oracle_serializer
 from tests.test_adversarial_decode import GOLDEN_SEEDS, heap_state
 
 from repro.common.errors import FormatError
@@ -23,7 +24,6 @@ from repro.formats.adversarial import as_stream, build_corpus
 from repro.formats.base import SerializedStream
 from repro.formats.packing import pack_bitmap_words, pack_items
 from repro.formats.secure import secure_deserialize
-from repro.formats.slow_reference import oracle_serializer
 from repro.jvm import FieldKind, Heap
 from repro.jvm.klass import HEADER_SLOTS, FieldDescriptor, InstanceKlass, KlassRegistry
 from repro.memory.trace import MemoryTrace
@@ -126,7 +126,7 @@ def _decode_state(serializer, stream, registry):
 def _pair(registration, **kwargs):
     return (
         CerealSerializer(registration, **kwargs),
-        CerealSerializer(registration, use_plans=False, **kwargs),
+        CerealOracle(registration, **kwargs),
     )
 
 
@@ -239,8 +239,9 @@ class TestCraftedFaults:
 
     @staticmethod
     def _assert_both_reject(registry, registration, data):
-        for use_plans in (True, False):
-            serializer = CerealSerializer(registration, use_plans=use_plans)
+        for serializer in (
+            CerealSerializer(registration), CerealOracle(registration)
+        ):
             stream = SerializedStream(format_name="cereal", data=data)
             with pytest.raises(FormatError):
                 serializer.deserialize(stream, Heap(registry=registry))

@@ -14,6 +14,13 @@ from repro.memory.trace import MemoryTrace
 from tests.test_serializers import build_tree, make_registry, make_serializer
 
 
+def round_trip_timings(platform, serializer, root, receiver):
+    """(serialize timing, deserialize timing) of one software round trip."""
+    result, ser_run = platform.run_serialize(serializer, root)
+    _, de_run = platform.run_deserialize(serializer, result.stream, receiver)
+    return ser_run.timing, de_run.timing
+
+
 def reads(addresses, length=8):
     trace = MemoryTrace()
     trace.record_many(addresses, length)
@@ -134,13 +141,13 @@ class TestSoftwarePlatform:
         heap = Heap(registry=registry)
         receiver = Heap(registry=registry)
         root = build_tree(heap, depth=8)
-        java_ser, java_de = platform.round_trip_timings(
+        java_ser, java_de = round_trip_timings(platform, 
             make_serializer("java", registry), root, receiver
         )
         heap2 = Heap(registry=registry)
         receiver2 = Heap(registry=registry)
         root2 = build_tree(heap2, depth=8)
-        kryo_ser, kryo_de = platform.round_trip_timings(
+        kryo_ser, kryo_de = round_trip_timings(platform, 
             make_serializer("kryo", registry), root2, receiver2
         )
         assert java_ser.time_ns > kryo_ser.time_ns
@@ -153,13 +160,13 @@ class TestSoftwarePlatform:
         heap = Heap(registry=registry)
         receiver = Heap(registry=registry)
         root = build_tree(heap, depth=10)
-        j_ser, j_de = platform.round_trip_timings(
+        j_ser, j_de = round_trip_timings(platform, 
             make_serializer("java", registry), root, receiver
         )
         heap2 = Heap(registry=registry)
         receiver2 = Heap(registry=registry)
         root2 = build_tree(heap2, depth=10)
-        k_ser, k_de = platform.round_trip_timings(
+        k_ser, k_de = round_trip_timings(platform, 
             make_serializer("kryo", registry), root2, receiver2
         )
         assert 1.5 < j_ser.time_ns / k_ser.time_ns < 4.0

@@ -26,6 +26,7 @@ from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits
 from repro.jvm import Heap
 from repro.memory import dram as dram_module
 from repro.memory.dram import DRAMModel, _IntervalChannel
+from tests.oracles import CerealOracle
 from tests.test_serializers import (
     build_mixed,
     build_primitive_array,
@@ -503,17 +504,30 @@ def _oversubscribed_run(device, num_serialize=20, num_deserialize=8):
     return simulator, simulator.run(requests)
 
 
+def unit_timeline(result):
+    """Operations grouped per physical unit, in dispatch order.
+
+    Keys are ``(kind, unit_index)``: serialize ops run on the SU pool and
+    deserialize ops on the DU pool, so the same index under a different
+    kind is a different piece of hardware.
+    """
+    timeline: dict = {}
+    for op in result.operations:
+        timeline.setdefault((op.kind, op.unit_index), []).append(op)
+    return timeline
+
+
 class TestSchedulingInvariants:
     """Invariants of the earliest-free-unit dispatch policy.
 
-    ``DeviceRunResult.unit_timeline()`` groups completed operations per
-    physical unit in dispatch order; the policy's contract is checked by
+    :func:`unit_timeline` groups completed operations per physical unit in
+    dispatch order; the policy's contract is checked by
     replaying dispatch over the recorded start/finish times.
     """
 
     def test_no_overlap_on_any_unit(self, device):
         _, result = _oversubscribed_run(device)
-        for (kind, unit), ops in result.unit_timeline().items():
+        for (kind, unit), ops in unit_timeline(result).items():
             for earlier, later in zip(ops, ops[1:]):
                 assert later.start_ns >= earlier.finish_ns, (
                     f"{kind} unit {unit}: op starting at {later.start_ns} "
@@ -522,7 +536,7 @@ class TestSchedulingInvariants:
 
     def test_finish_times_monotone_per_unit(self, device):
         _, result = _oversubscribed_run(device)
-        for (kind, unit), ops in result.unit_timeline().items():
+        for (kind, unit), ops in unit_timeline(result).items():
             finishes = [op.finish_ns for op in ops]
             assert finishes == sorted(finishes), (
                 f"{kind} unit {unit}: finish times {finishes} not monotone"
@@ -556,7 +570,7 @@ class TestSchedulingInvariants:
         )
         du_pool = {
             unit
-            for (kind, unit) in result.unit_timeline()
+            for (kind, unit) in unit_timeline(result)
             if kind == "deserialize"
         }
         assert du_pool == set(range(min(du_count, 8)))
@@ -821,14 +835,14 @@ class TestSharedSectionsNotMutated:
     """The rebuild reads the shared unpacked lists and never writes them."""
 
     @pytest.mark.parametrize(
-        "options",
-        [{}, {"use_packing": False}, {"strip_mark_word": True},
-         {"use_plans": False}],
+        "codec_class, options",
+        [(CerealSerializer, {}), (CerealSerializer, {"use_packing": False}),
+         (CerealSerializer, {"strip_mark_word": True}), (CerealOracle, {})],
         ids=["packed", "baseline", "mark-stripped", "interpreter"],
     )
-    def test_rebuild_leaves_sections_intact(self, device, options):
+    def test_rebuild_leaves_sections_intact(self, device, codec_class, options):
         registry, accelerator, heap, _ = device
-        codec = CerealSerializer(accelerator.registration, **options)
+        codec = codec_class(accelerator.registration, **options)
         for build in (build_tree, build_reference_array, build_mixed,
                       build_primitive_array):
             stream = codec.serialize(build(heap)).stream

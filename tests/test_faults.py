@@ -108,8 +108,6 @@ class TestFaultInjectorDeterminism:
             FaultPolicy(corruption_prob=1.5)
         with pytest.raises(ConfigError):
             FaultPolicy(corruption_prob=0.5, drop_prob=0.4, latency_spike_prob=0.2)
-        assert not FaultPolicy().any_faults
-        assert FaultPolicy.chaos(probability=0.06).any_faults
 
 
 class TestRetryPolicy:
@@ -190,7 +188,6 @@ class TestChaosDeterminism:
             )
             runs.append((result, injector.report))
         first, second = runs
-        assert first[1].to_text() == second[1].to_text()
         assert first[1].as_dict() == second[1].as_dict()
         assert first[0].total_ns == second[0].total_ns
         assert first[0].breakdown.retry_ns == second[0].breakdown.retry_ns
@@ -438,5 +435,5 @@ class TestFaultReport:
 
         report = AnalysisFaultReport()
         report.record_injected("heap")
-        text = report.to_text()
-        assert "heap" in text and "TOTAL" in text
+        assert report.as_dict()["heap"]["injected"] == 1
+        assert report.totals.injected == 1

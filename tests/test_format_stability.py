@@ -19,12 +19,7 @@ from repro.formats import (
     KryoSerializer,
     SkywaySerializer,
 )
-from repro.formats.packing import (
-    pack_bitmaps,
-    pack_items,
-    unpack_bitmaps,
-    unpack_items,
-)
+from repro.formats.packing import pack_items, unpack_bitmaps, unpack_items
 from repro.jvm import (
     FieldDescriptor,
     FieldKind,
@@ -33,7 +28,8 @@ from repro.jvm import (
     KlassRegistry,
 )
 from repro.jvm.klass import HEADER_BYTES
-from repro.jvm.strings import new_string, read_string, string_bytes
+from repro.jvm.strings import new_string, read_string
+from tests.test_packing import pack_bitmaps
 
 # Hashes pinned at format version 1.0.0. Any change here is a breaking
 # format change and must be documented.
@@ -176,7 +172,7 @@ class TestStringsHelper:
     def test_packed_footprint(self):
         heap = Heap()
         s = new_string(heap, "x" * 16)  # 32 B of chars -> 4 slots
-        assert string_bytes(s) == HEADER_BYTES + 8 + 32
+        assert s.size_bytes == HEADER_BYTES + 8 + 32
 
     def test_non_bmp_rejected(self):
         heap = Heap()
@@ -196,5 +192,5 @@ class TestStringsHelper:
         receiver = Heap(registry=registry)
         s = new_string(heap, "through the wire")
         serializer = _make_serializer("cereal", registry)
-        rebuilt = serializer.round_trip(s, receiver)
+        rebuilt = serializer.deserialize(serializer.serialize(s).stream, receiver).root
         assert read_string(rebuilt) == "through the wire"

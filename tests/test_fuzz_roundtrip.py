@@ -73,6 +73,17 @@ def fuzz_registry() -> KlassRegistry:
     return registry
 
 
+def _choice(rng: DeterministicRandom, items):
+    if not items:
+        raise ValueError("cannot choose from an empty sequence")
+    return items[rng.randint(0, len(items) - 1)]
+
+
+def _ascii_string(rng: DeterministicRandom, length: int) -> str:
+    letters = "abcdefghijklmnopqrstuvwxyz0123456789"
+    return "".join(_choice(rng, letters) for _ in range(length))
+
+
 def _fill_primitives(node, rng: DeterministicRandom) -> None:
     node.set("flag", rng.random() < 0.5)
     node.set("tag", rng.randint(*_RANGES[FieldKind.BYTE]))
@@ -148,7 +159,7 @@ def build_fuzz_graph(heap: Heap, seed: int):
             wide.set_element(index, rng.randint(low, high))
     arrays.append(wide)
     for _ in range(rng.randint(1, 3)):
-        arrays.append(new_string(heap, rng.ascii_string(rng.randint(0, 40))))
+        arrays.append(new_string(heap, _ascii_string(rng, rng.randint(0, 40))))
 
     ref_arrays = []
     # All-null reference array: a run of TC_NULL/MARK_NULL with no targets.
@@ -160,7 +171,7 @@ def build_fuzz_graph(heap: Heap, seed: int):
         for index in range(length):
             if rng.random() < 0.25:
                 continue  # null hole
-            array.set_element(index, rng.choice(population))
+            array.set_element(index, _choice(rng, population))
         ref_arrays.append(array)
 
     # Wire instance references: nulls, shared targets, and cycles (any
@@ -169,10 +180,10 @@ def build_fuzz_graph(heap: Heap, seed: int):
     for node in nodes:
         if node.klass.name != "FuzzNode":
             continue
-        node.set("label", None if rng.random() < 0.4 else rng.choice(arrays))
+        node.set("label", None if rng.random() < 0.4 else _choice(rng, arrays))
         if node.address not in chain_addresses:
-            node.set("peer", None if rng.random() < 0.3 else rng.choice(everything))
-        node.set("data", None if rng.random() < 0.3 else rng.choice(ref_arrays))
+            node.set("peer", None if rng.random() < 0.3 else _choice(rng, everything))
+        node.set("data", None if rng.random() < 0.3 else _choice(rng, ref_arrays))
 
     root = heap.new_array(FieldKind.REFERENCE, len(everything))
     for index, obj in enumerate(everything):

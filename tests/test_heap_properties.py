@@ -88,7 +88,8 @@ def test_headers_intact_after_all_allocations(plan):
     """Later allocations must never corrupt earlier objects' headers."""
     heap, objects = execute(plan)
     for obj in objects:
-        assert obj.klass_pointer == obj.klass.metaspace_address
+        klass_pointer = heap.memory.read_u64(obj.address + 8)
+        assert klass_pointer == obj.klass.metaspace_address
         assert 0 <= obj.identity_hash < 2**31
 
 

@@ -10,7 +10,6 @@ from repro.jvm import (
     ObjectGraph,
     clear_serialization_metadata,
 )
-from repro.jvm.gc import max_serialization_counter
 from repro.jvm.graph import traverse_slot_runs
 from repro.jvm.reflection import JavaReflection, ReflectAsmAccess
 
@@ -151,7 +150,7 @@ class TestGC:
         cleared = clear_serialization_metadata(heap)
         assert cleared == 2
         assert a.serialization_counter == 0
-        assert max_serialization_counter(heap) == 0
+        assert all(obj.serialization_counter == 0 for obj in heap.objects())
 
 
 class TestReflectionShims:

@@ -280,7 +280,7 @@ class TestTracer:
         assert tracer.record_span("r", 0.0, 5.0) is None
         assert tracer.spans() == []
         assert tracer.events() == []
-        assert tracer.sim_now_ns == 0.0
+        assert tracer._sim_now == 0.0
 
     def test_nesting_parents_and_bounds(self):
         tracer = Tracer(enabled=True)
@@ -320,7 +320,7 @@ class TestTracer:
         tracer = Tracer(enabled=True)
         tracer.advance(100.0)
         tracer.advance(50.0)  # backwards: ignored
-        assert tracer.sim_now_ns == 100.0
+        assert tracer._sim_now == 100.0
 
     def test_instant_defaults_to_sim_now(self):
         tracer = Tracer(enabled=True)

@@ -108,7 +108,7 @@ class TestPackedArraysThroughSerializers:
         for index in range(21):
             array.set_element(index, index * 3 % 100)
         serializer = make_serializer(serializer_kind, registry)
-        rebuilt = serializer.round_trip(array, receiver)
+        rebuilt = serializer.deserialize(serializer.serialize(array).stream, receiver).root
         assert graphs_equivalent(array, rebuilt)
 
     def test_cereal_value_array_shrinks_for_chars(self):

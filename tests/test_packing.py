@@ -7,13 +7,31 @@ from hypothesis import strategies as st
 from repro.common.errors import FormatError
 from repro.formats.packing import (
     PackedArray,
-    compression_ratio,
-    pack_bitmaps,
+    pack_bitmap_words,
     pack_items,
-    packed_size_bytes,
     unpack_bitmaps,
     unpack_items,
 )
+from tests.oracles import bits_to_word
+
+
+def packed_size_bytes(values):
+    """Total packed bytes (data + end map) for ``values`` without packing."""
+    data_bytes = sum(
+        ((value.bit_length() or 1) + 1 + 7) // 8 for value in values
+    )
+    end_map_bytes = (data_bytes + 7) // 8
+    return data_bytes + end_map_bytes
+
+
+def compression_ratio(values):
+    """Space packing saves against one 8 B word per value."""
+    return 1.0 - pack_items(values).total_bytes / (8 * len(values))
+
+
+def pack_bitmaps(bitmaps):
+    """Bit-list bitmaps through the word packer the Cereal encoder uses."""
+    return pack_bitmap_words([bits_to_word(bitmap) for bitmap in bitmaps])
 
 
 class TestPackItems:
@@ -99,8 +117,9 @@ class TestPackBitmaps:
             pack_bitmaps([[]])
 
     def test_non_binary_bitmap_rejected(self):
+        # A word with a set bit above its declared bit length.
         with pytest.raises(FormatError):
-            pack_bitmaps([[0, 2]])
+            pack_bitmap_words([(0b100, 2)])
 
 
 class TestCorruptedStreams:

@@ -2,7 +2,8 @@
 
 The plan kernels in :mod:`repro.formats.plans` exist purely for speed —
 every observable output (stream bytes, section accounting, work profiles,
-rebuilt graphs) must match the preserved interpreter paths exactly. These
+rebuilt graphs) must match the interpreter oracles of ``tests/oracles.py``
+exactly. These
 tests pin that equivalence over the fuzz corpus and hand-built edge
 shapes, and cover the supporting machinery the plans ride on: the plan
 cache, the layout-cache counters, and the slot-run traversal fast path.
@@ -15,6 +16,7 @@ from collections import deque
 
 import pytest
 
+from tests.oracles import CerealOracle, JavaOracle, KryoOracle, oracle_serializer
 from tests.test_fuzz_roundtrip import build_fuzz_graph, fuzz_registry
 
 from repro.common.errors import FormatError, HeapError
@@ -26,7 +28,6 @@ from repro.formats import (
     collect_chunks,
 )
 from repro.formats import plans
-from repro.formats.slow_reference import oracle_serializer
 from repro.formats.verify import first_difference
 from repro.jvm import FieldKind, Heap
 from repro.jvm import layout_cache
@@ -46,30 +47,28 @@ def _registration(registry) -> ClassRegistration:
 
 
 def _serializer_pairs(registration):
-    """(name, plan-path serializer, interpreter-path serializer) triples."""
+    """(name, plan-path serializer, interpreter oracle) triples."""
     return [
-        ("java-builtin", JavaSerializer(), JavaSerializer(use_plans=False)),
+        ("java-builtin", JavaSerializer(), JavaOracle()),
         (
             "kryo",
             KryoSerializer(registration),
-            KryoSerializer(registration, use_plans=False),
+            KryoOracle(registration),
         ),
         (
             "cereal",
             CerealSerializer(registration),
-            CerealSerializer(registration, use_plans=False),
+            CerealOracle(registration),
         ),
         (
             "cereal-stripped",
             CerealSerializer(registration, strip_mark_word=True),
-            CerealSerializer(
-                registration, strip_mark_word=True, use_plans=False
-            ),
+            CerealOracle(registration, strip_mark_word=True),
         ),
         (
             "cereal-baseline",
             CerealSerializer(registration, use_packing=False),
-            CerealSerializer(registration, use_packing=False, use_plans=False),
+            CerealOracle(registration, use_packing=False),
         ),
     ]
 
@@ -178,14 +177,15 @@ def test_plans_match_interpreters_on_edge_shapes():
 
 def test_oracle_serializer_factory():
     registration = _registration(fuzz_registry())
-    assert oracle_serializer("java-builtin").use_plans is False
-    assert (
-        oracle_serializer("kryo", registration=registration).use_plans is False
+    assert type(oracle_serializer("java-builtin")) is JavaOracle
+    kryo = oracle_serializer("kryo", registration=registration)
+    assert type(kryo) is KryoOracle
+    assert kryo.registration is registration
+    cereal = oracle_serializer(
+        "cereal", registration=registration, strip_mark_word=True
     )
-    assert (
-        oracle_serializer("cereal", registration=registration).use_plans
-        is False
-    )
+    assert type(cereal) is CerealOracle
+    assert cereal.strip_mark_word
     with pytest.raises(FormatError):
         oracle_serializer("skyway")
 

@@ -29,6 +29,7 @@ from repro.jvm import (
 from repro.jvm.heap import HEAP_BASE
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.workloads.micro import build_microbench, register_micro_klasses
+from tests.oracles import KryoOracle
 
 
 @pytest.fixture(autouse=True)
@@ -201,7 +202,7 @@ class TestEvolutionRoundtrip:
             stream, evolved_heap
         )
         oracle_heap = Heap(registry=registry)
-        oracle = KryoSerializer(writer_reg, use_plans=False).deserialize(
+        oracle = KryoOracle(writer_reg).deserialize(
             payload, oracle_heap
         )
 

@@ -116,6 +116,10 @@ class TestSharedObjectFallback:
         su_a, su_b = results[0][2], results[1][2]
         assert su_a.fallback_objects == 0  # first unit claims the headers
         assert su_b.fallback_objects == 15  # whole shared subtree falls back
+        # Exact modelled times: unit B pays the software fallback for each
+        # of its 15 foreign headers, so any change to its cost moves B.
+        assert su_a.elapsed_ns == 1500.666666666667
+        assert su_b.elapsed_ns == 2065.666666666668
 
     def test_fallback_costs_time(self, setup):
         _, accelerator, heap = setup

@@ -203,7 +203,7 @@ def test_deep_list_round_trip(serializer_kind, registry, heaps):
     sender, receiver = heaps
     serializer = make_serializer(serializer_kind, registry)
     root = build_deep_list(sender)
-    rebuilt = serializer.round_trip(root, receiver)
+    rebuilt = serializer.deserialize(serializer.serialize(root).stream, receiver).root
     assert ObjectGraph.from_root(rebuilt).object_count == 3001
 
 
@@ -256,7 +256,7 @@ class TestSizeRelationships:
         sender, _ = heaps
         root = build_flat(sender)
         java = make_serializer("java", registry).serialize(root).stream
-        type_fraction = java.section_fraction("type_strings")
+        type_fraction = java.sections["type_strings"] / java.size_bytes
         assert type_fraction > 0.2  # names dominate tiny payloads
 
 
@@ -406,7 +406,7 @@ class TestCerealDetails:
         sender, receiver = heaps
         root = build_tree(sender, depth=2)  # root, L, LL, LR, R, RL, RR in BFS
         serializer = make_serializer("cereal", registry)
-        rebuilt = serializer.round_trip(root, receiver)
+        rebuilt = serializer.deserialize(serializer.serialize(root).stream, receiver).root
         level1 = [rebuilt.get("left"), rebuilt.get("right")]
         # BFS: both depth-1 children precede any depth-2 child in memory.
         depth2 = [level1[0].get("left"), level1[0].get("right")]

@@ -238,7 +238,7 @@ class TestAdmission:
         assert decisions[10:] == [DECISION_SHED] * 2
         assert controller.outstanding == 10  # shed requests take no slot
         assert controller.peak_outstanding == 10
-        assert controller.total_seen == 12
+        assert controller.admitted + controller.shed + controller.rejected == 12
 
     def test_release_reopens_admission(self):
         controller = AdmissionController(AdmissionConfig(max_outstanding=2))
@@ -318,11 +318,6 @@ class TestSLOReport:
             "p50", "p95", "p99", "p999", "mean", "max",
         }
         assert "faults" not in summary
-
-    def test_to_table_renders(self):
-        records = [_record(i, float(i + 1) * 1e3) for i in range(10)]
-        text = SLOReport(records=records).to_table().render()
-        assert "p99" in text and "goodput" in text
 
 
 # -- workload shapes (flash crowd) ---------------------------------------------------

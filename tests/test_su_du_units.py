@@ -35,7 +35,6 @@ from repro.cereal.su import (
 )
 from repro.cereal.tables import ClassIDTable, KlassPointerTable
 from repro.common.bitstream import word_to_bits
-from repro.common.bitutils import significant_bits
 from repro.common.config import CerealConfig
 from repro.common.errors import SimulationError
 from repro.formats import CerealSerializer, ClassRegistration
@@ -47,6 +46,7 @@ from repro.jvm.klass import HEADER_SLOTS, SLOT_BYTES, FieldKind
 from repro.memory.dram import DRAMModel
 from repro.workloads import MICROBENCH_CONFIGS
 from repro.workloads.micro import _BUILDERS, register_micro_klasses
+from tests.oracles import significant_bits
 from tests.test_serializers import (
     build_mixed,
     build_primitive_array,

@@ -62,11 +62,18 @@ def test_signed_roundtrip(value):
     assert pos == length
 
 
+def _zigzag(value):
+    """The unsigned varint a signed value is written as."""
+    out = bytearray()
+    V.append_signed_varint(out, value)
+    return V.read_varint(bytes(out), 0)[0]
+
+
 def test_zigzag_mapping():
     # The canonical 0, -1, 1, -2, 2, ... interleave.
-    assert [V.zigzag_encode(v) for v in (0, -1, 1, -2, 2)] == [0, 1, 2, 3, 4]
-    for value in (0, 1, -1, 2**62, -(2**62), (1 << 63) - 1, -(1 << 63)):
-        assert V.zigzag_decode(V.zigzag_encode(value)) == value
+    assert [_zigzag(v) for v in (0, -1, 1, -2, 2)] == [0, 1, 2, 3, 4]
+    assert _zigzag((1 << 63) - 1) == (1 << 64) - 2
+    assert _zigzag(-(1 << 63)) == (1 << 64) - 1
 
 
 def test_negative_unsigned_rejected():

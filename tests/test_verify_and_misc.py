@@ -131,13 +131,6 @@ class TestOperationTiming:
     def test_elapsed_seconds(self):
         assert self.make(elapsed=2e9).elapsed_seconds == pytest.approx(2.0)
 
-    def test_throughput(self):
-        timing = self.make(elapsed=1000.0, graph=64_000)
-        assert timing.throughput_bytes_per_sec == pytest.approx(64e9)
-
-    def test_zero_elapsed_throughput(self):
-        assert self.make(elapsed=0.0).throughput_bytes_per_sec == 0.0
-
 
 class TestHeapWalk:
     def test_allocation_order_preserved(self, heap):
