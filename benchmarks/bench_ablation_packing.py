@@ -5,36 +5,44 @@ baseline format stores 8 B reference offsets and an 8 B layout-bitmap
 length per object; packing keeps significant bits plus end bits/maps.
 """
 
+from _golden import check
 from repro.analysis import ReportTable
+from repro.cpu import SoftwarePlatform
 from repro.formats import ClassRegistration, CerealSerializer
 from repro.jvm import Heap
 from repro.workloads import MICROBENCH_CONFIGS, build_microbench
 from repro.workloads.micro import register_micro_klasses
 
-# Metadata bytes (references + bitmaps) per Table II graph, as
-# (baseline, packed). Section sizes are integer byte counts and the
-# graphs are seeded, so these are exact: a moved graph builder or a
-# moved Cereal section split shows up here, not as a drifting ratio.
-PINNED_METADATA_BYTES = {
-    "tree-narrow": (51175, 10852),
-    "tree-wide": (346394, 62837),
-    "list-small": (8704, 1725),
-    "list-large": (34816, 8445),
-    "graph-sparse": (9711, 2021),
-    "graph-dense": (537088, 187285),
-}
+
+class _TracedPlatform(SoftwarePlatform):
+    """Keeps the trace records and touched 64 B lines of its last call (the
+    trace stores a write's length as ``~length``)."""
+
+    def _finish(self, name, op, profile, trace):
+        self.records = trace.total_count
+        self.lines = sum(
+            (address + (~length if length < 0 else length) - 1) // 64 - address // 64 + 1
+            for address, length in zip(trace.addresses, trace.lengths)
+        )
+        return super()._finish(name, op, profile, trace)
 
 
-def _sizes(workload):
-    """Serialize with both real formats; return (values, baseline, packed)
-    where baseline/packed are the metadata (references + bitmaps) bytes of
-    the Section IV-A and IV-B encodings respectively."""
+def _graph(workload):
+    """(heap, root, registration) of one Table II graph."""
     heap = Heap()
     register_micro_klasses(heap.registry)
     root = build_microbench(heap, workload)
     registration = ClassRegistration()
     for klass in heap.registry:
         registration.register(klass)
+    return heap, root, registration
+
+
+def _sizes(workload):
+    """Serialize with both real formats; return (values, baseline, packed)
+    where baseline/packed are the metadata (references + bitmaps) bytes of
+    the Section IV-A and IV-B encodings respectively."""
+    _, root, registration = _graph(workload)
     packed_stream = CerealSerializer(registration).serialize(root).stream
     baseline_stream = (
         CerealSerializer(registration, use_packing=False).serialize(root).stream
@@ -76,7 +84,12 @@ def test_ablation_packing_metadata_savings(benchmark, results_dir):
         return metadata
 
     metadata = benchmark.pedantic(build, rounds=1, iterations=1)
-    assert metadata == PINNED_METADATA_BYTES
+    # Section sizes are integer byte counts and the graphs are seeded, so
+    # a moved graph builder or Cereal section split shows up exactly here.
+    check("ablation_packing", {
+        workload: {"baseline": baseline, "packed": packed}
+        for workload, (baseline, packed) in metadata.items()
+    })
     # Packing always shrinks the metadata, everywhere.
     assert all(1.0 - p / b > 0.3 for b, p in metadata.values())
     # It pays off most where references dominate in bytes saved, not as
@@ -104,3 +117,22 @@ def test_ablation_packing_whole_stream_effect(benchmark, results_dir):
 
     dense, list_large = benchmark(build)
     assert dense > list_large
+
+
+def test_ablation_packing_software_decode_pinned():
+    """Each format's software-Cereal decode (the Spark fallback path): trace
+    records, replayed cache lines and modelled ns, exactly."""
+    formats = {"packed": {}, "baseline": {"use_packing": False},
+               "stripped": {"strip_mark_word": True}}
+    measured = {}
+    for workload in MICROBENCH_CONFIGS:
+        heap, root, registration = _graph(workload)
+        measured[workload] = {}
+        for name, options in formats.items():
+            serializer = CerealSerializer(registration, **options)
+            platform = _TracedPlatform()
+            _, run = platform.run_deserialize(
+                serializer, serializer.serialize(root).stream, Heap(registry=heap.registry)
+            )
+            measured[workload][name] = (platform.records, platform.lines, run.timing.time_ns)
+    check("software_cereal_decode", measured)

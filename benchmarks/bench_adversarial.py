@@ -168,6 +168,8 @@ def main(argv=None) -> int:
 
     corpus_results = run_corpus(args.seed, truncations, bitflips, garbage)
     overhead = measure_overhead(repeats)
+    stats = decode_stats()
+    breakdown = corpus_results["rejected_by_reason"]
 
     checks = {
         "typed_rejection": {
@@ -188,6 +190,14 @@ def main(argv=None) -> int:
                 "invalid streams accepted"
             ),
         },
+        # An empty or all-accepted corpus means the fuzzer silently stopped
+        # generating attacks.
+        "rejection_breakdown": {
+            "ok": corpus_results["rejected"] > 0
+            and {"truncated", "resource_limit"} <= set(breakdown)
+            and stats["rejected"] == corpus_results["rejected"],
+            "detail": f"rejected by reason {breakdown}, decode stats {stats}",
+        },
         "hardening_overhead": {
             "ok": overhead["hardened_overhead_ratio"] <= _OVERHEAD_GATE,
             "detail": (
@@ -201,7 +211,7 @@ def main(argv=None) -> int:
         _RESULTS_DIR,
         "adversarial",
         results={"corpus": corpus_results, "overhead": overhead,
-                 "decode_stats": decode_stats()},
+                 "decode_stats": stats},
         meta={
             "seed": args.seed,
             "smoke": args.smoke,
@@ -216,7 +226,7 @@ def main(argv=None) -> int:
     print(f"adversarial corpus: {corpus_results['samples']} samples, "
           f"{corpus_results['rejected']} rejected, "
           f"{corpus_results['accepted']} accepted")
-    print(f"rejection breakdown: {corpus_results['rejected_by_reason']}")
+    print(f"rejection breakdown: {breakdown}")
     print(f"hardened overhead: {overhead['hardened_overhead_ratio']:.3f}x, "
           f"versioned identity: {overhead['versioned_overhead_ratio']:.3f}x")
     print(f"wrote {path}")

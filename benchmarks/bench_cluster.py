@@ -49,6 +49,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_cluster.py`
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from _emit import emit_json, emit_trace, trace_json_path  # noqa: E402
+from _golden import verify  # noqa: E402
 from repro.analysis import ReportTable  # noqa: E402
 from repro.cluster import (  # noqa: E402
     AutoscalerConfig,
@@ -381,6 +382,12 @@ def check_properties(payload: Dict) -> Dict[str, Dict]:
         "ok": det["identical"],
         "detail": f"canonical report sha256 {det['sha256'][:16]}…",
     }
+
+    # The seeded node-loss run is deterministic: its failover count and
+    # locality are pinned exactly.
+    pinned = {key: cluster[key] for key in ("failovers", "locality", "lost_after_failover")}
+    detail = verify("cluster", {"failover": pinned})
+    checks["failover_pinned"] = {"ok": not detail, "detail": detail or f"failover {pinned}"}
     return checks
 
 

@@ -3,37 +3,16 @@
 Paper: with Java S/D, S/D averages 39.5% of execution time (up to 90.9%
 for SVM); with Kryo, 28.3% (up to 83.4% for SVM).
 
-The bands below state the paper's claim; ``PINNED_BREAKDOWN_NS`` pins the
-modelled buckets behind every share exactly.
+The bands below state the paper's claim; ``benchmarks/golden/fig02.json``
+pins the modelled buckets behind every share exactly.
 """
 
+from _golden import check
 from repro.analysis import ReportTable
 
-# (compute_ns, gc_ns, io_ns, sd_ns) of each app's breakdown (modelled ns)
-# per backend. The apps, their inputs and the cost models are seeded, so
-# these are exact.
-PINNED_BREAKDOWN_NS = {
-    "java-builtin": {
-        "nweight": (135027200.0, 5997568.0, 44000000.0, 172236458.57983193),
-        "svm": (33200853.333333347, 26110208.0, 20000000.0, 647785075.3725493),
-        "bayes": (155579695.55555555, 4590592.0, 100000000.0, 87787237.9133987),
-        "lr": (888533866.6666666, 18860032.0, 150000000.0, 465412170.9477124),
-        "terasort": (25301045.712882787, 5384192.0, 180000000.0, 119378651.23809522),
-        "als": (205340799.99999994, 3349504.0, 70000000.0, 108776304.81419232),
-    },
-    "kryo": {
-        "nweight": (135027200.0, 5997568.0, 44000000.0, 62209040.71895424),
-        "svm": (33200853.333333347, 26110208.0, 20000000.0, 451380631.6339865),
-        "bayes": (155579695.55555555, 4590592.0, 100000000.0, 16287351.070261436),
-        "lr": (888533866.6666666, 18860032.0, 150000000.0, 347472555.7843137),
-        "terasort": (25301045.712882787, 5384192.0, 180000000.0, 76878678.13725491),
-        "als": (205340799.99999994, 3349504.0, 70000000.0, 67444545.35947713),
-    },
-}
-
-
 def test_fig02_breakdown_ns_pinned(spark_results):
-    measured = {
+    """(compute_ns, gc_ns, io_ns, sd_ns) of each app's breakdown."""
+    check("fig02", {
         backend: {
             app: (
                 result.breakdown.compute_ns,
@@ -43,9 +22,8 @@ def test_fig02_breakdown_ns_pinned(spark_results):
             )
             for app, result in spark_results.results[backend].items()
         }
-        for backend in PINNED_BREAKDOWN_NS
-    }
-    assert measured == PINNED_BREAKDOWN_NS
+        for backend in ("java-builtin", "kryo")
+    })
 
 
 def _breakdown_table(title, results, results_dir, filename):

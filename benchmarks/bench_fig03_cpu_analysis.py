@@ -6,6 +6,7 @@
 (d) Kryo's speedup over Java S/D is modest for serialization.
 """
 
+from _golden import check_hostbench
 from repro.analysis import ReportTable, geomean
 from repro.workloads import MICROBENCH_CONFIGS
 
@@ -119,3 +120,14 @@ def test_fig03d_kryo_speedup(benchmark, micro_results, results_dir):
     ser, deser = benchmark.pedantic(build, rounds=1, iterations=1)
     assert 1.2 < geomean(ser) < 4.0  # paper: 2.30x
     assert geomean(deser) > 10  # paper: 52.3x
+
+
+def test_fig03_pinned_to_hostbench(micro_results):
+    """IPC, LLC miss rate and bandwidth utilization, exactly."""
+    check_hostbench("micro-sw", micro_results.hostbench_ops(
+        "micro-sw", ("java-builtin", "kryo"),
+        {"serialize": {"ipc": "serialize_ipc", "llc_miss_rate": "llc_miss_rate",
+                       "bandwidth_utilization": "serialize_bandwidth"},
+         "deserialize": {"ipc": "deserialize_ipc",
+                         "bandwidth_utilization": "deserialize_bandwidth"}},
+    ))

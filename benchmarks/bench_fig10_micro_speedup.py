@@ -5,6 +5,10 @@ Paper: Kryo 2.30x (ser) / 52.3x (deser); Cereal 26.5x (ser) / 364.5x
 the fine-grained parallelism's contribution.
 """
 
+import dataclasses
+
+from _golden import check, check_hostbench
+from conftest import SOFTWARE_SERIALIZERS
 from repro.analysis import ReportTable, geomean
 from repro.workloads import MICROBENCH_CONFIGS
 
@@ -78,3 +82,27 @@ def test_fig10_deser_gains_exceed_ser(benchmark, micro_results, results_dir):
 
     value = benchmark(ratio)
     assert value > 3.0  # paper: 364.5 / 26.5 = 13.8
+
+
+def test_fig10_times_pinned_to_hostbench(micro_results):
+    """Every software and Cereal S/D time behind the speedups, exactly."""
+    times = {"serialize": "serialize_time_ns", "deserialize": "deserialize_time_ns"}
+    check_hostbench("micro-sw", micro_results.hostbench_ops(
+        "micro-sw", SOFTWARE_SERIALIZERS,
+        {op: {"time_ns": attribute} for op, attribute in times.items()},
+    ))
+    check_hostbench("micro-cereal", micro_results.hostbench_ops(
+        "micro-cereal", ("cereal",),
+        {op: {"elapsed_ns": attribute} for op, attribute in times.items()},
+    ))
+
+
+def test_fig10_vanilla_pinned(micro_results):
+    """Cereal Vanilla's serialize (the unpipelined SU walk no hostbench
+    workload runs): SUResult fields, elapsed ns and DRAM bytes, exactly."""
+    pinned = {}
+    for graph, row in micro_results.results.items():
+        m = row["cereal-vanilla"]
+        pinned[graph] = dict(dataclasses.asdict(m.su), elapsed_ns=m.serialize_time_ns,
+                             dram_bytes=m.serialize_dram_bytes)
+    check("fig10_vanilla", pinned)

@@ -5,6 +5,8 @@ its 8-unit pools busy) reaches 20.9% average (up to 74.5%) when
 serializing and 31.1% average (up to 83.3%) when deserializing.
 """
 
+from _golden import check, check_hostbench
+from conftest import SOFTWARE_SERIALIZERS
 from repro.analysis import ReportTable
 from repro.workloads import MICROBENCH_CONFIGS
 
@@ -19,8 +21,9 @@ def _bandwidth_table(micro_results, results_dir):
     for workload in MICROBENCH_CONFIGS:
         row = micro_results.results[workload]
         java, kryo, cereal = row["java-builtin"], row["kryo"], row["cereal"]
-        cereal_ser.append(cereal.serialize_bandwidth_8u)
-        cereal_de.append(cereal.deserialize_bandwidth_8u)
+        ser_8u, de_8u = (run[0] for run in cereal.device_runs)
+        cereal_ser.append(ser_8u)
+        cereal_de.append(de_8u)
         software.extend(
             [java.serialize_bandwidth, java.deserialize_bandwidth,
              kryo.serialize_bandwidth, kryo.deserialize_bandwidth]
@@ -29,7 +32,7 @@ def _bandwidth_table(micro_results, results_dir):
             workload,
             f"{java.serialize_bandwidth * 100:.2f} / {java.deserialize_bandwidth * 100:.2f}%",
             f"{kryo.serialize_bandwidth * 100:.2f} / {kryo.deserialize_bandwidth * 100:.2f}%",
-            f"{cereal.serialize_bandwidth_8u * 100:.1f} / {cereal.deserialize_bandwidth_8u * 100:.1f}%",
+            f"{ser_8u * 100:.1f} / {de_8u * 100:.1f}%",
         )
     table.add_note("Cereal column: all 8 SUs / 8 DUs busy (device level)")
     table.show()
@@ -60,3 +63,24 @@ def test_fig11_software_is_starved(benchmark, micro_results, results_dir):
         )
 
     assert benchmark(worst) < 0.12
+
+
+def test_fig11_utilizations_pinned(micro_results):
+    """Software utilizations and the 8-unit batches' (utilization, wall
+    ns, DRAM bytes), exactly."""
+    check_hostbench("micro-sw", micro_results.hostbench_ops(
+        "micro-sw", SOFTWARE_SERIALIZERS,
+        {"serialize": {"bandwidth_utilization": "serialize_bandwidth"},
+         "deserialize": {"bandwidth_utilization": "deserialize_bandwidth"}},
+    ))
+    device = {
+        graph: dict(zip(("serialize", "deserialize"), row["cereal"].device_runs))
+        for graph, row in micro_results.results.items()
+    }
+    # hostbench skips the two costliest graphs' batches, so the store pins them.
+    check("fig11_device8", {g: device.pop(g) for g in ("graph-dense", "tree-wide")})
+    check_hostbench("micro-cereal", {
+        f"micro-cereal/{graph}/device8/{op}": {"bandwidth_utilization": run[0]}
+        for graph, runs in device.items()
+        for op, run in runs.items()
+    })

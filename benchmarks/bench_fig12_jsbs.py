@@ -9,6 +9,7 @@ constant-factor variant of kryo, skyway) anchor the field; the remaining
 84 entries come from calibrated cost profiles relative to Java S/D.
 """
 
+from _golden import check
 from repro.analysis import ReportTable
 from repro.workloads import JSBS_LIBRARY_PROFILES
 from repro.workloads.jsbs import KRYO_MANUAL_TIME_FACTOR
@@ -105,3 +106,14 @@ def test_fig12_size_comparison(benchmark, jsbs_results, results_dir):
     # (packed) array elements on the heap, our Cereal stream lands below
     # the average too (the margin is smaller — see EXPERIMENTS.md).
     assert cereal_size < average
+
+
+def test_fig12_round_trips_pinned(jsbs_results):
+    """The four measured round trips and stream sizes, exactly."""
+    check("fig12", {
+        name: {
+            "round_trip_ns": jsbs_results.round_trip_ns(name),
+            "stream_bytes": getattr(jsbs_results, name).stream_bytes,
+        }
+        for name in ("java", "kryo", "skyway", "cereal")
+    })

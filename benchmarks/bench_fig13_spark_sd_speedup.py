@@ -3,41 +3,12 @@
 Paper: Kryo achieves only 1.67x over Java S/D; Cereal achieves 7.97x over
 Java S/D and 4.81x over Kryo.
 
-The bands below state the paper's claim; ``PINNED_SD_NS`` pins the
-modelled S/D time behind every ratio exactly.
+The bands below state the paper's claim; ``benchmarks/golden/fig13.json``
+pins the modelled S/D time behind every ratio exactly.
 """
 
+from _golden import check
 from repro.analysis import ReportTable, geomean
-
-# breakdown.sd_ns (modelled ns) per backend and app. The apps, their
-# inputs and the cost models are seeded, so these are exact.
-PINNED_SD_NS = {
-    "java-builtin": {
-        "nweight": 172236458.57983193,
-        "svm": 647785075.3725493,
-        "bayes": 87787237.9133987,
-        "lr": 465412170.9477124,
-        "terasort": 119378651.23809522,
-        "als": 108776304.81419232,
-    },
-    "kryo": {
-        "nweight": 62209040.71895424,
-        "svm": 451380631.6339865,
-        "bayes": 16287351.070261436,
-        "lr": 347472555.7843137,
-        "terasort": 76878678.13725491,
-        "als": 67444545.35947713,
-    },
-    "cereal": {
-        "nweight": 19391807.999999985,
-        "svm": 59042540.66666666,
-        "bayes": 10042949.999999996,
-        "lr": 43178139.99999997,
-        "terasort": 12057564.666666664,
-        "als": 11532113.0,
-    },
-}
-
 
 def _sd_times(spark_results, backend):
     return {
@@ -47,10 +18,10 @@ def _sd_times(spark_results, backend):
 
 
 def test_fig13_sd_ns_pinned(spark_results):
-    measured = {
-        backend: _sd_times(spark_results, backend) for backend in PINNED_SD_NS
-    }
-    assert measured == PINNED_SD_NS
+    check("fig13", {
+        backend: _sd_times(spark_results, backend)
+        for backend in ("java-builtin", "kryo", "cereal")
+    })
 
 
 def test_fig13_sd_speedups(benchmark, spark_results, results_dir):

@@ -3,51 +3,18 @@
 Paper: accelerating S/D improves end-to-end application performance by
 1.81x over Java S/D (up to 4.66x) and 1.69x over Kryo (up to 4.53x).
 
-The bands below state the paper's claim; ``PINNED_TOTAL_NS`` pins the
-modelled run time behind every ratio exactly.
+The bands below state the paper's claim; ``benchmarks/golden/fig14.json``
+pins the modelled run time behind every ratio exactly.
 """
 
+from _golden import check
 from repro.analysis import ReportTable, geomean
 
-# Each app's total_ns (modelled ns) per backend. The apps, their inputs
-# and the cost models are seeded, so these are exact.
-PINNED_TOTAL_NS = {
-    "java-builtin": {
-        "nweight": 357261226.57983196,
-        "svm": 727096136.7058827,
-        "bayes": 347957525.46895427,
-        "lr": 1522806069.614379,
-        "terasort": 330063888.95097804,
-        "als": 387466608.8141923,
-    },
-    "kryo": {
-        "nweight": 247233808.71895424,
-        "svm": 530691692.96731985,
-        "bayes": 276457638.625817,
-        "lr": 1404866454.4509802,
-        "terasort": 287563915.8501377,
-        "als": 346134849.35947704,
-    },
-    "cereal": {
-        "nweight": 204416576.0,
-        "svm": 138353602.0,
-        "bayes": 270213237.5555555,
-        "lr": 1100572038.6666665,
-        "terasort": 222742802.37954944,
-        "als": 290222416.99999994,
-    },
-}
-
-
 def test_fig14_total_ns_pinned(spark_results):
-    measured = {
-        backend: {
-            app: result.total_ns
-            for app, result in spark_results.results[backend].items()
-        }
-        for backend in PINNED_TOTAL_NS
-    }
-    assert measured == PINNED_TOTAL_NS
+    check("fig14", {
+        backend: {app: result.total_ns for app, result in results.items()}
+        for backend, results in spark_results.results.items()
+    })
 
 
 def test_fig14_program_speedups(benchmark, spark_results, results_dir):

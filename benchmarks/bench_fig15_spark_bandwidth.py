@@ -5,6 +5,7 @@ more memory bandwidth than the software schemes, and deserialization
 significantly more than serialization.
 """
 
+from _golden import check
 from repro.analysis import ReportTable
 from repro.common.config import DRAMConfig
 
@@ -60,6 +61,7 @@ def test_fig15_spark_bandwidth(benchmark, spark_results, results_dir):
         return rows
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    check("fig15", rows)
     for app, row in rows.items():
         # Cereal uses substantially more bandwidth than either software path.
         assert row["cereal"][0] > row["java"][0]

@@ -13,6 +13,7 @@ baseline size re-frames the stream's sections the way
 encodes of the six Table II graphs.
 """
 
+from _golden import check
 from repro.analysis import ReportTable
 from repro.formats import CerealSerializer, ClassRegistration
 from repro.formats.cereal_format import SECTION_VALUES
@@ -24,19 +25,6 @@ from repro.workloads.micro import register_micro_klasses
 # flags, value-array length) and one 4 B length before each of the
 # reference and bitmap arrays.
 _BASELINE_METADATA_BYTES = 21
-
-# (baseline, packed, packed + header strip) stream bytes summed over each
-# app's Cereal streams. The apps and the encoder are seeded, so these are
-# exact.
-PINNED_APP_BYTES = {
-    "nweight": (666032, 510076, 415804),
-    "svm": (287868, 255972, 235876),
-    "bayes": (334158, 264972, 223916),
-    "lr": (372320, 337184, 314320),
-    "terasort": (375241, 321101, 288973),
-    "als": (367376, 306800, 270704),
-}
-
 
 def _stream_sizes(stream) -> tuple:
     """(baseline, packed, packed + header strip) bytes of a packed stream."""
@@ -103,7 +91,11 @@ def test_fig16_compression_rate(benchmark, spark_results, results_dir):
         return totals, rates, average
 
     totals, rates, average = benchmark.pedantic(build, rounds=1, iterations=1)
-    assert totals == PINNED_APP_BYTES
+    # Stream bytes summed over each app's Cereal streams, exactly.
+    check("fig16", {
+        app: dict(zip(("baseline", "packed", "stripped"), sizes))
+        for app, sizes in totals.items()
+    })
     assert 0.1 < average < 0.5  # paper: 28.3% average
     # Header stripping always helps on top of packing.
     for packing_rate, strip_rate in rates.values():

@@ -6,6 +6,7 @@ overall vs Java and Kryo respectively, by combining high speedups with a
 ~1.2 W accelerator against a 140 W host.
 """
 
+from _golden import check
 from repro.analysis import ReportTable, geomean
 from repro.cereal.power import cereal_energy_joules, cpu_energy_joules
 
@@ -30,6 +31,7 @@ def test_fig17_energy(benchmark, spark_results, results_dir):
         )
         kryo_savings = {"serialize": [], "deserialize": []}
         cereal_savings = {"serialize": [], "deserialize": []}
+        per_app = {}
         for app in spark_results.apps():
             java = spark_results.results["java-builtin"][app]
             kryo = spark_results.results["kryo"][app]
@@ -42,6 +44,10 @@ def test_fig17_energy(benchmark, spark_results, results_dir):
                 kryo_savings[kind].append(base / k)
                 cereal_savings[kind].append(base / c)
                 cells[kind] = (k / base, c / base)
+            per_app[app] = {
+                name: {kind: savings[kind][-1] for kind in savings}
+                for name, savings in (("kryo", kryo_savings), ("cereal", cereal_savings))
+            }
             table.add_row(
                 app,
                 f"{cells['serialize'][0]:.2f} / {cells['deserialize'][0]:.2f}",
@@ -50,9 +56,10 @@ def test_fig17_energy(benchmark, spark_results, results_dir):
         table.add_note("paper: Cereal saves 313.6x ser / 165.4x deser vs Java S/D")
         table.show()
         table.save(results_dir, "fig17_energy")
-        return kryo_savings, cereal_savings
+        return kryo_savings, cereal_savings, per_app
 
-    kryo_savings, cereal_savings = benchmark.pedantic(build, rounds=1, iterations=1)
+    kryo_savings, cereal_savings, per_app = benchmark.pedantic(build, rounds=1, iterations=1)
+    check("fig17", per_app)  # each app's energy saving over Java S/D, exactly
     # Kryo saves energy in proportion to its speedup (same device).
     assert 1.0 < geomean(kryo_savings["serialize"] + kryo_savings["deserialize"]) < 6
     # Cereal's savings are orders of magnitude (paper: 313.6x / 165.4x).

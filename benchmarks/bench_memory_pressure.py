@@ -374,12 +374,12 @@ def check_properties(results: Dict) -> Dict[str, Dict]:
     flip_failures = [
         serializer
         for serializer, cell in generous_flips.items()
-        if cell[TIER_DESERIALIZED] > cell[TIER_SERIALIZED]
+        if cell[TIER_DESERIALIZED] >= cell[TIER_SERIALIZED]
     ]
     checks["generous_budget_deserialized_wins"] = {
         "ok": not flip_failures,
         "detail": (
-            "deserialized wins or ties at the generous budget for "
+            "deserialized wins at the generous budget for "
             + ", ".join(SERIALIZERS)
             if not flip_failures
             else f"deserialized lost for: {flip_failures}"
@@ -453,8 +453,8 @@ def check_properties(results: Dict) -> Dict[str, Dict]:
     }
     checks["counters_reconcile_with_transitions"] = {
         "ok": (
-            recon["counter_admitted"] == recon["admitted"]
-            and recon["counter_reads"] == recon["reads"]
+            0 < recon["counter_admitted"] == recon["admitted"]
+            and 0 < recon["counter_reads"] == recon["reads"]
             and recon["span_counts"].get("memstore.admit", 0)
             == recon["admitted"]
             and recon["span_counts"].get("memstore.read", 0) == recon["reads"]

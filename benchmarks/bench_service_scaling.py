@@ -46,6 +46,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_service_scaling.py`
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from _emit import emit_json, emit_trace, trace_json_path  # noqa: E402
+from _golden import verify  # noqa: E402
 from repro.analysis import ReportTable  # noqa: E402
 from repro.faults import FaultInjector, FaultPolicy  # noqa: E402
 from repro.obs import (  # noqa: E402
@@ -284,6 +285,14 @@ def check_properties(payload: Dict) -> Dict[str, Dict]:
         "ok": accounted and recovered,
         "detail": f"requests {requests}, accelerator faults {faults}",
     }
+
+    # The seeded chaos run is deterministic, so its request counts and p99
+    # are pinned exactly: a change to shard scheduling, routing, admission
+    # or verification sampling fails here.
+    entry = "chaos-smoke" if meta["smoke"] else "chaos"
+    pinned = {"requests": requests, "p99_ns": chaos["latency_ns"]["all"]["p99"]}
+    detail = verify("service", {entry: pinned})
+    checks["chaos_pinned"] = {"ok": not detail, "detail": detail or f"{entry} {pinned}"}
     return checks
 
 

@@ -259,6 +259,11 @@ def check_properties(results: Dict) -> Dict[str, Dict]:
     service = results["service"]
 
     checks["shuffle_byte_identity"] = results["byte_identity"]
+    hwm = get_registry().snapshot()[_CHUNK_HWM]
+    checks["chunk_pool_hwm"] = {
+        "ok": 0 < hwm <= shuffle["chunk_bytes"],
+        "detail": f"{_CHUNK_HWM} {hwm} B, chunk {shuffle['chunk_bytes']} B",
+    }
 
     checks["shuffle_records_equivalent"] = {
         "ok": shuffle["records_match"],

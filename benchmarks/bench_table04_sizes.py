@@ -6,6 +6,8 @@ packed metadata) but wins decisively on the reference-dense Graph thanks
 to the object packing scheme.
 """
 
+from _golden import check_hostbench
+from conftest import SOFTWARE_SERIALIZERS
 from repro.analysis import ReportTable
 from repro.workloads import MICROBENCH_CONFIGS
 
@@ -75,3 +77,14 @@ def test_table04_dense_graph_is_cereals_best_case(
 
     dense, list_large = benchmark(spread)
     assert dense < list_large  # packing pays off most with many references
+
+
+def test_table04_sizes_pinned_to_hostbench(micro_results):
+    """Every stream size, and Cereal's graph bytes and object count, exactly."""
+    check_hostbench("micro-sw", micro_results.hostbench_ops(
+        "micro-sw", SOFTWARE_SERIALIZERS, {"serialize": {"stream_bytes": "stream_bytes"}}
+    ))
+    keys = ("stream_bytes", "graph_bytes", "objects")
+    check_hostbench("micro-cereal", micro_results.hostbench_ops(
+        "micro-cereal", ("cereal",), {"serialize": {key: key for key in keys}}
+    ))

@@ -8,6 +8,7 @@ less power than the host CPU.
 
 import pytest
 
+from _golden import check
 from repro.analysis import ReportTable
 from repro.cereal.power import (
     area_power_table,
@@ -35,6 +36,11 @@ def test_table05_area_power(benchmark, results_dir):
     table.show()
     table.save(results_dir, "table05_area_power")
 
+    check("table05", {
+        name: {"unit_mm2": unit_area, "unit_mw": unit_power, "count": count,
+               "total_mm2": area, "total_mw": power}
+        for name, unit_area, unit_power, count, area, power in rows
+    })
     assert total_area == pytest.approx(3.857, abs=0.01)
     assert total_power_mw == pytest.approx(1231.6, abs=1.0)
 

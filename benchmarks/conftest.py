@@ -15,6 +15,7 @@ from typing import Dict, List
 import pytest
 
 from repro.cereal import CerealAccelerator
+from repro.cereal.device_sim import DeviceSimulator
 from repro.common.config import CerealConfig, HostCPUConfig, SystemConfig
 from repro.cpu import SoftwarePlatform
 from repro.formats import (
@@ -61,10 +62,12 @@ class MicroMeasurement:
     serialize_ipc: float = 0.0
     deserialize_ipc: float = 0.0
     llc_miss_rate: float = 0.0
-    # Device-level utilization with all 8 units busy (default Cereal row
-    # only; Cereal Vanilla leaves them 0).
-    serialize_bandwidth_8u: float = 0.0
-    deserialize_bandwidth_8u: float = 0.0
+    # Cereal rows only: the serialize's SUResult and DRAM bytes, and the
+    # (bandwidth_utilization, wall_time_ns, dram_bytes) of the 8-unit
+    # serialize and deserialize batches (default Cereal only).
+    su: object = None
+    serialize_dram_bytes: int = 0
+    device_runs: tuple = ()
 
 
 @dataclass
@@ -79,6 +82,18 @@ class MicroSuiteResults:
         if op == "serialize":
             return java.serialize_time_ns / other.serialize_time_ns
         return java.deserialize_time_ns / other.deserialize_time_ns
+
+    def hostbench_ops(self, workload: str, names, fields) -> Dict[str, Dict]:
+        """``{hostbench op: {golden field: value}}`` on every graph; ``fields``
+        maps each op to ``{golden field: MicroMeasurement attribute}``."""
+        return {
+            f"{workload}/{graph}/{name}/{op}": {
+                key: getattr(row[name], attribute) for key, attribute in keys.items()
+            }
+            for graph, row in self.results.items()
+            for name in names
+            for op, keys in fields.items()
+        }
 
 
 def _measure_software(name: str, workload: str) -> MicroMeasurement:
@@ -107,47 +122,34 @@ def _measure_software(name: str, workload: str) -> MicroMeasurement:
 
 
 def _device_runs(accelerator: CerealAccelerator, root, stream) -> tuple:
-    """(ser, deser) :class:`~repro.cereal.device_sim.DeviceRunResult` of
-    one batch per pool with all 8 units busy.
-
-    Simulates eight concurrent operations on the shared memory system via
-    :class:`~repro.cereal.device_sim.DeviceSimulator`.
-    """
-    from repro.cereal.device_sim import DeviceSimulator
-
+    """(bandwidth_utilization, wall_time_ns, dram_bytes) of one serialize
+    and one deserialize batch with all 8 units busy on the shared memory
+    system (:class:`~repro.cereal.device_sim.DeviceSimulator`)."""
     simulator = DeviceSimulator(accelerator)
-    pool = accelerator.config.num_serializer_units
-    ser_run = simulator.run([("serialize", root)] * pool)
-    receivers = [
-        Heap(registry=root.heap.registry)
-        for _ in range(accelerator.config.num_deserializer_units)
-    ]
-    de_run = simulator.run(
-        [("deserialize", stream, receiver) for receiver in receivers]
+    config = accelerator.config
+    runs = (
+        simulator.run([("serialize", root)] * config.num_serializer_units),
+        simulator.run([
+            ("deserialize", stream, Heap(registry=root.heap.registry))
+            for _ in range(config.num_deserializer_units)
+        ]),
     )
-    return ser_run, de_run
-
-
-def _cereal_inputs(workload: str, vanilla: bool = False) -> tuple:
-    """(heap, root, accelerator) for one Table II graph on Cereal."""
-    heap = Heap(registry=None)
-    register_micro_klasses(heap.registry)
-    root = build_microbench(heap, workload)
-    config = CerealConfig().vanilla() if vanilla else CerealConfig()
-    accelerator = CerealAccelerator(config)
-    for klass in heap.registry:
-        accelerator.register_class(klass)
-    return heap, root, accelerator
+    return tuple((run.bandwidth_utilization, run.wall_time_ns, run.dram_bytes) for run in runs)
 
 
 def _measure_cereal(workload: str, vanilla: bool = False) -> MicroMeasurement:
     """Single-op Cereal times; the 8-unit batches only for the default
     config, since Figure 11 reads no Vanilla device-level utilization."""
-    heap, root, accelerator = _cereal_inputs(workload, vanilla)
+    heap = Heap(registry=None)
+    register_micro_klasses(heap.registry)
+    root = build_microbench(heap, workload)
+    accelerator = CerealAccelerator(CerealConfig().vanilla() if vanilla else CerealConfig())
+    for klass in heap.registry:
+        accelerator.register_class(klass)
     receiver = Heap(registry=heap.registry)
-    result, ser_timing, _ = accelerator.serialize(root)
+    result, ser_timing, su = accelerator.serialize(root)
     _, de_timing, _ = accelerator.deserialize(result.stream, receiver)
-    measurement = MicroMeasurement(
+    return MicroMeasurement(
         serialize_time_ns=ser_timing.elapsed_ns,
         deserialize_time_ns=de_timing.elapsed_ns,
         serialize_bandwidth=ser_timing.bandwidth_utilization,
@@ -155,12 +157,10 @@ def _measure_cereal(workload: str, vanilla: bool = False) -> MicroMeasurement:
         stream_bytes=result.stream.size_bytes,
         graph_bytes=result.stream.graph_bytes,
         objects=result.stream.object_count,
+        su=su,
+        serialize_dram_bytes=ser_timing.dram_bytes,
+        device_runs=() if vanilla else _device_runs(accelerator, root, result.stream),
     )
-    if not vanilla:
-        ser_8u, de_8u = _device_runs(accelerator, root, result.stream)
-        measurement.serialize_bandwidth_8u = ser_8u.bandwidth_utilization
-        measurement.deserialize_bandwidth_8u = de_8u.bandwidth_utilization
-    return measurement
 
 
 @pytest.fixture(scope="session")

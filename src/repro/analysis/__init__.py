@@ -4,14 +4,12 @@ Also re-exports :class:`~repro.faults.report.FaultReport` so chaos runs can
 be summarized next to the timing tables.
 """
 
-from repro.analysis.report import ReportTable, format_speedup, geomean, percentile
+from repro.analysis.report import ReportTable, geomean
 from repro.faults.report import FaultReport, LayerFaultStats
 
 __all__ = [
     "ReportTable",
-    "format_speedup",
     "geomean",
-    "percentile",
     "FaultReport",
     "LayerFaultStats",
 ]

@@ -12,8 +12,6 @@ import math
 import os
 from typing import List, Sequence
 
-from repro.obs.metrics import exact_quantile
-
 
 def geomean(values: Sequence[float]) -> float:
     """Geometric mean (the paper's aggregate for speedups)."""
@@ -21,27 +19,6 @@ def geomean(values: Sequence[float]) -> float:
     if not filtered:
         return 0.0
     return math.exp(sum(math.log(v) for v in filtered) / len(filtered))
-
-
-def format_speedup(value: float) -> str:
-    return f"{value:.2f}x"
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of ``values`` (``q`` in [0, 100]).
-
-    A thin wrapper over :func:`repro.obs.metrics.exact_quantile` — the one
-    quantile definition the SLO summaries, the obs histograms, and the
-    trace exports all share, so every report agrees on what "p99" means.
-    Edge cases are exact: an empty series raises a clear
-    :class:`ValueError`, a single sample is returned unchanged, and
-    ``q == 0`` / ``q == 100`` give the true min / max.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    if not values:
-        raise ValueError("cannot take a percentile of no samples")
-    return exact_quantile(sorted(values), q)
 
 
 class ReportTable:

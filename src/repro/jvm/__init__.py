@@ -29,7 +29,7 @@ from repro.jvm.klass import (
 from repro.jvm.heap import Heap, HeapObject
 from repro.jvm.graph import ObjectGraph
 from repro.jvm.gc import clear_serialization_metadata, walk_heap
-from repro.jvm.strings import new_string, read_string
+from repro.jvm.strings import new_string
 
 __all__ = [
     "MarkWord",
@@ -45,5 +45,4 @@ __all__ = [
     "clear_serialization_metadata",
     "walk_heap",
     "new_string",
-    "read_string",
 ]

@@ -11,8 +11,8 @@ that attribution everywhere, for free, in every bench and test:
   ``snapshot()`` is the one runtime-stats shape (plan/layout cache,
   chunked transfer, decode, schema and memstore counters), and the one shared
   quantile definition
-  (:func:`~repro.obs.metrics.exact_quantile`) backs both
-  ``repro.analysis.percentile`` and the service SLO summaries.
+  (:func:`~repro.obs.metrics.exact_quantile`) backs the histograms,
+  the trace exports and the service SLO summaries.
 * :mod:`repro.obs.trace` — a span tracer on the simulated clock,
   context-manager/retrospective APIs, parent/child nesting, instant
   events, and bounded ring buffers. The service event

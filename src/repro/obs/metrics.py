@@ -50,8 +50,8 @@ def exact_quantile(ordered: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile of pre-sorted ``ordered`` (q in [0, 100]).
 
     This is the *one* quantile definition in the reproduction: the SLO
-    summaries, :func:`repro.analysis.report.percentile`, and every
-    histogram's exact path all route here, so "p99" means the same number
+    summaries, the trace exports, and every histogram's exact path all
+    route here, so "p99" means the same number
     in every report. Edge cases are exact by construction: an empty series
     raises a clear :class:`ValueError`, one sample returns that sample,
     and ``q == 0`` / ``q == 100`` return the true min / max.

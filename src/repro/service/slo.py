@@ -250,8 +250,8 @@ class SLOReport:
 
     def latency_ns_at(self, q: float, kind: str = "all") -> float:
         """:func:`repro.obs.metrics.exact_quantile` over the sorted raw
-        latencies: the one quantile definition the tracing exports and
-        ``repro.analysis.percentile`` use too, which is what lets
+        latencies: the one quantile definition the tracing exports use
+        too, which is what lets
         ``tests/test_obs_reconcile.py`` demand span-derived and
         SLO-reported percentiles agree to the nanosecond."""
         values = self._latencies(kind)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ReportTable, format_speedup, geomean
+from repro.analysis import ReportTable, geomean
 
 
 class TestGeomean:
@@ -20,11 +20,6 @@ class TestGeomean:
 
     def test_order_invariant(self):
         assert geomean([2, 8, 32]) == pytest.approx(geomean([32, 2, 8]))
-
-
-class TestFormatSpeedup:
-    def test_format(self):
-        assert format_speedup(2.345) == "2.35x"
 
 
 class TestReportTable:

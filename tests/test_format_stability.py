@@ -27,9 +27,18 @@ from repro.jvm import (
     InstanceKlass,
     KlassRegistry,
 )
-from repro.jvm.klass import HEADER_BYTES
-from repro.jvm.strings import new_string, read_string
+from repro.jvm.klass import HEADER_BYTES, ArrayKlass
+from repro.jvm.strings import new_string
 from tests.test_packing import pack_bitmaps
+
+
+def read_string(array) -> str:
+    """Read a char array back as a Python string."""
+    klass = array.klass
+    if not isinstance(klass, ArrayKlass) or klass.element_kind is not FieldKind.CHAR:
+        raise HeapError(f"{klass.name} is not a char array")
+    return "".join(chr(array.get_element(i)) for i in range(array.length))
+
 
 # Hashes pinned at format version 1.0.0. Any change here is a breaking
 # format change and must be documented.
