@@ -60,27 +60,28 @@ def first_difference(root_a: HeapObject, root_b: HeapObject) -> str | None:
             if a.length != b.length:
                 return f"{path}: array length {a.length} != {b.length}"
             kind = a.klass.element_kind
-            for index in range(a.length):
-                element_path = f"{path}[{index}]"
-                va, vb = a.get_element(index), b.get_element(index)
-                if kind.is_reference:
+            elements_a, elements_b = a.get_elements(), b.get_elements()
+            if kind.is_reference:
+                for index, (va, vb) in enumerate(zip(elements_a, elements_b)):
                     if (va is None) != (vb is None):
-                        return f"{element_path}: null mismatch"
+                        return f"{path}[{index}]: null mismatch"
                     if va is not None:
-                        worklist.append((va, vb, element_path))
-                elif not _values_match(kind, va, vb):
-                    return f"{element_path}: {va!r} != {vb!r}"
+                        worklist.append((va, vb, f"{path}[{index}]"))
+            else:
+                for index, (va, vb) in enumerate(zip(elements_a, elements_b)):
+                    if not _values_match(kind, va, vb):
+                        return f"{path}[{index}]: {va!r} != {vb!r}"
         else:
             klass = a.klass
             assert isinstance(klass, InstanceKlass)
             for descriptor in klass.fields:
-                field_path = f"{path}.{descriptor.name}"
-                va, vb = a.get(descriptor.name), b.get(descriptor.name)
+                name = descriptor.name
+                va, vb = a.get(name), b.get(name)
                 if descriptor.kind.is_reference:
                     if (va is None) != (vb is None):
-                        return f"{field_path}: null mismatch"
+                        return f"{path}.{name}: null mismatch"
                     if va is not None:
-                        worklist.append((va, vb, field_path))
+                        worklist.append((va, vb, f"{path}.{name}"))
                 elif not _values_match(descriptor.kind, va, vb):
-                    return f"{field_path}: {va!r} != {vb!r}"
+                    return f"{path}.{name}: {va!r} != {vb!r}"
     return None

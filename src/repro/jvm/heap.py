@@ -30,7 +30,6 @@ from repro.jvm.klass import (
     FieldKind,
     HEADER_BYTES,
     HEADER_SLOTS,
-    InstanceKlass,
     Klass,
     KlassRegistry,
     SLOT_BYTES,
@@ -47,8 +46,14 @@ _UNIT_MASK = 0xFF
 _RELADDR_SHIFT = 24
 _RELADDR_MASK = 0xFFFF_FFFF
 _CLAIM_MASK = (1 << (_RELADDR_SHIFT + 32)) - 1  # counter, unit ID, rel. address
-_HEADER_OFFSETS = (0, 8)  # mark word, klass pointer
 _EXTENSION_OFFSET = 16  # the Cereal extension word
+# The header words ``allocate`` writes, packed into the zeroed image in one
+# call: mark word and klass pointer, plus (arrays) the zero extension word
+# and the length slot. Their offsets give the per-word trace records.
+_INSTANCE_HEADER = struct.Struct("<QQ")
+_ARRAY_HEADER = struct.Struct("<QQQQ")
+_INSTANCE_HEADER_OFFSETS = (0, 8)
+_ARRAY_HEADER_OFFSETS = (0, 8, HEADER_BYTES)
 
 FieldValue = Union[int, float, bool, "HeapObject", None]
 
@@ -75,6 +80,17 @@ _ELEMENT_WRITE_CODES = {
     FieldKind.LONG: "q",
     FieldKind.DOUBLE: "d",
 }
+
+
+def _reference_word(value: FieldValue) -> int:
+    """The heap word a reference slot stores for ``value``."""
+    if value is None:
+        return NULL_ADDRESS
+    if isinstance(value, HeapObject):
+        return value.address
+    raise HeapError(
+        f"reference slot needs HeapObject or None, got {type(value).__name__}"
+    )
 
 
 class Heap:
@@ -136,15 +152,20 @@ class Heap:
             )
         self._alloc_ptr += size
 
-        assert klass.metaspace_address is not None
-        offsets = _HEADER_OFFSETS
-        words = (fresh_mark_word(address), klass.metaspace_address)
+        image = bytearray(size)
         if klass.is_array:
             # Array length lives in the first field slot.
-            offsets += (HEADER_BYTES,)
-            words += (length,)
+            _ARRAY_HEADER.pack_into(
+                image, 0, fresh_mark_word(address), klass.metaspace_address, 0, length
+            )
+            offsets = _ARRAY_HEADER_OFFSETS
+        else:
+            _INSTANCE_HEADER.pack_into(
+                image, 0, fresh_mark_word(address), klass.metaspace_address
+            )
+            offsets = _INSTANCE_HEADER_OFFSETS
         # One page op, traced as a zero fill then one 8 B write per word.
-        self.memory.zero_fill_words(address, size, offsets, words)
+        self.memory.write_image(address, image, offsets)
 
         obj = HeapObject(self, address, klass, length)
         self._objects[address] = obj
@@ -296,15 +317,6 @@ class HeapObject:
     def fields_base(self) -> int:
         return self.address + HEADER_BYTES
 
-    def slot_address(self, slot_index: int) -> int:
-        """Heap address of field slot ``slot_index`` (0-based after header)."""
-        if not 0 <= slot_index < self.field_slots:
-            raise HeapError(
-                f"slot {slot_index} out of range for {self.klass.name} "
-                f"with {self.field_slots} slots"
-            )
-        return self.fields_base + slot_index * SLOT_BYTES
-
     # -- header -----------------------------------------------------------------------
 
     @property
@@ -390,10 +402,24 @@ class HeapObject:
         """GC-time reset of the extension word (Section V-E)."""
         self.heap.memory.write_u64(self.address + _EXTENSION_OFFSET, 0)
 
-    # -- typed slot access ------------------------------------------------------------------
+    # -- named field access (instances) --------------------------------------------------------
+    #
+    # One slot-address rule: field slot i is the word at
+    # ``address + HEADER_BYTES + i * SLOT_BYTES``. ``klass.slot_of`` holds
+    # each field's byte offset and kind, so an access is one dict lookup and
+    # one typed memory access.
 
-    def _read_slot(self, slot_index: int, kind: FieldKind) -> FieldValue:
-        address = self.slot_address(slot_index)
+    def _no_field(self, field_name: str) -> HeapError:
+        if self.klass.is_array:
+            return HeapError(f"{self.klass.name} is not an instance class")
+        return HeapError(f"class {self.klass.name} has no field {field_name!r}")
+
+    def get(self, field_name: str) -> FieldValue:
+        try:
+            offset, kind = self.klass.slot_of[field_name]
+        except KeyError:
+            raise self._no_field(field_name) from None
+        address = self.address + offset
         memory = self.heap.memory
         if kind is FieldKind.REFERENCE:
             return self.heap.deref(memory.read_u64(address))
@@ -405,18 +431,15 @@ class HeapObject:
             return memory.read_u64(address) & 0xFFFF
         return memory.read_i64(address)
 
-    def _write_slot(self, slot_index: int, kind: FieldKind, value: FieldValue) -> None:
-        address = self.slot_address(slot_index)
+    def set(self, field_name: str, value: FieldValue) -> None:
+        try:
+            offset, kind = self.klass.slot_of[field_name]
+        except KeyError:
+            raise self._no_field(field_name) from None
+        address = self.address + offset
         memory = self.heap.memory
         if kind is FieldKind.REFERENCE:
-            if value is None:
-                memory.write_u64(address, NULL_ADDRESS)
-            elif isinstance(value, HeapObject):
-                memory.write_u64(address, value.address)
-            else:
-                raise HeapError(
-                    f"reference slot needs HeapObject or None, got {type(value).__name__}"
-                )
+            memory.write_u64(address, _reference_word(value))
         elif kind is FieldKind.DOUBLE or kind is FieldKind.FLOAT:
             memory.write_f64(address, float(value))  # type: ignore[arg-type]
         elif kind is FieldKind.BOOLEAN:
@@ -426,23 +449,6 @@ class HeapObject:
         else:
             memory.write_i64(address, int(value))  # type: ignore[arg-type]
 
-    # -- named field access (instances) --------------------------------------------------------
-
-    def _instance_klass(self) -> InstanceKlass:
-        if not isinstance(self.klass, InstanceKlass):
-            raise HeapError(f"{self.klass.name} is not an instance class")
-        return self.klass
-
-    def get(self, field_name: str) -> FieldValue:
-        klass = self._instance_klass()
-        index = klass.field_index(field_name)
-        return self._read_slot(index, klass.fields[index].kind)
-
-    def set(self, field_name: str, value: FieldValue) -> None:
-        klass = self._instance_klass()
-        index = klass.field_index(field_name)
-        self._write_slot(index, klass.fields[index].kind, value)
-
     # -- element access (arrays) -------------------------------------------------------------
 
     def _array_klass(self) -> ArrayKlass:
@@ -451,24 +457,29 @@ class HeapObject:
         return self.klass
 
     def _element_address(self, klass: ArrayKlass, index: int) -> int:
-        """Address of a packed primitive element (natural-width storage)."""
-        return self.fields_base + SLOT_BYTES + index * klass.element_width
+        """Address of element ``index``, stored at its natural width from
+        the slot after the length (a reference is one 8 B slot)."""
+        return self.address + HEADER_BYTES + SLOT_BYTES + index * klass.element_width
 
     def get_elements(self) -> List[FieldValue]:
         """All array elements in index order, via one bulk memory read.
 
         Value-equivalent to ``[self.get_element(i) for i in
-        range(self.length)]`` but costs one traced memory access and one
-        ``struct`` unpack for the whole array instead of a memory call per
-        element — the fast path under the serializers' primitive-array
-        loops.
+        range(self.length)]`` but costs one memory call for the whole
+        array: a primitive array is one traced access and one ``struct``
+        unpack; a reference array is one word run, traced as one 8 B read
+        per element like ``get_element``.
         """
         klass = self._array_klass()
         kind = klass.element_kind
-        if kind is FieldKind.REFERENCE:
-            return [self._read_slot(1 + i, kind) for i in range(self.length)]
         if self.length == 0:
             return []
+        if kind is FieldKind.REFERENCE:
+            deref = self.heap.deref
+            words = self.heap.memory.read_word_run(
+                self._element_address(klass, 0), self.length
+            )
+            return [deref(word) for word in words]
         raw = self.heap.memory.read(
             self._element_address(klass, 0), self.length * klass.element_width
         )
@@ -480,18 +491,24 @@ class HeapObject:
         return values
 
     def set_elements(self, values: Sequence[FieldValue]) -> None:
-        """Write every array element via one bulk memory write."""
+        """Write every array element via one bulk memory write.
+
+        Every value is checked first, so a bad one writes and traces
+        nothing. A reference array is one word run, traced as one 8 B
+        write per element like ``set_element``.
+        """
         klass = self._array_klass()
         if len(values) != self.length:
             raise HeapError(
                 f"expected {self.length} elements, got {len(values)}"
             )
+        if self.length == 0:
+            return
         kind = klass.element_kind
         if kind is FieldKind.REFERENCE:
-            for index, value in enumerate(values):
-                self._write_slot(1 + index, kind, value)
-            return
-        if self.length == 0:
+            self.heap.memory.write_word_run(
+                self._element_address(klass, 0), [_reference_word(v) for v in values]
+            )
             return
         if kind is FieldKind.BOOLEAN:
             raw_values = [1 if value else 0 for value in values]
@@ -515,10 +532,10 @@ class HeapObject:
         if not 0 <= index < self.length:
             raise HeapError(f"array index {index} out of range [0, {self.length})")
         kind = klass.element_kind
-        if kind is FieldKind.REFERENCE:
-            return self._read_slot(1 + index, kind)
         address = self._element_address(klass, index)
         memory = self.heap.memory
+        if kind is FieldKind.REFERENCE:
+            return self.heap.deref(memory.read_u64(address))
         if kind is FieldKind.BOOLEAN:
             return bool(memory.read_u8(address))
         if kind is FieldKind.BYTE:
@@ -542,11 +559,11 @@ class HeapObject:
         if not 0 <= index < self.length:
             raise HeapError(f"array index {index} out of range [0, {self.length})")
         kind = klass.element_kind
-        if kind is FieldKind.REFERENCE:
-            self._write_slot(1 + index, kind, value)
-            return
         address = self._element_address(klass, index)
         memory = self.heap.memory
+        if kind is FieldKind.REFERENCE:
+            memory.write_u64(address, _reference_word(value))
+            return
         if kind is FieldKind.BOOLEAN:
             memory.write_u8(address, 1 if value else 0)
         elif kind is FieldKind.BYTE:

@@ -92,12 +92,13 @@ class Klass:
             raise HeapError("klass name must be non-empty")
         self.name = name
         self.metaspace_address: Optional[int] = None
+        #: Field name -> (byte offset from the object's address, kind),
+        #: filled by :class:`InstanceKlass`; arrays have no named fields.
+        self.slot_of: Dict[str, Tuple[int, FieldKind]] = {}
 
     # Subclasses implement the layout protocol used by heap and serializers.
 
-    @property
-    def is_array(self) -> bool:
-        raise NotImplementedError
+    is_array: bool
 
     def instance_slots(self, length: int = 0) -> int:
         """Number of field slots (excluding header) for an instance."""
@@ -114,6 +115,8 @@ class Klass:
 class InstanceKlass(Klass):
     """A normal class: named fields, each in one 8 B slot, declaration order."""
 
+    is_array = False
+
     def __init__(self, name: str, fields: Sequence[FieldDescriptor] = ()):
         super().__init__(name)
         self.fields: Tuple[FieldDescriptor, ...] = tuple(fields)
@@ -122,13 +125,12 @@ class InstanceKlass(Klass):
             if descriptor.name in seen:
                 raise HeapError(f"duplicate field name {descriptor.name!r} in {name}")
             seen.add(descriptor.name)
-        self._index_by_name: Dict[str, int] = {
-            descriptor.name: index for index, descriptor in enumerate(self.fields)
-        }
-
-    @property
-    def is_array(self) -> bool:
-        return False
+        # The slot-address rule, once per klass: slot i lives at
+        # HEADER_BYTES + i * SLOT_BYTES from the object's address.
+        self.slot_of.update(
+            (descriptor.name, (HEADER_BYTES + index * SLOT_BYTES, descriptor.kind))
+            for index, descriptor in enumerate(self.fields)
+        )
 
     def instance_slots(self, length: int = 0) -> int:
         return len(self.fields)
@@ -143,7 +145,7 @@ class InstanceKlass(Klass):
     def field_index(self, name: str) -> int:
         """Slot index of field ``name`` (raises for unknown names)."""
         try:
-            return self._index_by_name[name]
+            return (self.slot_of[name][0] - HEADER_BYTES) // SLOT_BYTES
         except KeyError:
             raise HeapError(f"class {self.name} has no field {name!r}") from None
 
@@ -159,14 +161,12 @@ class ArrayKlass(Klass):
     bitmap must mark each reference individually.
     """
 
+    is_array = True
+
     def __init__(self, element_kind: FieldKind):
         super().__init__(f"{element_kind.value}[]")
         self.element_kind = element_kind
         self.element_width = element_kind.java_width_bytes
-
-    @property
-    def is_array(self) -> bool:
-        return True
 
     def instance_slots(self, length: int = 0) -> int:
         if length < 0:

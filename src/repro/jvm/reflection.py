@@ -108,7 +108,7 @@ class ReflectAsmAccess:
         assert isinstance(klass, InstanceKlass)
         self.cost.indexed_accesses += 1
         self.cost.field_reads += 1
-        return obj._read_slot(index, klass.fields[index].kind)
+        return obj.get(klass.fields[index].name)
 
     def set_field_by_index(
         self, obj: HeapObject, index: int, value: FieldValue
@@ -117,4 +117,4 @@ class ReflectAsmAccess:
         assert isinstance(klass, InstanceKlass)
         self.cost.indexed_accesses += 1
         self.cost.field_writes += 1
-        obj._write_slot(index, klass.fields[index].kind, value)
+        obj.set(klass.fields[index].name, value)

@@ -10,11 +10,12 @@ lays out the object heaps that Cereal serializes.
 
 A typed access that lies in one page costs one bounds check and one
 ``struct`` call on the page. The word-run accessors (``read_word_run``,
-``write_word_run``, ``gather_words``, ``scatter_words``,
-``zero_fill_words``) move many 8 B words per call, with one bounds check
-and one trace call, and leave the trace that one :meth:`~MemorySpace.read_u64`
-or :meth:`~MemorySpace.write_u64` per word would: one 8 B record per word,
-in the same order. The trace is a modelled input to the cache simulator,
+``write_word_run``, ``gather_words``, ``scatter_words``) move many 8 B
+words per call, with one bounds check and one trace call, and leave the
+trace that one :meth:`~MemorySpace.read_u64` or
+:meth:`~MemorySpace.write_u64` per word would: one 8 B record per word, in
+the same order; ``write_image`` lays down a new object the same way. The
+trace is a modelled input to the cache simulator,
 so it must not change record for record. Accesses that straddle a page
 boundary take the general page-splitting copy.
 """
@@ -305,26 +306,22 @@ class MemorySpace:
             else:
                 page[offset : offset + 8] = word
 
-    def zero_fill_words(self, address: int, length: int, offsets, words) -> None:
-        """Zero ``length`` bytes at ``address``, then store u64 ``words[i]``
-        at ``address + offsets[i]`` (each word inside the range).
+    def write_image(self, address: int, image, word_offsets) -> None:
+        """Store the bytes of ``image`` at ``address``, traced as one write
+        of the whole image, then one 8 B write record at ``address + at``
+        for each ``at`` in ``word_offsets``, in order.
 
-        Memory and trace are those of ``fill(address, length)`` followed by
-        one :meth:`write_u64` per word: a ``length``-byte write record, then
-        one 8 B write record per word, in order. Used to lay down a freshly
-        allocated object (zeroed image plus its header words).
+        That is the trace of ``fill(address, len(image))`` followed by one
+        :meth:`write_u64` per word at those offsets. Used to lay down a
+        freshly allocated object: its zeroed image with the header words
+        already packed in.
         """
+        length = len(image)
         self._check_range(address, length)
-        image = bytearray(length)
-        pack_into = _U64.pack_into
-        for at, word in zip(offsets, words):
-            if not 0 <= at <= length - 8:
-                raise HeapError(f"word offset {at} outside a {length}-byte fill")
-            pack_into(image, at, word)
         trace = self.trace
         if trace is not None:
             trace.record_write(address, length)
-            trace.record_many([address + at for at in offsets], 8, write=True)
+            trace.record_many([address + at for at in word_offsets], 8, write=True)
         self._put(address, image)
 
     # -- bulk helpers ----------------------------------------------------------

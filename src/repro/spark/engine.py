@@ -172,8 +172,7 @@ class MiniSparkContext:
     def _wrap_records(self, records: Sequence[HeapObject], heap: Heap) -> HeapObject:
         """Wrap a record bucket in a reference array so it has one root."""
         array = heap.new_array(FieldKind.REFERENCE, len(records))
-        for index, record in enumerate(records):
-            array.set_element(index, record)
+        array.set_elements(records)
         return array
 
     def _unwrap_records(self, root: HeapObject) -> List[HeapObject]:

@@ -181,20 +181,21 @@ class TestWordRuns:
         with pytest.raises(HeapError):
             mem.scatter_words([8, PAGE + 64], [1, 2])
         with pytest.raises(HeapError):
-            mem.zero_fill_words(PAGE, 128, (0, 8), (1, 2))
-        with pytest.raises(HeapError):
-            mem.zero_fill_words(0, 32, (0, 28), (1, 2))
+            mem.write_image(PAGE, bytes(128), (0, 8))
         assert len(trace) == 0
 
     @pytest.mark.parametrize("address", [PAGE + 64, PAGE - 24, 3 * PAGE - 8])
-    def test_zero_fill_words_matches_fill_then_writes(self, address):
+    def test_write_image_matches_fill_then_writes(self, address):
         fast, fast_trace = _traced()
         slow, slow_trace = _traced()
         for mem in (fast, slow):
-            mem.fill(address - 8, 64, 0xAB)  # stale bytes the fill must clear
+            mem.fill(address - 8, 64, 0xAB)  # stale bytes the image must clear
         fast_trace.clear()
         slow_trace.clear()
-        fast.zero_fill_words(address, 40, (0, 8, 24), (11, 22, 33))
+        image = bytearray(40)
+        struct.pack_into("<QQ", image, 0, 11, 22)
+        struct.pack_into("<Q", image, 24, 33)
+        fast.write_image(address, image, (0, 8, 24))
         slow.fill(address, 40, 0)
         for at, word in zip((0, 8, 24), (11, 22, 33)):
             slow.write_u64(address + at, word)

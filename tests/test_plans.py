@@ -330,9 +330,9 @@ def test_dangling_reference_raises_heap_error(order):
     root.set("peer", leaf)
     memory = heap.memory
     (address,) = [
-        root.slot_address(slot)
+        root.fields_base + slot * 8
         for slot in root.reference_slots()
-        if memory.read_u64(root.slot_address(slot)) == leaf.address
+        if memory.read_u64(root.fields_base + slot * 8) == leaf.address
     ]
     memory.write_u64(address, leaf.address + 8)  # inside the leaf's header
     with pytest.raises(HeapError):

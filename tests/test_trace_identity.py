@@ -3,15 +3,18 @@
 The memory trace is a modelled input to the cache simulator, so the
 word-run paths must leave it identical record for record. The oracles
 below are the per-slot forms as they were before (error texts shortened):
-one ``MemorySpace.read``/``write`` per typed access, the per-slot
-``Heap.allocate``, ``referenced_objects`` and ``traverse_slot_runs``, and
-Skyway's per-slot encode and decode walks. :func:`oracle_paths` swaps all
-of them in at once; each test runs a workload under both and compares the
-traced ``addresses`` and ``lengths`` columns, stream bytes, heap bytes and
-every :class:`WorkProfile` field.
+one ``MemorySpace.read``/``write`` per typed access; the per-slot
+``Heap.allocate``; named-field and reference-element access through a
+bounds-checked slot address; ``referenced_objects`` and
+``traverse_slot_runs``; the per-element ``_wrap_records``; and Skyway's
+per-slot encode and decode walks. :func:`oracle_paths` swaps all of them
+in at once; each test runs a workload under both and compares the traced
+``addresses`` and ``lengths`` columns, stream bytes, heap bytes, returned
+values and every :class:`WorkProfile` field.
 """
 
 import dataclasses
+import math
 import struct
 from collections import deque
 from typing import List, Optional
@@ -50,6 +53,7 @@ from repro.jvm.layout_cache import layout_of
 from repro.jvm.markword import MarkWord, identity_hash_for
 from repro.memory.space import MemorySpace
 from repro.memory.trace import MemoryTrace
+from repro.spark import MiniSparkContext, SoftwareBackend
 from repro.workloads import (
     MICROBENCH_CONFIGS,
     build_graph_bench,
@@ -99,11 +103,122 @@ def oracle_allocate(self, klass, length=0):
     return obj
 
 
+def oracle_slot_address(obj, slot_index):
+    field_slots = obj.klass.instance_slots(obj.length)
+    if not 0 <= slot_index < field_slots:
+        raise HeapError(f"slot {slot_index} out of range for {obj.klass.name}")
+    return obj.address + HEADER_BYTES + slot_index * SLOT_BYTES
+
+
+def _oracle_read_slot(obj, slot_index, kind):
+    address = oracle_slot_address(obj, slot_index)
+    memory = obj.heap.memory
+    if kind is FieldKind.REFERENCE:
+        return obj.heap.deref(memory.read_u64(address))
+    if kind is FieldKind.DOUBLE or kind is FieldKind.FLOAT:
+        return memory.read_f64(address)
+    if kind is FieldKind.BOOLEAN:
+        return bool(memory.read_u64(address))
+    if kind is FieldKind.CHAR:
+        return memory.read_u64(address) & 0xFFFF
+    return memory.read_i64(address)
+
+
+def _oracle_write_slot(obj, slot_index, kind, value):
+    address = oracle_slot_address(obj, slot_index)
+    memory = obj.heap.memory
+    if kind is FieldKind.REFERENCE:
+        if value is None:
+            memory.write_u64(address, NULL_ADDRESS)
+        elif isinstance(value, HeapObject):
+            memory.write_u64(address, value.address)
+        else:
+            raise HeapError(
+                f"reference slot needs HeapObject or None, got {type(value).__name__}"
+            )
+    elif kind is FieldKind.DOUBLE or kind is FieldKind.FLOAT:
+        memory.write_f64(address, float(value))
+    elif kind is FieldKind.BOOLEAN:
+        memory.write_u64(address, 1 if value else 0)
+    elif kind is FieldKind.CHAR:
+        memory.write_u64(address, int(value) & 0xFFFF)
+    else:
+        memory.write_i64(address, int(value))
+
+
+def _oracle_field(obj, field_name):
+    klass = obj.klass
+    if not isinstance(klass, InstanceKlass):
+        raise HeapError(f"{klass.name} is not an instance class")
+    for index, descriptor in enumerate(klass.fields):
+        if descriptor.name == field_name:
+            return index, descriptor.kind
+    raise HeapError(f"class {klass.name} has no field {field_name!r}")
+
+
+def oracle_get(self, field_name):
+    return _oracle_read_slot(self, *_oracle_field(self, field_name))
+
+
+def oracle_set(self, field_name, value):
+    _oracle_write_slot(self, *_oracle_field(self, field_name), value)
+
+
+# Primitive elements keep their bulk and natural-width paths; only the
+# reference forms below are per slot.
+_FAST_GET_ELEMENTS = HeapObject.get_elements
+_FAST_SET_ELEMENTS = HeapObject.set_elements
+_FAST_GET_ELEMENT = HeapObject.get_element
+_FAST_SET_ELEMENT = HeapObject.set_element
+
+
+def _is_reference_array(obj):
+    return isinstance(obj.klass, ArrayKlass) and obj.klass.element_kind is FieldKind.REFERENCE
+
+
+def oracle_get_elements(self):
+    if not _is_reference_array(self):
+        return _FAST_GET_ELEMENTS(self)
+    return [_oracle_read_slot(self, 1 + i, FieldKind.REFERENCE) for i in range(self.length)]
+
+
+def oracle_set_elements(self, values):
+    if not _is_reference_array(self):
+        return _FAST_SET_ELEMENTS(self, values)
+    if len(values) != self.length:
+        raise HeapError(f"expected {self.length} elements, got {len(values)}")
+    for index, value in enumerate(values):
+        _oracle_write_slot(self, 1 + index, FieldKind.REFERENCE, value)
+
+
+def oracle_get_element(self, index):
+    if not _is_reference_array(self):
+        return _FAST_GET_ELEMENT(self, index)
+    if not 0 <= index < self.length:
+        raise HeapError(f"array index {index} out of range [0, {self.length})")
+    return _oracle_read_slot(self, 1 + index, FieldKind.REFERENCE)
+
+
+def oracle_set_element(self, index, value):
+    if not _is_reference_array(self):
+        return _FAST_SET_ELEMENT(self, index, value)
+    if not 0 <= index < self.length:
+        raise HeapError(f"array index {index} out of range [0, {self.length})")
+    _oracle_write_slot(self, 1 + index, FieldKind.REFERENCE, value)
+
+
+def oracle_wrap_records(self, records, heap):
+    array = heap.new_array(FieldKind.REFERENCE, len(records))
+    for index, record in enumerate(records):
+        array.set_element(index, record)
+    return array
+
+
 def oracle_referenced_objects(self):
     memory = self.heap.memory
     out = []
     for slot in self.reference_slots():
-        out.append(self.heap.deref(memory.read_u64(self.slot_address(slot))))
+        out.append(self.heap.deref(memory.read_u64(oracle_slot_address(self, slot))))
     return out
 
 
@@ -166,7 +281,7 @@ def oracle_skyway_encode_walk(self, root, out):
         header_count += 24
         reference_slots = set(obj.reference_slots())
         for slot in range(obj.field_slots):
-            raw = memory.read_u64(obj.slot_address(slot))
+            raw = memory.read_u64(oracle_slot_address(obj, slot))
             profile.add_instructions(skyway_module._INSTR_PER_SLOT)
             if slot in reference_slots:
                 profile.reference_fields += 1
@@ -290,6 +405,13 @@ def oracle_paths(monkeypatch):
             if name != "u32":  # nothing writes a u32 to the heap
                 monkeypatch.setattr(MemorySpace, f"write_{name}", _oracle_store(code))
         monkeypatch.setattr(Heap, "allocate", oracle_allocate)
+        for name, oracle in (("get", oracle_get), ("set", oracle_set),
+                             ("get_elements", oracle_get_elements),
+                             ("set_elements", oracle_set_elements),
+                             ("get_element", oracle_get_element),
+                             ("set_element", oracle_set_element)):
+            monkeypatch.setattr(HeapObject, name, oracle)
+        monkeypatch.setattr(MiniSparkContext, "_wrap_records", oracle_wrap_records)
         monkeypatch.setattr(HeapObject, "referenced_objects", oracle_referenced_objects)
         monkeypatch.setattr(graph_module, "traverse_slot_runs", oracle_traverse_slot_runs)
         monkeypatch.setattr(SkywaySerializer, "_encode_walk", oracle_skyway_encode_walk)
@@ -468,3 +590,168 @@ def test_slot_access_matches_oracle(oracle_paths):
     fast = run()
     oracle_paths()
     assert fast == run()
+
+
+# -- named fields, reference arrays, allocation ---------------------------------------------------
+
+
+def _comparable(value):
+    """A value as compared across paths: objects by address, floats by
+    their bits (so -0.0 and NaN payloads count), and types kept apart."""
+    if isinstance(value, HeapObject):
+        return ("object", value.address)
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def _traced_run(workload):
+    trace = MemoryTrace()
+    heap = Heap()
+    heap.memory.trace = trace
+    values = workload(heap)
+    return [_comparable(value) for value in values], _columns(trace), _heap_bytes(heap)
+
+
+def _assert_matches_oracle(workload, oracle_paths):
+    fast = _traced_run(workload)
+    assert fast[1][0], "no trace recorded"
+    oracle_paths()
+    assert fast == _traced_run(workload)
+
+
+def _leaf_klass(heap: Heap) -> InstanceKlass:
+    leaf = InstanceKlass("Leaf", [FieldDescriptor("value", FieldKind.LONG)])
+    heap.registry.register(leaf)
+    return leaf
+
+
+def _field_workload(heap: Heap):
+    """``set`` then ``get`` of each kind's edge values, on every kind."""
+    klass = InstanceKlass(
+        "AllKinds", [FieldDescriptor(f"f_{kind.value}", kind) for kind in FieldKind]
+    )
+    heap.registry.register(klass)
+    obj, other = heap.allocate(klass), heap.allocate(klass)
+    values = {
+        FieldKind.BOOLEAN: [True, False, 2],
+        FieldKind.BYTE: [-3, 127, -128],
+        FieldKind.CHAR: [0x10041, 0xFFFF, 0],
+        FieldKind.SHORT: [-300, 32767],
+        FieldKind.INT: [-70000, 2**31 - 1, -(2**31)],
+        FieldKind.FLOAT: [0.25, -0.0, 0.0, math.nan, 3],
+        FieldKind.LONG: [-(1 << 50), (1 << 63) - 1, -1],
+        FieldKind.DOUBLE: [-1.5, -0.0, math.nan, math.inf, 1e-300],
+        FieldKind.REFERENCE: [other, None, obj],
+    }
+    seen = [other.get(f"f_{kind.value}") for kind in FieldKind]  # zeroed
+    for kind in FieldKind:
+        for value in values[kind]:
+            obj.set(f"f_{kind.value}", value)
+            seen.append(obj.get(f"f_{kind.value}"))
+    seen.extend(obj.get(f"f_{kind.value}") for kind in FieldKind)
+    return seen
+
+
+def _reference_array_workload(heap: Heap):
+    leaf = _leaf_klass(heap)
+    a, b, c = (heap.allocate(leaf) for _ in range(3))
+    array = heap.new_array(FieldKind.REFERENCE, 6)
+    seen = list(array.get_elements())
+    array.set_elements([a, None, b, a, None, c])
+    seen += array.get_elements()
+    array.set_elements((None,) * 6)
+    seen += array.get_elements()
+    empty = heap.new_array(FieldKind.REFERENCE, 0)
+    empty.set_elements([])
+    seen += empty.get_elements()
+    # 80 KB of elements: the run crosses a 64 KiB page boundary.
+    big = heap.new_array(FieldKind.REFERENCE, 10_000)
+    big.set_elements([(a, None, c, b)[index % 4] for index in range(10_000)])
+    seen += big.get_elements()
+    return seen
+
+
+def _allocation_workload(heap: Heap):
+    leaf = _leaf_klass(heap)
+    bare = InstanceKlass("Bare")
+    heap.registry.register(bare)
+    objects = [
+        heap.allocate(leaf),
+        heap.allocate(bare),
+        heap.new_array(FieldKind.LONG, 5),
+        heap.new_array(FieldKind.CHAR, 3),
+        heap.new_array(FieldKind.REFERENCE, 4),
+        heap.new_array(FieldKind.REFERENCE, 0),
+        heap.new_array(FieldKind.INT, 0),
+        heap.allocate(heap.registry.array_klass(FieldKind.BYTE), 9),
+    ]
+    return objects + [word for obj in objects for word in obj.image_words()]
+
+
+def _wrap_records_workload(heap: Heap):
+    leaf = _leaf_klass(heap)
+    records = [heap.allocate(leaf) for _ in range(5)]
+    records[2].set("value", -9)
+    context = MiniSparkContext(SoftwareBackend(KryoSerializer()))
+    root = context._wrap_records(records, heap)
+    return [root] + root.get_elements() + context._unwrap_records(root)
+
+
+def _error_workload(heap: Heap):
+    """The ``HeapError`` type and text of each misuse, in order."""
+    pair = InstanceKlass("Pair", [
+        FieldDescriptor("left", FieldKind.REFERENCE),
+        FieldDescriptor("count", FieldKind.INT),
+    ])
+    heap.registry.register(pair)
+    obj = heap.allocate(pair)
+    refs = heap.new_array(FieldKind.REFERENCE, 3)
+    longs = heap.new_array(FieldKind.LONG, 2)
+    cases = [
+        lambda: obj.get("missing"),
+        lambda: obj.set("missing", 1),
+        lambda: refs.get("left"),
+        lambda: longs.set("count", 1),
+        lambda: obj.set("left", 5),
+        lambda: obj.set("left", longs.address),
+        lambda: refs.set_elements([obj, obj]),
+        lambda: refs.set_elements([obj] * 4),
+        lambda: longs.set_elements([1]),
+        lambda: refs.set_element(0, 7),
+        lambda: refs.get_element(3),
+    ]
+    seen = []
+    for case in cases:
+        with pytest.raises(HeapError) as info:
+            case()
+        seen.append(f"{type(info.value).__name__}: {info.value}")
+    return seen
+
+
+@pytest.mark.parametrize("workload", [
+    _field_workload,
+    _reference_array_workload,
+    _allocation_workload,
+    _wrap_records_workload,
+    _error_workload,
+], ids=["fields", "reference-arrays", "allocation", "wrap-records", "errors"])
+def test_slot_rule_matches_per_slot_oracle(workload, oracle_paths):
+    _assert_matches_oracle(workload, oracle_paths)
+
+
+def test_failed_reference_set_elements_writes_nothing():
+    """Every reference is checked before the word run, as every primitive
+    value is before the bulk write: a bad one leaves no byte or record."""
+    trace = MemoryTrace()
+    heap = Heap()
+    leaf = _leaf_klass(heap)
+    node = heap.allocate(leaf)
+    refs = heap.new_array(FieldKind.REFERENCE, 3)
+    before = _heap_bytes(heap)
+    heap.memory.trace = trace
+    with pytest.raises(HeapError, match="reference slot needs HeapObject or None, got int"):
+        refs.set_elements([node, node, 5])
+    assert len(trace) == 0
+    assert _heap_bytes(heap) == before
+    assert refs.get_elements() == [None, None, None]
