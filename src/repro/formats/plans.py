@@ -41,23 +41,29 @@ Kryo's markers and class-ID varints), its null and back-reference marker
 bytes and handle encoding, and its mapping of the walk's counts onto its
 stream sections. The shared code never branches on the format.
 
-Plans live in a process-wide cache keyed on a stable **klass fingerprint**
-(name + field signature, or array element kind), so every serializer
-instance, service shard, and benchmark in the process shares one compiled
-plan per shape. Its hit/miss/eviction counters live in the process-wide
-metrics registry as ``plan_cache.*``; ``benchmarks/bench_wallclock.py``
-gates on the warm-cache hit rate they give.
+Plans live in a process-wide cache keyed on :func:`schema_fingerprint`
+(name + field signature, or array element kind, the same digest the
+``VersionedKryo`` schema header carries), so every serializer instance,
+service shard, and benchmark in the process shares one compiled plan per
+shape. Its hit/miss/eviction counters live in the process-wide metrics
+registry as ``plan_cache.*``; ``benchmarks/bench_wallclock.py`` gates on
+the warm-cache hit rate they give.
 
-Plans are the only S/D path of those three formats. The interpreters
-they replaced live on as test oracles in ``tests/oracles.py``, and
+Plans are the only S/D path of those three formats. That includes
+``VersionedKryo``'s schema evolution: :func:`compile_kryo` compiles a
+schema resolution (the writer's fields, each aimed at a reader slot or a
+discard word) into an ordinary Kryo plan, outside the cache, and
+:func:`decode_walk` runs it like any other. The interpreters the plans
+replaced live on as test oracles in ``tests/oracles.py``, and
 ``tests/test_plans.py`` holds the plans byte-identical to them over the
-fuzz corpus of ``tests/test_fuzz_roundtrip.py``.
+fuzz corpus of ``tests/test_fuzz_roundtrip.py``
+(``tests/test_schema_evolution.py`` does the same for evolved streams).
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from hashlib import sha256
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -81,6 +87,7 @@ from repro.jvm.klass import (
     Klass,
 )
 from repro.jvm.layout_cache import layout_of
+from repro.jvm.reflection import ReflectionCost
 from repro.obs.metrics import get_registry
 
 # -- encode opcodes ---------------------------------------------------------------
@@ -102,6 +109,11 @@ DOP_VARINT = 8  # zig-zag varint -> slot word (Kryo LONG)
 DOP_INT_VARINT = 9  # zig-zag varint, checked to int32 -> slot word (Kryo INT)
 
 _U64_MASK = (1 << 64) - 1
+
+#: One ReflectASM field access: an indexed lookup plus the read or write.
+_REFLECT_ASM_INSTR = ReflectionCost(
+    indexed_accesses=1, field_reads=1
+).estimated_instructions()
 
 _COPY_WIDTHS = {
     FieldKind.BOOLEAN: 1,
@@ -132,10 +144,11 @@ class InstancePlan:
     __slots__ = (
         "klass",
         "size_bytes",
-        "field_count",
         "enc_ops",
         "enc_data_bytes",
         "dec_ops",
+        "word_count",           # slot words a decode fills (+1 discard word)
+        "pack_words",           # slot words -> image field bytes; None if none
         "n_ref",
         "n_prim",
         "desc_blob",
@@ -222,7 +235,7 @@ class CerealRebuildPlan:
 # (which only the Cereal plans key on).
 _MAX_ENTRIES = 1 << 16
 _PLANS: Dict[Tuple, object] = {}
-_FINGERPRINTS: Dict[Klass, str] = {}
+_FINGERPRINTS: Dict[Klass, int] = {}
 _BITMAP_PLANS: Dict[Tuple[int, int], "CerealRebuildPlan"] = {}
 
 # Recorded in the process-wide metrics registry as ``plan_cache.*``.
@@ -232,25 +245,31 @@ _EVICTIONS = get_registry().counter("plan_cache.evictions")
 _ENTRIES = get_registry().gauge("plan_cache.entries")
 
 
-def klass_fingerprint(klass: Klass) -> str:
-    """Stable shape identity: name plus field signature / element kind.
+def schema_fingerprint(klass: Klass) -> int:
+    """Deterministic 64-bit digest of a class's serialized shape.
 
-    Two klass objects with the same fingerprint serialize identically in
-    every format, so their plans are interchangeable — this is what lets
-    the cache be process-wide across serializer instances and registries.
+    Covers the class name plus either the array element kind or the ordered
+    (field name, field kind) list — exactly the inputs that change the wire
+    encoding, nothing else. Two klass objects with the same fingerprint
+    serialize identically in every format, so their plans are
+    interchangeable: the plan cache is keyed on it, and the
+    ``VersionedKryo`` schema header carries it. Memoized per klass.
     """
     fingerprint = _FINGERPRINTS.get(klass)
     if fingerprint is None:
+        h = hashlib.sha256(b"repro-schema-v1\x00")
+        h.update(klass.name.encode("utf-8"))
         if isinstance(klass, ArrayKlass):
-            identity = ("array", klass.name, klass.element_kind.value)
+            h.update(b"\x00[]")
+            h.update(klass.element_kind.value.encode("utf-8"))
         else:
             assert isinstance(klass, InstanceKlass)
-            identity = (
-                "instance",
-                klass.name,
-                tuple((d.name, d.kind.value) for d in klass.fields),
-            )
-        fingerprint = sha256(repr(identity).encode("utf-8")).hexdigest()[:16]
+            for descriptor in klass.fields:
+                h.update(b"\x00")
+                h.update(descriptor.name.encode("utf-8"))
+                h.update(b":")
+                h.update(descriptor.kind.value.encode("utf-8"))
+        fingerprint = int.from_bytes(h.digest()[:8], "little")
         _FINGERPRINTS[klass] = fingerprint
     return fingerprint
 
@@ -263,7 +282,7 @@ def plan_for(format_name: str, klass: Klass, length: int = 0):
     """
     if klass.is_array and format_name != "cereal":
         length = -1
-    key = (format_name, klass_fingerprint(klass), length)
+    key = (format_name, schema_fingerprint(klass), length)
     plan = _PLANS.get(key)
     if plan is not None:
         _HITS.value += 1  # direct bump: this is the per-object hot path
@@ -272,7 +291,7 @@ def plan_for(format_name: str, klass: Klass, length: int = 0):
     if format_name == "java-builtin":
         plan = _compile_java(klass)
     elif format_name == "kryo":
-        plan = _compile_kryo(klass)
+        plan = compile_kryo(klass)
     elif format_name == "cereal":
         plan = _compile_cereal(klass, max(length, 0))
     else:
@@ -373,38 +392,29 @@ def _merge_word_runs(ops: List[Tuple[int, int, int]]) -> Tuple[Tuple[int, int, i
     return tuple(merged)
 
 
-def _reflection_lookup_cost(fields, field_count: int) -> Tuple[int, int, int]:
-    """(method_invocations, string_comparisons, characters_compared) for one
-    full named-field pass, mirroring ``JavaReflection._lookup`` exactly."""
-    invocations = comparisons = characters = 0
-    for index in range(field_count):
-        name = fields[index].name
-        invocations += 1
-        for scan in range(index + 1):
-            comparisons += 1
-            other = fields[scan].name
+def _java_reflection_instr(klass: InstanceKlass) -> int:
+    """Estimated instructions for one reflective get/set pass over ``klass``:
+    ``JavaReflection._lookup``'s name scan per field plus one field access.
+
+    Reads and writes cost the same, so one number serves both the
+    serialize and deserialize sides.
+    """
+    fields = klass.fields
+    cost = ReflectionCost(field_reads=len(fields))
+    for index, descriptor in enumerate(fields):
+        name = descriptor.name
+        cost.method_invocations += 1
+        for other in fields[:index + 1]:
+            cost.string_comparisons += 1
             common = 0
-            for a, b in zip(other, name):
+            for a, b in zip(other.name, name):
                 common += 1
                 if a != b:
                     break
-            characters += max(1, common)
-            if other == name:
+            cost.characters_compared += max(1, common)
+            if other.name == name:
                 break
-    return invocations, comparisons, characters
-
-
-def _java_reflection_instr(klass: InstanceKlass) -> int:
-    """Estimated instructions for one reflective get/set pass over ``klass``.
-
-    Reads and writes cost the same (3 per access), so one number serves
-    both the serialize and deserialize sides.
-    """
-    invocations, comparisons, characters = _reflection_lookup_cost(
-        klass.fields, len(klass.fields)
-    )
-    accesses = len(klass.fields) * 3  # field_reads or field_writes, both 3
-    return invocations * 40 + comparisons * 6 + characters * 2 + accesses
+    return cost.estimated_instructions()
 
 
 def _java_desc_blob(klass: Klass) -> Tuple[bytes, int, int, bytes]:
@@ -452,16 +462,16 @@ def _java_desc_blob(klass: Klass) -> Tuple[bytes, int, int, bytes]:
 
 
 def _field_ops(
-    klass: InstanceKlass, varint_kinds: Tuple[FieldKind, ...]
+    fields: Tuple[Tuple[int, FieldKind], ...], varint_kinds: Tuple[FieldKind, ...]
 ) -> Tuple[Tuple, Tuple, int, int]:
-    """(enc_ops, dec_ops, static_data_bytes, n_ref) for an instance klass."""
+    """(enc_ops, dec_ops, static_data_bytes, n_ref) for an instance's wire
+    fields, each ``(slot index, kind)``, in wire order."""
     enc: List[Tuple[int, int, int]] = []
     dec: List[Tuple[int, int, int]] = []
     data_bytes = 0
     n_ref = 0
-    for index, descriptor in enumerate(klass.fields):
+    for index, kind in fields:
         offset = HEADER_BYTES + index * 8
-        kind = descriptor.kind
         if kind is FieldKind.REFERENCE:
             enc.append((OP_REF, offset, 0))
             dec.append((DOP_REF, index, 0))
@@ -490,143 +500,131 @@ def _field_ops(
 # -- format compilers ----------------------------------------------------------------
 
 
-def _compile_java(klass: Klass):
-    from repro.formats import javaser as J
+def _instance_plan(module, klass: InstanceKlass, fields, varint_kinds) -> InstancePlan:
+    """The instance plan Java S/D and Kryo share; ``module`` holds the
+    format's cost constants.
 
-    blob, meta_bytes, type_bytes, tail = _java_desc_blob(klass)
-    if isinstance(klass, ArrayKlass):
-        plan = ArrayPlan()
-        plan.klass = klass
-        plan.element_kind = klass.element_kind
-        plan.element_width = klass.element_width
-        plan.is_ref = klass.element_kind.is_reference
-        plan.copy_elements = not plan.is_ref
-        plan.varint_code = ""
-        plan.desc_blob = blob
-        plan.desc_meta_bytes = meta_bytes
-        plan.desc_type_bytes = type_bytes
-        plan.desc_tail = tail
-        plan.ser_instr = J._INSTR_PER_OBJECT
-        plan.ser_aux = J._AUX_ACCESSES_PER_OBJECT_SER
-        plan.ser_dep = 2
-        plan.ser_elem_instr = (
-            J._INSTR_PER_REFERENCE if plan.is_ref else J._INSTR_PER_PRIMITIVE
-        )
-        plan.desc_ser_instr = J._INSTR_PER_CLASSDESC
-        plan.de_instr = J._INSTR_PER_OBJECT_DESER + J._INSTR_PER_ALLOC
-        plan.de_aux = J._AUX_ACCESSES_PER_OBJECT_DESER
-        plan.de_elem_instr = (
-            J._INSTR_PER_FIELD_DESER if plan.is_ref else J._INSTR_PER_PRIMITIVE // 4
-        )
-        plan.desc_de_instr = J._INSTR_PER_CLASSDESC + len(klass.name) * 2
-        return plan
-
-    assert isinstance(klass, InstanceKlass)
-    enc_ops, dec_ops, data_bytes, n_ref = _field_ops(klass, ())
-    field_count = len(klass.fields)
-    n_prim = field_count - n_ref
+    ``fields`` lists the wire fields in wire order as ``(slot index,
+    kind)``. A ``None`` index is a wire field ``klass`` has no slot for (a
+    writer field the reader dropped): it decodes into one discard word
+    past the slots, which ``pack_words`` leaves out of the object.
+    """
+    slot_count = len(klass.fields)
+    slots = tuple(
+        (slot_count if index is None else index, kind) for index, kind in fields
+    )
+    enc_ops, dec_ops, data_bytes, n_ref = _field_ops(slots, varint_kinds)
+    n_prim = len(fields) - n_ref
     plan = InstancePlan()
     plan.klass = klass
-    plan.size_bytes = HEADER_BYTES + field_count * 8
-    plan.field_count = field_count
+    plan.size_bytes = HEADER_BYTES + slot_count * 8
     plan.enc_ops = enc_ops
     plan.enc_data_bytes = data_bytes
     plan.dec_ops = dec_ops
     plan.n_ref = n_ref
     plan.n_prim = n_prim
-    plan.desc_blob = blob
-    plan.desc_meta_bytes = meta_bytes
-    plan.desc_type_bytes = type_bytes
-    plan.desc_tail = tail
+    pack = struct.Struct(f"<{slot_count}Q").pack if slot_count else None
+    plan.word_count = slot_count
+    plan.pack_words = pack
+    if any(index is None for index, _ in fields):
+        plan.word_count += 1
+        if pack is not None:
+            plan.pack_words = lambda *words: pack(*words[:slot_count])
     plan.ser_instr = (
-        J._INSTR_PER_OBJECT
-        + n_prim * J._INSTR_PER_PRIMITIVE
-        + n_ref * J._INSTR_PER_REFERENCE
+        module._INSTR_PER_OBJECT
+        + n_prim * module._INSTR_PER_PRIMITIVE
+        + n_ref * module._INSTR_PER_REFERENCE
     )
-    plan.ser_aux = J._AUX_ACCESSES_PER_OBJECT_SER
+    plan.ser_aux = module._AUX_ACCESSES_PER_OBJECT_SER
     plan.ser_dep = 2 + n_ref
-    plan.ser_reflect_instr = _java_reflection_instr(klass)
-    plan.desc_ser_instr = J._INSTR_PER_CLASSDESC
     plan.de_instr = (
-        J._INSTR_PER_OBJECT_DESER
-        + J._INSTR_PER_ALLOC
-        + field_count * J._INSTR_PER_FIELD_DESER
+        module._INSTR_PER_OBJECT_DESER
+        + module._INSTR_PER_ALLOC
+        + len(fields) * module._INSTR_PER_FIELD_DESER
     )
-    plan.de_aux = J._AUX_ACCESSES_PER_OBJECT_DESER
-    plan.de_reflect_instr = _java_reflection_instr(klass)
+    plan.de_aux = module._AUX_ACCESSES_PER_OBJECT_DESER
+    return plan
+
+
+def _array_plan(module, klass: ArrayKlass) -> ArrayPlan:
+    """The array plan Java S/D and Kryo share; ``module`` holds the
+    format's cost constants."""
+    plan = ArrayPlan()
+    plan.klass = klass
+    plan.element_kind = klass.element_kind
+    plan.element_width = klass.element_width
+    plan.is_ref = klass.element_kind.is_reference
+    plan.copy_elements = not plan.is_ref
+    plan.varint_code = ""
+    plan.ser_instr = module._INSTR_PER_OBJECT
+    plan.ser_aux = module._AUX_ACCESSES_PER_OBJECT_SER
+    plan.ser_dep = 2
+    plan.ser_elem_instr = (
+        module._INSTR_PER_REFERENCE if plan.is_ref else module._INSTR_PER_PRIMITIVE
+    )
+    plan.de_instr = module._INSTR_PER_OBJECT_DESER + module._INSTR_PER_ALLOC
+    plan.de_aux = module._AUX_ACCESSES_PER_OBJECT_DESER
+    plan.de_elem_instr = module._INSTR_PER_FIELD_DESER
+    return plan
+
+
+def _own_fields(klass: InstanceKlass) -> Tuple[Tuple[int, FieldKind], ...]:
+    """Every field of ``klass`` on the wire in slot order."""
+    return tuple((index, d.kind) for index, d in enumerate(klass.fields))
+
+
+def _compile_java(klass: Klass):
+    from repro.formats import javaser as J
+
+    if isinstance(klass, ArrayKlass):
+        plan = _array_plan(J, klass)
+        if not plan.is_ref:
+            plan.de_elem_instr = J._INSTR_PER_PRIMITIVE // 4
+    else:
+        assert isinstance(klass, InstanceKlass)
+        plan = _instance_plan(J, klass, _own_fields(klass), ())
+        plan.ser_reflect_instr = plan.de_reflect_instr = _java_reflection_instr(klass)
+    (plan.desc_blob, plan.desc_meta_bytes, plan.desc_type_bytes,
+     plan.desc_tail) = _java_desc_blob(klass)
+    plan.desc_ser_instr = J._INSTR_PER_CLASSDESC
     plan.desc_de_instr = J._INSTR_PER_CLASSDESC + len(klass.name) * 2
     return plan
 
 
-def _compile_kryo(klass: Klass):
+def compile_kryo(klass: Klass, fields=None):
+    """The Kryo plan for ``klass``, compiled afresh (:func:`plan_for`
+    memoizes it per shape).
+
+    ``fields`` is a schema resolution's field list for an instance klass
+    (:func:`repro.formats.secure.resolve_schemas`): per *writer* field, in
+    writer order, ``(reader slot index or None, writer kind)``. Such a plan
+    decodes the writer's layout into ``klass``'s slots and books the
+    writer's fields; it is keyed on the resolution, not the shape, so
+    ``VersionedKryo`` compiles it outside the plan cache. The default is
+    ``klass``'s own fields.
+    """
     from repro.formats import kryo as K
 
     if isinstance(klass, ArrayKlass):
-        plan = ArrayPlan()
-        plan.klass = klass
-        plan.element_kind = klass.element_kind
-        plan.element_width = klass.element_width
-        plan.is_ref = klass.element_kind.is_reference
-        plan.copy_elements = not plan.is_ref and klass.element_kind not in (
-            FieldKind.INT,
-            FieldKind.LONG,
-        )
+        plan = _array_plan(K, klass)
+        kind = klass.element_kind
         plan.varint_code = (
-            "i" if klass.element_kind is FieldKind.INT else
-            "q" if klass.element_kind is FieldKind.LONG else ""
+            "i" if kind is FieldKind.INT else "q" if kind is FieldKind.LONG else ""
         )
-        plan.desc_blob = b""
-        plan.desc_meta_bytes = 0
-        plan.desc_type_bytes = 0
-        plan.desc_tail = b""
-        plan.ser_instr = K._INSTR_PER_OBJECT
-        plan.ser_aux = K._AUX_ACCESSES_PER_OBJECT_SER
-        plan.ser_dep = 2
-        plan.ser_elem_instr = (
-            K._INSTR_PER_REFERENCE if plan.is_ref else K._INSTR_PER_PRIMITIVE
+        plan.copy_elements = not plan.is_ref and not plan.varint_code
+    else:
+        assert isinstance(klass, InstanceKlass)
+        if fields is None:
+            fields = _own_fields(klass)
+        plan = _instance_plan(K, klass, fields, (FieldKind.INT, FieldKind.LONG))
+        # A decode writes only the fields the reader kept.
+        plan.ser_reflect_instr = len(klass.fields) * _REFLECT_ASM_INSTR
+        plan.de_reflect_instr = _REFLECT_ASM_INSTR * sum(
+            index is not None for index, _ in fields
         )
-        plan.desc_ser_instr = 0
-        plan.de_instr = K._INSTR_PER_OBJECT_DESER + K._INSTR_PER_ALLOC
-        plan.de_aux = K._AUX_ACCESSES_PER_OBJECT_DESER
-        plan.de_elem_instr = K._INSTR_PER_FIELD_DESER
-        plan.desc_de_instr = 0
-        return plan
-
-    assert isinstance(klass, InstanceKlass)
-    enc_ops, dec_ops, data_bytes, n_ref = _field_ops(klass, (FieldKind.INT, FieldKind.LONG))
-    field_count = len(klass.fields)
-    n_prim = field_count - n_ref
-    plan = InstancePlan()
-    plan.klass = klass
-    plan.size_bytes = HEADER_BYTES + field_count * 8
-    plan.field_count = field_count
-    plan.enc_ops = enc_ops
-    plan.enc_data_bytes = data_bytes
-    plan.dec_ops = dec_ops
-    plan.n_ref = n_ref
-    plan.n_prim = n_prim
-    plan.desc_blob = b""
-    plan.desc_meta_bytes = 0
-    plan.desc_type_bytes = 0
-    plan.desc_tail = b""
-    plan.ser_instr = (
-        K._INSTR_PER_OBJECT
-        + n_prim * K._INSTR_PER_PRIMITIVE
-        + n_ref * K._INSTR_PER_REFERENCE
-    )
-    plan.ser_aux = K._AUX_ACCESSES_PER_OBJECT_SER
-    plan.ser_dep = 2 + n_ref
-    # ReflectASM: one indexed access (4) + one field read/write (3) per field.
-    plan.ser_reflect_instr = field_count * 7
-    plan.desc_ser_instr = 0
-    plan.de_instr = (
-        K._INSTR_PER_OBJECT_DESER
-        + K._INSTR_PER_ALLOC
-        + field_count * K._INSTR_PER_FIELD_DESER
-    )
-    plan.de_aux = K._AUX_ACCESSES_PER_OBJECT_DESER
-    plan.de_reflect_instr = field_count * 7
-    plan.desc_de_instr = 0
+    plan.desc_blob = plan.desc_tail = b""
+    plan.desc_meta_bytes = plan.desc_type_bytes = 0
+    plan.desc_ser_instr = plan.desc_de_instr = 0
     return plan
 
 
@@ -899,9 +897,9 @@ def decode_walk(
     array tag naming an instance class and the reverse. Every allocated
     object is appended to ``handles``, the format's back-reference table.
 
-    Field values accumulate into a slot-word list committed with one bulk
-    ``write_words`` per object, preserving the interpreter's allocation
-    order (and therefore identity hashes).
+    Field values accumulate into a slot-word list, packed by the plan's
+    ``pack_words`` and committed with one ``write`` per object, preserving
+    the interpreter's allocation order (and therefore identity hashes).
     """
     n_data = len(data)
     max_objects = limits.max_objects
@@ -916,9 +914,14 @@ def decode_walk(
     reference_fields = 0
     graph_bytes = 0
 
-    def underflow(count: int) -> FormatError:
+    def underflow(width: int) -> FormatError:
+        """The truncation error of a run of ``width``-byte items at
+        ``pos``: the one item-by-item reads raise, at the first item that
+        does not fit."""
+        available = n_data - pos
+        whole = available - available % width
         return TruncatedStreamError(
-            offset=pos, needed=count, available=n_data - pos
+            offset=pos + whole, needed=width, available=available - whole
         )
 
     def run_dec_ops(ops, index: int, words: list) -> int:
@@ -933,7 +936,7 @@ def decode_walk(
             if op == DOP_WORDS:
                 nbytes = extra * 8
                 if pos + nbytes > n_data:
-                    raise underflow(nbytes)
+                    raise underflow(8)
                 words[field_index:field_index + extra] = struct.unpack_from(
                     f"<{extra}Q", data, pos
                 )
@@ -1016,7 +1019,7 @@ def decode_walk(
             if plan.copy_elements:
                 nbytes = length * plan.element_width
                 if pos + nbytes > n_data:
-                    raise underflow(nbytes)
+                    raise underflow(plan.element_width)
                 memory.write(element_base, data[pos:pos + nbytes])
                 pos += nbytes
             else:  # Kryo INT/LONG arrays: zig-zag varint per element
@@ -1040,13 +1043,14 @@ def decode_walk(
         value_fields += plan.n_prim
         reference_fields += plan.n_ref
         graph_bytes += plan.size_bytes
-        words = [0] * plan.field_count
+        words = [0] * plan.word_count
         if plan.n_ref == 0:
             run_dec_ops(plan.dec_ops, 0, words)
-            if words:
-                memory.write_words(obj.fields_base, words)
+            pack = plan.pack_words
+            if pack is not None:
+                memory.write(obj.fields_base, pack(*words))
             return obj, None
-        return obj, [0, obj, plan.dec_ops, 0, words]
+        return obj, [0, obj, plan.dec_ops, 0, words, plan.pack_words]
 
     _UNSET = object()
     pos, plan, target, is_array = content(pos)
@@ -1079,8 +1083,9 @@ def decode_walk(
                 index += 1
             frame[3] = index
             if descend is None:
-                if words:
-                    memory.write_words(obj.fields_base, words)
+                pack = frame[5]
+                if pack is not None:
+                    memory.write(obj.fields_base, pack(*words))
                 stack.pop()
                 pending = obj
         else:  # reference-array frame

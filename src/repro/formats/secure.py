@@ -16,16 +16,16 @@ class (name, fields, kinds). On decode the *writer's* schema is resolved
 against the *reader's* registry:
 
 * fingerprints all match and class IDs align → the payload is handed to
-  the plan-kernel Kryo decoder untouched (identity fast path);
-* otherwise → the resolution becomes a per-class-ID field table for the
-  Kryo interpreter (:func:`repro.formats.kryo.interpret`, the same one
-  that serves as the plan kernel's oracle), which decodes the writer's
-  layout into the reader's classes:
+  the Kryo decoder untouched, with the cached plans (identity path);
+* otherwise → each writer class ID gets a Kryo plan compiled from its
+  resolution (:func:`repro.formats.plans.compile_kryo`), and the same
+  Kryo decoder runs those plans, decoding the writer's layout into the
+  reader's classes:
 
   * field added by the reader → decoded as its zero default;
-  * field removed by the reader → decoded per the writer's schema and
-    discarded (reference subtrees are still fully parsed so
-    back-reference numbering stays consistent);
+  * field removed by the reader → decoded per the writer's schema into a
+    discard word (reference subtrees are still fully parsed and
+    allocated, so back-reference numbering stays consistent);
   * fields reordered or class IDs renumbered → matched by name;
 
 * same-name field with a different kind, or an array whose element kind
@@ -37,7 +37,6 @@ Resolutions are counted as ``schema.resolved{outcome}``.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -59,10 +58,12 @@ from repro.formats.base import (
     SerializedStream,
     Serializer,
 )
-from repro.formats.kryo import KryoSerializer, interpret
+from repro.formats.kryo import KryoSerializer
 from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits, resolve_limits
+from repro.formats.plans import compile_kryo, schema_fingerprint
 from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader, StreamWriter
+from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import Heap, HeapObject
 from repro.jvm.klass import ArrayKlass, FieldKind, InstanceKlass, Klass
 from repro.obs.metrics import get_registry
@@ -260,28 +261,6 @@ _KIND_CODES = {kind: code for code, kind in enumerate(FieldKind)}
 _KIND_BY_CODE = {code: kind for kind, code in _KIND_CODES.items()}
 
 
-def schema_fingerprint(klass: Klass) -> int:
-    """Deterministic 64-bit digest of a class's serialized shape.
-
-    Covers the class name plus either the array element kind or the ordered
-    (field name, field kind) list — exactly the inputs that change the wire
-    encoding, nothing else.
-    """
-    h = hashlib.sha256(b"repro-schema-v1\x00")
-    h.update(klass.name.encode("utf-8"))
-    if isinstance(klass, ArrayKlass):
-        h.update(b"\x00[]")
-        h.update(klass.element_kind.value.encode("utf-8"))
-    else:
-        assert isinstance(klass, InstanceKlass)
-        for descriptor in klass.fields:
-            h.update(b"\x00")
-            h.update(descriptor.name.encode("utf-8"))
-            h.update(b":")
-            h.update(descriptor.kind.value.encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "little")
-
-
 @dataclass
 class WriterClassSchema:
     """One class as the *writer* described it in the stream header."""
@@ -359,8 +338,8 @@ class _Resolution:
 
     reader_klass: Klass
     # Per writer field, in writer order: (reader field index, or None when
-    # the reader dropped it; writer kind). The Kryo interpreter's field
-    # table entry for this class is (reader_klass, fields).
+    # the reader dropped it; writer kind). The evolved decode compiles
+    # (reader_klass, fields) into this class ID's Kryo plan.
     fields: Tuple[Tuple[Optional[int], FieldKind], ...]
     identical: bool  # fingerprint matches AND the class ID aligns
 
@@ -432,10 +411,10 @@ class VersionedKryo(Serializer):
 
     Serialize writes the header describing *this* registration, then the
     ordinary Kryo payload. Deserialize resolves the stream's writer schema
-    against *this* (possibly newer or older) registration: the identity
-    fast path delegates to the plan-kernel Kryo decoder; any evolution
-    runs the Kryo interpreter over the resolved field table, which
-    honors add/remove/reorder and renumbered class IDs.
+    against *this* (possibly newer or older) registration. Both outcomes
+    run the one Kryo decoder: the identity path with the cached plans,
+    any evolution with plans compiled from the resolution, which honor
+    add/remove/reorder and renumbered class IDs.
     """
 
     name = "kryo-versioned"
@@ -490,6 +469,12 @@ class VersionedKryo(Serializer):
             get_registry().counter("schema.resolved", outcome="identity").inc()
             return self.kryo.deserialize(payload, heap, limits=limits)
         get_registry().counter("schema.resolved", outcome="evolved").inc()
-        return interpret(
-            payload, heap, limits, [(r.reader_klass, r.fields) for r in resolutions]
+        result = self.kryo._decode(
+            payload, heap, limits,
+            [r.reader_klass for r in resolutions],
+            [compile_kryo(r.reader_klass, r.fields) for r in resolutions],
         )
+        # A dropped reference field's subtree is allocated but unreachable:
+        # the graph written is what the root reaches.
+        result.profile.bytes_written = ObjectGraph.from_root(result.root).total_bytes
+        return result

@@ -154,6 +154,68 @@ class ResilientTransfer:
 
     # -- delivery with bounded retries ------------------------------------------------
 
+    def _deliver_with_retries(self, data: bytes, site: str, verify, chunk=None):
+        """Cross the wire with ``data`` until ``verify(received, fault)``
+        returns a result other than ``None``: ``(result, failures, ns)``.
+
+        ``received`` is the bytes that arrived (``None`` for a drop);
+        ``ns`` is the recovery time this delivery charged to
+        ``retry_ns``. Raises :class:`TransientError` when ``max_retries``
+        consecutive attempts all fail. ``chunk`` is the sequence number
+        of a chunked delivery's chunk, ``None`` for a whole stream.
+        """
+        injector = self.injector
+        failures = 0
+        charged = 0.0
+        while True:
+            received, fault = self._attempt(data, site)
+            if fault == FAULT_LATENCY:
+                # Intact but late: absorb the spike, nothing to re-fetch.
+                self.breakdown.retry_ns += LATENCY_SPIKE_NS
+                charged += LATENCY_SPIKE_NS
+                injector.report.record_detected("transfer")
+                injector.report.record_recovered("transfer")
+            result = verify(received, fault)
+            if result is not None:
+                if failures and injector is not None:
+                    injector.report.record_recovered("transfer", failures)
+                return result, failures, charged
+            # Detected failure (drop, or corruption caught by the frame).
+            if injector is not None:
+                injector.report.record_detected("transfer")
+            failures += 1
+            if failures > self.retry.max_retries:
+                what = f"{site} transfer" if chunk is None else f"{site} chunk {chunk}"
+                raise TransientError(
+                    f"{what} failed {failures} consecutive times "
+                    f"(last fault: {fault}); retries exhausted"
+                )
+            jitter_draw = injector.jitter(site) if injector is not None else 0.5
+            backoff = self.retry.backoff_ns(failures - 1, jitter_draw)
+            refetch = len(data) * self._refetch_rate(site)
+            # A whole stream books backoff and re-fetch as two additions, a
+            # chunk as one: float sums depend on grouping, and fault-run
+            # ledgers are pinned bit for bit.
+            if chunk is None:
+                self.breakdown.retry_ns += backoff
+                self.breakdown.retry_ns += refetch
+            else:
+                self.breakdown.retry_ns += backoff + refetch
+            charged += backoff + refetch
+            # Mark the re-fetch on the trace at the ledger time that now
+            # includes the backoff + wire cost just charged.
+            extra = {} if chunk is None else {"chunk": chunk}
+            get_tracer().instant(
+                "transfer.retry",
+                ts_ns=self.breakdown.total_ns,
+                category="retry",
+                track="spark",
+                site=site,
+                attempt=failures,
+                fault=fault,
+                **extra,
+            )
+
     def deliver(self, stream: SerializedStream, site: str) -> SerializedStream:
         """Move ``stream`` across the wire; returns a verified, bare stream.
 
@@ -165,67 +227,23 @@ class ResilientTransfer:
             return stream  # happy path: zero cost, zero copies
         wire = stream.framed() if self.frame_streams else stream
 
-        failures = 0
-        while True:
-            received, fault = self._attempt(wire.data, site)
+        def verify(received, fault):
+            if received is None:
+                return None  # dropped: always detectable (the fetch timed out)
             if fault == FAULT_CORRUPT:
-                received = replace(
-                    wire, data=received, sections=dict(wire.sections)
-                )
-            elif received is not None:
-                received = wire
-            if fault == FAULT_LATENCY:
-                # Intact but late: absorb the spike, nothing to re-fetch.
-                self.breakdown.retry_ns += LATENCY_SPIKE_NS
-                self.injector.report.record_detected("transfer")
-                self.injector.report.record_recovered("transfer")
-            delivered = self._verify(received, site)
-            if delivered is not None:
-                if failures and self.injector is not None:
-                    self.injector.report.record_recovered("transfer", failures)
-                return delivered
-            # Detected failure (drop, or corruption caught by the frame).
-            if self.injector is not None:
-                self.injector.report.record_detected("transfer")
-            failures += 1
-            if failures > self.retry.max_retries:
-                raise TransientError(
-                    f"{site} transfer failed {failures} consecutive times "
-                    f"(last fault: {fault}); retries exhausted"
-                )
-            jitter_draw = (
-                self.injector.jitter(site) if self.injector is not None else 0.5
-            )
-            self.breakdown.retry_ns += self.retry.backoff_ns(
-                failures - 1, jitter_draw
-            )
-            self.breakdown.retry_ns += wire.size_bytes * self._refetch_rate(site)
-            # Mark the re-fetch on the trace at the ledger time that now
-            # includes the backoff + wire cost just charged.
-            get_tracer().instant(
-                "transfer.retry",
-                ts_ns=self.breakdown.total_ns,
-                category="retry",
-                track="spark",
-                site=site,
-                attempt=failures,
-                fault=fault,
-            )
+                arrived = replace(wire, data=received, sections=dict(wire.sections))
+            else:
+                arrived = wire
+            if not self.frame_streams:
+                # Legacy unframed contract: corruption flows through to the
+                # decoder, which must fail safely (or yield a valid graph).
+                return arrived
+            try:
+                return arrived.unframed()
+            except CorruptionError:
+                return None
 
-    def _verify(
-        self, received: Optional[SerializedStream], site: str
-    ) -> Optional[SerializedStream]:
-        """Validate a received stream; None signals a detected failure."""
-        if received is None:
-            return None  # dropped: always detectable (the fetch timed out)
-        if not self.frame_streams:
-            # Legacy unframed contract: corruption flows through to the
-            # decoder, which must fail safely (or yield a valid graph).
-            return received
-        try:
-            return received.unframed()
-        except CorruptionError:
-            return None
+        return self._deliver_with_retries(wire.data, site, verify)[0]
 
     # -- chunked (pipelined) delivery --------------------------------------------------
 
@@ -276,6 +294,15 @@ class ResilientTransfer:
         cum_bytes = 0
         last_seq = len(chunks) - 1
 
+        def verify(received, _fault):
+            if received is None:
+                return None
+            try:
+                assembler.push(received)
+            except CorruptionError:
+                return None  # chunk-CRC mismatch
+            return True
+
         for seq, payload in enumerate(chunks):
             cum_bytes += len(payload)
             framed = frame_chunk(seq, payload, last=(seq == last_seq))
@@ -291,60 +318,12 @@ class ResilientTransfer:
             )
             link_free = wire_done[-1] if wire_done else 0.0
             start_ns = max(enc_ready, link_free, gate)
-            chunk_retry_ns = 0.0
-
-            failures = 0
-            while True:
-                received, fault = self._attempt(framed, site)
-                if fault == FAULT_LATENCY:
-                    self.breakdown.retry_ns += LATENCY_SPIKE_NS
-                    chunk_retry_ns += LATENCY_SPIKE_NS
-                    self.injector.report.record_detected("transfer")
-                    self.injector.report.record_recovered("transfer")
-                verified = False
-                if received is not None:
-                    try:
-                        assembler.push(received)
-                        verified = True
-                    except CorruptionError:
-                        verified = False
-                if verified:
-                    if failures:
-                        stats.retried_chunks += 1
-                        if self.injector is not None:
-                            self.injector.report.record_recovered(
-                                "transfer", failures
-                            )
-                    break
-                # Detected failure: drop, or chunk-CRC mismatch.
-                if self.injector is not None:
-                    self.injector.report.record_detected("transfer")
-                failures += 1
-                stats.retries += 1
-                if failures > self.retry.max_retries:
-                    raise TransientError(
-                        f"{site} chunk {seq} failed {failures} consecutive "
-                        f"times (last fault: {fault}); retries exhausted"
-                    )
-                jitter_draw = (
-                    self.injector.jitter(site)
-                    if self.injector is not None
-                    else 0.5
-                )
-                cost = self.retry.backoff_ns(failures - 1, jitter_draw)
-                cost += len(framed) * self._refetch_rate(site)
-                self.breakdown.retry_ns += cost
-                chunk_retry_ns += cost
-                tracer.instant(
-                    "transfer.retry",
-                    ts_ns=self.breakdown.total_ns,
-                    category="retry",
-                    track="spark",
-                    site=site,
-                    attempt=failures,
-                    fault=fault,
-                    chunk=seq,
-                )
+            _, failures, chunk_retry_ns = self._deliver_with_retries(
+                framed, site, verify, chunk=seq
+            )
+            if failures:
+                stats.retries += failures
+                stats.retried_chunks += 1
 
             done_ns = (
                 start_ns

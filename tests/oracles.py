@@ -5,7 +5,9 @@ decode path, the compiled-plan kernels of :mod:`repro.formats.plans`. The
 field-by-field interpreters those kernels replaced live here, as one
 subclass per format that overrides only ``serialize`` and ``deserialize``
 (for Cereal, ``serialize`` and ``_rebuild``), so header, section and limit
-checks stay shared with the product class. Beside them sit the per-bit
+checks stay shared with the product class. Kryo's decode oracle is the
+module-level :func:`interpret`, which also decodes ``VersionedKryo``'s
+evolved streams over a schema resolution. Beside them sit the per-bit
 packing kernels of Section IV-B with their bit-list primitives, and the
 per-line cache walk the packed-trace replay must match.
 
@@ -46,7 +48,12 @@ from repro.formats.limits import DecodeLimits, resolve_limits
 from repro.formats.packing import PackedArray
 from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader, StreamWriter
-from repro.formats.varint import append_signed_varint
+from repro.formats.varint import (
+    INT32_MAX,
+    INT32_MIN,
+    append_signed_varint,
+    int32_range_error,
+)
 from repro.jvm.graph import ObjectGraph
 from repro.jvm.heap import Heap, HeapObject, NULL_ADDRESS
 from repro.jvm.klass import ArrayKlass, FieldKind, InstanceKlass, Klass
@@ -408,7 +415,164 @@ class JavaOracle(JavaSerializer):
 # -- Kryo -----------------------------------------------------------------------------
 
 
-def identity_field_table(registration: ClassRegistration) -> K.FieldTable:
+#: Per writer field, in writer order: the reader's field index (``None``
+#: when the reader dropped the field) and the writer's field kind.
+FieldTable = List[Tuple[Klass, Tuple[Tuple[Optional[int], FieldKind], ...]]]
+
+
+def interpret(
+    stream: SerializedStream,
+    heap: Heap,
+    limits: DecodeLimits,
+    field_table: FieldTable,
+) -> DeserializationResult:
+    """Field-by-field Kryo decode: the oracle the Kryo plan decoder is
+    checked against, with :func:`identity_field_table` and with the field
+    table of a ``VersionedKryo`` schema resolution.
+
+    ``field_table[class_id]`` is ``(reader klass, fields)``. The stream's
+    layout comes from the writer's fields; values land in the reader
+    klass's slots. A field the reader dropped is still parsed (reference
+    subtrees included, their objects joining the back-reference table and
+    staying on the heap, unreachable) so object numbering matches the
+    writer's exactly.
+    """
+    limits.check_stream_bytes(len(stream.data))
+    reader = StreamReader(stream.data)
+    profile = WorkProfile()
+    asm = ReflectAsmAccess()
+    objects_by_id: list = []
+
+    def read_primitive(kind: FieldKind):
+        if kind is FieldKind.BOOLEAN:
+            return bool(reader.read_u8())
+        if kind is FieldKind.BYTE:
+            raw = reader.read_u8()
+            return raw - 256 if raw >= 128 else raw
+        if kind in (FieldKind.CHAR, FieldKind.SHORT):
+            raw = reader.read_u16()
+            if kind is FieldKind.SHORT and raw >= 32768:
+                return raw - 65536
+            return raw
+        if kind is FieldKind.INT:
+            value = reader.read_signed_varint()
+            if not INT32_MIN <= value <= INT32_MAX:
+                raise int32_range_error(value)
+            return value
+        if kind is FieldKind.LONG:
+            return reader.read_signed_varint()
+        if kind is FieldKind.FLOAT:
+            return struct.unpack("<f", reader.read_bytes(4))[0]
+        if kind is FieldKind.DOUBLE:
+            return reader.read_f64()
+        raise FormatError(f"not a primitive kind: {kind}")
+
+    def parse_object(mark: int):
+        class_id = reader.read_varint()
+        if class_id >= len(field_table):
+            raise UnknownClassError(
+                class_id,
+                detail=f"registry holds {len(field_table)} classes",
+                offset=reader.position,
+            )
+        klass, fields = field_table[class_id]
+        limits.check_objects(len(objects_by_id) + 1)
+        profile.objects += 1
+        profile.allocations += 1
+        profile.add_instructions(K._INSTR_PER_OBJECT_DESER + K._INSTR_PER_ALLOC)
+        profile.aux_random_accesses += K._AUX_ACCESSES_PER_OBJECT_DESER
+        if mark == K.MARK_ARRAY:
+            if not isinstance(klass, ArrayKlass):
+                raise FormatError("array marker with non-array class ID")
+            length = reader.read_varint()
+            limits.check_array_length(length)
+            obj = heap.allocate(klass, length)
+            objects_by_id.append(obj)
+            if klass.element_kind.is_reference:
+                for index in range(length):
+                    profile.reference_fields += 1
+                    profile.add_instructions(K._INSTR_PER_FIELD_DESER)
+                    child = yield obj
+                    obj.set_element(index, child)
+            else:
+                # Decode the run, then one bulk heap write.
+                values = []
+                for index in range(length):
+                    values.append(read_primitive(klass.element_kind))
+                    profile.value_fields += 1
+                    profile.add_instructions(K._INSTR_PER_FIELD_DESER)
+                obj.set_elements(values)
+        else:
+            if not isinstance(klass, InstanceKlass):
+                raise FormatError("object marker with array class ID")
+            obj = heap.allocate(klass)
+            objects_by_id.append(obj)
+            for index, kind in fields:
+                if kind.is_reference:
+                    profile.reference_fields += 1
+                    profile.add_instructions(K._INSTR_PER_FIELD_DESER)
+                    value = yield obj
+                else:
+                    value = read_primitive(kind)
+                    profile.value_fields += 1
+                    profile.add_instructions(K._INSTR_PER_FIELD_DESER)
+                if index is not None:
+                    asm.set_field_by_index(obj, index, value)
+        return
+
+    def start_content():
+        mark = reader.read_u8()
+        if mark == K.MARK_NULL:
+            return ("value", None)
+        if mark == K.MARK_BACKREF:
+            object_id = reader.read_varint()
+            if object_id >= len(objects_by_id):
+                raise FormatError(f"forward object reference {object_id}")
+            return ("value", objects_by_id[object_id])
+        if mark in (K.MARK_OBJECT, K.MARK_ARRAY):
+            return ("frame", parse_object(mark))
+        raise FormatError(f"unexpected marker {mark:#x}")
+
+    _UNSET = object()
+    kind, payload = start_content()
+    if kind == "value":
+        raise FormatError("stream root must be an object")
+    stack = [payload]
+    object_count_at_frame = [len(objects_by_id)]
+    pending = _UNSET
+    root_obj: Optional[HeapObject] = None
+    while stack:
+        gen = stack[-1]
+        try:
+            if pending is _UNSET:
+                next(gen)
+            else:
+                value, pending = pending, _UNSET
+                gen.send(value)
+            kind, payload = start_content()
+            if kind == "value":
+                pending = payload
+            else:
+                limits.check_depth(len(stack) + 1)
+                stack.append(payload)
+                object_count_at_frame.append(len(objects_by_id))
+        except StopIteration:
+            stack.pop()
+            frame_first = object_count_at_frame.pop()
+            finished = objects_by_id[frame_first]
+            pending = finished
+            root_obj = finished
+
+    if not isinstance(root_obj, HeapObject):
+        raise FormatError("deserialization produced no root object")
+    profile.bytes_read = len(stream.data)
+    profile.bytes_written = ObjectGraph.from_root(root_obj).total_bytes
+    profile.add_instructions(asm.cost.estimated_instructions())
+    profile.add_instructions(len(stream.data) * K._INSTR_PER_STREAM_BYTE)
+    return DeserializationResult(root_obj, profile)
+
+
+def identity_field_table(registration: ClassRegistration) -> FieldTable:
     """The field table that decodes a stream with the writer's own
     registration: every class ID to its klass, every field to itself."""
     return [
@@ -426,7 +590,7 @@ def identity_field_table(registration: ClassRegistration) -> K.FieldTable:
 
 
 class KryoOracle(KryoSerializer):
-    """Kryo through the field-by-field encoder and :func:`kryo.interpret`."""
+    """Kryo through the field-by-field encoder and :func:`interpret`."""
 
     def serialize(self, root: HeapObject) -> SerializationResult:
         writer = OracleWriter()
@@ -527,7 +691,7 @@ class KryoOracle(KryoSerializer):
         heap: Heap,
         limits: Optional[DecodeLimits] = None,
     ) -> DeserializationResult:
-        return K.interpret(
+        return interpret(
             stream, heap, resolve_limits(limits),
             identity_field_table(self.registration),
         )

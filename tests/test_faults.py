@@ -153,6 +153,26 @@ class TestRetryPolicy:
         assert stats.recovered == 0
         assert breakdown.retry_ns > 0
 
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_retries_exhausted_error_names_the_stream_or_chunk(self, chunked):
+        injector = FaultInjector(FaultPolicy(seed=3, drop_prob=1.0))
+        transfer = ResilientTransfer(
+            TimeBreakdown(), injector=injector, frame_streams=True
+        )
+        context = MiniSparkContext(_kryo_backend())
+        stream = context.serialize_bucket(
+            _build_records(context, count=4), site="shuffle"
+        )
+        deliver = transfer.deliver_chunked if chunked else transfer.deliver
+        with pytest.raises(TransientError) as raised:
+            deliver(stream, "shuffle")
+        what = "shuffle chunk 0" if chunked else "shuffle transfer"
+        assert str(raised.value) == (
+            f"{what} failed 9 consecutive times (last fault: drop); "
+            "retries exhausted"
+        )
+        assert injector.report.layer("transfer").detected == 9
+
 
 class TestHappyPathInvariance:
     """Fault probability 0 + framing off must cost exactly nothing."""

@@ -44,6 +44,10 @@ ALLOWLIST: Dict[str, str] = {
         "as JavaReflection.get_field; the Kryo oracle encoder reads fields "
         "through it"
     ),
+    "ReflectAsmAccess.set_field_by_index": (
+        "as ReflectAsmAccess.get_field_by_index; the Kryo decode oracle "
+        "writes through it"
+    ),
     "set_registry": "test isolation: a test swaps in its own metrics registry",
     "secure_deserialize_chunks": (
         "safety code: the hardened decode front end for untrusted chunked streams"

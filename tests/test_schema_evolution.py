@@ -5,10 +5,16 @@ same classes into readers running any other version, covering field adds,
 removes, and reorders; irreconcilable changes must raise typed errors.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import SchemaMismatchError, UnknownClassError
 from repro.formats import ClassRegistration, KryoSerializer, graphs_equivalent
+from repro.formats import plans
+from repro.formats.base import SerializedStream
+from repro.formats.limits import resolve_limits
 from repro.formats.secure import (
     VersionedKryo,
     decode_stats,
@@ -29,7 +35,7 @@ from repro.jvm import (
 from repro.jvm.heap import HEAP_BASE
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.workloads.micro import build_microbench, register_micro_klasses
-from tests.oracles import KryoOracle
+from tests.oracles import KryoOracle, interpret
 
 
 @pytest.fixture(autouse=True)
@@ -324,3 +330,203 @@ class TestEvolutionErrors:
             token.alloc_count,
         )
         assert decode_stats()["rejected_by_reason"] == {"schema": 1}
+
+
+# -- the evolved decode against the interpreter oracle -------------------------------
+
+
+def dropped_reference_case(shared):
+    """A stream whose root holds a reference field the reader dropped.
+
+    The writer's ``Pair`` is (keep int, extra ref, alias ref, score
+    double, samples ref); the reader's is (alias ref, keep int, added
+    long, samples ref): ``extra`` and ``score`` dropped, ``added`` new,
+    the rest reordered. With ``shared`` the kept ``alias``
+    back-references the dropped subtree's root, so that object stays
+    reachable. ``Extra``'s two doubles and the ``double[]`` behind
+    ``samples`` are multi-word runs on the wire.
+    """
+    def world(pair_fields):
+        registry = KlassRegistry()
+        registration = ClassRegistration()
+        for klass in (
+            InstanceKlass("Extra", [FieldDescriptor("n", FieldKind.LONG),
+                                    FieldDescriptor("w", FieldKind.DOUBLE),
+                                    FieldDescriptor("v", FieldKind.DOUBLE)]),
+            InstanceKlass("Pair", [FieldDescriptor(name, kind)
+                                   for name, kind in pair_fields]),
+            registry.array_klass(FieldKind.DOUBLE),
+        ):
+            registry.register(klass)
+            registration.register(klass)
+        return registry, registration
+
+    writer_registry, writer_reg = world((
+        ("keep", FieldKind.INT), ("extra", FieldKind.REFERENCE),
+        ("alias", FieldKind.REFERENCE), ("score", FieldKind.DOUBLE),
+        ("samples", FieldKind.REFERENCE),
+    ))
+    heap = Heap(registry=writer_registry)
+    child = heap.new_instance("Extra")
+    child.set("n", 5)
+    child.set("w", 1.5)
+    child.set("v", -2.0)
+    samples = heap.new_array(FieldKind.DOUBLE, 3)
+    samples.set_elements([0.5, 1.5, 2.5])
+    root = heap.new_instance("Pair")
+    root.set("keep", 77)
+    root.set("extra", child)
+    root.set("alias", child if shared else None)
+    root.set("score", 0.25)
+    root.set("samples", samples)
+    stream = VersionedKryo(registration=writer_reg).serialize(root).stream
+    reader_registry, reader_reg = world((
+        ("alias", FieldKind.REFERENCE), ("keep", FieldKind.INT),
+        ("added", FieldKind.LONG), ("samples", FieldKind.REFERENCE),
+    ))
+    return stream, reader_registry, reader_reg
+
+
+def renumbered_case(graph):
+    """A microbenchmark graph read by a registration with reversed IDs."""
+    registry = KlassRegistry()
+    register_micro_klasses(registry)
+    root = build_microbench(Heap(registry=registry), graph)
+    writer_reg = ClassRegistration()
+    reader_reg = ClassRegistration()
+    for klass in registry:
+        writer_reg.register(klass)
+    for klass in reversed(list(registry)):
+        reader_reg.register(klass)
+    stream = VersionedKryo(registration=writer_reg).serialize(root).stream
+    return stream, registry, reader_reg
+
+
+def version_case(writer_version, reader_version):
+    _, writer_reg, writer_heap = make_world(writer_version)
+    holder = build_graph(writer_heap, writer_version)
+    stream = VersionedKryo(registration=writer_reg).serialize(holder).stream
+    reader_registry, reader_reg, _ = make_world(reader_version)
+    return stream, reader_registry, reader_reg
+
+
+def split_header(stream, registration):
+    """(header bytes, payload bytes, resolution field table)."""
+    reader = StreamReader(stream.data)
+    resolutions = resolve_schemas(read_schema_header(reader), registration)
+    table = [(r.reader_klass, r.fields) for r in resolutions]
+    return stream.data[:reader.position], stream.data[reader.position:], table
+
+
+TRUNCATED = dropped_reference_case(shared=True)
+TRUNCATED_HEADER, TRUNCATED_PAYLOAD, _ = split_header(TRUNCATED[0], TRUNCATED[2])
+
+EQUIVALENCE_CASES = {
+    **{
+        f"v{w}-to-v{r}": (lambda w=w, r=r: version_case(w, r))
+        for w in VERSIONS for r in VERSIONS
+    },
+    "dropped-reference": lambda: dropped_reference_case(shared=False),
+    "dropped-shared-reference": lambda: dropped_reference_case(shared=True),
+    **{
+        f"renumbered-{graph}": (lambda graph=graph: renumbered_case(graph))
+        for graph in ("tree-narrow", "graph-sparse", "list-small")
+    },
+}
+
+
+def truncated_case(length):
+    """The dropped-shared-reference stream cut ``length`` bytes into its
+    Kryo payload (the schema header stays whole)."""
+    stream, registry, registration = TRUNCATED
+    data = TRUNCATED_HEADER + TRUNCATED_PAYLOAD[:length]
+    cut = SerializedStream(format_name=stream.format_name, data=data, sections={})
+    return cut, registry, registration
+
+
+for _length in range(len(TRUNCATED_PAYLOAD)):
+    EQUIVALENCE_CASES[f"truncated-{_length}"] = (
+        lambda length=_length: truncated_case(length)
+    )
+
+
+def heap_state(heap):
+    """The allocation pointer and the first 1 MiB of the heap, more than
+    any decode here allocates."""
+    return heap.checkpoint().alloc_ptr, heap.memory.read(HEAP_BASE, 1 << 20)
+
+
+def decode_outcome(decode, heap):
+    """(result, error, heap image, allocation order) of one decode."""
+    try:
+        result, error = decode(heap), None
+    except Exception as raised:  # compared below, type and message
+        result, error = None, raised
+    image = heap.memory.read(HEAP_BASE, heap.used_bytes)
+    order = [(obj.address, obj.klass.name, obj.length) for obj in heap.objects()]
+    return result, error, image, order
+
+
+class TestEvolvedDecodeMatchesOracle:
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_versioned_decode_equals_interpret(self, case):
+        """``VersionedKryo`` (under ``secure_deserialize``) and the
+        interpreter oracle over the same resolution agree: same heap bytes,
+        allocation order and work profile, or the same rejection, after
+        which the versioned heap is as it was before the decode."""
+        stream, registry, registration = EQUIVALENCE_CASES[case]()
+        _, payload, table = split_header(stream, registration)
+        codec = VersionedKryo(registration=registration)
+
+        heap = Heap(registry=registry)
+        before = heap_state(heap)
+        result, error, image, order = decode_outcome(
+            lambda heap: secure_deserialize(codec, stream, heap), heap
+        )
+        oracle, oracle_error, oracle_image, oracle_order = decode_outcome(
+            lambda heap: interpret(
+                SerializedStream(format_name="kryo", data=payload, sections={}),
+                heap, resolve_limits(None), table,
+            ),
+            Heap(registry=registry),
+        )
+
+        if oracle_error is not None:
+            assert error is not None, "the oracle rejected, the decoder did not"
+            assert (type(error), str(error)) == (
+                type(oracle_error), str(oracle_error)
+            )
+            assert heap_state(heap) == before
+            assert order == []
+            return
+        assert error is None, f"the decoder rejected: {error!r}"
+        assert result.profile == oracle.profile
+        assert result.root.address == oracle.root.address
+        assert image == oracle_image
+        assert order == oracle_order
+
+
+def test_evolved_plans_bypass_the_plan_cache():
+    """An evolved decode compiles its plans per resolution, outside the
+    process-wide plan cache: no probe, no entry, no counter moves."""
+    def plan_cache():
+        return plans._HITS.value, plans._MISSES.value, len(plans._PLANS)
+
+    stream, registry, registration = dropped_reference_case(shared=True)
+    before = plan_cache()
+    VersionedKryo(registration=registration).deserialize(
+        stream, Heap(registry=registry)
+    )
+    assert plan_cache() == before
+    assert decode_stats()["schema_resolutions"] == {"evolved": 1}
+
+
+def test_readme_evolution_example_runs(capsys):
+    """The README's "Hardened decode & schema evolution" example, run
+    verbatim: a v1 stream read by a v3 registry through the evolved path."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Hardened decode & schema evolution"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+    assert capsys.readouterr().out == "42 0.0\n"
+    assert decode_stats()["schema_resolutions"] == {"evolved": 1}
