@@ -3,7 +3,12 @@
 The MAI's 64-entry associative memory coalesces repeat accesses to 32 B
 blocks (repeated klass-metadata fetches, shared-object header reads).
 Disabling coalescing or shrinking the tracker shows its contribution.
+Every run's modelled ns, MAI blocks and DRAM accesses are pinned in
+``benchmarks/golden/ablation.json``.
 """
+
+from _golden import check
+from conftest import traffic
 
 from repro.analysis import ReportTable
 from repro.cereal.mai import MemoryAccessInterface
@@ -69,6 +74,10 @@ def test_ablation_mai_coalescing(benchmark, results_dir):
     with_c, without, mai_on, mai_off = benchmark.pedantic(
         build, rounds=1, iterations=1
     )
+    check("ablation", {
+        "mai/coalescing-on": traffic(with_c.elapsed_ns, mai_on),
+        "mai/coalescing-off": traffic(without.elapsed_ns, mai_off),
+    })
     assert with_c.elapsed_ns < without.elapsed_ns
     assert mai_on.stats.coalesced_blocks > 0
     assert mai_on.stats.blocks_read < mai_off.stats.blocks_read
@@ -82,9 +91,11 @@ def test_ablation_mai_entry_count(benchmark, results_dir):
             ["Entries", "Time (ms)", "Coalescing rate"],
         )
         times = {}
+        pins = {}
         for entries in (8, 64, 256):
             result, mai = _run_su(root, registration, mai_entries=entries)
             times[entries] = result.elapsed_ns
+            pins[f"mai/entries-{entries}"] = traffic(result.elapsed_ns, mai)
             table.add_row(
                 entries,
                 f"{result.elapsed_ns / 1e6:.3f}",
@@ -93,9 +104,10 @@ def test_ablation_mai_entry_count(benchmark, results_dir):
         table.add_note("paper configuration: 64 entries")
         table.show()
         table.save(results_dir, "ablation_mai_entries")
-        return times
+        return times, pins
 
-    times = benchmark.pedantic(build, rounds=1, iterations=1)
+    times, pins = benchmark.pedantic(build, rounds=1, iterations=1)
+    check("ablation", pins)
     # A larger window can only help (more coalescing opportunities kept).
     assert times[64] <= times[8] * 1.01
     assert times[256] <= times[64] * 1.01

@@ -2,9 +2,13 @@
 
 Sweeps the DU's block-reconstructor count and toggles SU pipelining to
 show where Figure 10's "Cereal vs Cereal Vanilla" gap comes from, plus an
-operation-level-parallelism sweep over the unit-pool size.
+operation-level-parallelism sweep over the unit-pool size. Every run's
+modelled ns (and, for single operations, MAI blocks and DRAM accesses) is
+pinned in ``benchmarks/golden/ablation.json``.
 """
 
+from _golden import check
+from conftest import traffic
 from repro.analysis import ReportTable
 from repro.cereal import CerealAccelerator
 from repro.common.config import CerealConfig
@@ -29,7 +33,7 @@ def _accelerator(config, registry):
     return accelerator
 
 
-def test_ablation_block_reconstructors(benchmark, results_dir):
+def test_ablation_block_reconstructors(benchmark, results_dir, memory_systems):
     def build():
         heap, root = _setup()
         base = _accelerator(CerealConfig(), heap.registry)
@@ -39,6 +43,7 @@ def test_ablation_block_reconstructors(benchmark, results_dir):
             ["Reconstructors", "Deserialize (us)", "Speedup vs 1"],
         )
         times = {}
+        pins = {}
         for count in (1, 2, 4, 8):
             accelerator = _accelerator(
                 CerealConfig(block_reconstructors_per_du=count),
@@ -47,6 +52,9 @@ def test_ablation_block_reconstructors(benchmark, results_dir):
             receiver = Heap(registry=heap.registry)
             _, timing, _ = accelerator.deserialize(stream, receiver)
             times[count] = timing.elapsed_ns
+            pins[f"parallelism/reconstructors-{count}"] = traffic(
+                timing.elapsed_ns, memory_systems[-1]
+            )
             table.add_row(
                 count,
                 f"{timing.elapsed_ns / 1000:.2f}",
@@ -55,9 +63,10 @@ def test_ablation_block_reconstructors(benchmark, results_dir):
         table.add_note("paper configuration: 4 reconstructors per DU")
         table.show()
         table.save(results_dir, "ablation_reconstructors")
-        return times
+        return times, pins
 
-    times = benchmark.pedantic(build, rounds=1, iterations=1)
+    times, pins = benchmark.pedantic(build, rounds=1, iterations=1)
+    check("ablation", pins)
     assert times[4] <= times[1]  # more reconstructors never hurt
     # Diminishing returns: the 4->8 step buys less than 1->4.
     gain_1_4 = times[1] / times[4]
@@ -65,7 +74,7 @@ def test_ablation_block_reconstructors(benchmark, results_dir):
     assert gain_4_8 <= gain_1_4 + 0.05
 
 
-def test_ablation_du_prefetch_depth(benchmark, results_dir):
+def test_ablation_du_prefetch_depth(benchmark, results_dir, memory_systems):
     """Stream-loader buffer depth vs the shared memory path.
 
     Shallow buffers leave the loaders latency-bound; around depth 4 the
@@ -82,6 +91,7 @@ def test_ablation_du_prefetch_depth(benchmark, results_dir):
             ["Depth", "Deserialize (us)", "Speedup vs 1"],
         )
         times = {}
+        pins = {}
         for depth in (1, 4, 8, 16, 32):
             accelerator = _accelerator(
                 CerealConfig(du_prefetch_depth=depth), heap.registry
@@ -89,6 +99,9 @@ def test_ablation_du_prefetch_depth(benchmark, results_dir):
             receiver = Heap(registry=heap.registry)
             _, timing, _ = accelerator.deserialize(stream, receiver)
             times[depth] = timing.elapsed_ns
+            pins[f"parallelism/prefetch-depth-{depth}"] = traffic(
+                timing.elapsed_ns, memory_systems[-1]
+            )
             table.add_row(
                 depth,
                 f"{timing.elapsed_ns / 1000:.2f}",
@@ -97,9 +110,10 @@ def test_ablation_du_prefetch_depth(benchmark, results_dir):
         table.add_note("default depth: 8 (sized to the loaders' buffers)")
         table.show()
         table.save(results_dir, "ablation_prefetch_depth")
-        return times
+        return times, pins
 
-    times = benchmark.pedantic(build, rounds=1, iterations=1)
+    times, pins = benchmark.pedantic(build, rounds=1, iterations=1)
+    check("ablation", pins)
     assert times[8] < times[1]  # deeper prefetch hides DRAM latency
     assert times[32] <= times[8] * 1.001  # monotone (saturates)
     # Beyond depth ~4 the shared memory path is the bound, so gains level
@@ -107,13 +121,20 @@ def test_ablation_du_prefetch_depth(benchmark, results_dir):
     assert times[1] / times[8] > 1.2
 
 
-def test_ablation_su_pipelining(benchmark, results_dir):
+def test_ablation_su_pipelining(benchmark, results_dir, memory_systems):
     def build():
         heap, root = _setup()
         pipelined = _accelerator(CerealConfig(), heap.registry)
         vanilla = _accelerator(CerealConfig().vanilla(), heap.registry)
         _, t_pipe, _ = pipelined.serialize(root)
+        pipe_mai = memory_systems[-1]
         _, t_vanilla, _ = vanilla.serialize(root)
+        check("ablation", {
+            "parallelism/serialize-pipelined": traffic(t_pipe.elapsed_ns, pipe_mai),
+            "parallelism/serialize-vanilla": traffic(
+                t_vanilla.elapsed_ns, memory_systems[-1]
+            ),
+        })
         table = ReportTable(
             "Ablation: SU pipelining",
             ["Configuration", "Serialize (us)"],
@@ -153,6 +174,10 @@ def test_ablation_operation_level_parallelism(benchmark, results_dir):
         return results
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)
+    check("ablation", {
+        f"parallelism/unit-pool-{units}": {"batch_ns": batch_ns}
+        for units, batch_ns in results.items()
+    })
     assert results[8] < results[1]
     # Near-linear until the batch no longer fills the pool.
     assert results[1] / results[8] > 4

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cereal import CerealAccelerator
 from repro.cereal.device_sim import DeviceSimulator
+from repro.cereal.mai import MemoryAccessInterface
 from repro.common.config import CerealConfig, HostCPUConfig, SystemConfig
 from repro.cpu import SoftwarePlatform
 from repro.formats import (
@@ -273,3 +274,30 @@ def jsbs_results() -> JSBSResults:
 def results_dir() -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture
+def memory_systems(monkeypatch) -> List[MemoryAccessInterface]:
+    """The MAI of every memory system a :class:`CerealAccelerator` builds
+    during the test, in build order: one per single operation."""
+    built: List[MemoryAccessInterface] = []
+    build = CerealAccelerator._fresh_memory_system
+
+    def recording(accelerator):
+        mai = build(accelerator)
+        built.append(mai)
+        return mai
+
+    monkeypatch.setattr(CerealAccelerator, "_fresh_memory_system", recording)
+    return built
+
+
+def traffic(elapsed_ns: float, mai: MemoryAccessInterface) -> Dict[str, object]:
+    """One ablation pin: raw modelled ns, MAI blocks read and coalesced,
+    and DRAM accesses."""
+    return {
+        "ns": elapsed_ns,
+        "blocks_read": mai.stats.blocks_read,
+        "coalesced_blocks": mai.stats.coalesced_blocks,
+        "dram_accesses": mai.dram.stats.accesses,
+    }
