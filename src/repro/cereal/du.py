@@ -20,16 +20,22 @@ values, and the next M references — independent of object boundaries.
 With ``pipelined=False`` ("Cereal Vanilla") there is a single reconstructor
 and no eager prefetch: every block's loads are issued on demand and the
 whole per-block chain serializes.
+
+:meth:`DeserializationUnit.run` times an operation in one loop over the
+blocks. The line each block waits for in the bitmap, value and reference
+streams is computed once per run from the :class:`DUWorkload` columns,
+and the loop issues the loaders' windowed line reads itself. The
+per-call loader objects are the oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapreplace
 from itertools import accumulate
 from typing import List, Optional
 
 from repro.common.config import CerealConfig
-from repro.common.errors import SimulationError
 from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.tables import ClassIDTable
 
@@ -42,7 +48,6 @@ _BITMAP_REGION = 0x2_0000_0000
 _LM_CHUNK_NS = 1.0  # unpack + popcount of one 8-bit chunk
 _BM_DISPATCH_NS = 1.0  # block-manager retrieval + dispatch
 _RECONSTRUCT_NS = 9.0  # scan 8 slots + issue write
-_PREFETCH_DEPTH = 8  # outstanding 64 B lines per stream prefetcher
 
 # Set bits of every byte value, for ``bytes.translate``.
 _POPCOUNT = bytes(bin(value).count("1") for value in range(256))
@@ -178,55 +183,6 @@ class DUResult:
         return self.finish_ns - self.start_ns
 
 
-class _StreamPrefetcher:
-    """Eager sequential loader with a bounded outstanding-line window.
-
-    Models the layout-bitmap / value-array / reference-array loaders: each
-    keeps an internal buffer and issues a new 64 B load whenever a slot
-    frees, so the stream arrives at DRAM-bandwidth rate with the zero-load
-    latency as a pipeline fill cost.
-    """
-
-    def __init__(
-        self,
-        mai: MemoryAccessInterface,
-        base: int,
-        length: int,
-        start_ns: float,
-        depth: int = _PREFETCH_DEPTH,
-    ):
-        self.mai = mai
-        self.base = base
-        self.length = length
-        self.depth = depth
-        self._completions: List[float] = []
-        self._issued = 0
-        self._start_ns = start_ns
-
-    def _issue_next(self) -> None:
-        offset = self._issued * 64
-        if offset >= self.length:
-            raise SimulationError("prefetcher ran past its stream")
-        window_gate = (
-            self._completions[self._issued - self.depth]
-            if self._issued >= self.depth
-            else self._start_ns
-        )
-        done = self.mai.read(window_gate, self.base + offset, min(64, self.length - offset))
-        self._completions.append(done)
-        self._issued += 1
-
-    def available_at(self, byte_position: int) -> float:
-        """Time the byte *before* ``byte_position`` has arrived (0 => start)."""
-        if byte_position <= 0 or self.length == 0:
-            return self._start_ns
-        byte_position = min(byte_position, self.length)
-        line = (byte_position - 1) // 64
-        while self._issued <= line:
-            self._issue_next()
-        return self._completions[line]
-
-
 class DeserializationUnit:
     """Cycle-accounted model of one DU."""
 
@@ -254,79 +210,111 @@ class DeserializationUnit:
             self.config.block_reconstructors_per_du if pipelined else 1
         )
         depth = self.config.du_prefetch_depth if pipelined else 1
+        mai_read = self.mai.read
+        mai_write = self.mai.write
 
-        bitmap_stream = _StreamPrefetcher(
-            self.mai, INPUT_REGION_BASE + _BITMAP_REGION, workload.bitmap_bytes,
-            start_ns, depth,
-        )
-        value_stream = _StreamPrefetcher(
-            self.mai, INPUT_REGION_BASE + _VALUE_REGION, workload.value_array_bytes,
-            start_ns, depth,
-        )
-        ref_stream = _StreamPrefetcher(
-            self.mai, INPUT_REGION_BASE + _REF_REGION, workload.reference_array_bytes,
-            start_ns, depth,
-        )
+        # The three stream loaders. Each keeps ``depth`` 64 B lines in
+        # flight: line L issues when line L - depth has arrived, and the
+        # first ``depth`` lines at the start. A loader's arrival list opens
+        # with ``depth`` start times, so line L arrives at index L + depth
+        # and its issue gate is index L. The index each block waits for is
+        # computed once here from the block's running stream position;
+        # ``depth - 1`` (a start time) means it needs no byte.
+        bitmap_bytes = workload.bitmap_bytes
+        value_bytes = workload.value_array_bytes
+        ref_bytes = workload.reference_array_bytes
+        block_count = len(workload.value_slots)
+        bitmap_waits = [
+            (min(position, bitmap_bytes) - 1) // 64 + depth
+            for position in range(1, block_count + 1)
+        ]
+        value_waits = [
+            (min(position, value_bytes) - 1) // 64 + depth
+            for position in accumulate(slots * 8 for slots in workload.value_slots)
+        ]
+        ref_waits = [
+            (min(position, ref_bytes) - 1) // 64 + depth
+            for position in accumulate(workload.reference_bytes)
+        ]
+        bitmap_arrivals = [start_ns] * depth
+        value_arrivals = [start_ns] * depth
+        ref_arrivals = [start_ns] * depth
+        bitmap_base = INPUT_REGION_BASE + _BITMAP_REGION
+        value_base = INPUT_REGION_BASE + _VALUE_REGION
+        ref_base = INPUT_REGION_BASE + _REF_REGION
 
         lm_free = start_ns
         bm_free = start_ns
+        # Free times of the reconstructor pool as a heap: the earliest-free
+        # reconstructor takes the next block, and which one of equally
+        # free reconstructors that is never changes a time.
         reconstructor_free = [start_ns] * reconstructors
-
-        bitmap_pos = 0
-        value_pos = 0
-        ref_pos = 0
         finish = start_ns
+        headers = 0
 
-        blocks = zip(
-            workload.value_slots, workload.reference_bytes, workload.has_header
-        )
-        for index, (value_slots, reference_bytes, has_header) in enumerate(blocks):
+        # Every stage hand-off is ``max(a, b)`` written as a comparison
+        # that keeps ``a`` unless ``b`` is strictly larger, as max does.
+        blocks = zip(workload.has_header, bitmap_waits, value_waits, ref_waits)
+        for index, (has_header, bitmap_wait, value_wait, ref_wait) in enumerate(
+            blocks
+        ):
             # Layout manager: the packed bitmap for 8 slots is ~1 byte + its
             # end-map share; consume proportionally.
-            bitmap_pos += 1
-            lm_ready = bitmap_stream.available_at(
-                min(bitmap_pos, workload.bitmap_bytes)
-            )
-            lm_time = max(lm_free, lm_ready) + _LM_CHUNK_NS
-            lm_free = lm_time
+            if bitmap_wait >= len(bitmap_arrivals):
+                _load(mai_read, bitmap_arrivals, depth, bitmap_base, bitmap_bytes,
+                      bitmap_wait)
+            lm_ready = bitmap_arrivals[bitmap_wait]
+            if lm_ready > lm_free:
+                lm_free = lm_ready
+            lm_free += _LM_CHUNK_NS
 
             # Block manager: needs the block's values and references.
-            value_pos += value_slots * 8
-            ref_pos += reference_bytes
-            bm_ready = max(
-                value_stream.available_at(value_pos),
-                ref_stream.available_at(ref_pos),
-            )
-            bm_time = max(bm_free, lm_time, bm_ready) + _BM_DISPATCH_NS
-            bm_free = bm_time
+            if value_wait >= len(value_arrivals):
+                _load(mai_read, value_arrivals, depth, value_base, value_bytes,
+                      value_wait)
+            if ref_wait >= len(ref_arrivals):
+                _load(mai_read, ref_arrivals, depth, ref_base, ref_bytes, ref_wait)
+            bm_ready = value_arrivals[value_wait]
+            if ref_arrivals[ref_wait] > bm_ready:
+                bm_ready = ref_arrivals[ref_wait]
+            if lm_free > bm_free:
+                bm_free = lm_free
+            if bm_ready > bm_free:
+                bm_free = bm_ready
+            bm_free += _BM_DISPATCH_NS
 
             # Block reconstructor: earliest-free of the pool.
-            slot = reconstructor_free.index(min(reconstructor_free))
-            rec_start = max(bm_time, reconstructor_free[slot])
-            rec_done = rec_start + _RECONSTRUCT_NS
+            rec_done = reconstructor_free[0]
+            if not rec_done > bm_free:
+                rec_done = bm_free
+            rec_done += _RECONSTRUCT_NS
             if has_header:
-                self.class_id_table.lookups += 1
+                headers += 1
                 rec_done += 1.0
-            self.mai.write(rec_done, destination_base + index * 64, 64)
-            reconstructor_free[slot] = rec_done
-            finish = max(finish, rec_done)
+            mai_write(rec_done, destination_base + index * 64, 64)
+            heapreplace(reconstructor_free, rec_done)
+            if rec_done > finish:
+                finish = rec_done
 
             if not pipelined:
                 # Vanilla: the whole per-block chain serializes.
                 lm_free = bm_free = rec_done
-                reconstructor_free = [rec_done]
 
+        self.class_id_table.lookups += headers
         finish = self.mai.drain(finish)
-        stream_bytes = (
-            workload.bitmap_bytes
-            + workload.value_array_bytes
-            + workload.reference_array_bytes
-        )
-        block_count = len(workload.value_slots)
         return DUResult(
             start_ns=start_ns,
             finish_ns=finish,
             blocks=block_count,
             image_bytes_written=block_count * 64,
-            stream_bytes_read=stream_bytes,
+            stream_bytes_read=bitmap_bytes + value_bytes + ref_bytes,
         )
+
+
+def _load(read, arrivals: List[float], depth: int, base: int, length: int,
+          wait: int) -> None:
+    """Issue a stream loader's line reads until ``arrivals[wait]`` exists."""
+    for line in range(len(arrivals) - depth, wait - depth + 1):
+        offset = line * 64
+        rest = length - offset
+        arrivals.append(read(arrivals[line], base + offset, rest if rest < 64 else 64))

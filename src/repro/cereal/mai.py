@@ -16,6 +16,15 @@ The MAI is the accelerator's only path to memory. The paper gives it:
 Writes are posted: the requester continues once the write is handed to the
 MAI; drained-by time is tracked so an operation's completion includes its
 write traffic.
+
+Each request is one loop over its 32 B blocks. A block that goes to DRAM
+steps its channel inline (the in-order "next free" time, or the interval
+schedule in device mode) and the MAI, TLB and DRAM counters are folded
+in once per request with the additions a per-block ``DRAMModel`` access
+made, in the same order. Translation is skipped for a repeat of the TLB's
+most-recently-used page, which is an exact hit. The per-block form with a
+``TLB.translate`` per request and a DRAM access call per block is the
+oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -65,20 +74,38 @@ class MemoryAccessInterface:
         self._entries: OrderedDict[int, float] = OrderedDict()
         self.stats = MAIStats()
         self.last_drain_ns = 0.0
+        # What a block's DRAM channel step reads: the line-interleave
+        # granule, the channel count, one block's channel occupancy and the
+        # zero-load latency.
+        self._channel_geometry = (
+            dram.config.access_granularity_bytes,
+            dram.config.channels,
+            dram.occupancy_ns(self.block_bytes),
+            dram.config.zero_load_latency_ns,
+        )
 
     # -- reads ------------------------------------------------------------------
 
     def read(self, when_ns: float, address: int, length: int) -> float:
         """Issue a read; returns the in-order completion time (ns).
 
-        One pass over the request's 32 B blocks in address order; the block
-        counters are folded into :attr:`stats` once per request.
+        One pass over the request's 32 B blocks in address order; each
+        block that does not coalesce steps its DRAM channel inline. The
+        block and DRAM counters are folded in once per request.
         """
         if length <= 0:
             raise SimulationError(f"access length must be positive, got {length}")
         stats = self.stats
         stats.read_requests += 1
-        when_ns += self.tlb.translate(address)
+        tlb = self.tlb
+        if address // tlb.page_bytes == tlb.mru_page:
+            # A repeat of the most-recently-used page: a hit that moves
+            # nothing in the TLB's LRU.
+            tlb.hits += 1
+        else:
+            when_ns += tlb.translate(address)
+        if when_ns < 0:
+            raise SimulationError(f"issue time must be non-negative, got {when_ns}")
         block_bytes = self.block_bytes
         first = address // block_bytes
         last = (address + length - 1) // block_bytes
@@ -87,8 +114,14 @@ class MemoryAccessInterface:
         # Coherence "get": fetching the up-to-date copy may take a detour
         # through the host's cache hierarchy (Section V-E).
         detour_ns = self.config.coherence_extra_read_ns
-        access = self.dram.access
         coalescing = self.coalescing
+        dram = self.dram
+        free = dram.channel_free_ns
+        lanes = dram.interval_channels
+        granularity, channels, occupancy, latency = self._channel_geometry
+        dram_stats = dram.stats
+        busy = dram_stats.busy_time_ns
+        latest = dram_stats.last_completion_ns
         completion = when_ns
         fetched = 0
         for block in range(first, last + 1):
@@ -99,16 +132,33 @@ class MemoryAccessInterface:
                     if tracked > completion:
                         completion = tracked
                     continue
-            block_done = access(when_ns, block * block_bytes, block_bytes, False)
+            channel = block * block_bytes // granularity % channels
+            if lanes is None:
+                start = free[channel]
+                if when_ns >= start:
+                    start = when_ns
+                free[channel] = start + occupancy
+            else:
+                start = lanes[channel].schedule(when_ns, occupancy)
+            block_done = start + occupancy + latency
+            busy += occupancy
+            if block_done > latest:
+                latest = block_done
             block_done += detour_ns
             fetched += 1
             entries[block] = block_done
-            entries.move_to_end(block)
+            if not coalescing:
+                entries.move_to_end(block)
             if len(entries) > capacity:
                 entries.popitem(last=False)
             if block_done > completion:
                 completion = block_done
-        stats.blocks_read += fetched
+        if fetched:
+            dram_stats.accesses += fetched
+            dram_stats.busy_time_ns = busy
+            dram_stats.read_bytes += fetched * block_bytes
+            dram_stats.last_completion_ns = latest
+            stats.blocks_read += fetched
         stats.coalesced_blocks += last + 1 - first - fetched
         return completion
 
@@ -120,24 +170,54 @@ class MemoryAccessInterface:
             raise SimulationError(f"access length must be positive, got {length}")
         stats = self.stats
         stats.write_requests += 1
-        when_ns += self.tlb.translate(address)
+        tlb = self.tlb
+        if address // tlb.page_bytes == tlb.mru_page:
+            # A repeat of the most-recently-used page: a hit that moves
+            # nothing in the TLB's LRU.
+            tlb.hits += 1
+        else:
+            when_ns += tlb.translate(address)
+        if when_ns < 0:
+            raise SimulationError(f"issue time must be non-negative, got {when_ns}")
         block_bytes = self.block_bytes
         first = address // block_bytes
         last = (address + length - 1) // block_bytes
         entries = self._entries
         capacity = self.config.mai_entries
-        access = self.dram.access
+        dram = self.dram
+        free = dram.channel_free_ns
+        lanes = dram.interval_channels
+        granularity, channels, occupancy, latency = self._channel_geometry
+        dram_stats = dram.stats
+        busy = dram_stats.busy_time_ns
+        latest = dram_stats.last_completion_ns
         drain = self.last_drain_ns
         for block in range(first, last + 1):
-            done = access(when_ns, block * block_bytes, block_bytes, True)
+            channel = block * block_bytes // granularity % channels
+            if lanes is None:
+                start = free[channel]
+                if when_ns >= start:
+                    start = when_ns
+                free[channel] = start + occupancy
+            else:
+                start = lanes[channel].schedule(when_ns, occupancy)
+            done = start + occupancy + latency
+            busy += occupancy
+            if done > latest:
+                latest = done
             entries[block] = done
             entries.move_to_end(block)
             if len(entries) > capacity:
                 entries.popitem(last=False)
             if done > drain:
                 drain = done
+        blocks = last + 1 - first
+        dram_stats.accesses += blocks
+        dram_stats.busy_time_ns = busy
+        dram_stats.write_bytes += blocks * block_bytes
+        dram_stats.last_completion_ns = latest
         self.last_drain_ns = drain
-        stats.blocks_written += last + 1 - first
+        stats.blocks_written += blocks
         return when_ns + 1.0  # one cycle to enqueue into the MAI
 
     # -- atomic read-modify-write ------------------------------------------------------

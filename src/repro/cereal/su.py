@@ -23,6 +23,13 @@ order its internal reference queue discovers it (breadth-first):
 With ``pipelined=False`` ("Cereal Vanilla", Figure 10) the stages do not
 overlap across objects: each object's full HM→OMM→OH→RAW chain completes
 before the next encounter starts.
+
+:meth:`SerializationUnit.run` times an operation in one loop over the
+workload's reference-queue pops. The three 64 B write-combining output
+buffers are running byte counts in that loop, and the stage hand-offs are
+comparisons with ``max``'s tie order; the MAI calls are the only calls
+per item. The per-push buffer objects are the oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -82,30 +89,6 @@ class SUResult:
             + self.reference_bytes_written
             + self.bitmap_bytes_written
         )
-
-
-class _BufferedStore:
-    """64 B write-combining buffer in front of the MAI (posted stores)."""
-
-    def __init__(self, mai: MemoryAccessInterface, base: int):
-        self.mai = mai
-        self.base = base
-        self.pending = 0
-        self.total = 0
-
-    def push(self, when_ns: float, nbytes: int) -> None:
-        self.pending += nbytes
-        self.total += nbytes
-        while self.pending >= _STORE_BYTES:
-            self.mai.write(
-                when_ns, self.base + self.total - self.pending, _STORE_BYTES
-            )
-            self.pending -= _STORE_BYTES
-
-    def flush(self, when_ns: float) -> None:
-        if self.pending:
-            self.mai.write(when_ns, self.base + self.total - self.pending, self.pending)
-            self.pending = 0
 
 
 @dataclass
@@ -215,22 +198,31 @@ class SerializationUnit:
         when its target was popped before. A new object's header is read
         once, for the Section V-E header-extension mechanism: a header
         claimed by a *different* unit in the current counter epoch belongs
-        to a concurrent operation whose stream this one cannot reference, so that object takes the software-fallback
-        path (thread-local hash table), which costs extra time but stays
-        functionally identical. Any other header is claimed by writing
-        ``serialization_counter``, this unit's ID and the relative address;
+        to a concurrent operation whose stream this one cannot reference,
+        so that object takes the software-fallback path (thread-local hash
+        table), which costs extra time but stays functionally identical.
+        Any other header is claimed by writing ``serialization_counter``,
+        this unit's ID and the relative address;
         a claim this unit left in an earlier, finished operation is stale.
         """
         pipelined = self.config.pipelined
+        mai = self.mai
+        mai_read = mai.read
+        mai_write = mai.write
+        atomic_rmw = mai.atomic_rmw
+        klass_lookup = self.klass_table.lookup
 
-        value_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _VALUE_REGION)
-        ref_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _REF_REGION)
-        bitmap_store = _BufferedStore(self.mai, OUTPUT_REGION_BASE + _BITMAP_REGION)
+        # The three 64 B write-combining buffers as running (pending,
+        # total) byte counts: a push posts one MAI write for every full
+        # 64 B it completes, at the push's time.
+        value_base = OUTPUT_REGION_BASE + _VALUE_REGION
+        ref_base = OUTPUT_REGION_BASE + _REF_REGION
+        bitmap_base = OUTPUT_REGION_BASE + _BITMAP_REGION
+        value_pending = value_total = 0
+        ref_pending = ref_total = 0
+        bitmap_pending = bitmap_total = 0
 
-        hm_free = start_ns
-        omm_free = start_ns
-        oh_free = start_ns
-        raw_free = start_ns
+        hm_free = omm_free = oh_free = raw_free = start_ns
         counter_ready = start_ns  # serialized-size counter availability
 
         heap_objects = workload.objects
@@ -251,22 +243,30 @@ class SerializationUnit:
         fallback_objects = 0
         serialized_size = 0  # the HM's running relative-address counter
         own_unit = self.unit_id + 1
-        mai_read = self.mai.read
-        atomic_rmw = self.mai.atomic_rmw
-        klass_lookup = self.klass_table.lookup
         raw_cycle = 1.0 / _RAW_ITEMS_PER_CYCLE
 
+        # Every stage hand-off is ``max(a, b)`` written as a comparison
+        # that keeps ``a`` unless ``b`` is strictly larger, as max does.
         for target, enqueuer in zip(workload.targets, workload.enqueuers):
             address = addresses[target]
 
             # -- header manager: read and inspect the (extended) header.
-            hm_start = max(hm_free, queued_ns[enqueuer])
+            hm_start = queued_ns[enqueuer]
+            if not hm_start > hm_free:
+                hm_start = hm_free
             header_done = mai_read(hm_start, address, 16)
             if target < objects:
                 # Relative address already in the header: forward to RAW.
                 hm_free = header_done + _HM_CYCLE_NS
-                raw_free = max(raw_free, header_done) + raw_cycle
-                ref_store.push(raw_free, packed_ref_bytes[target])
+                if header_done > raw_free:
+                    raw_free = header_done
+                raw_free += raw_cycle
+                ref_pending += packed_ref_bytes[target]
+                ref_total += packed_ref_bytes[target]
+                while ref_pending >= _STORE_BYTES:
+                    mai_write(raw_free, ref_base + ref_total - ref_pending,
+                              _STORE_BYTES)
+                    ref_pending -= _STORE_BYTES
                 continue
             objects += 1
             total_slots = all_total_slots[target]
@@ -274,8 +274,11 @@ class SerializationUnit:
 
             # New object: assigning its relative address needs the size
             # counter, which the OMM updates for the previous new object.
-            assign_ns = max(header_done, counter_ready)
-            stalls += max(0.0, counter_ready - header_done)
+            if counter_ready > header_done:
+                assign_ns = counter_ready
+                stalls += counter_ready - header_done
+            else:
+                assign_ns = header_done
             obj = heap_objects[target]
             counter, unit = obj.serialization_claim()
             if counter == serialization_counter and unit != own_unit:
@@ -293,43 +296,66 @@ class SerializationUnit:
                 atomic_rmw(assign_ns, address + 16, 8)
             serialized_size += size_bytes
             hm_free = assign_ns + _HM_CYCLE_NS
-            raw_free = max(raw_free, assign_ns) + raw_cycle
-            ref_store.push(raw_free, packed_ref_bytes[target])
+            if assign_ns > raw_free:
+                raw_free = assign_ns
+            raw_free += raw_cycle
+            ref_pending += packed_ref_bytes[target]
+            ref_total += packed_ref_bytes[target]
+            while ref_pending >= _STORE_BYTES:
+                mai_write(raw_free, ref_base + ref_total - ref_pending, _STORE_BYTES)
+                ref_pending -= _STORE_BYTES
 
             # -- object metadata manager: fetch klass metadata, make bitmap.
             metaspace_address = metaspace_addresses[target]
-            omm_start = max(omm_free, assign_ns)
+            if assign_ns > omm_free:
+                omm_free = assign_ns
             metadata_done = mai_read(
-                omm_start, metaspace_address, _KLASS_METADATA_BYTES
+                omm_free, metaspace_address, _KLASS_METADATA_BYTES
             )
             counter_ready = metadata_done + 1.0
-            bitmap_cycles = (
+            omm_free = metadata_done + (
                 total_slots + _OMM_BITMAP_BITS_PER_CYCLE - 1
             ) // _OMM_BITMAP_BITS_PER_CYCLE
-            omm_free = metadata_done + bitmap_cycles
             # Packed layout bitmap: one bit per slot plus the end bit.
-            bitmap_store.push(omm_free, (total_slots + 1 + 7) // 8)
+            bitmap_pending += (total_slots + 1 + 7) // 8
+            bitmap_total += (total_slots + 1 + 7) // 8
+            while bitmap_pending >= _STORE_BYTES:
+                mai_write(omm_free, bitmap_base + bitmap_total - bitmap_pending,
+                          _STORE_BYTES)
+                bitmap_pending -= _STORE_BYTES
 
             # -- object handler: load the object, split values/references.
-            oh_start = max(oh_free, metadata_done)
-            load_done = mai_read(oh_start, address, size_bytes)
+            if metadata_done > oh_free:
+                oh_free = metadata_done
+            load_done = mai_read(oh_free, address, size_bytes)
             heap_bytes_read += size_bytes
-            extract_ns = total_slots / _OH_SLOTS_PER_CYCLE
-            oh_done = max(oh_start, load_done) + extract_ns
+            if load_done > oh_free:
+                oh_free = load_done
+            oh_free += total_slots / _OH_SLOTS_PER_CYCLE
             # Klass pointer -> class ID CAM lookup (single cycle).
             klass_lookup(metaspace_address)
-            oh_done += 1.0
-            oh_free = oh_done
-            queued_ns[target] = oh_done
+            oh_free += 1.0
+            queued_ns[target] = oh_free
 
-            value_store.push(
-                oh_done, (total_slots - all_reference_slots[target]) * 8
-            )
+            value_bytes = (total_slots - all_reference_slots[target]) * 8
+            value_pending += value_bytes
+            value_total += value_bytes
+            while value_pending >= _STORE_BYTES:
+                mai_write(oh_free, value_base + value_total - value_pending,
+                          _STORE_BYTES)
+                value_pending -= _STORE_BYTES
             nulls = all_null_references[target]
             null_references += nulls
             for _ in range(nulls):
-                raw_free = max(raw_free, oh_done) + raw_cycle
-                ref_store.push(raw_free, 1)  # packed null: 1 bucket
+                if oh_free > raw_free:
+                    raw_free = oh_free
+                raw_free += raw_cycle
+                ref_pending += 1  # packed null: 1 bucket
+                ref_total += 1
+                if ref_pending >= _STORE_BYTES:
+                    mai_write(raw_free, ref_base + ref_total - ref_pending,
+                              _STORE_BYTES)
+                    ref_pending -= _STORE_BYTES
 
             if not pipelined:
                 # Cereal Vanilla: full per-object chain, no stage overlap.
@@ -337,14 +363,17 @@ class SerializationUnit:
                 hm_free = omm_free = oh_free = raw_free = barrier
 
         finish = max(hm_free, omm_free, oh_free, raw_free)
-        value_store.flush(finish)
-        ref_store.flush(finish)
-        bitmap_store.flush(finish)
+        if value_pending:
+            mai_write(finish, value_base + value_total - value_pending, value_pending)
+        if ref_pending:
+            mai_write(finish, ref_base + ref_total - ref_pending, ref_pending)
+        if bitmap_pending:
+            mai_write(finish, bitmap_base + bitmap_total - bitmap_pending,
+                      bitmap_pending)
         # End maps for the two packed structures (1 bit per packed byte).
-        end_map_bytes = (ref_store.total + 7) // 8 + (bitmap_store.total + 7) // 8
-        self.mai.write(finish, OUTPUT_REGION_BASE + _REF_REGION + ref_store.total,
-                       max(1, end_map_bytes))
-        finish = self.mai.drain(finish)
+        end_map_bytes = (ref_total + 7) // 8 + (bitmap_total + 7) // 8
+        mai_write(finish, ref_base + ref_total, max(1, end_map_bytes))
+        finish = mai.drain(finish)
 
         return SUResult(
             start_ns=start_ns,
@@ -353,9 +382,10 @@ class SerializationUnit:
             encounters=len(workload.targets),
             null_references=null_references,
             heap_bytes_read=heap_bytes_read,
-            value_bytes_written=value_store.total,
-            reference_bytes_written=ref_store.total + end_map_bytes,
-            bitmap_bytes_written=bitmap_store.total,
+            value_bytes_written=value_total,
+            reference_bytes_written=ref_total + end_map_bytes,
+            bitmap_bytes_written=bitmap_total,
             stalls_on_counter_ns=stalls,
             fallback_objects=fallback_objects,
         )
+

@@ -4,12 +4,15 @@ Cereal assumes 1 GB huge pages; with a 128-entry TLB and a 128 GB physical
 memory there are effectively no misses on the evaluated system, but the
 model still tracks hits/misses and charges a page-walk penalty so larger
 memories (or smaller pages, for ablations) behave sensibly. Replacement is
-LRU.
+LRU. :attr:`TLB.mru_page` is the page the last translation touched, which
+sits at the LRU's most-recent end: a repeat translation of it is a hit
+that moves nothing, which the MAI counts without the call.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Optional
 
 from repro.common.errors import SimulationError
 
@@ -33,12 +36,14 @@ class TLB:
         self.entries = entries
         self.page_bytes = page_bytes
         self._pages: OrderedDict[int, None] = OrderedDict()
+        self.mru_page: Optional[int] = None
         self.hits = 0
         self.misses = 0
 
     def translate(self, address: int) -> float:
         """Translate ``address``; returns the added latency in nanoseconds."""
         page = address // self.page_bytes
+        self.mru_page = page
         if page in self._pages:
             self._pages.move_to_end(page)
             self.hits += 1

@@ -17,6 +17,12 @@ stride could hammer one. Each channel is modelled as a single server with a
 which reproduces both the unloaded latency and the bandwidth ceiling that
 the accelerator saturates (Figures 11 and 15).
 
+:class:`DRAMModel` holds the channel state and :class:`DRAMStats`; the
+accelerator's MAI (:mod:`repro.cereal.mai`), the model's only requester,
+steps a channel inline for each 32 B block it fetches or writes. The
+per-access ``access`` method it replaced is the oracle in
+``tests/oracles.py``.
+
 One deliberate simplification: each channel tracks a single ``next free``
 time, so an access issued with an *earlier* timestamp than a previously
 scheduled one queues behind it rather than slotting into an earlier gap.
@@ -43,7 +49,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.config import DRAMConfig
-from repro.common.errors import SimulationError
 
 # Most runs one block of an interval channel holds before it splits.
 BLOCK_RUNS = 512
@@ -202,8 +207,10 @@ class DRAMModel:
     ):
         self.config = config or DRAMConfig()
         self.out_of_order = out_of_order
-        self._channel_free_ns: List[float] = [0.0] * self.config.channels
-        self._interval_channels: Optional[List[_IntervalChannel]] = (
+        # Per channel: the in-order "next free" time, or (out of order) the
+        # interval schedule. Requesters step these directly.
+        self.channel_free_ns: List[float] = [0.0] * self.config.channels
+        self.interval_channels: Optional[List[_IntervalChannel]] = (
             [_IntervalChannel() for _ in range(self.config.channels)]
             if out_of_order
             else None
@@ -211,53 +218,13 @@ class DRAMModel:
         self.stats = DRAMStats()
 
     def reset(self) -> None:
-        self._channel_free_ns = [0.0] * self.config.channels
+        self.channel_free_ns = [0.0] * self.config.channels
         if self.out_of_order:
-            self._interval_channels = [
+            self.interval_channels = [
                 _IntervalChannel() for _ in range(self.config.channels)
             ]
         self.stats = DRAMStats()
 
-    # -- address mapping ---------------------------------------------------------
-
     def occupancy_ns(self, length: int) -> float:
         """Channel busy time to move ``length`` bytes."""
         return length / self.config.channel_bandwidth_bytes_per_sec * 1e9
-
-    # -- timing ---------------------------------------------------------------------
-
-    def access(
-        self, issue_ns: float, address: int, length: int, is_write: bool
-    ) -> float:
-        """Issue one access; returns its completion time in nanoseconds.
-
-        ``length`` is typically one access granule (64 B); longer accesses are
-        allowed and simply occupy the channel proportionally longer.
-        """
-        if length <= 0:
-            raise SimulationError(f"access length must be positive, got {length}")
-        if issue_ns < 0:
-            raise SimulationError(f"issue time must be non-negative, got {issue_ns}")
-        config = self.config
-        # Line-interleaved channel and occupancy_ns(), inlined: this runs
-        # once per block.
-        channel = (address // config.access_granularity_bytes) % config.channels
-        occupancy = length / config.channel_bandwidth_bytes_per_sec * 1e9
-        if self._interval_channels is not None:
-            start = self._interval_channels[channel].schedule(issue_ns, occupancy)
-        else:
-            free = self._channel_free_ns[channel]
-            start = issue_ns if issue_ns >= free else free
-            self._channel_free_ns[channel] = start + occupancy
-        completion = start + occupancy + config.zero_load_latency_ns
-
-        stats = self.stats
-        stats.accesses += 1
-        stats.busy_time_ns += occupancy
-        if is_write:
-            stats.write_bytes += length
-        else:
-            stats.read_bytes += length
-        if completion > stats.last_completion_ns:
-            stats.last_completion_ns = completion
-        return completion

@@ -11,6 +11,7 @@ from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.tables import ClassIDTable, KlassPointerTable
 from repro.cereal.tlb import TLB
 from repro.memory.dram import DRAMModel
+from tests.oracles import OracleMAI
 
 
 class TestKlassPointerTable:
@@ -187,59 +188,6 @@ class TestMAI:
         )
 
 
-class _PerBlockMAI(MemoryAccessInterface):
-    """The MAI as it was before the per-request fold: one helper call, one
-    stats update and one LRU update per 32 B block. The oracle for the
-    folded :meth:`MemoryAccessInterface.read` / ``write``."""
-
-    def _blocks_of(self, address, length):
-        if length <= 0:
-            raise SimulationError(f"access length must be positive, got {length}")
-        first = address // self.block_bytes
-        last = (address + length - 1) // self.block_bytes
-        return range(first, last + 1)
-
-    def _track(self, block, completion):
-        self._entries[block] = completion
-        self._entries.move_to_end(block)
-        if len(self._entries) > self.config.mai_entries:
-            self._entries.popitem(last=False)
-
-    def read(self, when_ns, address, length):
-        self.stats.read_requests += 1
-        when_ns += self.tlb.translate(address)
-        completion = when_ns
-        for block in self._blocks_of(address, length):
-            tracked = self._entries.get(block) if self.coalescing else None
-            if tracked is not None:
-                self.stats.coalesced_blocks += 1
-                block_done = max(when_ns, tracked)
-            else:
-                self.stats.blocks_read += 1
-                block_done = self.dram.access(
-                    when_ns,
-                    block * self.block_bytes,
-                    self.block_bytes,
-                    is_write=False,
-                )
-                block_done += self.config.coherence_extra_read_ns
-                self._track(block, block_done)
-            completion = max(completion, block_done)
-        return completion
-
-    def write(self, when_ns, address, length):
-        self.stats.write_requests += 1
-        when_ns += self.tlb.translate(address)
-        for block in self._blocks_of(address, length):
-            self.stats.blocks_written += 1
-            done = self.dram.access(
-                when_ns, block * self.block_bytes, self.block_bytes, is_write=True
-            )
-            self._track(block, done)
-            self.last_drain_ns = max(self.last_drain_ns, done)
-        return when_ns + 1.0
-
-
 def _mai_pair(coalescing, mai_entries, out_of_order):
     def build(cls):
         config = CerealConfig(mai_entries=mai_entries)
@@ -247,7 +195,7 @@ def _mai_pair(coalescing, mai_entries, out_of_order):
         tlb = TLB(entries=4, page_bytes=4096)
         return cls(DRAMModel(out_of_order=out_of_order), config, tlb, coalescing)
 
-    return build(MemoryAccessInterface), build(_PerBlockMAI)
+    return build(MemoryAccessInterface), build(OracleMAI)
 
 
 def _random_mai_stream(rng, count):

@@ -26,7 +26,7 @@ from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits
 from repro.jvm import Heap
 from repro.memory import dram as dram_module
 from repro.memory.dram import DRAMModel, _IntervalChannel
-from tests.oracles import CerealOracle
+from tests.oracles import CerealOracle, dram_access
 from tests.test_serializers import (
     build_mixed,
     build_primitive_array,
@@ -389,17 +389,17 @@ class TestOutOfOrderDRAM:
         in_order = DRAMModel()
         out_of_order = DRAMModel(out_of_order=True)
         for dram in (in_order, out_of_order):
-            dram.access(10_000.0, 0, 64, is_write=False)  # late traffic
-        blocked = in_order.access(0.0, 0, 64, is_write=False)
-        unblocked = out_of_order.access(0.0, 0, 64, is_write=False)
+            dram_access(dram, 10_000.0, 0, 64, is_write=False)  # late traffic
+        blocked = dram_access(in_order, 0.0, 0, 64, is_write=False)
+        unblocked = dram_access(out_of_order, 0.0, 0, 64, is_write=False)
         assert blocked > 10_000.0
         assert unblocked < 100.0
 
     def test_reset_clears_intervals(self):
         dram = DRAMModel(out_of_order=True)
-        dram.access(0.0, 0, 64, is_write=False)
+        dram_access(dram, 0.0, 0, 64, is_write=False)
         dram.reset()
-        assert dram.access(0.0, 0, 64, is_write=False) < 100.0
+        assert dram_access(dram, 0.0, 0, 64, is_write=False) < 100.0
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.common.errors import HeapError
 from repro.memory import AccessKind, DRAMModel, MemorySpace, MemoryTrace
 from repro.memory.space import _PAGE_BYTES
-from tests.oracles import cache_lines
+from tests.oracles import cache_lines, dram_access
 
 
 def resident_bytes(mem):
@@ -289,14 +289,14 @@ class TestMemoryTrace:
 class TestDRAMModel:
     def test_zero_load_latency(self):
         dram = DRAMModel()
-        completion = dram.access(0.0, 0, 64, is_write=False)
+        completion = dram_access(dram, 0.0, 0, 64, is_write=False)
         expected = dram.occupancy_ns(64) + dram.config.zero_load_latency_ns
         assert completion == pytest.approx(expected)
 
     def test_channel_interleaving(self):
         dram = DRAMModel()
         channels = dram.config.channels
-        done = [dram.access(0.0, line * 64, 64, is_write=False)
+        done = [dram_access(dram, 0.0, line * 64, 64, is_write=False)
                 for line in range(2 * channels)]
         # Consecutive lines land on distinct channels and overlap; the
         # next round wraps onto the same channels and queues behind them.
@@ -306,21 +306,21 @@ class TestDRAMModel:
 
     def test_same_channel_serializes(self):
         dram = DRAMModel()
-        first = dram.access(0.0, 0, 64, is_write=False)
+        first = dram_access(dram, 0.0, 0, 64, is_write=False)
         # Same line -> same channel -> queued behind the first access.
-        second = dram.access(0.0, 0, 64, is_write=False)
+        second = dram_access(dram, 0.0, 0, 64, is_write=False)
         assert second > first
 
     def test_different_channels_overlap(self):
         dram = DRAMModel()
-        first = dram.access(0.0, 0, 64, is_write=False)
-        second = dram.access(0.0, 64, 64, is_write=False)
+        first = dram_access(dram, 0.0, 0, 64, is_write=False)
+        second = dram_access(dram, 0.0, 64, 64, is_write=False)
         assert second == pytest.approx(first)
 
     def test_stats_accumulate(self):
         dram = DRAMModel()
-        dram.access(0.0, 0, 64, is_write=False)
-        dram.access(0.0, 64, 64, is_write=True)
+        dram_access(dram, 0.0, 0, 64, is_write=False)
+        dram_access(dram, 0.0, 64, 64, is_write=True)
         assert dram.stats.read_bytes == 64
         assert dram.stats.write_bytes == 64
         assert dram.stats.accesses == 2
@@ -329,7 +329,7 @@ class TestDRAMModel:
         dram = DRAMModel()
         now = 0.0
         for i in range(1000):
-            now = dram.access(now, i * 64, 64, is_write=False)
+            now = dram_access(dram, now, i * 64, 64, is_write=False)
         util = dram.stats.bandwidth_utilization(
             dram.stats.last_completion_ns, dram.config
         )
@@ -337,6 +337,6 @@ class TestDRAMModel:
 
     def test_reset(self):
         dram = DRAMModel()
-        dram.access(0.0, 0, 64, is_write=False)
+        dram_access(dram, 0.0, 0, 64, is_write=False)
         dram.reset()
         assert dram.stats.accesses == 0

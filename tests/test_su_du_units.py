@@ -1,5 +1,6 @@
 """Direct unit tests for the SU and DU timing models (below the façade)."""
 
+import contextlib
 import dataclasses
 import random
 from collections import deque
@@ -7,14 +8,13 @@ from typing import Dict
 
 import pytest
 
-from repro.cereal import CerealAccelerator
+from repro.cereal import CerealAccelerator, DeviceSimulator
 from repro.cereal.du import (
     _LM_CHUNK_NS,
     _POPCOUNT,
     BlockDescriptor,
     DeserializationUnit,
     DUWorkload,
-    _StreamPrefetcher,
 )
 from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.su import (
@@ -31,9 +31,9 @@ from repro.cereal.su import (
     SerializationUnit,
     SUResult,
     SUWorkload,
-    _BufferedStore,
 )
 from repro.cereal.tables import ClassIDTable, KlassPointerTable
+from repro.cereal.tlb import TLB
 from repro.common.bitstream import word_to_bits
 from repro.common.config import CerealConfig
 from repro.common.errors import SimulationError
@@ -46,7 +46,14 @@ from repro.jvm.klass import HEADER_SLOTS, SLOT_BYTES, FieldKind
 from repro.memory.dram import DRAMModel
 from repro.workloads import MICROBENCH_CONFIGS
 from repro.workloads.micro import _BUILDERS, register_micro_klasses
-from tests.oracles import significant_bits
+from tests.oracles import (
+    BufferedStore,
+    OracleMAI,
+    StreamPrefetcher,
+    oracle_du_run,
+    oracle_su_run,
+    significant_bits,
+)
 from tests.test_serializers import (
     build_mixed,
     build_primitive_array,
@@ -100,7 +107,7 @@ class TestUnitRates:
 class TestBufferedStore:
     def test_writes_in_64b_chunks(self):
         mai = MemoryAccessInterface(DRAMModel(), CerealConfig())
-        store = _BufferedStore(mai, 0x1000)
+        store = BufferedStore(mai, 0x1000)
         store.push(0.0, 40)
         assert mai.stats.write_requests == 0  # below the 64 B threshold
         store.push(0.0, 40)
@@ -109,7 +116,7 @@ class TestBufferedStore:
 
     def test_flush_drains_partial(self):
         mai = MemoryAccessInterface(DRAMModel(), CerealConfig())
-        store = _BufferedStore(mai, 0x1000)
+        store = BufferedStore(mai, 0x1000)
         store.push(0.0, 10)
         store.flush(0.0)
         assert store.pending == 0
@@ -117,7 +124,7 @@ class TestBufferedStore:
 
     def test_total_accumulates(self):
         mai = MemoryAccessInterface(DRAMModel(), CerealConfig())
-        store = _BufferedStore(mai, 0x1000)
+        store = BufferedStore(mai, 0x1000)
         store.push(0.0, 100)
         store.push(0.0, 100)
         assert store.total == 200
@@ -159,7 +166,7 @@ class TestSerializationUnit:
 class TestStreamPrefetcher:
     def make(self, length, depth=8, start=0.0):
         mai = MemoryAccessInterface(DRAMModel(), CerealConfig())
-        return _StreamPrefetcher(mai, 0x1000_0000, length, start, depth)
+        return StreamPrefetcher(mai, 0x1000_0000, length, start, depth)
 
     def test_zero_position_is_free(self):
         prefetcher = self.make(1024)
@@ -431,9 +438,9 @@ def _oracle_su_run(
     pipelined = su.config.pipelined
     heap = root.heap
 
-    value_store = _BufferedStore(su.mai, output_base + _VALUE_REGION)
-    ref_store = _BufferedStore(su.mai, output_base + _REF_REGION)
-    bitmap_store = _BufferedStore(su.mai, output_base + _BITMAP_REGION)
+    value_store = BufferedStore(su.mai, output_base + _VALUE_REGION)
+    ref_store = BufferedStore(su.mai, output_base + _REF_REGION)
+    bitmap_store = BufferedStore(su.mai, output_base + _BITMAP_REGION)
 
     hm_free = start_ns
     omm_free = start_ns
@@ -833,3 +840,159 @@ class TestSUConcurrentOracle:
         assert oracle[8]["result"].objects == 1
         assert new[8]["result"].objects == 16
         assert new[8]["result"].fallback_objects == 0
+
+
+# -- the unit loops against their per-call oracles ------------------------------
+
+
+def _unit_outcome(unit, result):
+    """Everything one SU or DU run models or leaves behind in its MAI,
+    TLB, DRAM and lookup table."""
+    mai = unit.mai
+    table = unit.klass_table if isinstance(unit, SerializationUnit) else (
+        unit.class_id_table
+    )
+    return {
+        "result": result,
+        "mai": dataclasses.replace(mai.stats),
+        "tracker": list(mai._entries.items()),
+        "drain": mai.last_drain_ns,
+        "tlb": (mai.tlb.hits, mai.tlb.misses, list(mai.tlb._pages)),
+        "dram": dataclasses.replace(mai.dram.stats),
+        "channels": list(mai.dram.channel_free_ns),
+        "lookups": table.lookups,
+    }
+
+
+@contextlib.contextmanager
+def _unit_runs(monkeypatch, oracle):
+    """Record the outcome of every SU and DU run as it returns. With
+    ``oracle`` the per-call forms run: per-push store buffers, per-call
+    stream loaders, a ``TLB.translate`` per MAI request and a DRAM access
+    per 32 B block."""
+    outcomes = []
+
+    def recording(run):
+        def record(unit, *args, **kwargs):
+            result = run(unit, *args, **kwargs)
+            outcomes.append(_unit_outcome(unit, result))
+            return result
+
+        return record
+
+    with monkeypatch.context() as patch:
+        if oracle:
+            patch.setattr(SerializationUnit, "run", recording(oracle_su_run))
+            patch.setattr(DeserializationUnit, "run", recording(oracle_du_run))
+            patch.setattr(MemoryAccessInterface, "read", OracleMAI.read)
+            patch.setattr(MemoryAccessInterface, "write", OracleMAI.write)
+        else:
+            patch.setattr(SerializationUnit, "run", recording(SerializationUnit.run))
+            patch.setattr(DeserializationUnit, "run",
+                          recording(DeserializationUnit.run))
+        yield outcomes
+
+
+def _both(monkeypatch, scenario):
+    """``scenario()``'s return value and unit outcomes through the unit
+    loops and through the oracles; asserts they are identical."""
+    runs = []
+    for oracle in (True, False):
+        with _unit_runs(monkeypatch, oracle) as outcomes:
+            runs.append((scenario(), outcomes))
+    (oracle_value, oracle_units), (value, units) = runs
+    assert len(units) == len(oracle_units)
+    for index, (got, want) in enumerate(zip(units, oracle_units)):
+        for key in want:
+            assert got[key] == want[key], (index, key)
+    assert value == oracle_value
+    return value, units
+
+
+def _accelerator(registry, config=None):
+    """A fresh device, so lookup counts start at zero in every scenario."""
+    accelerator = CerealAccelerator(config)
+    for klass in registry:
+        accelerator.register_class(klass)
+    return accelerator
+
+
+class TestUnitLoopsMatchPerCallOracles:
+    """SU, DU and MAI loops equal their per-call forms in every output."""
+
+    @pytest.mark.parametrize("detour", [0.0, 25.0], ids=["clean", "detour"])
+    @pytest.mark.parametrize("coalescing", [True, False], ids=["coalesce", "no-coalesce"])
+    @pytest.mark.parametrize("vanilla", [False, True], ids=["pipelined", "vanilla"])
+    @pytest.mark.parametrize("name", sorted(MICROBENCH_CONFIGS))
+    def test_table_ii_graphs(self, monkeypatch, name, vanilla, coalescing, detour):
+        config = CerealConfig(coherence_extra_read_ns=detour)
+        if vanilla:
+            config = config.vanilla()
+        registry = _micro_registry()
+
+        def scenario():
+            accelerator = _accelerator(registry, config)
+            heap = Heap(registry=registry)
+            root = _miniature(name)(heap)
+            stream = accelerator.codec.serialize(root).stream
+            workload = DUWorkload.from_stream_sections(
+                CerealSerializer.decode_sections(stream)
+            )
+
+            def mai():
+                # 4 KiB pages in 4 entries: misses and evictions occur.
+                tlb = TLB(entries=4, page_bytes=4096)
+                return MemoryAccessInterface(DRAMModel(), config, tlb, coalescing)
+
+            su = SerializationUnit(mai(), accelerator.klass_pointer_table, config)
+            su.run(SUWorkload.from_root(root),
+                   serialization_counter=heap.next_serialization_epoch())
+            du = DeserializationUnit(mai(), accelerator.class_id_table, config)
+            du.run(workload, destination_base=root.address, start_ns=3.5)
+
+        _, (su_outcome, du_outcome) = _both(monkeypatch, scenario)
+        assert su_outcome["tlb"][1] > 4  # the TLB evicted
+        if coalescing:
+            assert su_outcome["mai"].coalesced_blocks > 0
+        assert du_outcome["lookups"] > 0
+
+    def test_shared_object_fallback(self, monkeypatch):
+        registry = make_registry()
+        roots_for = _roots_sharing_tree(3, depth=4)
+
+        def scenario():
+            accelerator = _accelerator(registry)
+            heap = Heap(registry=registry)
+            return [timing for _, timing, _ in
+                    accelerator.serialize_concurrent(roots_for(heap))]
+
+        _, units = _both(monkeypatch, scenario)
+        assert [unit["result"].fallback_objects for unit in units] == [0, 31, 31]
+
+    @pytest.mark.parametrize("kind", ["serialize", "deserialize"])
+    def test_eight_unit_device_batch(self, monkeypatch, kind):
+        """Eight units on one interval-scheduled DRAM, as a device batch."""
+        registry = _micro_registry()
+        names = sorted(MICROBENCH_CONFIGS)
+
+        def scenario():
+            accelerator = _accelerator(registry)
+            heap = Heap(registry=registry)
+            roots = [_miniature(name)(heap) for name in names + names[:2]]
+            if kind == "serialize":
+                requests = [("serialize", root) for root in roots]
+            else:
+                requests = [
+                    ("deserialize", accelerator.codec.serialize(root).stream,
+                     Heap(registry=registry))
+                    for root in roots
+                ]
+            run = DeviceSimulator(accelerator).run(requests)
+            return run.wall_time_ns, run.dram_bytes, [
+                (op.kind, op.unit_index, op.start_ns, op.finish_ns, op.graph_bytes)
+                for op in run.operations
+            ]
+
+        _, units = _both(monkeypatch, scenario)
+        assert len(units) == 8
+        assert len({unit["result"].start_ns for unit in units}) == 1
