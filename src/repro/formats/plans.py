@@ -896,6 +896,9 @@ def decode_walk(
     ``(array length, pos)``. ``kind_errors`` holds the messages for an
     array tag naming an instance class and the reverse. Every allocated
     object is appended to ``handles``, the format's back-reference table.
+    Each new object's depth (the root's is 1) is checked against
+    ``limits.max_depth`` before it is parsed, whether or not it has
+    reference children.
 
     Field values accumulate into a slot-word list, packed by the plan's
     ``pack_words`` and committed with one ``write`` per object, preserving
@@ -1076,6 +1079,8 @@ def decode_walk(
                     break
                 pos, plan, target, is_array = content(pos)
                 if plan is not None:
+                    if len(stack) >= max_depth:
+                        limits.check_depth(len(stack) + 1)
                     target, descend = new_object(plan, target, is_array)
                     if descend is not None:
                         break
@@ -1099,6 +1104,8 @@ def decode_walk(
             while index < count:
                 pos, plan, target, is_array = content(pos)
                 if plan is not None:
+                    if len(stack) >= max_depth:
+                        limits.check_depth(len(stack) + 1)
                     target, descend = new_object(plan, target, is_array)
                     if descend is not None:
                         break
@@ -1110,8 +1117,6 @@ def decode_walk(
                 stack.pop()
                 pending = obj
         if descend is not None:
-            if len(stack) >= max_depth:
-                limits.check_depth(len(stack) + 1)
             stack.append(descend)
 
     profile = WorkProfile()

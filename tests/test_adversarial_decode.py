@@ -17,7 +17,7 @@ from repro.common.errors import (
     TruncatedStreamError,
     UnknownClassError,
 )
-from repro.formats import ClassRegistration, KryoSerializer
+from repro.formats import ClassRegistration, JavaSerializer, KryoSerializer
 from repro.formats.adversarial import (
     as_stream,
     build_corpus,
@@ -45,7 +45,7 @@ from repro.jvm import (
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.workloads.micro import build_microbench, register_micro_klasses
-from tests.oracles import KryoOracle
+from tests.oracles import JavaOracle, KryoOracle
 
 GOLDEN_SEEDS = (0xC0FFEE, 1, 2024)
 
@@ -339,3 +339,64 @@ class TestKryoIntRange:
             self.stream(target, value), Heap(registry=registry)
         ).root
         assert (root.get("x") if target == "field" else root.get_element(0)) == value
+
+
+def _chain_with_leaf(leaf):
+    """``Node(next) -> Node(next) -> leaf`` on a fresh heap: the leaf is a
+    reference-free ``Leaf(v long)``, an empty ``long[]``, a ``long[3]`` or
+    an empty ``Object[]``. Returns ``(heap, root, registration)``."""
+    registry = KlassRegistry()
+    registry.register(InstanceKlass("Node", [FieldDescriptor("next", FieldKind.REFERENCE)]))
+    registry.register(InstanceKlass("Leaf", [FieldDescriptor("v", FieldKind.LONG)]))
+    heap = Heap(registry=registry)
+    if leaf == "instance":
+        end = heap.new_instance("Leaf")
+        end.set("v", 42)
+    elif leaf == "empty-array":
+        end = heap.new_array(FieldKind.LONG, 0)
+    elif leaf == "long-array":
+        end = heap.new_array(FieldKind.LONG, 3)
+        end.set_element(1, 7)
+    else:
+        end = heap.new_array(FieldKind.REFERENCE, 0)
+    middle = heap.new_instance("Node")
+    middle.set("next", end)
+    root = heap.new_instance("Node")
+    root.set("next", middle)
+    registration = ClassRegistration()
+    for klass in registry:
+        registration.register(klass)
+    return heap, root, registration
+
+
+class TestDepthOfReferenceFreeObjects:
+    """A leaf with no reference children one level past ``max_depth`` is
+    rejected as the oracles reject it, before it is allocated."""
+
+    @pytest.mark.parametrize("leaf", ["instance", "empty-array", "long-array",
+                                      "empty-reference-array"])
+    @pytest.mark.parametrize("fmt", ["kryo", "java-builtin"])
+    def test_leaf_past_the_limit(self, fmt, leaf):
+        heap, root, registration = _chain_with_leaf(leaf)
+        if fmt == "kryo":
+            product, oracle = KryoSerializer(registration), KryoOracle(registration)
+        else:
+            product, oracle = JavaSerializer(), JavaOracle()
+        stream = product.serialize(root).stream
+        errors = []
+        for serializer in (oracle, product):
+            target = Heap(registry=heap.registry)
+            before = heap_state(target)
+            with pytest.raises(ResourceLimitError) as exc:
+                serializer.deserialize(stream, target, limits=DecodeLimits(max_depth=2))
+            errors.append(str(exc.value))
+            # Nothing past the second object was allocated.
+            assert heap_state(target)[1] == before[1] + 2
+        assert errors[0] == errors[1] == (
+            "decode budget exceeded: depth of 3 over limit 2"
+        )
+        for serializer in (oracle, product):
+            result = serializer.deserialize(
+                stream, Heap(registry=heap.registry), limits=DecodeLimits(max_depth=3)
+            )
+            assert result.profile.objects == 3
