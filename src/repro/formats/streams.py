@@ -176,15 +176,6 @@ class StreamWriter:
     def write_u64(self, value: int, section: str) -> None:
         self.write_bytes(struct.pack("<Q", value), section)
 
-    def write_i32(self, value: int, section: str) -> None:
-        self.write_bytes(struct.pack("<i", value), section)
-
-    def write_i64(self, value: int, section: str) -> None:
-        self.write_bytes(struct.pack("<q", value), section)
-
-    def write_f64(self, value: float, section: str) -> None:
-        self.write_bytes(struct.pack("<d", value), section)
-
     # -- varints -----------------------------------------------------------------------
 
     def write_varint(self, value: int, section: str) -> int:
@@ -279,23 +270,10 @@ class StreamReader:
         self._pos += count * 8
         return words
 
-    def read_i32(self) -> int:
-        return struct.unpack("<i", self._take(4))[0]
-
-    def read_i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
-
-    def read_f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
     # -- varints ----------------------------------------------------------------------------
 
     def read_varint(self) -> int:
         value, self._pos = V.read_varint(self._data, self._pos)
-        return value
-
-    def read_signed_varint(self) -> int:
-        value, self._pos = V.read_signed_varint(self._data, self._pos)
         return value
 
     # -- strings ------------------------------------------------------------------------------

@@ -32,15 +32,6 @@ class ReflectionCost:
     field_reads: int = 0
     field_writes: int = 0
 
-    def merge(self, other: "ReflectionCost") -> None:
-        self.method_invocations += other.method_invocations
-        self.string_comparisons += other.string_comparisons
-        self.characters_compared += other.characters_compared
-        self.hash_lookups += other.hash_lookups
-        self.indexed_accesses += other.indexed_accesses
-        self.field_reads += other.field_reads
-        self.field_writes += other.field_writes
-
     def estimated_instructions(self) -> int:
         """Rough x86 instruction estimate for the accounted reflection work.
 

@@ -86,15 +86,6 @@ class TimeBreakdown:
         else:
             self.deserialize_ns += op.time_ns
 
-    def merge(self, other: "TimeBreakdown") -> None:
-        self.compute_ns += other.compute_ns
-        self.gc_ns += other.gc_ns
-        self.io_ns += other.io_ns
-        self.serialize_ns += other.serialize_ns
-        self.deserialize_ns += other.deserialize_ns
-        self.retry_ns += other.retry_ns
-        self.operations.extend(other.operations)
-
     @property
     def fallback_count(self) -> int:
         """Operations the accelerator handed to the software fallback."""

@@ -68,13 +68,6 @@ class TestTimeBreakdown:
         assert _count(breakdown, "serialize") == 1
         assert _count(breakdown, "deserialize") == 1
 
-    def test_merge(self):
-        a = TimeBreakdown(compute_ns=1)
-        b = TimeBreakdown(io_ns=2)
-        b.add_operation(SDOperation("serialize", "shuffle", 3, 1, 1, 1))
-        a.merge(b)
-        assert a.total_ns == pytest.approx(6)
-
     def test_empty_fractions(self):
         assert TimeBreakdown().fractions()["sd"] == 0.0
 

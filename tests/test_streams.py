@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from repro.common.errors import FormatError, TruncatedStreamError
 from repro.formats.streams import StreamReader, StreamWriter
-from tests.oracles import OracleWriter
+from tests.oracles import OracleReader, OracleWriter
 
 
 class TestWriterSections:
     def test_sections_accumulate(self):
         writer = StreamWriter()
-        writer.write_i32(1, "header")
-        writer.write_i32(2, "header")
+        writer.write_bytes(b"\x01\x00\x00\x00", "header")
+        writer.write_u16(2, "header")
+        writer.write_u16(3, "header")
         writer.write_u8(3, "data")
         assert writer.sections == {"header": 8, "data": 1}
         assert len(writer) == 9
@@ -33,20 +34,26 @@ class TestScalars:
             ("write_u16", "read_u16", 0xABCD),
             ("write_u32", "read_u32", 0xDEADBEEF),
             ("write_u64", "read_u64", 0x0123456789ABCDEF),
-            ("write_i32", "read_i32", -123456),
             ("write_i64", "read_i64", -(2**60)),
         ],
     )
     def test_round_trip(self, write, read, value):
-        writer = OracleWriter()  # the product writer plus write_u32
+        # The product writer and reader plus the oracles' u32/i64 writes
+        # and i64 read.
+        writer = OracleWriter()
         getattr(writer, write)(value, "s")
-        reader = StreamReader(writer.getvalue())
+        reader = OracleReader(writer.getvalue())
         assert getattr(reader, read)() == value
 
+    def test_i32_read(self):
+        writer = OracleWriter()
+        writer.write_u32(-123456 & 0xFFFF_FFFF, "s")
+        assert OracleReader(writer.getvalue()).read_i32() == -123456
+
     def test_f64_round_trip(self):
-        writer = StreamWriter()
+        writer = OracleWriter()
         writer.write_f64(-0.125, "s")
-        assert StreamReader(writer.getvalue()).read_f64() == -0.125
+        assert OracleReader(writer.getvalue()).read_f64() == -0.125
 
 
 class TestVarints:
@@ -60,7 +67,7 @@ class TestVarints:
     def test_signed_round_trip(self, value):
         writer = OracleWriter()
         writer.write_signed_varint(value, "v")
-        assert StreamReader(writer.getvalue()).read_signed_varint() == value
+        assert OracleReader(writer.getvalue()).read_signed_varint() == value
 
     def test_small_values_take_one_byte(self):
         writer = StreamWriter()
@@ -105,7 +112,7 @@ class TestVarints:
     def test_signed_boundaries_round_trip(self, value):
         writer = OracleWriter()
         writer.write_signed_varint(value, "v")
-        assert StreamReader(writer.getvalue()).read_signed_varint() == value
+        assert OracleReader(writer.getvalue()).read_signed_varint() == value
 
     @given(st.integers(min_value=2**62, max_value=2**64 - 1))
     def test_unsigned_high_range_round_trip(self, value):
@@ -125,7 +132,7 @@ class TestVarints:
     def test_signed_boundary_neighborhood_round_trip(self, value):
         writer = OracleWriter()
         writer.write_signed_varint(value, "v")
-        decoded = StreamReader(writer.getvalue()).read_signed_varint()
+        decoded = OracleReader(writer.getvalue()).read_signed_varint()
         assert decoded == value
         assert -(1 << 63) <= decoded < 1 << 63
 
